@@ -216,17 +216,20 @@ class BrokerClient:
 
     def _on_payload(self, payload: bytes) -> None:
         message = wire.decode_message(payload)
-        if isinstance(message, wire.ConnAck):
-            self.connected_broker = message.broker_name
-            self._expected_backlog = message.backlog
-        elif isinstance(message, (wire.SubAck, wire.UnsubAck)):
-            self._resolve(message.request_id, result=message.subscription_id)
-        elif isinstance(message, wire.ErrorReply):
-            self._resolve(message.request_id, error=message.reason)
-        elif isinstance(message, wire.EventDelivery):
-            self._on_event_delivery(message)
-        else:
+        handler = self._HANDLERS.get(type(message))
+        if handler is None:
             raise ProtocolError(f"client cannot handle {type(message).__name__}")
+        handler(self, message)
+
+    def _on_connack(self, message: wire.ConnAck) -> None:
+        self.connected_broker = message.broker_name
+        self._expected_backlog = message.backlog
+
+    def _on_request_ack(self, message: Union[wire.SubAck, wire.UnsubAck]) -> None:
+        self._resolve(message.request_id, result=message.subscription_id)
+
+    def _on_error_reply(self, message: wire.ErrorReply) -> None:
+        self._resolve(message.request_id, error=message.reason)
 
     def _resolve(
         self, request_id: int, *, result: Optional[int] = None, error: Optional[str] = None
@@ -251,6 +254,15 @@ class BrokerClient:
         # Duplicates (redelivery overlap) are acked but not re-processed.
         if self.auto_ack and self.is_connected:
             self.ack(message.seq)
+
+    #: Message class -> handler ``(client, message)``.
+    _HANDLERS = {
+        wire.ConnAck: _on_connack,
+        wire.SubAck: _on_request_ack,
+        wire.UnsubAck: _on_request_ack,
+        wire.ErrorReply: _on_error_reply,
+        wire.EventDelivery: _on_event_delivery,
+    }
 
     @property
     def received_events(self) -> List[Event]:

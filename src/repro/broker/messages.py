@@ -18,12 +18,14 @@ every broker, flooded with origin-based deduplication) and ``BROKER_HELLO``
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CodecError
-from repro.broker.codec import ByteReader, ByteWriter
+from repro.broker.codec import WirePlan, utf8_field
 from repro.matching.digest import MatchDigest
 
 
@@ -186,160 +188,257 @@ class ErrorReply:
     reason: str
 
 
-_TYPE_OF = {
-    Connect: MessageType.CONNECT,
-    ConnAck: MessageType.CONNACK,
-    Subscribe: MessageType.SUBSCRIBE,
-    SubAck: MessageType.SUBACK,
-    Unsubscribe: MessageType.UNSUBSCRIBE,
-    UnsubAck: MessageType.UNSUBACK,
-    Publish: MessageType.PUBLISH,
-    EventDelivery: MessageType.EVENT,
-    Ack: MessageType.ACK,
-    Disconnect: MessageType.DISCONNECT,
-    BrokerHello: MessageType.BROKER_HELLO,
-    BrokerEvent: MessageType.BROKER_EVENT,
-    BrokerEventBatch: MessageType.BROKER_EVENT_BATCH,
-    PublishBatch: MessageType.PUBLISH_BATCH,
-    SubPropagate: MessageType.SUB_PROPAGATE,
-    UnsubPropagate: MessageType.UNSUB_PROPAGATE,
-    ErrorReply: MessageType.ERROR,
-}
+# ----------------------------------------------------------------------
+# The codec: one encoder per message class, one decoder per type byte.
+#
+# A *flat* message (scalars and strings only) is one WirePlan record whose
+# first field is the type byte.  The messages that carry event payloads are
+# written out by hand over precompiled header layouts: they are the per-event
+# traffic, and their shape (blobs, repeated entries, optional digest
+# trailers) is not a flat record.
+
+Encoder = Callable[[Any], bytes]
+Decoder = Callable[[bytes], object]
+_ENCODERS: Dict[type, Encoder] = {}
+_DECODERS: Dict[int, Decoder] = {}
+
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_PUBLISH_HEAD = struct.Struct(">BI")  # type, payload length (or batch count)
+_EVENT_HEAD = struct.Struct(">BQI")  # type, seq, payload length
+_ACK_LAYOUT = struct.Struct(">BQ")  # type, seq
+# Type bytes of the per-event messages as plain values (an enum attribute
+# lookup per encode costs as much as the pack itself).
+_PUBLISH = int(MessageType.PUBLISH)
+_EVENT = int(MessageType.EVENT)
+_ACK = int(MessageType.ACK)
+_PUBLISH_BATCH = int(MessageType.PUBLISH_BATCH)
+_BROKER_EVENT = bytes((MessageType.BROKER_EVENT,))
+_BROKER_EVENT_BATCH = bytes((MessageType.BROKER_EVENT_BATCH,))
+
+
+def _register(cls: type, message_type: MessageType, encode: Encoder, decode: Decoder) -> None:
+    _ENCODERS[cls] = encode
+    _DECODERS[int(message_type)] = decode
+
+
+def _register_flat(cls: type, message_type: MessageType, codes: str) -> None:
+    """A message whose dataclass fields are, in order, the wire fields
+    ``codes`` (see :class:`~repro.broker.codec.WirePlan`)."""
+    names = tuple(field.name for field in dataclasses.fields(cls))
+    plan = WirePlan(("type",) + names, "B" + codes)
+    type_byte = int(message_type)
+    _register(
+        cls,
+        message_type,
+        lambda message: plan.pack([type_byte] + [getattr(message, name) for name in names]),
+        lambda payload: cls(*plan.unpack(payload)[1:]),
+    )
+
+
+_register_flat(Connect, MessageType.CONNECT, "sQ")
+_register_flat(ConnAck, MessageType.CONNACK, "sI")
+_register_flat(Subscribe, MessageType.SUBSCRIBE, "Is")
+_register_flat(SubAck, MessageType.SUBACK, "IQ")
+_register_flat(Unsubscribe, MessageType.UNSUBSCRIBE, "IQ")
+_register_flat(UnsubAck, MessageType.UNSUBACK, "IQ")
+_register_flat(Disconnect, MessageType.DISCONNECT, "")
+_register_flat(BrokerHello, MessageType.BROKER_HELLO, "s")
+_register_flat(SubPropagate, MessageType.SUB_PROPAGATE, "Qsss")
+_register_flat(UnsubPropagate, MessageType.UNSUB_PROPAGATE, "Qs")
+_register_flat(ErrorReply, MessageType.ERROR, "Is")
+
+
+def _string(value: str) -> bytes:
+    data = utf8_field(value)
+    return _U16.pack(len(data)) + data
+
+
+def _blob(data: bytes) -> bytes:
+    return _U32.pack(len(data)) + data
+
+
+def _take(payload: bytes, offset: int, length: int) -> Tuple[bytes, int]:
+    end = offset + length
+    if end > len(payload):
+        raise CodecError(
+            f"truncated message: wanted {length} bytes at offset {offset}, "
+            f"have {len(payload) - offset}"
+        )
+    return payload[offset:end], end
+
+
+def _read_string(payload: bytes, offset: int) -> Tuple[str, int]:
+    (length,) = _U16.unpack_from(payload, offset)
+    data, end = _take(payload, offset + 2, length)
+    return str(data, "utf-8"), end
+
+
+def _read_blob(payload: bytes, offset: int) -> Tuple[bytes, int]:
+    (length,) = _U32.unpack_from(payload, offset)
+    return _take(payload, offset + 4, length)
+
+
+def _expect_end(payload: bytes, offset: int) -> None:
+    if offset != len(payload):
+        raise CodecError(f"{len(payload) - offset} trailing bytes after message payload")
+
+
+def _final_blob(payload: bytes, offset: int, length: int) -> bytes:
+    """The ``length`` bytes at ``offset``, which must end the payload."""
+    if offset + length != len(payload):
+        _expect_end(payload, _take(payload, offset, length)[1])
+    return payload[offset:]
+
+
+def _encode_publish(message: Publish) -> bytes:
+    data = message.event_data
+    return _PUBLISH_HEAD.pack(_PUBLISH, len(data)) + data
+
+
+def _decode_publish(payload: bytes) -> Publish:
+    _type, length = _PUBLISH_HEAD.unpack_from(payload)
+    return Publish(_final_blob(payload, _PUBLISH_HEAD.size, length))
+
+
+def _encode_event_delivery(message: EventDelivery) -> bytes:
+    data = message.event_data
+    return _EVENT_HEAD.pack(_EVENT, message.seq, len(data)) + data
+
+
+def _decode_event_delivery(payload: bytes) -> EventDelivery:
+    _type, seq, length = _EVENT_HEAD.unpack_from(payload)
+    return EventDelivery(seq, _final_blob(payload, _EVENT_HEAD.size, length))
+
+
+def _encode_ack(message: Ack) -> bytes:
+    return _ACK_LAYOUT.pack(_ACK, message.seq)
+
+
+def _decode_ack(payload: bytes) -> Ack:
+    _type, seq = _ACK_LAYOUT.unpack_from(payload)
+    _expect_end(payload, _ACK_LAYOUT.size)
+    return Ack(seq)
+
+
+def _encode_broker_event(message: BrokerEvent) -> bytes:
+    digest = message.digest
+    return b"".join(
+        (
+            _BROKER_EVENT,
+            _string(message.root),
+            _string(message.publisher),
+            _blob(message.event_data),
+            b"" if digest is None else _blob(digest.to_bytes()),
+        )
+    )
+
+
+def _decode_broker_event(payload: bytes) -> BrokerEvent:
+    root, offset = _read_string(payload, 1)
+    publisher, offset = _read_string(payload, offset)
+    event_data, offset = _read_blob(payload, offset)
+    if offset == len(payload):
+        return BrokerEvent(root, publisher, event_data)
+    (length,) = _U32.unpack_from(payload, offset)
+    digest = MatchDigest.from_bytes(_final_blob(payload, offset + 4, length))
+    return BrokerEvent(root, publisher, event_data, digest)
+
+
+def _encode_broker_event_batch(message: BrokerEventBatch) -> bytes:
+    entries, digests = message.entries, message.digests
+    parts = [_BROKER_EVENT_BATCH, _string(message.root), _U32.pack(len(entries))]
+    for publisher, event_data in entries:
+        parts += (_string(publisher), _blob(event_data))
+    if digests and len(digests) != len(entries):
+        raise CodecError(
+            f"digest table length {len(digests)} does not match {len(entries)} batch entries"
+        )
+    carried = [
+        _U32.pack(index) + _blob(digest.to_bytes())
+        for index, digest in enumerate(digests)
+        if digest is not None
+    ]
+    if carried:
+        parts.append(_U32.pack(len(carried)))
+        parts += carried
+    return b"".join(parts)
+
+
+def _decode_broker_event_batch(payload: bytes) -> BrokerEventBatch:
+    root, offset = _read_string(payload, 1)
+    (count,) = _U32.unpack_from(payload, offset)
+    offset += 4
+    entries = []
+    for _ in range(count):
+        publisher, offset = _read_string(payload, offset)
+        event_data, offset = _read_blob(payload, offset)
+        entries.append((publisher, event_data))
+    if offset == len(payload):
+        return BrokerEventBatch(root, tuple(entries))
+    digests: List[Optional[MatchDigest]] = [None] * count
+    (carried,) = _U32.unpack_from(payload, offset)
+    offset += 4
+    for _ in range(carried):
+        (index,) = _U32.unpack_from(payload, offset)
+        if index >= count:
+            raise CodecError(f"digest table references entry {index} of a {count}-entry batch")
+        blob, offset = _read_blob(payload, offset + 4)
+        digests[index] = MatchDigest.from_bytes(blob)
+    _expect_end(payload, offset)
+    return BrokerEventBatch(root, tuple(entries), tuple(digests))
+
+
+def _encode_publish_batch(message: PublishBatch) -> bytes:
+    parts = [_PUBLISH_HEAD.pack(_PUBLISH_BATCH, len(message.events))]
+    parts += map(_blob, message.events)
+    return b"".join(parts)
+
+
+def _decode_publish_batch(payload: bytes) -> PublishBatch:
+    _type, count = _PUBLISH_HEAD.unpack_from(payload)
+    offset = _PUBLISH_HEAD.size
+    events = []
+    for _ in range(count):
+        event_data, offset = _read_blob(payload, offset)
+        events.append(event_data)
+    _expect_end(payload, offset)
+    return PublishBatch(tuple(events))
+
+
+_register(Publish, MessageType.PUBLISH, _encode_publish, _decode_publish)
+_register(EventDelivery, MessageType.EVENT, _encode_event_delivery, _decode_event_delivery)
+_register(Ack, MessageType.ACK, _encode_ack, _decode_ack)
+_register(BrokerEvent, MessageType.BROKER_EVENT, _encode_broker_event, _decode_broker_event)
+_register(
+    BrokerEventBatch,
+    MessageType.BROKER_EVENT_BATCH,
+    _encode_broker_event_batch,
+    _decode_broker_event_batch,
+)
+_register(PublishBatch, MessageType.PUBLISH_BATCH, _encode_publish_batch, _decode_publish_batch)
 
 
 def encode_message(message: object) -> bytes:
     """Message object → payload bytes (type byte + fields)."""
-    message_type = _TYPE_OF.get(type(message))
-    if message_type is None:
+    encode = _ENCODERS.get(type(message))
+    if encode is None:
         raise CodecError(f"not a wire message: {message!r}")
-    writer = ByteWriter().u8(int(message_type))
-    if isinstance(message, Connect):
-        writer.string(message.client_name).u64(message.last_seq)
-    elif isinstance(message, ConnAck):
-        writer.string(message.broker_name).u32(message.backlog)
-    elif isinstance(message, Subscribe):
-        writer.u32(message.request_id).string(message.expression)
-    elif isinstance(message, (SubAck, UnsubAck, Unsubscribe)):
-        writer.u32(message.request_id).u64(message.subscription_id)
-    elif isinstance(message, Publish):
-        writer.u32(len(message.event_data)).raw(message.event_data)
-    elif isinstance(message, EventDelivery):
-        writer.u64(message.seq).u32(len(message.event_data)).raw(message.event_data)
-    elif isinstance(message, Ack):
-        writer.u64(message.seq)
-    elif isinstance(message, Disconnect):
-        pass
-    elif isinstance(message, BrokerHello):
-        writer.string(message.broker_name)
-    elif isinstance(message, BrokerEvent):
-        writer.string(message.root).string(message.publisher)
-        writer.u32(len(message.event_data)).raw(message.event_data)
-        if message.digest is not None:
-            blob = message.digest.to_bytes()
-            writer.u32(len(blob)).raw(blob)
-    elif isinstance(message, BrokerEventBatch):
-        writer.string(message.root).u32(len(message.entries))
-        for publisher, event_data in message.entries:
-            writer.string(publisher).u32(len(event_data)).raw(event_data)
-        if message.digests:
-            if len(message.digests) != len(message.entries):
-                raise CodecError(
-                    f"digest table length {len(message.digests)} does not match "
-                    f"{len(message.entries)} batch entries"
-                )
-            carried = [
-                (index, digest)
-                for index, digest in enumerate(message.digests)
-                if digest is not None
-            ]
-            if carried:
-                writer.u32(len(carried))
-                for index, digest in carried:
-                    blob = digest.to_bytes()
-                    writer.u32(index).u32(len(blob)).raw(blob)
-    elif isinstance(message, PublishBatch):
-        writer.u32(len(message.events))
-        for event_data in message.events:
-            writer.u32(len(event_data)).raw(event_data)
-    elif isinstance(message, SubPropagate):
-        writer.u64(message.subscription_id).string(message.subscriber)
-        writer.string(message.expression).string(message.origin)
-    elif isinstance(message, UnsubPropagate):
-        writer.u64(message.subscription_id).string(message.origin)
-    elif isinstance(message, ErrorReply):
-        writer.u32(message.request_id).string(message.reason)
-    return writer.getvalue()
+    try:
+        return encode(message)
+    except struct.error as exc:
+        raise CodecError(f"cannot marshal {message!r}: a field is out of range ({exc})") from exc
 
 
 def decode_message(payload: bytes) -> object:
     """Payload bytes → message object; raises :class:`CodecError` on any
     malformed input (unknown type byte, truncation, trailing bytes)."""
-    reader = ByteReader(payload)
-    type_byte = reader.u8()
+    decode = _DECODERS.get(payload[0]) if payload else None
+    if decode is None:
+        raise CodecError(f"unknown message type byte in {bytes(payload[:1])!r}")
     try:
-        message_type = MessageType(type_byte)
-    except ValueError:
-        raise CodecError(f"unknown message type byte {type_byte}") from None
-    message = _DECODERS[message_type](reader)
-    reader.expect_exhausted()
-    return message
-
-
-def _read_blob(reader: ByteReader) -> bytes:
-    length = reader.u32()
-    return reader._take(length)  # noqa: SLF001 - codec-internal access
-
-
-def _read_digest(reader: ByteReader) -> MatchDigest:
-    return MatchDigest.from_bytes(_read_blob(reader))
-
-
-def _read_broker_event(reader: ByteReader) -> BrokerEvent:
-    root = reader.string()
-    publisher = reader.string()
-    event_data = _read_blob(reader)
-    digest = None if reader.exhausted else _read_digest(reader)
-    return BrokerEvent(root, publisher, event_data, digest)
-
-
-def _read_broker_event_batch(reader: ByteReader) -> BrokerEventBatch:
-    root = reader.string()
-    count = reader.u32()
-    entries = tuple((reader.string(), _read_blob(reader)) for _ in range(count))
-    if reader.exhausted:
-        return BrokerEventBatch(root, entries)
-    digests: list[Optional[MatchDigest]] = [None] * count
-    for _ in range(reader.u32()):
-        index = reader.u32()
-        if index >= count:
-            raise CodecError(
-                f"digest table references entry {index} of a {count}-entry batch"
-            )
-        digests[index] = _read_digest(reader)
-    return BrokerEventBatch(root, entries, tuple(digests))
-
-
-def _read_publish_batch(reader: ByteReader) -> PublishBatch:
-    count = reader.u32()
-    return PublishBatch(tuple(_read_blob(reader) for _ in range(count)))
-
-
-_DECODERS: Dict[MessageType, Callable[[ByteReader], object]] = {
-    MessageType.CONNECT: lambda r: Connect(r.string(), r.u64()),
-    MessageType.CONNACK: lambda r: ConnAck(r.string(), r.u32()),
-    MessageType.SUBSCRIBE: lambda r: Subscribe(r.u32(), r.string()),
-    MessageType.SUBACK: lambda r: SubAck(r.u32(), r.u64()),
-    MessageType.UNSUBSCRIBE: lambda r: Unsubscribe(r.u32(), r.u64()),
-    MessageType.UNSUBACK: lambda r: UnsubAck(r.u32(), r.u64()),
-    MessageType.PUBLISH: lambda r: Publish(_read_blob(r)),
-    MessageType.EVENT: lambda r: EventDelivery(r.u64(), _read_blob(r)),
-    MessageType.ACK: lambda r: Ack(r.u64()),
-    MessageType.DISCONNECT: lambda r: Disconnect(),
-    MessageType.BROKER_HELLO: lambda r: BrokerHello(r.string()),
-    MessageType.BROKER_EVENT: _read_broker_event,
-    MessageType.BROKER_EVENT_BATCH: _read_broker_event_batch,
-    MessageType.PUBLISH_BATCH: _read_publish_batch,
-    MessageType.SUB_PROPAGATE: lambda r: SubPropagate(r.u64(), r.string(), r.string(), r.string()),
-    MessageType.UNSUB_PROPAGATE: lambda r: UnsubPropagate(r.u64(), r.string()),
-    MessageType.ERROR: lambda r: ErrorReply(r.u32(), r.string()),
-}
+        return decode(payload)
+    except struct.error as exc:
+        raise CodecError(f"truncated message: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"invalid UTF-8 in string field: {exc}") from exc

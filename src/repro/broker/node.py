@@ -34,6 +34,7 @@ from typing import Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import ProtocolError, RoutingError, TransportError
 from repro.broker import messages as wire
+from repro.broker.codec import decode_event
 from repro.broker.event_log import EventLog
 from repro.broker.transport import Connection, Listener, Transport
 from repro.core.router import ContentRouter
@@ -162,6 +163,9 @@ class BrokerNode:
         #: hello ping-pong when both ends of a link dial each other.
         self._greeted_connections: Set[int] = set()
         self._sessions: Dict[str, ClientSession] = {}
+        #: Live client connection -> its session (``session.connection`` is
+        #: the key); what PUBLISH/SUBSCRIBE/ACK look their sender up in.
+        self._session_of: Dict[Connection, ClientSession] = {}
         self._seen_subscription_ids: Set[int] = set()
         self._gc_interval_acks = max(1, gc_interval_acks)
         self._acks_since_gc = 0
@@ -217,6 +221,7 @@ class BrokerNode:
             for connection in list(self._broker_connections.values()):
                 connection.close()
             self._broker_connections.clear()
+            self._session_of.clear()
             for session in self._sessions.values():
                 if session.connection is not None:
                     session.connection.close()
@@ -266,9 +271,9 @@ class BrokerNode:
             for neighbor, existing in list(self._broker_connections.items()):
                 if existing is connection:
                     del self._broker_connections[neighbor]
-            for session in self._sessions.values():
-                if session.connection is connection:
-                    session.connection = None  # log is kept for redelivery
+            session = self._session_of.pop(connection, None)
+            if session is not None:
+                session.connection = None  # log is kept for redelivery
 
     def _session_for(self, client_name: str) -> ClientSession:
         session = self._sessions.get(client_name)
@@ -295,41 +300,13 @@ class BrokerNode:
             self._dispatch(connection, message)
 
     def _dispatch(self, connection: Connection, message: object) -> None:
-        if isinstance(message, wire.BrokerHello):
-            self._handle_broker_hello(connection, message)
-        elif isinstance(message, wire.Connect):
-            self._handle_connect(connection, message)
-        elif isinstance(message, wire.Subscribe):
-            self._handle_subscribe(connection, message)
-        elif isinstance(message, wire.Unsubscribe):
-            self._handle_unsubscribe(connection, message)
-        elif isinstance(message, wire.Publish):
-            self._handle_publish(connection, message)
-        elif isinstance(message, wire.Ack):
-            self._handle_ack(connection, message)
-        elif isinstance(message, wire.Disconnect):
-            self._handle_disconnect(connection)
-        elif isinstance(message, wire.BrokerEvent):
-            self._handle_broker_event(message)
-        elif isinstance(message, wire.BrokerEventBatch):
-            self._handle_broker_event_batch(message)
-        elif isinstance(message, wire.PublishBatch):
-            self._handle_publish_batch(connection, message)
-        elif isinstance(message, wire.SubPropagate):
-            self._handle_sub_propagate(connection, message)
-        elif isinstance(message, wire.UnsubPropagate):
-            self._handle_unsub_propagate(connection, message)
-        else:
+        handler = self._HANDLERS.get(type(message))
+        if handler is None:
             raise ProtocolError(f"broker cannot handle {type(message).__name__}")
+        handler(self, connection, message)
 
     # ------------------------------------------------------------------
     # Client protocol
-
-    def _client_name_of(self, connection: Connection) -> Optional[str]:
-        for name, session in self._sessions.items():
-            if session.connection is connection:
-                return name
-        return None
 
     def _handle_connect(self, connection: Connection, message: wire.Connect) -> None:
         name = message.client_name
@@ -349,9 +326,15 @@ class BrokerNode:
             connection.close()
             return
         session = self._session_for(name)
-        if session.connection is not None and session.connection.is_open:
-            session.connection.close()
+        replaced = session.connection
+        if replaced is not None:
+            # Closed from this side, so no close notification may come to
+            # unmap it.
+            self._session_of.pop(replaced, None)
+            if replaced.is_open:
+                replaced.close()
         session.connection = connection
+        self._session_of[connection] = session
         session.log.ack(min(message.last_seq, session.log.last_seq))
         backlog = session.log.entries_after(message.last_seq)
         connection.send(wire.encode_message(wire.ConnAck(self.name, len(backlog))))
@@ -359,12 +342,13 @@ class BrokerNode:
             connection.send(wire.encode_message(wire.EventDelivery(seq, event_data)))
 
     def _handle_subscribe(self, connection: Connection, message: wire.Subscribe) -> None:
-        client = self._client_name_of(connection)
-        if client is None:
+        session = self._session_of.get(connection)
+        if session is None:
             connection.send(
                 wire.encode_message(wire.ErrorReply(message.request_id, "not connected"))
             )
             return
+        client = session.name
         try:
             predicate = parse_predicate(self.config.schema, message.expression)
         except Exception as exc:  # parse/predicate errors go back to the client
@@ -386,8 +370,8 @@ class BrokerNode:
         )
 
     def _handle_unsubscribe(self, connection: Connection, message: wire.Unsubscribe) -> None:
-        client = self._client_name_of(connection)
-        if client is None:
+        session = self._session_of.get(connection)
+        if session is None:
             connection.send(
                 wire.encode_message(wire.ErrorReply(message.request_id, "not connected"))
             )
@@ -399,7 +383,7 @@ class BrokerNode:
                 wire.encode_message(wire.ErrorReply(message.request_id, str(exc)))
             )
             return
-        if removed.subscriber != client:
+        if removed.subscriber != session.name:
             # Put it back; clients may only remove their own subscriptions.
             self.router.add_subscription(removed)
             connection.send(
@@ -416,52 +400,47 @@ class BrokerNode:
             wire.encode_message(wire.UnsubAck(message.request_id, message.subscription_id))
         )
 
+    def _publisher_of(self, connection: Connection) -> Optional[str]:
+        """The client publishing on ``connection`` (``None``, after an error
+        reply, when it may not publish here)."""
+        session = self._session_of.get(connection)
+        if session is None:
+            reason = "not connected"
+        elif self.name not in self.config.spanning_trees:
+            reason = f"broker {self.name!r} hosts no declared publisher"
+        else:
+            return session.name
+        connection.send(wire.encode_message(wire.ErrorReply(0, reason)))
+        return None
+
     def _handle_publish(self, connection: Connection, message: wire.Publish) -> None:
-        client = self._client_name_of(connection)
-        if client is None:
-            connection.send(wire.encode_message(wire.ErrorReply(0, "not connected")))
-            return
-        if self.name not in self.config.spanning_trees:
-            connection.send(
-                wire.encode_message(
-                    wire.ErrorReply(0, f"broker {self.name!r} hosts no declared publisher")
-                )
-            )
-            return
-        self._enqueue_event(message.event_data, root=self.name, publisher=client)
+        client = self._publisher_of(connection)
+        if client is not None:
+            self._ingest.append((message.event_data, self.name, client, None))
+            self._drain_ingest()
 
     def _handle_publish_batch(
         self, connection: Connection, message: wire.PublishBatch
     ) -> None:
-        client = self._client_name_of(connection)
-        if client is None:
-            connection.send(wire.encode_message(wire.ErrorReply(0, "not connected")))
-            return
-        if self.name not in self.config.spanning_trees:
-            connection.send(
-                wire.encode_message(
-                    wire.ErrorReply(0, f"broker {self.name!r} hosts no declared publisher")
-                )
-            )
-            return
-        for event_data in message.events:
-            self._ingest.append((event_data, self.name, client, None))
-        self._drain_ingest()
+        client = self._publisher_of(connection)
+        if client is not None:
+            for event_data in message.events:
+                self._ingest.append((event_data, self.name, client, None))
+            self._drain_ingest()
 
     def _handle_ack(self, connection: Connection, message: wire.Ack) -> None:
-        client = self._client_name_of(connection)
-        if client is None:
+        session = self._session_of.get(connection)
+        if session is None:
             return
-        session = self._sessions[client]
         session.log.ack(message.seq)
         self._acks_since_gc += 1
         if self._acks_since_gc >= self._gc_interval_acks:
             self.collect_garbage()
 
-    def _handle_disconnect(self, connection: Connection) -> None:
-        client = self._client_name_of(connection)
-        if client is not None:
-            self._sessions[client].connection = None
+    def _handle_disconnect(self, connection: Connection, _message: wire.Disconnect) -> None:
+        session = self._session_of.pop(connection, None)
+        if session is not None:
+            session.connection = None
         connection.close()
 
     # ------------------------------------------------------------------
@@ -526,30 +505,19 @@ class BrokerNode:
         self._obs_unsubscribes.inc()
         self._flood_to_brokers(message, exclude=connection)
 
-    def _handle_broker_event(self, message: wire.BrokerEvent) -> None:
-        self._enqueue_event(
-            message.event_data,
-            root=message.root,
-            publisher=message.publisher,
-            digest=message.digest,
+    def _handle_broker_event(self, _connection: Connection, message: wire.BrokerEvent) -> None:
+        self._ingest.append(
+            (message.event_data, message.root, message.publisher, message.digest)
         )
+        self._drain_ingest()
 
-    def _handle_broker_event_batch(self, message: wire.BrokerEventBatch) -> None:
+    def _handle_broker_event_batch(
+        self, _connection: Connection, message: wire.BrokerEventBatch
+    ) -> None:
         for i, (publisher, event_data) in enumerate(message.entries):
             self._ingest.append(
                 (event_data, message.root, publisher, message.digest_for(i))
             )
-        self._drain_ingest()
-
-    def _enqueue_event(
-        self,
-        event_data: bytes,
-        *,
-        root: str,
-        publisher: str,
-        digest: Optional[MatchDigest] = None,
-    ) -> None:
-        self._ingest.append((event_data, root, publisher, digest))
         self._drain_ingest()
 
     def _drain_ingest(self) -> None:
@@ -590,8 +558,6 @@ class BrokerNode:
         coordination because subscription flooding applies every add/remove
         exactly once at every broker.
         """
-        from repro.broker.codec import decode_event
-
         self._obs_ingest_batches.inc()
         events = [
             decode_event(self.config.schema, event_data, publisher=publisher)
@@ -685,6 +651,22 @@ class BrokerNode:
             session.connection.send(
                 wire.encode_message(wire.EventDelivery(seq, event_data))
             )
+
+    #: Message class -> handler ``(node, connection, message)``.
+    _HANDLERS = {
+        wire.BrokerHello: _handle_broker_hello,
+        wire.Connect: _handle_connect,
+        wire.Subscribe: _handle_subscribe,
+        wire.Unsubscribe: _handle_unsubscribe,
+        wire.Publish: _handle_publish,
+        wire.Ack: _handle_ack,
+        wire.Disconnect: _handle_disconnect,
+        wire.BrokerEvent: _handle_broker_event,
+        wire.BrokerEventBatch: _handle_broker_event_batch,
+        wire.PublishBatch: _handle_publish_batch,
+        wire.SubPropagate: _handle_sub_propagate,
+        wire.UnsubPropagate: _handle_unsub_propagate,
+    }
 
     # ------------------------------------------------------------------
     # Maintenance / introspection

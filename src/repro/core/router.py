@@ -30,7 +30,11 @@ from repro.core.link_matcher import LinkMatcher, LinkMatchResult
 from repro.core.masks import VirtualLinkTable
 from repro.core.trits import TritVector, pack_tritvector, unpack_tritvector
 from repro.matching.base import MatcherEngine
-from repro.matching.compile import CompiledProgram, compile_tree
+from repro.matching.compile import (
+    DEFAULT_MATCH_CACHE_CAPACITY,
+    CompiledProgram,
+    compile_tree,
+)
 from repro.matching.digest import MatchDigest, mix_subscription_id
 from repro.matching.events import Event
 from repro.matching.optimizations import FactoredMatcher
@@ -41,6 +45,9 @@ from repro.network.paths import RoutingTable
 from repro.obs import get_registry
 from repro.network.spanning import SpanningTree
 from repro.network.topology import Topology
+
+#: Floor of a factored sub-program's share of the router's cache budget.
+_MIN_SUBPROGRAM_CACHE_CAPACITY = 64
 
 
 class RouteDecision:
@@ -127,6 +134,9 @@ class ContentRouter:
             if domains
             else {}
         )
+        self._domain_checks = [
+            (schema.position_of(name), name, domain) for name, domain in self.domains.items()
+        ]
         self.links = VirtualLinkTable(topology, broker, routing_table, spanning_trees)
         self._factored: Optional[FactoredMatcher] = None
         self._engine: Optional[MatcherEngine] = None
@@ -179,6 +189,9 @@ class ContentRouter:
         self._annotations: Dict[int, Tuple[TreeAnnotation, LinkMatcher]] = {}
         self._programs: Dict[int, CompiledProgram] = {}
         self._dirty = True
+        # Memo of ``topology.node(neighbor).kind.is_client`` for the neighbors
+        # decisions have named (a node's kind never changes).
+        self._neighbor_is_client: Dict[str, bool] = {}
         # Subscription-set epoch: a monotonic version counter over this
         # router's subscription set and link layout, plus an order-independent
         # checksum of the registered subscription ids.  Together they tag
@@ -298,9 +311,16 @@ class ContentRouter:
         assert self._factored is not None
         self._annotations.clear()
         self._programs.clear()
-        for _key, tree in self._factored.trees():
+        trees = list(self._factored.trees())
+        # One result-cache budget per router, split across its sub-programs:
+        # granting each the full default multiplies the router's resident
+        # cache entries by the number of sub-trees.
+        cache_capacity = max(
+            _MIN_SUBPROGRAM_CACHE_CAPACITY, DEFAULT_MATCH_CACHE_CAPACITY // max(1, len(trees))
+        )
+        for _key, tree in trees:
             if self.engine == "compiled":
-                program = compile_tree(tree)
+                program = compile_tree(tree, cache_capacity=cache_capacity)
                 program.annotate(self.links.num_links, self._link_of_subscriber)
                 self._programs[id(tree)] = program
             else:
@@ -420,14 +440,14 @@ class ContentRouter:
         return [self._decision_for(final) for final in results]
 
     def _decision_for(self, final: LinkMatchResult) -> RouteDecision:
-        neighbors = self.links.neighbors_for_mask(final.mask)
+        is_client = self._neighbor_is_client
         forward_to: List[str] = []
         deliver_to: List[str] = []
-        for neighbor in neighbors:
-            if self.topology.node(neighbor).kind.is_client:
-                deliver_to.append(neighbor)
-            else:
-                forward_to.append(neighbor)
+        for neighbor in self.links.neighbors_for_mask(final.mask):
+            client = is_client.get(neighbor)
+            if client is None:
+                client = is_client[neighbor] = self.topology.node(neighbor).kind.is_client
+            (deliver_to if client else forward_to).append(neighbor)
         self._obs_routes.inc()
         self._obs_steps.inc(final.steps)
         self._obs_forwards.inc(len(forward_to))
@@ -536,10 +556,11 @@ class ContentRouter:
         )
 
     def _check_domains(self, event: Event) -> None:
-        if not self.domains:
+        if not self._domain_checks:
             return
-        for name, domain in self.domains.items():
-            value = event.value(name)
+        values = event.as_tuple()
+        for position, name, domain in self._domain_checks:
+            value = values[position]
             if value not in domain:
                 raise RoutingError(
                     f"event value {value!r} for attribute {name!r} is outside "

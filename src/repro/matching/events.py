@@ -69,6 +69,23 @@ class Event:
         mapping = dict(zip(schema.names, values))
         return cls(schema, mapping, publisher=publisher, sequence=sequence)
 
+    @classmethod
+    def _from_wire(
+        cls, schema: EventSchema, values: Tuple[AttributeValue, ...], publisher: Optional[str]
+    ) -> "Event":
+        """The event codec's constructor, and nobody else's: ``values`` is
+        the tuple it just unmarshalled against ``schema``'s compiled layout,
+        so each value already has exactly the type ``validate_values`` would
+        coerce it to (DESIGN.md §4.6) and is stored as is."""
+        event = cls.__new__(cls)
+        event.schema = schema
+        event._values = dict(zip(schema.names, values))
+        event._tuple = values
+        event.event_id = next(_event_ids)
+        event.publisher = publisher
+        event.sequence = None
+        return event
+
     def value(self, name: str) -> AttributeValue:
         """The value of attribute ``name``."""
         try:

@@ -22,7 +22,7 @@ order), so mutation after distribution would corrupt routing state.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import SchemaError
 
@@ -131,7 +131,7 @@ class EventSchema:
                               ("volume", "integer")])
     """
 
-    __slots__ = ("_attributes", "_index", "_names")
+    __slots__ = ("_attributes", "_index", "_names", "wire_plan")
 
     def __init__(
         self, attributes: Iterable[Union[Attribute, Tuple[str, Union[AttributeType, str]]]]
@@ -158,6 +158,9 @@ class EventSchema:
         self._attributes: Tuple[Attribute, ...] = tuple(attrs)
         self._index = index
         self._names: Tuple[str, ...] = tuple(a.name for a in self._attributes)
+        #: Cache slot of :mod:`repro.broker.codec`: this schema's compiled
+        #: wire layout, built on the first event marshalled against it.
+        self.wire_plan: Optional[object] = None
 
     @property
     def attributes(self) -> Tuple[Attribute, ...]:

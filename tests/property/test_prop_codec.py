@@ -4,10 +4,16 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.broker import decode_event, decode_message, encode_event, encode_message
+from repro.broker import (
+    ByteWriter,
+    decode_event,
+    decode_message,
+    encode_event,
+    encode_message,
+)
 from repro.broker import messages as wire
 from repro.errors import CodecError
-from repro.matching import Event, EventSchema
+from repro.matching import AttributeType, Event, EventSchema
 from repro.matching.digest import MatchDigest
 
 import pytest
@@ -57,6 +63,90 @@ class TestEventCodec:
         data = encode_event(Event(SCHEMA, values))
         with pytest.raises(CodecError):
             decode_event(SCHEMA, data + trailing)
+
+
+# ----------------------------------------------------------------------
+# The compiled per-schema layout, over random schemas.
+
+_numbers = st.one_of(finite_floats, st.integers(min_value=-(2**53), max_value=2**53))
+_VALUES_OF = {
+    AttributeType.STRING: safe_text,
+    AttributeType.INTEGER: i64,
+    AttributeType.FLOAT: _numbers,  # integers are accepted and widened
+    AttributeType.DOLLAR: _numbers,
+    AttributeType.BOOLEAN: st.booleans(),
+}
+
+
+@st.composite
+def schema_and_values(draw):
+    types = draw(st.lists(st.sampled_from(list(AttributeType)), min_size=1, max_size=8))
+    schema = EventSchema([(f"a{i}", kind) for i, kind in enumerate(types)])
+    values = {f"a{i}": draw(_VALUES_OF[kind]) for i, kind in enumerate(types)}
+    return schema, values
+
+
+def reference_encoding(event, raw_strings=()):
+    """The field-by-field encoding the compiled layout replaced.
+    ``raw_strings`` maps attribute names to bytes written in place of the
+    value's UTF-8 (to forge malformed strings)."""
+    raw_strings = dict(raw_strings)
+    writer = ByteWriter()
+    for attribute, value in zip(event.schema, event.as_tuple()):
+        if attribute.name in raw_strings:
+            data = raw_strings[attribute.name]
+            writer.u16(len(data)).raw(data)
+        elif attribute.type is AttributeType.STRING:
+            writer.string(value)
+        elif attribute.type is AttributeType.INTEGER:
+            writer.i64(value)
+        elif attribute.type is AttributeType.BOOLEAN:
+            writer.boolean(value)
+        else:
+            writer.f64(value)
+    return writer.getvalue()
+
+
+class TestCompiledEventCodec:
+    @given(drawn=schema_and_values())
+    @settings(max_examples=300)
+    def test_roundtrip_equals_validated_event_and_reference_bytes(self, drawn):
+        schema, values = drawn
+        event = Event(schema, values)
+        data = encode_event(event)
+        assert data == reference_encoding(event)
+        decoded = decode_event(schema, data, publisher="P")
+        assert decoded == event and decoded.publisher == "P"
+        assert decoded.as_tuple() == event.as_tuple()
+        # The codec's constructor skips validation; what it builds must be
+        # what the validating constructor builds, value types included.
+        validated = Event(schema, decoded.values)
+        assert decoded == validated and hash(decoded) == hash(validated)
+        assert [type(v) for v in decoded] == [type(v) for v in validated]
+
+    @given(drawn=schema_and_values())
+    @settings(max_examples=100)
+    def test_every_truncation_and_trailing_byte_rejected(self, drawn):
+        schema, values = drawn
+        data = encode_event(Event(schema, values))
+        for cut in range(len(data)):
+            with pytest.raises(CodecError):
+                decode_event(schema, data[:cut])
+        with pytest.raises(CodecError):
+            decode_event(schema, data + b"\x00")
+
+    @given(drawn=schema_and_values(), choice=st.integers(min_value=0, max_value=7))
+    @settings(max_examples=100)
+    def test_invalid_utf8_rejected(self, drawn, choice):
+        schema, values = drawn
+        strings = [a.name for a in schema if a.type is AttributeType.STRING]
+        if not strings:
+            return
+        forged = reference_encoding(
+            Event(schema, values), {strings[choice % len(strings)]: b"\xff\xfe"}
+        )
+        with pytest.raises(CodecError):
+            decode_event(schema, forged)
 
 
 # Sorted unique id sets spanning both wire encodings: wide spans stay an id

@@ -275,3 +275,58 @@ class TestStatsSnapshot:
         assert stats["subscriptions"] == 0
         assert stats["events_routed"] == 0
         assert stats["connected_clients"] == []
+
+
+class TestConnectionToSessionMap:
+    """The node looks a message's sender up in a connection -> session map
+    (``_session_of``); it must hold exactly the live client connections."""
+
+    def test_reconnect_unmaps_the_replaced_connection(self):
+        schema, transport, nodes = two_broker_network()
+        node = nodes["B0"]
+        first = client("alice", schema, transport, "B0")
+        replaced = node.session("alice").connection
+        second = client("alice", schema, transport, "B0")  # while `first` is live
+        session = node.session("alice")
+        assert not replaced.is_open and session.connection is not replaced
+        assert node._session_of == {session.connection: session}
+        assert not first.is_connected and second.is_connected
+        # Over TCP the replaced connection's close notification arrives later,
+        # from its receiver thread: it must not disconnect the new session.
+        node._on_connection_closed(replaced)
+        assert session.is_connected
+        second.subscribe_and_wait("*")
+        pub = client("pub", schema, transport, "B0")
+        pub.publish({"issue": "X", "price": 1.0, "volume": 1})
+        transport.pump()
+        assert [seq for seq, _event in second.deliveries] == [1]
+        assert first.deliveries == []
+
+    def test_disconnect_and_dropped_connection_unmap(self):
+        schema, transport, nodes = two_broker_network()
+        node = nodes["B0"]
+        alice = client("alice", schema, transport, "B0")
+        pub = client("pub", schema, transport, "B0")
+        assert len(node._session_of) == 2
+        alice.disconnect()
+        transport.pump()
+        assert [session.name for session in node._session_of.values()] == ["pub"]
+        pub.drop_connection()
+        transport.pump()
+        assert node._session_of == {}
+        assert not node.session("alice").is_connected
+        assert not node.session("pub").is_connected
+
+    def test_requests_before_connect_are_refused(self):
+        schema, transport, nodes = two_broker_network()
+        stranger = BrokerClient("alice", schema, transport, "mem://B0", pump=transport.pump)
+        connection = transport.connect("mem://B0")
+        connection.on_message = stranger._on_payload
+        connection.start()
+        stranger._connection = connection  # skip CONNECT
+        with pytest.raises(RequestFailed, match="not connected"):
+            stranger.subscribe_and_wait("*")
+        stranger.publish({"issue": "X", "price": 1.0, "volume": 1})
+        transport.pump()
+        assert stranger.errors == ["not connected"]
+        assert nodes["B0"].events_routed == 0
