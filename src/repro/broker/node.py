@@ -166,7 +166,9 @@ class BrokerNode:
         #: Live client connection -> its session (``session.connection`` is
         #: the key); what PUBLISH/SUBSCRIBE/ACK look their sender up in.
         self._session_of: Dict[Connection, ClientSession] = {}
-        self._seen_subscription_ids: Set[int] = set()
+        #: Subscriber of every subscription this broker holds, by id: flood
+        #: deduplication, and who may UNSUBSCRIBE what.
+        self._subscriber_of: Dict[int, str] = {}
         self._gc_interval_acks = max(1, gc_interval_acks)
         self._acks_since_gc = 0
         #: Pending (event_data, root, publisher) triples awaiting routing;
@@ -360,7 +362,7 @@ class BrokerNode:
         subscription = Subscription(predicate, client, subscription_id=subscription_id)
         self.router.add_subscription(subscription)
         self._obs_subscribes.inc()
-        self._seen_subscription_ids.add(subscription_id)
+        self._subscriber_of[subscription_id] = client
         self._flood_to_brokers(
             wire.SubPropagate(subscription_id, client, message.expression, self.name),
             exclude=None,
@@ -376,23 +378,20 @@ class BrokerNode:
                 wire.encode_message(wire.ErrorReply(message.request_id, "not connected"))
             )
             return
-        try:
-            removed = self.router.remove_subscription(message.subscription_id)
-        except Exception as exc:
-            connection.send(
-                wire.encode_message(wire.ErrorReply(message.request_id, str(exc)))
+        # Ownership is settled before anything mutates: a refusal must leave
+        # the router, and with it the digest epoch, exactly as it was.
+        owner = self._subscriber_of.get(message.subscription_id)
+        if owner != session.name:
+            reason = (
+                f"unknown subscription id {message.subscription_id}"
+                if owner is None
+                else "not your subscription"
             )
+            connection.send(wire.encode_message(wire.ErrorReply(message.request_id, reason)))
             return
-        if removed.subscriber != session.name:
-            # Put it back; clients may only remove their own subscriptions.
-            self.router.add_subscription(removed)
-            connection.send(
-                wire.encode_message(
-                    wire.ErrorReply(message.request_id, "not your subscription")
-                )
-            )
-            return
-        self._seen_subscription_ids.discard(message.subscription_id)
+        del self._subscriber_of[message.subscription_id]
+        self.router.remove_subscription(message.subscription_id)
+        self._obs_unsubscribes.inc()
         self._flood_to_brokers(
             wire.UnsubPropagate(message.subscription_id, self.name), exclude=None
         )
@@ -487,9 +486,9 @@ class BrokerNode:
             connection.send(payload)
 
     def _handle_sub_propagate(self, connection: Connection, message: wire.SubPropagate) -> None:
-        if message.subscription_id in self._seen_subscription_ids:
+        if message.subscription_id in self._subscriber_of:
             return  # flood deduplication
-        self._seen_subscription_ids.add(message.subscription_id)
+        self._subscriber_of[message.subscription_id] = message.subscriber
         predicate = parse_predicate(self.config.schema, message.expression)
         self.router.add_subscription(
             Subscription(predicate, message.subscriber, subscription_id=message.subscription_id)
@@ -498,9 +497,8 @@ class BrokerNode:
         self._flood_to_brokers(message, exclude=connection)
 
     def _handle_unsub_propagate(self, connection: Connection, message: wire.UnsubPropagate) -> None:
-        if message.subscription_id not in self._seen_subscription_ids:
+        if self._subscriber_of.pop(message.subscription_id, None) is None:
             return
-        self._seen_subscription_ids.discard(message.subscription_id)
         self.router.remove_subscription(message.subscription_id)
         self._obs_unsubscribes.inc()
         self._flood_to_brokers(message, exclude=connection)

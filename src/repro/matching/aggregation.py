@@ -381,7 +381,7 @@ class AggregatingEngine(MatcherEngine):
             self._group_of[subscription_id] = group
             self._attach(group)
         self._repair_descent_cache(group)
-        self._invalidate_link_projection()
+        self._link_projection_insert(subscription)
         self._update_gauges()
 
     def remove(self, subscription_id: int) -> Subscription:
@@ -395,7 +395,7 @@ class AggregatingEngine(MatcherEngine):
         else:
             self._dissolve(group)
         self._repair_descent_cache(group)
-        self._invalidate_link_projection()
+        self._link_projection_remove(subscription_id)
         self._update_gauges()
         return subscription
 

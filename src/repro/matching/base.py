@@ -101,6 +101,17 @@ class Matcher(abc.ABC):
         """The registered subscriptions (order unspecified)."""
 
 
+def _link_bits(link_of: "LinkOfSubscriber", subscription: Subscription) -> int:
+    """The packed link bits ``link_of`` assigns to one subscription (a
+    negative position means unreachable and lights nothing)."""
+    mapped = link_of(subscription)
+    bits = 0
+    for position in (mapped,) if isinstance(mapped, int) else mapped:
+        if position >= 0:
+            bits |= 1 << position
+    return bits
+
+
 class MatcherEngine(Matcher):
     """A :class:`Matcher` that can additionally run the Section 3.3
     link-matching refinement — the full per-broker matching surface.
@@ -158,16 +169,29 @@ class MatcherEngine(Matcher):
     # ------------------------------------------------------------------
     # Digest projection (match-once forwarding)
 
-    #: Lazily built ``subscription_id -> packed link bits`` table; ``None``
-    #: means stale.  Class-level default so engines need no ``__init__``
+    #: ``subscription_id -> packed link bits``, built on the first digest
+    #: and from then on kept current entry by entry; ``None`` means not
+    #: built.  Class-level default so engines need no ``__init__``
     #: cooperation; instance assignment shadows it.
     _link_projection: Optional[Dict[int, int]] = None
 
     def _invalidate_link_projection(self) -> None:
-        """Drop the projection table.  Engines call this whenever the
-        subscription set or the link binding changes (insert/remove/
-        bind_links) — a stale table would project onto pre-churn links."""
+        """Drop the projection table.  Engines call this when the link
+        binding changes (``bind_links``) — every entry is then stale."""
         self._link_projection = None
+
+    def _link_projection_insert(self, subscription: Subscription) -> None:
+        """Churn-side upkeep of a built table: one entry in.  Each id maps
+        independently of every other, so this equals a rebuild."""
+        if self._link_projection is not None:
+            self._link_projection[subscription.subscription_id] = _link_bits(
+                self._projection_link_of(), subscription
+            )
+
+    def _link_projection_remove(self, subscription_id: int) -> None:
+        """Churn-side upkeep of a built table: one entry out."""
+        if self._link_projection is not None:
+            self._link_projection.pop(subscription_id, None)
 
     def _projection_link_of(self) -> "Optional[LinkOfSubscriber]":
         """The subscription→link mapping the projection table is built from
@@ -185,16 +209,10 @@ class MatcherEngine(Matcher):
                     f"{type(self).__name__}.project_links() requires a prior "
                     f"bind_links()"
                 )
-            table = {}
-            for subscription in self.subscriptions:
-                mapped = link_of(subscription)
-                positions = (mapped,) if isinstance(mapped, int) else mapped
-                bits = 0
-                for position in positions:
-                    if position >= 0:
-                        bits |= 1 << position
-                table[subscription.subscription_id] = bits
-            self._link_projection = table
+            table = self._link_projection = {
+                subscription.subscription_id: _link_bits(link_of, subscription)
+                for subscription in self.subscriptions
+            }
         return table
 
     def project_links(

@@ -48,9 +48,13 @@ charts (Chart 2) are bit-for-bit unchanged; only wall-clock time improves.
 rebuild: :meth:`CompiledProgram.patch` re-lowers only the root-to-leaf path
 selected by the changed predicate (the same walk as
 ``TreeAnnotation.update_path``), appending new CSR slices at the array ends
-and repointing the slice bounds.  Superseded slices become garbage; when the
-accumulated waste outgrows the live structure, ``patch`` refuses and the
-owning engine performs a fresh :func:`compile_tree`.
+and repointing the slice bounds.  Node slots under a pruned branch go onto a
+free list and are reused by the next lowering, and the
+``subscription_id -> leaf`` map digests project through is kept current by
+the same writes, so a subscription change costs its path and steady churn
+leaves the node arrays stationary.  Only superseded pool slices become
+garbage; when that waste outgrows the live structure, ``patch`` refuses and
+the owning engine performs a fresh :func:`compile_tree`.
 
 **Batching and the projection cache.**  The kernels only ever read an event
 at the *tested* attribute positions (the ``event_pos`` values of live
@@ -112,6 +116,9 @@ DEFAULT_MATCH_CACHE_CAPACITY = 4096
 #: discards a hot cache is costing real work the structural waste metric
 #: cannot see, so residency pushes the program toward a compact recompile.
 _CACHE_RESIDENCY_WASTE_SHIFT = 2  # charge = flushed_entries >> 2
+
+#: The kernel record of a slot with no node in it: a leaf holding nothing.
+_FREE_RECORD = (-1, None, None, -1, None)
 
 #: Per-process unique ids for compiled programs; ``(program_uid,
 #: generation)`` is the identity the procpool backend keys its
@@ -264,7 +271,9 @@ class CompiledProgram:
         "link_cache",
         # digest projection (subscription id -> live leaf index)
         "_sub_leaf",
-        "_sub_leaf_generation",
+        # slot recycling
+        "_free_slots",
+        "_slot_node_id",
     )
 
     def __init__(
@@ -335,8 +344,15 @@ class CompiledProgram:
         self.link_cache: Optional[ProjectionCache] = (
             ProjectionCache(cache_capacity, kind="links") if cache_capacity > 0 else None
         )
-        self._sub_leaf: Optional[Dict[int, int]] = None
-        self._sub_leaf_generation = -1
+        #: ``subscription_id -> leaf index`` over the live leaves, written by
+        #: lowering and retired by :meth:`patch` — never rebuilt.
+        self._sub_leaf: Dict[int, int] = {}
+        #: Slots :meth:`_recycle_subtree` proved unreachable, reset to neutral
+        #: leaves and awaiting reuse by :meth:`_ensure_index`.
+        self._free_slots: List[int] = []
+        #: PST node id lowered into each slot (the inverse of
+        #: :attr:`index_of_node`, which recycling must keep exact).
+        self._slot_node_id: List[int] = []
         self._ensure_index(tree.root)
 
     # ------------------------------------------------------------------
@@ -351,24 +367,30 @@ class CompiledProgram:
 
     def _ensure_index(self, node: PSTNode) -> int:
         """Index of ``node`` in the arrays, lowering it (and any children not
-        yet lowered) on first sight.  Indices are stable once assigned."""
+        yet lowered) on first sight.  An index is stable for as long as the
+        node is live; a pruned node's slot is reused."""
         index = self.index_of_node.get(node.node_id)
         if index is not None:
             return index
-        index = len(self.event_pos)
-        self.index_of_node[node.node_id] = index
         # Reserve the slot before descending so children see a stable parent.
-        self.event_pos.append(-1)
-        self.level.append(-1)
-        self.value_tables.append(None)
-        self.range_start.append(0)
-        self.range_end.append(0)
-        self.star.append(-1)
-        self.sub_start.append(0)
-        self.sub_end.append(0)
-        self.ann_yes.append(0)
-        self.ann_maybe.append(0)
-        self._records.append(())
+        if self._free_slots:
+            index = self._free_slots.pop()  # already a neutral leaf
+            self._slot_node_id[index] = node.node_id
+        else:
+            index = len(self.event_pos)
+            self.event_pos.append(-1)
+            self.level.append(-1)
+            self.value_tables.append(None)
+            self.range_start.append(0)
+            self.range_end.append(0)
+            self.star.append(-1)
+            self.sub_start.append(0)
+            self.sub_end.append(0)
+            self.ann_yes.append(0)
+            self.ann_maybe.append(0)
+            self._records.append(_FREE_RECORD)
+            self._slot_node_id.append(node.node_id)
+        self.index_of_node[node.node_id] = index
         if node.is_leaf:
             self._write_leaf_subs(index, node)
             self._refresh_record(index)
@@ -428,6 +450,18 @@ class CompiledProgram:
         self.sub_start[index] = len(self.subs_flat)
         self.subs_flat.extend(node.subscriptions)
         self.sub_end[index] = len(self.subs_flat)
+        for subscription in node.subscriptions:
+            self._sub_leaf[subscription.subscription_id] = index
+
+    def _release_leaf_subs(self, index: int) -> None:
+        """Orphan leaf ``index``'s ``subs_flat`` slice: its ids leave the
+        digest map and its entries stop pinning their subscriptions."""
+        begin, end = self.sub_start[index], self.sub_end[index]
+        for position in range(begin, end):
+            del self._sub_leaf[self.subs_flat[position].subscription_id]
+            self.subs_flat[position] = None
+        self.sub_start[index] = self.sub_end[index] = 0
+        self._waste += end - begin
 
     def _write_range_slice(self, index: int, node: PSTNode) -> None:
         # Lower the children *before* appending: _ensure_index recurses and
@@ -443,12 +477,13 @@ class CompiledProgram:
 
     @property
     def node_count(self) -> int:
-        """Slots in the node arrays (live + superseded-by-patch garbage)."""
+        """Slots in the node arrays (live + free-for-reuse)."""
         return len(self.event_pos)
 
     @property
     def waste(self) -> int:
-        """Pool entries orphaned by patches since the last full compile."""
+        """CSR-pool entries orphaned by patches since the last full compile
+        (recycled node slots are reused, so they are not waste)."""
         return self._waste
 
     # ------------------------------------------------------------------
@@ -779,43 +814,6 @@ class CompiledProgram:
     # ------------------------------------------------------------------
     # Digest projection (match-once forwarding)
 
-    def _sub_leaf_map(self) -> Dict[int, int]:
-        """The stable ``subscription_id -> live leaf index`` mapping.
-
-        Built by walking the live node graph from the root (``subs_flat``
-        alone is unusable: patches orphan superseded leaf slices, whose
-        entries must not shadow the live ones) and keyed on
-        :attr:`generation`, so every patch or re-annotation rebuilds it
-        lazily on next use.
-        """
-        if self._sub_leaf is not None and self._sub_leaf_generation == self.generation:
-            return self._sub_leaf
-        mapping: Dict[int, int] = {}
-        stack = [0]
-        seen = set()
-        while stack:
-            index = stack.pop()
-            if index in seen:
-                continue
-            seen.add(index)
-            if self.event_pos[index] < 0:
-                for subscription in self.subs_flat[
-                    self.sub_start[index] : self.sub_end[index]
-                ]:
-                    mapping[subscription.subscription_id] = index
-                continue
-            table = self.value_tables[index]
-            if table is not None:
-                stack.extend(table.values())
-            stack.extend(
-                self.range_children[self.range_start[index] : self.range_end[index]]
-            )
-            if self.star[index] >= 0:
-                stack.append(self.star[index])
-        self._sub_leaf = mapping
-        self._sub_leaf_generation = self.generation
-        return mapping
-
     def project_links(
         self, subscription_ids: Sequence[int], yes_bits: int, maybe_bits: int
     ) -> Tuple[int, int]:
@@ -834,7 +832,7 @@ class CompiledProgram:
         """
         if not self.annotated:
             raise RoutingError("program has no link annotations — call annotate()")
-        mapping = self._sub_leaf_map()
+        mapping = self._sub_leaf
         ann_yes = self.ann_yes
         bits = 0
         steps = 0
@@ -890,10 +888,9 @@ class CompiledProgram:
         """
         if self.index_of_node.get(tree.root.node_id) != 0:
             return False
-        # Compare garbage against the *live* structure (total slots minus
-        # garbage), not against the total — the total includes the garbage
-        # itself, which would let waste grow without ever crossing it.
-        if self._waste > max(64, self.node_count - self._waste):
+        # Compare pool garbage against the *live* nodes: free slots are
+        # neither (they are reused before the arrays grow).
+        if self._waste > max(64, len(self.index_of_node)):
             return False
         tests = [predicate.tests[position] for position in self._positions]
         path: List[Tuple[int, PSTNode]] = []
@@ -927,31 +924,38 @@ class CompiledProgram:
         self._bump_generation()
         return True
 
-    def _charge_subtree(self, index: int) -> None:
-        """Count every slot under an unreachable node as patch garbage.
+    def _recycle_subtree(self, index: int) -> None:
+        """Free every slot under an unreachable node for reuse.
 
         Only called for subtrees the live tree has *pruned* (their PST node
-        ids never reappear), so nothing here can be reattached later."""
+        ids never reappear), so nothing here can be reattached later.  A
+        freed slot reads as a neutral leaf — empty slices, zero annotation —
+        which every backend and ``ProgramImage`` can still execute over; its
+        pool slices are the only garbage left behind."""
         queue = [index]
-        for node_index in queue:
-            self._waste += 1
-            self._waste += self.sub_end[node_index] - self.sub_start[node_index]
-            table = self.value_tables[node_index]
+        for slot in queue:
+            table = self.value_tables[slot]
             if table is not None:
                 queue.extend(table.values())
-            queue.extend(
-                self.range_children[
-                    self.range_start[node_index] : self.range_end[node_index]
-                ]
-            )
-            if self.star[node_index] >= 0:
-                queue.append(self.star[node_index])
+            begin, end = self.range_start[slot], self.range_end[slot]
+            queue.extend(self.range_children[begin:end])
+            if self.star[slot] >= 0:
+                queue.append(self.star[slot])
+            self._release_leaf_subs(slot)
+            self._waste += end - begin
+            del self.index_of_node[self._slot_node_id[slot]]
+            self.event_pos[slot] = self.level[slot] = self.star[slot] = -1
+            self.value_tables[slot] = None
+            self.range_start[slot] = self.range_end[slot] = 0
+            self.ann_yes[slot] = self.ann_maybe[slot] = 0
+            self._records[slot] = _FREE_RECORD
+        self._free_slots.extend(queue)
 
     def _sync_leaf(self, index: int, node: PSTNode) -> None:
         begin, end = self.sub_start[index], self.sub_end[index]
         if self.subs_flat[begin:end] == node.subscriptions:
             return
-        self._waste += end - begin
+        self._release_leaf_subs(index)
         self._write_leaf_subs(index, node)
 
     def _sync_edge(
@@ -965,15 +969,10 @@ class CompiledProgram:
         child_index = self._ensure_index(child) if child is not None else -1
         if test.is_dont_care:
             if self.star[index] != child_index:
-                if self.star[index] >= 0:
-                    if child_index < 0:
-                        # The star branch was pruned outright — its whole
-                        # compiled subtree is garbage.  (A redirect keeps the
-                        # old child reachable through its new parent, so it
-                        # is charged only one slot.)
-                        self._charge_subtree(self.star[index])
-                    else:
-                        self._waste += 1
+                if self.star[index] >= 0 and child_index < 0:
+                    # The star branch was pruned outright.  (A redirect keeps
+                    # the old child reachable through its new parent.)
+                    self._recycle_subtree(self.star[index])
                 self.star[index] = child_index
             return
         if isinstance(test, EqualityTest):
@@ -984,7 +983,7 @@ class CompiledProgram:
                     if value_id is not None:
                         dropped = table.pop(value_id, None)
                         if dropped is not None:
-                            self._charge_subtree(dropped)
+                            self._recycle_subtree(dropped)
                     if not table:
                         self.value_tables[index] = None
                 return
@@ -1003,6 +1002,10 @@ class CompiledProgram:
             for k in range(len(live))
         ):
             return
+        if child_index < 0:
+            for k in range(begin, end):
+                if self.range_tests[k] == test:
+                    self._recycle_subtree(self.range_children[k])
         self._waste += end - begin
         self._write_range_slice(index, node)
 

@@ -141,12 +141,12 @@ class TreeEngine(_EngineBase):
     def insert(self, subscription: Subscription) -> None:
         self.tree.insert(subscription)
         self._patch_annotation(subscription)
-        self._invalidate_link_projection()
+        self._link_projection_insert(subscription)
 
     def remove(self, subscription_id: int) -> Subscription:
         subscription = self.tree.remove(subscription_id)
         self._patch_annotation(subscription)
-        self._invalidate_link_projection()
+        self._link_projection_remove(subscription_id)
         return subscription
 
     def _patch_annotation(self, subscription: Subscription) -> None:

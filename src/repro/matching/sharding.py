@@ -364,7 +364,7 @@ class ShardedEngine(MatcherEngine):
         self._owner[subscription_id] = index
         self._node_estimates[index] += self._growth_estimate(subscription)
         self._repair_shard(index, subscription)
-        self._invalidate_link_projection()
+        self._link_projection_insert(subscription)
         self._after_mutation()
 
     def remove(self, subscription_id: int) -> Subscription:
@@ -376,7 +376,7 @@ class ShardedEngine(MatcherEngine):
             1, self._node_estimates[index] - self._growth_estimate(subscription)
         )
         self._repair_shard(index, subscription)
-        self._invalidate_link_projection()
+        self._link_projection_remove(subscription_id)
         self._after_mutation()
         return subscription
 

@@ -13,6 +13,18 @@ from repro.matching import (
     uniform_schema,
 )
 from repro.network import NodeKind, Topology
+from repro.obs import MetricsRegistry, get_registry, set_registry
+
+
+@pytest.fixture
+def live_registry():
+    """An enabled metrics registry installed as the global one for the test
+    (instruments are no-ops unless it is enabled *before* construction)."""
+    previous = set_registry(MetricsRegistry(enabled=True))
+    try:
+        yield get_registry()
+    finally:
+        set_registry(previous)
 
 
 @pytest.fixture

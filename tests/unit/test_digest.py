@@ -124,7 +124,33 @@ class TestProjectLinks:
         new = make_subscription(SCHEMA2, "a2=7", "bob")
         engine.insert(new)
         final_yes, _steps = engine.project_links([new.subscription_id], 0, 0b11)
-        assert final_yes == 0b10  # bob's link — the table was rebuilt
+        assert final_yes == 0b10  # bob's link — the table follows churn
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"name": "tree"},
+            {"name": "sharded", "shards": 2},
+            {"name": "compiled", "aggregate": True},
+            {"name": "sharded", "shards": 2, "aggregate": True},
+        ],
+        ids=lambda config: "-".join(f"{k}={v}" for k, v in config.items()),
+    )
+    def test_churn_maintains_the_built_table(self, config):
+        """Insert/remove add and pop one entry of the live per-id table; the
+        result is the table a rebuild over all subscriptions would give."""
+        engine, subs = self._engine(**config)
+        engine.project_links([], 0, 0)  # builds the table
+        live = engine._link_projection
+        new = make_subscription(SCHEMA2, "a1=1", "bob")  # joins alice's group
+        engine.insert(new)
+        engine.remove(subs[2].subscription_id)
+        assert engine._link_projection is live
+        assert set(live) == {s.subscription_id for s in subs[:2]} | {new.subscription_id}
+        engine._invalidate_link_projection()
+        assert engine._link_projection_table() == live
+        with pytest.raises(RoutingError):
+            engine.project_links([subs[2].subscription_id], 0, 0b11)
 
 
 def _context(topology):

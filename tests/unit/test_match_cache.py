@@ -21,20 +21,10 @@ from repro.matching.compile import (
 )
 from repro.matching.engines import CompiledEngine
 from repro.matching.predicates import EqualityTest
-from repro.obs import MetricsRegistry, get_registry, set_registry
 
 SCHEMA = uniform_schema(3)
 DOMAIN = [0, 1, 2]
 DOMAINS = {name: DOMAIN for name in SCHEMA.names}
-
-
-@pytest.fixture
-def live_registry():
-    previous = set_registry(MetricsRegistry(enabled=True))
-    try:
-        yield get_registry()
-    finally:
-        set_registry(previous)
 
 
 def subscription(subscriber, **tests):

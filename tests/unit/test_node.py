@@ -136,6 +136,48 @@ class TestSubscriptionPropagation:
         assert nodes["B0"].subscription_count == 1
 
 
+class TestRefusedUnsubscribe:
+    def test_refusal_leaves_epochs_counters_and_digests_alone(self, live_registry):
+        """Regression: a refused UNSUBSCRIBE used to remove the subscription
+        and put it back — two epoch bumps at that broker only, so every
+        digest it minted afterwards failed the epoch check downstream."""
+        schema, transport, nodes = two_broker_network()
+        alice = client("alice", schema, transport, "B0")
+        bob = client("bob", schema, transport, "B1")
+        pub = client("pub", schema, transport, "B0")
+        bobs = bob.subscribe_and_wait("volume>0")
+        alices = alice.subscribe_and_wait("issue='IBM'")
+        alice.unsubscribe_and_wait(alices)  # a granted one, for the counters
+        transport.pump()
+
+        def epochs():
+            return {name: node.router.subscription_epoch for name, node in nodes.items()}
+
+        before = epochs()
+        assert len(set(before.values())) == 1
+        with pytest.raises(RequestFailed, match="not your subscription"):
+            alice.unsubscribe_and_wait(bobs)
+        with pytest.raises(RequestFailed, match="unknown subscription"):
+            alice.unsubscribe_and_wait(10**9)
+        transport.pump()
+        assert epochs() == before
+
+        hits = live_registry.counter("broker.digest_hits", broker="B1")
+        fallbacks = live_registry.counter("broker.digest_fallbacks", broker="B1")
+        for volume in (1, 2, 3):
+            hits_before = hits.value
+            pub.publish({"issue": "IBM", "price": 10.0, "volume": volume})
+            transport.pump()
+            assert hits.value == hits_before + 1
+        assert fallbacks.value == 0
+        assert len(bob.received_events) == 3
+        for name, node in nodes.items():
+            added = live_registry.counter("broker.subscriptions_added", broker=name)
+            removed = live_registry.counter("broker.subscriptions_removed", broker=name)
+            assert (added.value, removed.value) == (2, 1)
+            assert added.value - removed.value == node.subscription_count
+
+
 class TestPublishAndDeliver:
     def test_local_and_remote_delivery(self):
         schema, transport, _nodes = two_broker_network()

@@ -17,21 +17,11 @@ from repro.matching import Event, Predicate, Subscription, uniform_schema
 from repro.matching.engines import ENGINE_NAMES, create_engine
 from repro.matching.predicates import EqualityTest
 from repro.matching.sharding import SHARD_POLICIES, ShardedEngine
-from repro.obs import MetricsRegistry, get_registry, set_registry
 
 SCHEMA = uniform_schema(3)
 DOMAIN = [0, 1, 2]
 DOMAINS = {name: DOMAIN for name in SCHEMA.names}
 NUM_LINKS = 3
-
-
-@pytest.fixture
-def live_registry():
-    previous = set_registry(MetricsRegistry(enabled=True))
-    try:
-        yield get_registry()
-    finally:
-        set_registry(previous)
 
 
 def subscription(subscriber, **tests):
