@@ -226,7 +226,6 @@ def ingest_speedup(count, seed, dup_rate, cover_scan_limit, cache):
         elapsed = time.perf_counter() - start
         result[f"{label}_subs_per_s"] = count / elapsed
         result[f"{label}_compression"] = engine.compression_ratio
-        engine.close()
     result["speedup"] = result["indexed_subs_per_s"] / result["linear_subs_per_s"]
     return result
 

@@ -52,20 +52,19 @@ def _metric_value(payload: Dict[str, Any], key: Optional[str]) -> Any:
 
 
 def _speedup_cell(payload: Dict[str, Any]) -> Any:
-    """compare_engines/batch_scaling/shard_scaling/backend_scaling/
-    aggregation_scaling artifacts carry sweep rows in ``extra``.
+    """compare_engines/batch_scaling/backend_scaling/aggregation_scaling
+    artifacts carry sweep rows in ``extra``.
 
     The cell shows the sweep's headline row: the vector kernel
     (backend_scaling), the largest subscription count (compare_engines and
     aggregation_scaling — the latter's baseline may be skipped at scale, so
-    the cell can be empty), the pooled stream's largest batch
-    (batch_scaling), or the churn stream's best serial shard count
-    (shard_scaling).
+    the cell can be empty), or the pooled stream's largest batch
+    (batch_scaling).
     """
     rows = payload.get("extra", {}).get("rows")
     if not rows:
         return ""
-    if any("mode" in row for row in rows):
+    if any("backend" in row for row in rows):
         gate_row = next(
             (row for row in rows if row.get("backend") == "vector"), rows[0]
         )
@@ -75,17 +74,6 @@ def _speedup_cell(payload: Dict[str, Any]) -> Any:
         gate_row = max(rows, key=lambda row: row.get("subscriptions", 0))
     elif any("subscriptions" in row for row in rows):
         gate_row = max(rows, key=lambda row: row.get("subscriptions", 0))
-    elif any("shards" in row for row in rows):
-        serial_churn = [
-            row
-            for row in rows
-            if row.get("stream") == "churn"
-            and row.get("workers") == 0
-            and row.get("shards", 0) > 0
-        ]
-        if not serial_churn:
-            return ""
-        gate_row = max(serial_churn, key=lambda row: row.get("speedup", 0.0))
     else:
         gate_row = max(
             rows, key=lambda row: (row.get("stream") == "pooled", row.get("batch", 0))
@@ -149,7 +137,7 @@ def _backend_cell(payload: Dict[str, Any]) -> Any:
     or null means the engine default).
     """
     rows = payload.get("extra", {}).get("rows") or []
-    if any("mode" in row for row in rows):
+    if any("backend" in row for row in rows):
         # Same headline row the speedup cell shows.
         gate_row = next(
             (row for row in rows if row.get("backend") == "vector"), rows[0]

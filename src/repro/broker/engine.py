@@ -45,9 +45,6 @@ class MatchingEngine:
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
         engine: str = DEFAULT_ENGINE,
-        shards: Optional[int] = None,
-        shard_policy: Optional[str] = None,
-        shard_workers: int = 0,
         backend: Optional[str] = None,
         aggregate: bool = False,
     ) -> None:
@@ -57,10 +54,6 @@ class MatchingEngine:
             # Aggregation compresses the subscription set inside the engine;
             # factoring splits it before the engine sees it — aggregation
             # takes precedence (mirrors ContentRouter).
-            factoring_attributes = None
-        if engine == "sharded":
-            # Sharding is itself a partitioned index; it takes precedence
-            # over factoring (FactoredMatcher only wraps tree/compiled).
             factoring_attributes = None
         if factoring_attributes:
             if domains is None:
@@ -83,9 +76,6 @@ class MatchingEngine:
                 schema,
                 attribute_order=attribute_order,
                 domains=domains,
-                shards=shards,
-                shard_policy=shard_policy,
-                shard_workers=shard_workers,
                 backend=backend,
                 aggregate=aggregate,
             )

@@ -62,9 +62,6 @@ class BrokerNetworkConfig:
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
         engine: str = "compiled",
-        shards: Optional[int] = None,
-        shard_policy: Optional[str] = None,
-        shard_workers: int = 0,
         backend: Optional[str] = None,
         aggregate: bool = False,
     ) -> None:
@@ -77,9 +74,6 @@ class BrokerNetworkConfig:
         self.domains = domains
         self.factoring_attributes = factoring_attributes
         self.engine = engine
-        self.shards = shards
-        self.shard_policy = shard_policy
-        self.shard_workers = shard_workers
         self.backend = backend
         self.aggregate = aggregate
         self.routing_tables: Dict[str, RoutingTable] = all_routing_tables(topology)
@@ -145,9 +139,6 @@ class BrokerNode:
             domains=config.domains,
             factoring_attributes=config.factoring_attributes,
             engine=config.engine,
-            shards=config.shards,
-            shard_policy=config.shard_policy,
-            shard_workers=config.shard_workers,
             backend=config.backend,
             aggregate=config.aggregate,
         )

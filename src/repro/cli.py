@@ -67,39 +67,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=("tree", "compiled", "sharded"),
+        choices=("tree", "compiled"),
         default="compiled",
-        help="matching engine: array kernels (compiled, default), the "
-        "object-graph PST (tree), or partitioned compiled shards (sharded)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="S",
-        help="number of shards for --engine sharded (default: engine's own)",
-    )
-    parser.add_argument(
-        "--shard-policy",
-        choices=("round-robin", "hash", "balanced"),
-        default=None,
-        help="partition policy for --engine sharded (default: hash)",
-    )
-    parser.add_argument(
-        "--shard-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="thread-pool width for --engine sharded (0 = serial, the "
-        "default; threads only pay off on GIL-free builds)",
+        help="matching engine: array kernels (compiled, default) or the "
+        "object-graph PST (tree)",
     )
     parser.add_argument(
         "--backend",
-        choices=("interp", "vector", "procpool"),
+        choices=("interp", "vector"),
         default=None,
-        help="kernel execution backend: reference interpreter loops "
-        "(interp, the default), columnar bulk-array kernels (vector), or "
-        "shared-memory process workers for --engine sharded (procpool)",
+        help="kernel execution backend of the compiled engine: reference "
+        "interpreter loops (interp, the default) or columnar bulk-array "
+        "kernels (vector, requires numpy)",
     )
     parser.add_argument(
         "--aggregate",
@@ -152,9 +131,6 @@ def _run_chart1(args: argparse.Namespace) -> None:
         probe_duration_s=args.probe_duration or (0.5 if args.paper_scale else 0.4),
         include_match_first=args.match_first,
         engine=args.engine,
-        shards=args.shards,
-        shard_policy=args.shard_policy,
-        shard_workers=args.shard_workers,
         backend=args.backend,
         aggregate=args.aggregate,
         metrics_out=args.metrics_out,
@@ -184,9 +160,6 @@ def _run_chart2(args: argparse.Namespace) -> None:
         num_events=args.events or (1000 if args.paper_scale else 120),
         subscribers_per_broker=10 if args.paper_scale else 3,
         engine=args.engine,
-        shards=args.shards,
-        shard_policy=args.shard_policy,
-        shard_workers=args.shard_workers,
         backend=args.backend,
         aggregate=args.aggregate,
         metrics_out=args.metrics_out,
@@ -214,9 +187,6 @@ def _run_chart3(args: argparse.Namespace) -> None:
         ),
         num_events=args.events or (300 if args.paper_scale else 150),
         engine=args.engine,
-        shards=args.shards,
-        shard_policy=args.shard_policy,
-        shard_workers=args.shard_workers,
         backend=args.backend,
         aggregate=args.aggregate,
         metrics_out=args.metrics_out,
@@ -238,9 +208,6 @@ def _run_throughput(args: argparse.Namespace) -> None:
         subscription_counts=(10, 100, 1000, 5000) if args.paper_scale else (10, 100, 1000),
         num_events=4000 if args.paper_scale else 1500,
         engine=args.engine,
-        shards=args.shards,
-        shard_policy=args.shard_policy,
-        shard_workers=args.shard_workers,
         backend=args.backend,
         aggregate=args.aggregate,
         metrics_out=args.metrics_out,
@@ -258,9 +225,6 @@ def _run_bursty(args: argparse.Namespace) -> None:
         else (1.0, 2.0, 5.0, 10.0),
         duration_s=2.0 if args.paper_scale else 0.8,
         engine=args.engine,
-        shards=args.shards,
-        shard_policy=args.shard_policy,
-        shard_workers=args.shard_workers,
         backend=args.backend,
         aggregate=args.aggregate,
         metrics_out=args.metrics_out,
@@ -346,9 +310,6 @@ def _run_demo(args: argparse.Namespace) -> None:
         topology,
         stock_trade_schema(),
         engine=args.engine,
-        shards=args.shards,
-        shard_policy=args.shard_policy,
-        shard_workers=args.shard_workers,
         backend=args.backend,
         aggregate=args.aggregate,
     )

@@ -141,9 +141,6 @@ class ContentRoutedNetwork:
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
         engine: str = "compiled",
-        shards: Optional[int] = None,
-        shard_policy: Optional[str] = None,
-        shard_workers: int = 0,
         backend: Optional[str] = None,
         aggregate: bool = False,
     ) -> None:
@@ -165,9 +162,6 @@ class ContentRoutedNetwork:
                 domains=domains,
                 factoring_attributes=factoring_attributes,
                 engine=engine,
-                shards=shards,
-                shard_policy=shard_policy,
-                shard_workers=shard_workers,
                 backend=backend,
                 aggregate=aggregate,
             )

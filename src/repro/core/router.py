@@ -115,9 +115,6 @@ class ContentRouter:
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
         engine: str = "compiled",
-        shards: Optional[int] = None,
-        shard_policy: Optional[str] = None,
-        shard_workers: int = 0,
         backend: Optional[str] = None,
         aggregate: bool = False,
     ) -> None:
@@ -140,11 +137,6 @@ class ContentRouter:
         self.links = VirtualLinkTable(topology, broker, routing_table, spanning_trees)
         self._factored: Optional[FactoredMatcher] = None
         self._engine: Optional[MatcherEngine] = None
-        if engine == "sharded":
-            # The sharded engine is itself a partitioned index (the hash
-            # policy partitions by first indexed attribute — factoring's own
-            # idea), so sharding takes precedence over factoring.
-            factoring_attributes = None
         if aggregate:
             # Aggregation compresses the engine's subscription set; the
             # factored matcher splits subscriptions across sub-trees before
@@ -177,9 +169,6 @@ class ContentRouter:
                 schema,
                 attribute_order=attribute_order,
                 domains=domains,
-                shards=shards,
-                shard_policy=shard_policy,
-                shard_workers=shard_workers,
                 backend=backend,
                 aggregate=aggregate,
             )
@@ -283,13 +272,13 @@ class ContentRouter:
         Returns ``True`` when the layout changed.  In that case every cached
         structure keyed on link positions or packed mask bits is invalid —
         the engine's annotation *and* its link caches (CompiledEngine's
-        ``(projection, yes, maybe)``-keyed cache, ShardedEngine's per-shard
-        outer caches) — so the engine is rebound, which flushes them.  A
-        stale cache here is not a perf bug but a *correctness* bug: after a
-        repair the same packed mask bits can denote different virtual links,
-        so a cache hit would route to the pre-failure destinations.  When
-        the layout is unchanged (a failed lateral link, say) nothing is
-        rebound and warm caches survive — the surgical half of the repair.
+        ``(projection, yes, maybe)``-keyed cache) — so the engine is rebound,
+        which flushes them.  A stale cache here is not a perf bug but a
+        *correctness* bug: after a repair the same packed mask bits can
+        denote different virtual links, so a cache hit would route to the
+        pre-failure destinations.  When the layout is unchanged (a failed
+        lateral link, say) nothing is rebound and warm caches survive — the
+        surgical half of the repair.
         """
         changed = self.links.rebuild(routing_table, spanning_trees)
         if not changed:
@@ -320,7 +309,9 @@ class ContentRouter:
         )
         for _key, tree in trees:
             if self.engine == "compiled":
-                program = compile_tree(tree, cache_capacity=cache_capacity)
+                program = compile_tree(
+                    tree, cache_capacity=cache_capacity, backend=self._factored.backend
+                )
                 program.annotate(self.links.num_links, self._link_of_subscriber)
                 self._programs[id(tree)] = program
             else:

@@ -48,10 +48,6 @@ class BaselineConfig:
     num_events_per_publisher: int = 150
     seed: int = 0
     engine: str = "compiled"
-    #: Sharded-engine knobs (None/0 = engine defaults; ignored by others).
-    shards: Optional[int] = None
-    shard_policy: Optional[str] = None
-    shard_workers: int = 0
     #: Kernel execution backend (None = engine default).
     backend: Optional[str] = None
     #: Compress the subscription set with the covering forest
@@ -92,9 +88,6 @@ def run_baseline_comparison(config: BaselineConfig = BaselineConfig()) -> Experi
             domains=spec.domains(),
             factoring_attributes=spec.factoring_attributes,
             engine=config.engine,
-            shards=config.shards,
-            shard_policy=config.shard_policy,
-            shard_workers=config.shard_workers,
             backend=config.backend,
             aggregate=config.aggregate,
         )

@@ -41,10 +41,6 @@ class BurstyConfig:
     on_mean_s: float = 0.05
     seed: int = 0
     engine: str = "compiled"
-    #: Sharded-engine knobs (None/0 = engine defaults; ignored by others).
-    shards: Optional[int] = None
-    shard_policy: Optional[str] = None
-    shard_workers: int = 0
     #: Kernel execution backend (None = engine default).
     backend: Optional[str] = None
     #: Compress the subscription set with the covering forest
@@ -85,9 +81,6 @@ def _run_bursty(config: BurstyConfig) -> ExperimentTable:
         domains=spec.domains(),
         factoring_attributes=spec.factoring_attributes,
         engine=config.engine,
-        shards=config.shards,
-        shard_policy=config.shard_policy,
-        shard_workers=config.shard_workers,
         backend=config.backend,
         aggregate=config.aggregate,
     )

@@ -54,10 +54,6 @@ class Chart1Config:
     seed: int = 0
     include_match_first: bool = False
     engine: str = "compiled"
-    #: Sharded-engine knobs (None/0 = engine defaults; ignored by others).
-    shards: Optional[int] = None
-    shard_policy: Optional[str] = None
-    shard_workers: int = 0
     #: Kernel execution backend (None = engine default).
     backend: Optional[str] = None
     #: Compress the subscription set with the covering forest
@@ -140,9 +136,6 @@ def _run_chart1(config: Chart1Config) -> ExperimentTable:
             domains=spec.domains(),
             factoring_attributes=spec.factoring_attributes,
             engine=config.engine,
-            shards=config.shards,
-            shard_policy=config.shard_policy,
-            shard_workers=config.shard_workers,
             backend=config.backend,
             aggregate=config.aggregate,
         )

@@ -48,10 +48,6 @@ class Chart2Config:
     seed: int = 0
     use_factoring: bool = True
     engine: str = "compiled"
-    #: Sharded-engine knobs (None/0 = engine defaults; ignored by others).
-    shards: Optional[int] = None
-    shard_policy: Optional[str] = None
-    shard_workers: int = 0
     #: Kernel execution backend (None = engine default).
     backend: Optional[str] = None
     #: Compress the subscription set with the covering forest
@@ -138,9 +134,6 @@ def _run_chart2(config: Chart2Config) -> ExperimentTable:
                 spec.factoring_attributes if config.use_factoring else None
             ),
             engine=config.engine,
-            shards=config.shards,
-            shard_policy=config.shard_policy,
-            shard_workers=config.shard_workers,
             backend=config.backend,
             aggregate=config.aggregate,
         )

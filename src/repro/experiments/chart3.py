@@ -36,10 +36,6 @@ class Chart3Config:
     seed: int = 0
     use_factoring: bool = True
     engine: str = "compiled"
-    #: Sharded-engine knobs (None/0 = engine defaults; ignored by others).
-    shards: Optional[int] = None
-    shard_policy: Optional[str] = None
-    shard_workers: int = 0
     #: Kernel execution backend (None = engine default).
     backend: Optional[str] = None
     #: Compress the subscription set with the covering forest
@@ -107,9 +103,6 @@ def _run_chart3(config: Chart3Config) -> ExperimentTable:
                 spec.factoring_attributes if config.use_factoring else None
             ),
             engine=config.engine,
-            shards=config.shards,
-            shard_policy=config.shard_policy,
-            shard_workers=config.shard_workers,
             backend=config.backend,
             aggregate=config.aggregate,
         )

@@ -39,10 +39,6 @@ class ThroughputConfig:
     num_events: int = 2000
     seed: int = 0
     engine: str = "compiled"
-    #: Sharded-engine knobs (None/0 = engine defaults; ignored by others).
-    shards: Optional[int] = None
-    shard_policy: Optional[str] = None
-    shard_workers: int = 0
     #: Kernel execution backend (None = engine default).
     backend: Optional[str] = None
     #: Compress the subscription set with the covering forest
@@ -87,9 +83,6 @@ def _run_throughput(config: ThroughputConfig) -> ExperimentTable:
             domains=spec.domains(),
             factoring_attributes=spec.factoring_attributes,
             engine=config.engine,
-            shards=config.shards,
-            shard_policy=config.shard_policy,
-            shard_workers=config.shard_workers,
             backend=config.backend,
             aggregate=config.aggregate,
         )
@@ -126,9 +119,6 @@ def _run_throughput(config: ThroughputConfig) -> ExperimentTable:
             domains=spec.domains(),
             factoring_attributes=spec.factoring_attributes,
             engine=config.engine,
-            shards=config.shards,
-            shard_policy=config.shard_policy,
-            shard_workers=config.shard_workers,
             backend=config.backend,
             aggregate=config.aggregate,
         )

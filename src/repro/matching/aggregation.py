@@ -5,7 +5,7 @@ walking the program to the program's *size*: the record arrays grow with the
 number of subscribers even though real workloads register the same few
 predicate bodies over and over (Zipf-skewed interests).  This module shrinks
 the subscription set *before* compilation, SIENA-style, with two mechanisms
-layered between ingest and the compiled/sharded engines:
+layered between ingest and the compiled engine:
 
 **Canonical deduplication.**  Every incoming predicate is canonicalized with
 the exact per-attribute containment algebra of
@@ -76,9 +76,8 @@ only the entries whose event satisfies the churned group's canonical
 predicate (every entry containing — or now owed — that group keys an event
 its canonical accepts), falling back to a wholesale flush only past
 :data:`DESCENT_REPAIR_SCAN_LIMIT` entries.  Everything downstream — trit
-annotations, :class:`~repro.matching.compile.ProjectionCache`, surgical
-shard-cache repair, batching, and all three kernel backends — runs
-unchanged over the compressed program.
+annotations, :class:`~repro.matching.compile.ProjectionCache`, batching,
+and both kernel backends — runs unchanged over the compressed program.
 
 Observability: ``match.aggregation.compression_ratio`` (subscriptions per
 compiled leaf), ``match.aggregation.forest_nodes`` (live groups),
@@ -97,7 +96,6 @@ from repro.errors import SubscriptionError
 from repro.core.annotation import LinkOfSubscriber
 from repro.core.link_matcher import LinkMatchResult
 from repro.core.trits import TritVector, pack_tritvector, unpack_tritvector
-from repro.matching.backends import kernel_backend_for
 from repro.matching.base import MatcherEngine
 from repro.matching.compile import (
     CompiledProgram,
@@ -105,6 +103,7 @@ from repro.matching.compile import (
     compile_subscriptions,
 )
 from repro.matching.covering_index import CoveringIndex
+from repro.matching.engines import CompiledEngine
 from repro.matching.events import Event
 from repro.matching.predicates import Predicate, Subscription, value_tuple_test
 from repro.matching.pst import MatchResult
@@ -125,7 +124,7 @@ DESCENT_CACHE_CAPACITY = 4096
 
 #: Surgical descent-cache repair scans every cached key against the churned
 #: group's canonical predicate; past this many entries one wholesale flush
-#: is cheaper than the scan (mirrors the sharded engine's repair limit).
+#: is cheaper than the scan.
 DESCENT_REPAIR_SCAN_LIMIT = 2048
 
 #: Descent-cache misses that walk into a root's subtree before the subtree
@@ -221,7 +220,7 @@ class _Group:
 
 
 class AggregatingEngine(MatcherEngine):
-    """Covering-forest aggregation in front of a compiled or sharded engine.
+    """Covering-forest aggregation in front of a :class:`CompiledEngine`.
 
     Exposes the full :class:`~repro.matching.base.MatcherEngine` surface;
     match sets, brute-force sets, and refined link masks are exactly the
@@ -238,17 +237,17 @@ class AggregatingEngine(MatcherEngine):
 
     def __init__(
         self,
-        inner: MatcherEngine,
+        inner: CompiledEngine,
         *,
         cover_scan_limit: int = DEFAULT_COVER_SCAN_LIMIT,
         use_index: bool = True,
         subtree_compile_threshold: int = DEFAULT_SUBTREE_COMPILE_THRESHOLD,
         subtree_min_size: int = DEFAULT_SUBTREE_MIN_SIZE,
     ) -> None:
-        if not hasattr(inner, "refresh_links"):
+        if not isinstance(inner, CompiledEngine):
             raise SubscriptionError(
                 f"engine {inner.name!r} cannot refresh leaf link annotations "
-                "in place — aggregation requires the compiled or sharded engine"
+                "in place — aggregation requires the compiled engine"
             )
         self.inner = inner
         self.schema = inner.schema
@@ -258,11 +257,8 @@ class AggregatingEngine(MatcherEngine):
         #: The attribute-inverted cover-candidate index; ``None`` in linear
         #: (``use_index=False``) mode.
         self._index: Optional[CoveringIndex] = CoveringIndex() if use_index else None
-        #: Kernel backend for descent mini-programs: whatever in-process
-        #: kernel the inner engine's execution mode corresponds to.
-        self._descent_backend = kernel_backend_for(
-            getattr(inner, "backend_name", None)
-        )
+        #: Kernel backend for descent mini-programs: the inner engine's.
+        self._descent_backend = inner.backend_name
         #: canonical predicate -> group, for every live group.
         self._groups: Dict[Predicate, _Group] = {}
         #: canonical predicate -> group, roots only (insertion-ordered).
@@ -618,9 +614,8 @@ class AggregatingEngine(MatcherEngine):
         demoted/promoted/reparented relatives) accepts a subset of those
         events, and an entry contains a group iff the group's canonical
         matches the entry's event.  Surviving entries keep their (possibly
-        stale) inner step counts, mirroring the sharded engine's surgical
-        repair.  Past :attr:`_descent_repair_limit` entries a wholesale
-        flush is cheaper than scanning every key."""
+        stale) inner step counts.  Past :attr:`_descent_repair_limit`
+        entries a wholesale flush is cheaper than scanning every key."""
         cache = self._descent_cache
         if len(cache) == 0:
             return
@@ -639,17 +634,6 @@ class AggregatingEngine(MatcherEngine):
         survives; the next match recompiles the deduplicated leaves)."""
         self._descent_cache.flush()
         self.inner.invalidate()
-
-    def close(self) -> None:
-        close = getattr(self.inner, "close", None)
-        if close is not None:
-            close()
-
-    def __enter__(self) -> "AggregatingEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Matching (expansion at the engine boundary)

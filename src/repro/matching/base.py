@@ -14,7 +14,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -43,21 +42,6 @@ def per_event_loop(fn: Callable[[Event], _R], events: Sequence[Event]) -> List[_
     named helper so implementations don't each re-grow their own copy.
     """
     return [fn(event) for event in events]
-
-
-def union_merge(results: Iterable[MatchResult]) -> MatchResult:
-    """Union-merge per-partition answers for one event.
-
-    For *disjoint* partitions (the sharded engine's contract) concatenation
-    is an exact, duplicate-free union; steps add up because every partition
-    reports the walk a dedicated engine over its subscriptions would take.
-    """
-    matched: List[Subscription] = []
-    steps = 0
-    for result in results:
-        matched.extend(result.subscriptions)
-        steps += result.steps
-    return MatchResult(matched, steps)
 
 
 class Matcher(abc.ABC):

@@ -81,7 +81,6 @@ refined link masks.  Two mechanisms exploit this:
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -119,11 +118,6 @@ _CACHE_RESIDENCY_WASTE_SHIFT = 2  # charge = flushed_entries >> 2
 
 #: The kernel record of a slot with no node in it: a leaf holding nothing.
 _FREE_RECORD = (-1, None, None, -1, None)
-
-#: Per-process unique ids for compiled programs; ``(program_uid,
-#: generation)`` is the identity the procpool backend keys its
-#: shared-memory publications on (``id()`` can be recycled, this cannot).
-_program_uids = itertools.count()
 
 
 class ProjectionCache:
@@ -191,7 +185,7 @@ class ProjectionCache:
         """Drop entries ``stale(key, value)`` flags; returns how many.
 
         The surgical alternative to :meth:`flush` for callers whose keys are
-        stable across index mutations (the sharded engine's event caches):
+        stable across index mutations (the aggregation descent cache):
         only entries a subscription change actually touched go, the rest
         keep serving hits."""
         entries = self._entries
@@ -261,7 +255,6 @@ class CompiledProgram:
         "backend",
         "generation",
         "backend_state",
-        "program_uid",
         "_obs_kernel_calls",
         "_obs_kernel_events",
         # projection caching
@@ -323,12 +316,11 @@ class CompiledProgram:
             create_backend(backend) if isinstance(backend, str) else backend
         )
         #: Bumped on every mutation of the record arrays (patch, annotate);
-        #: backends key derived state on it and republish/rebuild lazily.
+        #: backends key derived state on it and rebuild lazily.
         self.generation = 0
         #: Backend-owned scratch (vector's columnar index, …), cleared on
         #: every generation bump.
         self.backend_state: Dict[str, object] = {}
-        self.program_uid = next(_program_uids)
         registry = get_registry()
         self._obs_kernel_calls = registry.counter(
             "engine.backend.kernel_calls", backend=self.backend.name
@@ -868,8 +860,7 @@ class CompiledProgram:
 
         Called after any mutation of the arrays backends execute over
         (:meth:`patch`, :meth:`annotate`): the vector backend rebuilds its
-        columnar index lazily, the procpool publisher republishes the
-        program into shared memory under the new generation tag.
+        columnar index lazily under the new generation tag.
         """
         self.generation += 1
         if self.backend_state:
@@ -930,7 +921,7 @@ class CompiledProgram:
         Only called for subtrees the live tree has *pruned* (their PST node
         ids never reappear), so nothing here can be reattached later.  A
         freed slot reads as a neutral leaf — empty slices, zero annotation —
-        which every backend and ``ProgramImage`` can still execute over; its
+        which every backend can still execute over; its
         pool slices are the only garbage left behind."""
         queue = [index]
         for slot in queue:
@@ -1041,7 +1032,7 @@ def compile_tree(
     ``cache_capacity`` bounds each of the program's two projection caches
     (match and link); pass ``0`` to disable caching entirely.  ``backend``
     selects the kernel execution backend (a
-    :data:`~repro.matching.backends.KERNEL_BACKEND_NAMES` name or a
+    :data:`~repro.matching.backends.BACKEND_NAMES` name or a
     :class:`~repro.matching.backends.KernelBackend` instance); ``None``
     means :data:`~repro.matching.backends.DEFAULT_BACKEND`.
     """

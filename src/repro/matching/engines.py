@@ -27,10 +27,10 @@ from repro.core.annotation import LinkOfSubscriber, TreeAnnotation
 from repro.core.link_matcher import LinkMatcher, LinkMatchResult
 from repro.core.trits import TritVector, pack_tritvector, unpack_tritvector
 from repro.matching.backends import (
-    BACKEND_NAMES,
     DEFAULT_BACKEND,
     KernelBackend,
     create_backend,
+    require_backend_for,
 )
 from repro.matching.base import MatcherEngine
 from repro.obs import get_registry
@@ -45,7 +45,7 @@ from repro.matching.predicates import Subscription
 from repro.matching.schema import AttributeValue, EventSchema
 
 #: Valid engine names, in preference order.
-ENGINE_NAMES = ("compiled", "sharded", "tree")
+ENGINE_NAMES = ("compiled", "tree")
 
 #: The engine used when callers do not choose one.
 DEFAULT_ENGINE = "compiled"
@@ -330,35 +330,14 @@ class CompiledEngine(_EngineBase):
             get_registry().counter("engine.annotation_rebuilds", engine=self.name).inc()
         return program
 
-    def _match_links_packed(
-        self, event: Event, yes_bits: int, maybe_bits: int
-    ) -> "tuple[int, int]":
-        """Packed-mask link matching without per-engine obs accounting.
-
-        Returns ``(final_yes_bits, steps)``.  This is the shard-side entry
-        point of :class:`~repro.matching.sharding.ShardedEngine`: the
-        sharded engine does its own (engine-labeled) accounting over the
-        merged result, so the per-shard calls must not also bump the
-        ``engine=compiled`` counters."""
-        num_links = self._require_links()
-        program = self._annotated_program(num_links)
-        return program.match_links(event, yes_bits, maybe_bits)
-
-    def _match_links_batch_packed(
-        self, events: Sequence[Event], yes_bits: int, maybe_bits: int
-    ) -> "List[tuple[int, int]]":
-        """Batch form of :meth:`_match_links_packed` (same contract)."""
-        num_links = self._require_links()
-        program = self._annotated_program(num_links)
-        return program.match_links_batch(events, yes_bits, maybe_bits)
-
     def match_links(
         self, event: Event, initialization_mask: TritVector
     ) -> LinkMatchResult:
         num_links = self._require_links()
         self._check_mask(initialization_mask)
         yes_bits, maybe_bits = pack_tritvector(initialization_mask)
-        final_yes, steps = self._match_links_packed(event, yes_bits, maybe_bits)
+        program = self._annotated_program(num_links)
+        final_yes, steps = program.match_links(event, yes_bits, maybe_bits)
         self._obs_link_matches.inc()
         self._obs_link_match_steps.inc(steps)
         return LinkMatchResult(unpack_tritvector(final_yes, 0, num_links), steps)
@@ -369,7 +348,8 @@ class CompiledEngine(_EngineBase):
         num_links = self._require_links()
         self._check_mask(initialization_mask)
         yes_bits, maybe_bits = pack_tritvector(initialization_mask)
-        packed = self._match_links_batch_packed(events, yes_bits, maybe_bits)
+        program = self._annotated_program(num_links)
+        packed = program.match_links_batch(events, yes_bits, maybe_bits)
         self._obs_link_matches.inc(len(packed))
         self._obs_link_match_steps.inc(sum(steps for _final, steps in packed))
         return [
@@ -397,29 +377,22 @@ def create_engine(
     attribute_order: Optional[Sequence[str]] = None,
     domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
     match_cache_capacity: Optional[int] = None,
-    shards: Optional[int] = None,
-    shard_policy: Optional[str] = None,
-    shard_workers: int = 0,
     backend: Optional[str] = None,
     aggregate: bool = False,
 ) -> MatcherEngine:
-    """Instantiate an engine by name (``"compiled"``, ``"sharded"``, ``"tree"``).
+    """Instantiate an engine by name (``"compiled"``, ``"tree"``).
 
     ``match_cache_capacity`` tunes the compiled engine's projection caches
-    (``0`` disables them); the tree engine has no cache and ignores it.
-    ``shards`` / ``shard_policy`` / ``shard_workers`` configure the sharded
-    engine (defaults: :data:`~repro.matching.sharding.DEFAULT_SHARDS` shards,
-    :data:`~repro.matching.sharding.DEFAULT_SHARD_POLICY` policy, serial
-    execution); the other engines ignore them.
+    (``0`` disables them, ``None`` means
+    :data:`~repro.matching.compile.DEFAULT_MATCH_CACHE_CAPACITY`, a negative
+    capacity is an error); the tree engine has no cache and ignores it.
 
     ``backend`` selects how the compiled record arrays are executed (one of
     :data:`~repro.matching.backends.BACKEND_NAMES`; ``None`` means
-    :data:`~repro.matching.backends.DEFAULT_BACKEND`).  ``"procpool"`` is a
-    sharded-engine execution mode — asking for it with ``engine="compiled"``
-    is an error, and the tree engine (which has no compiled arrays) accepts
-    only the default.
+    :data:`~repro.matching.backends.DEFAULT_BACKEND`).  The tree engine
+    (which has no compiled arrays) accepts only the default.
 
-    ``aggregate=True`` wraps the compiled or sharded engine in an
+    ``aggregate=True`` wraps the compiled engine in an
     :class:`~repro.matching.aggregation.AggregatingEngine`: subscriptions
     are canonicalized and deduplicated through an online covering forest so
     the compiled arrays grow with *distinct* predicates, not subscribers.
@@ -427,74 +400,34 @@ def create_engine(
     attributed to the deduplicated leaves.  The tree engine has no compiled
     form to compress, so ``aggregate`` with ``engine="tree"`` is an error.
     """
-    if backend is not None and backend not in BACKEND_NAMES:
+    require_backend_for(engine, backend)
+    if match_cache_capacity is None:
+        match_cache_capacity = DEFAULT_MATCH_CACHE_CAPACITY
+    elif match_cache_capacity < 0:
         raise SubscriptionError(
-            f"unknown kernel backend {backend!r} — expected one of {BACKEND_NAMES}"
+            f"match_cache_capacity must be >= 0 (0 disables the caches), "
+            f"got {match_cache_capacity}"
         )
-    if aggregate:
-        if engine == "tree":
-            raise SubscriptionError(
-                "engine 'tree' has no compiled program to compress — "
-                "aggregate=True requires engine='compiled' or 'sharded'"
-            )
-        # Imported here: aggregation wraps engines this module creates, so a
-        # module-scope import would cycle.
-        from repro.matching.aggregation import AggregatingEngine
-
-        inner = create_engine(
-            engine,
+    if engine == "compiled":
+        compiled = CompiledEngine(
             schema,
             attribute_order=attribute_order,
             domains=domains,
             match_cache_capacity=match_cache_capacity,
-            shards=shards,
-            shard_policy=shard_policy,
-            shard_workers=shard_workers,
             backend=backend,
         )
-        return AggregatingEngine(inner)
-    if engine == "compiled":
-        # create_backend rejects "procpool" with a pointer at engine="sharded".
-        return CompiledEngine(
-            schema,
-            attribute_order=attribute_order,
-            domains=domains,
-            match_cache_capacity=(
-                DEFAULT_MATCH_CACHE_CAPACITY
-                if match_cache_capacity is None
-                else match_cache_capacity
-            ),
-            backend=backend,
-        )
-    if engine == "sharded":
-        # Imported here: sharding builds on CompiledEngine, so importing it
-        # at module scope would be a cycle.
-        from repro.matching.sharding import (
-            DEFAULT_SHARD_POLICY,
-            DEFAULT_SHARDS,
-            ShardedEngine,
-        )
+        if not aggregate:
+            return compiled
+        # Imported here: aggregation wraps the engine this module defines,
+        # so a module-scope import would cycle.
+        from repro.matching.aggregation import AggregatingEngine
 
-        return ShardedEngine(
-            schema,
-            attribute_order=attribute_order,
-            domains=domains,
-            num_shards=DEFAULT_SHARDS if shards is None else shards,
-            policy=DEFAULT_SHARD_POLICY if shard_policy is None else shard_policy,
-            workers=shard_workers,
-            match_cache_capacity=(
-                DEFAULT_MATCH_CACHE_CAPACITY
-                if match_cache_capacity is None
-                else match_cache_capacity
-            ),
-            backend=DEFAULT_BACKEND if backend is None else backend,
-        )
+        return AggregatingEngine(compiled)
     if engine == "tree":
-        if backend is not None and backend != DEFAULT_BACKEND:
+        if aggregate:
             raise SubscriptionError(
-                f"engine 'tree' walks the object graph directly and has no "
-                f"kernel backends — backend {backend!r} requires engine="
-                f"'compiled' or 'sharded'"
+                "engine 'tree' has no compiled program to compress — "
+                "aggregate=True requires engine='compiled'"
             )
         return TreeEngine(schema, attribute_order=attribute_order, domains=domains)
     raise SubscriptionError(

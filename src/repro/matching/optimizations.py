@@ -45,6 +45,7 @@ from typing import (
 )
 
 from repro.errors import SubscriptionError
+from repro.matching.backends import require_backend_for
 from repro.matching.base import Matcher
 from repro.matching.compile import CompiledProgram, compile_tree
 from repro.matching.events import Event
@@ -122,6 +123,7 @@ class FactoredMatcher(Matcher):
             )
         self.engine = engine
         # Kernel backend for the compiled sub-programs (tree mode has none).
+        require_backend_for(engine, backend)
         self.backend = backend
         self.schema = schema
         self.index_attributes: Tuple[str, ...] = tuple(index_attributes)

@@ -224,9 +224,6 @@ class ProtocolContext:
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
         engine: str = "compiled",
-        shards: Optional[int] = None,
-        shard_policy: Optional[str] = None,
-        shard_workers: int = 0,
         backend: Optional[str] = None,
         aggregate: bool = False,
     ) -> None:
@@ -238,9 +235,6 @@ class ProtocolContext:
         self.domains = domains
         self.factoring_attributes = factoring_attributes
         self.engine = engine
-        self.shards = shards
-        self.shard_policy = shard_policy
-        self.shard_workers = shard_workers
         self.backend = backend
         self.aggregate = aggregate
         self.routing_tables: Dict[str, RoutingTable] = all_routing_tables(topology)

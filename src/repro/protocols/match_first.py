@@ -52,9 +52,6 @@ class MatchFirstProtocol(RoutingProtocol):
                 domains=context.domains,
                 factoring_attributes=context.factoring_attributes,
                 engine=context.engine,
-                shards=context.shards,
-                shard_policy=context.shard_policy,
-                shard_workers=context.shard_workers,
                 backend=context.backend,
                 aggregate=context.aggregate,
             )

@@ -2,8 +2,8 @@
 
 :class:`~repro.matching.aggregation.AggregatingEngine` must be
 indistinguishable from the engine it wraps running *without* aggregation,
-for every subscription set, inner engine (compiled or sharded), kernel
-backend, cache capacity, event, and initialization mask:
+for every subscription set, kernel backend, cache capacity, event, and
+initialization mask:
 
 * the same match set (compared as sorted subscription ids),
 * the same refined link mask, bit for bit, and
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import M, N, TritVector, Y
@@ -55,7 +56,6 @@ events = st.tuples(*(st.sampled_from(DOMAIN) for _ in range(4)))
 masks = st.lists(st.sampled_from([Y, M, N]), min_size=NUM_LINKS, max_size=NUM_LINKS).map(
     TritVector
 )
-inner_kinds = st.sampled_from(["compiled", "sharded"])
 capacities = st.sampled_from([0, 64])
 
 
@@ -89,15 +89,13 @@ def clone(subscription):
     )
 
 
-def build_pair(subscriptions, *, inner, capacity=0, backend=None, shards=2):
+def build_pair(subscriptions, *, capacity=0, backend=None):
     """(unaggregated reference, aggregated) over the same subscription set."""
     kwargs = dict(
         domains=DOMAINS, match_cache_capacity=capacity, backend=backend
     )
-    if inner == "sharded":
-        kwargs["shards"] = shards
-    plain = create_engine(inner, SCHEMA, **kwargs)
-    aggregated = create_engine(inner, SCHEMA, aggregate=True, **kwargs)
+    plain = create_engine("compiled", SCHEMA, **kwargs)
+    aggregated = create_engine("compiled", SCHEMA, aggregate=True, **kwargs)
     for subscription in subscriptions:
         plain.insert(subscription)
         aggregated.insert(clone(subscription))
@@ -113,17 +111,10 @@ def assert_same_matches(plain, aggregated, event):
 
 
 class TestAggregationEquivalence:
-    @given(
-        specs=subscription_lists,
-        event_values=events,
-        inner=inner_kinds,
-        capacity=capacities,
-    )
+    @given(specs=subscription_lists, event_values=events, capacity=capacities)
     @settings(max_examples=150)
-    def test_match_sets_equal(self, specs, event_values, inner, capacity):
-        plain, aggregated = build_pair(
-            make_subscriptions(specs), inner=inner, capacity=capacity
-        )
+    def test_match_sets_equal(self, specs, event_values, capacity):
+        plain, aggregated = build_pair(make_subscriptions(specs), capacity=capacity)
         event = Event.from_tuple(SCHEMA, event_values)
         for _ in range(2):  # second pass hits the descent + projection caches
             assert_same_matches(plain, aggregated, event)
@@ -135,14 +126,11 @@ class TestAggregationEquivalence:
         specs=subscription_lists,
         event_values=events,
         mask=masks,
-        inner=inner_kinds,
         capacity=capacities,
     )
     @settings(max_examples=150)
-    def test_link_masks_exact(self, specs, event_values, mask, inner, capacity):
-        plain, aggregated = build_pair(
-            make_subscriptions(specs), inner=inner, capacity=capacity
-        )
+    def test_link_masks_exact(self, specs, event_values, mask, capacity):
+        plain, aggregated = build_pair(make_subscriptions(specs), capacity=capacity)
         plain.bind_links(NUM_LINKS, link_of)
         aggregated.bind_links(NUM_LINKS, link_of)
         event = Event.from_tuple(SCHEMA, event_values)
@@ -157,9 +145,8 @@ class TestAggregationEquivalence:
     def test_vector_backend_masks_exact(self, specs, event_values, mask):
         """The inner refinement runs over deduplicated leaves on every
         kernel backend; the vector kernels must agree with the reference."""
-        plain, aggregated = build_pair(
-            make_subscriptions(specs), inner="compiled", backend="vector"
-        )
+        pytest.importorskip("numpy")
+        plain, aggregated = build_pair(make_subscriptions(specs), backend="vector")
         plain.bind_links(NUM_LINKS, link_of)
         aggregated.bind_links(NUM_LINKS, link_of)
         event = Event.from_tuple(SCHEMA, event_values)
@@ -172,7 +159,7 @@ class TestAggregationEquivalence:
     @given(specs=subscription_lists, event_values=events, mask=masks)
     @settings(max_examples=60)
     def test_batch_matches_single(self, specs, event_values, mask):
-        plain, aggregated = build_pair(make_subscriptions(specs), inner="compiled")
+        plain, aggregated = build_pair(make_subscriptions(specs))
         plain.bind_links(NUM_LINKS, link_of)
         aggregated.bind_links(NUM_LINKS, link_of)
         event = Event.from_tuple(SCHEMA, event_values)
@@ -193,7 +180,7 @@ class TestAggregationEquivalence:
     @given(specs=subscription_lists, event_values=events)
     @settings(max_examples=60)
     def test_brute_force_agrees(self, specs, event_values):
-        _, aggregated = build_pair(make_subscriptions(specs), inner="compiled")
+        _, aggregated = build_pair(make_subscriptions(specs))
         event = Event.from_tuple(SCHEMA, event_values)
         assert sorted(
             s.subscription_id for s in aggregated.match(event).subscriptions
@@ -243,17 +230,14 @@ class TestIngestOrderInvariance:
 
 
 class TestChurnEquivalence:
-    def _run_churn(self, inner, *, rounds=150, seed=20260807):
+    def test_churn_compiled_inner(self):
         """Seeded insert/remove churn with caches enabled.  Removals target
         *all* live ids uniformly, so covering parents regularly lose their
         last member and must promote covered children back to compiled
         roots mid-stream; every answer is checked immediately after."""
-        rng = random.Random(seed)
-        kwargs = dict(domains=DOMAINS)
-        if inner == "sharded":
-            kwargs["shards"] = 3
-        plain = create_engine(inner, SCHEMA, **kwargs)
-        aggregated = create_engine(inner, SCHEMA, aggregate=True, **kwargs)
+        rng = random.Random(20260807)
+        plain = create_engine("compiled", SCHEMA, domains=DOMAINS)
+        aggregated = create_engine("compiled", SCHEMA, domains=DOMAINS, aggregate=True)
         plain.bind_links(NUM_LINKS, link_of)
         aggregated.bind_links(NUM_LINKS, link_of)
         live = {}
@@ -277,7 +261,7 @@ class TestChurnEquivalence:
             return Subscription(predicate, f"s{rng.randrange(NUM_LINKS)}")
 
         promotions_seen = 0
-        for _ in range(rounds):
+        for _ in range(150):
             if live and rng.random() < 0.45:
                 subscription_id = rng.choice(sorted(live))
                 del live[subscription_id]
@@ -305,13 +289,6 @@ class TestChurnEquivalence:
         # The workload is built to dissolve covering parents; if this ever
         # stops happening the test has quietly lost its promotion coverage.
         assert promotions_seen > 0
-        return aggregated
-
-    def test_churn_compiled_inner(self):
-        self._run_churn("compiled")
-
-    def test_churn_sharded_inner(self):
-        self._run_churn("sharded")
 
     def test_direct_wrapper_matches_create_engine(self):
         """Constructing the wrapper directly is the same engine the factory

@@ -10,12 +10,10 @@ backend is *observationally identical* to the reference interpreter:
   replay recorded steps, which the contract allows to differ), and
 * the same refined **link masks** bit for bit.
 
-Pinned here for the ``vector`` backend (numpy path and the forced
-zero-dependency column fallback) against ``interp``, across fresh
+Pinned here for the ``vector`` backend against ``interp``, across fresh
 programs, churn/recompile mid-stream, empty batches, duplicate-heavy
-batches, and batches larger than the vector chunk width; and for the
-``procpool`` execution mode of the sharded engine against a serial
-sharded reference.
+batches, and batches larger than the vector chunk width.  The vector
+backend requires numpy, so the module skips without it.
 """
 
 from __future__ import annotations
@@ -27,10 +25,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import M, N, TritVector, Y
 from repro.matching import Event, Predicate, RangeOp, Subscription, uniform_schema
-from repro.matching.backends.vector import VectorBackend
-from repro.matching.engines import CompiledEngine, create_engine
+from repro.matching.engines import CompiledEngine
 from repro.matching.predicates import EqualityTest, RangeTest
-from repro.matching.sharding import ShardedEngine
+
+pytest.importorskip("numpy")
 
 SCHEMA = uniform_schema(4)
 DOMAIN = [0, 1, 2]
@@ -84,16 +82,10 @@ def clone(subscription):
 
 
 def build_engines(subscriptions):
-    """(interp, vector, vector-forced-fallback) engines, caches disabled."""
+    """(interp, vector) engines, caches disabled."""
     engines = [
         CompiledEngine(SCHEMA, domains=DOMAINS, match_cache_capacity=0, backend="interp"),
         CompiledEngine(SCHEMA, domains=DOMAINS, match_cache_capacity=0, backend="vector"),
-        CompiledEngine(
-            SCHEMA,
-            domains=DOMAINS,
-            match_cache_capacity=0,
-            backend=VectorBackend(force_fallback=True),
-        ),
     ]
     for subscription in subscriptions:
         for engine in engines:
@@ -109,56 +101,52 @@ class TestVectorEquivalence:
     @given(specs=subscription_lists, batch=event_batches)
     @settings(max_examples=120)
     def test_batch_sets_and_steps(self, specs, batch):
-        interp, vector, fallback = build_engines(make_subscriptions(specs))
+        interp, vector = build_engines(make_subscriptions(specs))
         events = [Event.from_tuple(SCHEMA, values) for values in batch]
         reference = interp.match_batch(events)
-        for engine in (vector, fallback):
-            results = engine.match_batch(events)
-            assert len(results) == len(reference)
-            for got, want in zip(results, reference):
-                assert id_set(got) == id_set(want)
-                assert got.steps == want.steps
+        results = vector.match_batch(events)
+        assert len(results) == len(reference)
+        for got, want in zip(results, reference):
+            assert id_set(got) == id_set(want)
+            assert got.steps == want.steps
 
     @given(specs=subscription_lists, values=event_values)
     @settings(max_examples=80)
     def test_single_matches_batch(self, specs, values):
         """A backend's single-event answer equals its own batch answer."""
-        _, vector, fallback = build_engines(make_subscriptions(specs))
+        _, vector = build_engines(make_subscriptions(specs))
         event = Event.from_tuple(SCHEMA, values)
-        for engine in (vector, fallback):
-            single = engine.match(event)
-            [batched] = engine.match_batch([event])
-            assert id_set(single) == id_set(batched)
-            assert single.steps == batched.steps
+        single = vector.match(event)
+        [batched] = vector.match_batch([event])
+        assert id_set(single) == id_set(batched)
+        assert single.steps == batched.steps
 
     @given(specs=subscription_lists, batch=event_batches, mask=masks)
     @settings(max_examples=80)
     def test_links_batch_masks_and_steps(self, specs, batch, mask):
-        interp, vector, fallback = build_engines(make_subscriptions(specs))
+        interp, vector = build_engines(make_subscriptions(specs))
         events = [Event.from_tuple(SCHEMA, values) for values in batch]
-        for engine in (interp, vector, fallback):
+        for engine in (interp, vector):
             engine.bind_links(NUM_LINKS, link_of)
         reference = interp.match_links_batch(events, mask)
-        for engine in (vector, fallback):
-            results = engine.match_links_batch(events, mask)
-            for got, want in zip(results, reference):
-                assert got.mask == want.mask
-                assert got.steps == want.steps
+        results = vector.match_links_batch(events, mask)
+        for got, want in zip(results, reference):
+            assert got.mask == want.mask
+            assert got.steps == want.steps
 
     def test_duplicate_heavy_batch(self):
         """Duplicates collapse identically (same shared entry per repeat)."""
-        interp, vector, fallback = build_engines(
+        interp, vector = build_engines(
             make_subscriptions([(0, None, 1, None), (None, 2, None, None)])
         )
         event = Event.from_tuple(SCHEMA, (0, 2, 1, 0))
         other = Event.from_tuple(SCHEMA, (1, 1, 1, 1))
         batch = [event, other, event, event, other]
         reference = interp.match_batch(batch)
-        for engine in (vector, fallback):
-            results = engine.match_batch(batch)
-            for got, want in zip(results, reference):
-                assert id_set(got) == id_set(want)
-                assert got.steps == want.steps
+        results = vector.match_batch(batch)
+        for got, want in zip(results, reference):
+            assert id_set(got) == id_set(want)
+            assert got.steps == want.steps
 
     def test_empty_batch(self):
         for engine in build_engines(make_subscriptions([(0, None, None, None)])):
@@ -170,24 +158,23 @@ class TestVectorEquivalence:
         specs = [
             tuple(rng.choice([None, 0, 1, 2]) for _ in range(4)) for _ in range(30)
         ]
-        interp, vector, fallback = build_engines(make_subscriptions(specs))
+        interp, vector = build_engines(make_subscriptions(specs))
         events = [
             Event.from_tuple(SCHEMA, tuple(rng.choice(DOMAIN) for _ in range(4)))
             for _ in range(150)
         ]
         reference = interp.match_batch(events)
-        for engine in (vector, fallback):
-            results = engine.match_batch(events)
-            for got, want in zip(results, reference):
-                assert id_set(got) == id_set(want)
-                assert got.steps == want.steps
+        results = vector.match_batch(events)
+        for got, want in zip(results, reference):
+            assert id_set(got) == id_set(want)
+            assert got.steps == want.steps
 
     def test_churn_and_recompile_mid_stream(self):
         """Patches and recompiles bump the generation; the vector backend
         must rebuild its columnar index rather than answer from a stale one."""
         rng = random.Random(20260807)
-        interp, vector, fallback = build_engines([])
-        engines = (interp, vector, fallback)
+        interp, vector = build_engines([])
+        engines = (interp, vector)
         for engine in engines:
             engine.bind_links(NUM_LINKS, link_of)
         live = {}
@@ -221,128 +208,11 @@ class TestVectorEquivalence:
             reference = interp.match_batch(events)
             mask = TritVector(rng.choice([Y, M, N]) for _ in range(NUM_LINKS))
             reference_links = interp.match_links_batch(events, mask)
-            for engine in (vector, fallback):
-                for got, want in zip(engine.match_batch(events), reference):
-                    assert id_set(got) == id_set(want)
-                    assert got.steps == want.steps
-                for got, want in zip(
-                    engine.match_links_batch(events, mask), reference_links
-                ):
-                    assert got.mask == want.mask
-                    assert got.steps == want.steps
-
-
-@pytest.fixture(scope="class")
-def procpool_pair():
-    """(serial sharded reference, procpool sharded) over one live set.
-
-    Class-scoped: worker processes fork once and serve every test; churn
-    inside a test exercises generation-tagged republish on the same pool.
-    ``early_exit=False`` on the reference makes link step counts
-    shard-order independent, matching procpool's every-shard semantics.
-    """
-    reference = ShardedEngine(
-        SCHEMA,
-        domains=DOMAINS,
-        num_shards=3,
-        policy="hash",
-        match_cache_capacity=0,
-        early_exit=False,
-    )
-    procpool = ShardedEngine(
-        SCHEMA,
-        domains=DOMAINS,
-        num_shards=3,
-        policy="hash",
-        match_cache_capacity=0,
-        early_exit=False,
-        backend="procpool",
-        workers=2,
-    )
-    reference.bind_links(NUM_LINKS, link_of)
-    procpool.bind_links(NUM_LINKS, link_of)
-    try:
-        yield reference, procpool
-    finally:
-        procpool.close()
-
-
-class TestProcPoolEquivalence:
-    def test_seeded_stream_with_churn(self, procpool_pair):
-        reference, procpool = procpool_pair
-        rng = random.Random(99)
-        live = {}
-        for round_index in range(40):
-            if live and rng.random() < 0.35:
-                subscription_id = rng.choice(sorted(live))
-                del live[subscription_id]
-                reference.remove(subscription_id)
-                procpool.remove(subscription_id)
-            else:
-                tests = {
-                    name: EqualityTest(rng.choice(DOMAIN))
-                    for name in SCHEMA.names
-                    if rng.random() < 0.6
-                }
-                subscription = Subscription(
-                    Predicate(SCHEMA, tests), f"s{rng.randrange(NUM_LINKS)}"
-                )
-                live[subscription.subscription_id] = subscription
-                reference.insert(subscription)
-                procpool.insert(clone(subscription))
-            events = [
-                Event.from_tuple(
-                    SCHEMA, tuple(rng.choice(DOMAIN) for _ in SCHEMA.names)
-                )
-                for _ in range(rng.randrange(1, 6))
-            ]
-            # Duplicate an event within the batch now and then.
-            if len(events) > 1 and rng.random() < 0.5:
-                events.append(events[0])
-            want_batch = reference.match_batch(events)
-            got_batch = procpool.match_batch(events)
-            for got, want in zip(got_batch, want_batch):
+            for got, want in zip(vector.match_batch(events), reference):
                 assert id_set(got) == id_set(want)
                 assert got.steps == want.steps
-            mask = TritVector(rng.choice([Y, M, N]) for _ in range(NUM_LINKS))
-            want_links = reference.match_links_batch(events, mask)
-            got_links = procpool.match_links_batch(events, mask)
-            for got, want in zip(got_links, want_links):
+            for got, want in zip(
+                vector.match_links_batch(events, mask), reference_links
+            ):
                 assert got.mask == want.mask
                 assert got.steps == want.steps
-
-    def test_empty_batch(self, procpool_pair):
-        _reference, procpool = procpool_pair
-        assert procpool.match_batch([]) == []
-        assert procpool.match_links_batch([], TritVector([M] * NUM_LINKS)) == []
-
-    def test_republish_after_rebind(self, procpool_pair):
-        """Re-annotation (bind_links) bumps generations and republishes."""
-        reference, procpool = procpool_pair
-        event = Event.from_tuple(SCHEMA, (0, 1, 2, 0))
-        mask = TritVector([M] * NUM_LINKS)
-        for engine in (reference, procpool):
-            engine.bind_links(NUM_LINKS, link_of)
-        [want] = reference.match_links_batch([event], mask)
-        [got] = procpool.match_links_batch([event], mask)
-        assert got.mask == want.mask and got.steps == want.steps
-
-
-def test_create_engine_procpool_roundtrip():
-    """create_engine wires backend= through to a working procpool engine."""
-    engine = create_engine(
-        "sharded", SCHEMA, domains=DOMAINS, shards=2, backend="procpool"
-    )
-    try:
-        for subscription in make_subscriptions([(0, None, 1, None), (None,) * 4]):
-            engine.insert(subscription)
-        reference = CompiledEngine(SCHEMA, domains=DOMAINS)
-        for subscription in engine.subscriptions:
-            reference.insert(clone(subscription))
-        events = [Event.from_tuple(SCHEMA, (0, 0, 1, 2))] * 3
-        for got, want in zip(
-            engine.match_batch(events), reference.match_batch(events)
-        ):
-            assert id_set(got) == id_set(want)
-    finally:
-        engine.close()

@@ -167,7 +167,7 @@ def test_repaired_router_decisions_equal_fresh(data):
         key for key in broker_links(topology) if key != ("B0", "B1")
     ] + ["B2", "B3", "B4"]
     element = data.draw(st.sampled_from(elements), label="failed element")
-    engine = data.draw(st.sampled_from(["compiled", "sharded", "tree"]), label="engine")
+    engine = data.draw(st.sampled_from(["compiled", "tree"]), label="engine")
     subscriptions = subscriptions_for(topology)
 
     def build_router(table, trees):
@@ -179,7 +179,6 @@ def test_repaired_router_decisions_equal_fresh(data):
             SCHEMA,
             domains=DOMAINS,
             engine=engine,
-            shards=2 if engine == "sharded" else None,
         )
         for subscription in subscriptions:
             try:

@@ -384,14 +384,12 @@ class TestErrorsAndFactory:
         with pytest.raises(SubscriptionError, match="refresh"):
             AggregatingEngine(TreeEngine(SCHEMA))
 
-    def test_factory_wraps_compiled_and_sharded(self):
-        for inner, kwargs in (("compiled", {}), ("sharded", {"shards": 2})):
-            engine = create_engine(
-                inner, SCHEMA, domains=DOMAINS, aggregate=True, **kwargs
-            )
-            assert isinstance(engine, AggregatingEngine)
-            engine.insert(sub("s0", a1=EqualityTest(1)))
-            assert engine.subscription_count == 1
+    def test_factory_wraps_compiled(self):
+        engine = create_engine("compiled", SCHEMA, domains=DOMAINS, aggregate=True)
+        assert isinstance(engine, AggregatingEngine)
+        assert isinstance(engine.inner, CompiledEngine)
+        engine.insert(sub("s0", a1=EqualityTest(1)))
+        assert engine.subscription_count == 1
 
     def test_subscriptions_lists_members_not_representatives(self):
         engine = make_engine()

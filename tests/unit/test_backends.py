@@ -2,9 +2,8 @@
 
 Covers the registry surface (:mod:`repro.matching.backends`), how
 ``backend=`` threads through :func:`create_engine`, generation-keyed
-backend scratch on :class:`CompiledProgram`, the sharded engine's
-worker-exception propagation (threads and processes), and procpool
-worker-death reporting.
+backend scratch on :class:`CompiledProgram`, and the fail-closed knobs
+(``vector`` without numpy, negative cache capacities).
 """
 
 from __future__ import annotations
@@ -16,15 +15,12 @@ from repro.matching import Event, Predicate, Subscription, uniform_schema
 from repro.matching.backends import (
     BACKEND_NAMES,
     DEFAULT_BACKEND,
-    KERNEL_BACKEND_NAMES,
     create_backend,
     validate_backend,
 )
-from repro.matching.backends.procpool import ProcPoolError, ProcPoolExecutor
 from repro.matching.backends.vector import VectorBackend
 from repro.matching.engines import CompiledEngine, create_engine
 from repro.matching.predicates import EqualityTest
-from repro.matching.sharding import ShardedEngine
 
 SCHEMA = uniform_schema(3)
 DOMAINS = {name: [0, 1, 2] for name in SCHEMA.names}
@@ -41,9 +37,8 @@ def event(values=(0, 0, 0)):
 
 class TestRegistry:
     def test_names(self):
-        assert BACKEND_NAMES == ("interp", "vector", "procpool")
-        assert KERNEL_BACKEND_NAMES == ("interp", "vector")
-        assert DEFAULT_BACKEND in KERNEL_BACKEND_NAMES
+        assert BACKEND_NAMES == ("interp", "vector")
+        assert DEFAULT_BACKEND in BACKEND_NAMES
 
     def test_validate(self):
         assert validate_backend("vector") == "vector"
@@ -51,33 +46,58 @@ class TestRegistry:
             validate_backend("jit")
 
     def test_singletons(self):
-        for name in KERNEL_BACKEND_NAMES:
+        pytest.importorskip("numpy")
+        for name in BACKEND_NAMES:
             backend = create_backend(name)
             assert backend.name == name
             assert create_backend(name) is backend
 
-    def test_procpool_is_not_an_in_process_kernel(self):
-        with pytest.raises(SubscriptionError, match="sharded"):
-            create_backend("procpool")
+    def test_vector_without_numpy_fails_closed(self, monkeypatch):
+        """No silent slow path: every way of asking for ``vector`` on a
+        numpy-free interpreter is a SubscriptionError that names numpy."""
+        from repro.matching import backends
+        from repro.matching.backends import vector
+
+        monkeypatch.setattr(vector, "_np", None)
+        monkeypatch.setattr(backends, "_instances", {})
+        for construct in (
+            VectorBackend,
+            lambda: create_backend("vector"),
+            lambda: CompiledEngine(SCHEMA, backend="vector"),
+            lambda: create_engine("compiled", SCHEMA, backend="vector"),
+            lambda: create_engine("compiled", SCHEMA, backend="vector", aggregate=True),
+        ):
+            with pytest.raises(SubscriptionError, match="numpy"):
+                construct()
+        # The default backend never needs it.
+        create_engine("compiled", SCHEMA).insert(sub(0))
 
 
 class TestEngineWiring:
     def test_compiled_backend_name(self):
         assert CompiledEngine(SCHEMA).backend_name == DEFAULT_BACKEND
+        pytest.importorskip("numpy")
         engine = CompiledEngine(SCHEMA, backend="vector")
         assert engine.backend_name == "vector"
-        # A backend *instance* is accepted as-is (used by the property
-        # suite to pin the forced zero-dependency vector path).
-        forced = CompiledEngine(SCHEMA, backend=VectorBackend(force_fallback=True))
-        assert forced.backend_name == "vector"
+        # A backend *instance* is accepted as-is.
+        instance = VectorBackend()
+        assert CompiledEngine(SCHEMA, backend=instance).program.backend is instance
 
     def test_create_engine_validates_backend(self):
         with pytest.raises(SubscriptionError, match="unknown kernel backend"):
             create_engine("compiled", SCHEMA, backend="jit")
 
-    def test_create_engine_compiled_rejects_procpool(self):
-        with pytest.raises(SubscriptionError, match="sharded"):
-            create_engine("compiled", SCHEMA, backend="procpool")
+    @pytest.mark.parametrize(
+        "engine, aggregate", [("compiled", False), ("compiled", True), ("tree", False)]
+    )
+    def test_create_engine_rejects_negative_cache_capacity(self, engine, aggregate):
+        """A negative capacity used to mean "caches off", silently."""
+        with pytest.raises(SubscriptionError, match="match_cache_capacity"):
+            create_engine(
+                engine, SCHEMA, match_cache_capacity=-5, aggregate=aggregate
+            )
+        # Zero is the documented way to switch the caches off.
+        create_engine(engine, SCHEMA, match_cache_capacity=0, aggregate=aggregate)
 
     def test_create_engine_tree_rejects_non_default_backend(self):
         with pytest.raises(SubscriptionError, match="tree"):
@@ -85,15 +105,12 @@ class TestEngineWiring:
         # The default backend is the tree engine's own semantics.
         create_engine("tree", SCHEMA, backend=DEFAULT_BACKEND)
 
-    def test_sharded_backend_name(self):
-        engine = ShardedEngine(SCHEMA, num_shards=2, backend="vector")
-        assert engine.backend_name == "vector"
-        assert "backend='vector'" in repr(engine)
-        default = ShardedEngine(SCHEMA, num_shards=2)
-        assert default.backend_name == DEFAULT_BACKEND
-
 
 class TestGenerationScratch:
+    @pytest.fixture(autouse=True)
+    def _needs_numpy(self):
+        pytest.importorskip("numpy")
+
     def test_patch_bumps_generation_and_drops_backend_state(self):
         engine = CompiledEngine(SCHEMA, domains=DOMAINS, backend="vector")
         engine.insert(sub(0))
@@ -119,127 +136,3 @@ class TestGenerationScratch:
         program.annotate(2, lambda subscription: 0)
         assert program.generation > generation
         assert not program.backend_state
-
-
-class TestShardWorkerFailures:
-    def test_thread_worker_exception_propagates_with_shard_context(self):
-        """A raising shard task surfaces its original exception type,
-        annotated with the shard index (regression: workers>0 used to
-        swallow the context behind pool plumbing)."""
-        engine = ShardedEngine(SCHEMA, num_shards=2, workers=2)
-        engine.insert(sub(0))
-        foreign = Event.from_tuple(uniform_schema(5), (0, 0, 0, 0, 0))
-        with pytest.raises(SubscriptionError) as excinfo:
-            engine.match(foreign)
-        notes = getattr(excinfo.value, "__notes__", [])
-        assert any("worker task for shard" in note for note in notes)
-
-    def test_serial_path_raises_unannotated(self):
-        engine = ShardedEngine(SCHEMA, num_shards=2, workers=0)
-        foreign = Event.from_tuple(uniform_schema(5), (0, 0, 0, 0, 0))
-        with pytest.raises(SubscriptionError):
-            engine.match(foreign)
-
-
-class TestProcPoolFailures:
-    def test_worker_execution_error_reports_traceback(self):
-        engine = ShardedEngine(
-            SCHEMA, num_shards=1, match_cache_capacity=0, backend="procpool"
-        )
-        try:
-            engine.insert(sub(0))
-            # Warm the pool and the publication, then hand the executor a
-            # bogus op directly: the worker must answer ("err", traceback)
-            # and the parent must surface it as ProcPoolError.
-            engine.match_batch([event()])
-            executor = engine._procpool
-            publication = executor.publish(0, engine._shards[0].program)
-            with pytest.raises(ProcPoolError, match="raised while matching"):
-                executor.run(
-                    [(0, publication.name, publication.size, "bogus", ())]
-                )
-            # The worker keeps serving after reporting the error.
-            assert engine.match_batch([event()])[0].subscriptions
-        finally:
-            engine.close()
-
-    def test_worker_death_raises_procpool_error(self):
-        engine = ShardedEngine(
-            SCHEMA, num_shards=1, match_cache_capacity=0, backend="procpool"
-        )
-        try:
-            engine.insert(sub(0))
-            engine.match_batch([event()])
-            [(process, _conn)] = engine._procpool._workers
-            process.kill()
-            process.join(timeout=10)
-            with pytest.raises(ProcPoolError, match="died"):
-                engine.match_batch([event((1, 1, 1))])
-        finally:
-            engine.close()
-
-    def test_closed_engine_falls_back_to_serial(self):
-        engine = ShardedEngine(
-            SCHEMA, num_shards=2, match_cache_capacity=0, backend="procpool"
-        )
-        engine.insert(sub(0))
-        before = engine.match_batch([event()])
-        engine.close()
-        after = engine.match_batch([event()])
-        assert [r.subscriptions for r in after] == [r.subscriptions for r in before]
-
-    def test_executor_close_is_idempotent(self):
-        executor = ProcPoolExecutor(1)
-        executor.close()
-        executor.close()
-
-
-class TestPackedImage:
-    def test_pack_unpack_round_trip(self):
-        """The packed payload reconstructs the full record surface: node
-        structure, interned values, range tests, leaf subscription ids, and
-        in-place annotation masks."""
-        from repro.core import M, TritVector
-        from repro.matching.backends.procpool import pack_image, unpack_image
-        from repro.matching.predicates import RangeOp, RangeTest
-
-        engine = CompiledEngine(SCHEMA, domains=DOMAINS, match_cache_capacity=0)
-        for i in range(6):
-            tests = {SCHEMA.names[0]: EqualityTest(i % 3)}
-            if i % 2:
-                tests[SCHEMA.names[1]] = RangeTest(RangeOp.LE, 1)
-            engine.insert(Subscription(Predicate(SCHEMA, tests), f"s{i % 3}"))
-        engine.bind_links(3, lambda s: int(s.subscriber[1:]))
-        engine.match_links(event(), TritVector([M, M, M]))  # compile + annotate
-        program = engine.program
-
-        payload = pack_image(program)
-        image = unpack_image(payload, len(payload))
-        try:
-            # A publication is immutable, so the worker-side generation
-            # restarts at zero; the parent keys publications by the live
-            # program's generation instead.
-            assert image.generation == 0
-            assert image.value_ids == program.value_ids
-            assert list(image.ann_yes) == list(program.ann_yes)
-            assert list(image.ann_maybe) == list(program.ann_maybe)
-            assert len(image._records) == len(program._records)
-            for theirs, ours in zip(program._records, image._records):
-                position, table, ranges, star, leaf_subs = theirs
-                image_position, image_table, image_ranges, image_star, image_subs = ours
-                assert image_position == position
-                assert image_star == star
-                assert (image_table or None) == (table or None)
-                if ranges is None:
-                    assert image_ranges is None
-                else:
-                    assert tuple(image_ranges) == tuple(ranges)
-                if leaf_subs is None:
-                    assert image_subs is None
-                else:
-                    # Workers see subscription *ids*; the parent maps back.
-                    assert list(image_subs) == [
-                        s.subscription_id for s in leaf_subs
-                    ]
-        finally:
-            image.release()

@@ -12,7 +12,6 @@ subscription set.
 from __future__ import annotations
 
 import gc
-import itertools
 import weakref
 from collections import deque
 from time import perf_counter
@@ -20,9 +19,6 @@ from time import perf_counter
 import pytest
 
 from repro.errors import RoutingError
-from repro.matching.backends import create_backend
-from repro.matching.backends.procpool import pack_image, unpack_image
-from repro.matching.compile import _FREE_RECORD
 from repro.matching.engines import CompiledEngine
 from repro.matching.predicates import Subscription
 from repro.workload.generators import SubscriptionGenerator
@@ -113,33 +109,3 @@ class TestFirstProjectionAfterAPatch:
         small = self.best_of(*churned_engine(2_000))
         large = self.best_of(*churned_engine(20_000))
         assert large < 4 * small
-
-
-class TestProgramImageWithRecycledSlots:
-    def test_round_trip_matches_like_the_program(self):
-        engine, generator, fifo = churned_engine(60)
-        for _ in range(3 * FIFO_DEPTH):
-            churn_once(engine, generator, fifo)
-        while len(fifo) > 5:  # drain: leaves free slots behind
-            engine.remove(fifo.popleft())
-        program = engine.program
-        free = program._free_slots
-        assert free, "the drain must leave recycled slots in the program"
-        payload = pack_image(program)
-        image = unpack_image(payload, len(payload))
-        try:
-            for slot in free:
-                assert image._records[slot] == _FREE_RECORD
-            interp = create_backend("interp")
-            values = SPEC.values[:3]
-            for event in itertools.product(values, repeat=4):
-                event = event + (values[0],) * (SPEC.num_attributes - 4)
-                matched, steps = interp.match(program, event)
-                image_matched, image_steps = interp.match(image, event)
-                assert sorted(image_matched) == sorted(s.subscription_id for s in matched)
-                assert image_steps == steps
-                assert interp.match_links(image, event, 0, 0b1111) == (
-                    interp.match_links(program, event, 0, 0b1111)
-                )
-        finally:
-            image.release()

@@ -130,9 +130,7 @@ class TestProjectLinks:
         "config",
         [
             {"name": "tree"},
-            {"name": "sharded", "shards": 2},
             {"name": "compiled", "aggregate": True},
-            {"name": "sharded", "shards": 2, "aggregate": True},
         ],
         ids=lambda config: "-".join(f"{k}={v}" for k, v in config.items()),
     )

@@ -2,12 +2,13 @@
 virtual-link layout.
 
 CompiledEngine caches link-match results keyed by (projection, yes-mask,
-maybe-mask); ShardedEngine keeps per-shard outer caches.  After a topology
-repair changes which destination sits behind which link position, the same
-packed mask bits denote *different* links — a stale cache hit would route
-events to the pre-failure destinations.  ``ContentRouter.rebuild_links``
-must therefore rebind the engine (flushing those caches) exactly when the
-layout changed, and must keep warm caches when it did not.
+maybe-mask).  After a topology repair changes which destination sits
+behind which link position, the same packed mask bits denote *different*
+links — a stale cache hit would route events to the pre-failure
+destinations.  ``ContentRouter.rebuild_links`` must therefore rebind the
+engine (flushing those caches) exactly when the layout changed, and must
+keep warm caches when it did not.  The tree engine has no caches and rides
+along as the oracle.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ def build_router(topology, table, trees, engine):
         SCHEMA,
         domains=DOMAINS,
         engine=engine,
-        shards=2 if engine == "sharded" else None,
     )
     router.add_subscription(Subscription(parse_predicate(SCHEMA, "a1=0"), "S2"))
     router.add_subscription(Subscription(parse_predicate(SCHEMA, "a1=1"), "S3"))
@@ -60,7 +60,7 @@ def build_router(topology, table, trees, engine):
 EVENTS = [Event.from_tuple(SCHEMA, (0, 0)), Event.from_tuple(SCHEMA, (1, 0))]
 
 
-@pytest.mark.parametrize("engine", ["compiled", "sharded"])
+@pytest.mark.parametrize("engine", ["compiled", "tree"])
 def test_stale_link_cache_flushed_after_failover(engine):
     topology = build_topology()
     tree = SpanningTree(topology, ROOT)
@@ -92,7 +92,7 @@ def test_stale_link_cache_flushed_after_failover(engine):
         assert str(repaired.mask) == str(fresh.mask)
 
 
-@pytest.mark.parametrize("engine", ["compiled", "sharded"])
+@pytest.mark.parametrize("engine", ["compiled", "tree"])
 def test_unchanged_layout_keeps_warm_caches(engine):
     """Failing a link the layout never used must not flush anything."""
     topology = build_topology()
