@@ -18,11 +18,20 @@ baseline:
     the arrays track *distinct* predicates while the duplicated pool keeps
     handing out repeats.
 
-``per_event_us`` / ``speedup``
-    Warm-stream per-event matching time against the unaggregated compiled
-    baseline at the same count.  The baseline is skipped above
-    ``--baseline-limit`` (building a million-subscription unaggregated
-    program exists to be avoided, not timed).
+``per_event_us`` / ``speedup`` (table: ``agg_us`` / ``base_us``)
+    *Replayed*-stream per-event matching time against the unaggregated
+    compiled baseline at the same count: the same ``--events`` events
+    matched ``--repeats`` times, best kept — so the aggregated side answers
+    from a warm descent cache while the baseline (which remembers nothing)
+    walks its program.  The baseline is skipped above ``--baseline-limit``
+    (building a million-subscription unaggregated program exists to be
+    avoided, not timed).
+
+``cold_per_event_us`` / ``cold_speedup`` (table: ``agg_cold`` / ``base_cold``)
+    The same two engines over one pass of :data:`COLD_EVENTS` *fresh* events
+    (drawn after the replayed sample, never seen by either engine): every
+    descent-cache probe misses, so this is what aggregation costs on a
+    stream that does not repeat.
 
 ``ingest_subs_per_s`` / ``mean_cover_candidates``
     Ingest throughput of the insert loop and the mean number of
@@ -43,8 +52,9 @@ point compresses by X), ``--check-sublinear`` (exit 1 unless
 ``cells_per_sub`` falls from the first sweep point to the last),
 ``--max-slowdown X`` (exit 1 unless, on a *dedup-free* workload where
 aggregation can only add overhead, the aggregated engine stays within X of
-the baseline per event), and ``--min-ingest-speedup X`` (exit 1 unless the
-covering index beats the linear-scan attach by X at ``--ingest-count``
+the baseline per event — on the **replayed** column; the cold ratio is
+printed beside it, not gated), and ``--min-ingest-speedup X`` (exit 1 unless
+the covering index beats the linear-scan attach by X at ``--ingest-count``
 subscriptions with equal-or-better compression).
 """
 
@@ -64,15 +74,13 @@ from repro.workload import CHART1_SPEC, EventGenerator, SubscriptionGenerator
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 RESULTS_PATH = RESULTS_DIR / "aggregation_scaling.txt"
 
+#: Fresh events of the single cold pass.
+COLD_EVENTS = 2000
 
-def build_engine(subscriptions, *, aggregate, cover_scan_limit, cache, use_index=True):
+
+def build_engine(subscriptions, *, aggregate, cover_scan_limit, use_index=True):
     spec = CHART1_SPEC
-    inner = create_engine(
-        "compiled",
-        spec.schema(),
-        domains=spec.domains(),
-        match_cache_capacity=cache,
-    )
+    inner = create_engine("compiled", spec.schema(), domains=spec.domains())
     engine = (
         AggregatingEngine(inner, cover_scan_limit=cover_scan_limit, use_index=use_index)
         if aggregate
@@ -96,12 +104,11 @@ def program_cells(engine):
 
 
 def time_events(engine, events, repeats):
-    """Best seconds/event over the warm ``match`` stream.
+    """Best seconds/event over ``repeats`` passes of the ``match`` stream.
 
-    Caches stay on — aggregation's descent cache and the compiled engine's
-    projection cache both serve the repeated Zipf stream, which is the
-    deployment regime the sweep models.  The first repeat pays compilation
-    and cache warmup; best-of keeps the warm number.
+    With ``repeats > 1`` the first pass warms aggregation's descent cache
+    and best-of keeps a replayed pass; ``repeats=1`` over events the engine
+    has not seen is the cold number.
     """
     best = float("inf")
     for _ in range(repeats):
@@ -112,28 +119,38 @@ def time_events(engine, events, repeats):
     return best / len(events)
 
 
+def _baseline_cell(value, width, ratio=False):
+    """A baseline-dependent table cell: ``-`` when the baseline was skipped."""
+    if value is None:
+        return f"{'-':>{width}}"
+    return f"{value:>{width - 1}.2f}x" if ratio else f"{value:>{width}.1f}"
+
+
 def run(counts, num_events, repeats, seed, dup_rate, cover_scan_limit,
-        cache, baseline_limit):
+        baseline_limit):
     """Sweep the subscription-count axis; returns (rows, rendered table).
 
     Each row:
     ``{subscriptions, compression, roots, forest_nodes, program_cells,
     cells_per_sub, ingest_subs_per_s, mean_cover_candidates, per_event_us,
-    baseline_per_event_us, speedup}`` — the last two ``None`` when the count
+    cold_per_event_us, baseline_per_event_us, baseline_cold_per_event_us,
+    speedup, cold_speedup}`` — the baseline ones ``None`` when the count
     exceeds ``baseline_limit``.
     """
     spec = CHART1_SPEC
     event_generator = EventGenerator(spec, seed=seed + 1)
     events = [event_generator.event_for() for _ in range(num_events)]
+    cold_events = [event_generator.event_for() for _ in range(COLD_EVENTS)]
 
     header = (
         f"{'subscriptions':>13} {'compression':>11} {'roots':>8} "
         f"{'cells':>10} {'cells/sub':>9} {'ingest/s':>9} {'cands':>6} "
-        f"{'agg_us':>8} {'base_us':>8} {'speedup':>8}"
+        f"{'agg_us':>8} {'base_us':>8} {'speedup':>8} "
+        f"{'agg_cold':>8} {'base_cold':>9} {'cold':>8}"
     )
     lines = [
-        f"events={num_events} repeats={repeats} dup_rate={dup_rate} "
-        f"cover_scan_limit={cover_scan_limit} cache={cache} "
+        f"events={num_events} repeats={repeats} cold_events={COLD_EVENTS} "
+        f"dup_rate={dup_rate} cover_scan_limit={cover_scan_limit} "
         f"baseline_limit={baseline_limit}",
         "",
         header,
@@ -149,12 +166,12 @@ def run(counts, num_events, repeats, seed, dup_rate, cover_scan_limit,
 
         ingest_start = time.perf_counter()
         engine = build_engine(
-            subscriptions, aggregate=True,
-            cover_scan_limit=cover_scan_limit, cache=cache,
+            subscriptions, aggregate=True, cover_scan_limit=cover_scan_limit
         )
         ingest_s = time.perf_counter() - ingest_start
         engine.match(events[0])  # compile outside the timed region
         per_event = time_events(engine, events, repeats)
+        cold_per_event = time_events(engine, cold_events, 1)
         cells = program_cells(engine)
         row = {
             "subscriptions": count,
@@ -166,40 +183,42 @@ def run(counts, num_events, repeats, seed, dup_rate, cover_scan_limit,
             "ingest_subs_per_s": count / ingest_s,
             "mean_cover_candidates": engine.mean_cover_candidates,
             "per_event_us": per_event * 1e6,
+            "cold_per_event_us": cold_per_event * 1e6,
             "baseline_per_event_us": None,
+            "baseline_cold_per_event_us": None,
             "speedup": None,
+            "cold_speedup": None,
         }
 
         if count <= baseline_limit:
             baseline = build_engine(
-                subscriptions, aggregate=False,
-                cover_scan_limit=cover_scan_limit, cache=cache,
+                subscriptions, aggregate=False, cover_scan_limit=cover_scan_limit
             )
             baseline.match(events[0])
             baseline_per_event = time_events(baseline, events, repeats)
+            baseline_cold = time_events(baseline, cold_events, 1)
             row["baseline_per_event_us"] = baseline_per_event * 1e6
+            row["baseline_cold_per_event_us"] = baseline_cold * 1e6
             row["speedup"] = baseline_per_event / per_event
+            row["cold_speedup"] = baseline_cold / cold_per_event
 
         rows.append(row)
-        base_cell = (
-            f"{row['baseline_per_event_us']:>8.1f}"
-            if row["baseline_per_event_us"] is not None
-            else f"{'-':>8}"
-        )
-        speedup_cell = (
-            f"{row['speedup']:>7.2f}x" if row["speedup"] is not None else f"{'-':>8}"
-        )
         lines.append(
             f"{count:>13} {row['compression']:>10.2f}x {row['roots']:>8} "
             f"{cells:>10} {row['cells_per_sub']:>9.3f} "
             f"{row['ingest_subs_per_s']:>9,.0f} "
             f"{row['mean_cover_candidates']:>6.1f} "
-            f"{per_event * 1e6:>8.1f} {base_cell} {speedup_cell}"
+            f"{per_event * 1e6:>8.1f} "
+            f"{_baseline_cell(row['baseline_per_event_us'], 8)} "
+            f"{_baseline_cell(row['speedup'], 8, ratio=True)} "
+            f"{cold_per_event * 1e6:>8.1f} "
+            f"{_baseline_cell(row['baseline_cold_per_event_us'], 9)} "
+            f"{_baseline_cell(row['cold_speedup'], 8, ratio=True)}"
         )
     return rows, "\n".join(lines)
 
 
-def ingest_speedup(count, seed, dup_rate, cover_scan_limit, cache):
+def ingest_speedup(count, seed, dup_rate, cover_scan_limit):
     """Covering-index ingest gain: indexed vs linear-scan attach over the
     same duplicated pool.
 
@@ -221,7 +240,7 @@ def ingest_speedup(count, seed, dup_rate, cover_scan_limit, cache):
         start = time.perf_counter()
         engine = build_engine(
             subscriptions, aggregate=True,
-            cover_scan_limit=cover_scan_limit, cache=cache, use_index=use_index,
+            cover_scan_limit=cover_scan_limit, use_index=use_index,
         )
         elapsed = time.perf_counter() - start
         result[f"{label}_subs_per_s"] = count / elapsed
@@ -230,13 +249,17 @@ def ingest_speedup(count, seed, dup_rate, cover_scan_limit, cache):
     return result
 
 
-def dedup_free_slowdown(count, num_events, repeats, seed, cover_scan_limit, cache):
-    """Aggregated/baseline per-event ratio on a duplicate-free workload.
+def dedup_free_slowdown(count, num_events, repeats, seed, cover_scan_limit):
+    """Aggregated/baseline per-event ratios ``(replayed, cold)`` on a
+    duplicate-free workload.
 
     With no duplicates to absorb, every subscription is its own root and
     aggregation is pure overhead (canonicalization at insert, one descent
-    cache probe per event) — the honest worst case the ``--max-slowdown``
-    gate bounds.
+    cache probe per event).  The ``--max-slowdown`` gate bounds the
+    *replayed* ratio — a warm descent cache against a baseline that walks
+    its program every time; the *cold* ratio (one pass over
+    :data:`COLD_EVENTS` fresh events, every probe a miss followed by the
+    inner match and an insert) is the honest worst case, reported beside it.
     """
     spec = CHART1_SPEC
     subscriptions = SubscriptionGenerator(spec, seed=seed).subscriptions_for(
@@ -244,20 +267,23 @@ def dedup_free_slowdown(count, num_events, repeats, seed, cover_scan_limit, cach
     )
     event_generator = EventGenerator(spec, seed=seed + 1)
     events = [event_generator.event_for() for _ in range(num_events)]
+    cold_events = [event_generator.event_for() for _ in range(COLD_EVENTS)]
 
     aggregated = build_engine(
-        subscriptions, aggregate=True,
-        cover_scan_limit=cover_scan_limit, cache=cache,
+        subscriptions, aggregate=True, cover_scan_limit=cover_scan_limit
     )
     baseline = build_engine(
-        subscriptions, aggregate=False,
-        cover_scan_limit=cover_scan_limit, cache=cache,
+        subscriptions, aggregate=False, cover_scan_limit=cover_scan_limit
     )
     aggregated.match(events[0])
     baseline.match(events[0])
-    aggregated_per_event = time_events(aggregated, events, repeats)
-    baseline_per_event = time_events(baseline, events, repeats)
-    return aggregated_per_event / baseline_per_event
+    replayed = time_events(aggregated, events, repeats) / time_events(
+        baseline, events, repeats
+    )
+    cold = time_events(aggregated, cold_events, 1) / time_events(
+        baseline, cold_events, 1
+    )
+    return replayed, cold
 
 
 def emit_bench(rows, args, directory, extra):
@@ -272,7 +298,7 @@ def emit_bench(rows, args, directory, extra):
             "seed": args.seed,
             "dup_rate": args.dup_rate,
             "cover_scan_limit": args.cover_scan_limit,
-            "cache": args.cache,
+            "cold_events": COLD_EVENTS,
             "baseline_limit": args.baseline_limit,
         },
         wall_clock_s=None,
@@ -303,10 +329,6 @@ def main(argv=None):
         "subscription ingest fast; dedup compression is unaffected)",
     )
     parser.add_argument(
-        "--cache", type=int, default=None, metavar="N",
-        help="projection/descent cache capacity (default: engine default)",
-    )
-    parser.add_argument(
         "--baseline-limit", type=int, default=100000, metavar="N",
         help="skip the unaggregated baseline above this count",
     )
@@ -328,7 +350,9 @@ def main(argv=None):
         "--max-slowdown", type=float, default=None, metavar="X",
         help="gate: exit 1 unless a dedup-free workload (duplicate_rate=0, "
         "smallest sweep count) keeps the aggregated engine within X of the "
-        "unaggregated baseline per event",
+        "unaggregated baseline per event on the REPLAYED stream (warm "
+        "descent cache vs an uncached baseline); the cold ratio — one pass "
+        "over fresh events — is printed beside it and not gated",
     )
     parser.add_argument(
         "--min-ingest-speedup", type=float, default=None, metavar="X",
@@ -345,28 +369,29 @@ def main(argv=None):
     get_registry().enable()  # before any engine exists, so instruments record
     rows, table = run(
         args.counts, args.events, args.repeats, args.seed, args.dup_rate,
-        args.cover_scan_limit, args.cache, args.baseline_limit,
+        args.cover_scan_limit, args.baseline_limit,
     )
     print(table)
 
     extra = {}
     slowdown = None
     if args.max_slowdown is not None:
-        slowdown = dedup_free_slowdown(
+        slowdown, cold_slowdown = dedup_free_slowdown(
             min(args.counts), args.events, args.repeats, args.seed,
-            args.cover_scan_limit, args.cache,
+            args.cover_scan_limit,
         )
         extra["dedup_free_slowdown"] = slowdown
+        extra["dedup_free_slowdown_cold"] = cold_slowdown
         print(
-            f"\ndedup-free overhead: aggregated/baseline = {slowdown:.2f}x "
-            f"at {min(args.counts)} subscriptions"
+            f"\ndedup-free overhead at {min(args.counts)} subscriptions: "
+            f"aggregated/baseline = {slowdown:.2f}x replayed (gated), "
+            f"{cold_slowdown:.2f}x cold ({COLD_EVENTS} fresh events, one pass)"
         )
 
     ingest_gate = None
     if args.min_ingest_speedup is not None:
         ingest_gate = ingest_speedup(
-            args.ingest_count, args.seed, args.dup_rate,
-            args.cover_scan_limit, args.cache,
+            args.ingest_count, args.seed, args.dup_rate, args.cover_scan_limit
         )
         extra["ingest_gate"] = ingest_gate
         print(
@@ -422,15 +447,15 @@ def main(argv=None):
     if args.max_slowdown is not None:
         if slowdown > args.max_slowdown:
             print(
-                f"PERF GATE FAILED: dedup-free slowdown {slowdown:.2f}x "
-                f"> {args.max_slowdown:.2f}x",
+                f"PERF GATE FAILED: dedup-free replayed slowdown "
+                f"{slowdown:.2f}x > {args.max_slowdown:.2f}x",
                 file=sys.stderr,
             )
             failed = True
         else:
             print(
-                f"perf gate passed: dedup-free slowdown {slowdown:.2f}x "
-                f"<= {args.max_slowdown:.2f}x"
+                f"perf gate passed: dedup-free replayed slowdown "
+                f"{slowdown:.2f}x <= {args.max_slowdown:.2f}x"
             )
     if args.min_ingest_speedup is not None:
         if ingest_gate["speedup"] < args.min_ingest_speedup:

@@ -4,9 +4,8 @@ Builds Chart-1-spec engines at a large subscription count and times the
 batched matching path (``match_batch`` over fixed-size batches) across the
 execution-backend axis of :mod:`repro.matching.backends`: one
 :class:`CompiledEngine` per kernel backend (``interp``, ``vector``).
-Projection caches are disabled so repeated timing passes measure the
-kernels, not cache hits — the "cold" stream of the other benchmark
-scripts.  ``speedup`` is against the ``interp`` row.
+Nothing is remembered between events, so repeated timing passes measure
+the kernels.  ``speedup`` is against the ``interp`` row.
 
 Run from the repo root (needs numpy, as the ``vector`` backend does)::
 
@@ -38,14 +37,8 @@ RESULTS_PATH = RESULTS_DIR / "backend_scaling.txt"
 
 
 def build_compiled(subscriptions, backend):
-    """Monolithic compiled engine, projection caches off (cold stream)."""
     spec = CHART1_SPEC
-    engine = CompiledEngine(
-        spec.schema(),
-        domains=spec.domains(),
-        match_cache_capacity=0,
-        backend=backend,
-    )
+    engine = CompiledEngine(spec.schema(), domains=spec.domains(), backend=backend)
     for subscription in subscriptions:
         engine.insert(subscription)
     return engine
@@ -54,8 +47,8 @@ def build_compiled(subscriptions, backend):
 def time_batches(engine, batches, repeats):
     """Best seconds/event for the ``match_batch`` loop over all batches.
 
-    Best-of-repeats, like every other script here: with the caches off
-    each pass re-executes the kernels, and the minimum amortizes one-time
+    Best-of-repeats, like every other script here: each pass re-executes
+    the kernels, and the minimum amortizes one-time
     costs (compilation, the vector backend's columnar index build) that
     real streams also pay exactly once.
     """
@@ -85,7 +78,7 @@ def run(subscriptions_count, num_events, batch, repeats, seed):
     header = f"{'backend':>8} {'per_event_us':>13} {'speedup':>8}"
     lines = [
         f"subscriptions={subscriptions_count} events={num_events} "
-        f"batch={batch} repeats={repeats} caches=off",
+        f"batch={batch} repeats={repeats}",
         "",
         header,
         "-" * len(header),

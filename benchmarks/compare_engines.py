@@ -20,10 +20,10 @@ subscription count falls below ``X``.
 ``--churn N`` interleaves subscription churn with the matching loop: every
 ``N`` events one registered subscription is removed and a fresh one inserted
 (net size constant).  The tree engine patches annotations in place; the
-compiled engine pays for incremental patches, flushed projection caches, and
-the occasional waste-triggered recompile — which is exactly the cost the
-steady-state table hides, so churn rows make recompile pressure visible in
-the trend tables.
+compiled engine pays for incremental patches and the occasional
+waste-triggered recompile — which is exactly the cost the steady-state
+table hides, so churn rows make recompile pressure visible in the trend
+tables.
 """
 
 from __future__ import annotations
@@ -44,13 +44,12 @@ RESULTS_PATH = RESULTS_DIR / "compare_engines.txt"
 ENGINES = ("tree", "compiled")
 
 
-def build_engine(name, subscriptions, *, cache=True, backend=None, aggregate=False):
+def build_engine(name, subscriptions, *, backend=None, aggregate=False):
     spec = CHART1_SPEC
     engine = create_engine(
         name,
         spec.schema(),
         domains=spec.domains(),
-        match_cache_capacity=None if cache else 0,
         # The tree engine has no kernels to swap; --backend only affects
         # the compiled side of the comparison.
         backend=backend if name == "compiled" else None,
@@ -95,8 +94,8 @@ def make_churn_plan(subscriptions, num_ops, generator, seed):
 def time_matches_churn(engine, events, churn, plan):
     """One timed pass interleaving matching with churn: every ``churn``
     events the next plan op runs (remove + insert).  The churn cost — tree
-    annotation patches vs compiled patches, cache flushes, and recompiles —
-    lands inside the timed region, which is the point."""
+    annotation patches vs compiled patches and recompiles — lands inside the
+    timed region, which is the point."""
     ops = iter(plan)
     total_steps = 0
     start = time.perf_counter()
@@ -112,18 +111,14 @@ def time_matches_churn(engine, events, churn, plan):
 
 def run(
     counts, num_events, repeats, seed,
-    *, cache=True, churn=0, backend=None, aggregate=False, dup_rate=0.0,
+    *, churn=0, backend=None, aggregate=False, dup_rate=0.0,
 ):
     """Sweep the subscription counts; returns (rows, rendered table text).
 
     Each row is ``{subscriptions, avg_steps, tree_us, compiled_us, speedup}``.
-    With ``cache=False`` the compiled engine's projection caches are
-    disabled, so the comparison isolates the raw kernel speedup (the CI gate
-    uses this: repeated timing loops over a fixed event sample would
-    otherwise be pure cache hits after the first pass).  With ``churn=N``
-    every N events a subscription is replaced mid-stream (engines are
-    rebuilt per repeat so every pass replays identical churn from the same
-    starting state).
+    With ``churn=N`` every N events a subscription is replaced mid-stream
+    (engines are rebuilt per repeat so every pass replays identical churn
+    from the same starting state).
     """
     spec = CHART1_SPEC
     subscription_generator = SubscriptionGenerator(
@@ -155,8 +150,7 @@ def run(
                 best = float("inf")
                 for _ in range(repeats):
                     engine = build_engine(
-                        name, subscriptions, cache=cache, backend=backend,
-                        aggregate=aggregate,
+                        name, subscriptions, backend=backend, aggregate=aggregate
                     )
                     engine.match(events[0])  # warm up (compiled: force compilation)
                     per_event, avg_steps = time_matches_churn(
@@ -166,8 +160,7 @@ def run(
                 per_match[name], steps[name] = best, avg_steps
             else:
                 engine = build_engine(
-                    name, subscriptions, cache=cache, backend=backend,
-                    aggregate=aggregate,
+                    name, subscriptions, backend=backend, aggregate=aggregate
                 )
                 engine.match(events[0])  # warm up (compiled: force compilation)
                 per_match[name], steps[name] = time_matches(engine, events, repeats)
@@ -181,7 +174,7 @@ def run(
                 for s in build_engine("tree", subscriptions).match(events[0]).subscriptions
             )
             agg_engine = build_engine(
-                "compiled", subscriptions, cache=cache, backend=backend, aggregate=True
+                "compiled", subscriptions, backend=backend, aggregate=True
             )
             agg_set = sorted(
                 s.subscription_id for s in agg_engine.match(events[0]).subscriptions
@@ -219,7 +212,6 @@ def emit_bench(rows, args, directory):
             "events": args.events,
             "repeats": args.repeats,
             "seed": args.seed,
-            "cache": not args.no_cache,
             "churn": args.churn,
             "backend": args.backend,
             "aggregate": args.aggregate,
@@ -274,18 +266,12 @@ def main(argv=None):
         "generated predicate body (see SubscriptionGenerator duplicate_rate); "
         "makes the aggregation win measurable",
     )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the compiled engine's projection-keyed match cache so "
-        "the gate measures the raw kernel (repeated timing passes over the "
-        "same events would otherwise be served from cache)",
-    )
     args = parser.parse_args(argv)
 
     get_registry().enable()  # before any engine exists, so instruments record
     rows, table = run(
         args.counts, args.events, args.repeats, args.seed,
-        cache=not args.no_cache, churn=args.churn, backend=args.backend,
+        churn=args.churn, backend=args.backend,
         aggregate=args.aggregate, dup_rate=args.dup_rate,
     )
     print(table)

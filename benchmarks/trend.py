@@ -52,14 +52,13 @@ def _metric_value(payload: Dict[str, Any], key: Optional[str]) -> Any:
 
 
 def _speedup_cell(payload: Dict[str, Any]) -> Any:
-    """compare_engines/batch_scaling/backend_scaling/aggregation_scaling
-    artifacts carry sweep rows in ``extra``.
+    """compare_engines/backend_scaling/aggregation_scaling artifacts carry
+    sweep rows in ``extra``.
 
     The cell shows the sweep's headline row: the vector kernel
-    (backend_scaling), the largest subscription count (compare_engines and
-    aggregation_scaling — the latter's baseline may be skipped at scale, so
-    the cell can be empty), or the pooled stream's largest batch
-    (batch_scaling).
+    (backend_scaling) or the largest subscription count (compare_engines
+    and aggregation_scaling — the latter's baseline may be skipped at
+    scale, so the cell can be empty).
     """
     rows = payload.get("extra", {}).get("rows")
     if not rows:
@@ -68,16 +67,8 @@ def _speedup_cell(payload: Dict[str, Any]) -> Any:
         gate_row = next(
             (row for row in rows if row.get("backend") == "vector"), rows[0]
         )
-    elif any("compression" in row for row in rows):
-        # aggregation_scaling: rows also carry "subscriptions", so this
-        # discriminant must be checked before the compare_engines one.
-        gate_row = max(rows, key=lambda row: row.get("subscriptions", 0))
-    elif any("subscriptions" in row for row in rows):
-        gate_row = max(rows, key=lambda row: row.get("subscriptions", 0))
     else:
-        gate_row = max(
-            rows, key=lambda row: (row.get("stream") == "pooled", row.get("batch", 0))
-        )
+        gate_row = max(rows, key=lambda row: row.get("subscriptions", 0))
     speedup = gate_row.get("speedup")
     return f"{speedup:.2f}x" if isinstance(speedup, (int, float)) else ""
 

@@ -38,6 +38,8 @@ from repro.experiments import (
     run_throughput,
     run_virtual_link_ablation,
 )
+from repro.errors import SubscriptionError
+from repro.matching.backends import require_backend_for
 from repro.obs import metrics_output
 
 from repro.experiments.ascii_chart import (
@@ -337,7 +339,12 @@ _HANDLERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        require_backend_for(args.engine, args.backend)
+    except SubscriptionError as error:
+        parser.error(str(error))
     # The registry must be enabled before the handler builds its engines and
     # protocols (instruments fetched while disabled stay no-ops), so the
     # enable-write lifecycle wraps the whole handler.

@@ -139,10 +139,10 @@ class VirtualLinkTable:
         """Recompute virtual links and masks against repaired routing state.
 
         Returns ``True`` when the layout actually changed — the caller must
-        then rebind/flush anything that cached positions or packed mask bits
-        (engine annotations, link caches).  Returns ``False`` for repairs
-        that did not touch this broker (e.g. a failed lateral link), so the
-        caller can keep its warm caches.
+        then rebind anything that holds positions or packed mask bits (the
+        engine annotations).  Returns ``False`` for repairs that did not
+        touch this broker (e.g. a failed lateral link), so the caller can
+        keep them.
         """
         before = self.layout()
         self.spanning_trees = dict(spanning_trees)

@@ -30,11 +30,7 @@ from repro.core.link_matcher import LinkMatcher, LinkMatchResult
 from repro.core.masks import VirtualLinkTable
 from repro.core.trits import TritVector, pack_tritvector, unpack_tritvector
 from repro.matching.base import MatcherEngine
-from repro.matching.compile import (
-    DEFAULT_MATCH_CACHE_CAPACITY,
-    CompiledProgram,
-    compile_tree,
-)
+from repro.matching.compile import CompiledProgram, compile_tree
 from repro.matching.digest import MatchDigest, mix_subscription_id
 from repro.matching.events import Event
 from repro.matching.optimizations import FactoredMatcher
@@ -45,9 +41,6 @@ from repro.network.paths import RoutingTable
 from repro.obs import get_registry
 from repro.network.spanning import SpanningTree
 from repro.network.topology import Topology
-
-#: Floor of a factored sub-program's share of the router's cache budget.
-_MIN_SUBPROGRAM_CACHE_CAPACITY = 64
 
 
 class RouteDecision:
@@ -249,7 +242,11 @@ class ContentRouter:
 
     @property
     def subscription_count(self) -> int:
-        return len(self.matcher.subscriptions)
+        """O(1): polled by ``stats()``, ``repr`` and every flood-wait, so it
+        must not list the subscriptions to count them."""
+        if self._factored is not None:
+            return len(self._factored)
+        return self._engine.subscription_count
 
     def _link_of_subscriber(self, subscription: Subscription) -> int:
         try:
@@ -269,16 +266,14 @@ class ContentRouter:
     ) -> bool:
         """Re-derive virtual links and masks after a topology repair.
 
-        Returns ``True`` when the layout changed.  In that case every cached
-        structure keyed on link positions or packed mask bits is invalid —
-        the engine's annotation *and* its link caches (CompiledEngine's
-        ``(projection, yes, maybe)``-keyed cache) — so the engine is rebound,
-        which flushes them.  A stale cache here is not a perf bug but a
-        *correctness* bug: after a repair the same packed mask bits can
-        denote different virtual links, so a cache hit would route to the
-        pre-failure destinations.  When the layout is unchanged (a failed
-        lateral link, say) nothing is rebound and warm caches survive — the
-        surgical half of the repair.
+        Returns ``True`` when the layout changed.  In that case the engine's
+        annotation — keyed on link positions and packed mask bits — is
+        invalid, so the engine is rebound.  A stale annotation here is not a
+        perf bug but a *correctness* bug: after a repair the same packed
+        mask bits can denote different virtual links, so it would route to
+        the pre-failure destinations.  When the layout is unchanged (a
+        failed lateral link, say) nothing is rebound — the surgical half of
+        the repair.
         """
         changed = self.links.rebuild(routing_table, spanning_trees)
         if not changed:
@@ -300,18 +295,9 @@ class ContentRouter:
         assert self._factored is not None
         self._annotations.clear()
         self._programs.clear()
-        trees = list(self._factored.trees())
-        # One result-cache budget per router, split across its sub-programs:
-        # granting each the full default multiplies the router's resident
-        # cache entries by the number of sub-trees.
-        cache_capacity = max(
-            _MIN_SUBPROGRAM_CACHE_CAPACITY, DEFAULT_MATCH_CACHE_CAPACITY // max(1, len(trees))
-        )
-        for _key, tree in trees:
+        for _key, tree in self._factored.trees():
             if self.engine == "compiled":
-                program = compile_tree(
-                    tree, cache_capacity=cache_capacity, backend=self._factored.backend
-                )
+                program = compile_tree(tree, backend=self._factored.backend)
                 program.annotate(self.links.num_links, self._link_of_subscriber)
                 self._programs[id(tree)] = program
             else:
@@ -377,10 +363,9 @@ class ContentRouter:
         """Route a batch of events traveling on the same spanning tree.
 
         Decision ``i`` is exactly ``route(events[i], tree_root)``; the batch
-        entry point exists so the engine's deduplicating, cache-backed
+        entry point exists so the mask is derived once and the engine's
         :meth:`~repro.matching.base.MatcherEngine.match_links_batch` (and,
-        on the factored path, per-sub-tree grouping) can amortize the
-        refinement across the batch.
+        on the factored path, per-sub-tree grouping) sees the whole batch.
         """
         if not events:
             return []
@@ -396,7 +381,7 @@ class ContentRouter:
             self._refresh_annotations()
         results: List[Optional[LinkMatchResult]] = [None] * len(events)
         # Group by selected sub-tree so each compiled program refines its
-        # events in one batch (sharing that program's link cache).
+        # events in one batch.
         groups: Dict[int, Tuple[object, List[int]]] = {}
         for i, event in enumerate(events):
             tree = self._factored.tree_for_event(event)
@@ -491,7 +476,7 @@ class ContentRouter:
         self, events: Sequence[Event], tree_root: str
     ) -> List[Tuple[RouteDecision, Optional[MatchDigest]]]:
         """Batch form of :meth:`route_digest` (same per-event results); the
-        full match rides the engine's deduplicating batch kernel."""
+        full match rides the engine's batch kernel."""
         if not events:
             return []
         if self._factored is not None:

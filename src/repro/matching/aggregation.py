@@ -76,8 +76,8 @@ only the entries whose event satisfies the churned group's canonical
 predicate (every entry containing — or now owed — that group keys an event
 its canonical accepts), falling back to a wholesale flush only past
 :data:`DESCENT_REPAIR_SCAN_LIMIT` entries.  Everything downstream — trit
-annotations, :class:`~repro.matching.compile.ProjectionCache`, batching,
-and both kernel backends — runs unchanged over the compressed program.
+annotations, batching, and both kernel backends — runs unchanged over the
+compressed program.
 
 Observability: ``match.aggregation.compression_ratio`` (subscriptions per
 compiled leaf), ``match.aggregation.forest_nodes`` (live groups),
@@ -90,6 +90,7 @@ subsumption verifications per attach), ``match.aggregation.index_candidates``
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SubscriptionError
@@ -97,11 +98,7 @@ from repro.core.annotation import LinkOfSubscriber
 from repro.core.link_matcher import LinkMatchResult
 from repro.core.trits import TritVector, pack_tritvector, unpack_tritvector
 from repro.matching.base import MatcherEngine
-from repro.matching.compile import (
-    CompiledProgram,
-    ProjectionCache,
-    compile_subscriptions,
-)
+from repro.matching.compile import CompiledProgram, compile_subscriptions
 from repro.matching.covering_index import CoveringIndex
 from repro.matching.engines import CompiledEngine
 from repro.matching.events import Event
@@ -143,6 +140,81 @@ REPRESENTATIVE_SUBSCRIBER = "<aggregate>"
 #: Histogram buckets for verifications-per-attach: indexed attaches cluster
 #: in the first few buckets, linear scans stretch toward the scan limit.
 _COVER_SCAN_BOUNDARIES = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+
+
+class ProjectionCache:
+    """A bounded LRU from event value tuples to descent results.
+
+    The cache itself only orders and bounds entries.  Hit, miss, and flush
+    counts go to :mod:`repro.obs` as ``match.cache.hit`` / ``.miss`` /
+    ``.flush``, and a ``match.cache.residency`` gauge (entries/capacity)
+    makes cache pressure visible alongside the rates — all labelled
+    ``cache=aggregation``.
+    """
+
+    __slots__ = (
+        "capacity",
+        "_entries",
+        "_obs_hits",
+        "_obs_misses",
+        "_obs_flushes",
+        "_obs_residency",
+    )
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._entries: OrderedDict = OrderedDict()
+        registry = get_registry()
+        self._obs_hits = registry.counter("match.cache.hit", cache="aggregation")
+        self._obs_misses = registry.counter("match.cache.miss", cache="aggregation")
+        self._obs_flushes = registry.counter("match.cache.flush", cache="aggregation")
+        self._obs_residency = registry.gauge(
+            "match.cache.residency", cache="aggregation"
+        )
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        entry = self._entries.get(key)
+        if entry is None:
+            self._obs_misses.inc()
+            return None
+        self._entries.move_to_end(key)
+        self._obs_hits.inc()
+        return entry
+
+    def put(self, key, value) -> None:
+        entries = self._entries
+        entries[key] = value
+        entries.move_to_end(key)
+        if len(entries) > self.capacity:
+            entries.popitem(last=False)
+        self._obs_residency.set(len(entries) / self.capacity)
+
+    def evict_if(self, stale) -> int:
+        """Drop entries ``stale(key, value)`` flags; returns how many.
+
+        The surgical alternative to :meth:`flush`: the descent cache's keys
+        are stable across index mutations, so only entries a subscription
+        change actually touched go, the rest keep serving hits."""
+        entries = self._entries
+        doomed = [key for key, value in entries.items() if stale(key, value)]
+        for key in doomed:
+            del entries[key]
+        if doomed:
+            self._obs_residency.set(len(entries) / self.capacity)
+        return len(doomed)
+
+    def flush(self) -> int:
+        """Drop every entry; returns how many were resident.  Counted as a
+        flush event only when something was actually dropped."""
+        flushed = len(self._entries)
+        if flushed:
+            self._entries.clear()
+            self._obs_flushes.inc()
+            self._obs_residency.set(0.0)
+        return flushed
 
 
 def canonicalize_predicate(predicate: Predicate) -> Predicate:
@@ -269,9 +341,7 @@ class AggregatingEngine(MatcherEngine):
         self._rep_group: Dict[int, _Group] = {}
         self._num_links: Optional[int] = None
         self._link_of: Optional[LinkOfSubscriber] = None
-        self._descent_cache = ProjectionCache(
-            DESCENT_CACHE_CAPACITY, kind="aggregation"
-        )
+        self._descent_cache = ProjectionCache(DESCENT_CACHE_CAPACITY)
         #: Instance knob so tests can force the flush fallback.
         self._descent_repair_limit = DESCENT_REPAIR_SCAN_LIMIT
         self.dedup_hits = 0
@@ -669,13 +739,11 @@ class AggregatingEngine(MatcherEngine):
         """Lower every descendant's representative into one flat program.
         A flat match over all descendants equals the pruned interpreted
         walk: covering is transitive, so a matching descendant's ancestors
-        match too and never prune it away.  Mini-programs run cacheless —
-        they already sit behind the descent cache."""
+        match too and never prune it away."""
         program = compile_subscriptions(
             self.schema,
             [child.representative for child in descendants],
             backend=self._descent_backend,
-            cache_capacity=0,
         )
         root.subtree_program = program
         root.subtree_groups = {
@@ -803,9 +871,9 @@ class AggregatingEngine(MatcherEngine):
     def _descendant_link_bits(self, event: Event) -> Tuple[int, int]:
         """Link bits owed by *covered* groups whose predicate matches the
         event (roots' bits already live in the compiled leaf annotations).
-        Rides the cached descent and memoizes on its entry — both the inner
-        match and the forest walk are projection-cache-served on warm
-        streams.  Returns ``(link_bits, descent_steps)``."""
+        Rides the cached descent and memoizes on its entry — on a repeated
+        event both the inner match and the forest walk are served from it.
+        Returns ``(link_bits, descent_steps)``."""
         assert self._link_of is not None
         entry = self._descend(event)
         bits = entry[4]

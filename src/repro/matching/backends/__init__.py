@@ -3,16 +3,15 @@
 :mod:`repro.matching.compile` lowers a Parallel Search Tree into flat
 record arrays; *how those arrays are executed* is this package's axis.  A
 :class:`KernelBackend` implements the raw kernels over a compiled program's
-records — single-event search, batched frontier search, and the Section 3.3
-link refinement — while :class:`~repro.matching.compile.CompiledProgram`
-keeps everything execution-independent: schema checks, projection caches,
-batch deduplication, patching, and annotation.
+records — single-event search, batched search, and the Section 3.3 link
+refinement — while :class:`~repro.matching.compile.CompiledProgram` keeps
+everything execution-independent: schema checks, patching, and annotation.
 
 Backends (:data:`BACKEND_NAMES`):
 
 ``interp``
-    The reference backend: the original interpreter loops, moved here
-    verbatim from ``compile.py``.  Every other backend is pinned against it
+    The reference backend: the single-event interpreter loops; a batch is
+    answered one event at a time.  Every other backend is pinned against it
     by the property suite (``tests/property/test_prop_backends.py``).
 ``vector``
     A columnar backend that advances a whole ``(node, event)`` frontier one
@@ -57,12 +56,12 @@ class KernelBackend(abc.ABC):
     *set* per event (order is unspecified, exactly as it already is between
     the engines' batch and single paths), the same per-event step counts,
     and the same refined link masks.  Kernels are pure: they read the
-    program's records and never touch its caches or mutate its arrays.
+    program's records and never mutate its arrays.
 
     ``values`` arguments are full event value tuples
     (:meth:`~repro.matching.events.Event.as_tuple`); batch variants receive
-    one tuple per event, already deduplicated by the program's projection
-    machinery.
+    one tuple per event, repeats included, and default to the per-tuple
+    loop — a backend overrides them only when it has a real batch kernel.
     """
 
     #: Registry name ("interp" / "vector").
@@ -72,11 +71,11 @@ class KernelBackend(abc.ABC):
     def match(self, program, values: tuple) -> Tuple[list, int]:
         """Single-event Section 2 search: ``(matched_subscriptions, steps)``."""
 
-    @abc.abstractmethod
     def match_batch(
         self, program, value_tuples: Sequence[tuple]
     ) -> List[Tuple[list, int]]:
         """Batched search; element ``i`` equals ``match(value_tuples[i])``."""
+        return [self.match(program, values) for values in value_tuples]
 
     @abc.abstractmethod
     def match_links(
@@ -84,11 +83,15 @@ class KernelBackend(abc.ABC):
     ) -> Tuple[int, int]:
         """Section 3.3 refinement: ``(final_yes_bits, steps)``."""
 
-    @abc.abstractmethod
     def match_links_batch(
         self, program, value_tuples: Sequence[tuple], yes_bits: int, maybe_bits: int
     ) -> List[Tuple[int, int]]:
-        """Batched refinement of one shared initialization mask."""
+        """Batched refinement of one shared initialization mask; element
+        ``i`` equals ``match_links(value_tuples[i], yes_bits, maybe_bits)``."""
+        return [
+            self.match_links(program, values, yes_bits, maybe_bits)
+            for values in value_tuples
+        ]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -1,23 +1,16 @@
-"""The reference interpreter backend: the original kernel loops.
+"""The reference interpreter backend: the single-event kernel loops.
 
-These are the loops that lived on
-:class:`~repro.matching.compile.CompiledProgram` before the backend axis
-existed, moved here verbatim (same visit order, same step accounting, same
-narrow-tail cutoff).  Every other backend is defined as "produces exactly
-what this one produces"; the property suite enforces it.
+Every other backend is defined as "produces exactly what this one
+produces"; the property suite enforces it.  A batch is the inherited
+per-event loop — one walk of the program per event.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.errors import RoutingError
 from repro.matching.backends import KernelBackend
-
-#: Below this subset width the batched frontier kernel stops splitting and
-#: runs the single-event inner loop per member: partitioning a narrow subset
-#: at a value table costs more than the node visits it would deduplicate.
-_MIN_SHARED_MEMBERS = 8
 
 
 class InterpBackend(KernelBackend):
@@ -52,113 +45,6 @@ class InterpBackend(KernelBackend):
             elif subs is not None:
                 extend(subs)
         return matched, len(queue)
-
-    def match_batch(
-        self, program, value_tuples: Sequence[tuple]
-    ) -> List[Tuple[list, int]]:
-        """The frontier kernel: one BFS over the arrays for many events.
-
-        Each frontier entry pairs a node with the (indices of) events whose
-        single-event search would visit it; a subset splits at value tables
-        by the events' interned values and filters at range slices, while
-        the ``*``-branch carries the whole subset down.  Because the source
-        structure is a tree, every node appears in at most one frontier
-        entry, so an event's step count — the number of entries containing
-        it — equals its single-event queue length exactly.
-
-        Two refinements keep the shared walk from costing more than it
-        saves.  Subsets below :data:`_MIN_SHARED_MEMBERS` finish with the
-        single-event inner loop, one member at a time — the grouping
-        bookkeeping only pays for itself while a subset is still wide
-        enough that splitting it costs less than visiting the node once
-        per member.  And step accounting exploits subset sharing:
-        ``*``-branches carry the parent's member *list object* down
-        unchanged, so entry visits are tallied per list identity and
-        distributed to the events once at the end — a whole star chain
-        costs one increment per level instead of ``len(members)``.
-        """
-        value_ids = program.value_ids
-        records = program._records
-        n = len(value_tuples)
-        interned = [
-            [value_ids.get(value) for value in values] for values in value_tuples
-        ]
-        matched: List[list] = [[] for _ in range(n)]
-        steps = [0] * n
-        # id(list) -> [visit count, members]; member lists are never mutated
-        # after creation, so identity is a safe aggregation key.
-        visited: Dict[int, List[object]] = {}
-        frontier: List[Tuple[int, List[int]]] = [(0, list(range(n)))]
-        push = frontier.append
-        for node_index, members in frontier:
-            if len(members) < _MIN_SHARED_MEMBERS:
-                # Narrow tail: per member, identical to the single-event
-                # kernel (same visits, steps from the queue length).
-                for e in members:
-                    e_interned = interned[e]
-                    e_values = value_tuples[e]
-                    extend = matched[e].extend
-                    queue = [node_index]
-                    tail_push = queue.append
-                    for tail_index in queue:
-                        position, table, ranges, star_child, subs = records[tail_index]
-                        if position >= 0:
-                            if table is not None:
-                                child = table.get(e_interned[position])
-                                if child is not None:
-                                    tail_push(child)
-                            if ranges is not None:
-                                value = e_values[position]
-                                for test, range_child in ranges:
-                                    if test.evaluate(value):
-                                        tail_push(range_child)
-                            if star_child >= 0:
-                                tail_push(star_child)
-                        elif subs is not None:
-                            extend(subs)
-                    steps[e] += len(queue)
-                continue
-            position, table, ranges, star_child, subs = records[node_index]
-            tally = visited.get(id(members))
-            if tally is None:
-                visited[id(members)] = [1, members]
-            else:
-                tally[0] += 1
-            if position >= 0:
-                if table is not None:
-                    groups: Dict[int, List[int]] = {}
-                    groups_get = groups.get
-                    table_get = table.get
-                    for e in members:
-                        child = table_get(interned[e][position])
-                        if child is not None:
-                            group = groups_get(child)
-                            if group is None:
-                                groups[child] = [e]
-                            else:
-                                group.append(e)
-                    for child, group in groups.items():
-                        push((child, group))
-                if ranges is not None:
-                    for test, range_child in ranges:
-                        evaluate = test.evaluate
-                        passing = [
-                            e for e in members if evaluate(value_tuples[e][position])
-                        ]
-                        if passing:
-                            push((range_child, passing))
-                if star_child >= 0:
-                    push((star_child, members))
-            elif subs is not None:
-                for e in members:
-                    matched[e].extend(subs)
-        # Distribute the per-list entry tallies (every entry a list appeared
-        # in is one step for each of its members).  The frontier still holds
-        # references to every member list, so ids cannot have been recycled.
-        for count, group in visited.values():
-            for e in group:
-                steps[e] += count
-        return [(matched[i], steps[i]) for i in range(n)]
 
     def match_links(
         self, program, values: tuple, yes_bits: int, maybe_bits: int
@@ -245,15 +131,3 @@ class InterpBackend(KernelBackend):
             cur_yes = frame_yes
             cur_maybe = frame_maybe
             entering = True
-
-    def match_links_batch(
-        self, program, value_tuples: Sequence[tuple], yes_bits: int, maybe_bits: int
-    ) -> List[Tuple[int, int]]:
-        """Per tuple, exactly :meth:`match_links` — the refinement search is
-        inherently sequential (its early exits depend on the accumulated
-        mask), so the batch form is the loop; batch-level deduplication
-        already happened in the program's wrapper."""
-        return [
-            self.match_links(program, values, yes_bits, maybe_bits)
-            for values in value_tuples
-        ]

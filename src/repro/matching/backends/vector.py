@@ -1,15 +1,14 @@
 """The columnar backend: whole-frontier, level-major bulk execution.
 
-Where ``interp`` walks one ``(node, event-subset)`` entry at a time, this
-backend advances the *entire* frontier one tree level per iteration.  The
+Where ``interp`` walks the program once per event, this backend advances
+the *entire* batch's frontier one tree level per iteration.  The
 numpy kernel represents each frontier entry as a node paired with a
 **uint64 event bitmask** (batches wider than 64 events are processed in
 64-event chunks): bit ``e`` of ``masks[k]`` says event ``e``'s single-event
 search would visit ``nodes[k]``.  Because the compiled structure is a tree,
 every node is reached from exactly one parent, so the frontier holds each
 node at most once — a ``*``-chain shared by the whole batch costs one entry
-per level, the same sharing ``interp``'s member-list subsets exploit, but
-in fixed-width machine words instead of Python lists.
+per level, in fixed-width machine words.
 
 Per level the kernel
 
@@ -33,11 +32,10 @@ Per level the kernel
 Child entries are emitted branch-kind-major (value children, then range
 children, then star children) rather than in per-parent BFS order —
 deterministic, but not ``interp``'s visit order.  That is within contract:
-``interp``'s own batch kernel already orders match lists differently than
-its single-event kernel (subset splitting visits shared nodes once), so the
-cross-backend contract, pinned by the property suite, is the one the
-engines already guarantee between batch and single paths — identical match
-*sets*, identical per-event step counts, identical masks.  Step counts stay
+match-list order is unspecified, and the cross-backend contract, pinned by
+the property suite, is the one the engines guarantee between batch and
+single paths — identical match *sets*, identical per-event step counts,
+identical masks.  Step counts stay
 bit-for-bit because the set of ``(node, event)`` visits is identical: an
 event's bit survives a root-to-node path exactly when every edge on the
 path accepts its value, which is precisely the single-event reachability
@@ -431,8 +429,9 @@ class VectorBackend(KernelBackend):
     def match_batch(
         self, program, value_tuples: Sequence[tuple]
     ) -> List[Tuple[list, int]]:
-        if not value_tuples:
-            return []
+        if len(value_tuples) <= 1:
+            # Nothing to vectorize over: the single-event kernel.
+            return [self.match(program, values) for values in value_tuples]
         if len(value_tuples) <= _CHUNK:
             return self._match_chunk_numpy(program, value_tuples)
         results: List[Tuple[list, int]] = []

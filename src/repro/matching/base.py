@@ -74,8 +74,8 @@ class Matcher(abc.ABC):
 
         Result ``i`` is exactly ``match(events[i])`` — same match set, same
         step count.  This base fallback just loops (:func:`per_event_loop`);
-        engines with a real batched kernel (``CompiledEngine``) override it
-        to amortize traversal across the batch and hit the projection cache.
+        ``CompiledEngine`` overrides it to hand the whole batch to its
+        kernel backend (which may share traversal across it).
         """
         return per_event_loop(self.match, events)
 
@@ -144,7 +144,7 @@ class MatcherEngine(Matcher):
 
         Result ``i`` is exactly ``match_links(events[i], mask)``.  This base
         fallback loops (:func:`per_event_loop`); ``CompiledEngine``
-        overrides it with the deduplicating, cache-backed batch path.
+        overrides it with its kernel backend's batch path.
         """
         return per_event_loop(
             lambda event: self.match_links(event, initialization_mask), events

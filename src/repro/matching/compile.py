@@ -18,9 +18,9 @@ per-visit allocation) kernels run:
 The kernel *loops* themselves live in :mod:`repro.matching.backends` behind
 the :class:`~repro.matching.backends.KernelBackend` interface (``interp``
 is the reference loop, ``vector`` the columnar bulk-array one); this module
-owns everything execution-independent — lowering, patching, annotation,
-projection caching, and batch deduplication — and delegates the raw walks
-to the program's :attr:`~CompiledProgram.backend`.
+owns everything execution-independent — lowering, patching, annotation
+and the schema checks — and delegates the raw walks to the program's
+:attr:`~CompiledProgram.backend`.
 
 Array layout (one slot per node, node 0 is always the root):
 
@@ -56,32 +56,17 @@ leaves the node arrays stationary.  Only superseded pool slices become
 garbage; when that waste outgrows the live structure, ``patch`` refuses and
 the owning engine performs a fresh :func:`compile_tree`.
 
-**Batching and the projection cache.**  The kernels only ever read an event
-at the *tested* attribute positions (the ``event_pos`` values of live
-nodes), so two events that agree on that projection provably take the same
-path through the arrays and produce the same matches, step counts, and
-refined link masks.  Two mechanisms exploit this:
-
-* :meth:`CompiledProgram.match_batch` — a batched kernel that walks the
-  arrays with a frontier of ``(node, event-subset)`` pairs, so events
-  sharing value-branch prefixes traverse the shared nodes once; subsets
-  that narrow to a single event fall back to the single-event inner loop.
-* a per-program :class:`ProjectionCache` — a bounded LRU keyed by the
-  tested-attribute projection (plus the packed initialization mask for link
-  matching) that memoizes whole match results across calls.  The cache
-  lives on the program, so a full recompile starts empty by construction;
-  :meth:`CompiledProgram.patch` flushes it explicitly (a patched program
-  answers differently for the same projection) and charges the discarded
-  residency toward the waste that triggers a full recompile.  Hit, miss,
-  and flush counts are exported through :mod:`repro.obs` as
-  ``match.cache.hit`` / ``match.cache.miss`` / ``match.cache.flush``, and a
-  ``match.cache.residency`` gauge (entries/capacity, per cache kind) makes
-  cache pressure visible alongside the rates.
+**Batching.**  :meth:`CompiledProgram.match_batch` and
+:meth:`CompiledProgram.match_links_batch` hand the whole batch to the
+backend's batch kernel: ``interp`` answers it one event at a time, ``vector``
+advances a shared frontier per tree level.  Per event the answer — match
+set, step count, refined mask — is exactly the single-event kernel's, and
+nothing is remembered between events: matching an event is walking the
+program.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import RoutingError, SubscriptionError
@@ -108,110 +93,8 @@ from repro.obs import get_registry
 #: the union of their link bits (see :mod:`repro.matching.aggregation`).
 LinkOfSubscriber = Callable[[Subscription], Union[int, Sequence[int]]]
 
-#: Default capacity of each per-program projection cache; 0 disables caching.
-DEFAULT_MATCH_CACHE_CAPACITY = 4096
-
-#: Fraction of flushed cache entries charged to patch waste: a patch that
-#: discards a hot cache is costing real work the structural waste metric
-#: cannot see, so residency pushes the program toward a compact recompile.
-_CACHE_RESIDENCY_WASTE_SHIFT = 2  # charge = flushed_entries >> 2
-
 #: The kernel record of a slot with no node in it: a leaf holding nothing.
 _FREE_RECORD = (-1, None, None, -1, None)
-
-
-class ProjectionCache:
-    """A bounded LRU from tested-attribute projections to match results.
-
-    Keys are whatever the owning program derives from an event (the
-    projection tuple for matching; ``(projection, yes_bits, maybe_bits)``
-    for link matching) — the cache itself only orders and bounds entries.
-    ``hits`` / ``misses`` / ``flushes`` are plain-int mirrors of the obs
-    counters so benchmarks can read rates without a registry snapshot.
-    """
-
-    __slots__ = (
-        "capacity",
-        "_entries",
-        "hits",
-        "misses",
-        "flushes",
-        "_obs_hits",
-        "_obs_misses",
-        "_obs_flushes",
-        "_obs_residency",
-    )
-
-    def __init__(self, capacity: int, *, kind: str = "match") -> None:
-        self.capacity = capacity
-        self._entries: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.flushes = 0
-        registry = get_registry()
-        self._obs_hits = registry.counter("match.cache.hit", cache=kind)
-        self._obs_misses = registry.counter("match.cache.miss", cache=kind)
-        self._obs_flushes = registry.counter("match.cache.flush", cache=kind)
-        self._obs_residency = registry.gauge("match.cache.residency", cache=kind)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def get(self, key):
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            self._obs_misses.inc()
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        self._obs_hits.inc()
-        return entry
-
-    def put(self, key, value) -> None:
-        entries = self._entries
-        entries[key] = value
-        entries.move_to_end(key)
-        if len(entries) > self.capacity:
-            entries.popitem(last=False)
-        self._obs_residency.set(len(entries) / self.capacity)
-
-    def evict_if(self, stale) -> int:
-        """Drop entries ``stale(key, value)`` flags; returns how many.
-
-        The surgical alternative to :meth:`flush` for callers whose keys are
-        stable across index mutations (the aggregation descent cache):
-        only entries a subscription change actually touched go, the rest
-        keep serving hits."""
-        entries = self._entries
-        doomed = [key for key, value in entries.items() if stale(key, value)]
-        for key in doomed:
-            del entries[key]
-        if doomed:
-            self._obs_residency.set(len(entries) / self.capacity)
-        return len(doomed)
-
-    def flush(self) -> int:
-        """Drop every entry; returns how many were resident.  Counted as a
-        flush event only when something was actually dropped."""
-        flushed = len(self._entries)
-        if flushed:
-            self._entries.clear()
-            self.flushes += 1
-            self._obs_flushes.inc()
-            self._obs_residency.set(0.0)
-        return flushed
-
-    def __repr__(self) -> str:
-        return (
-            f"ProjectionCache({len(self._entries)}/{self.capacity} entries, "
-            f"{self.hits} hits, {self.misses} misses)"
-        )
 
 
 class CompiledProgram:
@@ -257,11 +140,6 @@ class CompiledProgram:
         "backend_state",
         "_obs_kernel_calls",
         "_obs_kernel_events",
-        # projection caching
-        "_tested_positions",
-        "_tested_sorted",
-        "match_cache",
-        "link_cache",
         # digest projection (subscription id -> live leaf index)
         "_sub_leaf",
         # slot recycling
@@ -273,7 +151,6 @@ class CompiledProgram:
         self,
         tree: ParallelSearchTree,
         *,
-        cache_capacity: int = DEFAULT_MATCH_CACHE_CAPACITY,
         backend: Union[str, KernelBackend, None] = None,
     ) -> None:
         self.schema = tree.schema
@@ -327,14 +204,6 @@ class CompiledProgram:
         )
         self._obs_kernel_events = registry.counter(
             "engine.backend.kernel_events", backend=self.backend.name
-        )
-        self._tested_positions: set = set()
-        self._tested_sorted: Tuple[int, ...] = ()
-        self.match_cache: Optional[ProjectionCache] = (
-            ProjectionCache(cache_capacity, kind="match") if cache_capacity > 0 else None
-        )
-        self.link_cache: Optional[ProjectionCache] = (
-            ProjectionCache(cache_capacity, kind="links") if cache_capacity > 0 else None
         )
         #: ``subscription_id -> leaf index`` over the live leaves, written by
         #: lowering and retired by :meth:`patch` — never rebuilt.
@@ -390,12 +259,6 @@ class CompiledProgram:
         position = self._positions[node.attribute_position]
         self.event_pos[index] = position
         self.level[index] = node.attribute_position
-        if position not in self._tested_positions:
-            # Tested positions only ever grow (a pruned level just makes the
-            # projection finer than necessary, which stays correct); growth
-            # happens through patch(), which flushes the caches anyway.
-            self._tested_positions.add(position)
-            self._tested_sorted = tuple(sorted(self._tested_positions))
         if node.value_branches:
             self.value_tables[index] = {
                 self._intern(value): self._ensure_index(child)
@@ -497,10 +360,6 @@ class CompiledProgram:
             raise RoutingError("num_links must be >= 0")
         self.num_links = num_links
         self._link_of_subscriber = link_of_subscriber
-        if self.link_cache is not None:
-            # New annotations change refinement results; match results only
-            # depend on the tree structure, so the match cache survives.
-            self.link_cache.flush()
         # The annotation arrays are part of the record surface backends
         # execute over (the link kernels read them), so re-annotation moves
         # the generation like any other array mutation.
@@ -605,11 +464,6 @@ class CompiledProgram:
     # ------------------------------------------------------------------
     # Kernels
 
-    @property
-    def tested_positions(self) -> Tuple[int, ...]:
-        """Schema positions the compiled tree actually tests, sorted."""
-        return self._tested_sorted
-
     def _schema_mismatch(self, event: Event) -> bool:
         """O(1) schema guard for the per-event hot paths.
 
@@ -625,16 +479,6 @@ class CompiledProgram:
         self._schema_ok = schema
         return False
 
-    def projection_key(self, event: Event) -> Tuple[AttributeValue, ...]:
-        """The event's values at the tested positions — the cache key.
-
-        Two events with equal projections provably take the same path
-        through the arrays (the kernels never read any other position), so
-        they share match results, step counts, and refined link masks.
-        """
-        values = event.as_tuple()
-        return tuple(values[position] for position in self._tested_sorted)
-
     def match(self, event: Event) -> MatchResult:
         """The Section 2 parallel search over the flat arrays.
 
@@ -645,74 +489,29 @@ class CompiledProgram:
         which neither the match set nor the step count observes.  The walk
         itself is the :attr:`backend`'s single-event kernel; every backend
         returns what ``interp`` returns, bit for bit.
-
-        Results are memoized in :attr:`match_cache` under the event's
-        :meth:`projection_key`; cached subscription lists are shared between
-        results and must be treated as read-only by callers.
         """
         if self._schema_mismatch(event):
             raise SubscriptionError("event schema does not match the tree's schema")
-        cache = self.match_cache
-        key: Optional[Tuple[AttributeValue, ...]] = None
-        if cache is not None:
-            key = self.projection_key(event)
-            entry = cache.get(key)
-            if entry is not None:
-                return MatchResult(entry[0], entry[1])
         matched, steps = self.backend.match(self, event.as_tuple())
         self._obs_kernel_calls.inc()
         self._obs_kernel_events.inc()
-        if cache is not None:
-            cache.put(key, (matched, steps))
         return MatchResult(matched, steps)
 
     def match_batch(self, events: Sequence[Event]) -> List[MatchResult]:
-        """Match a batch of events through one shared array walk.
-
-        Per event this is exactly :meth:`match` (same match set, same step
-        count); across the batch, events are first deduplicated by
-        :meth:`projection_key` — repeats are served from :attr:`match_cache`
-        or from the batch-local result — and the remaining unique
-        projections go through the :attr:`backend`'s batch kernel in one
-        call (``interp`` walks them with a shared ``(node, event-subset)``
-        frontier; ``vector`` advances the whole frontier per level with
-        bulk array operations).
-        """
+        """Match a batch of events through one call of the :attr:`backend`'s
+        batch kernel.  Per event this is exactly :meth:`match` — same match
+        set, same step count, repeats included."""
         if not events:
             return []
-        if len(events) == 1:
-            return [self.match(events[0])]
-        results: List[Optional[Tuple[List[Subscription], int]]] = [None] * len(events)
-        cache = self.match_cache
-        pending: Dict[Tuple[AttributeValue, ...], List[int]] = {}
-        representatives: List[Tuple[Tuple[AttributeValue, ...], Event]] = []
-        for i, event in enumerate(events):
+        for event in events:
             if self._schema_mismatch(event):
                 raise SubscriptionError("event schema does not match the tree's schema")
-            key = self.projection_key(event)
-            if cache is not None:
-                entry = cache.get(key)
-                if entry is not None:
-                    results[i] = entry
-                    continue
-            group = pending.get(key)
-            if group is None:
-                pending[key] = [i]
-                representatives.append((key, event))
-            else:
-                group.append(i)
-        if representatives:
-            kernel_out = self.backend.match_batch(
-                self, [event.as_tuple() for _key, event in representatives]
-            )
-            self._obs_kernel_calls.inc()
-            self._obs_kernel_events.inc(len(representatives))
-            for (key, _event), entry in zip(representatives, kernel_out):
-                if cache is not None:
-                    cache.put(key, entry)
-                for i in pending[key]:
-                    results[i] = entry
-        return [MatchResult(entry[0], entry[1]) for entry in results]
+        kernel_out = self.backend.match_batch(
+            self, [event.as_tuple() for event in events]
+        )
+        self._obs_kernel_calls.inc()
+        self._obs_kernel_events.inc(len(events))
+        return [MatchResult(matched, steps) for matched, steps in kernel_out]
 
     def match_links(
         self, event: Event, yes_bits: int, maybe_bits: int
@@ -724,30 +523,11 @@ class CompiledProgram:
         trits by construction, so the Yes bits determine it completely.
         An explicit frame stack mirrors ``LinkMatcher``'s recursion exactly
         — same visit order, same early exits, same ``steps``.
-
-        Results are memoized in :attr:`link_cache` under
-        ``(projection_key, yes_bits, maybe_bits)`` — the refinement reads
-        nothing else — and the cache is flushed whenever the annotations
-        change (:meth:`annotate`, :meth:`patch`).
         """
         if not self.annotated:
             raise RoutingError("program has no link annotations — call annotate()")
         if self._schema_mismatch(event):
             raise RoutingError("event schema does not match the annotated tree")
-        cache = self.link_cache
-        if cache is None:
-            return self._link_kernel(event, yes_bits, maybe_bits)
-        key = (self.projection_key(event), yes_bits, maybe_bits)
-        entry = cache.get(key)
-        if entry is not None:
-            return entry
-        result = self._link_kernel(event, yes_bits, maybe_bits)
-        cache.put(key, result)
-        return result
-
-    def _link_kernel(
-        self, event: Event, yes_bits: int, maybe_bits: int
-    ) -> Tuple[int, int]:
         result = self.backend.match_links(self, event.as_tuple(), yes_bits, maybe_bits)
         self._obs_kernel_calls.inc()
         self._obs_kernel_events.inc()
@@ -757,51 +537,20 @@ class CompiledProgram:
         self, events: Sequence[Event], yes_bits: int, maybe_bits: int
     ) -> List[Tuple[int, int]]:
         """Refine one shared initialization mask for a batch of events.
-
-        Per event this is exactly :meth:`match_links`; across the batch,
-        events are deduplicated by :meth:`projection_key` (all of them share
-        the initialization mask, so equal projections provably yield equal
-        refinements) and repeats are served from :attr:`link_cache` or the
-        batch-local result.
-        """
+        Per event this is exactly :meth:`match_links`."""
         if not events:
             return []
         if not self.annotated:
             raise RoutingError("program has no link annotations — call annotate()")
-        results: List[Optional[Tuple[int, int]]] = [None] * len(events)
-        cache = self.link_cache
-        pending: Dict[Tuple, List[int]] = {}
-        representatives: List[Tuple[Tuple, Event]] = []
-        for i, event in enumerate(events):
+        for event in events:
             if self._schema_mismatch(event):
                 raise RoutingError("event schema does not match the annotated tree")
-            key = (self.projection_key(event), yes_bits, maybe_bits)
-            if cache is not None:
-                entry = cache.get(key)
-                if entry is not None:
-                    results[i] = entry
-                    continue
-            group = pending.get(key)
-            if group is None:
-                pending[key] = [i]
-                representatives.append((key, event))
-            else:
-                group.append(i)
-        if representatives:
-            kernel_out = self.backend.match_links_batch(
-                self,
-                [event.as_tuple() for _key, event in representatives],
-                yes_bits,
-                maybe_bits,
-            )
-            self._obs_kernel_calls.inc()
-            self._obs_kernel_events.inc(len(representatives))
-            for (key, _event), result in zip(representatives, kernel_out):
-                if cache is not None:
-                    cache.put(key, result)
-                for i in pending[key]:
-                    results[i] = result
-        return results  # type: ignore[return-value]
+        results = self.backend.match_links_batch(
+            self, [event.as_tuple() for event in events], yes_bits, maybe_bits
+        )
+        self._obs_kernel_calls.inc()
+        self._obs_kernel_events.inc(len(events))
+        return results
 
     # ------------------------------------------------------------------
     # Digest projection (match-once forwarding)
@@ -901,17 +650,6 @@ class CompiledProgram:
         if self.annotated:
             for index, _node in reversed(path):
                 self.ann_yes[index], self.ann_maybe[index] = self._node_annotation(index)
-        # A patched program answers differently for the same projection, so
-        # both caches must flush.  The discarded residency is charged toward
-        # waste: patches that keep evicting a hot cache are costing real work
-        # the structural garbage metric cannot see, and should push the
-        # program toward a compact full recompile sooner.
-        flushed = 0
-        if self.match_cache is not None:
-            flushed += self.match_cache.flush()
-        if self.link_cache is not None:
-            flushed += self.link_cache.flush()
-        self._waste += flushed >> _CACHE_RESIDENCY_WASTE_SHIFT
         self._bump_generation()
         return True
 
@@ -1024,19 +762,16 @@ def _child_for_test(node: PSTNode, test: AttributeTest) -> Optional[PSTNode]:
 def compile_tree(
     tree: ParallelSearchTree,
     *,
-    cache_capacity: int = DEFAULT_MATCH_CACHE_CAPACITY,
     backend: Union[str, KernelBackend, None] = None,
 ) -> CompiledProgram:
     """Lower ``tree`` into a fresh :class:`CompiledProgram`.
 
-    ``cache_capacity`` bounds each of the program's two projection caches
-    (match and link); pass ``0`` to disable caching entirely.  ``backend``
-    selects the kernel execution backend (a
+    ``backend`` selects the kernel execution backend (a
     :data:`~repro.matching.backends.BACKEND_NAMES` name or a
     :class:`~repro.matching.backends.KernelBackend` instance); ``None``
     means :data:`~repro.matching.backends.DEFAULT_BACKEND`.
     """
-    return CompiledProgram(tree, cache_capacity=cache_capacity, backend=backend)
+    return CompiledProgram(tree, backend=backend)
 
 
 def compile_subscriptions(
@@ -1045,7 +780,6 @@ def compile_subscriptions(
     *,
     attribute_order: Optional[Sequence[str]] = None,
     backend: Union[str, KernelBackend, None] = None,
-    cache_capacity: int = 0,
 ) -> CompiledProgram:
     """Lower a bare subscription list straight into a compiled program.
 
@@ -1053,12 +787,9 @@ def compile_subscriptions(
     descent (:mod:`repro.matching.aggregation`): callers holding a set of
     subscriptions but no tree — e.g. one covering root's descendant
     representatives — get the same flat-array lowering and kernel surface
-    as a full engine without standing an engine up around it.  Caching
-    defaults *off*: these mini-programs sit behind their owner's own
-    memoization (the aggregation descent cache), so per-program projection
-    caches would only duplicate entries.
+    as a full engine without standing an engine up around it.
     """
     tree = ParallelSearchTree(schema, attribute_order=attribute_order)
     for subscription in subscriptions:
         tree.insert(subscription)
-    return CompiledProgram(tree, cache_capacity=cache_capacity, backend=backend)
+    return CompiledProgram(tree, backend=backend)

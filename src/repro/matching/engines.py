@@ -34,11 +34,7 @@ from repro.matching.backends import (
 )
 from repro.matching.base import MatcherEngine
 from repro.obs import get_registry
-from repro.matching.compile import (
-    DEFAULT_MATCH_CACHE_CAPACITY,
-    CompiledProgram,
-    compile_tree,
-)
+from repro.matching.compile import CompiledProgram, compile_tree
 from repro.matching.events import Event
 from repro.matching.pst import MatchResult, ParallelSearchTree
 from repro.matching.predicates import Subscription
@@ -204,13 +200,11 @@ class CompiledEngine(_EngineBase):
         *,
         attribute_order: Optional[Sequence[str]] = None,
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
-        match_cache_capacity: int = DEFAULT_MATCH_CACHE_CAPACITY,
         backend: Union[str, KernelBackend, None] = None,
     ) -> None:
         super().__init__(schema, attribute_order=attribute_order, domains=domains)
         self._program: Optional[CompiledProgram] = None
         self._annotation_dirty = False
-        self._match_cache_capacity = match_cache_capacity
         # Resolved once: recompiles after patch bail-outs must not silently
         # change execution backends, and an invalid name fails construction
         # instead of the first match.
@@ -228,16 +222,9 @@ class CompiledEngine(_EngineBase):
     def invalidate(self) -> None:
         """Drop the compiled form; the next match recompiles from the tree.
 
-        The projection caches live on the discarded program, so flush them
-        first: their hit/flush counters are program-independent aggregates,
-        and a cache keyed against a dead program must never satisfy a lookup
-        recorded as a hit.  The waste gauge resets with the program — a
-        fresh compile starts waste-free."""
+        The waste gauge resets with the program — a fresh compile starts
+        waste-free."""
         if self._program is not None:
-            if self._program.match_cache is not None:
-                self._program.match_cache.flush()
-            if self._program.link_cache is not None:
-                self._program.link_cache.flush()
             self._program = None
             self._obs_waste_ratio.set(0.0)
 
@@ -253,11 +240,7 @@ class CompiledEngine(_EngineBase):
 
     def _ensure_program(self) -> CompiledProgram:
         if self._program is None:
-            self._program = compile_tree(
-                self.tree,
-                cache_capacity=self._match_cache_capacity,
-                backend=self._backend,
-            )
+            self._program = compile_tree(self.tree, backend=self._backend)
             self._annotation_dirty = self._num_links is not None
             self._obs_compiles.inc()
             self._obs_waste_ratio.set(0.0)
@@ -312,8 +295,8 @@ class CompiledEngine(_EngineBase):
         set changes (the leaf now lights a different union of links while
         the tree is untouched).  Reuses the patch path: syncing an unchanged
         path is a no-op, but the bottom-up re-annotation picks up the new
-        leaf mask and the caches flush — exactly the stale state.  No-op
-        when nothing stale exists (no program, annotation pending anyway).
+        leaf mask — exactly the stale state.  No-op when nothing stale
+        exists (no program, annotation pending anyway).
         """
         if self._program is None or self._annotation_dirty:
             return
@@ -376,16 +359,10 @@ def create_engine(
     *,
     attribute_order: Optional[Sequence[str]] = None,
     domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
-    match_cache_capacity: Optional[int] = None,
     backend: Optional[str] = None,
     aggregate: bool = False,
 ) -> MatcherEngine:
     """Instantiate an engine by name (``"compiled"``, ``"tree"``).
-
-    ``match_cache_capacity`` tunes the compiled engine's projection caches
-    (``0`` disables them, ``None`` means
-    :data:`~repro.matching.compile.DEFAULT_MATCH_CACHE_CAPACITY`, a negative
-    capacity is an error); the tree engine has no cache and ignores it.
 
     ``backend`` selects how the compiled record arrays are executed (one of
     :data:`~repro.matching.backends.BACKEND_NAMES`; ``None`` means
@@ -401,20 +378,9 @@ def create_engine(
     form to compress, so ``aggregate`` with ``engine="tree"`` is an error.
     """
     require_backend_for(engine, backend)
-    if match_cache_capacity is None:
-        match_cache_capacity = DEFAULT_MATCH_CACHE_CAPACITY
-    elif match_cache_capacity < 0:
-        raise SubscriptionError(
-            f"match_cache_capacity must be >= 0 (0 disables the caches), "
-            f"got {match_cache_capacity}"
-        )
     if engine == "compiled":
         compiled = CompiledEngine(
-            schema,
-            attribute_order=attribute_order,
-            domains=domains,
-            match_cache_capacity=match_cache_capacity,
-            backend=backend,
+            schema, attribute_order=attribute_order, domains=domains, backend=backend
         )
         if not aggregate:
             return compiled

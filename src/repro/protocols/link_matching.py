@@ -9,9 +9,9 @@ spanning tree.
 Resilience (see :mod:`repro.sim.faults` and ``docs/resilience.md``):
 
 * After a topology repair, :meth:`on_topology_repaired` rebuilds each
-  affected broker's virtual-link table and rebinds its engine — flushing the
-  annotation and every link cache keyed on the old positions.  Unaffected
-  brokers keep their warm caches.
+  affected broker's virtual-link table and rebinds its engine — discarding
+  the annotation keyed on the old positions.  Unaffected brokers keep
+  theirs.
 * While a broker is marked *stale* (structure repaired, annotations not yet
   rebuilt) it degrades to **flood fallback**: forward to every live
   spanning-tree child and deliver to locally matching subscribers.  Tree
@@ -119,8 +119,8 @@ class LinkMatchingProtocol(RoutingProtocol):
     def on_topology_repaired(self, repair: TopologyRepair) -> List[str]:
         """Rebuild virtual-link tables for affected brokers only.
 
-        Returns the brokers whose layout actually changed (engine rebound,
-        caches flushed) — the fault coordinator holds those in a stale
+        Returns the brokers whose layout actually changed (engine
+        rebound) — the fault coordinator holds those in a stale
         window with flood fallback until their annotations are rebuilt.
         """
         context = self.context
@@ -270,8 +270,8 @@ class LinkMatchingProtocol(RoutingProtocol):
         messages are grouped by spanning-tree root (the initialization mask
         depends on it): digest-bearing messages are converted per message
         (a handful of mask ORs each), digest-less ones go through the
-        minting batch path or :meth:`ContentRouter.route_batch`, both of
-        which deduplicate by projection and hit the engine's caches.
+        minting batch path or :meth:`ContentRouter.route_batch`, which
+        answer each event exactly as the single-message path would.
         Replay messages take the single-message path (their masks are not
         the group's).
         """

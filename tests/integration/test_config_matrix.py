@@ -87,6 +87,7 @@ def clone(subscription):
 
 
 def assert_equivalent(router, oracle, root, live, events):
+    assert router.subscription_count == len(live)
     decisions = [router.route(event, root) for event in events]
     for event, decision, batched in zip(
         events, decisions, router.route_batch(events, root)
@@ -144,7 +145,7 @@ def test_lattice_point(diamond_topology, engine, backend, aggregate, factored):
             router.add_subscription(clone(subscription))
             oracle.add_subscription(clone(subscription))
         assert_equivalent(router, oracle, root, live, events)
-        # Churn against warm caches: subscribe the late ones, drop every
+        # Churn after matching: subscribe the late ones, drop every
         # third standing one (duplicates included, so aggregation groups
         # lose members and covering parents dissolve).
         for subscription in late:

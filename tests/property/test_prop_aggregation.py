@@ -2,8 +2,8 @@
 
 :class:`~repro.matching.aggregation.AggregatingEngine` must be
 indistinguishable from the engine it wraps running *without* aggregation,
-for every subscription set, kernel backend, cache capacity, event, and
-initialization mask:
+for every subscription set, kernel backend, event, and initialization
+mask:
 
 * the same match set (compared as sorted subscription ids),
 * the same refined link mask, bit for bit, and
@@ -19,9 +19,9 @@ relations (a looser predicate subsuming a stricter one) arise constantly,
 so the generated sets exercise dedup groups, multi-level forests, and
 demotion at insert.  A seeded churn test drives inserts and removes —
 including removing the last member of covering parents, which must promote
-covered children back into the compiled program — with caches enabled, so
-the descent cache's flush discipline and ``refresh_links`` repair are under
-test the whole time.
+covered children back into the compiled program — so the descent cache's
+flush discipline and ``refresh_links`` repair are under test the whole
+time.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ events = st.tuples(*(st.sampled_from(DOMAIN) for _ in range(4)))
 masks = st.lists(st.sampled_from([Y, M, N]), min_size=NUM_LINKS, max_size=NUM_LINKS).map(
     TritVector
 )
-capacities = st.sampled_from([0, 64])
 
 
 def make_subscriptions(specs):
@@ -89,11 +88,9 @@ def clone(subscription):
     )
 
 
-def build_pair(subscriptions, *, capacity=0, backend=None):
+def build_pair(subscriptions, *, backend=None):
     """(unaggregated reference, aggregated) over the same subscription set."""
-    kwargs = dict(
-        domains=DOMAINS, match_cache_capacity=capacity, backend=backend
-    )
+    kwargs = dict(domains=DOMAINS, backend=backend)
     plain = create_engine("compiled", SCHEMA, **kwargs)
     aggregated = create_engine("compiled", SCHEMA, aggregate=True, **kwargs)
     for subscription in subscriptions:
@@ -111,26 +108,21 @@ def assert_same_matches(plain, aggregated, event):
 
 
 class TestAggregationEquivalence:
-    @given(specs=subscription_lists, event_values=events, capacity=capacities)
+    @given(specs=subscription_lists, event_values=events)
     @settings(max_examples=150)
-    def test_match_sets_equal(self, specs, event_values, capacity):
-        plain, aggregated = build_pair(make_subscriptions(specs), capacity=capacity)
+    def test_match_sets_equal(self, specs, event_values):
+        plain, aggregated = build_pair(make_subscriptions(specs))
         event = Event.from_tuple(SCHEMA, event_values)
-        for _ in range(2):  # second pass hits the descent + projection caches
+        for _ in range(2):  # second pass hits the descent cache
             assert_same_matches(plain, aggregated, event)
         # The forest never *loses* anyone: members partition over groups.
         assert aggregated.subscription_count == plain.subscription_count
         assert aggregated.root_count <= max(1, aggregated.forest_nodes)
 
-    @given(
-        specs=subscription_lists,
-        event_values=events,
-        mask=masks,
-        capacity=capacities,
-    )
+    @given(specs=subscription_lists, event_values=events, mask=masks)
     @settings(max_examples=150)
-    def test_link_masks_exact(self, specs, event_values, mask, capacity):
-        plain, aggregated = build_pair(make_subscriptions(specs), capacity=capacity)
+    def test_link_masks_exact(self, specs, event_values, mask):
+        plain, aggregated = build_pair(make_subscriptions(specs))
         plain.bind_links(NUM_LINKS, link_of)
         aggregated.bind_links(NUM_LINKS, link_of)
         event = Event.from_tuple(SCHEMA, event_values)
@@ -231,7 +223,7 @@ class TestIngestOrderInvariance:
 
 class TestChurnEquivalence:
     def test_churn_compiled_inner(self):
-        """Seeded insert/remove churn with caches enabled.  Removals target
+        """Seeded insert/remove churn.  Removals target
         *all* live ids uniformly, so covering parents regularly lose their
         last member and must promote covered children back to compiled
         roots mid-stream; every answer is checked immediately after."""

@@ -6,8 +6,7 @@ backend is *observationally identical* to the reference interpreter:
 * the same match **set** per event (compared as sorted subscription ids —
   match-list order is unspecified, exactly as it already is between the
   engines' batch and single paths),
-* the same per-event **step counts** (with caches disabled — cache hits
-  replay recorded steps, which the contract allows to differ), and
+* the same per-event **step counts**, and
 * the same refined **link masks** bit for bit.
 
 Pinned here for the ``vector`` backend against ``interp``, across fresh
@@ -82,10 +81,10 @@ def clone(subscription):
 
 
 def build_engines(subscriptions):
-    """(interp, vector) engines, caches disabled."""
+    """(interp, vector) engines over the same subscriptions."""
     engines = [
-        CompiledEngine(SCHEMA, domains=DOMAINS, match_cache_capacity=0, backend="interp"),
-        CompiledEngine(SCHEMA, domains=DOMAINS, match_cache_capacity=0, backend="vector"),
+        CompiledEngine(SCHEMA, domains=DOMAINS, backend="interp"),
+        CompiledEngine(SCHEMA, domains=DOMAINS, backend="vector"),
     ]
     for subscription in subscriptions:
         for engine in engines:

@@ -3,12 +3,15 @@
 For every engine (object-graph tree, compiled arrays, factored matcher) and
 every batch of events, ``match_batch(events)[i]`` must equal
 ``match(events[i])`` — same match set, same step count.  Likewise
-``match_links_batch`` against per-event ``match_links``.  Batches with
-repeated events exercise the compiled kernel's projection dedup and the
-projection cache without being allowed to change any result.
+``match_links_batch`` against per-event ``match_links``.  Half the batches
+are drawn from a pool of at most four events, so in-batch duplicates reach
+both backends' batch kernels (nothing folds them first) with their step
+counts compared too.
 """
 
 from __future__ import annotations
+
+import importlib.util
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +25,8 @@ SCHEMA = uniform_schema(4)
 DOMAIN = [0, 1, 2]
 DOMAINS = {name: DOMAIN for name in SCHEMA.names}
 NUM_LINKS = 5
+#: ``vector`` requires numpy; without it the interp half still runs.
+BACKENDS = ["interp", "vector"] if importlib.util.find_spec("numpy") else ["interp"]
 
 test_specs = st.one_of(
     st.none(),
@@ -34,9 +39,14 @@ test_specs = st.one_of(
 predicate_specs = st.tuples(*(test_specs for _ in range(4)))
 subscription_lists = st.lists(predicate_specs, min_size=0, max_size=15)
 event_tuples = st.tuples(*(st.sampled_from(DOMAIN) for _ in range(4)))
-#: Batches drawn from a small value pool so repeats (dedup + cache hits) are
-#: common, including batches with every event identical.
-event_batches = st.lists(event_tuples, min_size=0, max_size=12)
+#: Free batches, or batches drawn from a pool of at most four events so
+#: repeats are the rule, including batches with every event identical.
+event_batches = st.one_of(
+    st.lists(event_tuples, min_size=0, max_size=12),
+    st.lists(event_tuples, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=0, max_size=12)
+    ),
+)
 masks = st.lists(st.sampled_from([Y, M, N]), min_size=NUM_LINKS, max_size=NUM_LINKS).map(
     TritVector
 )
@@ -73,19 +83,12 @@ def assert_batch_equivalent(matcher, events):
 
 
 class TestMatchBatchEquivalence:
-    @given(specs=subscription_lists, batch=event_batches)
+    @given(
+        backend=st.sampled_from(BACKENDS), specs=subscription_lists, batch=event_batches
+    )
     @settings(max_examples=150)
-    def test_compiled(self, specs, batch):
-        engine = CompiledEngine(SCHEMA, domains=DOMAINS)
-        for subscription in make_subscriptions(specs):
-            engine.insert(subscription)
-        events = [Event.from_tuple(SCHEMA, values) for values in batch]
-        assert_batch_equivalent(engine, events)
-
-    @given(specs=subscription_lists, batch=event_batches)
-    @settings(max_examples=75)
-    def test_compiled_without_cache(self, specs, batch):
-        engine = CompiledEngine(SCHEMA, domains=DOMAINS, match_cache_capacity=0)
+    def test_compiled(self, backend, specs, batch):
+        engine = CompiledEngine(SCHEMA, domains=DOMAINS, backend=backend)
         for subscription in make_subscriptions(specs):
             engine.insert(subscription)
         events = [Event.from_tuple(SCHEMA, values) for values in batch]
@@ -127,10 +130,15 @@ class TestMatchBatchEquivalence:
 
 
 class TestMatchLinksBatchEquivalence:
-    @given(specs=subscription_lists, batch=event_batches, mask=masks)
+    @given(
+        backend=st.sampled_from(BACKENDS),
+        specs=subscription_lists,
+        batch=event_batches,
+        mask=masks,
+    )
     @settings(max_examples=100)
-    def test_compiled(self, specs, batch, mask):
-        engine = CompiledEngine(SCHEMA, domains=DOMAINS)
+    def test_compiled(self, backend, specs, batch, mask):
+        engine = CompiledEngine(SCHEMA, domains=DOMAINS, backend=backend)
         for subscription in make_subscriptions(specs):
             engine.insert(subscription)
         engine.bind_links(NUM_LINKS, link_of)

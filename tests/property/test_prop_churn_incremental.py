@@ -120,8 +120,8 @@ def assert_structure(engine):
 
 
 def assert_equals_rebuild(engine, link_of, event, yes_bits):
-    """The engine's (patched, cached) answers against a fresh compile."""
-    fresh = compile_tree(engine.tree, cache_capacity=0)
+    """The engine's (patched) answers against a fresh compile."""
+    fresh = compile_tree(engine.tree)
     fresh.annotate(NUM_LINKS, link_of)
     maybe_bits = FULL & ~yes_bits
     expected = fresh.match(event)
@@ -139,14 +139,11 @@ def assert_equals_rebuild(engine, link_of, event, yes_bits):
 
 @given(
     backend=st.sampled_from(BACKENDS),
-    cache_capacity=st.sampled_from([0, 64]),
     script=st.lists(steps, min_size=1, max_size=40),
 )
 @settings(max_examples=150, deadline=None)
-def test_every_step_equals_a_fresh_compile(backend, cache_capacity, script):
-    engine = CompiledEngine(
-        SCHEMA, domains=DOMAINS, match_cache_capacity=cache_capacity, backend=backend
-    )
+def test_every_step_equals_a_fresh_compile(backend, script):
+    engine = CompiledEngine(SCHEMA, domains=DOMAINS, backend=backend)
     link_by_id = {}
 
     def link_of(subscription):

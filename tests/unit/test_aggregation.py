@@ -16,6 +16,7 @@ from repro.errors import SubscriptionError
 from repro.matching import Event, Predicate, Subscription, uniform_schema
 from repro.matching.aggregation import (
     AggregatingEngine,
+    ProjectionCache,
     canonicalize_predicate,
 )
 from repro.matching.engines import CompiledEngine, TreeEngine, create_engine
@@ -211,6 +212,58 @@ class TestLinearMode:
         assert indexed.root_count == linear.root_count
         assert indexed.forest_nodes == linear.forest_nodes
         assert indexed.compression_ratio == linear.compression_ratio
+
+
+class TestProjectionCache:
+    def test_lru_eviction_at_capacity(self):
+        cache = ProjectionCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.get("a")  # refresh "a" so "b" is the LRU entry
+        cache.put("c", 3)
+        assert cache.get("b") is None
+        assert cache.get("a") == 1
+        assert cache.get("c") == 3
+
+    def test_hit_and_miss_counters(self, live_registry):
+        cache = ProjectionCache(4)
+        assert cache.get("missing") is None
+        cache.put("k", "v")
+        assert cache.get("k") == "v"
+        assert live_registry.counter("match.cache.hit", cache="aggregation").value == 1
+        assert live_registry.counter("match.cache.miss", cache="aggregation").value == 1
+
+    def test_flush_counts_only_when_resident(self, live_registry):
+        cache = ProjectionCache(4)
+        flushes = live_registry.counter("match.cache.flush", cache="aggregation")
+        assert cache.flush() == 0
+        assert flushes.value == 0
+        cache.put("k", "v")
+        assert cache.flush() == 1
+        assert flushes.value == 1
+
+    def test_residency_gauge_tracks_fill(self, live_registry):
+        cache = ProjectionCache(4)
+        gauge = live_registry.gauge("match.cache.residency", cache="aggregation")
+        cache.put("a", 1)
+        assert gauge.value == 0.25
+        cache.put("b", 2)
+        assert gauge.value == 0.5
+        cache.flush()
+        assert gauge.value == 0.0
+
+    def test_evict_if_drops_only_flagged_entries(self, live_registry):
+        cache = ProjectionCache(4)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("c", 3)
+        assert cache.evict_if(lambda key, value: value % 2 == 1) == 2
+        assert cache.get("b") == 2
+        assert cache.get("a") is None
+        gauge = live_registry.gauge("match.cache.residency", cache="aggregation")
+        assert gauge.value == 0.25
+        # Nothing flagged: a no-op that reports zero.
+        assert cache.evict_if(lambda key, value: False) == 0
 
 
 class TestDescentCacheRepair:

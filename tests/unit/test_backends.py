@@ -3,7 +3,7 @@
 Covers the registry surface (:mod:`repro.matching.backends`), how
 ``backend=`` threads through :func:`create_engine`, generation-keyed
 backend scratch on :class:`CompiledProgram`, and the fail-closed knobs
-(``vector`` without numpy, negative cache capacities).
+(``vector`` without numpy).
 """
 
 from __future__ import annotations
@@ -86,18 +86,6 @@ class TestEngineWiring:
     def test_create_engine_validates_backend(self):
         with pytest.raises(SubscriptionError, match="unknown kernel backend"):
             create_engine("compiled", SCHEMA, backend="jit")
-
-    @pytest.mark.parametrize(
-        "engine, aggregate", [("compiled", False), ("compiled", True), ("tree", False)]
-    )
-    def test_create_engine_rejects_negative_cache_capacity(self, engine, aggregate):
-        """A negative capacity used to mean "caches off", silently."""
-        with pytest.raises(SubscriptionError, match="match_cache_capacity"):
-            create_engine(
-                engine, SCHEMA, match_cache_capacity=-5, aggregate=aggregate
-            )
-        # Zero is the documented way to switch the caches off.
-        create_engine(engine, SCHEMA, match_cache_capacity=0, aggregate=aggregate)
 
     def test_create_engine_tree_rejects_non_default_backend(self):
         with pytest.raises(SubscriptionError, match="tree"):

@@ -3,8 +3,13 @@ the benchmarks)."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -16,6 +21,21 @@ class TestParsing:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+    def test_engine_backend_mismatch_is_a_usage_error(self):
+        """``--engine tree --backend vector`` used to end in a traceback."""
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "--engine", "tree", "--backend", "vector", "demo"],
+            env={**os.environ, "PYTHONPATH": source_root},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert "requires engine='compiled'" in completed.stderr
 
 
 class TestFastCommands:

@@ -1,13 +1,11 @@
-"""Regression: engine link caches must be flushed when a repair changes the
-virtual-link layout.
+"""Regression: a repair that changes the virtual-link layout must rebind the
+engine's link annotations.
 
-CompiledEngine caches link-match results keyed by (projection, yes-mask,
-maybe-mask).  After a topology repair changes which destination sits
-behind which link position, the same packed mask bits denote *different*
-links — a stale cache hit would route events to the pre-failure
-destinations.  ``ContentRouter.rebuild_links`` must therefore rebind the
-engine (flushing those caches) exactly when the layout changed, and must
-keep warm caches when it did not.  The tree engine has no caches and rides
+After a topology repair changes which destination sits behind which link
+position, the same packed mask bits denote *different* links — annotations
+(or anything else) keyed on the old positions would route events to the
+pre-failure destinations.  ``ContentRouter.rebuild_links`` must therefore
+rebind the engine exactly when the layout changed.  The tree engine rides
 along as the oracle.
 """
 
@@ -61,13 +59,13 @@ EVENTS = [Event.from_tuple(SCHEMA, (0, 0)), Event.from_tuple(SCHEMA, (1, 0))]
 
 
 @pytest.mark.parametrize("engine", ["compiled", "tree"])
-def test_stale_link_cache_flushed_after_failover(engine):
+def test_routes_follow_the_repaired_layout_after_failover(engine):
     topology = build_topology()
     tree = SpanningTree(topology, ROOT)
     table = RoutingTable(topology, "B1")
     router = build_router(topology, table, {ROOT: tree}, engine)
 
-    # Warm the link cache: every domain event routed once.
+    # Every domain event routed once against the healthy layout.
     before = {e.as_tuple(): router.route(e, ROOT).forward_to for e in EVENTS}
     assert before[(0, 0)] == ["B2"]
     assert before[(1, 0)] == ["B2"]  # S3 also sits behind B2 when healthy
@@ -78,8 +76,8 @@ def test_stale_link_cache_flushed_after_failover(engine):
     changed = router.rebuild_links(table, {ROOT: tree})
     assert changed, "layout must be reported as changed"
 
-    # The same projections now hit the repaired layout: both subscribers
-    # hang off the lateral to B3.  A stale cache would keep saying B2.
+    # The same events now hit the repaired layout: both subscribers hang
+    # off the lateral to B3.  A stale annotation would keep saying B2.
     fresh_tree = SpanningTree(topology, ROOT, partial=True)
     fresh_router = build_router(
         topology, RoutingTable(topology, "B1"), {ROOT: fresh_tree}, engine
@@ -93,8 +91,8 @@ def test_stale_link_cache_flushed_after_failover(engine):
 
 
 @pytest.mark.parametrize("engine", ["compiled", "tree"])
-def test_unchanged_layout_keeps_warm_caches(engine):
-    """Failing a link the layout never used must not flush anything."""
+def test_unchanged_layout_reports_no_change(engine):
+    """Failing a link the layout never used rebinds nothing."""
     topology = build_topology()
     tree = SpanningTree(topology, ROOT)
     table = RoutingTable(topology, "B1")

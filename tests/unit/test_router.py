@@ -43,6 +43,32 @@ class TestSubscriptions:
         assert router.subscription_count == 0
 
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"factoring_attributes": ["a1"], "domains": DOMAINS}, {"aggregate": True}],
+        ids=["plain", "factored", "aggregate"],
+    )
+    def test_count_does_not_list_the_subscriptions(
+        self, two_broker_topology, schema5, monkeypatch, kwargs
+    ):
+        """``subscription_count`` is polled (stats, repr, flood waits): it
+        must come from the matcher's own tally, not ``len(subscriptions)``."""
+        router = router_for(two_broker_topology, "B0", schema5, **kwargs)
+        subs = [make_subscription(schema5, f"a1={v}", "c0") for v in (0, 1, 1)]
+        for sub in subs:
+            router.add_subscription(sub)
+
+        def listing_forbidden(self):
+            raise AssertionError("subscription_count listed the subscriptions")
+
+        monkeypatch.setattr(
+            type(router.matcher), "subscriptions", property(listing_forbidden)
+        )
+        assert router.subscription_count == 3
+        router.remove_subscription(subs[1].subscription_id)
+        assert router.subscription_count == 2
+
+
 class TestRouting:
     def test_delivers_to_local_client(self, two_broker_topology, schema5):
         router = router_for(two_broker_topology, "B0", schema5)
