@@ -1,10 +1,11 @@
 """The content-routed network fabric: all brokers' routers wired together.
 
 :class:`ContentRoutedNetwork` is the *untimed* reference implementation of
-the whole protocol: subscriptions are replicated to every broker (each broker
-holds a copy of all subscriptions, per Section 3.1), and :meth:`publish`
-walks an event hop by hop down the publisher's spanning tree, asking each
-broker's :class:`~repro.core.router.ContentRouter` for its route decision.
+the whole protocol: every broker routes on the full subscription set (per
+Section 3.1; under factoring one shared replica, annotated per broker), and
+:meth:`publish` walks an event hop by hop down the publisher's spanning
+tree, asking each broker's :class:`~repro.core.router.ContentRouter` for
+its route decision.
 
 It returns a :class:`DeliveryTrace` recording exactly which clients received
 the event, through which links, with how many matching steps per broker —
@@ -19,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import RoutingError, TopologyError
-from repro.core.router import ContentRouter, RouteDecision
+from repro.core.router import ContentRouter, RouteDecision, factored_matcher_for
 from repro.matching.events import Event
 from repro.matching.parser import parse_predicate
 from repro.matching.predicates import Predicate, Subscription
@@ -151,6 +152,17 @@ class ContentRoutedNetwork:
         self.schema = schema
         self.routing_tables: Dict[str, RoutingTable] = all_routing_tables(topology)
         self.spanning_trees: Dict[str, SpanningTree] = spanning_trees_for_publishers(topology)
+        options = dict(
+            attribute_order=attribute_order,
+            domains=domains,
+            factoring_attributes=factoring_attributes,
+            engine=engine,
+            backend=backend,
+            aggregate=aggregate,
+        )
+        # One subscription replica for all factored routers (None: each
+        # engine-backed router keeps a private engine).
+        self._matcher = factored_matcher_for(schema, **options)
         self.routers: Dict[str, ContentRouter] = {
             broker: ContentRouter(
                 topology,
@@ -158,12 +170,8 @@ class ContentRoutedNetwork:
                 self.routing_tables[broker],
                 self.spanning_trees,
                 schema,
-                attribute_order=attribute_order,
-                domains=domains,
-                factoring_attributes=factoring_attributes,
-                engine=engine,
-                backend=backend,
-                aggregate=aggregate,
+                matcher=self._matcher,
+                **options,
             )
             for broker in topology.brokers()
         }
@@ -184,10 +192,10 @@ class ContentRoutedNetwork:
         if isinstance(predicate, str):
             predicate = parse_predicate(self.schema, predicate)
         subscription = Subscription(predicate, client)
+        if self._matcher is not None:
+            self._matcher.insert(subscription)
         for router in self.routers.values():
-            router.add_subscription(
-                Subscription(predicate, client, subscription_id=subscription.subscription_id)
-            )
+            router.add_subscription(subscription)
         self._subscriptions[subscription.subscription_id] = subscription
         return subscription
 
@@ -196,6 +204,8 @@ class ContentRoutedNetwork:
         subscription = self._subscriptions.pop(subscription_id, None)
         if subscription is None:
             raise RoutingError(f"unknown subscription id {subscription_id}")
+        if self._matcher is not None:
+            self._matcher.remove(subscription_id)
         for router in self.routers.values():
             router.remove_subscription(subscription_id)
         return subscription

@@ -1,17 +1,24 @@
-"""A broker's content router: PST copy + annotations + masks + link matching.
+"""A broker's content router: the PST + annotations + masks + link matching.
 
 Per the paper, "each broker in the network has a copy of all the
-subscriptions, organized into a PST" (Section 3.1).  A :class:`ContentRouter`
-is that per-broker state:
+subscriptions, organized into a PST" (Section 3.1) — the *same* PST at every
+broker; only the per-link trit annotations differ.  A :class:`ContentRouter`
+is one broker's state:
 
 * the broker's matcher (a :class:`~repro.matching.base.MatcherEngine` — tree
   or compiled, selected by the ``engine`` parameter — or a
-  :class:`FactoredMatcher` when factoring is enabled),
+  :class:`FactoredMatcher` when factoring is enabled).  Whatever builds
+  several factored routers in one process (the simulator's protocols, the
+  fabric) builds the :class:`FactoredMatcher` once and hands it to each as
+  ``matcher`` — one subscription replica per process; a router given none
+  builds a private one (:class:`~repro.broker.node.BrokerNode`: brokers
+  there are separate processes in principle),
 * its :class:`VirtualLinkTable` (virtual links + one initialization mask per
   spanning tree),
 * the trit-vector annotations of the matcher's tree(s) — maintained
-  incrementally inside the engine on the non-factored path, recomputed
-  lazily per sub-tree on the factored path,
+  incrementally inside the engine on the non-factored path; on the factored
+  path one :meth:`~CompiledProgram.annotated_view` per sub-tree of the
+  program the matcher lowered, re-taken only where a change touched,
 * :meth:`route` — run the Section 3.3 refinement for an event arriving on a
   given spanning tree and return the neighbors to forward to.
 
@@ -24,13 +31,13 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.errors import RoutingError
+from repro.errors import RoutingError, SubscriptionError
 from repro.core.annotation import TreeAnnotation
 from repro.core.link_matcher import LinkMatcher, LinkMatchResult
 from repro.core.masks import VirtualLinkTable
 from repro.core.trits import TritVector, pack_tritvector, unpack_tritvector
 from repro.matching.base import MatcherEngine
-from repro.matching.compile import CompiledProgram, compile_tree
+from repro.matching.compile import CompiledProgram
 from repro.matching.digest import MatchDigest, mix_subscription_id
 from repro.matching.events import Event
 from repro.matching.optimizations import FactoredMatcher
@@ -93,6 +100,41 @@ class RouteDecision:
         )
 
 
+def factored_matcher_for(
+    schema: EventSchema,
+    *,
+    attribute_order: Optional[Sequence[str]] = None,
+    domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
+    factoring_attributes: Optional[Sequence[str]] = None,
+    engine: str = "compiled",
+    backend: Optional[str] = None,
+    aggregate: bool = False,
+) -> Optional[FactoredMatcher]:
+    """The :class:`FactoredMatcher` a router with this configuration routes
+    on, or ``None`` when the configuration is engine-backed.  Builders of
+    several routers over one subscription set call this once and pass the
+    result to every :class:`ContentRouter` as ``matcher``."""
+    # Aggregation takes precedence: the factored matcher splits subscriptions
+    # across sub-trees before the engine sees them, which would defeat (and
+    # complicate) the covering forest.
+    if aggregate or not factoring_attributes:
+        return None
+    if domains is None:
+        raise RoutingError("factoring requires finite attribute domains")
+    return FactoredMatcher(
+        schema,
+        factoring_attributes,
+        domains,
+        residual_order=(
+            [n for n in attribute_order if n not in factoring_attributes]
+            if attribute_order is not None
+            else None
+        ),
+        engine=engine,
+        backend=backend,
+    )
+
+
 class ContentRouter:
     """Per-broker link-matching state (see module docstring)."""
 
@@ -110,6 +152,7 @@ class ContentRouter:
         engine: str = "compiled",
         backend: Optional[str] = None,
         aggregate: bool = False,
+        matcher: Optional[FactoredMatcher] = None,
     ) -> None:
         self.topology = topology
         self.broker = broker
@@ -128,30 +171,23 @@ class ContentRouter:
             (schema.position_of(name), name, domain) for name, domain in self.domains.items()
         ]
         self.links = VirtualLinkTable(topology, broker, routing_table, spanning_trees)
-        self._factored: Optional[FactoredMatcher] = None
-        self._engine: Optional[MatcherEngine] = None
-        if aggregate:
-            # Aggregation compresses the engine's subscription set; the
-            # factored matcher splits subscriptions across sub-trees before
-            # the engine sees them, which would defeat (and complicate) the
-            # covering forest — aggregation takes precedence.
-            factoring_attributes = None
-        if factoring_attributes:
-            if domains is None:
-                raise RoutingError("factoring requires finite attribute domains")
-            self._factored = FactoredMatcher(
+        # A shared matcher is mutated by its builder; this router is only told.
+        self._owns_matcher = matcher is None
+        if matcher is None:
+            matcher = factored_matcher_for(
                 schema,
-                factoring_attributes,
-                domains,
-                residual_order=(
-                    [n for n in attribute_order if n not in factoring_attributes]
-                    if attribute_order is not None
-                    else None
-                ),
+                attribute_order=attribute_order,
+                domains=domains,
+                factoring_attributes=factoring_attributes,
                 engine=engine,
                 backend=backend,
+                aggregate=aggregate,
             )
-        else:
+        elif matcher.engine != engine or matcher.schema != schema:
+            raise RoutingError("the shared matcher was built for another engine or schema")
+        self._factored: Optional[FactoredMatcher] = matcher
+        self._engine: Optional[MatcherEngine] = None
+        if matcher is None:
             # Imported here rather than at module scope: repro.matching.engines
             # imports repro.core submodules, so a module-level import would
             # cycle when repro.matching.engines is the entry point.
@@ -166,11 +202,12 @@ class ContentRouter:
                 aggregate=aggregate,
             )
             self._engine.bind_links(self.links.num_links, self._link_of_subscriber)
-        # Per-sub-tree link-matching state for the factored matcher; the
-        # non-factored path keeps its annotations inside the engine instead.
-        self._annotations: Dict[int, Tuple[TreeAnnotation, LinkMatcher]] = {}
-        self._programs: Dict[int, CompiledProgram] = {}
-        self._dirty = True
+        # Factored path: factoring key -> (matcher's version of the sub-tree,
+        # its refiner: an annotated view of the matcher's program (compiled)
+        # or a LinkMatcher (tree)), current iff the version still is the
+        # matcher's.  The non-factored path annotates inside the engine.
+        self._subtrees: Dict[tuple, Tuple[int, Union[CompiledProgram, LinkMatcher]]] = {}
+        self._swept_at = -1  # matcher.mutations at the last sweep
         # Memo of ``topology.node(neighbor).kind.is_client`` for the neighbors
         # decisions have named (a node's kind never changes).
         self._neighbor_is_client: Dict[str, bool] = {}
@@ -203,19 +240,32 @@ class ContentRouter:
         """Register a subscription (its ``subscriber`` must be a client).
 
         The non-factored engine keeps its own annotations fresh incrementally
-        along the subscription's path; only the factored matcher needs a full
-        refresh (its trees restructure on the next compaction).
+        along the subscription's path; the factored path re-annotates the
+        touched sub-trees at the next route.  A router sharing its matcher is
+        *told* of an insert its owner already made, and fails closed when
+        the matcher lacks it.
         """
         self.links.position_of(subscription.subscriber)  # validates early
-        self.matcher.insert(subscription)
-        if self._factored is not None:
-            self._dirty = True
+        if self._owns_matcher:
+            self.matcher.insert(subscription)
+        elif subscription.subscription_id not in self._factored:
+            raise SubscriptionError(
+                f"subscription #{subscription.subscription_id} is not in the "
+                f"shared matcher — its owner must insert it first"
+            )
         self._bump_epoch(subscription.subscription_id)
 
-    def remove_subscription(self, subscription_id: int) -> Subscription:
-        subscription = self.matcher.remove(subscription_id)
-        if self._factored is not None:
-            self._dirty = True
+    def remove_subscription(self, subscription_id: int) -> Optional[Subscription]:
+        """Unregister a subscription and return it (``None`` from a router
+        sharing its matcher: the owner removed it already and tells us)."""
+        subscription = None
+        if self._owns_matcher:
+            subscription = self.matcher.remove(subscription_id)
+        elif subscription_id in self._factored:
+            raise SubscriptionError(
+                f"subscription #{subscription_id} is still in the shared "
+                f"matcher — its owner must remove it first"
+            )
         self._bump_epoch(subscription_id)
         return subscription
 
@@ -280,8 +330,8 @@ class ContentRouter:
             return False
         if self._engine is not None:
             self._engine.bind_links(self.links.num_links, self._link_of_subscriber)
-        if self._factored is not None:
-            self._dirty = True
+        self._subtrees.clear()  # annotated for the old positions
+        self._swept_at = -1
         # The layout changed: the same mask bits now denote different
         # links, so digests minted (and decisions stamped) before the
         # rebuild must not be trusted against this router anymore.
@@ -289,22 +339,29 @@ class ContentRouter:
         return True
 
     def _refresh_annotations(self) -> None:
-        """Rebuild link-matching state for every factored sub-tree — either
-        annotated compiled programs or (TreeAnnotation, LinkMatcher) pairs,
-        depending on the engine."""
-        assert self._factored is not None
-        self._annotations.clear()
-        self._programs.clear()
-        for _key, tree in self._factored.trees():
-            if self.engine == "compiled":
-                program = compile_tree(tree, backend=self._factored.backend)
-                program.annotate(self.links.num_links, self._link_of_subscriber)
-                self._programs[id(tree)] = program
-            else:
-                annotation = TreeAnnotation(self.links.num_links, self._link_of_subscriber)
-                annotation.annotate(tree)
-                self._annotations[id(tree)] = (annotation, LinkMatcher(tree, annotation))
-        self._dirty = False
+        """Bring the per-sub-tree state up to the matcher's: re-annotate the
+        sub-trees whose version moved (all of them after a link rebuild),
+        drop the ones that emptied.  Eager — the first route after a change
+        pays for every touched sub-tree, none is left for later routes."""
+        matcher = self._factored
+        assert matcher is not None
+        matcher.compact()
+        num_links, link_of = self.links.num_links, self._link_of_subscriber
+        current = {}
+        for key, tree in matcher.trees():
+            entry = self._subtrees.get(key)
+            version = matcher.version_of(key)
+            if entry is None or entry[0] != version:
+                if self.engine == "compiled":
+                    refiner = matcher.program_for(key).annotated_view(num_links, link_of)
+                else:
+                    annotation = TreeAnnotation(num_links, link_of)
+                    annotation.annotate(tree)
+                    refiner = LinkMatcher(tree, annotation)
+                entry = (version, refiner)
+            current[key] = entry
+        self._subtrees = current
+        self._swept_at = matcher.mutations
         self._obs_refreshes.inc()
 
     # ------------------------------------------------------------------
@@ -337,26 +394,19 @@ class ContentRouter:
             assert self._engine is not None
             final = self._engine.match_links(event, mask)
         else:
-            self._factored.compact()
-            if self._dirty:
+            if self._factored.mutations != self._swept_at:
                 self._refresh_annotations()
-            tree = self._factored.tree_for_event(event)
-            if tree is None:
+            entry = self._subtrees.get(self._factored.key_for_event(event))
+            if entry is None:  # no subscription can match these index values
                 final = LinkMatchResult(mask.close_maybes(), 1)
             elif self.engine == "compiled":
-                program = self._programs.get(id(tree))
-                if program is None:
-                    raise RoutingError("matcher tree appeared after annotation refresh")
                 yes_bits, maybe_bits = pack_tritvector(mask)
-                final_yes, steps = program.match_links(event, yes_bits, maybe_bits)
+                final_yes, steps = entry[1].match_links(event, yes_bits, maybe_bits)
                 final = LinkMatchResult(
                     unpack_tritvector(final_yes, 0, self.links.num_links), steps
                 )
             else:
-                annotation_pair = self._annotations.get(id(tree))
-                if annotation_pair is None:
-                    raise RoutingError("matcher tree appeared after annotation refresh")
-                final = annotation_pair[1].match_links(event, mask)
+                final = entry[1].match_links(event, mask)
         return self._decision_for(final)
 
     def route_batch(self, events: Sequence[Event], tree_root: str) -> List[RouteDecision]:
@@ -376,43 +426,34 @@ class ContentRouter:
             assert self._engine is not None
             finals: List[LinkMatchResult] = self._engine.match_links_batch(events, mask)
             return [self._decision_for(final) for final in finals]
-        self._factored.compact()
-        if self._dirty:
+        if self._factored.mutations != self._swept_at:
             self._refresh_annotations()
         results: List[Optional[LinkMatchResult]] = [None] * len(events)
         # Group by selected sub-tree so each compiled program refines its
-        # events in one batch.
-        groups: Dict[int, Tuple[object, List[int]]] = {}
+        # events in one batch; an unpopulated key has nothing to refine.
+        groups: Dict[tuple, List[int]] = {}
         for i, event in enumerate(events):
-            tree = self._factored.tree_for_event(event)
-            if tree is None:
-                results[i] = LinkMatchResult(mask.close_maybes(), 1)
-                continue
-            entry = groups.get(id(tree))
-            if entry is None:
-                groups[id(tree)] = (tree, [i])
+            key = self._factored.key_for_event(event)
+            if key in self._subtrees:
+                groups.setdefault(key, []).append(i)
             else:
-                entry[1].append(i)
-        if self.engine == "compiled":
+                results[i] = LinkMatchResult(mask.close_maybes(), 1)
+        compiled = self.engine == "compiled"
+        if compiled:
             yes_bits, maybe_bits = pack_tritvector(mask)
-            for tree_id, (tree, indices) in groups.items():
-                program = self._programs.get(tree_id)
-                if program is None:
-                    raise RoutingError("matcher tree appeared after annotation refresh")
-                packed = program.match_links_batch(
+        for key, indices in groups.items():
+            refiner = self._subtrees[key][1]
+            if compiled:
+                packed = refiner.match_links_batch(
                     [events[i] for i in indices], yes_bits, maybe_bits
                 )
                 for i, (final_yes, steps) in zip(indices, packed):
                     results[i] = LinkMatchResult(
                         unpack_tritvector(final_yes, 0, self.links.num_links), steps
                     )
-        else:
-            for tree_id, (_tree, indices) in groups.items():
-                annotation_pair = self._annotations.get(tree_id)
-                if annotation_pair is None:
-                    raise RoutingError("matcher tree appeared after annotation refresh")
+            else:
                 for i in indices:
-                    results[i] = annotation_pair[1].match_links(events[i], mask)
+                    results[i] = refiner.match_links(events[i], mask)
         return [self._decision_for(final) for final in results]
 
     def _decision_for(self, final: LinkMatchResult) -> RouteDecision:

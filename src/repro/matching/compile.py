@@ -145,6 +145,8 @@ class CompiledProgram:
         # slot recycling
         "_free_slots",
         "_slot_node_id",
+        # the program an annotated view shares its structure with
+        "_base",
     )
 
     def __init__(
@@ -214,6 +216,7 @@ class CompiledProgram:
         #: PST node id lowered into each slot (the inverse of
         #: :attr:`index_of_node`, which recycling must keep exact).
         self._slot_node_id: List[int] = []
+        self._base: Optional[CompiledProgram] = None
         self._ensure_index(tree.root)
 
     # ------------------------------------------------------------------
@@ -380,6 +383,25 @@ class CompiledProgram:
                 stack.append((self.range_children[j], False))
             if self.star[index] >= 0:
                 stack.append((self.star[index], False))
+
+    def annotated_view(
+        self, num_links: int, link_of_subscriber: LinkOfSubscriber
+    ) -> "CompiledProgram":
+        """One broker's trit vectors on the tree every broker shares (Section
+        3.1): a program holding every structure slot of this one by reference
+        and owning only what annotation writes — ``ann_yes`` / ``ann_maybe``,
+        the link binding, ``generation``, ``backend_state``.  Kernels run on
+        it unchanged; :meth:`patch` through a view is refused."""
+        view = object.__new__(CompiledProgram)
+        for slot in CompiledProgram.__slots__:
+            setattr(view, slot, getattr(self, slot))
+        view._base = self
+        view.ann_yes = [0] * len(self.ann_yes)
+        view.ann_maybe = [0] * len(self.ann_maybe)
+        view.generation = 0
+        view.backend_state = {}
+        view.annotate(num_links, link_of_subscriber)
+        return view
 
     def _node_annotation(self, index: int) -> Tuple[int, int]:
         if self.event_pos[index] < 0:
@@ -626,6 +648,8 @@ class CompiledProgram:
         path's edges and leaf slice with the live tree, and recomputes the
         packed annotations of the path bottom-up when annotations are bound.
         """
+        if self._base is not None:
+            raise RoutingError("an annotated view cannot patch the structure it shares")
         if self.index_of_node.get(tree.root.node_id) != 0:
             return False
         # Compare pool garbage against the *live* nodes: free slots are

@@ -51,7 +51,7 @@ from repro.matching.compile import CompiledProgram, compile_tree
 from repro.matching.events import Event
 from repro.matching.pst import MatchResult, ParallelSearchTree, PSTNode
 from repro.obs import get_registry
-from repro.matching.predicates import EqualityTest, Subscription
+from repro.matching.predicates import EqualityTest, Predicate, Subscription
 from repro.matching.schema import AttributeValue, EventSchema
 
 _dag_ids = itertools.count(1)
@@ -103,6 +103,14 @@ class FactoredMatcher(Matcher):
     brute force even on values the domain never anticipated (at the cost of
     one extra replica for every subscription whose index test is not a
     specific in-domain equality).
+
+    **One replica per process.**  One matcher may back many
+    :class:`~repro.core.router.ContentRouter` instances (every simulated
+    broker holds *the same* PST, Section 3.1).  :meth:`program_for` lowers a
+    sub-tree once, for :meth:`match` and every router's link matching alike
+    — a router keeps only an annotated view of it, so one that also answers
+    ``match_locally`` no longer holds two compiled copies of each sub-tree —
+    and staleness is per sub-tree (:meth:`version_of`).
     """
 
     def __init__(
@@ -137,6 +145,9 @@ class FactoredMatcher(Matcher):
                     f"index attribute {name!r} needs a non-empty finite domain"
                 )
         self._index_positions = tuple(schema.position_of(n) for n in self.index_attributes)
+        self._index_domains_sorted = {
+            name: sorted(self.domains[name], key=repr) for name in self.index_attributes
+        }
         residual_names = [n for n in schema.names if n not in self.index_attributes]
         if not residual_names:
             raise SubscriptionError("factoring every attribute leaves no residual tree")
@@ -151,7 +162,12 @@ class FactoredMatcher(Matcher):
         self._programs: Dict[Tuple[AttributeValue, ...], CompiledProgram] = {}
         self._by_id: Dict[int, Subscription] = {}
         self._keys_by_id: Dict[int, List[Tuple[AttributeValue, ...]]] = {}
-        self._dirty = False
+        #: Sub-trees changed since the last :meth:`compact`.
+        self._dirty_keys: Set[Tuple[AttributeValue, ...]] = set()
+        #: Bumped per sub-tree a change touches; a key's version is the value
+        #: at its last change (never reused, even if the sub-tree empties).
+        self.mutations = 0
+        self._versions: Dict[Tuple[AttributeValue, ...], int] = {}
         obs = get_registry()
         label = f"factored-{engine}"
         self._obs_matches = obs.counter("engine.matches", engine=label)
@@ -163,6 +179,9 @@ class FactoredMatcher(Matcher):
 
     def __len__(self) -> int:
         return len(self._by_id)
+
+    def __contains__(self, subscription_id: object) -> bool:
+        return subscription_id in self._by_id
 
     @property
     def subscriptions(self) -> List[Subscription]:
@@ -188,7 +207,7 @@ class FactoredMatcher(Matcher):
                     [test.value] if test.value in domain else [OUT_OF_DOMAIN]
                 )
             else:
-                options = [v for v in sorted(domain, key=repr) if test.evaluate(v)]
+                options = [v for v in self._index_domains_sorted[name] if test.evaluate(v)]
                 options.append(OUT_OF_DOMAIN)
             if not options:
                 return []
@@ -226,16 +245,20 @@ class FactoredMatcher(Matcher):
         keys = self._keys_for(subscription)
         for key in keys:
             self._tree_for(key).insert(self._relaxed_for_key(subscription, key))
-            self._programs.pop(key, None)
+            self._touch(key)
         self._by_id[subscription.subscription_id] = subscription
         self._keys_by_id[subscription.subscription_id] = keys
-        self._dirty = True
+
+    def _touch(self, key: Tuple[AttributeValue, ...]) -> None:
+        """Sub-tree ``key`` changed: whatever was derived from it is stale."""
+        self._programs.pop(key, None)
+        self._dirty_keys.add(key)
+        self.mutations += 1
+        self._versions[key] = self.mutations
 
     def _relaxed_for_key(
         self, subscription: Subscription, key: Tuple[AttributeValue, ...]
     ) -> Subscription:
-        from repro.matching.predicates import Predicate  # local to avoid cycle noise
-
         pinned = {
             name
             for name, component in zip(self.index_attributes, key)
@@ -260,22 +283,37 @@ class FactoredMatcher(Matcher):
         for key in self._keys_by_id.pop(subscription_id):
             tree = self._trees[key]
             tree.remove(subscription_id)
-            self._programs.pop(key, None)
+            self._touch(key)
             if len(tree) == 0:
                 del self._trees[key]
         return subscription
 
     def compact(self) -> None:
         """Splice the always-star index levels left by relaxed insertions so
-        they cost no search steps.  Idempotent; runs only after mutations."""
-        if not self._dirty:
-            return
-        for tree in self._trees.values():
-            tree.eliminate_trivial_tests()
-        # Splicing restructures the trees in place, so every compiled form is
-        # stale — drop them all and re-lower lazily on the next match.
-        self._programs.clear()
-        self._dirty = False
+        they cost no search steps.  Idempotent, and per sub-tree: only trees
+        changed since the last compaction are walked (an untouched tree is
+        already spliced, so its compiled form stays exact)."""
+        while self._dirty_keys:
+            tree = self._trees.get(self._dirty_keys.pop())
+            if tree is not None:
+                tree.eliminate_trivial_tests()
+
+    def version_of(self, key: Tuple[AttributeValue, ...]) -> int:
+        """State derived from populated sub-tree ``key`` (a router's
+        annotations) is current iff it was derived at this version."""
+        return self._versions[key]
+
+    def program_for(self, key: Tuple[AttributeValue, ...]) -> CompiledProgram:
+        """The compiled form of populated sub-tree ``key``, lowered once per
+        change, whoever asks (:meth:`match` or a router)."""
+        self.compact()
+        program = self._programs.get(key)
+        if program is None:
+            program = self._programs[key] = compile_tree(
+                self._trees[key], backend=self.backend
+            )
+            self._obs_compiles.inc()
+        return program
 
     def key_for_event(self, event: Event) -> Tuple[AttributeValue, ...]:
         """The index key an event selects (out-of-domain values map to the
@@ -286,11 +324,6 @@ class FactoredMatcher(Matcher):
             value = values[position]
             key.append(value if value in self.domains[name] else OUT_OF_DOMAIN)
         return tuple(key)
-
-    def tree_for_event(self, event: Event) -> Optional[ParallelSearchTree]:
-        """The sub-PST an event selects, or ``None`` if no subscription can
-        match its index values."""
-        return self._trees.get(self.key_for_event(event))
 
     def match(self, event: Event) -> MatchResult:
         """Table lookup on the index values, then search the sub-PST.
@@ -306,11 +339,7 @@ class FactoredMatcher(Matcher):
             self._obs_match_steps.inc()
             return MatchResult([], 1)
         if self.engine == "compiled":
-            program = self._programs.get(key)
-            if program is None:
-                program = self._programs[key] = compile_tree(tree, backend=self.backend)
-                self._obs_compiles.inc()
-            result = program.match(event)
+            result = self.program_for(key).match(event)
         else:
             result = tree.match(event)
         self._obs_match_steps.inc(result.steps + 1)

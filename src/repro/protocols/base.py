@@ -240,6 +240,19 @@ class ProtocolContext:
         self.routing_tables: Dict[str, RoutingTable] = all_routing_tables(topology)
         self.spanning_trees: Dict[str, SpanningTree] = spanning_trees_for_publishers(topology)
 
+    @property
+    def matcher_options(self) -> dict:
+        """The matcher configuration, as the keyword arguments
+        :class:`~repro.core.router.ContentRouter` takes."""
+        return dict(
+            attribute_order=self.attribute_order,
+            domains=self.domains,
+            factoring_attributes=self.factoring_attributes,
+            engine=self.engine,
+            backend=self.backend,
+            aggregate=self.aggregate,
+        )
+
     def tree_children(self, broker: str, root: str) -> List[str]:
         """Broker children of ``broker`` in the spanning tree of ``root``."""
         tree = self.spanning_trees.get(root)

@@ -4,7 +4,10 @@ This is a thin adapter: the real work lives in
 :class:`repro.core.router.ContentRouter` (annotation + mask refinement).
 Every broker holds a router over the full replicated subscription set; the
 decision for a message is the router's route decision for the message's
-spanning tree.
+spanning tree.  Under factoring the replica exists once per process: the
+protocol owns one :class:`~repro.matching.optimizations.FactoredMatcher` and
+every router keeps only its own trit annotations of it (engine-backed
+routers still hold a private engine each).
 
 Resilience (see :mod:`repro.sim.faults` and ``docs/resilience.md``):
 
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set
 
-from repro.core.router import ContentRouter, RouteDecision
+from repro.core.router import ContentRouter, RouteDecision, factored_matcher_for
 from repro.errors import RoutingError
 from repro.matching.predicates import Subscription
 from repro.obs import get_registry
@@ -81,6 +84,12 @@ class LinkMatchingProtocol(RoutingProtocol):
         # Subscriptions a router could not index yet (subscriber cut off at
         # build time); retried after every repair.
         self._deferred: Dict[str, List[Subscription]] = {}
+        # The one subscription replica every factored router routes on
+        # (None: engine-backed routers, a private engine each).
+        self._matcher = factored_matcher_for(context.schema, **context.matcher_options)
+        if self._matcher is not None:
+            for subscription in self._subscriptions:
+                self._matcher.insert(subscription)
         self.routers: Dict[str, ContentRouter] = {}
         for broker in context.topology.brokers():
             self.routers[broker] = self._build_router(broker)
@@ -97,19 +106,16 @@ class LinkMatchingProtocol(RoutingProtocol):
             context.routing_tables[broker],
             context.spanning_trees,
             context.schema,
-            attribute_order=context.attribute_order,
-            domains=context.domains,
-            factoring_attributes=context.factoring_attributes,
-            engine=context.engine,
-            backend=context.backend,
-            aggregate=context.aggregate,
+            matcher=self._matcher,
+            **context.matcher_options,
         )
         for subscription in self._subscriptions:
             try:
                 router.add_subscription(subscription)
             except RoutingError:
                 # A subscriber currently cut off owns no virtual link at this
-                # broker; retried after the repair that reattaches it.
+                # broker (a shared matcher indexes it, lighting no link);
+                # retried after the repair that reattaches it.
                 self._deferred.setdefault(broker, []).append(subscription)
         return router
 
@@ -187,6 +193,8 @@ class LinkMatchingProtocol(RoutingProtocol):
 
     def add_subscription(self, subscription: Subscription) -> None:
         """Insert a subscription into every broker's router at runtime."""
+        if self._matcher is not None:
+            self._matcher.insert(subscription)  # once; a duplicate raises here
         self._subscriptions.append(subscription)
         for broker, router in self.routers.items():
             try:

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.router import ContentRouter
+from repro.core.router import factored_matcher_for
 from repro.errors import SimulationError
+from repro.matching.engines import create_engine
 from repro.protocols.base import Decision, ProtocolContext, RoutingProtocol, SimMessage
 
 
@@ -39,25 +40,16 @@ class MatchFirstProtocol(RoutingProtocol):
 
     def __init__(self, context: ProtocolContext) -> None:
         super().__init__(context)
-        # Full matchers are only needed at brokers that host publishers.
-        self._matchers: Dict[str, ContentRouter] = {}
-        for root in context.spanning_trees:
-            router = ContentRouter(
-                context.topology,
-                root,
-                context.routing_tables[root],
-                context.spanning_trees,
-                context.schema,
-                attribute_order=context.attribute_order,
-                domains=context.domains,
-                factoring_attributes=context.factoring_attributes,
-                engine=context.engine,
-                backend=context.backend,
-                aggregate=context.aggregate,
-            )
-            for subscription in context.subscriptions:
-                router.add_subscription(subscription)
-            self._matchers[root] = router
+        # The full match does not depend on where it runs: the brokers that
+        # host publishers share one matcher — the one a ContentRouter would
+        # hold, without the link tables and masks match-first never reads.
+        options = context.matcher_options
+        self._matcher = factored_matcher_for(context.schema, **options)
+        if self._matcher is None:
+            del options["factoring_attributes"]
+            self._matcher = create_engine(options.pop("engine"), context.schema, **options)
+        for subscription in context.subscriptions:
+            self._matcher.insert(subscription)
 
     def handle(self, broker: str, message: SimMessage) -> Decision:
         if message.destinations is None:
@@ -65,13 +57,12 @@ class MatchFirstProtocol(RoutingProtocol):
         return self._handle_downstream(broker, message)
 
     def _handle_at_publisher(self, broker: str, message: SimMessage) -> Decision:
-        matcher = self._matchers.get(broker)
-        if matcher is None:
+        if broker not in self.context.spanning_trees:
             raise SimulationError(
                 f"match-first message without destination list at non-publisher "
                 f"broker {broker!r}"
             )
-        result = matcher.match_locally(message.event)
+        result = self._matcher.match(message.event)
         destinations = tuple(sorted(result.subscribers))
         split = self._split(broker, destinations)
         return self._decision_from_split(message, split, matching_steps=result.steps,

@@ -16,7 +16,14 @@ import random
 import pytest
 
 from repro.matching import Event, Subscription, parse_predicate, uniform_schema
-from repro.network.figures import linear_chain
+from repro.matching.pst import ParallelSearchTree
+from repro.network.figures import (
+    figure6_topology,
+    leaf_name,
+    linear_chain,
+    mid_name,
+    subscriber_name,
+)
 from repro.obs import get_registry
 from repro.protocols import FloodingProtocol, LinkMatchingProtocol, ProtocolContext
 from repro.sim import (
@@ -27,6 +34,7 @@ from repro.sim import (
     seconds_to_ticks,
 )
 from repro.workload import FlashCrowd, ThunderingHerd, WorkloadSpec
+from repro.workload.generators import EventGenerator, SubscriptionGenerator, figure6_region_of
 
 SCHEMA = uniform_schema(3)
 DOMAINS = {f"a{i}": [0, 1, 2] for i in range(1, 4)}
@@ -226,3 +234,94 @@ def test_random_chaos_plans(seed):
     plan = FaultPlan.random(topology, seed=seed, failures=2)
     simulation, result, report = run_plan(plan, seed=100 + seed)
     assert report.ok, (seed, report.lost[:5], report.duplicates[:5])
+
+
+def test_factored_figure6_shares_one_replica_through_faults(monkeypatch):
+    """The chaos tier on the configuration the paper's charts (and
+    ``sim_fig6``) run: Figure 6, factored — every router annotates one
+    shared FactoredMatcher.  A broker crashes and recovers, a subscription
+    arrives for a subscriber that is cut off at that moment (indexed
+    everywhere with no link to light, deferred until the repair), a broker
+    joins: nothing lost, at most one copy per link, and building the joined
+    broker's router inserts into no PST."""
+    spec = WorkloadSpec(num_attributes=4, values_per_attribute=3, factoring_levels=2)
+    topology = figure6_topology(subscribers_per_broker=1)
+    subscriptions = SubscriptionGenerator(
+        spec, seed=3, region_of=figure6_region_of
+    ).subscriptions_for(topology.subscribers(), 120)
+    context = ProtocolContext(
+        topology,
+        spec.schema(),
+        subscriptions,
+        domains=spec.domains(),
+        factoring_attributes=spec.factoring_attributes,
+    )
+    protocol = LinkMatchingProtocol(context)
+    shared = protocol.routers[mid_name(0, 0)].matcher
+    assert all(router.matcher is shared for router in protocol.routers.values())
+
+    inserts = [0]
+    pst_insert = ParallelSearchTree.insert
+
+    def counting_insert(tree, subscription):
+        inserts[0] += 1
+        pst_insert(tree, subscription)
+
+    monkeypatch.setattr(ParallelSearchTree, "insert", counting_insert)
+    built = {}
+    build_router = protocol._build_router
+
+    def counting_build(broker):
+        before = inserts[0]
+        router = build_router(broker)
+        built[broker] = inserts[0] - before
+        return router
+
+    monkeypatch.setattr(protocol, "_build_router", counting_build)
+    deferred_at_add = []
+    add_subscription = protocol.add_subscription
+
+    def recording_add(subscription):
+        add_subscription(subscription)
+        deferred_at_add.append(len(protocol._deferred))
+
+    monkeypatch.setattr(protocol, "add_subscription", recording_add)
+
+    crashed, cut_off = mid_name(1, 0), subscriber_name(leaf_name(1, 0, 1), 0)
+    plan = FaultPlan(
+        [
+            FaultAction.fail_broker(crashed, at_s=0.5),
+            FaultAction.join_broker(
+                "T0.J", attach_to=leaf_name(0, 2, 2), clients=("S.T0.J.00",), at_s=0.9
+            ),
+            FaultAction.recover_broker(crashed, at_s=1.3),
+        ]
+    )
+    simulation = NetworkSimulation(
+        topology, protocol, seed=17, fault_plan=plan, repair_delay_ms=5.0
+    )
+    events = EventGenerator(spec, seed=5, region_of=figure6_region_of)
+    for publisher in topology.publishers():
+        simulation.add_poisson_publisher(
+            publisher, 40.0, events.factory_for(publisher), 80
+        )
+    # Added while its subscriber sits behind the crashed broker.
+    simulation.add_subscription_at(
+        0.8, Subscription(parse_predicate(spec.schema(), "*"), cut_off)
+    )
+    simulation.add_subscription_at(
+        1.0, Subscription(parse_predicate(spec.schema(), "a1=0"), "S.T0.J.00")
+    )
+    result = simulation.run()
+    report = check_invariants(result, simulation.faults)
+    assert report.ok, (report.lost[:5], report.duplicates[:5])
+    # Every broker but the cut-off subscriber's own deferred the first
+    # runtime subscription; the repair after the recovery re-validated all.
+    assert deferred_at_add[0] == len(protocol.routers) - 2  # T0.J not joined yet
+    assert not protocol._deferred
+    assert built == {"T0.J": 0}, "a joined broker annotates the shared replica"
+    assert protocol.routers["T0.J"].matcher is shared
+    assert inserts[0] > 0, "the runtime subscriptions were inserted — once, by the owner"
+    assert len(shared) == len(subscriptions) + 2
+    matched = {record.client for record in result.deliveries if record.matched}
+    assert {cut_off, "S.T0.J.00"} <= matched

@@ -139,3 +139,52 @@ class TestLatencyModel:
         cheap = busy_ticks(CostModel(per_message_overhead_us=10.0))
         expensive = busy_ticks(CostModel(per_message_overhead_us=1000.0))
         assert expensive > cheap
+
+
+class TestOneReplicaPerProcess:
+    """The structural guard behind ``sim_fig6``'s set-up cost, on counts
+    rather than a clock: the Chart 1 configuration (Figure 6, factored) holds
+    one subscription replica, lowered once, however many brokers route."""
+
+    def test_figure6_brokers_share_one_factored_replica(self, live_registry):
+        import gc
+
+        from repro.matching.pst import PSTNode
+        from repro.workload.generators import SubscriptionGenerator, figure6_region_of
+        from repro.workload.spec import CHART1_SPEC
+
+        def live_pst_nodes():
+            gc.collect()
+            return sum(1 for candidate in gc.get_objects() if type(candidate) is PSTNode)
+
+        topology = figure6_topology(subscribers_per_broker=1)
+        subscriptions = SubscriptionGenerator(
+            CHART1_SPEC, seed=1, region_of=figure6_region_of
+        ).subscriptions_for(topology.subscribers(), 300)
+        context = ProtocolContext(
+            topology,
+            CHART1_SPEC.schema(),
+            subscriptions,
+            domains=CHART1_SPEC.domains(),
+            factoring_attributes=CHART1_SPEC.factoring_attributes,
+        )
+        before = live_pst_nodes()
+        protocol = LinkMatchingProtocol(context)
+        assert len(protocol.routers) == 39
+        assert len({id(router.matcher) for router in protocol.routers.values()}) == 1
+        matcher = protocol.routers["T0.R"].matcher
+        populated = dict(matcher.trees())
+        schema = CHART1_SPEC.schema()
+        root = sorted(context.spanning_trees)[0]
+        in_domain = [key for key in populated if all(isinstance(p, int) for p in key)]
+        assert len(in_domain) == 25 < len(populated)  # + out-of-domain buckets
+        for router in protocol.routers.values():
+            for key in in_domain:  # one event per reachable sub-tree, at every broker
+                router.route(Event.from_tuple(schema, key + (0,) * 8), root)
+        compiles = live_registry.counter(
+            "engine.factored.compiles", engine="factored-compiled"
+        )
+        assert compiles.value == len(populated), "lowered once, not once per broker"
+        assert live_pst_nodes() - before == sum(
+            tree.node_count() for tree in populated.values()
+        )

@@ -8,11 +8,15 @@ broker visited twice).
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ContentRoutedNetwork
-from repro.matching import EqualityTest, Event, Predicate, uniform_schema
+from repro.core.router import ContentRouter, factored_matcher_for
+from repro.matching import EqualityTest, Event, Predicate, Subscription, uniform_schema
 from repro.network import NodeKind, Topology
+from repro.network.paths import all_routing_tables
+from repro.network.spanning import spanning_trees_for_publishers
 
 SCHEMA = uniform_schema(3)
 DOMAIN = [0, 1]
@@ -119,3 +123,156 @@ class TestRandomNetworks:
                 plain.publish(publisher, event).delivered_clients
                 == factored.publish(publisher, event).delivered_clients
             )
+
+
+def decision_fields(decision):
+    return (
+        decision.forward_to,
+        decision.deliver_to,
+        decision.steps,
+        str(decision.mask),
+        decision.epoch,
+    )
+
+
+class _RouterSet:
+    """One router per broker over one subscription set: factored routers all
+    sharing one FactoredMatcher (``shared``) or each owning a private one,
+    or — with no ``engine`` — the unfactored tree-engine oracle."""
+
+    def __init__(self, topology, tables, trees, engine=None, backend=None, shared=False):
+        options = dict(domains=DOMAINS, engine="tree")
+        if engine is not None:
+            options.update(factoring_attributes=["a1"], engine=engine, backend=backend)
+        self.matcher = factored_matcher_for(SCHEMA, **options) if shared else None
+        self.routers = {
+            broker: ContentRouter(
+                topology, broker, tables[broker], trees, SCHEMA,
+                matcher=self.matcher, **options,
+            )
+            for broker in topology.brokers()
+        }
+
+    def add(self, subscription):
+        if self.matcher is not None:
+            self.matcher.insert(subscription)
+        for router in self.routers.values():
+            router.add_subscription(subscription)
+
+    def remove(self, subscription_id):
+        if self.matcher is not None:
+            self.matcher.remove(subscription_id)
+        for router in self.routers.values():
+            router.remove_subscription(subscription_id)
+
+
+@pytest.mark.parametrize(
+    "engine,backend", [("compiled", "interp"), ("compiled", "vector"), ("tree", None)]
+)
+class TestSharedMatcherEqualsPrivate:
+    """N routers sharing one subscription replica decide exactly what N
+    routers with a private replica each decide — same neighbors, same
+    steps, same mask, same epoch — through any interleaving of subscription
+    churn, routing and link rebuilds; and both send where the unfactored
+    tree-engine router sends (a staleness bug common to both would
+    otherwise compare equal)."""
+
+    @given(topology=topologies(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_interleaved_operations(self, engine, backend, topology, data):
+        if backend == "vector":
+            pytest.importorskip("numpy")
+        tables = all_routing_tables(topology)
+        trees = spanning_trees_for_publishers(topology)
+        shared = _RouterSet(topology, tables, trees, engine, backend, shared=True)
+        private = _RouterSet(topology, tables, trees, engine, backend)
+        oracle = _RouterSet(topology, tables, trees)
+        assert len({id(r.matcher) for r in shared.routers.values()}) == 1
+        brokers, roots = topology.brokers(), sorted(trees)
+        live = []
+        for _ in range(data.draw(st.integers(min_value=3, max_value=14))):
+            op = data.draw(
+                st.sampled_from(["add", "add", "remove", "route", "batch", "local", "links"])
+            )
+            if op == "add":
+                specs = data.draw(predicate_specs)
+                tests = {
+                    name: EqualityTest(value)
+                    for name, value in zip(SCHEMA.names, specs)
+                    if value is not None
+                }
+                subscription = Subscription(
+                    Predicate(SCHEMA, tests),
+                    data.draw(st.sampled_from(topology.subscribers())),
+                )
+                live.append(subscription.subscription_id)
+                for routers in (shared, private, oracle):
+                    routers.add(subscription)
+            elif op == "remove" and live:
+                victim = live.pop(data.draw(st.integers(0, len(live) - 1)))
+                for routers in (shared, private, oracle):
+                    routers.remove(victim)
+            elif op == "links":
+                a, b = data.draw(st.sampled_from(brokers)), data.draw(st.sampled_from(brokers))
+                if a == b:
+                    continue
+                if topology.has_link(a, b):
+                    removed = topology.remove_link(a, b)
+                    if not topology.is_connected():  # keep every subscriber reachable
+                        topology.add_link(a, b, latency_ms=removed.latency_ms)
+                        continue
+                else:
+                    topology.add_link(a, b, latency_ms=15.0)
+                for tree in trees.values():
+                    tree.repair()
+                for table in tables.values():
+                    table.repair()
+                for broker in brokers:
+                    assert len(
+                        {
+                            routers.routers[broker].rebuild_links(tables[broker], trees)
+                            for routers in (shared, private, oracle)
+                        }
+                    ) == 1
+            else:
+                broker = data.draw(st.sampled_from(brokers))
+                ours, theirs = shared.routers[broker], private.routers[broker]
+                batch = [
+                    Event.from_tuple(SCHEMA, values)
+                    for values in data.draw(st.lists(events, min_size=1, max_size=4))
+                ]
+                if op == "local":
+                    for a, b in zip(
+                        ours.match_locally_batch(batch), theirs.match_locally_batch(batch)
+                    ):
+                        assert a.steps == b.steps
+                        assert sorted(s.subscription_id for s in a.subscriptions) == sorted(
+                            s.subscription_id for s in b.subscriptions
+                        )
+                    continue
+                root = data.draw(st.sampled_from(roots))
+                if op == "route":
+                    got = [ours.route(event, root) for event in batch]
+                    want = [theirs.route(event, root) for event in batch]
+                else:
+                    got, want = ours.route_batch(batch, root), theirs.route_batch(batch, root)
+                assert [decision_fields(d) for d in got] == [decision_fields(d) for d in want]
+                assert [(d.forward_to, d.deliver_to) for d in got] == [
+                    (d.forward_to, d.deliver_to)
+                    for d in oracle.routers[broker].route_batch(batch, root)
+                ]
+        # Whatever the history, every broker agrees with its private twin on
+        # every event of the (tiny) event space, from every root.
+        everything = [
+            Event.from_tuple(SCHEMA, (a, b, c)) for a in DOMAIN for b in DOMAIN for c in DOMAIN
+        ]
+        for broker in brokers:
+            for root in roots:
+                got, want, truth = (
+                    routers.routers[broker].route_batch(everything, root)
+                    for routers in (shared, private, oracle)
+                )
+                assert [decision_fields(d) for d in got] == [decision_fields(d) for d in want]
+                assert [(d.forward_to, d.deliver_to) for d in got] == [
+                    (d.forward_to, d.deliver_to) for d in truth
+                ]

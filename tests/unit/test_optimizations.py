@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from repro.errors import SubscriptionError
+from repro.errors import RoutingError, SubscriptionError
 from repro.matching import Event, FactoredMatcher, ParallelSearchTree, SearchDag, build_pst
+from repro.matching.compile import compile_tree
 from tests.conftest import make_subscription
 
 DOMAINS = {f"a{i}": [0, 1, 2] for i in range(1, 6)}
@@ -127,6 +128,100 @@ class TestFactoredMatcher:
         matcher = FactoredMatcher(schema5, ["a1"], DOMAINS)
         event = Event.from_tuple(schema5, (0, 0, 0, 0, 0))
         assert matcher.match(event).steps == 1  # empty matcher: lookup only
+
+
+class TestPerSubtreeStaleness:
+    """A subscription change costs the sub-trees it maps to: only their
+    versions move, only they are re-spliced and re-lowered."""
+
+    def test_a_change_moves_only_its_keys(self, schema5):
+        matcher = FactoredMatcher(schema5, ["a1"], DOMAINS, engine="compiled")
+        for value in range(3):
+            matcher.insert(make_subscription(schema5, f"a1={value} & a2=1", "alice"))
+        programs = {key: matcher.program_for(key) for key, _ in matcher.trees()}
+        versions = {key: matcher.version_of(key) for key in programs}
+        mutations = matcher.mutations
+        late = make_subscription(schema5, "a1=1 & a3=2", "bob")
+        matcher.insert(late)
+        assert matcher.mutations == mutations + 1
+        for key, program in programs.items():
+            touched = key == (1,)
+            assert (matcher.program_for(key) is not program) == touched
+            assert (matcher.version_of(key) != versions[key]) == touched
+        matcher.remove(late.subscription_id)
+        assert matcher.version_of((1,)) > versions[(1,)] + 1  # never reused
+        assert matcher.program_for((0,)) is programs[(0,)]
+
+    def test_program_is_lowered_from_the_compacted_tree(self, schema5):
+        """``program_for`` compacts first: the star-only index level a
+        relaxed insert leaves is spliced before lowering, so the program
+        and the tree agree on steps."""
+        matcher = FactoredMatcher(schema5, ["a1"], DOMAINS, engine="compiled")
+        matcher.insert(make_subscription(schema5, "a1=1 & a5=2", "alice"))
+        event = Event.from_tuple(schema5, (1, 0, 0, 0, 2))
+        program = matcher.program_for((1,))
+        tree = dict(matcher.trees())[(1,)]
+        assert program.match(event).steps == tree.match(event).steps == 2
+        assert matcher.match(event).steps == 3  # + the index lookup
+
+    def test_membership(self, schema5):
+        matcher = FactoredMatcher(schema5, ["a1"], DOMAINS)
+        sub = make_subscription(schema5, "a3=2", "alice")
+        matcher.insert(sub)
+        assert sub.subscription_id in matcher
+        matcher.remove(sub.subscription_id)
+        assert sub.subscription_id not in matcher
+
+
+class TestAnnotatedViews:
+    """``CompiledProgram.annotated_view``: one structure, N annotations."""
+
+    @pytest.fixture
+    def program(self, schema5):
+        tree = ParallelSearchTree(schema5, domains=DOMAINS)
+        tree.insert(make_subscription(schema5, "a1=1 & a2=1", "alice"))
+        tree.insert(make_subscription(schema5, "a1=1", "bob"))
+        tree.insert(make_subscription(schema5, "a3=2", "carol"))
+        return compile_tree(tree), tree
+
+    def test_views_do_not_see_each_others_annotations(self, program, schema5):
+        program, _tree = program
+        # Two brokers, two link layouts: alice/bob/carol behind links 0/1/2
+        # of a 3-link broker, all behind link 0 of a 1-link broker.
+        wide = program.annotated_view(3, lambda s: "abc".index(s.subscriber[0]))
+        narrow = program.annotated_view(1, lambda s: 0)
+        for slot in ("_records", "value_tables", "subs_flat", "value_ids", "index_of_node"):
+            assert getattr(wide, slot) is getattr(program, slot) is getattr(narrow, slot)
+        assert wide.ann_yes is not narrow.ann_yes is not program.ann_yes
+        assert not program.annotated, "a view never annotates its base"
+        event = Event.from_tuple(schema5, (1, 1, 0, 0, 0))
+        assert wide.match_links(event, 0, 0b111)[0] == 0b011
+        assert narrow.match_links(event, 0, 0b1)[0] == 0b1
+        miss = Event.from_tuple(schema5, (0, 0, 0, 0, 0))
+        assert wide.match_links(miss, 0, 0b111)[0] == 0
+        assert [s.subscriber for s in wide.match(event).subscriptions] == [
+            s.subscriber for s in program.match(event).subscriptions
+        ]
+
+    def test_reannotating_one_view_leaves_the_other_alone(self, program):
+        program, _tree = program
+        first = program.annotated_view(2, lambda s: 0)
+        second = program.annotated_view(2, lambda s: 1)
+        second.backend_state["scratch"] = object()
+        before = (second.generation, dict(second.backend_state), list(second.ann_yes))
+        first.annotate(2, lambda s: 1)
+        assert first.generation == 2 and first.ann_yes == second.ann_yes
+        assert (second.generation, second.backend_state, second.ann_yes) == before
+        assert program.generation == 0 and not program.backend_state
+
+    def test_patch_through_a_view_is_refused(self, program, schema5):
+        program, tree = program
+        view = program.annotated_view(1, lambda s: 0)
+        late = make_subscription(schema5, "a1=2", "dave")
+        tree.insert(late)
+        with pytest.raises(RoutingError, match="view"):
+            view.patch(tree, late.predicate)
+        assert program.patch(tree, late.predicate)  # the owner still can
 
 
 class TestSearchDag:

@@ -150,6 +150,40 @@ class TestMatchFirst:
         assert decisions["B0"].deliveries == []
 
 
+    @pytest.mark.parametrize("factoring", [None, ["a1"]])
+    def test_one_matcher_serves_every_publisher_broker(self, diamond_topology, factoring):
+        """Match-first only ever runs the full match, which does not depend
+        on where it runs: one matcher, no router (link table, masks, private
+        subscription copy) per spanning-tree root — and the same destination
+        list and step count a router's ``match_locally`` reports."""
+        from repro.matching.optimizations import FactoredMatcher
+        from tests.unit.test_router import router_for
+
+        subscriptions = [
+            make_subscription(SCHEMA2, expression, subscriber)
+            for subscriber, expression in [("c.B1", "a1=1"), ("c.B3", "a1=1 & a2=0"), ("c.B2", "*")]
+        ]
+        domains = {"a1": [0, 1], "a2": [0, 1]}
+        context = ProtocolContext(
+            diamond_topology, SCHEMA2, subscriptions, domains=domains,
+            factoring_attributes=factoring,
+        )
+        protocol = MatchFirstProtocol(context)
+        assert isinstance(protocol._matcher, FactoredMatcher) == bool(factoring)
+        assert not hasattr(protocol, "_matchers")
+        event = Event.from_tuple(SCHEMA2, (1, 0))
+        for root in ("B0", "B3"):  # both publisher-hosting brokers
+            router = router_for(
+                diamond_topology, root, SCHEMA2, domains=domains, factoring_attributes=factoring
+            )
+            for subscription in subscriptions:
+                router.add_subscription(subscription)
+            local = router.match_locally(event)
+            decision = protocol.handle(root, protocol.make_message(event, root))
+            assert decision.matching_steps == local.steps
+            assert decision.destination_entries == len(local.subscribers) == 3
+
+
 class TestProtocolEquivalence:
     def test_all_protocols_deliver_the_same_matched_set(self, diamond_topology):
         import random

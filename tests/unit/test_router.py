@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ContentRouter
-from repro.errors import RoutingError
-from repro.matching import Event
+from repro.core.router import factored_matcher_for
+from repro.errors import RoutingError, SubscriptionError
+from repro.matching import Event, uniform_schema
 from repro.network import RoutingTable, spanning_trees_for_publishers
 from tests.conftest import make_subscription
 
@@ -168,8 +169,8 @@ class TestFactoredRouter:
             router.add_subscription(make_subscription(schema5, f"a1={value} & a2=1", "c1"))
         decision = router.route(Event.from_tuple(schema5, (1, 1, 0, 0, 0)), "B0")
         assert decision.forward_to == ["B1"]
-        assert router._programs, "the route must have compiled link programs"
-        assert {p.backend.name for p in router._programs.values()} == {"vector"}
+        assert router._subtrees, "the route must have annotated link programs"
+        assert {view.backend.name for _, view in router._subtrees.values()} == {"vector"}
 
     def test_local_matching(self, two_broker_topology, schema5):
         router = router_for(two_broker_topology, "B0", schema5)
@@ -177,3 +178,165 @@ class TestFactoredRouter:
         router.add_subscription(make_subscription(schema5, "a1=1", "c1"))
         result = router.match_locally(Event.from_tuple(schema5, (1, 0, 0, 0, 0)))
         assert {s.subscriber for s in result.subscriptions} == {"c0", "c1"}
+
+
+def shared_routers(topology, schema, **kwargs):
+    """One router per broker, all annotating one FactoredMatcher."""
+    options = dict(domains=DOMAINS, factoring_attributes=["a1"], **kwargs)
+    matcher = factored_matcher_for(schema, **options)
+    routers = {
+        broker: router_for(topology, broker, schema, matcher=matcher, **options)
+        for broker in topology.brokers()
+    }
+    return matcher, routers
+
+
+def tell(matcher, routers, subscription):
+    matcher.insert(subscription)
+    for router in routers.values():
+        router.add_subscription(subscription)
+
+
+class TestSharedMatcher:
+    """One subscription replica per process: N routers annotate one
+    FactoredMatcher (see also the shared == private property in
+    tests/property/test_prop_routing.py)."""
+
+    def test_routers_share_structure_and_own_annotations(self, diamond_topology, schema5):
+        matcher, routers = shared_routers(diamond_topology, schema5)
+        tell(matcher, routers, make_subscription(schema5, "a1=1 & a2=1", "c.B3"))
+        event = Event.from_tuple(schema5, (1, 1, 0, 0, 0))
+        assert routers["B0"].route(event, "B0").forward_to == ["B1"]
+        assert routers["B1"].route(event, "B0").forward_to == ["B3"]
+        assert routers["B3"].route(event, "B0").deliver_to == ["c.B3"]
+        assert routers["B2"].route(event, "B0").forward_to == []
+        views = [router._subtrees[(1,)][1] for router in routers.values()]
+        program = matcher.program_for((1,))
+        assert all(view._base is program for view in views)
+        assert all(view._records is program._records for view in views)
+        assert len({id(view.ann_yes) for view in views}) == len(views)
+
+    def test_a_replaced_program_is_never_routed_on(self, diamond_topology, schema5):
+        matcher, routers = shared_routers(diamond_topology, schema5)
+        tell(matcher, routers, make_subscription(schema5, "a1=1 & a2=1", "c.B3"))
+        tell(matcher, routers, make_subscription(schema5, "a1=2", "c.B1"))
+        event = Event.from_tuple(schema5, (1, 2, 0, 0, 0))
+        assert routers["B0"].route(event, "B0").forward_to == []
+        untouched = routers["B0"]._subtrees[(2,)]
+        stale = matcher.program_for((1,))
+        # The owner mutates the shared matcher; B0 is not even told — its
+        # next route must still follow the program the matcher holds *now*.
+        matcher.insert(make_subscription(schema5, "a1=1 & a2=2", "c.B2"))
+        assert routers["B0"].route(event, "B0").forward_to == ["B2"]
+        fresh = matcher.program_for((1,))
+        assert fresh is not stale
+        assert routers["B0"]._subtrees[(1,)][1]._base is fresh
+        assert routers["B0"]._subtrees[(2,)] is untouched, "only the touched key re-annotates"
+
+    def test_emptied_subtree_is_dropped(self, two_broker_topology, schema5):
+        matcher, routers = shared_routers(two_broker_topology, schema5)
+        subscription = make_subscription(schema5, "a1=1", "c1")
+        tell(matcher, routers, subscription)
+        event = Event.from_tuple(schema5, (1, 0, 0, 0, 0))
+        assert routers["B0"].route(event, "B0").forward_to == ["B1"]
+        matcher.remove(subscription.subscription_id)
+        for router in routers.values():
+            assert router.remove_subscription(subscription.subscription_id) is None
+        decision = routers["B0"].route(event, "B0")
+        assert (decision.forward_to, decision.steps) == ([], 1)
+        assert not routers["B0"]._subtrees
+
+    def test_duplicate_and_unknown_raise_once_at_the_owner(self, two_broker_topology, schema5):
+        matcher, routers = shared_routers(two_broker_topology, schema5)
+        subscription = make_subscription(schema5, "a1=1", "c1")
+        tell(matcher, routers, subscription)
+        epochs = [router.subscription_epoch for router in routers.values()]
+        with pytest.raises(SubscriptionError):
+            tell(matcher, routers, subscription)
+        with pytest.raises(SubscriptionError):
+            matcher.remove(subscription.subscription_id + 1000)
+        assert [router.subscription_epoch for router in routers.values()] == epochs
+
+    def test_sharing_router_fails_closed_on_a_diverged_matcher(
+        self, two_broker_topology, schema5
+    ):
+        matcher, routers = shared_routers(two_broker_topology, schema5)
+        router = routers["B0"]
+        stranger = make_subscription(schema5, "a1=1", "c1")
+        with pytest.raises(SubscriptionError, match="not in the shared matcher"):
+            router.add_subscription(stranger)
+        tell(matcher, routers, stranger)
+        with pytest.raises(SubscriptionError, match="still in the shared matcher"):
+            router.remove_subscription(stranger.subscription_id)
+        assert router.subscription_epoch == 1  # neither refusal moved the epoch
+
+    def test_matcher_of_another_engine_is_refused(self, two_broker_topology, schema5):
+        matcher = factored_matcher_for(
+            schema5, domains=DOMAINS, factoring_attributes=["a1"], engine="tree"
+        )
+        with pytest.raises(RoutingError, match="another engine"):
+            router_for(
+                two_broker_topology, "B0", schema5, domains=DOMAINS,
+                factoring_attributes=["a1"], matcher=matcher,
+            )
+
+    def test_cut_off_subscriber_is_indexed_with_no_link(self, diamond_topology, schema5):
+        """A shared matcher holds a subscription whose subscriber one broker
+        cannot reach; that broker lights no link for it."""
+        matcher, routers = shared_routers(diamond_topology, schema5)
+        subscription = make_subscription(schema5, "a1=1", "c.B3")
+        matcher.insert(subscription)
+        router = routers["B0"]
+        del router.links._position_of["c.B3"]  # as after a failure cut it off
+        with pytest.raises(RoutingError):
+            router.add_subscription(subscription)  # the protocol defers it
+        decision = router.route(Event.from_tuple(schema5, (1, 0, 0, 0, 0)), "B0")
+        assert (decision.forward_to, decision.deliver_to) == ([], [])
+
+
+class TestChurnCostIsPerSubtree:
+    """Counts, not clocks: after one subscription change on a warm matcher
+    shared by N routers, each touched sub-tree is lowered once and annotated
+    once per router; untouched sub-trees cost nothing."""
+
+    def test_one_insert_recompiles_and_reannotates_its_keys_only(
+        self, diamond_topology, live_registry, monkeypatch
+    ):
+        from repro.matching.compile import CompiledProgram
+
+        schema = uniform_schema(4)
+        domains = {name: list(range(6)) for name in schema.names}
+        options = dict(domains=domains, factoring_attributes=["a1", "a2"])
+        matcher = factored_matcher_for(schema, **options)
+        routers = {
+            broker: router_for(diamond_topology, broker, schema, matcher=matcher, **options)
+            for broker in diamond_topology.brokers()
+        }
+        for a in range(6):
+            for b in range(6):
+                tell(matcher, routers, make_subscription(schema, f"a1={a} & a2={b} & a3=1", "c.B3"))
+        warm = Event.from_tuple(schema, (0, 0, 1, 0))
+        for router in routers.values():
+            router.route(warm, "B0")
+        compiles = live_registry.counter("engine.factored.compiles", engine="factored-compiled")
+        assert len(list(matcher.trees())) == 36 and compiles.value == 36
+
+        annotations = []
+        annotate = CompiledProgram.annotate
+
+        def recording_annotate(program, *args):
+            annotations.append(program)
+            annotate(program, *args)
+
+        monkeypatch.setattr(CompiledProgram, "annotate", recording_annotate)
+        # a1 pinned, a2 free: 6 in-domain keys + the out-of-domain bucket.
+        added = make_subscription(schema, "a1=2 & a4=3", "c.B1")
+        tell(matcher, routers, added)
+        keys = matcher._keys_for(added)
+        assert len(keys) == 7
+        for router in routers.values():
+            router.route(warm, "B0")
+            router.route(warm, "B0")
+        assert compiles.value == 36 + len(keys)
+        assert len(annotations) == len(keys) * len(routers)
+        assert len({id(view) for view in annotations}) == len(annotations)
