@@ -11,27 +11,22 @@ baseline:
 ``compression``
     Registered subscriptions per compiled leaf (``engine.compression_ratio``).
 
-``program_cells`` / ``cells_per_sub``
+``program_cells`` / ``cells_per_sub`` (table: ``cells`` = ``inner`` +
+``covered``)
     Compiled-program memory proxy: ``node_count + len(subs_flat) +
-    len(value_ids) + len(range_tests)`` of the inner program.  Sub-linear
-    growth — ``cells_per_sub`` falling as counts rise — is the whole point:
-    the arrays track *distinct* predicates while the duplicated pool keeps
-    handing out repeats.
+    len(value_ids) + len(range_tests)`` summed over the aggregated engine's
+    two programs — the roots' (``inner_cells``) and the covered groups'
+    (``covered_cells``).  Sub-linear growth — ``cells_per_sub`` falling as
+    counts rise — is the whole point: the arrays track *distinct* predicates
+    while the duplicated pool keeps handing out repeats.
 
 ``per_event_us`` / ``speedup`` (table: ``agg_us`` / ``base_us``)
-    *Replayed*-stream per-event matching time against the unaggregated
-    compiled baseline at the same count: the same ``--events`` events
-    matched ``--repeats`` times, best kept — so the aggregated side answers
-    from a warm descent cache while the baseline (which remembers nothing)
-    walks its program.  The baseline is skipped above ``--baseline-limit``
-    (building a million-subscription unaggregated program exists to be
-    avoided, not timed).
-
-``cold_per_event_us`` / ``cold_speedup`` (table: ``agg_cold`` / ``base_cold``)
-    The same two engines over one pass of :data:`COLD_EVENTS` *fresh* events
-    (drawn after the replayed sample, never seen by either engine): every
-    descent-cache probe misses, so this is what aggregation costs on a
-    stream that does not repeat.
+    Per-event matching time against the unaggregated compiled baseline at
+    the same count: ``--events`` events matched ``--repeats`` times, best
+    kept.  Neither engine remembers an event, so every pass costs what a
+    stream of fresh events costs.  The baseline is skipped above
+    ``--baseline-limit`` (building a million-subscription unaggregated
+    program exists to be avoided, not timed).
 
 ``ingest_subs_per_s`` / ``mean_cover_candidates``
     Ingest throughput of the insert loop and the mean number of
@@ -52,8 +47,7 @@ point compresses by X), ``--check-sublinear`` (exit 1 unless
 ``cells_per_sub`` falls from the first sweep point to the last),
 ``--max-slowdown X`` (exit 1 unless, on a *dedup-free* workload where
 aggregation can only add overhead, the aggregated engine stays within X of
-the baseline per event — on the **replayed** column; the cold ratio is
-printed beside it, not gated), and ``--min-ingest-speedup X`` (exit 1 unless
+the baseline per event), and ``--min-ingest-speedup X`` (exit 1 unless
 the covering index beats the linear-scan attach by X at ``--ingest-count``
 subscriptions with equal-or-better compression).
 """
@@ -74,9 +68,6 @@ from repro.workload import CHART1_SPEC, EventGenerator, SubscriptionGenerator
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 RESULTS_PATH = RESULTS_DIR / "aggregation_scaling.txt"
 
-#: Fresh events of the single cold pass.
-COLD_EVENTS = 2000
-
 
 def build_engine(subscriptions, *, aggregate, cover_scan_limit, use_index=True):
     spec = CHART1_SPEC
@@ -92,9 +83,8 @@ def build_engine(subscriptions, *, aggregate, cover_scan_limit, use_index=True):
 
 
 def program_cells(engine):
-    """Memory proxy: total compiled-array entries of the inner program."""
-    inner = engine.inner if isinstance(engine, AggregatingEngine) else engine
-    program = inner.program
+    """Memory proxy: compiled-array entries of one engine's program."""
+    program = engine.program
     return (
         program.node_count
         + len(program.subs_flat)
@@ -104,12 +94,7 @@ def program_cells(engine):
 
 
 def time_events(engine, events, repeats):
-    """Best seconds/event over ``repeats`` passes of the ``match`` stream.
-
-    With ``repeats > 1`` the first pass warms aggregation's descent cache
-    and best-of keeps a replayed pass; ``repeats=1`` over events the engine
-    has not seen is the cold number.
-    """
+    """Best seconds/event over ``repeats`` passes of the ``match`` stream."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -132,24 +117,22 @@ def run(counts, num_events, repeats, seed, dup_rate, cover_scan_limit,
 
     Each row:
     ``{subscriptions, compression, roots, forest_nodes, program_cells,
-    cells_per_sub, ingest_subs_per_s, mean_cover_candidates, per_event_us,
-    cold_per_event_us, baseline_per_event_us, baseline_cold_per_event_us,
-    speedup, cold_speedup}`` — the baseline ones ``None`` when the count
-    exceeds ``baseline_limit``.
+    inner_cells, covered_cells, cells_per_sub, ingest_subs_per_s,
+    mean_cover_candidates, per_event_us, baseline_per_event_us, speedup}`` —
+    the baseline ones ``None`` when the count exceeds ``baseline_limit``.
     """
     spec = CHART1_SPEC
     event_generator = EventGenerator(spec, seed=seed + 1)
     events = [event_generator.event_for() for _ in range(num_events)]
-    cold_events = [event_generator.event_for() for _ in range(COLD_EVENTS)]
 
     header = (
         f"{'subscriptions':>13} {'compression':>11} {'roots':>8} "
-        f"{'cells':>10} {'cells/sub':>9} {'ingest/s':>9} {'cands':>6} "
-        f"{'agg_us':>8} {'base_us':>8} {'speedup':>8} "
-        f"{'agg_cold':>8} {'base_cold':>9} {'cold':>8}"
+        f"{'cells':>10} {'inner':>8} {'covered':>8} {'cells/sub':>9} "
+        f"{'ingest/s':>9} {'cands':>6} "
+        f"{'agg_us':>8} {'base_us':>8} {'speedup':>8}"
     )
     lines = [
-        f"events={num_events} repeats={repeats} cold_events={COLD_EVENTS} "
+        f"events={num_events} repeats={repeats} "
         f"dup_rate={dup_rate} cover_scan_limit={cover_scan_limit} "
         f"baseline_limit={baseline_limit}",
         "",
@@ -171,23 +154,23 @@ def run(counts, num_events, repeats, seed, dup_rate, cover_scan_limit,
         ingest_s = time.perf_counter() - ingest_start
         engine.match(events[0])  # compile outside the timed region
         per_event = time_events(engine, events, repeats)
-        cold_per_event = time_events(engine, cold_events, 1)
-        cells = program_cells(engine)
+        inner_cells = program_cells(engine.inner)
+        covered_cells = program_cells(engine._covered)
+        cells = inner_cells + covered_cells
         row = {
             "subscriptions": count,
             "compression": engine.compression_ratio,
             "roots": engine.root_count,
             "forest_nodes": engine.forest_nodes,
             "program_cells": cells,
+            "inner_cells": inner_cells,
+            "covered_cells": covered_cells,
             "cells_per_sub": cells / count,
             "ingest_subs_per_s": count / ingest_s,
             "mean_cover_candidates": engine.mean_cover_candidates,
             "per_event_us": per_event * 1e6,
-            "cold_per_event_us": cold_per_event * 1e6,
             "baseline_per_event_us": None,
-            "baseline_cold_per_event_us": None,
             "speedup": None,
-            "cold_speedup": None,
         }
 
         if count <= baseline_limit:
@@ -196,24 +179,19 @@ def run(counts, num_events, repeats, seed, dup_rate, cover_scan_limit,
             )
             baseline.match(events[0])
             baseline_per_event = time_events(baseline, events, repeats)
-            baseline_cold = time_events(baseline, cold_events, 1)
             row["baseline_per_event_us"] = baseline_per_event * 1e6
-            row["baseline_cold_per_event_us"] = baseline_cold * 1e6
             row["speedup"] = baseline_per_event / per_event
-            row["cold_speedup"] = baseline_cold / cold_per_event
 
         rows.append(row)
         lines.append(
             f"{count:>13} {row['compression']:>10.2f}x {row['roots']:>8} "
-            f"{cells:>10} {row['cells_per_sub']:>9.3f} "
+            f"{cells:>10} {inner_cells:>8} {covered_cells:>8} "
+            f"{row['cells_per_sub']:>9.3f} "
             f"{row['ingest_subs_per_s']:>9,.0f} "
             f"{row['mean_cover_candidates']:>6.1f} "
             f"{per_event * 1e6:>8.1f} "
             f"{_baseline_cell(row['baseline_per_event_us'], 8)} "
-            f"{_baseline_cell(row['speedup'], 8, ratio=True)} "
-            f"{cold_per_event * 1e6:>8.1f} "
-            f"{_baseline_cell(row['baseline_cold_per_event_us'], 9)} "
-            f"{_baseline_cell(row['cold_speedup'], 8, ratio=True)}"
+            f"{_baseline_cell(row['speedup'], 8, ratio=True)}"
         )
     return rows, "\n".join(lines)
 
@@ -250,16 +228,11 @@ def ingest_speedup(count, seed, dup_rate, cover_scan_limit):
 
 
 def dedup_free_slowdown(count, num_events, repeats, seed, cover_scan_limit):
-    """Aggregated/baseline per-event ratios ``(replayed, cold)`` on a
-    duplicate-free workload.
+    """Aggregated/baseline per-event ratio on a duplicate-free workload.
 
-    With no duplicates to absorb, every subscription is its own root and
-    aggregation is pure overhead (canonicalization at insert, one descent
-    cache probe per event).  The ``--max-slowdown`` gate bounds the
-    *replayed* ratio — a warm descent cache against a baseline that walks
-    its program every time; the *cold* ratio (one pass over
-    :data:`COLD_EVENTS` fresh events, every probe a miss followed by the
-    inner match and an insert) is the honest worst case, reported beside it.
+    With no duplicates to absorb, aggregation can only add overhead
+    (canonicalization at insert, a second program walk per event for the
+    covered groups).  The ``--max-slowdown`` gate bounds this ratio.
     """
     spec = CHART1_SPEC
     subscriptions = SubscriptionGenerator(spec, seed=seed).subscriptions_for(
@@ -267,7 +240,6 @@ def dedup_free_slowdown(count, num_events, repeats, seed, cover_scan_limit):
     )
     event_generator = EventGenerator(spec, seed=seed + 1)
     events = [event_generator.event_for() for _ in range(num_events)]
-    cold_events = [event_generator.event_for() for _ in range(COLD_EVENTS)]
 
     aggregated = build_engine(
         subscriptions, aggregate=True, cover_scan_limit=cover_scan_limit
@@ -277,13 +249,9 @@ def dedup_free_slowdown(count, num_events, repeats, seed, cover_scan_limit):
     )
     aggregated.match(events[0])
     baseline.match(events[0])
-    replayed = time_events(aggregated, events, repeats) / time_events(
+    return time_events(aggregated, events, repeats) / time_events(
         baseline, events, repeats
     )
-    cold = time_events(aggregated, cold_events, 1) / time_events(
-        baseline, cold_events, 1
-    )
-    return replayed, cold
 
 
 def emit_bench(rows, args, directory, extra):
@@ -298,7 +266,6 @@ def emit_bench(rows, args, directory, extra):
             "seed": args.seed,
             "dup_rate": args.dup_rate,
             "cover_scan_limit": args.cover_scan_limit,
-            "cold_events": COLD_EVENTS,
             "baseline_limit": args.baseline_limit,
         },
         wall_clock_s=None,
@@ -350,9 +317,7 @@ def main(argv=None):
         "--max-slowdown", type=float, default=None, metavar="X",
         help="gate: exit 1 unless a dedup-free workload (duplicate_rate=0, "
         "smallest sweep count) keeps the aggregated engine within X of the "
-        "unaggregated baseline per event on the REPLAYED stream (warm "
-        "descent cache vs an uncached baseline); the cold ratio — one pass "
-        "over fresh events — is printed beside it and not gated",
+        "unaggregated baseline per event",
     )
     parser.add_argument(
         "--min-ingest-speedup", type=float, default=None, metavar="X",
@@ -376,16 +341,14 @@ def main(argv=None):
     extra = {}
     slowdown = None
     if args.max_slowdown is not None:
-        slowdown, cold_slowdown = dedup_free_slowdown(
+        slowdown = dedup_free_slowdown(
             min(args.counts), args.events, args.repeats, args.seed,
             args.cover_scan_limit,
         )
         extra["dedup_free_slowdown"] = slowdown
-        extra["dedup_free_slowdown_cold"] = cold_slowdown
         print(
             f"\ndedup-free overhead at {min(args.counts)} subscriptions: "
-            f"aggregated/baseline = {slowdown:.2f}x replayed (gated), "
-            f"{cold_slowdown:.2f}x cold ({COLD_EVENTS} fresh events, one pass)"
+            f"aggregated/baseline = {slowdown:.2f}x"
         )
 
     ingest_gate = None
@@ -447,14 +410,14 @@ def main(argv=None):
     if args.max_slowdown is not None:
         if slowdown > args.max_slowdown:
             print(
-                f"PERF GATE FAILED: dedup-free replayed slowdown "
+                f"PERF GATE FAILED: dedup-free slowdown "
                 f"{slowdown:.2f}x > {args.max_slowdown:.2f}x",
                 file=sys.stderr,
             )
             failed = True
         else:
             print(
-                f"perf gate passed: dedup-free replayed slowdown "
+                f"perf gate passed: dedup-free slowdown "
                 f"{slowdown:.2f}x <= {args.max_slowdown:.2f}x"
             )
     if args.min_ingest_speedup is not None:

@@ -3,7 +3,7 @@ protocols with reliable redelivery, connection manager, and pluggable
 transports (in-memory and TCP with a sender-thread pool)."""
 
 from repro.broker.client import BrokerClient, EventHandler, RequestFailed
-from repro.broker.codec import ByteReader, ByteWriter, decode_event, encode_event
+from repro.broker.codec import decode_event, encode_event
 from repro.broker.engine import MatchingEngine
 from repro.broker.event_log import EventLog
 from repro.broker.messages import MessageType, decode_message, encode_message
@@ -22,8 +22,6 @@ __all__ = [
     "BrokerClient",
     "BrokerNetworkConfig",
     "BrokerNode",
-    "ByteReader",
-    "ByteWriter",
     "ClientSession",
     "Connection",
     "EventHandler",

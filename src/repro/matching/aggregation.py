@@ -19,11 +19,11 @@ subscribers.
 
 **Incremental covering forest.**  Groups are linked into a forest by the
 covering relation (:func:`~repro.matching.subsumption.predicate_subsumes`):
-a group whose predicate is covered by another hangs *under* it and is not
-compiled at all — only forest roots have representatives in the inner
-engine.  Insert and remove are incremental: a new group descends from the
-covering root (demoting any siblings it covers), and removing the last
-member of a covering parent promotes its children back to compiled roots.
+a group whose predicate is covered by another hangs *under* it — only
+forest roots have representatives in the inner engine.  Insert and remove
+are incremental: a new group descends from the covering root (demoting any
+siblings it covers), and removing the last member of a covering parent
+promotes its children back to roots.
 No rebuild, ever.  Cover relations are found through an attribute-inverted
 index (:class:`~repro.matching.covering_index.CoveringIndex`): candidate
 predicates come from per-attribute posting lists and only candidates are
@@ -35,62 +35,44 @@ limit new groups simply become roots — covering is a best-effort
 ``use_index=False`` restores the bounded linear sibling scans (the
 benchmark baseline).
 
-**Compiled descent.**  Forest descent below a matched root interprets
-``canonical.matches`` per child — cheap for shallow bushes, measurable for
-hot roots with big subtrees.  Roots whose subtrees keep being walked on
-descent-cache misses (:data:`DEFAULT_SUBTREE_COMPILE_THRESHOLD` misses, at
-least :data:`DEFAULT_SUBTREE_MIN_SIZE` descendants) get their descendants
-lowered into a per-subtree mini-program via
-:func:`~repro.matching.compile.compile_subscriptions` — the same flat-array
-kernels (and vector backend) as top-level matching.  A flat match over all
-descendants returns exactly the interpreted pruned walk's groups: covering
-is transitive, so every descendant whose predicate accepts the event is
-reachable from the root.  Programs are invalidated on any structural churn
-of their subtree (attach, demotion, dissolve) and rebuilt only after the
-hit counter warms up again; membership-only churn leaves them alone.
+**Covered program.**  Covering is exact and transitive, so a covered
+group matches an event iff its own canonical predicate does: every covered
+group's representative lives in a second compiled engine, ``_covered``
+(same schema, attribute order, domains and backend as the inner engine),
+patched incrementally as groups are attached, demoted, promoted and
+dissolved.
 
-**Engine-boundary expansion.**  The inner engine matches over deduplicated
+**Engine-boundary expansion.**  Both engines match over deduplicated
 leaves; expansion back to subscriber sets happens here:
 
-* :meth:`AggregatingEngine.match` — matched representatives expand to their
-  group's members, then the forest descends into covered children, pruning
-  whole subtrees whose predicate rejects the event.  Steps are the inner
-  engine's (attributed to the covering leaf) plus one per child group
-  evaluated during descent (a compiled subtree contributes its program's
-  step count).
-* :meth:`AggregatingEngine.match_links` — the inner refinement runs over
-  the deduplicated leaves: each representative's leaf annotation is the
-  *union* of its members' link bits (the multi-position
-  ``LinkOfSubscriber`` contract of
-  :meth:`~repro.matching.compile.CompiledProgram.annotate`), so for forests
-  without covered children (pure deduplication) the inner mask is already
-  exact.  Covered descendants contribute their members' links through a
-  forest descent, intersected with the initialization mask's Maybe bits —
-  final masks are bit-for-bit the unaggregated engine's.
+* :meth:`AggregatingEngine.match` — the representatives both programs
+  match expand to their groups' members.  Steps are the inner program's
+  plus the covered program's (attributed to the deduplicated leaves).
+* :meth:`AggregatingEngine.match_links` — each refinement runs over
+  deduplicated leaves: a representative's leaf annotation is the *union*
+  of its members' link bits (the multi-position ``LinkOfSubscriber``
+  contract of :meth:`~repro.matching.compile.CompiledProgram.annotate`),
+  so each program turns exactly the Maybe links its matching groups owe
+  into Yes, and the OR of the two Yes sets is bit-for-bit the
+  unaggregated engine's final mask.
 
-Membership changes that leave the tree untouched (a dedup hit, removing one
-of several members) refresh the leaf annotation through the engines'
-``refresh_links`` path — a path re-annotation plus surgical cache repair,
-not a rebuild.  The descent cache is repaired the same way: churn evicts
-only the entries whose event satisfies the churned group's canonical
-predicate (every entry containing — or now owed — that group keys an event
-its canonical accepts), falling back to a wholesale flush only past
-:data:`DESCENT_REPAIR_SCAN_LIMIT` entries.  Everything downstream — trit
-annotations, batching, and both kernel backends — runs unchanged over the
-compressed program.
+Membership changes that leave the forest untouched (a dedup hit, removing
+one of several members) refresh the leaf annotation through the owning
+engine's ``refresh_links`` path — a path re-annotation, not a rebuild.
+Everything downstream — trit annotations, batching, and both kernel
+backends — runs unchanged over the compressed programs.
 
 Observability: ``match.aggregation.compression_ratio`` (subscriptions per
 compiled leaf), ``match.aggregation.forest_nodes`` (live groups),
 ``match.aggregation.dedup_hits`` (inserts absorbed without touching the
 inner engine), ``match.aggregation.cover_scan_len`` (histogram of
-subsumption verifications per attach), ``match.aggregation.index_candidates``
-/ ``index_hits`` (index filter volume and precision), and
-``match.aggregation.subtree_compiles`` (descent mini-programs built).
+subsumption verifications per attach), and
+``match.aggregation.index_candidates`` / ``index_hits`` (index filter volume
+and precision).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SubscriptionError
@@ -98,11 +80,10 @@ from repro.core.annotation import LinkOfSubscriber
 from repro.core.link_matcher import LinkMatchResult
 from repro.core.trits import TritVector, pack_tritvector, unpack_tritvector
 from repro.matching.base import MatcherEngine
-from repro.matching.compile import CompiledProgram, compile_subscriptions
 from repro.matching.covering_index import CoveringIndex
 from repro.matching.engines import CompiledEngine
 from repro.matching.events import Event
-from repro.matching.predicates import Predicate, Subscription, value_tuple_test
+from repro.matching.predicates import Predicate, Subscription
 from repro.matching.pst import MatchResult
 from repro.matching.subsumption import canonical_test, predicate_subsumes
 from repro.obs import get_registry
@@ -115,106 +96,14 @@ from repro.obs import get_registry
 #: the forest shape.
 DEFAULT_COVER_SCAN_LIMIT = 512
 
-#: Entries in the descent cache (event values -> matching groups).  Churn
-#: repairs the cache surgically — see :data:`DESCENT_REPAIR_SCAN_LIMIT`.
-DESCENT_CACHE_CAPACITY = 4096
-
-#: Surgical descent-cache repair scans every cached key against the churned
-#: group's canonical predicate; past this many entries one wholesale flush
-#: is cheaper than the scan.
-DESCENT_REPAIR_SCAN_LIMIT = 2048
-
-#: Descent-cache misses that walk into a root's subtree before the subtree
-#: is compiled into a mini-program.  ``0`` disables compiled descent.
-DEFAULT_SUBTREE_COMPILE_THRESHOLD = 8
-
-#: Smallest subtree (descendant count) worth compiling; interpreting a
-#: couple of children is cheaper than a program dispatch.
-DEFAULT_SUBTREE_MIN_SIZE = 4
-
 #: Subscriber identity of the sentinel representatives registered with the
-#: inner engine.  Representatives never reach users: matching expands them
+#: compiled engines.  Representatives never reach users: matching expands them
 #: to members, ``subscriptions`` lists members only.
 REPRESENTATIVE_SUBSCRIBER = "<aggregate>"
 
 #: Histogram buckets for verifications-per-attach: indexed attaches cluster
 #: in the first few buckets, linear scans stretch toward the scan limit.
 _COVER_SCAN_BOUNDARIES = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
-
-
-class ProjectionCache:
-    """A bounded LRU from event value tuples to descent results.
-
-    The cache itself only orders and bounds entries.  Hit, miss, and flush
-    counts go to :mod:`repro.obs` as ``match.cache.hit`` / ``.miss`` /
-    ``.flush``, and a ``match.cache.residency`` gauge (entries/capacity)
-    makes cache pressure visible alongside the rates — all labelled
-    ``cache=aggregation``.
-    """
-
-    __slots__ = (
-        "capacity",
-        "_entries",
-        "_obs_hits",
-        "_obs_misses",
-        "_obs_flushes",
-        "_obs_residency",
-    )
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._entries: OrderedDict = OrderedDict()
-        registry = get_registry()
-        self._obs_hits = registry.counter("match.cache.hit", cache="aggregation")
-        self._obs_misses = registry.counter("match.cache.miss", cache="aggregation")
-        self._obs_flushes = registry.counter("match.cache.flush", cache="aggregation")
-        self._obs_residency = registry.gauge(
-            "match.cache.residency", cache="aggregation"
-        )
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key):
-        entry = self._entries.get(key)
-        if entry is None:
-            self._obs_misses.inc()
-            return None
-        self._entries.move_to_end(key)
-        self._obs_hits.inc()
-        return entry
-
-    def put(self, key, value) -> None:
-        entries = self._entries
-        entries[key] = value
-        entries.move_to_end(key)
-        if len(entries) > self.capacity:
-            entries.popitem(last=False)
-        self._obs_residency.set(len(entries) / self.capacity)
-
-    def evict_if(self, stale) -> int:
-        """Drop entries ``stale(key, value)`` flags; returns how many.
-
-        The surgical alternative to :meth:`flush`: the descent cache's keys
-        are stable across index mutations, so only entries a subscription
-        change actually touched go, the rest keep serving hits."""
-        entries = self._entries
-        doomed = [key for key, value in entries.items() if stale(key, value)]
-        for key in doomed:
-            del entries[key]
-        if doomed:
-            self._obs_residency.set(len(entries) / self.capacity)
-        return len(doomed)
-
-    def flush(self) -> int:
-        """Drop every entry; returns how many were resident.  Counted as a
-        flush event only when something was actually dropped."""
-        flushed = len(self._entries)
-        if flushed:
-            self._entries.clear()
-            self._obs_flushes.inc()
-            self._obs_residency.set(0.0)
-        return flushed
 
 
 def canonicalize_predicate(predicate: Predicate) -> Predicate:
@@ -248,24 +137,11 @@ class _Group:
     """One distinct canonical predicate: its members and forest links.
 
     ``representative`` is the sentinel subscription registered with the
-    inner engine *while the group is a root*; covered (non-root) groups are
-    not compiled at all and are reached by forest descent.  Roots with hot
-    subtrees additionally carry a compiled descent mini-program
-    (``subtree_program`` over every descendant's representative,
-    ``subtree_groups`` mapping those representative ids back to groups,
-    ``descent_hits`` counting cache-miss walks toward promotion).
+    inner engine while the group is a root and with the covered engine
+    while it is not.
     """
 
-    __slots__ = (
-        "canonical",
-        "representative",
-        "members",
-        "children",
-        "parent",
-        "subtree_program",
-        "subtree_groups",
-        "descent_hits",
-    )
+    __slots__ = ("canonical", "representative", "members", "children", "parent")
 
     def __init__(self, canonical: Predicate, subscription: Subscription) -> None:
         self.canonical = canonical
@@ -273,16 +149,13 @@ class _Group:
             canonical,
             REPRESENTATIVE_SUBSCRIBER,
             # Representatives draw from the global id counter like any other
-            # subscription (ids must be unique within the inner engine).
+            # subscription (ids must be unique within the compiled engines).
         )
         self.members: Dict[int, Subscription] = {
             subscription.subscription_id: subscription
         }
         self.children: List["_Group"] = []
         self.parent: Optional["_Group"] = None
-        self.subtree_program: Optional[CompiledProgram] = None
-        self.subtree_groups: Optional[Dict[int, "_Group"]] = None
-        self.descent_hits = 0
 
     def __repr__(self) -> str:
         return (
@@ -298,8 +171,8 @@ class AggregatingEngine(MatcherEngine):
     match sets, brute-force sets, and refined link masks are exactly the
     wrapped engine's *without* aggregation (the property suite in
     ``tests/property/test_prop_aggregation.py`` pins this down).  Step
-    counts are attributed to the deduplicated leaves: the inner engine's
-    count plus one step per covered group evaluated during forest descent.
+    counts are attributed to the deduplicated leaves: the inner program's
+    count plus the covered program's.
 
     Construct directly around an engine instance, or through
     :func:`~repro.matching.engines.create_engine` with ``aggregate=True``.
@@ -313,8 +186,6 @@ class AggregatingEngine(MatcherEngine):
         *,
         cover_scan_limit: int = DEFAULT_COVER_SCAN_LIMIT,
         use_index: bool = True,
-        subtree_compile_threshold: int = DEFAULT_SUBTREE_COMPILE_THRESHOLD,
-        subtree_min_size: int = DEFAULT_SUBTREE_MIN_SIZE,
     ) -> None:
         if not isinstance(inner, CompiledEngine):
             raise SubscriptionError(
@@ -324,30 +195,29 @@ class AggregatingEngine(MatcherEngine):
         self.inner = inner
         self.schema = inner.schema
         self.cover_scan_limit = cover_scan_limit
-        self.subtree_compile_threshold = subtree_compile_threshold
-        self.subtree_min_size = subtree_min_size
+        #: The covered groups' representatives, compiled like the roots'.
+        self._covered = CompiledEngine(
+            inner.schema,
+            attribute_order=inner.tree.attribute_order,
+            domains=inner.tree.domains,
+            backend=inner.backend_name,
+        )
         #: The attribute-inverted cover-candidate index; ``None`` in linear
         #: (``use_index=False``) mode.
         self._index: Optional[CoveringIndex] = CoveringIndex() if use_index else None
-        #: Kernel backend for descent mini-programs: the inner engine's.
-        self._descent_backend = inner.backend_name
         #: canonical predicate -> group, for every live group.
         self._groups: Dict[Predicate, _Group] = {}
         #: canonical predicate -> group, roots only (insertion-ordered).
         self._roots: Dict[Predicate, _Group] = {}
         #: member subscription_id -> owning group.
         self._group_of: Dict[int, _Group] = {}
-        #: representative subscription_id -> group (roots only).
+        #: representative subscription_id -> group, for every live group.
         self._rep_group: Dict[int, _Group] = {}
         self._num_links: Optional[int] = None
         self._link_of: Optional[LinkOfSubscriber] = None
-        self._descent_cache = ProjectionCache(DESCENT_CACHE_CAPACITY)
-        #: Instance knob so tests can force the flush fallback.
-        self._descent_repair_limit = DESCENT_REPAIR_SCAN_LIMIT
         self.dedup_hits = 0
         self.cover_probes = 0
         self.cover_candidates_total = 0
-        self.subtree_compiles = 0
         registry = get_registry()
         self._obs_dedup = registry.counter("match.aggregation.dedup_hits")
         self._obs_forest_nodes = registry.gauge("match.aggregation.forest_nodes")
@@ -359,9 +229,6 @@ class AggregatingEngine(MatcherEngine):
             "match.aggregation.index_candidates"
         )
         self._obs_index_hits = registry.counter("match.aggregation.index_hits")
-        self._obs_subtree_compiles = registry.counter(
-            "match.aggregation.subtree_compiles"
-        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -446,7 +313,6 @@ class AggregatingEngine(MatcherEngine):
             self._groups[canonical] = group
             self._group_of[subscription_id] = group
             self._attach(group)
-        self._repair_descent_cache(group)
         self._link_projection_insert(subscription)
         self._update_gauges()
 
@@ -460,7 +326,6 @@ class AggregatingEngine(MatcherEngine):
             self._membership_changed(group)
         else:
             self._dissolve(group)
-        self._repair_descent_cache(group)
         self._link_projection_remove(subscription_id)
         self._update_gauges()
         return subscription
@@ -468,7 +333,8 @@ class AggregatingEngine(MatcherEngine):
     def _attach(self, group: _Group) -> None:
         """Place a fresh group in the forest: descend from a covering root,
         demote any siblings the new predicate covers, and register the
-        representative with the inner engine iff the group lands at a root."""
+        representative with the inner engine if the group lands at a root,
+        with the covered engine otherwise."""
         if self._index is not None:
             self._attach_indexed(group)
             self._index.add(group, group.canonical)
@@ -597,242 +463,95 @@ class AggregatingEngine(MatcherEngine):
         self, group: _Group, parent: Optional[_Group], demoted: List[_Group]
     ) -> None:
         """Wire ``group`` under ``parent`` (root when ``None``), pulling the
-        ``demoted`` former siblings under it, and keep the inner engine and
-        subtree programs consistent."""
+        ``demoted`` former siblings under it, and register representatives
+        with the engine their new position calls for."""
         for sibling in demoted:
             if parent is None:
                 del self._roots[sibling.canonical]
                 self.inner.remove(sibling.representative.subscription_id)
-                del self._rep_group[sibling.representative.subscription_id]
+                self._covered.insert(sibling.representative)
             else:
                 parent.children.remove(sibling)
-            # An ex-root's mini-program covered *its* subtree; demoted it is
-            # no longer a descent entry point.
-            self._drop_subtree_program(sibling)
             sibling.parent = group
             group.children.append(sibling)
         group.parent = parent
+        self._rep_group[group.representative.subscription_id] = group
         if parent is None:
             self._roots[group.canonical] = group
-            self._register_root(group)
+            self.inner.insert(group.representative)
         else:
             parent.children.append(group)
-            # The enclosing root's compiled descent no longer sees every
-            # descendant; drop it and let the hit counter re-promote.
-            self._invalidate_root_program(group)
-
-    @staticmethod
-    def _root_of(group: _Group) -> _Group:
-        while group.parent is not None:
-            group = group.parent
-        return group
-
-    def _invalidate_root_program(self, group: _Group) -> None:
-        self._drop_subtree_program(self._root_of(group))
-
-    @staticmethod
-    def _drop_subtree_program(group: _Group) -> None:
-        group.subtree_program = None
-        group.subtree_groups = None
-        group.descent_hits = 0
-
-    def _register_root(self, group: _Group) -> None:
-        self._rep_group[group.representative.subscription_id] = group
-        self.inner.insert(group.representative)
+            self._covered.insert(group.representative)
 
     def _dissolve(self, group: _Group) -> None:
         """Remove an emptied group, promoting or reparenting its children."""
         del self._groups[group.canonical]
         if self._index is not None:
             self._index.remove(group)
+        representative_id = group.representative.subscription_id
+        del self._rep_group[representative_id]
         parent = group.parent
         if parent is None:
             del self._roots[group.canonical]
-            self.inner.remove(group.representative.subscription_id)
-            del self._rep_group[group.representative.subscription_id]
-            self._drop_subtree_program(group)
-            # Children lose their covering parent: each becomes a root and
-            # compiles its own representative (its subtree stays intact —
-            # covering within the subtree still holds).
+            self.inner.remove(representative_id)
+            # Children lose their covering parent: each becomes a root (its
+            # subtree stays intact — covering within the subtree still holds).
             for child in group.children:
                 child.parent = None
                 self._roots[child.canonical] = child
-                self._register_root(child)
+                self._covered.remove(child.representative.subscription_id)
+                self.inner.insert(child.representative)
         else:
             # A covered group's children are covered by the grandparent too
             # (covering is transitive), so they reattach one level up.
+            self._covered.remove(representative_id)
             parent.children.remove(group)
             for child in group.children:
                 child.parent = parent
                 parent.children.append(child)
-            self._invalidate_root_program(parent)
         group.children = []
 
     def _membership_changed(self, group: _Group) -> None:
         """After a membership-only change: refresh the compiled leaf's link
-        union in place.  Only roots have compiled leaves, and only bound
-        links have annotations to go stale."""
-        if group.parent is not None or self._link_of is None:
+        union in place, in whichever engine holds the representative.  Only
+        bound links have annotations to go stale."""
+        if self._link_of is None:
             return
-        self.inner.refresh_links(group.representative)
-
-    def _repair_descent_cache(self, group: _Group) -> None:
-        """Surgically repair the descent cache after churn touching
-        ``group``: an entry's group list (or its memoized expansions) is
-        stale only if the entry's event satisfies the churned group's
-        canonical predicate — every affected group (the churned one, its
-        demoted/promoted/reparented relatives) accepts a subset of those
-        events, and an entry contains a group iff the group's canonical
-        matches the entry's event.  Surviving entries keep their (possibly
-        stale) inner step counts.  Past :attr:`_descent_repair_limit`
-        entries a wholesale flush is cheaper than scanning every key."""
-        cache = self._descent_cache
-        if len(cache) == 0:
-            return
-        if len(cache) > self._descent_repair_limit:
-            cache.flush()
-            return
-        stale = value_tuple_test(group.canonical)
-        cache.evict_if(lambda key, _entry: stale(key))
+        engine = self.inner if group.parent is None else self._covered
+        engine.refresh_links(group.representative)
 
     def _update_gauges(self) -> None:
         self._obs_forest_nodes.set(len(self._groups))
         self._obs_compression.set(self.compression_ratio)
 
     def invalidate(self) -> None:
-        """Drop the inner engine's compiled form (forest state is exact and
+        """Drop both engines' compiled forms (forest state is exact and
         survives; the next match recompiles the deduplicated leaves)."""
-        self._descent_cache.flush()
         self.inner.invalidate()
+        self._covered.invalidate()
 
     # ------------------------------------------------------------------
     # Matching (expansion at the engine boundary)
 
-    def _subtree_program_for(self, root: _Group) -> Optional[CompiledProgram]:
-        """The root's compiled descent program, promoting on the way: each
-        cache-miss walk into the subtree bumps ``descent_hits``; past the
-        threshold the descendants are lowered into a mini-program (subtrees
-        below :attr:`subtree_min_size` reset the counter — dispatch would
-        cost more than interpreting a couple of children)."""
-        program = root.subtree_program
-        if program is not None:
-            return program
-        if self.subtree_compile_threshold <= 0:
-            return None
-        root.descent_hits += 1
-        if root.descent_hits < self.subtree_compile_threshold:
-            return None
-        descendants: List[_Group] = []
-        stack = list(root.children)
-        while stack:
-            child = stack.pop()
-            descendants.append(child)
-            stack.extend(child.children)
-        if len(descendants) < self.subtree_min_size:
-            root.descent_hits = 0
-            return None
-        return self._compile_subtree(root, descendants)
-
-    def _compile_subtree(
-        self, root: _Group, descendants: List[_Group]
-    ) -> CompiledProgram:
-        """Lower every descendant's representative into one flat program.
-        A flat match over all descendants equals the pruned interpreted
-        walk: covering is transitive, so a matching descendant's ancestors
-        match too and never prune it away."""
-        program = compile_subscriptions(
-            self.schema,
-            [child.representative for child in descendants],
-            backend=self._descent_backend,
-        )
-        root.subtree_program = program
-        root.subtree_groups = {
-            child.representative.subscription_id: child for child in descendants
-        }
-        self.subtree_compiles += 1
-        self._obs_subtree_compiles.inc()
-        return program
-
-    def _descend(self, event: Event, inner_result: Optional[MatchResult] = None):
-        """The matching *groups* for an event: the inner engine's matched
-        roots plus every covered descendant whose canonical predicate
-        accepts the event (one step per descendant evaluated; a rejecting
-        descendant prunes its whole subtree).  Hot subtrees run compiled
-        (:meth:`_subtree_program_for`) — the mini-program's matches and
-        step count stand in for the interpreted walk.
-
-        Served from a projection-keyed LRU (surgically repaired on churn —
-        see :meth:`_repair_descent_cache`): covering descent re-evaluates
-        predicates, so on warm Zipf event streams the cache is what keeps
-        the aggregated engine's per-event cost at the deduplicated leaves'
-        level.  Returns a mutable entry
-        ``[groups, inner_steps, descent_steps, members_memo, bits_memo]`` —
-        the memo slots start ``None`` and are filled lazily by
-        :meth:`_expand` / :meth:`_descendant_link_bits`.  Memoizing on the
-        entry is safe because churn evicts every entry whose event the
-        churned group accepts, so group membership is frozen for an entry's
-        lifetime.
-        """
-        key = event.as_tuple()
-        cached = self._descent_cache.get(key)
-        if cached is not None:
-            return cached
-        if inner_result is None:
-            inner_result = self.inner.match(event)
-        groups: List[_Group] = []
-        steps = 0
-        stack: List[_Group] = []
-        for representative in inner_result.subscriptions:
-            group = self._rep_group.get(representative.subscription_id)
-            if group is None:
-                raise SubscriptionError(
-                    f"inner engine returned non-representative {representative!r}"
-                )
-            groups.append(group)
-            if not group.children:
-                continue
-            program = self._subtree_program_for(group)
-            if program is not None:
-                result = program.match(event)
-                subtree_groups = group.subtree_groups
-                for matched in result.subscriptions:
-                    groups.append(subtree_groups[matched.subscription_id])
-                steps += result.steps
-            else:
-                stack.extend(group.children)
-        while stack:
-            child = stack.pop()
-            steps += 1
-            if child.canonical.matches(event):
-                groups.append(child)
-                stack.extend(child.children)
-        entry = [groups, inner_result.steps, steps, None, None]
-        self._descent_cache.put(key, entry)
-        return entry
-
-    @staticmethod
-    def _expand(entry) -> List[Subscription]:
-        """The entry's groups expanded to members, memoized on the entry so
-        a warm cache hit costs one probe, not a rebuild of the match set."""
-        matched = entry[3]
-        if matched is None:
-            matched = []
-            for group in entry[0]:
-                matched.extend(group.members.values())
-            entry[3] = matched
-        return matched
+    def _expand(self, roots: MatchResult, covered: MatchResult) -> MatchResult:
+        """The representatives both programs matched, expanded to their
+        groups' members; steps are the two programs' summed."""
+        rep_group = self._rep_group
+        matched: List[Subscription] = []
+        for representative in roots.subscriptions + covered.subscriptions:
+            matched.extend(rep_group[representative.subscription_id].members.values())
+        return MatchResult(matched, roots.steps + covered.steps)
 
     def match(self, event: Event) -> MatchResult:
-        entry = self._descend(event)
-        return MatchResult(self._expand(entry), entry[1] + entry[2])
+        return self._expand(self.inner.match(event), self._covered.match(event))
 
     def match_batch(self, events: Sequence[Event]) -> List[MatchResult]:
-        inner_results = self.inner.match_batch(events)
-        results: List[MatchResult] = []
-        for event, result in zip(events, inner_results):
-            entry = self._descend(event, result)
-            results.append(MatchResult(self._expand(entry), entry[1] + entry[2]))
-        return results
+        return [
+            self._expand(roots, covered)
+            for roots, covered in zip(
+                self.inner.match_batch(events), self._covered.match_batch(events)
+            )
+        ]
 
     # ------------------------------------------------------------------
     # Link matching (masks over the deduplicated leaves)
@@ -840,10 +559,9 @@ class AggregatingEngine(MatcherEngine):
     def bind_links(self, num_links: int, link_of_subscriber: LinkOfSubscriber) -> None:
         self._num_links = num_links
         self._link_of = link_of_subscriber
-        # Cached entries may carry link bits memoized under the old binding.
-        self._descent_cache.flush()
         self._invalidate_link_projection()
         self.inner.bind_links(num_links, self._links_of_representative)
+        self._covered.bind_links(num_links, self._links_of_representative)
 
     def _projection_link_of(self) -> Optional[LinkOfSubscriber]:
         """Digest projection maps *member* subscription ids (the globally
@@ -855,8 +573,8 @@ class AggregatingEngine(MatcherEngine):
     def _links_of_representative(
         self, representative: Subscription
     ) -> Union[int, Tuple[int, ...]]:
-        """The multi-position ``LinkOfSubscriber`` handed to the inner
-        engine: a deduplicated leaf lights the union of its members' links
+        """The multi-position ``LinkOfSubscriber`` handed to both engines: a
+        deduplicated leaf lights the union of its members' links
         (unreachable members contribute nothing)."""
         group = self._rep_group.get(representative.subscription_id)
         if group is None or self._link_of is None:
@@ -868,65 +586,36 @@ class AggregatingEngine(MatcherEngine):
                 positions.add(position)
         return tuple(sorted(positions))
 
-    def _descendant_link_bits(self, event: Event) -> Tuple[int, int]:
-        """Link bits owed by *covered* groups whose predicate matches the
-        event (roots' bits already live in the compiled leaf annotations).
-        Rides the cached descent and memoizes on its entry — on a repeated
-        event both the inner match and the forest walk are served from it.
-        Returns ``(link_bits, descent_steps)``."""
-        assert self._link_of is not None
-        entry = self._descend(event)
-        bits = entry[4]
-        if bits is None:
-            bits = 0
-            for group in entry[0]:
-                if group.parent is None:
-                    continue
-                for member in group.members.values():
-                    position = self._link_of(member)
-                    if position >= 0:
-                        bits |= 1 << position
-            entry[4] = bits
-        return bits, entry[2]
+    def _merge_links(
+        self, roots: LinkMatchResult, covered: LinkMatchResult
+    ) -> LinkMatchResult:
+        """Each refinement turned exactly the Maybe links its groups owe into
+        Yes, so the union of both Yes sets is the unaggregated final mask."""
+        assert self._num_links is not None
+        final_yes = pack_tritvector(roots.mask)[0] | pack_tritvector(covered.mask)[0]
+        return LinkMatchResult(
+            unpack_tritvector(final_yes, 0, self._num_links),
+            roots.steps + covered.steps,
+        )
 
     def match_links(
         self, event: Event, initialization_mask: TritVector
     ) -> LinkMatchResult:
-        result = self.inner.match_links(event, initialization_mask)
-        if len(self._groups) == len(self._roots):
-            # Pure deduplication (no covered groups): the inner refinement
-            # over the deduplicated leaves is already exact.
-            return result
-        assert self._num_links is not None
-        _yes_bits, maybe_bits = pack_tritvector(initialization_mask)
-        extra_bits, descent_steps = self._descendant_link_bits(event)
-        final_yes, _ = pack_tritvector(result.mask)
-        merged = final_yes | (extra_bits & maybe_bits)
-        return LinkMatchResult(
-            unpack_tritvector(merged, 0, self._num_links),
-            result.steps + descent_steps,
+        return self._merge_links(
+            self.inner.match_links(event, initialization_mask),
+            self._covered.match_links(event, initialization_mask),
         )
 
     def match_links_batch(
         self, events: Sequence[Event], initialization_mask: TritVector
     ) -> List[LinkMatchResult]:
-        results = self.inner.match_links_batch(events, initialization_mask)
-        if len(self._groups) == len(self._roots):
-            return results
-        assert self._num_links is not None
-        _yes_bits, maybe_bits = pack_tritvector(initialization_mask)
-        merged: List[LinkMatchResult] = []
-        for event, result in zip(events, results):
-            extra_bits, descent_steps = self._descendant_link_bits(event)
-            final_yes, _ = pack_tritvector(result.mask)
-            merged_yes = final_yes | (extra_bits & maybe_bits)
-            merged.append(
-                LinkMatchResult(
-                    unpack_tritvector(merged_yes, 0, self._num_links),
-                    result.steps + descent_steps,
-                )
+        return [
+            self._merge_links(roots, covered)
+            for roots, covered in zip(
+                self.inner.match_links_batch(events, initialization_mask),
+                self._covered.match_links_batch(events, initialization_mask),
             )
-        return merged
+        ]
 
     def __repr__(self) -> str:
         return (

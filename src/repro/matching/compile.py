@@ -797,23 +797,3 @@ def compile_tree(
     """
     return CompiledProgram(tree, backend=backend)
 
-
-def compile_subscriptions(
-    schema: EventSchema,
-    subscriptions: Sequence[Subscription],
-    *,
-    attribute_order: Optional[Sequence[str]] = None,
-    backend: Union[str, KernelBackend, None] = None,
-) -> CompiledProgram:
-    """Lower a bare subscription list straight into a compiled program.
-
-    The subtree-scoped constructor behind the aggregation layer's compiled
-    descent (:mod:`repro.matching.aggregation`): callers holding a set of
-    subscriptions but no tree — e.g. one covering root's descendant
-    representatives — get the same flat-array lowering and kernel surface
-    as a full engine without standing an engine up around it.
-    """
-    tree = ParallelSearchTree(schema, attribute_order=attribute_order)
-    for subscription in subscriptions:
-        tree.insert(subscription)
-    return CompiledProgram(tree, backend=backend)

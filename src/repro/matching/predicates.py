@@ -334,47 +334,6 @@ def normalize_tests(tests: Sequence[AttributeTest]) -> AttributeTest:
     )
 
 
-def value_tuple_test(predicate: "Predicate") -> Callable[[Tuple[AttributeValue, ...]], bool]:
-    """A fast ``values_tuple -> bool`` evaluator of ``predicate``.
-
-    Built for scan loops that test one predicate against many resident
-    value tuples — the surgical cache repair in the aggregating engine
-    runs it once per cached entry on every churn op.  The common
-    case — equality tests, which miss on the first compare for almost every
-    tuple — is plain tuple compares with no method calls; only genuinely
-    general tests (ranges, intervals) fall back to ``evaluate``.
-    Don't-cares accept everything and are skipped outright.
-
-    Tuples must be full event value tuples in schema order
-    (:meth:`~repro.matching.events.Event.as_tuple`).
-    """
-    equalities: list = []
-    general: list = []
-    for position, test in enumerate(predicate.tests):
-        if test.is_dont_care:
-            continue
-        if type(test) is EqualityTest:
-            equalities.append((position, test.value))
-        else:
-            general.append((position, test))
-    if not equalities:
-        return lambda values: all(test.evaluate(values[i]) for i, test in general)
-    (first_position, first_value), rest = equalities[0], equalities[1:]
-
-    def matches_values(values: Tuple[AttributeValue, ...]) -> bool:
-        if values[first_position] != first_value:
-            return False
-        for position, value in rest:
-            if values[position] != value:
-                return False
-        for position, test in general:
-            if not test.evaluate(values[position]):
-                return False
-        return True
-
-    return matches_values
-
-
 class Predicate:
     """A conjunction of per-attribute tests aligned to a schema.
 

@@ -144,7 +144,7 @@ def test_every_instrument_created_has_a_catalogue_row(live_registry):
     run_broker_chain(aggregate=True)
     created.update(instrument.name for _key, instrument in live_registry.instruments())
     # The scenarios must actually reach every instrumented layer.
-    for scope in ("engine.", "match.cache.", "match.aggregation.", "router.", "fabric.",
+    for scope in ("engine.", "match.aggregation.", "router.", "fabric.",
                   "protocol.link_matching.", "protocol.flooding.", "sim.fault.",
                   "sim.broker.", "broker."):
         assert any(name.startswith(scope) for name in created), scope

@@ -10,18 +10,20 @@ mask:
 * identical answers from the single and batched entry points.
 
 Step counts are deliberately **not** compared across aggregation on/off:
-the aggregated engine attributes steps to the deduplicated leaves plus the
-forest descent, which differs from the per-subscriber walk by design (the
-whole point is to do less work).
+the aggregated engine attributes steps to its two programs over
+deduplicated leaves (roots and covered groups), which differs from the
+per-subscriber walk by design (the whole point is to do less work).
 
 The small schema/domain makes duplicate predicate bodies and covering
 relations (a looser predicate subsuming a stricter one) arise constantly,
 so the generated sets exercise dedup groups, multi-level forests, and
 demotion at insert.  A seeded churn test drives inserts and removes —
 including removing the last member of covering parents, which must promote
-covered children back into the compiled program — so the descent cache's
-flush discipline and ``refresh_links`` repair are under test the whole
-time.
+covered children from the covered program into the inner one — so the
+partition of groups between the two programs and the ``refresh_links``
+repair are under test the whole time, and a twin engine that replays the
+same history without matching pins that answers (steps included) never
+depend on match history.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ class TestAggregationEquivalence:
     def test_match_sets_equal(self, specs, event_values):
         plain, aggregated = build_pair(make_subscriptions(specs))
         event = Event.from_tuple(SCHEMA, event_values)
-        for _ in range(2):  # second pass hits the descent cache
+        for _ in range(2):  # matching leaves no state behind
             assert_same_matches(plain, aggregated, event)
         # The forest never *loses* anyone: members partition over groups.
         assert aggregated.subscription_count == plain.subscription_count
@@ -126,7 +128,7 @@ class TestAggregationEquivalence:
         plain.bind_links(NUM_LINKS, link_of)
         aggregated.bind_links(NUM_LINKS, link_of)
         event = Event.from_tuple(SCHEMA, event_values)
-        for _ in range(2):  # warm pass exercises the memoized link bits
+        for _ in range(2):  # matching leaves no state behind
             assert (
                 aggregated.match_links(event, mask).mask
                 == plain.match_links(event, mask).mask
@@ -221,18 +223,55 @@ class TestIngestOrderInvariance:
         assert aggregated.subscription_count == plain.subscription_count
 
 
+def assert_partition(aggregated):
+    """The inner program holds exactly the roots' representatives, the
+    covered program exactly the other groups', and every representative
+    maps back to its group."""
+    groups = aggregated._groups.values()
+    roots = {g.representative.subscription_id for g in groups if g.parent is None}
+    covered = {g.representative.subscription_id for g in groups if g.parent is not None}
+    assert {s.subscription_id for s in aggregated.inner.subscriptions} == roots
+    assert {s.subscription_id for s in aggregated._covered.subscriptions} == covered
+    assert not roots & covered
+    assert set(aggregated._rep_group) == roots | covered
+
+
+def replay(history, *, backend):
+    """A fresh aggregated engine that saw ``history`` (inserts and removes)
+    and never matched anything."""
+    twin = create_engine(
+        "compiled", SCHEMA, domains=DOMAINS, backend=backend, aggregate=True
+    )
+    twin.bind_links(NUM_LINKS, link_of)
+    for operation, payload in history:
+        if operation == "insert":
+            twin.insert(clone(payload))
+        else:
+            twin.remove(payload)
+    return twin
+
+
 class TestChurnEquivalence:
-    def test_churn_compiled_inner(self):
+    @pytest.mark.parametrize("backend", ["interp", "vector"])
+    def test_churn_compiled_inner(self, backend):
         """Seeded insert/remove churn.  Removals target
         *all* live ids uniformly, so covering parents regularly lose their
         last member and must promote covered children back to compiled
-        roots mid-stream; every answer is checked immediately after."""
+        roots mid-stream; every answer is checked immediately after, against
+        the unaggregated engine (match sets, masks) and against a twin that
+        replayed the same history without matching in between (match sets,
+        masks *and* steps: answers must not depend on match history)."""
+        if backend == "vector":
+            pytest.importorskip("numpy")
         rng = random.Random(20260807)
-        plain = create_engine("compiled", SCHEMA, domains=DOMAINS)
-        aggregated = create_engine("compiled", SCHEMA, domains=DOMAINS, aggregate=True)
+        plain = create_engine("compiled", SCHEMA, domains=DOMAINS, backend=backend)
+        aggregated = create_engine(
+            "compiled", SCHEMA, domains=DOMAINS, backend=backend, aggregate=True
+        )
         plain.bind_links(NUM_LINKS, link_of)
         aggregated.bind_links(NUM_LINKS, link_of)
         live = {}
+        history = []
 
         def random_subscription():
             tests = {}
@@ -260,6 +299,7 @@ class TestChurnEquivalence:
                 roots_before = aggregated.root_count
                 plain.remove(subscription_id)
                 aggregated.remove(subscription_id)
+                history.append(("remove", subscription_id))
                 if aggregated.root_count > roots_before:
                     promotions_seen += 1  # a covering parent dissolved
             else:
@@ -267,15 +307,23 @@ class TestChurnEquivalence:
                 live[subscription.subscription_id] = subscription
                 plain.insert(subscription)
                 aggregated.insert(clone(subscription))
+                history.append(("insert", subscription))
+            assert_partition(aggregated)
             event = Event.from_tuple(
                 SCHEMA, tuple(rng.choice(DOMAIN) for _ in SCHEMA.names)
             )
             assert_same_matches(plain, aggregated, event)
             mask = TritVector(rng.choice([Y, M, N]) for _ in range(NUM_LINKS))
-            assert (
-                aggregated.match_links(event, mask).mask
-                == plain.match_links(event, mask).mask
+            links = aggregated.match_links(event, mask)
+            assert links.mask == plain.match_links(event, mask).mask
+            twin = replay(history, backend=backend)
+            ours, theirs = aggregated.match(event), twin.match(event)
+            assert sorted(s.subscription_id for s in ours.subscriptions) == sorted(
+                s.subscription_id for s in theirs.subscriptions
             )
+            assert ours.steps == theirs.steps
+            twin_links = twin.match_links(event, mask)
+            assert (links.mask, links.steps) == (twin_links.mask, twin_links.steps)
         assert aggregated.subscription_count == len(live)
         assert len(aggregated.subscriptions) == len(live)
         # The workload is built to dissolve covering parents; if this ever

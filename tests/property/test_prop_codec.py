@@ -4,17 +4,12 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.broker import (
-    ByteWriter,
-    decode_event,
-    decode_message,
-    encode_event,
-    encode_message,
-)
+from repro.broker import decode_event, decode_message, encode_event, encode_message
 from repro.broker import messages as wire
 from repro.errors import CodecError
 from repro.matching import AttributeType, Event, EventSchema
 from repro.matching.digest import MatchDigest
+from tests.byte_primitives import ByteWriter
 
 import pytest
 

@@ -14,11 +14,7 @@ import pytest
 from repro.core import M, TritVector
 from repro.errors import SubscriptionError
 from repro.matching import Event, Predicate, Subscription, uniform_schema
-from repro.matching.aggregation import (
-    AggregatingEngine,
-    ProjectionCache,
-    canonicalize_predicate,
-)
+from repro.matching.aggregation import AggregatingEngine, canonicalize_predicate
 from repro.matching.engines import CompiledEngine, TreeEngine, create_engine
 from repro.matching.predicates import EqualityTest, RangeOp, RangeTest
 
@@ -214,167 +210,68 @@ class TestLinearMode:
         assert indexed.compression_ratio == linear.compression_ratio
 
 
-class TestProjectionCache:
-    def test_lru_eviction_at_capacity(self):
-        cache = ProjectionCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh "a" so "b" is the LRU entry
-        cache.put("c", 3)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-
-    def test_hit_and_miss_counters(self, live_registry):
-        cache = ProjectionCache(4)
-        assert cache.get("missing") is None
-        cache.put("k", "v")
-        assert cache.get("k") == "v"
-        assert live_registry.counter("match.cache.hit", cache="aggregation").value == 1
-        assert live_registry.counter("match.cache.miss", cache="aggregation").value == 1
-
-    def test_flush_counts_only_when_resident(self, live_registry):
-        cache = ProjectionCache(4)
-        flushes = live_registry.counter("match.cache.flush", cache="aggregation")
-        assert cache.flush() == 0
-        assert flushes.value == 0
-        cache.put("k", "v")
-        assert cache.flush() == 1
-        assert flushes.value == 1
-
-    def test_residency_gauge_tracks_fill(self, live_registry):
-        cache = ProjectionCache(4)
-        gauge = live_registry.gauge("match.cache.residency", cache="aggregation")
-        cache.put("a", 1)
-        assert gauge.value == 0.25
-        cache.put("b", 2)
-        assert gauge.value == 0.5
-        cache.flush()
-        assert gauge.value == 0.0
-
-    def test_evict_if_drops_only_flagged_entries(self, live_registry):
-        cache = ProjectionCache(4)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)
-        assert cache.evict_if(lambda key, value: value % 2 == 1) == 2
-        assert cache.get("b") == 2
-        assert cache.get("a") is None
-        gauge = live_registry.gauge("match.cache.residency", cache="aggregation")
-        assert gauge.value == 0.25
-        # Nothing flagged: a no-op that reports zero.
-        assert cache.evict_if(lambda key, value: False) == 0
+def representative_ids(engine):
+    return {s.subscription_id for s in engine.subscriptions}
 
 
-class TestDescentCacheRepair:
-    def test_dedup_insert_evicts_only_matching_entries(self):
+class TestCoveredProgram:
+    """Covered groups match through a second compiled engine: demotion and
+    dissolution move representatives between the two programs."""
+
+    def test_demote_then_dissolve_moves_representatives(self):
         engine = make_engine()
-        engine.insert(sub("s0"))  # universal root
-        engine.insert(sub("s1", a1=EqualityTest(1)))  # covered group
-        hit, miss = event((1, 0, 0)), event((0, 0, 0))
-        engine.match(hit)
-        engine.match(miss)
-        assert len(engine._descent_cache) == 2
-        extra = sub("s2", a1=EqualityTest(1))
-        engine.insert(extra)  # dedup hit into the Eq(1) group
-        # Only the entry whose event satisfies Eq(1) is stale; the miss
-        # entry survives the surgical repair.
-        assert len(engine._descent_cache) == 1
-        assert extra.subscription_id in matched_ids(engine, hit)
+        engine.bind_links(NUM_LINKS, link_of)
+        left = sub("s1", a1=EqualityTest(0))
+        right = sub("s2", a1=EqualityTest(1))
+        engine.insert(left)
+        engine.insert(right)
+        groups = {s: engine._group_of[s.subscription_id] for s in (left, right)}
+        reps = {s: g.representative.subscription_id for s, g in groups.items()}
+        assert representative_ids(engine.inner) == set(reps.values())
+        assert representative_ids(engine._covered) == set()
+        cover = sub("s0")  # covers both roots and demotes them
+        engine.insert(cover)
+        cover_rep = engine._group_of[cover.subscription_id].representative
+        assert representative_ids(engine.inner) == {cover_rep.subscription_id}
+        assert representative_ids(engine._covered) == set(reps.values())
+        mask = TritVector([M] * NUM_LINKS)
+        assert [t.name for t in engine.match_links(event((1, 0, 0)), mask).mask] == [
+            "YES", "NO", "YES", "NO",
+        ]
+        engine.remove(cover.subscription_id)  # dissolve: children promoted
+        assert representative_ids(engine.inner) == set(reps.values())
+        assert representative_ids(engine._covered) == set()
+        assert cover_rep.subscription_id not in engine._rep_group
+        assert [t.name for t in engine.match_links(event((1, 0, 0)), mask).mask] == [
+            "NO", "NO", "YES", "NO",
+        ]
+        assert matched_ids(engine, event((0, 0, 0))) == [left.subscription_id]
 
-    def test_member_removal_reaches_surviving_stream(self):
-        engine = make_engine()
-        keep = sub("s0", a1=EqualityTest(1))
-        drop = sub("s1", a1=EqualityTest(1))
-        engine.insert(keep)
-        engine.insert(drop)
-        hit, miss = event((1, 0, 0)), event((0, 0, 0))
-        engine.match(hit)
-        engine.match(miss)
-        engine.remove(drop.subscription_id)
-        assert matched_ids(engine, hit) == [keep.subscription_id]
-        assert matched_ids(engine, miss) == []
+    def test_steps_do_not_depend_on_match_history(self):
+        """An engine that matched an event mid-history reports the same
+        answer *and step count* as one that never did."""
+        schema = uniform_schema(4)
+        domains = {name: [0, 1, 2] for name in schema.names}
+        probe = Event.from_tuple(schema, (1, 0, 0, 0))
 
-    def test_new_root_insert_evicts_entries_it_now_matches(self):
-        engine = make_engine()
-        engine.insert(sub("s0", a1=EqualityTest(0)))
-        ev = event((1, 0, 0))
-        assert matched_ids(engine, ev) == []
-        late = sub("s1", a1=EqualityTest(1))
-        engine.insert(late)
-        assert matched_ids(engine, ev) == [late.subscription_id]
+        def build(warm):
+            engine = AggregatingEngine(CompiledEngine(schema, domains=domains))
+            engine.insert(Subscription(Predicate(schema, {"a1": EqualityTest(1)}), "s0"))
+            engine.insert(Subscription(
+                Predicate(schema, {"a1": EqualityTest(0), "a2": EqualityTest(2)}), "s1"
+            ))
+            if warm:
+                engine.match(probe)
+            engine.insert(Subscription(Predicate(schema, {
+                "a1": EqualityTest(1), "a2": EqualityTest(0), "a3": EqualityTest(2),
+            }), "s2"))
+            return engine.match(probe)
 
-    def test_repair_limit_falls_back_to_flush(self):
-        engine = make_engine()
-        engine._descent_repair_limit = 0
-        engine.insert(sub("s0", a1=EqualityTest(1)))
-        engine.match(event((0, 0, 0)))  # non-matching entry cached
-        assert len(engine._descent_cache) == 1
-        engine.insert(sub("s1", a1=EqualityTest(2)))  # any churn now flushes
-        assert len(engine._descent_cache) == 0
-
-
-class TestCompiledDescent:
-    def _warm_engine(self, **kwargs):
-        engine = make_engine(
-            subtree_compile_threshold=2, subtree_min_size=1, **kwargs
-        )
-        engine.insert(sub("s0"))  # universal root
-        engine.insert(sub("s1", a1=EqualityTest(1)))
-        engine.insert(sub("s2", a2=EqualityTest(2)))
-        return engine
-
-    def test_hot_subtree_compiles_and_matches_identically(self):
-        engine = self._warm_engine()
-        # Distinct events: descent hits only accumulate on cache misses.
-        first = matched_ids(engine, event((1, 0, 0)))
-        assert engine.subtree_compiles == 0
-        second = matched_ids(engine, event((0, 2, 0)))
-        assert engine.subtree_compiles == 1
-        root = next(iter(engine._roots.values()))
-        assert root.subtree_program is not None
-        ids = {s.subscription_id for s in engine.subscriptions}
-        by_subscriber = {
-            s.subscriber: s.subscription_id for s in engine.subscriptions
-        }
-        assert set(first) == {by_subscriber["s0"], by_subscriber["s1"]}
-        assert set(second) == {by_subscriber["s0"], by_subscriber["s2"]}
-        # Compiled descent serves subsequent misses with the same answers.
-        third = matched_ids(engine, event((1, 2, 0)))
-        assert set(third) == ids
-
-    def test_structural_churn_invalidates_the_program(self):
-        engine = self._warm_engine()
-        matched_ids(engine, event((1, 0, 0)))
-        matched_ids(engine, event((0, 2, 0)))
-        assert engine.subtree_compiles == 1
-        late = sub("s3", a3=EqualityTest(0))
-        engine.insert(late)  # attaches under the universal root
-        root = next(iter(engine._roots.values()))
-        assert root.subtree_program is None
-        # The counter warms back up and the recompiled program sees s3.
-        matched = matched_ids(engine, event((2, 0, 0)))
-        matched = matched_ids(engine, event((2, 1, 0)))
-        assert engine.subtree_compiles == 2
-        assert late.subscription_id in matched
-
-    def test_threshold_zero_disables_compiled_descent(self):
-        engine = self._warm_engine()
-        engine.subtree_compile_threshold = 0
-        for a1 in range(3):
-            for a2 in range(3):
-                matched_ids(engine, event((a1, a2, 0)))
-        assert engine.subtree_compiles == 0
-
-    def test_small_subtrees_reset_instead_of_compiling(self):
-        engine = make_engine(subtree_compile_threshold=1, subtree_min_size=5)
-        engine.insert(sub("s0"))
-        engine.insert(sub("s1", a1=EqualityTest(1)))
-        matched_ids(engine, event((1, 0, 0)))
-        assert engine.subtree_compiles == 0
-        root = next(iter(engine._roots.values()))
-        assert root.subtree_program is None
-        assert root.descent_hits == 0  # reset: too small to be worth it
+        warm, cold = build(True), build(False)
+        assert warm.steps == cold.steps
+        assert sorted(s.subscriber for s in warm.subscriptions) == sorted(
+            s.subscriber for s in cold.subscriptions
+        ) == ["s0"]
 
 
 class TestLinkRefresh:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.broker import ByteReader, ByteWriter, decode_event, encode_event
+from repro.broker import decode_event, encode_event
 from repro.errors import CodecError
 from repro.matching import Event, EventSchema
+from tests.byte_primitives import ByteReader, ByteWriter
 
 
 class TestBytePrimitives:
