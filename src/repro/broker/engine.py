@@ -107,7 +107,10 @@ class MatchingEngine:
 
     @property
     def subscription_count(self) -> int:
-        return len(self.matcher.subscriptions)
+        """O(1): the matcher's own tally, not a listing to count."""
+        if isinstance(self.matcher, FactoredMatcher):
+            return len(self.matcher)
+        return self.matcher.subscription_count
 
     # ------------------------------------------------------------------
     # Event parser + matching

@@ -345,6 +345,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         require_backend_for(args.engine, args.backend)
     except SubscriptionError as error:
         parser.error(str(error))
+    if args.aggregate and args.engine == "tree":
+        parser.error("--aggregate requires engine='compiled': tree has nothing to compress")
     # The registry must be enabled before the handler builds its engines and
     # protocols (instruments fetched while disabled stay no-ops), so the
     # enable-write lifecycle wraps the whole handler.

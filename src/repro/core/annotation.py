@@ -17,13 +17,16 @@ branches alone must not promote a link to Yes.  When the tree knows the
 attribute's finite domain (the paper's simulations fix e.g. 5 values per
 attribute) and the value branches cover it, the implicit alternative is
 dropped — this is what lets annotations reach Yes above fully-enumerated
-levels and is exactly how the paper's Figure 5 example combines.
+levels and is exactly how the paper's Figure 5 example combines.  Branches
+on values outside a declared domain are never taken and do not take part.
 
-Range branches are handled conservatively (the paper restricts the described
-algorithm to equality tests and don't-cares, deferring ranges to a "parallel
-search graph"): a range child joins the Alternative Combine and the implicit
-all-No is always kept, so range branches can produce Maybe but never an
-unsound Yes or No.
+Under a declared domain the combination is evaluated per domain value (see
+:meth:`TreeAnnotation._combine_children`), which makes range branches exact
+too.  Without one, range branches are handled conservatively (the paper
+restricts the described algorithm to equality tests and don't-cares,
+deferring ranges to a "parallel search graph"): a range child joins the
+Alternative Combine and the implicit all-No is always kept, so range
+branches can produce Maybe but never an unsound Yes or No.
 """
 
 from __future__ import annotations
@@ -170,6 +173,8 @@ class TreeAnnotation:
         recipe for equality-only trees (by the distributivity of Parallel
         over Alternative Combine) and extends it precisely to range tests —
         the case the paper defers to a "parallel search graph".
+        This literal fold is the reference for ``CompiledProgram.annotate``,
+        which folds each distinct outcome once.
         """
         assert node.attribute_position is not None
         star = (

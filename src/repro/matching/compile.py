@@ -109,7 +109,7 @@ class CompiledProgram:
         "schema",
         "attribute_order",
         "_positions",
-        "_domain_sorted",
+        "_domains",
         # node arrays
         "event_pos",
         "level",
@@ -160,12 +160,6 @@ class CompiledProgram:
         self._positions: Tuple[int, ...] = tuple(
             tree.schema.position_of(name) for name in tree.attribute_order
         )
-        self._domain_sorted: List[Optional[List[AttributeValue]]] = [
-            (sorted(domain, key=repr) if domain is not None else None)
-            for domain in (
-                tree.domain_of(position) for position in range(len(self._positions))
-            )
-        ]
         self.event_pos: List[int] = []
         self.level: List[int] = []
         self.value_tables: List[Optional[Dict[int, int]]] = []
@@ -185,6 +179,12 @@ class CompiledProgram:
         self.num_links: Optional[int] = None
         self._link_of_subscriber: Optional[LinkOfSubscriber] = None
         self._waste = 0
+        #: Each level's declared domain as ``{interned id: value}``; ``None``
+        #: when the domain is open.
+        self._domains: List[Optional[Dict[int, AttributeValue]]] = [
+            (None if domain is None else {self._intern(value): value for value in domain})
+            for domain in map(tree.domain_of, range(len(self._positions)))
+        ]
         #: Last foreign schema object that deep-compared equal to ours —
         #: kept as a strong reference so the ``is`` fast path in
         #: :meth:`_schema_mismatch` cannot be fooled by id reuse.
@@ -354,10 +354,11 @@ class CompiledProgram:
     def annotate(self, num_links: int, link_of_subscriber: LinkOfSubscriber) -> None:
         """(Re)compute all packed per-node annotations bottom-up.
 
-        Mirrors :class:`~repro.core.annotation.TreeAnnotation` exactly (same
-        per-domain-value recipe, same conservative open-domain recipe); the
-        combines are commutative and associative, so evaluating them over
-        packed masks yields identical trits.
+        Exactly :class:`~repro.core.annotation.TreeAnnotation`'s trits.  Its
+        per-value fold collapses, Alternative Combine being idempotent, to
+        one outcome per branch plus the bare ``*``-branch (see
+        :meth:`_combined_annotation`); only nodes with range branches under a
+        declared domain fold per value.
         """
         if num_links < 0:
             raise RoutingError("num_links must be >= 0")
@@ -367,22 +368,29 @@ class CompiledProgram:
         # execute over (the link kernels read them), so re-annotation moves
         # the generation like any other array mutation.
         self._bump_generation()
-        stack: List[Tuple[int, bool]] = [(0, False)]
-        event_pos = self.event_pos
-        while stack:
-            index, processed = stack.pop()
-            if processed or event_pos[index] < 0:
-                self.ann_yes[index], self.ann_maybe[index] = self._node_annotation(index)
+        # Breadth-first from the root lists every node after its parent, so
+        # the reversed order has each node's children annotated before it.
+        order = [0]
+        event_pos, value_tables, star = self.event_pos, self.value_tables, self.star
+        range_start, range_end = self.range_start, self.range_end
+        for index in order:
+            if event_pos[index] < 0:
                 continue
-            stack.append((index, True))
-            table = self.value_tables[index]
+            table = value_tables[index]
             if table is not None:
-                for child in table.values():
-                    stack.append((child, False))
-            for j in range(self.range_start[index], self.range_end[index]):
-                stack.append((self.range_children[j], False))
-            if self.star[index] >= 0:
-                stack.append((self.star[index], False))
+                order.extend(table.values())
+            if range_start[index] != range_end[index]:
+                order.extend(self.range_children[range_start[index] : range_end[index]])
+            if star[index] >= 0:
+                order.append(star[index])
+        ann_yes, ann_maybe = self.ann_yes, self.ann_maybe
+        leaf_annotation = self._leaf_annotation
+        combined_annotation = self._combined_annotation
+        for index in reversed(order):
+            if event_pos[index] < 0:
+                ann_yes[index], ann_maybe[index] = leaf_annotation(index)
+            else:
+                ann_yes[index], ann_maybe[index] = combined_annotation(index)
 
     def annotated_view(
         self, num_links: int, link_of_subscriber: LinkOfSubscriber
@@ -428,60 +436,64 @@ class CompiledProgram:
         return yes, 0
 
     def _combined_annotation(self, index: int) -> Tuple[int, int]:
+        """Alternative Combine over the outcomes an event can meet at node
+        ``index``, each the Parallel Combine of the branches it takes."""
         assert self.num_links is not None
         full = (1 << self.num_links) - 1
         ann_yes = self.ann_yes
         ann_maybe = self.ann_maybe
-        star_index = self.star[index]
-        if star_index >= 0:
-            star = (ann_yes[star_index], ann_maybe[star_index])
-        else:
-            star = (0, 0)
+        star = self.star[index]
+        star_yes, star_maybe = (ann_yes[star], ann_maybe[star]) if star >= 0 else (0, 0)
         table = self.value_tables[index]
         r0, r1 = self.range_start[index], self.range_end[index]
-        domain = self._domain_sorted[self.level[index]]
-        if domain is not None:
-            # Exhaustive domain: Alternative Combine over the exact outcome
-            # of every possible event value (each outcome Parallel-Combines
-            # the branches that value satisfies plus the *-branch).
-            out: Optional[Tuple[int, int]] = None
-            for value in domain:
-                part = star
-                if table is not None:
-                    value_id = self.value_ids.get(value)
-                    child = table.get(value_id) if value_id is not None else None
-                    if child is not None:
-                        part = parallel_combine_bits(
-                            part[0], part[1], ann_yes[child], ann_maybe[child]
-                        )
+        domain = self._domains[self.level[index]]
+        out: Optional[Tuple[int, int]] = None
+        if domain is not None and r0 != r1:
+            # Which ranges accept depends on the value: fold every value's.
+            for value_id, value in domain.items():
+                part = (star_yes, star_maybe)
+                child = table.get(value_id, -1) if table is not None else -1
+                if child >= 0:
+                    part = parallel_combine_bits(
+                        part[0], part[1], ann_yes[child], ann_maybe[child]
+                    )
                 for j in range(r0, r1):
                     if self.range_tests[j].evaluate(value):
                         child = self.range_children[j]
                         part = parallel_combine_bits(
                             part[0], part[1], ann_yes[child], ann_maybe[child]
                         )
-                if out is None:
-                    out = part
-                else:
-                    out = alternative_combine_bits(
-                        out[0], out[1], part[0], part[1], full
-                    )
+                out = part if out is None else alternative_combine_bits(
+                    out[0], out[1], part[0], part[1], full
+                )
             return out if out is not None else (0, 0)
-        # Open domain: value/range children Alternative-Combined with an
-        # implicit all-No for unlisted values, then Parallel with the *-branch.
-        acc: Optional[Tuple[int, int]] = None
-        children: List[int] = list(table.values()) if table is not None else []
-        children.extend(self.range_children[r0:r1])
-        for child in children:
-            part = (ann_yes[child], ann_maybe[child])
-            acc = part if acc is None else alternative_combine_bits(
-                acc[0], acc[1], part[0], part[1], full
-            )
-        if acc is None:
-            acc = (0, 0)
-        else:
-            acc = alternative_combine_bits(acc[0], acc[1], 0, 0, full)
-        return parallel_combine_bits(acc[0], acc[1], star[0], star[1])
+        # One outcome per branch an event can take — each in-domain value
+        # branch; under an open domain every value and range branch — with
+        # the *-branch, and the bare *-branch for the values no branch takes
+        # (under an open domain there always are some).  Values sharing an
+        # outcome count once (x A x = x); and as Parallel distributes over
+        # Alternative, TreeAnnotation's open-domain (branches A No) P star
+        # is this same fold.
+        branches = table.items() if table is not None else ()
+        taken = [child for value_id, child in branches if domain is None or value_id in domain]
+        if domain is None:
+            taken.extend(self.range_children[r0:r1])
+        bare_star = domain is None or len(taken) < len(domain)
+        if not taken and not bare_star:
+            return 0, 0  # an empty domain: no event reaches this node
+        # The n-ary Alternative Combine in closed form: Yes where every
+        # outcome is Yes, No where every one is No, Maybe elsewhere.  An
+        # outcome (a branch Parallel-Combined with the *-branch) is Yes where
+        # either is Yes and No where both are No.
+        all_yes = all_no = full
+        for child in taken:
+            yes = star_yes | ann_yes[child]
+            all_yes &= yes
+            all_no &= ~(yes | star_maybe | ann_maybe[child])
+        if bare_star:
+            all_yes &= star_yes
+            all_no &= ~(star_yes | star_maybe)
+        return all_yes, full & ~(all_yes | all_no)
 
     # ------------------------------------------------------------------
     # Kernels

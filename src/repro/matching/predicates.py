@@ -361,7 +361,9 @@ class Predicate:
             if isinstance(test, (RangeTest, IntervalTest)) and not attribute.type.is_ordered:
                 raise PredicateError(f"range test on unordered attribute {attribute.name!r}")
             if isinstance(test, EqualityTest):
-                test = EqualityTest(attribute.type.coerce(test.value))
+                value = attribute.type.coerce(test.value)
+                if value is not test.value:
+                    test = EqualityTest(value)
             slots.append(test)
         self.schema = schema
         self._tests: Tuple[AttributeTest, ...] = tuple(slots)

@@ -57,15 +57,15 @@ class AttributeType(enum.Enum):
         booleans are *not* accepted for ``INTEGER`` (a common silent-bug
         source, since ``bool`` subclasses ``int`` in Python).
         """
-        if self in (AttributeType.FLOAT, AttributeType.DOLLAR):
+        if self in _NUMBER_TYPES:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise SchemaError(f"expected a number for {self.value}, got {value!r}")
             return float(value)
-        if self is AttributeType.INTEGER:
+        if self is _INTEGER:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise SchemaError(f"expected an integer, got {value!r}")
             return value
-        if self is AttributeType.BOOLEAN:
+        if self is _BOOLEAN:
             if not isinstance(value, bool):
                 raise SchemaError(f"expected a boolean, got {value!r}")
             return value
@@ -78,6 +78,11 @@ class AttributeType(enum.Enum):
         """Whether range tests (``<``, ``>=``, ...) are meaningful."""
         return self is not AttributeType.BOOLEAN
 
+
+#: ``coerce`` runs per equality test parsed: aliases, not enum class lookups.
+_NUMBER_TYPES = (AttributeType.FLOAT, AttributeType.DOLLAR)
+_INTEGER = AttributeType.INTEGER
+_BOOLEAN = AttributeType.BOOLEAN
 
 _PYTHON_TYPES: Dict[AttributeType, Tuple[type, ...]] = {
     AttributeType.STRING: (str,),

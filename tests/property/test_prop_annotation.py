@@ -9,6 +9,9 @@ Two deep invariants:
 2. **Incrementality** — updating annotations along a changed subscription's
    path (``update_path``) yields exactly the same vectors as recomputing
    from scratch, across arbitrary insert/remove interleavings.
+
+And one of representation: a compiled program's packed annotation equals
+``TreeAnnotation``'s literal per-value recipe at every node.
 """
 
 from __future__ import annotations
@@ -16,13 +19,16 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core import M, N, TreeAnnotation, Y
+from repro.core import M, N, TreeAnnotation, Y, pack_tritvector
 from repro.matching import (
     EqualityTest,
     Event,
     ParallelSearchTree,
     Predicate,
+    RangeOp,
+    RangeTest,
     Subscription,
+    compile_tree,
     uniform_schema,
 )
 
@@ -146,3 +152,85 @@ class AnnotationMachine(RuleBasedStateMachine):
 
 
 TestAnnotationMachine = AnnotationMachine.TestCase
+
+
+# ----------------------------------------------------------------------
+# Compiled annotation == TreeAnnotation, node by node
+
+#: Per level: an open domain, or a declared one — empty, one value, a few,
+#: or more values than branches usually cover.  Branch values range past
+#: every domain.
+level_domains = st.sampled_from([None, (), (0,), (0, 1, 2), (0, 1, 2, 3, 4)])
+branch_values = st.integers(min_value=-1, max_value=5)
+
+
+@st.composite
+def attribute_tests(draw):
+    """``None`` (don't care), an equality, or — less often, so that most
+    nodes stay equality-only — a range test."""
+    kind = draw(st.sampled_from(["*", "*", "=", "=", "=", "range"]))
+    if kind == "*":
+        return None
+    if kind == "=":
+        return EqualityTest(draw(branch_values))
+    return RangeTest(draw(st.sampled_from(list(RangeOp))), draw(branch_values))
+
+
+mixed_specs = st.tuples(attribute_tests(), attribute_tests(), attribute_tests())
+#: -1: a subscriber cut off from this broker lights no link.
+reachable_links = st.integers(min_value=-1, max_value=NUM_LINKS - 1)
+churn = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), mixed_specs, reachable_links),
+        st.tuples(st.just("remove"), st.integers(min_value=0, max_value=63), st.none()),
+    ),
+    max_size=25,
+)
+
+
+def assert_exact(tree, program):
+    reference = TreeAnnotation(NUM_LINKS, link_of)
+    reference.annotate(tree)
+    for node in tree.nodes():
+        slot = program.index_of_node[node.node_id]
+        assert (program.ann_yes[slot], program.ann_maybe[slot]) == pack_tritvector(
+            reference.vector_for(node)
+        ), f"slot {slot} (node #{node.node_id}) differs from TreeAnnotation"
+
+
+class TestCompiledAnnotationExact:
+    @given(domains=st.tuples(level_domains, level_domains, level_domains), steps=churn)
+    @settings(max_examples=200, deadline=None)
+    def test_every_slot_matches_tree_annotation(self, domains, steps):
+        """``annotate``, every ``patch`` and ``annotated_view`` agree with
+        TreeAnnotation at every node: equality-only and mixed range nodes,
+        out-of-domain branch values, one-value, empty and open domains,
+        nodes with and without a *-child."""
+        declared = {
+            name: domain for name, domain in zip(SCHEMA.names, domains) if domain is not None
+        }
+        tree = ParallelSearchTree(SCHEMA, domains=declared)
+        program = compile_tree(tree)
+        program.annotate(NUM_LINKS, link_of)
+        live = []
+        for action, argument, link in steps:
+            if action == "insert":
+                tests = {
+                    name: test
+                    for name, test in zip(SCHEMA.names, argument)
+                    if test is not None
+                }
+                subscription = Subscription(Predicate(SCHEMA, tests), str(link))
+                tree.insert(subscription)
+                live.append(subscription)
+            elif live:
+                subscription = live.pop(argument % len(live))
+                tree.remove(subscription.subscription_id)
+            else:
+                continue
+            if not program.patch(tree, subscription.predicate):
+                program = compile_tree(tree)
+                program.annotate(NUM_LINKS, link_of)
+            assert_exact(tree, program)
+        assert_exact(tree, program.annotated_view(NUM_LINKS, link_of))
+        assert_exact(tree, compile_tree(tree).annotated_view(NUM_LINKS, link_of))

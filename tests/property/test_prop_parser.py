@@ -12,9 +12,11 @@ from repro.matching import (
     RangeOp,
     RangeTest,
     parse_predicate,
+    tokenize,
     uniform_schema,
 )
 from repro.matching.schema import EventSchema
+from tests.char_tokenizer import tokenize as reference_tokenize
 
 
 SCHEMA = EventSchema([("name", "string"), ("price", "float"), ("qty", "integer")])
@@ -63,6 +65,59 @@ class TestDescribeParseRoundtrip:
             },
         )
         assert reparsed.matches(event) == predicate.matches(event)
+
+
+#: Characters where a compiled pattern and a character loop could disagree:
+#: non-decimal digits (``²``, ``①``), decimal digits of other scripts
+#: (``٣``), numerics that are neither (``½``), letters that are (``五``) or
+#: that case-fold oddly (Kelvin sign, long s), Unicode whitespace, and every
+#: character the grammar gives a meaning to.
+_TRICKY = (
+    "aAdDeEfFlLnNrRsStTuUx_ 0123456789+-.<>=!&*()'\"\\"
+    "²①٣½五éKſ  　\x1c\t\n"
+)
+tricky_text = st.text(
+    alphabet=st.one_of(st.sampled_from(_TRICKY), st.characters()), max_size=40
+)
+#: Whole fragments, so that numbers with exponents, escapes and keywords
+#: appear far more often than character by character.
+fragments = st.sampled_from(
+    [
+        "a1", "and", "AnD", "true", "False", "andx", "1e5", "1E-3", "-.5", "+2",
+        "1e", "1.2.3", "12abc", "'a\\'b'", "'\\x41'", "'\\u00e9'", "'\\x4'",
+        '"q"', "'open", "&&", "==", "<=", "!", "²", "٣", "½", "é", " ", "(", ")",
+    ]
+)
+fragment_text = st.lists(st.one_of(fragments, tricky_text), max_size=8).map("".join)
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return [
+            (token.type, type(token.value), token.value, token.position)
+            for token in tokenizer(text)
+        ]
+    except ParseError as error:
+        return ("ParseError", error.position)
+
+
+class TestTokenizerAgainstCharacterLoop:
+    """The compiled-pattern tokenizer returns the reference's tokens, or
+    fails at the reference's position."""
+
+    @given(text=tricky_text)
+    @settings(max_examples=600)
+    def test_arbitrary_text(self, text):
+        assert _tokens_or_error(tokenize, text) == _tokens_or_error(
+            reference_tokenize, text
+        )
+
+    @given(text=fragment_text)
+    @settings(max_examples=600)
+    def test_token_fragments(self, text):
+        assert _tokens_or_error(tokenize, text) == _tokens_or_error(
+            reference_tokenize, text
+        )
 
 
 class TestRobustness:

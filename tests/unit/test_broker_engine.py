@@ -41,6 +41,33 @@ class TestSubscriptionManager:
         with pytest.raises(SubscriptionError):
             engine.remove_subscription(subscription.subscription_id)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"engine": "tree"},
+            {"factoring_attributes": ["a1"], "domains": {"a1": [0, 1, 2]}},
+            {"aggregate": True},
+        ],
+        ids=["compiled", "tree", "factored", "aggregate"],
+    )
+    def test_count_does_not_list_the_subscriptions(self, schema5, monkeypatch, kwargs):
+        """``subscription_count`` (and ``repr``) must come from the
+        matcher's own tally, not ``len(subscriptions)``."""
+        engine = MatchingEngine(schema5, **kwargs)
+        added = [engine.add_subscription("alice", f"a1={v}") for v in (0, 1, 1)]
+
+        def listing_forbidden(self):
+            raise AssertionError("subscription_count listed the subscriptions")
+
+        monkeypatch.setattr(
+            type(engine.matcher), "subscriptions", property(listing_forbidden)
+        )
+        assert engine.subscription_count == 3
+        engine.remove_subscription(added[1].subscription_id)
+        assert engine.subscription_count == 2
+        assert repr(engine) == "MatchingEngine(2 subscriptions)"
+
 
 class TestEventParser:
     def test_match_data_pipeline(self, stock_schema, ibm_event):

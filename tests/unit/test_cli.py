@@ -23,19 +23,30 @@ class TestParsing:
             main(["frobnicate"])
 
 
-    def test_engine_backend_mismatch_is_a_usage_error(self):
-        """``--engine tree --backend vector`` used to end in a traceback."""
+    @staticmethod
+    def _run_cli(*arguments):
         source_root = os.path.dirname(os.path.dirname(repro.__file__))
-        completed = subprocess.run(
-            [sys.executable, "-m", "repro", "--engine", "tree", "--backend", "vector", "demo"],
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *arguments],
             env={**os.environ, "PYTHONPATH": source_root},
             capture_output=True,
             text=True,
             timeout=60,
         )
+
+    def test_engine_backend_mismatch_is_a_usage_error(self):
+        """``--engine tree --backend vector`` used to end in a traceback."""
+        completed = self._run_cli("--engine", "tree", "--backend", "vector", "demo")
         assert completed.returncode == 2
         assert "Traceback" not in completed.stderr
         assert "requires engine='compiled'" in completed.stderr
+
+    def test_tree_engine_with_aggregate_is_a_usage_error(self):
+        """``--engine tree --aggregate`` used to end in a traceback."""
+        completed = self._run_cli("--engine", "tree", "--aggregate", "demo")
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert "--aggregate requires engine='compiled'" in completed.stderr
 
 
 class TestFastCommands:

@@ -60,6 +60,14 @@ class TestTokenizer:
             tokenize("a=1 | b=2")
         assert info.value.position == 4
 
+    def test_every_token_carries_its_first_character(self):
+        """Literals used to carry the index *after* themselves."""
+        assert tokenize("a=1 2")[3].position == 4
+        text = "a=1 2 & b='xy' -3.5e1 true"
+        tokens = tokenize(text)
+        assert [t.position for t in tokens] == [0, 1, 2, 4, 6, 8, 9, 10, 15, 22, 26]
+        assert [text[t.position] for t in tokens[:-1]] == list("a=12&b='-t")
+
     def test_operators(self):
         for symbol in ("<", "<=", ">", ">=", "=", "==", "!="):
             token = tokenize(f"a{symbol}1")[1]
@@ -111,6 +119,17 @@ class TestParsePredicate:
     def test_trailing_garbage(self, stock_schema):
         with pytest.raises(ParseError):
             parse_predicate(stock_schema, "price<120 volume>3")
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("price<120 7", 10), ("price<120 'x'", 10), ("price<120 3.5 volume>3", 10)],
+    )
+    def test_trailing_literal_error_points_at_the_literal(
+        self, stock_schema, text, position
+    ):
+        with pytest.raises(ParseError, match="trailing input") as info:
+            parse_predicate(stock_schema, text)
+        assert info.value.position == position
 
     def test_missing_value(self, stock_schema):
         with pytest.raises(ParseError):
