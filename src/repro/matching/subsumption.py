@@ -180,15 +180,19 @@ def predicate_subsumes(general: Predicate, specific: Predicate) -> bool:
     """
     if general.schema != specific.schema:
         raise PredicateError("predicates over different schemas are incomparable")
-    if not specific.is_satisfiable:
+    attributes = general.schema.attributes
+    specific_tests = [
+        _canonicalize_integer_bounds(attribute, test)
+        for attribute, test in zip(attributes, specific.tests)
+    ]
+    # Emptiness is judged after canonicalization: over INTEGER attributes
+    # ``0 < x < 1`` accepts nothing, yet its literal bounds look non-empty.
+    if any(isinstance(t, IntervalTest) and t.is_empty for t in specific_tests):
         return True
     return all(
-        covers(
-            _canonicalize_integer_bounds(attribute, general_test),
-            _canonicalize_integer_bounds(attribute, specific_test),
-        )
+        covers(_canonicalize_integer_bounds(attribute, general_test), specific_test)
         for attribute, general_test, specific_test in zip(
-            general.schema.attributes, general.tests, specific.tests
+            attributes, general.tests, specific_tests
         )
     )
 

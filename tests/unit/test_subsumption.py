@@ -125,6 +125,12 @@ class TestPredicateSubsumption:
             # (not claimed) may still be true: the check is allowed to be
             # conservative, never unsound.
 
+    def test_integer_empty_open_interval_is_covered_by_anything(self):
+        # 0 < a1 < 1 holds for no integer, so a2=0 covers it even though
+        # a2=0 does not cover the specific predicate's don't-care on a2.
+        empty = predicate("a1>0 & a1<1")
+        assert predicate_subsumes(predicate("a2=0"), empty)
+
     def test_cross_schema_rejected(self):
         other = uniform_schema(2)
         with pytest.raises(PredicateError):
