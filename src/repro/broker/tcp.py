@@ -9,7 +9,10 @@ the underlying network protocol."
 
 * Framing: 4-byte big-endian payload length + payload.
 * Each connection has a receiver thread (blocking reads, frame reassembly,
-  ``on_message`` callbacks) and an unbounded outgoing queue.
+  ``on_message`` callbacks) and an unbounded outgoing queue.  A frame the
+  handler rejects as malformed (:class:`~repro.errors.ProtocolError`, which
+  includes :class:`~repro.errors.CodecError`) closes the connection: it is
+  counted in ``transport.tcp.bad_frames``, never raised out of the thread.
 * A :class:`SenderPool` shared by the whole transport drains ready
   connections round-robin; ``send`` never blocks on the socket.
 """
@@ -23,8 +26,9 @@ import threading
 from collections import deque
 from typing import Deque, Optional, Tuple
 
-from repro.errors import ConnectionClosedError, TransportError
+from repro.errors import ConnectionClosedError, ProtocolError, TransportError
 from repro.broker.transport import AcceptHandler, Connection, Listener, Transport
+from repro.obs import get_registry
 
 _LENGTH = struct.Struct(">I")
 #: Frames above this are rejected as corrupt rather than allocated.
@@ -93,6 +97,7 @@ class TcpConnection(Connection):
         self._draining = False
         self._open = True
         self._receiver = threading.Thread(target=self._receive_loop, daemon=True)
+        self._obs_bad_frames = get_registry().counter("transport.tcp.bad_frames")
 
     def start(self) -> None:
         """Begin receiving (called once handlers are attached).  Idempotent —
@@ -150,6 +155,8 @@ class TcpConnection(Connection):
                 handler = self.on_message
                 if handler is not None:
                     handler(payload)
+        except ProtocolError:
+            self._obs_bad_frames.inc()  # fail closed: the finally drops the peer
         finally:
             self._close_from_error()
 

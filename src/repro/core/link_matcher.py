@@ -20,11 +20,11 @@ measures via the ``steps`` counter.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.errors import RoutingError
 from repro.core.annotation import TreeAnnotation
-from repro.core.trits import TritVector
+from repro.core.trits import TritVector, pack_tritvector, unpack_tritvector
 from repro.matching.events import Event
 from repro.matching.pst import ParallelSearchTree, PSTNode
 
@@ -90,3 +90,11 @@ class LinkMatcher:
 
         final = search(self.tree.root, initialization_mask)
         return LinkMatchResult(final, steps)
+
+    def match_bits(self, event: Event, yes_bits: int, maybe_bits: int) -> Tuple[int, int]:
+        """:meth:`match_links` behind the packed routing interface of
+        :meth:`~repro.matching.compile.CompiledProgram.match_links`: takes
+        ``(yes_bits, maybe_bits)``, returns ``(final_yes_bits, steps)``."""
+        mask = unpack_tritvector(yes_bits, maybe_bits, self.annotation.num_links)
+        result = self.match_links(event, mask)
+        return pack_tritvector(result.mask)[0], result.steps

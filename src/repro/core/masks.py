@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 from repro.errors import RoutingError
-from repro.core.trits import M, N, TritVector
+from repro.core.trits import TritVector, unpack_tritvector
 from repro.network.paths import RoutingTable
 from repro.network.spanning import SpanningTree
 from repro.network.topology import Topology
@@ -84,14 +84,14 @@ class VirtualLinkTable:
         self.topology = topology
         self.broker = broker
         self.spanning_trees = dict(spanning_trees)
-        self._position_of: Dict[str, int] = {}
-        self.virtual_links: List[VirtualLink] = []
         self._build(routing_table)
-        self._masks: Dict[str, TritVector] = {
-            root: self._initialization_mask(root) for root in self.spanning_trees
-        }
 
     def _build(self, routing_table: RoutingTable) -> None:
+        """Assign positions in ``(neighbor, signature)`` order — so the
+        neighbors behind increasing positions never decrease, which
+        :meth:`split` relies on — and derive the packed masks from them."""
+        self._position_of: Dict[str, int] = {}
+        self.virtual_links: List[VirtualLink] = []
         groups: Dict[Tuple[str, FrozenSet[str]], List[str]] = {}
         local_clients = set(self.topology.clients_of(self.broker))
         for destination in self.topology.clients():
@@ -118,6 +118,19 @@ class VirtualLinkTable:
             self.virtual_links.append(virtual)
             for destination in destinations:
                 self._position_of[destination] = position
+        # Per tree: the Maybe bits of the initialization mask (it has no Yes).
+        self._masks: Dict[str, int] = {
+            root: sum(
+                1 << virtual.position
+                for virtual in self.virtual_links
+                if root in virtual.downstream_roots
+            )
+            for root in self.spanning_trees
+        }
+        self._targets: List[Tuple[str, bool]] = [
+            (virtual.neighbor, self.topology.node(virtual.neighbor).kind.is_client)
+            for virtual in self.virtual_links
+        ]
 
     def layout(self) -> Tuple:
         """A comparable snapshot of positions, signatures and masks — equal
@@ -128,7 +141,7 @@ class VirtualLinkTable:
                 (v.neighbor, tuple(sorted(v.downstream_roots)), v.destinations)
                 for v in self.virtual_links
             ),
-            tuple(sorted((root, str(mask)) for root, mask in self._masks.items())),
+            tuple(sorted(self._masks.items())),
         )
 
     def rebuild(
@@ -146,36 +159,23 @@ class VirtualLinkTable:
         """
         before = self.layout()
         self.spanning_trees = dict(spanning_trees)
-        self._position_of = {}
-        self.virtual_links = []
         self._build(routing_table)
-        self._masks = {
-            root: self._initialization_mask(root) for root in self.spanning_trees
-        }
         return self.layout() != before
 
-    def restrict_mask(self, mask: TritVector, destinations: FrozenSet[str]) -> TritVector:
-        """Force to No every position carrying none of ``destinations``.
+    def restrict_mask(self, bits: int, destinations: FrozenSet[str]) -> int:
+        """Clear every position of packed mask ``bits`` that carries none of
+        ``destinations``.
 
         Replay uses this to re-route a recovered message toward only the
         destinations the failed element was responsible for, so subtrees
         that already received the event are not traversed again.
         """
-        keep = [
-            bool(destinations.intersection(virtual.destinations))
-            for virtual in self.virtual_links
-        ]
-        return TritVector(
-            trit if keep[i] else N for i, trit in enumerate(mask)
-        )
-
-    def _initialization_mask(self, root: str) -> TritVector:
-        """Maybe on virtual links whose destinations are downstream of this
-        broker in the tree rooted at ``root``, No elsewhere."""
-        return TritVector(
-            M if root in virtual.downstream_roots else N
-            for virtual in self.virtual_links
-        )
+        keep = 0
+        for destination in destinations:
+            position = self._position_of.get(destination)
+            if position is not None:
+                keep |= 1 << position
+        return bits & keep
 
     # ------------------------------------------------------------------
 
@@ -200,8 +200,11 @@ class VirtualLinkTable:
         except IndexError:
             raise RoutingError(f"no virtual link #{position} at {self.broker!r}") from None
 
-    def initialization_mask(self, root: str) -> TritVector:
-        """The broker's mask for the spanning tree rooted at ``root``."""
+    def initialization_bits(self, root: str) -> int:
+        """The Maybe bits of the broker's initialization mask for the
+        spanning tree rooted at ``root`` — Maybe on virtual links whose
+        destinations are downstream of this broker in that tree, No
+        elsewhere."""
         try:
             return self._masks[root]
         except KeyError:
@@ -209,9 +212,26 @@ class VirtualLinkTable:
                 f"no spanning tree rooted at {root!r} registered with {self.broker!r}"
             ) from None
 
-    def neighbors_for_mask(self, mask: TritVector) -> List[str]:
-        """Distinct physical neighbors behind the mask's Yes positions."""
-        return sorted({self.virtual_links[p].neighbor for p in mask.yes_positions()})
+    def initialization_mask(self, root: str) -> TritVector:
+        """:meth:`initialization_bits` as the paper's trit vector."""
+        return unpack_tritvector(0, self.initialization_bits(root), self.num_links)
+
+    def split(self, yes_bits: int) -> Tuple[List[str], List[str]]:
+        """The distinct physical neighbors behind the Yes bits of a final
+        mask, sorted, as ``(brokers, clients)``.  Neighbors never decrease
+        with the position, so skipping a repeat of the previous one dedupes."""
+        targets = self._targets
+        brokers: List[str] = []
+        clients: List[str] = []
+        last = None
+        while yes_bits:
+            low = yes_bits & -yes_bits
+            yes_bits ^= low
+            neighbor, is_client = targets[low.bit_length() - 1]
+            if neighbor != last:
+                last = neighbor
+                (clients if is_client else brokers).append(neighbor)
+        return brokers, clients
 
     @property
     def split_count(self) -> int:

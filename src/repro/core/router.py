@@ -33,9 +33,9 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Un
 
 from repro.errors import RoutingError, SubscriptionError
 from repro.core.annotation import TreeAnnotation
-from repro.core.link_matcher import LinkMatcher, LinkMatchResult
+from repro.core.link_matcher import LinkMatcher
 from repro.core.masks import VirtualLinkTable
-from repro.core.trits import TritVector, pack_tritvector, unpack_tritvector
+from repro.core.trits import N, Y, TritVector
 from repro.matching.base import MatcherEngine
 from repro.matching.compile import CompiledProgram
 from repro.matching.digest import MatchDigest, mix_subscription_id
@@ -55,16 +55,20 @@ class RouteDecision:
     next-hop brokers and locally attached clients, plus the matching steps
     spent deciding.
 
-    ``mask`` is a **snapshot**: its bit positions denote the virtual links
-    of the router's layout *at decision time*, and its refinement reflects
-    the subscription set at decision time.  Any churn (add/remove) or link
-    rebuild after the decision can silently change what the same bits mean,
-    so the decision carries the router's ``subscription_epoch`` it was made
-    under; callers holding a decision across churn must check it with
-    :meth:`assert_current` before reusing the mask.
+    ``yes_bits`` is the final mask, packed (it has no Maybe), and ``mask``
+    the same as a :class:`TritVector`.  Both are a **snapshot**: their
+    positions denote the virtual links of the router's layout *at decision
+    time*, and their refinement reflects the subscription set at decision
+    time.  Any churn (add/remove) or link rebuild after the decision can
+    silently change what the same bits mean, so the decision carries the
+    router's ``subscription_epoch`` it was made under; callers holding a
+    decision across churn must check it with :meth:`assert_current` before
+    reusing the mask.
     """
 
-    __slots__ = ("broker", "forward_to", "deliver_to", "steps", "mask", "epoch")
+    __slots__ = (
+        "broker", "forward_to", "deliver_to", "steps", "yes_bits", "num_links", "epoch"
+    )
 
     def __init__(
         self,
@@ -72,15 +76,22 @@ class RouteDecision:
         forward_to: List[str],
         deliver_to: List[str],
         steps: int,
-        mask: TritVector,
+        yes_bits: int,
+        num_links: int,
         epoch: int = 0,
     ) -> None:
         self.broker = broker
         self.forward_to = forward_to
         self.deliver_to = deliver_to
         self.steps = steps
-        self.mask = mask
+        self.yes_bits = yes_bits
+        self.num_links = num_links
         self.epoch = epoch
+
+    @property
+    def mask(self) -> TritVector:
+        """The final mask as the paper's trit vector (unpacked on demand)."""
+        return TritVector(Y if self.yes_bits >> i & 1 else N for i in range(self.num_links))
 
     def assert_current(self, subscription_epoch: int) -> None:
         """Guard against cross-churn reuse of the mask snapshot: raises
@@ -208,9 +219,6 @@ class ContentRouter:
         # matcher's.  The non-factored path annotates inside the engine.
         self._subtrees: Dict[tuple, Tuple[int, Union[CompiledProgram, LinkMatcher]]] = {}
         self._swept_at = -1  # matcher.mutations at the last sweep
-        # Memo of ``topology.node(neighbor).kind.is_client`` for the neighbors
-        # decisions have named (a node's kind never changes).
-        self._neighbor_is_client: Dict[str, bool] = {}
         # Subscription-set epoch: a monotonic version counter over this
         # router's subscription set and link layout, plus an order-independent
         # checksum of the registered subscription ids.  Together they tag
@@ -387,27 +395,20 @@ class ContentRouter:
         out-of-domain value could be routed unsoundly.
         """
         self._check_domains(event)
-        mask = self.links.initialization_mask(tree_root)
+        maybe_bits = self.links.initialization_bits(tree_root)
         if restrict_to is not None:
-            mask = self.links.restrict_mask(mask, restrict_to)
+            maybe_bits = self.links.restrict_mask(maybe_bits, restrict_to)
         if self._factored is None:
             assert self._engine is not None
-            final = self._engine.match_links(event, mask)
-        else:
-            if self._factored.mutations != self._swept_at:
-                self._refresh_annotations()
-            entry = self._subtrees.get(self._factored.key_for_event(event))
-            if entry is None:  # no subscription can match these index values
-                final = LinkMatchResult(mask.close_maybes(), 1)
-            elif self.engine == "compiled":
-                yes_bits, maybe_bits = pack_tritvector(mask)
-                final_yes, steps = entry[1].match_links(event, yes_bits, maybe_bits)
-                final = LinkMatchResult(
-                    unpack_tritvector(final_yes, 0, self.links.num_links), steps
-                )
-            else:
-                final = entry[1].match_links(event, mask)
-        return self._decision_for(final)
+            return self._decision_for(*self._engine.match_links(event, 0, maybe_bits))
+        if self._factored.mutations != self._swept_at:
+            self._refresh_annotations()
+        entry = self._subtrees.get(self._factored.key_for_event(event))
+        if entry is None:  # no subscription can match these index values
+            return self._decision_for(0, 1)
+        if self.engine == "compiled":
+            return self._decision_for(*entry[1].match_links(event, 0, maybe_bits))
+        return self._decision_for(*entry[1].match_bits(event, 0, maybe_bits))
 
     def route_batch(self, events: Sequence[Event], tree_root: str) -> List[RouteDecision]:
         """Route a batch of events traveling on the same spanning tree.
@@ -421,60 +422,48 @@ class ContentRouter:
             return []
         for event in events:
             self._check_domains(event)
-        mask = self.links.initialization_mask(tree_root)
+        maybe_bits = self.links.initialization_bits(tree_root)
         if self._factored is None:
             assert self._engine is not None
-            finals: List[LinkMatchResult] = self._engine.match_links_batch(events, mask)
-            return [self._decision_for(final) for final in finals]
+            finals = self._engine.match_links_batch(events, 0, maybe_bits)
+            return [self._decision_for(final_yes, steps) for final_yes, steps in finals]
         if self._factored.mutations != self._swept_at:
             self._refresh_annotations()
-        results: List[Optional[LinkMatchResult]] = [None] * len(events)
+        # An unpopulated key has nothing to refine: one step, no Yes.
+        results: List[Tuple[int, int]] = [(0, 1)] * len(events)
         # Group by selected sub-tree so each compiled program refines its
-        # events in one batch; an unpopulated key has nothing to refine.
+        # events in one batch.
         groups: Dict[tuple, List[int]] = {}
         for i, event in enumerate(events):
             key = self._factored.key_for_event(event)
             if key in self._subtrees:
                 groups.setdefault(key, []).append(i)
-            else:
-                results[i] = LinkMatchResult(mask.close_maybes(), 1)
         compiled = self.engine == "compiled"
-        if compiled:
-            yes_bits, maybe_bits = pack_tritvector(mask)
         for key, indices in groups.items():
             refiner = self._subtrees[key][1]
             if compiled:
-                packed = refiner.match_links_batch(
-                    [events[i] for i in indices], yes_bits, maybe_bits
+                finals = refiner.match_links_batch(
+                    [events[i] for i in indices], 0, maybe_bits
                 )
-                for i, (final_yes, steps) in zip(indices, packed):
-                    results[i] = LinkMatchResult(
-                        unpack_tritvector(final_yes, 0, self.links.num_links), steps
-                    )
             else:
-                for i in indices:
-                    results[i] = refiner.match_links(events[i], mask)
-        return [self._decision_for(final) for final in results]
+                finals = [refiner.match_bits(events[i], 0, maybe_bits) for i in indices]
+            for i, final in zip(indices, finals):
+                results[i] = final
+        return [self._decision_for(final_yes, steps) for final_yes, steps in results]
 
-    def _decision_for(self, final: LinkMatchResult) -> RouteDecision:
-        is_client = self._neighbor_is_client
-        forward_to: List[str] = []
-        deliver_to: List[str] = []
-        for neighbor in self.links.neighbors_for_mask(final.mask):
-            client = is_client.get(neighbor)
-            if client is None:
-                client = is_client[neighbor] = self.topology.node(neighbor).kind.is_client
-            (deliver_to if client else forward_to).append(neighbor)
+    def _decision_for(self, final_yes: int, steps: int) -> RouteDecision:
+        forward_to, deliver_to = self.links.split(final_yes)
         self._obs_routes.inc()
-        self._obs_steps.inc(final.steps)
+        self._obs_steps.inc(steps)
         self._obs_forwards.inc(len(forward_to))
         self._obs_deliveries.inc(len(deliver_to))
         return RouteDecision(
             self.broker,
             forward_to,
             deliver_to,
-            final.steps,
-            final.mask,
+            steps,
+            final_yes,
+            self.links.num_links,
             self.subscription_epoch,
         )
 
@@ -510,8 +499,7 @@ class ContentRouter:
         assert self._engine is not None
         local = self._engine.match(event)
         ids = sorted(s.subscription_id for s in local.subscriptions)
-        final = self._project_final(ids, tree_root, local.steps)
-        return self._decision_for(final), self._mint(ids)
+        return self._project(ids, tree_root, local.steps), self._mint(ids)
 
     def route_digest_batch(
         self, events: Sequence[Event], tree_root: str
@@ -528,8 +516,7 @@ class ContentRouter:
         out: List[Tuple[RouteDecision, Optional[MatchDigest]]] = []
         for local in self._engine.match_batch(events):
             ids = sorted(s.subscription_id for s in local.subscriptions)
-            final = self._project_final(ids, tree_root, local.steps)
-            out.append((self._decision_for(final), self._mint(ids)))
+            out.append((self._project(ids, tree_root, local.steps), self._mint(ids)))
         return out
 
     def route_with_digest(
@@ -554,23 +541,17 @@ class ContentRouter:
                 f"epoch {self.subscription_epoch} at {self.broker!r} — "
                 f"subscription sets may have diverged"
             )
-        final = self._project_final(digest.ids, tree_root, 0)
-        return self._decision_for(final)
+        return self._project(digest.ids, tree_root, 0)
 
     def _mint(self, ids: Sequence[int]) -> MatchDigest:
         return MatchDigest(self.subscription_epoch, self._subscription_checksum, ids)
 
-    def _project_final(
-        self, ids: Sequence[int], tree_root: str, base_steps: int
-    ) -> LinkMatchResult:
+    def _project(self, ids: Sequence[int], tree_root: str, base_steps: int) -> RouteDecision:
         assert self._engine is not None
-        mask = self.links.initialization_mask(tree_root)
-        yes_bits, maybe_bits = pack_tritvector(mask)
-        final_yes, steps = self._engine.project_links(ids, yes_bits, maybe_bits)
-        return LinkMatchResult(
-            unpack_tritvector(final_yes, 0, self.links.num_links),
-            base_steps + steps,
+        final_yes, steps = self._engine.project_links(
+            ids, 0, self.links.initialization_bits(tree_root)
         )
+        return self._decision_for(final_yes, base_steps + steps)
 
     def _check_domains(self, event: Event) -> None:
         if not self._domain_checks:

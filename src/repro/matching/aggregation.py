@@ -77,8 +77,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SubscriptionError
 from repro.core.annotation import LinkOfSubscriber
-from repro.core.link_matcher import LinkMatchResult
-from repro.core.trits import TritVector, pack_tritvector, unpack_tritvector
 from repro.matching.base import MatcherEngine
 from repro.matching.covering_index import CoveringIndex
 from repro.matching.engines import CompiledEngine
@@ -213,7 +211,6 @@ class AggregatingEngine(MatcherEngine):
         self._group_of: Dict[int, _Group] = {}
         #: representative subscription_id -> group, for every live group.
         self._rep_group: Dict[int, _Group] = {}
-        self._num_links: Optional[int] = None
         self._link_of: Optional[LinkOfSubscriber] = None
         self.dedup_hits = 0
         self.cover_probes = 0
@@ -557,7 +554,6 @@ class AggregatingEngine(MatcherEngine):
     # Link matching (masks over the deduplicated leaves)
 
     def bind_links(self, num_links: int, link_of_subscriber: LinkOfSubscriber) -> None:
-        self._num_links = num_links
         self._link_of = link_of_subscriber
         self._invalidate_link_projection()
         self.inner.bind_links(num_links, self._links_of_representative)
@@ -586,34 +582,24 @@ class AggregatingEngine(MatcherEngine):
                 positions.add(position)
         return tuple(sorted(positions))
 
-    def _merge_links(
-        self, roots: LinkMatchResult, covered: LinkMatchResult
-    ) -> LinkMatchResult:
-        """Each refinement turned exactly the Maybe links its groups owe into
-        Yes, so the union of both Yes sets is the unaggregated final mask."""
-        assert self._num_links is not None
-        final_yes = pack_tritvector(roots.mask)[0] | pack_tritvector(covered.mask)[0]
-        return LinkMatchResult(
-            unpack_tritvector(final_yes, 0, self._num_links),
-            roots.steps + covered.steps,
-        )
+    # Each refinement turns exactly the Maybe links its groups owe into Yes,
+    # so the union of both Yes sets is the unaggregated final mask.
 
     def match_links(
-        self, event: Event, initialization_mask: TritVector
-    ) -> LinkMatchResult:
-        return self._merge_links(
-            self.inner.match_links(event, initialization_mask),
-            self._covered.match_links(event, initialization_mask),
-        )
+        self, event: Event, yes_bits: int, maybe_bits: int
+    ) -> Tuple[int, int]:
+        roots_yes, roots_steps = self.inner.match_links(event, yes_bits, maybe_bits)
+        covered_yes, covered_steps = self._covered.match_links(event, yes_bits, maybe_bits)
+        return roots_yes | covered_yes, roots_steps + covered_steps
 
     def match_links_batch(
-        self, events: Sequence[Event], initialization_mask: TritVector
-    ) -> List[LinkMatchResult]:
+        self, events: Sequence[Event], yes_bits: int, maybe_bits: int
+    ) -> List[Tuple[int, int]]:
         return [
-            self._merge_links(roots, covered)
-            for roots, covered in zip(
-                self.inner.match_links_batch(events, initialization_mask),
-                self._covered.match_links_batch(events, initialization_mask),
+            (roots_yes | covered_yes, roots_steps + covered_steps)
+            for (roots_yes, roots_steps), (covered_yes, covered_steps) in zip(
+                self.inner.match_links_batch(events, yes_bits, maybe_bits),
+                self._covered.match_links_batch(events, yes_bits, maybe_bits),
             )
         ]
 

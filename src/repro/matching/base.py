@@ -28,8 +28,6 @@ from repro.matching.predicates import Subscription
 
 if TYPE_CHECKING:  # imported lazily to avoid a cycle with repro.core
     from repro.core.annotation import LinkOfSubscriber
-    from repro.core.link_matcher import LinkMatchResult
-    from repro.core.trits import TritVector
 
 _R = TypeVar("_R")
 
@@ -118,6 +116,12 @@ class MatcherEngine(Matcher):
     broker's virtual-link geometry; :meth:`match_links` then refines an
     initialization mask for an event.  Engines maintain their annotations
     incrementally across :meth:`insert` / :meth:`remove`.
+
+    Masks cross this interface packed, as the routing path carries them:
+    ``(yes_bits, maybe_bits)`` in, ``(final_yes_bits, steps)`` out (the
+    final mask has no Maybe, so its Yes bits are all of it) — the encoding
+    of :mod:`repro.core.trits` and of
+    :meth:`~repro.matching.compile.CompiledProgram.match_links`.
     """
 
     #: The engine's registry name ("tree" / "compiled").
@@ -132,22 +136,23 @@ class MatcherEngine(Matcher):
 
     @abc.abstractmethod
     def match_links(
-        self, event: Event, initialization_mask: "TritVector"
-    ) -> "LinkMatchResult":
-        """Run the Section 3.3 refinement search; requires a prior
+        self, event: Event, yes_bits: int, maybe_bits: int
+    ) -> Tuple[int, int]:
+        """Run the Section 3.3 refinement search on a packed initialization
+        mask; returns ``(final_yes_bits, steps)``.  Requires a prior
         :meth:`bind_links`."""
 
     def match_links_batch(
-        self, events: Sequence[Event], initialization_mask: "TritVector"
-    ) -> List["LinkMatchResult"]:
+        self, events: Sequence[Event], yes_bits: int, maybe_bits: int
+    ) -> List[Tuple[int, int]]:
         """Refine one shared initialization mask for a batch of events.
 
-        Result ``i`` is exactly ``match_links(events[i], mask)``.  This base
-        fallback loops (:func:`per_event_loop`); ``CompiledEngine``
-        overrides it with its kernel backend's batch path.
+        Result ``i`` is exactly ``match_links(events[i], yes_bits,
+        maybe_bits)``.  This base fallback loops (:func:`per_event_loop`);
+        ``CompiledEngine`` overrides it with its kernel backend's batch path.
         """
         return per_event_loop(
-            lambda event: self.match_links(event, initialization_mask), events
+            lambda event: self.match_links(event, yes_bits, maybe_bits), events
         )
 
     # ------------------------------------------------------------------

@@ -20,12 +20,11 @@ pick by name through :func:`create_engine`; the project default is
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import RoutingError, SubscriptionError
 from repro.core.annotation import LinkOfSubscriber, TreeAnnotation
-from repro.core.link_matcher import LinkMatcher, LinkMatchResult
-from repro.core.trits import TritVector, pack_tritvector, unpack_tritvector
+from repro.core.link_matcher import LinkMatcher
 from repro.matching.backends import (
     DEFAULT_BACKEND,
     KernelBackend,
@@ -96,19 +95,18 @@ class _EngineBase(MatcherEngine):
         self._obs_batch_size.observe(len(events))
         return super().match_batch(events)
 
-    def _require_links(self) -> int:
+    def _require_links(self, mask_bits: int = 0) -> int:
+        """The bound link count; ``mask_bits`` (a packed mask's Yes | Maybe)
+        must not reach past it."""
         if self._num_links is None:
             raise RoutingError(
                 f"{type(self).__name__}.match_links() requires a prior bind_links()"
             )
-        return self._num_links
-
-    def _check_mask(self, initialization_mask: TritVector) -> None:
-        if len(initialization_mask) != self._num_links:
+        if mask_bits >> self._num_links:
             raise ValueError(
-                f"trit vector length mismatch: {self._num_links} vs "
-                f"{len(initialization_mask)}"
+                f"packed mask has bits beyond the {self._num_links} bound links"
             )
+        return self._num_links
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self.tree)} subscriptions)"
@@ -165,10 +163,9 @@ class TreeEngine(_EngineBase):
         self._invalidate_link_projection()
 
     def match_links(
-        self, event: Event, initialization_mask: TritVector
-    ) -> LinkMatchResult:
-        self._require_links()
-        self._check_mask(initialization_mask)
+        self, event: Event, yes_bits: int, maybe_bits: int
+    ) -> Tuple[int, int]:
+        self._require_links(yes_bits | maybe_bits)
         if self._annotation is None:
             assert self._num_links is not None
             assert self._link_of_subscriber is not None
@@ -177,10 +174,10 @@ class TreeEngine(_EngineBase):
             self._link_matcher = LinkMatcher(self.tree, self._annotation)
             get_registry().counter("engine.annotation_rebuilds", engine=self.name).inc()
         assert self._link_matcher is not None
-        result = self._link_matcher.match_links(event, initialization_mask)
+        final_yes, steps = self._link_matcher.match_bits(event, yes_bits, maybe_bits)
         self._obs_link_matches.inc()
-        self._obs_link_match_steps.inc(result.steps)
-        return result
+        self._obs_link_match_steps.inc(steps)
+        return final_yes, steps
 
 
 class CompiledEngine(_EngineBase):
@@ -314,31 +311,22 @@ class CompiledEngine(_EngineBase):
         return program
 
     def match_links(
-        self, event: Event, initialization_mask: TritVector
-    ) -> LinkMatchResult:
-        num_links = self._require_links()
-        self._check_mask(initialization_mask)
-        yes_bits, maybe_bits = pack_tritvector(initialization_mask)
-        program = self._annotated_program(num_links)
-        final_yes, steps = program.match_links(event, yes_bits, maybe_bits)
+        self, event: Event, yes_bits: int, maybe_bits: int
+    ) -> Tuple[int, int]:
+        program = self._annotated_program(self._require_links(yes_bits | maybe_bits))
+        result = program.match_links(event, yes_bits, maybe_bits)
         self._obs_link_matches.inc()
-        self._obs_link_match_steps.inc(steps)
-        return LinkMatchResult(unpack_tritvector(final_yes, 0, num_links), steps)
+        self._obs_link_match_steps.inc(result[1])
+        return result
 
     def match_links_batch(
-        self, events: Sequence[Event], initialization_mask: TritVector
-    ) -> List[LinkMatchResult]:
-        num_links = self._require_links()
-        self._check_mask(initialization_mask)
-        yes_bits, maybe_bits = pack_tritvector(initialization_mask)
-        program = self._annotated_program(num_links)
-        packed = program.match_links_batch(events, yes_bits, maybe_bits)
-        self._obs_link_matches.inc(len(packed))
-        self._obs_link_match_steps.inc(sum(steps for _final, steps in packed))
-        return [
-            LinkMatchResult(unpack_tritvector(final_yes, 0, num_links), steps)
-            for final_yes, steps in packed
-        ]
+        self, events: Sequence[Event], yes_bits: int, maybe_bits: int
+    ) -> List[Tuple[int, int]]:
+        program = self._annotated_program(self._require_links(yes_bits | maybe_bits))
+        results = program.match_links_batch(events, yes_bits, maybe_bits)
+        self._obs_link_matches.inc(len(results))
+        self._obs_link_match_steps.inc(sum(steps for _final, steps in results))
+        return results
 
     def project_links(
         self, subscription_ids: Sequence[int], yes_bits: int, maybe_bits: int

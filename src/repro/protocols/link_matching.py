@@ -40,12 +40,12 @@ zero-loss/≤1-copy invariants hold unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.router import ContentRouter, RouteDecision, factored_matcher_for
 from repro.errors import RoutingError
 from repro.matching.predicates import Subscription
-from repro.obs import get_registry
+from repro.obs import Counter, get_registry
 from repro.protocols.base import (
     Decision,
     ProtocolContext,
@@ -76,6 +76,9 @@ class LinkMatchingProtocol(RoutingProtocol):
         self._obs_digest_hits = self._obs.counter("digest_hits")
         self._obs_digest_fallbacks = self._obs.counter("digest_fallbacks")
         self._obs_digests_minted = self._obs.counter("digests_minted")
+        # Hop distance -> its (refinement_steps, deliveries) counters, fetched
+        # on the first message at that distance (bounded by the diameter).
+        self._obs_per_hop: Dict[int, Tuple[Counter, Counter]] = {}
         #: Match-once forwarding toggle; ``False`` restores classic per-hop
         #: rematching everywhere (the benchmark baseline).
         self.use_digests = use_digests
@@ -397,11 +400,16 @@ class LinkMatchingProtocol(RoutingProtocol):
         """
         self._obs_handled.inc()
         # Per-hop refinement accounting (Chart 2's quantity, as seen by the
-        # simulator): one labeled counter per hop distance is a single dict
-        # lookup, bounded by the network diameter.
-        hop = str(message.hop)
-        self._obs.counter("refinement_steps", hop=hop).inc(decision.steps)
-        self._obs.counter("deliveries", hop=hop).inc(len(decision.deliver_to))
+        # simulator): one labeled counter pair per hop distance.
+        per_hop = self._obs_per_hop.get(message.hop)
+        if per_hop is None:
+            hop = str(message.hop)
+            per_hop = self._obs_per_hop[message.hop] = (
+                self._obs.counter("refinement_steps", hop=hop),
+                self._obs.counter("deliveries", hop=hop),
+            )
+        per_hop[0].inc(decision.steps)
+        per_hop[1].inc(len(decision.deliver_to))
         sends = []
         for neighbor in decision.forward_to:
             forward = message.forwarded()
@@ -410,6 +418,6 @@ class LinkMatchingProtocol(RoutingProtocol):
             sends.append((neighbor, forward))
         return Decision(
             sends=sends,
-            deliveries=list(decision.deliver_to),
+            deliveries=decision.deliver_to,
             matching_steps=decision.steps,
         )

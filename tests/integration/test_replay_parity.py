@@ -1,0 +1,137 @@
+"""The replay path, on every constructible configuration, against the oracle.
+
+A replayed message (``route(event, root, restrict_to=S)``) routes on the
+initialization mask with every position that carries none of the
+destinations ``S`` forced to No.  The router does that restriction as one
+AND on packed bits; here it is redone the paper's way — a
+:class:`~repro.core.trits.TritVector` built position by position from the
+virtual links' destination lists — and refined by
+:class:`~repro.core.link_matcher.LinkMatcher` over the very trees the
+configuration refines (the factored sub-tree the event selects; under
+aggregation, both deduplicated programs, their Yes sets ORed and their steps
+summed).  The decision must agree on neighbors, steps and mask, for random
+destination subsets, the empty one included.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.core import LinkMatcher, N, TreeAnnotation, TritVector
+from repro.matching.aggregation import AggregatingEngine
+from repro.matching.predicates import Subscription
+from repro.matching.pst import ParallelSearchTree
+from repro.workload.generators import EventGenerator, SubscriptionGenerator
+from tests.integration.test_config_matrix import (
+    CONSTRUCTIBLE,
+    SPEC,
+    VANTAGES,
+    build_router,
+    clone,
+)
+
+NUM_EVENTS = 40
+SUBSETS_PER_EVENT = 3
+
+
+def restricted_mask(router, root, destinations):
+    """The replay mask as a trit vector: the tree's initialization mask, No
+    wherever a virtual link carries none of ``destinations``."""
+    return TritVector(
+        trit if destinations.intersection(virtual.destinations) else N
+        for trit, virtual in zip(
+            router.links.initialization_mask(root), router.links.virtual_links
+        )
+    )
+
+
+def unaggregated(engine, tree):
+    """``tree`` with each aggregation representative replaced by its group's
+    members: the same shape (members share the representative's canonical
+    predicate), with leaves that name real subscribers."""
+    copy = ParallelSearchTree(
+        tree.schema, attribute_order=tree.attribute_order, domains=tree.domains
+    )
+    for representative in tree.subscriptions:
+        for member in engine._rep_group[representative.subscription_id].members.values():
+            copy.insert(
+                Subscription(
+                    representative.predicate,
+                    member.subscriber,
+                    subscription_id=member.subscription_id,
+                )
+            )
+    return copy
+
+
+def refined_trees(router, event):
+    """The PSTs the router refines ``event`` over (``None``: no sub-tree can
+    match, which costs one step and sends nowhere)."""
+    if router._factored is not None:
+        tree = dict(router._factored.trees()).get(router._factored.key_for_event(event))
+        return None if tree is None else [tree]
+    engine = router._engine
+    if isinstance(engine, AggregatingEngine):
+        return [unaggregated(engine, e.tree) for e in (engine.inner, engine._covered)]
+    return [engine.tree]
+
+
+def oracle(router, event, root, destinations):
+    mask = restricted_mask(router, root, destinations)
+    trees = refined_trees(router, event)
+    if trees is None:
+        return mask.close_maybes(), 1
+    final, steps = TritVector.all_no(len(mask)), 0
+    for tree in trees:
+        annotation = TreeAnnotation(router.links.num_links, router._link_of_subscriber)
+        annotation.annotate(tree)
+        result = LinkMatcher(tree, annotation).match_links(event, mask)
+        final, steps = final.parallel(result.mask), steps + result.steps
+    return final, steps
+
+
+@pytest.mark.parametrize(
+    "engine, backend, aggregate, factored",
+    CONSTRUCTIBLE,
+    ids=[
+        f"{engine}-{backend}-{'agg' if aggregate else 'plain'}-"
+        f"{'factored' if factored else 'whole'}"
+        for engine, backend, aggregate, factored in CONSTRUCTIBLE
+    ],
+)
+def test_restricted_route_equals_link_matcher(
+    diamond_topology, engine, backend, aggregate, factored
+):
+    if backend == "vector":
+        pytest.importorskip("numpy")
+    subscriptions = SubscriptionGenerator(
+        SPEC, seed=25, duplicate_rate=0.3
+    ).subscriptions_for(diamond_topology.subscribers(), 100)
+    event_generator = EventGenerator(SPEC, seed=26)
+    events = [event_generator.event_for() for _ in range(NUM_EVENTS)]
+    clients = diamond_topology.clients()
+    rng = random.Random(27)
+    for broker, root in VANTAGES:
+        router = build_router(diamond_topology, broker, engine, backend, aggregate, factored)
+        for subscription in subscriptions:
+            router.add_subscription(clone(subscription))
+        for event in events:
+            subsets = [frozenset(), frozenset(clients)] + [
+                frozenset(rng.sample(clients, rng.randint(1, len(clients))))
+                for _ in range(SUBSETS_PER_EVENT)
+            ]
+            for destinations in subsets:
+                decision = router.route(event, root, restrict_to=destinations)
+                mask, steps = oracle(router, event, root, destinations)
+                neighbors = sorted(
+                    {router.links.neighbor_of_position(p) for p in mask.yes_positions()}
+                )
+                assert decision.mask == mask
+                assert decision.steps == steps
+                assert sorted(decision.forward_to + decision.deliver_to) == neighbors
+                assert all(
+                    diamond_topology.node(client).kind.is_client
+                    for client in decision.deliver_to
+                )

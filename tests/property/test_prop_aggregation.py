@@ -33,7 +33,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import M, N, TritVector, Y
+from repro.core import M, N, Y
+from repro.core.trits import pack_tritvector
 from repro.matching import Event, Predicate, RangeOp, Subscription, uniform_schema
 from repro.matching.aggregation import AggregatingEngine
 from repro.matching.engines import create_engine
@@ -56,7 +57,7 @@ predicate_specs = st.tuples(*(test_specs for _ in range(4)))
 subscription_lists = st.lists(predicate_specs, min_size=0, max_size=20)
 events = st.tuples(*(st.sampled_from(DOMAIN) for _ in range(4)))
 masks = st.lists(st.sampled_from([Y, M, N]), min_size=NUM_LINKS, max_size=NUM_LINKS).map(
-    TritVector
+    pack_tritvector
 )
 
 
@@ -130,8 +131,8 @@ class TestAggregationEquivalence:
         event = Event.from_tuple(SCHEMA, event_values)
         for _ in range(2):  # matching leaves no state behind
             assert (
-                aggregated.match_links(event, mask).mask
-                == plain.match_links(event, mask).mask
+                aggregated.match_links(event, *mask)[0]
+                == plain.match_links(event, *mask)[0]
             )
 
     @given(specs=subscription_lists, event_values=events, mask=masks)
@@ -146,8 +147,8 @@ class TestAggregationEquivalence:
         event = Event.from_tuple(SCHEMA, event_values)
         assert_same_matches(plain, aggregated, event)
         assert (
-            aggregated.match_links(event, mask).mask
-            == plain.match_links(event, mask).mask
+            aggregated.match_links(event, *mask)[0]
+            == plain.match_links(event, *mask)[0]
         )
 
     @given(specs=subscription_lists, event_values=events, mask=masks)
@@ -163,13 +164,11 @@ class TestAggregationEquivalence:
             assert sorted(s.subscription_id for s in result.subscriptions) == sorted(
                 s.subscription_id for s in single.subscriptions
             )
-        link_batch = aggregated.match_links_batch([event, event], mask)
-        link_single = aggregated.match_links(event, mask)
-        for result in link_batch:
-            assert result.mask == link_single.mask
-        plain_batch = plain.match_links_batch([event, event], mask)
+        link_batch = aggregated.match_links_batch([event, event], *mask)
+        assert link_batch == [aggregated.match_links(event, *mask)] * 2
+        plain_batch = plain.match_links_batch([event, event], *mask)
         for ours, theirs in zip(link_batch, plain_batch):
-            assert ours.mask == theirs.mask
+            assert ours[0] == theirs[0]
 
     @given(specs=subscription_lists, event_values=events)
     @settings(max_examples=60)
@@ -217,8 +216,8 @@ class TestIngestOrderInvariance:
         event = Event.from_tuple(SCHEMA, event_values)
         assert_same_matches(plain, aggregated, event)
         assert (
-            aggregated.match_links(event, mask).mask
-            == plain.match_links(event, mask).mask
+            aggregated.match_links(event, *mask)[0]
+            == plain.match_links(event, *mask)[0]
         )
         assert aggregated.subscription_count == plain.subscription_count
 
@@ -313,17 +312,16 @@ class TestChurnEquivalence:
                 SCHEMA, tuple(rng.choice(DOMAIN) for _ in SCHEMA.names)
             )
             assert_same_matches(plain, aggregated, event)
-            mask = TritVector(rng.choice([Y, M, N]) for _ in range(NUM_LINKS))
-            links = aggregated.match_links(event, mask)
-            assert links.mask == plain.match_links(event, mask).mask
+            mask = pack_tritvector(rng.choice([Y, M, N]) for _ in range(NUM_LINKS))
+            links = aggregated.match_links(event, *mask)
+            assert links[0] == plain.match_links(event, *mask)[0]
             twin = replay(history, backend=backend)
             ours, theirs = aggregated.match(event), twin.match(event)
             assert sorted(s.subscription_id for s in ours.subscriptions) == sorted(
                 s.subscription_id for s in theirs.subscriptions
             )
             assert ours.steps == theirs.steps
-            twin_links = twin.match_links(event, mask)
-            assert (links.mask, links.steps) == (twin_links.mask, twin_links.steps)
+            assert links == twin.match_links(event, *mask)
         assert aggregated.subscription_count == len(live)
         assert len(aggregated.subscriptions) == len(live)
         # The workload is built to dissolve covering parents; if this ever

@@ -22,7 +22,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import M, N, TritVector, Y
+from repro.core import M, N, Y
+from repro.core.trits import pack_tritvector
 from repro.matching import Event, Predicate, RangeOp, Subscription, uniform_schema
 from repro.matching.engines import CompiledEngine
 from repro.matching.predicates import EqualityTest, RangeTest
@@ -47,7 +48,7 @@ subscription_lists = st.lists(predicate_specs, min_size=0, max_size=20)
 event_values = st.tuples(*(st.sampled_from(DOMAIN) for _ in range(4)))
 event_batches = st.lists(event_values, min_size=0, max_size=12)
 masks = st.lists(st.sampled_from([Y, M, N]), min_size=NUM_LINKS, max_size=NUM_LINKS).map(
-    TritVector
+    pack_tritvector
 )
 
 
@@ -127,11 +128,9 @@ class TestVectorEquivalence:
         events = [Event.from_tuple(SCHEMA, values) for values in batch]
         for engine in (interp, vector):
             engine.bind_links(NUM_LINKS, link_of)
-        reference = interp.match_links_batch(events, mask)
-        results = vector.match_links_batch(events, mask)
-        for got, want in zip(results, reference):
-            assert got.mask == want.mask
-            assert got.steps == want.steps
+        assert vector.match_links_batch(events, *mask) == interp.match_links_batch(
+            events, *mask
+        )
 
     def test_duplicate_heavy_batch(self):
         """Duplicates collapse identically (same shared entry per repeat)."""
@@ -205,13 +204,9 @@ class TestVectorEquivalence:
                 for _ in range(rng.randrange(1, 5))
             ]
             reference = interp.match_batch(events)
-            mask = TritVector(rng.choice([Y, M, N]) for _ in range(NUM_LINKS))
-            reference_links = interp.match_links_batch(events, mask)
+            mask = pack_tritvector(rng.choice([Y, M, N]) for _ in range(NUM_LINKS))
+            reference_links = interp.match_links_batch(events, *mask)
             for got, want in zip(vector.match_batch(events), reference):
                 assert id_set(got) == id_set(want)
                 assert got.steps == want.steps
-            for got, want in zip(
-                vector.match_links_batch(events, mask), reference_links
-            ):
-                assert got.mask == want.mask
-                assert got.steps == want.steps
+            assert vector.match_links_batch(events, *mask) == reference_links

@@ -15,7 +15,8 @@ import importlib.util
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import M, N, TritVector, Y
+from repro.core import M, N, Y
+from repro.core.trits import pack_tritvector
 from repro.matching import Event, Predicate, RangeOp, Subscription, uniform_schema
 from repro.matching.engines import CompiledEngine, TreeEngine
 from repro.matching.optimizations import FactoredMatcher
@@ -48,7 +49,7 @@ event_batches = st.one_of(
     ),
 )
 masks = st.lists(st.sampled_from([Y, M, N]), min_size=NUM_LINKS, max_size=NUM_LINKS).map(
-    TritVector
+    pack_tritvector
 )
 
 
@@ -143,12 +144,8 @@ class TestMatchLinksBatchEquivalence:
             engine.insert(subscription)
         engine.bind_links(NUM_LINKS, link_of)
         events = [Event.from_tuple(SCHEMA, values) for values in batch]
-        batched = engine.match_links_batch(events, mask)
-        assert len(batched) == len(events)
-        for event, batch_result in zip(events, batched):
-            single = engine.match_links(event, mask)
-            assert batch_result.mask == single.mask
-            assert batch_result.steps == single.steps
+        batched = engine.match_links_batch(events, *mask)
+        assert batched == [engine.match_links(event, *mask) for event in events]
 
     @given(specs=subscription_lists, batch=event_batches, mask=masks)
     @settings(max_examples=50)
@@ -158,8 +155,5 @@ class TestMatchLinksBatchEquivalence:
             engine.insert(subscription)
         engine.bind_links(NUM_LINKS, link_of)
         events = [Event.from_tuple(SCHEMA, values) for values in batch]
-        batched = engine.match_links_batch(events, mask)
-        for event, batch_result in zip(events, batched):
-            single = engine.match_links(event, mask)
-            assert batch_result.mask == single.mask
-            assert batch_result.steps == single.steps
+        batched = engine.match_links_batch(events, *mask)
+        assert batched == [engine.match_links(event, *mask) for event in events]

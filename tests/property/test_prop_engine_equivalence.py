@@ -18,7 +18,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import M, N, TritVector, Y
+from repro.core import M, N, Y
+from repro.core.trits import pack_tritvector
 from repro.matching import Event, Predicate, RangeOp, Subscription, uniform_schema
 from repro.matching.engines import CompiledEngine, TreeEngine
 from repro.matching.predicates import EqualityTest, RangeTest
@@ -41,7 +42,7 @@ predicate_specs = st.tuples(*(test_specs for _ in range(4)))
 subscription_lists = st.lists(predicate_specs, min_size=0, max_size=20)
 events = st.tuples(*(st.sampled_from(DOMAIN + [9]) for _ in range(4)))  # 9 = out of domain
 masks = st.lists(st.sampled_from([Y, M, N]), min_size=NUM_LINKS, max_size=NUM_LINKS).map(
-    TritVector
+    pack_tritvector
 )
 
 
@@ -113,10 +114,7 @@ class TestLinkMatchEquivalence:
         tree.bind_links(NUM_LINKS, link_of)
         compiled.bind_links(NUM_LINKS, link_of)
         event = Event.from_tuple(SCHEMA, event_values)
-        tree_result = tree.match_links(event, mask)
-        compiled_result = compiled.match_links(event, mask)
-        assert compiled_result.mask == tree_result.mask
-        assert compiled_result.steps == tree_result.steps
+        assert compiled.match_links(event, *mask) == tree.match_links(event, *mask)
 
 
 class TestChurnEquivalence:
@@ -166,10 +164,7 @@ class TestChurnEquivalence:
                 SCHEMA, tuple(rng.choice(DOMAIN) for _ in SCHEMA.names)
             )
             assert_match_equivalent(tree, compiled, event)
-            mask = TritVector(rng.choice([Y, M, N]) for _ in range(NUM_LINKS))
-            tree_links = tree.match_links(event, mask)
-            compiled_links = compiled.match_links(event, mask)
-            assert compiled_links.mask == tree_links.mask
-            assert compiled_links.steps == tree_links.steps
+            mask = pack_tritvector(rng.choice([Y, M, N]) for _ in range(NUM_LINKS))
+            assert compiled.match_links(event, *mask) == tree.match_links(event, *mask)
         assert len(tree.subscriptions) == len(live)
         assert len(compiled.subscriptions) == len(live)

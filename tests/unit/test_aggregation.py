@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import M, TritVector
+from repro.core.trits import unpack_tritvector
 from repro.errors import SubscriptionError
 from repro.matching import Event, Predicate, Subscription, uniform_schema
 from repro.matching.aggregation import AggregatingEngine, canonicalize_predicate
@@ -43,6 +43,12 @@ def make_engine(**kwargs):
 
 def link_of(subscription):
     return int(subscription.subscriber[1:])
+
+
+def refined(engine, ev):
+    """The final mask of refining an all-Maybe initialization mask."""
+    final_yes, _steps = engine.match_links(ev, 0, (1 << NUM_LINKS) - 1)
+    return unpack_tritvector(final_yes, 0, NUM_LINKS)
 
 
 def matched_ids(engine, ev):
@@ -234,15 +240,14 @@ class TestCoveredProgram:
         cover_rep = engine._group_of[cover.subscription_id].representative
         assert representative_ids(engine.inner) == {cover_rep.subscription_id}
         assert representative_ids(engine._covered) == set(reps.values())
-        mask = TritVector([M] * NUM_LINKS)
-        assert [t.name for t in engine.match_links(event((1, 0, 0)), mask).mask] == [
+        assert [t.name for t in refined(engine, event((1, 0, 0)))] == [
             "YES", "NO", "YES", "NO",
         ]
         engine.remove(cover.subscription_id)  # dissolve: children promoted
         assert representative_ids(engine.inner) == set(reps.values())
         assert representative_ids(engine._covered) == set()
         assert cover_rep.subscription_id not in engine._rep_group
-        assert [t.name for t in engine.match_links(event((1, 0, 0)), mask).mask] == [
+        assert [t.name for t in refined(engine, event((1, 0, 0)))] == [
             "NO", "NO", "YES", "NO",
         ]
         assert matched_ids(engine, event((0, 0, 0))) == [left.subscription_id]
@@ -280,20 +285,19 @@ class TestLinkRefresh:
         engine.bind_links(NUM_LINKS, link_of)
         first = sub("s0", a1=EqualityTest(1))
         engine.insert(first)
-        mask = TritVector([M] * NUM_LINKS)
         ev = event((1, 0, 0))
-        assert [t.name for t in engine.match_links(ev, mask).mask] == [
+        assert [t.name for t in refined(engine, ev)] == [
             "YES", "NO", "NO", "NO",
         ]
         # Same body, different subscriber/link: a membership-only change.
         second = sub("s2", a1=EqualityTest(1))
         engine.insert(second)
         assert engine.root_count == 1
-        assert [t.name for t in engine.match_links(ev, mask).mask] == [
+        assert [t.name for t in refined(engine, ev)] == [
             "YES", "NO", "YES", "NO",
         ]
         engine.remove(first.subscription_id)
-        assert [t.name for t in engine.match_links(ev, mask).mask] == [
+        assert [t.name for t in refined(engine, ev)] == [
             "NO", "NO", "YES", "NO",
         ]
 
@@ -302,9 +306,8 @@ class TestLinkRefresh:
         engine.bind_links(NUM_LINKS, link_of)
         engine.insert(sub("s0"))
         engine.insert(sub("s3", a1=EqualityTest(1)))  # covered, link 3
-        mask = TritVector([M] * NUM_LINKS)
-        hit = engine.match_links(event((1, 0, 0)), mask).mask
-        miss = engine.match_links(event((0, 0, 0)), mask).mask
+        hit = refined(engine, event((1, 0, 0)))
+        miss = refined(engine, event((0, 0, 0)))
         assert [t.name for t in hit] == ["YES", "NO", "NO", "YES"]
         assert [t.name for t in miss] == ["YES", "NO", "NO", "NO"]
 

@@ -204,7 +204,8 @@ class TestEpochs:
             decision.assert_current(router.subscription_epoch)
 
     def test_assert_current_message(self):
-        decision = RouteDecision("B0", [], [], 0, TritVector("Y"), epoch=3)
+        decision = RouteDecision("B0", [], [], 0, 0b1, 1, epoch=3)
+        assert decision.mask == TritVector("Y")
         with pytest.raises(RoutingError, match="epoch 3"):
             decision.assert_current(7)
 

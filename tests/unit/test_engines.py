@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import TritVector
 from repro.errors import RoutingError, SubscriptionError
 from repro.matching import (
     CompiledEngine,
@@ -54,14 +53,14 @@ class TestEngineSurface:
     def test_match_links_requires_bind_links(self, engine_name):
         engine = create_engine(engine_name, SCHEMA, domains=DOMAINS)
         with pytest.raises(RoutingError):
-            engine.match_links(Event.from_tuple(SCHEMA, (0, 0, 0)), TritVector("MM"))
+            engine.match_links(Event.from_tuple(SCHEMA, (0, 0, 0)), 0, 0b11)
 
     @pytest.mark.parametrize("engine_name", ["tree", "compiled"])
     def test_match_links_rejects_wrong_mask_length(self, engine_name):
         engine = create_engine(engine_name, SCHEMA, domains=DOMAINS)
         engine.bind_links(3, link_of)
-        with pytest.raises(ValueError):
-            engine.match_links(Event.from_tuple(SCHEMA, (0, 0, 0)), TritVector("MM"))
+        with pytest.raises(ValueError):  # a bit at position 3 of 3 links
+            engine.match_links(Event.from_tuple(SCHEMA, (0, 0, 0)), 0, 0b1011)
 
     @pytest.mark.parametrize("engine_name", ["tree", "compiled"])
     def test_subscription_bookkeeping(self, engine_name):

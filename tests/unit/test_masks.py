@@ -72,10 +72,13 @@ class TestDiamondTopology:
         mask_p2 = table.initialization_mask("B3")  # tree rooted at B3
         assert mask_p1 != mask_p2
 
-    def test_neighbors_for_mask_dedupes(self, diamond_topology):
-        table = table_for(diamond_topology, "B0")
-        mask = table.initialization_mask("B0").close_maybes()
-        assert table.neighbors_for_mask(mask) == []
+    def test_split_dedupes(self, diamond_topology):
+        table = table_for(diamond_topology, "B1")
+        assert table.split(0) == ([], [])
+        brokers, clients = table.split((1 << table.num_links) - 1)
+        assert table.split_count > 0  # some neighbor sits behind two positions
+        assert brokers + clients == sorted({v.neighbor for v in table.virtual_links})
+        assert all(diamond_topology.node(c).kind.is_client for c in clients)
 
     def test_virtual_links_partition_destinations(self, diamond_topology):
         table = table_for(diamond_topology, "B0")

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import socket
+import struct
 import threading
 import time
 
 import pytest
 
 from repro.broker import TcpTransport, parse_endpoint
+from repro.broker.messages import decode_message
 from repro.errors import TransportError
 
 
@@ -111,6 +114,32 @@ class TestTcpMessaging:
         server_side[0].close()
         assert wait_until(closed.is_set)
         assert not client.is_open
+
+    def test_bad_frame_closes_the_connection_quietly(self, live_registry, monkeypatch):
+        """A well-framed payload that does not decode closes the receiving
+        connection and is counted; no exception escapes its thread."""
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        transport = TcpTransport(sender_threads=1)
+        accepted = []
+
+        def on_accept(connection):
+            connection.on_message = decode_message
+            accepted.append(connection)
+
+        try:
+            listener = transport.listen("127.0.0.1:0", on_accept)
+            with socket.create_connection(("127.0.0.1", listener.port), timeout=5) as raw:
+                raw.sendall(struct.pack(">I", 4) + b"\xff\xff\xff\xff")
+                assert raw.recv(1) == b""  # the receiving side hung up
+            assert wait_until(lambda: accepted)
+            accepted[0]._receiver.join(timeout=5)  # excepthook runs before it ends
+        finally:
+            transport.close()
+        assert not accepted[0]._receiver.is_alive()
+        assert not accepted[0].is_open
+        assert escaped == []
+        assert live_registry.value_of("transport.tcp.bad_frames") == 1
 
     def test_many_messages_in_order(self, transport):
         received = []
