@@ -32,7 +32,7 @@ import threading
 from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.errors import ProtocolError, RoutingError, TransportError
+from repro.errors import PredicateError, ProtocolError, RoutingError, TransportError
 from repro.broker import messages as wire
 from repro.broker.codec import decode_event
 from repro.broker.event_log import EventLog
@@ -204,7 +204,7 @@ class BrokerNode:
         :meth:`start` so a whole network can listen first, then dial."""
         for neighbor in self.config.topology.broker_neighbors(self.name):
             if self.name < neighbor:
-                self._dial_broker(neighbor)
+                self.dial_broker(neighbor)
 
     def stop(self) -> None:
         with self._lock:
@@ -244,9 +244,6 @@ class BrokerNode:
             self._greeted_connections.add(id(connection))
         connection.send(wire.encode_message(wire.BrokerHello(self.name)))
         self._send_subscription_sync(connection)
-
-    # Backwards-compatible private alias used by connect_neighbors.
-    _dial_broker = dial_broker
 
     # ------------------------------------------------------------------
     # Connection management
@@ -344,6 +341,8 @@ class BrokerNode:
         client = session.name
         try:
             predicate = parse_predicate(self.config.schema, message.expression)
+            if not predicate.is_satisfiable:  # the router would refuse it
+                raise PredicateError(f"unsatisfiable predicate {message.expression!r}")
         except Exception as exc:  # parse/predicate errors go back to the client
             connection.send(
                 wire.encode_message(wire.ErrorReply(message.request_id, str(exc)))

@@ -718,7 +718,7 @@ class CompiledProgram:
 
     def _sync_leaf(self, index: int, node: PSTNode) -> None:
         begin, end = self.sub_start[index], self.sub_end[index]
-        if self.subs_flat[begin:end] == node.subscriptions:
+        if self.subs_flat[begin:end] == list(node.subscriptions):
             return
         self._release_leaf_subs(index)
         self._write_leaf_subs(index, node)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
+import weakref
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import PredicateError
@@ -116,12 +117,31 @@ DONT_CARE = DontCare()
 
 
 class EqualityTest(AttributeTest):
-    """``attribute = value``, the workhorse test of the paper's PST."""
+    """``attribute = value``, the workhorse test of the paper's PST.
 
-    __slots__ = ("value",)
+    Interned and read-only: ``EqualityTest(v)`` (and a copy or unpickling)
+    returns the one live test for ``(type(v), v)``, so ``1``, ``True`` and
+    ``1.0`` stay distinct and a replica holds one test per distinct value.
+    """
 
-    def __init__(self, value: AttributeValue) -> None:
-        self.value = value
+    __slots__ = ("value", "__weakref__")
+
+    def __new__(cls, value: AttributeValue) -> "EqualityTest":
+        key = (type(value), value)
+        test = _INTERNED_EQUALITIES.get(key)
+        if test is None:
+            test = super().__new__(cls)
+            object.__setattr__(test, "value", value)
+            test = _INTERNED_EQUALITIES.setdefault(key, test)
+        return test
+
+    def __setattr__(self, *_: object) -> None:
+        raise AttributeError("EqualityTest is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> Tuple[type, Tuple[AttributeValue]]:
+        return (EqualityTest, (self.value,))
 
     def evaluate(self, value: AttributeValue) -> bool:
         return value == self.value
@@ -139,6 +159,10 @@ class EqualityTest(AttributeTest):
 
     def __repr__(self) -> str:
         return f"EqualityTest({self.value!r})"
+
+
+#: Weak-valued, so it holds only the tests some predicate still holds.
+_INTERNED_EQUALITIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class RangeTest(AttributeTest):

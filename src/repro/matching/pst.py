@@ -33,6 +33,7 @@ alternative for unlisted values.
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 from typing import (
     Dict,
     FrozenSet,
@@ -53,6 +54,9 @@ from repro.matching.schema import AttributeValue, EventSchema
 
 _node_ids = itertools.count(1)
 
+#: Every node's ``value_branches`` until it has one; read-only, so a stray write raises.
+_NO_VALUE_BRANCHES: Mapping[AttributeValue, "PSTNode"] = MappingProxyType({})
+
 
 class PSTNode:
     """A node of the Parallel Search Tree.
@@ -64,7 +68,8 @@ class PSTNode:
     * ``range_branches`` lists ``(test, child)`` pairs for range tests,
     * ``star_child`` is the child along the ``*``-branch.
 
-    ``subscriptions`` is non-empty only at leaves.
+    ``subscriptions`` is non-empty only at leaves.  An unused container is a
+    shared immutable empty; the tree installs a real one on first use.
     """
 
     __slots__ = (
@@ -79,10 +84,10 @@ class PSTNode:
     def __init__(self, attribute_position: Optional[int]) -> None:
         self.node_id = next(_node_ids)
         self.attribute_position = attribute_position
-        self.value_branches: Dict[AttributeValue, "PSTNode"] = {}
-        self.range_branches: List[Tuple[AttributeTest, "PSTNode"]] = []
+        self.value_branches: Mapping[AttributeValue, "PSTNode"] = _NO_VALUE_BRANCHES
+        self.range_branches: Sequence[Tuple[AttributeTest, "PSTNode"]] = ()
         self.star_child: Optional["PSTNode"] = None
-        self.subscriptions: List[Subscription] = []
+        self.subscriptions: Sequence[Subscription] = ()
 
     @property
     def is_leaf(self) -> bool:
@@ -273,6 +278,8 @@ class ParallelSearchTree:
                 replacement.star_child = node
             return self._insert(replacement, tests, target, subscription)
         if node.is_leaf:
+            if not node.subscriptions:
+                node.subscriptions = []
             node.subscriptions.append(subscription)
             return node
         test = tests[node_position]
@@ -309,9 +316,11 @@ class ParallelSearchTree:
         if test.is_dont_care:
             node.star_child = child
         elif isinstance(test, EqualityTest):
+            if not node.value_branches:
+                node.value_branches = {}
             node.value_branches[test.value] = child
         else:
-            node.range_branches.append((test, child))
+            node.range_branches = (*node.range_branches, (test, child))
 
     def remove(self, subscription_id: int) -> Subscription:
         """Remove a subscription by id, pruning now-empty branches.
@@ -334,7 +343,9 @@ class ParallelSearchTree:
         if node.is_leaf:
             try:
                 node.subscriptions.remove(subscription)
-            except ValueError:
+                if not node.subscriptions:
+                    node.subscriptions = ()
+            except (ValueError, AttributeError):  # absent, or an empty leaf's ()
                 raise SubscriptionError(
                     f"subscription #{subscription.subscription_id} not found at its leaf "
                     "(tree structure was mutated externally?)"
@@ -358,12 +369,14 @@ class ParallelSearchTree:
             node.star_child = None
         elif isinstance(test, EqualityTest):
             del node.value_branches[test.value]
+            if not node.value_branches:
+                node.value_branches = _NO_VALUE_BRANCHES
         else:
-            node.range_branches = [
+            node.range_branches = tuple(
                 (branch_test, child)
                 for branch_test, child in node.range_branches
                 if branch_test != test
-            ]
+            )
 
     # ------------------------------------------------------------------
     # Matching
@@ -439,9 +452,9 @@ class ParallelSearchTree:
             if not node.is_leaf:
                 for value, child in list(node.value_branches.items()):
                     node.value_branches[value] = splice(child)
-                node.range_branches = [
+                node.range_branches = tuple(
                     (test, splice(child)) for test, child in node.range_branches
-                ]
+                )
                 if node.star_child is not None:
                     node.star_child = splice(node.star_child)
             return node

@@ -6,7 +6,13 @@ import time
 
 import pytest
 
-from repro.broker import BrokerClient, BrokerNetworkConfig, BrokerNode, TcpTransport
+from repro.broker import (
+    BrokerClient,
+    BrokerNetworkConfig,
+    BrokerNode,
+    RequestFailed,
+    TcpTransport,
+)
 from repro.matching import stock_trade_schema
 from repro.network import NodeKind, Topology
 
@@ -102,3 +108,20 @@ class TestTcpEndToEnd:
         alice.connect(resume=True)
         assert wait_until(lambda: len(alice.received_events) == 2)
         assert [e["issue"] for e in alice.received_events] == ["A", "B"]
+
+
+class TestTcpFailClosed:
+    def test_unsatisfiable_subscribe_gets_error_reply(self, tcp_network):
+        """A well-framed SUBSCRIBE the router would refuse is answered with
+        an error at once; the receiver thread lives on, so the same
+        connection subscribes next."""
+        schema, transport, endpoints, nodes = tcp_network
+        alice = BrokerClient("alice", schema, transport, endpoints["B0"])
+        alice.connect()
+        assert wait_until(lambda: alice.connected_broker == "B0")
+        began = time.monotonic()
+        with pytest.raises(RequestFailed, match="unsatisfiable"):
+            alice.subscribe_and_wait("volume>3 & volume<2", timeout_s=1.0)
+        assert time.monotonic() - began < 1.0
+        alice.subscribe_and_wait("volume>3", timeout_s=8.0)
+        assert wait_until(lambda: all(n.subscription_count == 1 for n in nodes.values()))

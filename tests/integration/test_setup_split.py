@@ -1,0 +1,33 @@
+"""Smoke test of ``benchmarks/setup_split.py``: one JSON line with the set-up
+split and the heap census after set-up."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def test_setup_split_reports_the_heap():
+    environment = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONHASHSEED="0")
+    script = os.path.join(ROOT, "benchmarks", "setup_split.py")
+    completed = subprocess.run(
+        [sys.executable, script, "fanout_mem", "--quick"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=ROOT,
+        env=environment,
+        check=True,
+    )
+    report = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert report["workload"] == "fanout_mem"
+    for layer in ("parse", "annotate", "insert", "compile", "gc"):
+        assert report[f"{layer}_s"] >= 0 and 0 <= report[f"{layer}_share"] <= 1
+    assert report["gen2_pauses"] >= 0 and report["gen2_pause_s"] >= 0
+    top = report["top_tracked_types"]
+    assert len(top) == 5 and all(count > 0 for count in top.values())
+    assert report["tracked_objects"] >= sum(top.values())

@@ -202,6 +202,18 @@ messages = st.one_of(
 )
 
 
+# Arbitrary bytes; half the draws start with a valid message type byte, so
+# they get past the dispatch into a decoder.
+junk_payloads = st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        lambda kind, rest: bytes((kind,)) + rest,
+        st.sampled_from(sorted(int(kind) for kind in wire.MessageType)),
+        st.binary(max_size=64),
+    ),
+)
+
+
 class TestMessageCodec:
     @given(message=messages)
     @settings(max_examples=300)
@@ -231,13 +243,21 @@ class TestMessageCodec:
             else:
                 assert decoded == _without_digests(message)
 
-    @given(junk=st.binary(min_size=0, max_size=64))
-    @settings(max_examples=200)
+    @given(junk=junk_payloads)
+    @settings(max_examples=400)
     def test_junk_never_crashes_decoder(self, junk):
         try:
             decode_message(junk)
         except CodecError:
             pass  # rejection is the expected path
+
+    @given(junk=junk_payloads)
+    @settings(max_examples=400)
+    def test_junk_event_never_crashes_decoder(self, junk):
+        try:
+            decode_event(SCHEMA, junk)
+        except CodecError:
+            pass
 
 
 def _without_digests(message):

@@ -3,7 +3,9 @@
 Random interleavings of insert / remove / eliminate-trivial-tests / match;
 the model is a plain list of subscriptions evaluated brute force.  Catches
 structural corruption that single-shot property tests can miss (e.g. a
-splice interacting with a later removal).
+splice interacting with a later removal).  After every step, no node may
+hold an empty mutable container: unused ones are the shared immutable
+empties, so a replica allocates only what it holds.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from repro.matching import (
     Event,
     ParallelSearchTree,
     Predicate,
+    RangeOp,
+    RangeTest,
     Subscription,
     uniform_schema,
 )
@@ -23,9 +27,13 @@ from repro.matching import (
 SCHEMA = uniform_schema(3)
 DOMAIN = [0, 1, 2]
 
-predicate_specs = st.tuples(
-    *(st.one_of(st.none(), st.sampled_from(DOMAIN)) for _ in range(3))
+# Per attribute: don't care (None), ``= v`` or ``< v``.
+attribute_tests = st.one_of(
+    st.none(),
+    st.sampled_from(DOMAIN).map(EqualityTest),
+    st.sampled_from(DOMAIN).map(lambda value: RangeTest(RangeOp.LT, value)),
 )
+predicate_specs = st.tuples(*(attribute_tests for _ in range(3)))
 event_values = st.tuples(*(st.sampled_from(DOMAIN) for _ in range(3)))
 
 
@@ -37,11 +45,7 @@ class PstMachine(RuleBasedStateMachine):
 
     @rule(specs=predicate_specs)
     def insert(self, specs):
-        tests = {
-            name: EqualityTest(value)
-            for name, value in zip(SCHEMA.names, specs)
-            if value is not None
-        }
+        tests = {name: test for name, test in zip(SCHEMA.names, specs) if test is not None}
         subscription = Subscription(Predicate(SCHEMA, tests), "s")
         self.tree.insert(subscription)
         self.model[subscription.subscription_id] = subscription
@@ -72,6 +76,12 @@ class PstMachine(RuleBasedStateMachine):
     @invariant()
     def registry_size_consistent(self):
         assert len(self.tree) == len(self.model)
+
+    @invariant()
+    def no_empty_mutable_container(self):
+        for node in self.tree.nodes():
+            for container in (node.value_branches, node.range_branches, node.subscriptions):
+                assert container or not isinstance(container, (dict, list)), node
 
     @invariant()
     def empty_tree_is_single_root(self):

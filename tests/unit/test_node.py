@@ -124,6 +124,19 @@ class TestSubscriptionPropagation:
         with pytest.raises(RequestFailed):
             alice.subscribe_and_wait("nope===")
 
+    def test_unsatisfiable_expression_reported(self):
+        """Regression: the router's refusal escaped the SUBSCRIBE handler (on
+        this transport, out of the client's own wait)."""
+        schema, transport, nodes = two_broker_network()
+        alice = client("alice", schema, transport, "B0")
+        with pytest.raises(RequestFailed, match="unsatisfiable"):
+            alice.subscribe_and_wait("volume>3 & volume<2")
+        transport.pump()
+        assert [node.subscription_count for node in nodes.values()] == [0, 0]
+        alice.subscribe_and_wait("volume>3")
+        transport.pump()
+        assert [node.subscription_count for node in nodes.values()] == [1, 1]
+
     def test_cannot_remove_another_clients_subscription(self):
         schema, transport, nodes = two_broker_network()
         alice = client("alice", schema, transport, "B0")

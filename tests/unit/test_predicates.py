@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
+
 import pytest
 
 from repro.errors import PredicateError
@@ -16,7 +20,9 @@ from repro.matching import (
     RangeTest,
     Subscription,
     normalize_tests,
+    uniform_schema,
 )
+from repro.matching.predicates import _INTERNED_EQUALITIES
 
 
 class TestDontCare:
@@ -47,6 +53,44 @@ class TestEqualityTest:
 
     def test_describe(self):
         assert EqualityTest(5).describe("a1") == "a1=5"
+
+
+class TestEqualityTestInterning:
+    def test_equal_type_and_value_is_one_instance(self):
+        assert EqualityTest("IBM") is EqualityTest("IBM")
+        assert EqualityTest(7) is EqualityTest(7)
+
+    def test_one_true_and_one_point_oh_stay_distinct(self):
+        tests = [EqualityTest(1), EqualityTest(True), EqualityTest(1.0)]
+        assert len({id(test) for test in tests}) == 3
+        assert [type(test.value) for test in tests] == [int, bool, float]
+
+    def test_value_is_read_only(self):
+        test = EqualityTest(3)
+        with pytest.raises(AttributeError):
+            test.value = 4
+        with pytest.raises(AttributeError):
+            del test.value
+        assert EqualityTest(3).value == 3
+
+    def test_copies_and_pickles_are_the_interned_instance(self):
+        test = EqualityTest("x")
+        assert copy.copy(test) is test
+        assert copy.deepcopy(test) is test
+        assert pickle.loads(pickle.dumps(test)) is test
+        held = EqualityTest(5)
+        assert copy.deepcopy(Predicate(uniform_schema(1), {"a1": held})).tests[0] is held
+
+    def test_table_holds_only_live_tests(self):
+        value = 987_654_321  # held by this test's predicate only
+        predicate = Predicate(uniform_schema(1), {"a1": EqualityTest(value)})
+        gc.collect()
+        size = len(_INTERNED_EQUALITIES)
+        assert (int, value) in _INTERNED_EQUALITIES
+        del predicate
+        gc.collect()
+        assert len(_INTERNED_EQUALITIES) == size - 1
+        assert (int, value) not in _INTERNED_EQUALITIES
 
 
 class TestRangeTest:
