@@ -13,12 +13,13 @@ baseline:
 
 ``program_cells`` / ``cells_per_sub`` (table: ``cells`` = ``inner`` +
 ``covered``)
-    Compiled-program memory proxy: ``node_count + len(subs_flat) +
-    len(value_ids) + len(range_tests)`` summed over the aggregated engine's
-    two programs — the roots' (``inner_cells``) and the covered groups'
-    (``covered_cells``).  Sub-linear growth — ``cells_per_sub`` falling as
-    counts rise — is the whole point: the arrays track *distinct* predicates
-    while the duplicated pool keeps handing out repeats.
+    Compiled-program memory proxy: node slots + leaf entries +
+    ``len(value_ids)`` + range pairs, read off the records and summed over
+    the aggregated engine's two programs — the roots' (``inner_cells``) and
+    the covered groups' (``covered_cells``).  Sub-linear growth —
+    ``cells_per_sub`` falling as counts rise — is the whole point: the
+    records track *distinct* predicates while the duplicated pool keeps
+    handing out repeats.
 
 ``per_event_us`` / ``speedup`` (table: ``agg_us`` / ``base_us``)
     Per-event matching time against the unaggregated compiled baseline at
@@ -83,14 +84,12 @@ def build_engine(subscriptions, *, aggregate, cover_scan_limit, use_index=True):
 
 
 def program_cells(engine):
-    """Memory proxy: compiled-array entries of one engine's program."""
+    """Memory proxy: the entries of one engine's compiled program."""
     program = engine.program
-    return (
-        program.node_count
-        + len(program.subs_flat)
-        + len(program.value_ids)
-        + len(program.range_tests)
-    )
+    cells = program.node_count + len(program.value_ids)
+    for _position, _table, ranges, _star, subs in program._records:
+        cells += len(ranges or ()) + len(subs or ())
+    return cells
 
 
 def time_events(engine, events, repeats):

@@ -20,10 +20,9 @@ subscription count falls below ``X``.
 ``--churn N`` interleaves subscription churn with the matching loop: every
 ``N`` events one registered subscription is removed and a fresh one inserted
 (net size constant).  The tree engine patches annotations in place; the
-compiled engine pays for incremental patches and the occasional
-waste-triggered recompile — which is exactly the cost the steady-state
-table hides, so churn rows make recompile pressure visible in the trend
-tables.
+compiled engine pays for incremental patches — which is exactly the cost
+the steady-state table hides, so churn rows make patch cost visible in the
+trend tables.
 """
 
 from __future__ import annotations

@@ -9,8 +9,14 @@ one JSON line.  A layer's seconds include the collections that land inside
 it (``gc_in``); the four layers never nest.  After set-up it takes a heap
 census: ``tracked_objects`` (what the collector walks on every full
 collection), the five most numerous tracked types, and the number and
-seconds of generation-2 pauses during set-up.  Run from the repository
-root (``--quick`` uses the workload's smoke size)::
+seconds of generation-2 pauses during set-up.  It also sizes the compiled
+programs: ``program_mib`` is what every live ``CompiledProgram`` owns (an
+annotated view's shared structure counted once), and ``program_field_mib``
+each field's *exclusive* share — the bytes only that field reaches, i.e.
+what deleting it would free.  The walk stops at PST nodes, subscriptions,
+predicates and tests (the tree owns them), counts small ints as free and
+the PST's node ids as the tree's.  Run from the repository root
+(``--quick`` uses the workload's smoke size)::
 
     PYTHONHASHSEED=0 PYTHONPATH=src python benchmarks/setup_split.py chain_mem_25k --seed 1
 
@@ -33,9 +39,75 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from benchmarks.e2e.workloads import WORKLOADS  # noqa: E402
 from repro.matching import parser  # noqa: E402
 from repro.matching.compile import CompiledProgram  # noqa: E402
-from repro.matching.pst import ParallelSearchTree  # noqa: E402
+from repro.matching.predicates import AttributeTest, Predicate, Subscription  # noqa: E402
+from repro.matching.pst import ParallelSearchTree, PSTNode  # noqa: E402
 
 LAYERS = ("parse", "annotate", "insert", "compile")
+
+#: What a program points at but does not own.
+_BORROWED = (PSTNode, Subscription, Predicate, AttributeTest, CompiledProgram)
+#: Program slots that wire it to its surroundings rather than hold structure.
+_WIRING = frozenset(
+    (
+        "schema",
+        "attribute_order",
+        "backend",
+        "_obs_kernel_calls",
+        "_obs_kernel_events",
+        "_link_of_subscriber",
+        "_schema_ok",
+        "_base",
+    )
+)
+#: Owner of what no field owns alone: what two fields reach, the PST's node ids.
+_SHARED = -1
+
+
+def _referents(item):
+    if isinstance(item, dict):
+        return [*item.keys(), *item.values()]
+    if isinstance(item, (list, tuple, set, frozenset)):
+        return item
+    slots = getattr(type(item), "__slots__", ())
+    return [getattr(item, slot, None) for slot in slots] + list(
+        getattr(item, "__dict__", {}).values()
+    )
+
+
+def program_census(programs):
+    """``(total bytes, {field: exclusive bytes})`` over ``programs``: one
+    ``sys.getsizeof`` walk per field, each object owned by the first field
+    that reaches it until a second one does."""
+    fields = [field for field in CompiledProgram.__slots__ if field not in _WIRING]
+    owner = {}
+    for program in programs:
+        for node_id in program._slot_node_id:
+            owner[id(node_id)] = _SHARED
+    exclusive = [0] * len(fields)
+    total = 0
+    for program in programs:
+        for field_index, field in enumerate(fields):
+            stack = [getattr(program, field)]
+            while stack:
+                item = stack.pop()
+                kind = type(item)
+                if item is None or kind is bool or isinstance(item, _BORROWED):
+                    continue
+                if kind is int and -5 <= item <= 256:
+                    continue  # CPython's cached small ints
+                seen = owner.get(id(item))
+                if seen is None:
+                    owner[id(item)] = field_index
+                    size = sys.getsizeof(item)
+                    exclusive[field_index] += size
+                    total += size
+                elif seen in (field_index, _SHARED):
+                    continue
+                else:
+                    exclusive[seen] -= sys.getsizeof(item)
+                    owner[id(item)] = _SHARED
+                stack.extend(_referents(item))
+    return total, dict(zip(fields, exclusive))
 
 
 def main() -> None:
@@ -95,7 +167,11 @@ def main() -> None:
         finally:
             gc.callbacks.remove(on_gc)
         gc.collect()  # count what set-up keeps, not its garbage
-        census = collections.Counter(type(item).__name__ for item in gc.get_objects())
+        objects = gc.get_objects()
+        census = collections.Counter(type(item).__name__ for item in objects)
+        programs = [item for item in objects if type(item) is CompiledProgram]
+        del objects
+        program_bytes, field_bytes = program_census(programs)
     finally:
         workload.teardown()
     report = {"workload": args.workload, "seed": args.seed, "setup_s": round(total, 3)}
@@ -107,6 +183,15 @@ def main() -> None:
     report["gen2_pause_s"] = round(full_collections["seconds"], 3)
     report["tracked_objects"] = sum(census.values())
     report["top_tracked_types"] = dict(census.most_common(5))
+    mib = 1 << 20
+    report["programs"] = len(programs)
+    report["program_slots"] = sum(
+        len(program._records) for program in programs if program._base is None
+    )
+    report["program_mib"] = round(program_bytes / mib, 2)
+    report["program_field_mib"] = {
+        field: round(size / mib, 2) for field, size in field_bytes.items()
+    }
     print(json.dumps(report))
 
 

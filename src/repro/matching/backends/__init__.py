@@ -1,7 +1,7 @@
 """Pluggable execution backends for the compiled matching kernels.
 
-:mod:`repro.matching.compile` lowers a Parallel Search Tree into flat
-record arrays; *how those arrays are executed* is this package's axis.  A
+:mod:`repro.matching.compile` lowers a Parallel Search Tree into one flat
+record per node; *how those records are executed* is this package's axis.  A
 :class:`KernelBackend` implements the raw kernels over a compiled program's
 records — single-event search, batched search, and the Section 3.3 link
 refinement — while :class:`~repro.matching.compile.CompiledProgram` keeps
@@ -26,9 +26,10 @@ plus plain value tuples (events are projected by the caller) and return
 plain ``(matched, steps)`` data.  They read the program's record surface
 (:attr:`~repro.matching.compile.CompiledProgram._records`, ``value_ids``,
 ``ann_yes``, ``ann_maybe``, ``generation``, ``backend_state``) and nothing
-else.
+else — and ``_records`` is all the structure a program has: no parallel
+arrays or pools describe it a second time.
 
-``program.generation`` increments on every mutation of the record arrays
+``program.generation`` increments on every mutation of the records
 (patch or re-annotation) and ``program.backend_state`` is a scratch dict
 cleared alongside it: backends key derived structures (the vector backend's
 columnar index) on the generation and rebuild lazily when it moves.

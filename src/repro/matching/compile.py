@@ -6,7 +6,7 @@ The object-graph matcher (:class:`~repro.matching.pst.ParallelSearchTree` +
 allocates a fresh immutable :class:`~repro.core.trits.TritVector` per
 refinement step.  That is the hottest path of the whole reproduction — every
 broker runs it for every event — so this module *compiles* a built tree into
-a :class:`CompiledProgram`: a set of flat parallel arrays indexed by node
+a :class:`CompiledProgram`: one flat record per node, indexed by node
 number, over which two iterative (explicit-stack, no recursion, no
 per-visit allocation) kernels run:
 
@@ -22,19 +22,24 @@ owns everything execution-independent — lowering, patching, annotation
 and the schema checks — and delegates the raw walks to the program's
 :attr:`~CompiledProgram.backend`.
 
-Array layout (one slot per node, node 0 is always the root):
+Record layout (one slot per node, node 0 is always the root).  The
+structure is ``_records[n]``, one tuple
+``(event_position, value_table, range_pairs, star_child, leaf_subs)``:
 
-========================  ====================================================
-``event_pos[n]``          schema position of the attribute node ``n`` tests,
-                          or ``-1`` for a leaf (doubles as the node-kind flag)
-``level[n]``              the tree level (``PSTNode.attribute_position``)
-``value_tables[n]``       dict mapping *interned value ids* to child indices,
-                          or ``None`` when the node has no value branches
-``range_start/end[n]``    CSR slice of ``range_tests``/``range_children``
-``star[n]``               child index of the ``*``-branch, ``-1`` when absent
-``sub_start/end[n]``      CSR slice of ``subs_flat`` (leaf subscriptions)
-``ann_yes/ann_maybe[n]``  the node's trit annotation, packed
-========================  ====================================================
+=====================  =======================================================
+``event_position``     schema position of the attribute node ``n`` tests, or
+                       ``-1`` for a leaf (doubles as the node-kind flag)
+``value_table``        dict mapping *interned value ids* to child slots, or
+                       ``None`` when the node has no value branches
+``range_pairs``        ``((test, child slot), ...)`` in the tree's branch
+                       order, or ``None``
+``star_child``         slot of the ``*``-branch child, ``-1`` when absent
+``leaf_subs``          a leaf's subscriptions as a tuple, ``None`` otherwise
+=====================  =======================================================
+
+Beside it, per slot: ``ann_yes[n]`` / ``ann_maybe[n]`` (the node's trit
+annotation, packed) and ``_slot_node_id[n]`` (the PST node lowered there,
+``0`` for a free slot).
 
 Attribute values are interned once into ``value_ids`` (a plain dict, so
 ``1``/``1.0``/``True`` collapse exactly as they do as PST hash-branch keys);
@@ -45,16 +50,17 @@ Both kernels intentionally visit nodes in the same order and count the same
 charts (Chart 2) are bit-for-bit unchanged; only wall-clock time improves.
 
 **Incremental recompilation.**  Subscription churn does not force a full
-rebuild: :meth:`CompiledProgram.patch` re-lowers only the root-to-leaf path
-selected by the changed predicate (the same walk as
-``TreeAnnotation.update_path``), appending new CSR slices at the array ends
-and repointing the slice bounds.  Node slots under a pruned branch go onto a
-free list and are reused by the next lowering, and the
+rebuild: :meth:`CompiledProgram.patch` walks the root-to-leaf path selected
+by the changed predicate (the same walk as ``TreeAnnotation.update_path``)
+in the tree and the program together, finding each child's slot through its
+parent's record and confirming it by node id.  Only an edge that changed is
+rewritten: a new child is lowered, a pruned one is recycled — its slots go
+onto a free list the next lowering reuses — and the
 ``subscription_id -> leaf`` map digests project through is kept current by
-the same writes, so a subscription change costs its path and steady churn
-leaves the node arrays stationary.  Only superseded pool slices become
-garbage; when that waste outgrows the live structure, ``patch`` refuses and
-the owning engine performs a fresh :func:`compile_tree`.
+the same writes.  A subscription change costs its path, leaves no garbage,
+and steady churn leaves the slot count stationary; ``patch`` refuses only a
+tree whose root was replaced, and the owning engine then performs a fresh
+:func:`compile_tree`.
 
 **Batching.**  :meth:`CompiledProgram.match_batch` and
 :meth:`CompiledProgram.match_links_batch` hand the whole batch to the
@@ -110,29 +116,14 @@ class CompiledProgram:
         "attribute_order",
         "_positions",
         "_domains",
-        # node arrays
-        "event_pos",
-        "level",
-        "value_tables",
-        "range_start",
-        "range_end",
-        "star",
-        "sub_start",
-        "sub_end",
+        # one kernel record per node slot, and its packed annotation
+        "_records",
         "ann_yes",
         "ann_maybe",
-        # flat pools
-        "range_tests",
-        "range_children",
-        "subs_flat",
-        # fused per-node view for the kernels
-        "_records",
         # interning / bookkeeping
         "value_ids",
-        "index_of_node",
         "num_links",
         "_link_of_subscriber",
-        "_waste",
         "_schema_ok",
         # execution backend
         "backend",
@@ -160,31 +151,21 @@ class CompiledProgram:
         self._positions: Tuple[int, ...] = tuple(
             tree.schema.position_of(name) for name in tree.attribute_order
         )
-        self.event_pos: List[int] = []
-        self.level: List[int] = []
-        self.value_tables: List[Optional[Dict[int, int]]] = []
-        self.range_start: List[int] = []
-        self.range_end: List[int] = []
-        self.star: List[int] = []
-        self.sub_start: List[int] = []
-        self.sub_end: List[int] = []
+        self._records: List[tuple] = []
         self.ann_yes: List[int] = []
         self.ann_maybe: List[int] = []
-        self.range_tests: List[AttributeTest] = []
-        self.range_children: List[int] = []
-        self.subs_flat: List[Subscription] = []
-        self._records: List[tuple] = []
         self.value_ids: Dict[AttributeValue, int] = {}
-        self.index_of_node: Dict[int, int] = {}
         self.num_links: Optional[int] = None
         self._link_of_subscriber: Optional[LinkOfSubscriber] = None
-        self._waste = 0
-        #: Each level's declared domain as ``{interned id: value}``; ``None``
-        #: when the domain is open.
-        self._domains: List[Optional[Dict[int, AttributeValue]]] = [
-            (None if domain is None else {self._intern(value): value for value in domain})
-            for domain in map(tree.domain_of, range(len(self._positions)))
-        ]
+        #: Each schema position's declared domain as ``{interned id: value}``;
+        #: ``None`` when the domain is open.
+        self._domains: List[Optional[Dict[int, AttributeValue]]] = [None] * len(
+            self._positions
+        )
+        for level, position in enumerate(self._positions):
+            domain = tree.domain_of(level)
+            if domain is not None:
+                self._domains[position] = {self._intern(value): value for value in domain}
         #: Last foreign schema object that deep-compared equal to ours —
         #: kept as a strong reference so the ``is`` fast path in
         #: :meth:`_schema_mismatch` cannot be fooled by id reuse.
@@ -194,7 +175,7 @@ class CompiledProgram:
         self.backend: KernelBackend = (
             create_backend(backend) if isinstance(backend, str) else backend
         )
-        #: Bumped on every mutation of the record arrays (patch, annotate);
+        #: Bumped on every mutation of the records (patch, annotate);
         #: backends key derived state on it and rebuild lazily.
         self.generation = 0
         #: Backend-owned scratch (vector's columnar index, …), cleared on
@@ -211,13 +192,13 @@ class CompiledProgram:
         #: lowering and retired by :meth:`patch` — never rebuilt.
         self._sub_leaf: Dict[int, int] = {}
         #: Slots :meth:`_recycle_subtree` proved unreachable, reset to neutral
-        #: leaves and awaiting reuse by :meth:`_ensure_index`.
+        #: leaves and awaiting reuse by :meth:`_lower`.
         self._free_slots: List[int] = []
-        #: PST node id lowered into each slot (the inverse of
-        #: :attr:`index_of_node`, which recycling must keep exact).
+        #: PST node id lowered into each slot, ``0`` for a free one: how
+        #: :meth:`patch` recognises the live tree's node in a slot.
         self._slot_node_id: List[int] = []
         self._base: Optional[CompiledProgram] = None
-        self._ensure_index(tree.root)
+        self._lower(tree.root)
 
     # ------------------------------------------------------------------
     # Lowering
@@ -229,120 +210,57 @@ class CompiledProgram:
             self.value_ids[value] = value_id
         return value_id
 
-    def _ensure_index(self, node: PSTNode) -> int:
-        """Index of ``node`` in the arrays, lowering it (and any children not
-        yet lowered) on first sight.  An index is stable for as long as the
-        node is live; a pruned node's slot is reused."""
-        index = self.index_of_node.get(node.node_id)
-        if index is not None:
-            return index
-        # Reserve the slot before descending so children see a stable parent.
+    def _lower(self, node: PSTNode, star_slot: int = -1) -> int:
+        """Lower ``node`` and everything under it into fresh slots (free
+        ones first) and return its slot.  ``star_slot`` is the slot already
+        holding ``node``'s ``*``-child, which then keeps it — a re-materialized
+        level redirects its old child rather than re-lowering it."""
         if self._free_slots:
             index = self._free_slots.pop()  # already a neutral leaf
             self._slot_node_id[index] = node.node_id
         else:
-            index = len(self.event_pos)
-            self.event_pos.append(-1)
-            self.level.append(-1)
-            self.value_tables.append(None)
-            self.range_start.append(0)
-            self.range_end.append(0)
-            self.star.append(-1)
-            self.sub_start.append(0)
-            self.sub_end.append(0)
+            index = len(self._records)
+            self._records.append(_FREE_RECORD)
             self.ann_yes.append(0)
             self.ann_maybe.append(0)
-            self._records.append(_FREE_RECORD)
             self._slot_node_id.append(node.node_id)
-        self.index_of_node[node.node_id] = index
         if node.is_leaf:
-            self._write_leaf_subs(index, node)
-            self._refresh_record(index)
+            self._write_leaf(index, node.subscriptions)
             return index
-        position = self._positions[node.attribute_position]
-        self.event_pos[index] = position
-        self.level[index] = node.attribute_position
-        if node.value_branches:
-            self.value_tables[index] = {
-                self._intern(value): self._ensure_index(child)
-                for value, child in node.value_branches.items()
-            }
-        if node.range_branches:
-            self._write_range_slice(index, node)
-        if node.star_child is not None:
-            self.star[index] = self._ensure_index(node.star_child)
-        self._refresh_record(index)
-        return index
-
-    def _refresh_record(self, index: int) -> None:
-        """Rebuild the fused kernel record of node ``index`` from the arrays.
-
-        The kernels read one tuple per visit —
-        ``(event_position, value_table, range_pairs, star_child, leaf_subs)``
-        — instead of indexing five parallel arrays; a record is just a view
-        (the value table is the *same* dict object as ``value_tables[n]``)
-        and must be refreshed whenever the node's slices or star change.
-        """
-        position = self.event_pos[index]
-        if position < 0:
-            subs = self.subs_flat[self.sub_start[index] : self.sub_end[index]]
-            self._records[index] = (-1, None, None, -1, subs or None)
-            return
-        begin, end = self.range_start[index], self.range_end[index]
-        ranges = (
-            tuple(
-                (self.range_tests[j], self.range_children[j]) for j in range(begin, end)
-            )
-            if begin != end
+        lower = self._lower
+        table = (
+            {self._intern(value): lower(child) for value, child in node.value_branches.items()}
+            if node.value_branches
             else None
         )
+        ranges = tuple((test, lower(child)) for test, child in node.range_branches) or None
+        star = node.star_child
+        if star is not None and star_slot < 0:
+            star_slot = lower(star)
         self._records[index] = (
-            position,
-            self.value_tables[index],
+            self._positions[node.attribute_position],
+            table,
             ranges,
-            self.star[index],
+            star_slot if star is not None else -1,
             None,
         )
+        return index
 
-    def _write_leaf_subs(self, index: int, node: PSTNode) -> None:
-        self.sub_start[index] = len(self.subs_flat)
-        self.subs_flat.extend(node.subscriptions)
-        self.sub_end[index] = len(self.subs_flat)
-        for subscription in node.subscriptions:
+    def _write_leaf(self, index: int, subscriptions: Sequence[Subscription]) -> None:
+        subs = tuple(subscriptions)
+        for subscription in subs:
             self._sub_leaf[subscription.subscription_id] = index
+        self._records[index] = (-1, None, None, -1, subs or None)
 
-    def _release_leaf_subs(self, index: int) -> None:
-        """Orphan leaf ``index``'s ``subs_flat`` slice: its ids leave the
-        digest map and its entries stop pinning their subscriptions."""
-        begin, end = self.sub_start[index], self.sub_end[index]
-        for position in range(begin, end):
-            del self._sub_leaf[self.subs_flat[position].subscription_id]
-            self.subs_flat[position] = None
-        self.sub_start[index] = self.sub_end[index] = 0
-        self._waste += end - begin
-
-    def _write_range_slice(self, index: int, node: PSTNode) -> None:
-        # Lower the children *before* appending: _ensure_index recurses and
-        # may itself append range slices, which must not interleave with ours.
-        lowered = [
-            (test, self._ensure_index(child)) for test, child in node.range_branches
-        ]
-        self.range_start[index] = len(self.range_tests)
-        for test, child_index in lowered:
-            self.range_tests.append(test)
-            self.range_children.append(child_index)
-        self.range_end[index] = len(self.range_tests)
+    def _release_leaf_subs(self, subs: Optional[Tuple[Subscription, ...]]) -> None:
+        """Retire a leaf's subscriptions from the digest map."""
+        for subscription in subs or ():
+            del self._sub_leaf[subscription.subscription_id]
 
     @property
     def node_count(self) -> int:
-        """Slots in the node arrays (live + free-for-reuse)."""
-        return len(self.event_pos)
-
-    @property
-    def waste(self) -> int:
-        """CSR-pool entries orphaned by patches since the last full compile
-        (recycled node slots are reused, so they are not waste)."""
-        return self._waste
+        """Node slots (live + free-for-reuse)."""
+        return len(self._records)
 
     # ------------------------------------------------------------------
     # Annotation (packed trit vectors)
@@ -366,28 +284,27 @@ class CompiledProgram:
         self._link_of_subscriber = link_of_subscriber
         # The annotation arrays are part of the record surface backends
         # execute over (the link kernels read them), so re-annotation moves
-        # the generation like any other array mutation.
+        # the generation like any other record mutation.
         self._bump_generation()
         # Breadth-first from the root lists every node after its parent, so
         # the reversed order has each node's children annotated before it.
         order = [0]
-        event_pos, value_tables, star = self.event_pos, self.value_tables, self.star
-        range_start, range_end = self.range_start, self.range_end
+        records = self._records
         for index in order:
-            if event_pos[index] < 0:
+            position, table, ranges, star, _subs = records[index]
+            if position < 0:
                 continue
-            table = value_tables[index]
             if table is not None:
                 order.extend(table.values())
-            if range_start[index] != range_end[index]:
-                order.extend(self.range_children[range_start[index] : range_end[index]])
-            if star[index] >= 0:
-                order.append(star[index])
+            if ranges is not None:
+                order.extend(child for _test, child in ranges)
+            if star >= 0:
+                order.append(star)
         ann_yes, ann_maybe = self.ann_yes, self.ann_maybe
         leaf_annotation = self._leaf_annotation
         combined_annotation = self._combined_annotation
         for index in reversed(order):
-            if event_pos[index] < 0:
+            if records[index][0] < 0:
                 ann_yes[index], ann_maybe[index] = leaf_annotation(index)
             else:
                 ann_yes[index], ann_maybe[index] = combined_annotation(index)
@@ -412,14 +329,14 @@ class CompiledProgram:
         return view
 
     def _node_annotation(self, index: int) -> Tuple[int, int]:
-        if self.event_pos[index] < 0:
+        if self._records[index][0] < 0:
             return self._leaf_annotation(index)
         return self._combined_annotation(index)
 
     def _leaf_annotation(self, index: int) -> Tuple[int, int]:
         assert self.num_links is not None and self._link_of_subscriber is not None
         yes = 0
-        for subscription in self.subs_flat[self.sub_start[index] : self.sub_end[index]]:
+        for subscription in self._records[index][4] or ():
             mapped = self._link_of_subscriber(subscription)
             # Plain engines map a subscription to one position; an
             # aggregating layer maps a deduplicated leaf to the union of its
@@ -442,13 +359,11 @@ class CompiledProgram:
         full = (1 << self.num_links) - 1
         ann_yes = self.ann_yes
         ann_maybe = self.ann_maybe
-        star = self.star[index]
+        position, table, ranges, star, _subs = self._records[index]
         star_yes, star_maybe = (ann_yes[star], ann_maybe[star]) if star >= 0 else (0, 0)
-        table = self.value_tables[index]
-        r0, r1 = self.range_start[index], self.range_end[index]
-        domain = self._domains[self.level[index]]
+        domain = self._domains[position]
         out: Optional[Tuple[int, int]] = None
-        if domain is not None and r0 != r1:
+        if domain is not None and ranges is not None:
             # Which ranges accept depends on the value: fold every value's.
             for value_id, value in domain.items():
                 part = (star_yes, star_maybe)
@@ -457,9 +372,8 @@ class CompiledProgram:
                     part = parallel_combine_bits(
                         part[0], part[1], ann_yes[child], ann_maybe[child]
                     )
-                for j in range(r0, r1):
-                    if self.range_tests[j].evaluate(value):
-                        child = self.range_children[j]
+                for test, child in ranges:
+                    if test.evaluate(value):
                         part = parallel_combine_bits(
                             part[0], part[1], ann_yes[child], ann_maybe[child]
                         )
@@ -476,8 +390,8 @@ class CompiledProgram:
         # is this same fold.
         branches = table.items() if table is not None else ()
         taken = [child for value_id, child in branches if domain is None or value_id in domain]
-        if domain is None:
-            taken.extend(self.range_children[r0:r1])
+        if domain is None and ranges is not None:
+            taken.extend(child for _test, child in ranges)
         bare_star = domain is None or len(taken) < len(domain)
         if not taken and not bare_star:
             return 0, 0  # an empty domain: no event reaches this node
@@ -514,7 +428,7 @@ class CompiledProgram:
         return False
 
     def match(self, event: Event) -> MatchResult:
-        """The Section 2 parallel search over the flat arrays.
+        """The Section 2 parallel search over the flat records.
 
         Visits exactly the nodes ``ParallelSearchTree.match`` visits — every
         node is appended to the work queue once and processed once, so the
@@ -639,11 +553,11 @@ class CompiledProgram:
     # Incremental recompilation
 
     def _bump_generation(self) -> None:
-        """Advance the record-array generation and drop backend scratch.
+        """Advance the record generation and drop backend scratch.
 
-        Called after any mutation of the arrays backends execute over
-        (:meth:`patch`, :meth:`annotate`): the vector backend rebuilds its
-        columnar index lazily under the new generation tag.
+        Called after any mutation of the records or annotations backends
+        execute over (:meth:`patch`, :meth:`annotate`): the vector backend
+        rebuilds its columnar index lazily under the new generation tag.
         """
         self.generation += 1
         if self.backend_state:
@@ -655,36 +569,31 @@ class CompiledProgram:
 
         Returns ``False`` (leaving the program untouched is then unsafe —
         the caller must fully recompile) when the tree's root was replaced
-        (a re-materializing insert above the old root) or when accumulated
-        patch garbage outweighs the live structure.  Otherwise syncs the
-        path's edges and leaf slice with the live tree, and recomputes the
-        packed annotations of the path bottom-up when annotations are bound.
+        (a re-materializing insert above the old root).  Otherwise walks the
+        path in the tree and the program together, syncing each edge and the
+        leaf with the live tree, and recomputes the packed annotations of the
+        path bottom-up when annotations are bound.
         """
         if self._base is not None:
             raise RoutingError("an annotated view cannot patch the structure it shares")
-        if self.index_of_node.get(tree.root.node_id) != 0:
-            return False
-        # Compare pool garbage against the *live* nodes: free slots are
-        # neither (they are reused before the arrays grow).
-        if self._waste > max(64, len(self.index_of_node)):
+        if self._slot_node_id[0] != tree.root.node_id:
             return False
         tests = [predicate.tests[position] for position in self._positions]
-        path: List[Tuple[int, PSTNode]] = []
-        node: Optional[PSTNode] = tree.root
-        while node is not None:
-            index = self._ensure_index(node)
-            path.append((index, node))
-            if node.is_leaf:
-                self._sync_leaf(index, node)
-                break
+        index = 0
+        path = [index]
+        node = tree.root
+        while not node.is_leaf:
             test = tests[node.attribute_position]
             child = _child_for_test(node, test)
-            self._sync_edge(index, node, test, child)
+            index = self._sync_edge(index, node, test, child)
+            if child is None:
+                break
+            path.append(index)
             node = child
-        for index, _node in path:
-            self._refresh_record(index)
+        else:
+            self._sync_leaf(index, node)
         if self.annotated:
-            for index, _node in reversed(path):
+            for index in reversed(path):
                 self.ann_yes[index], self.ann_maybe[index] = self._node_annotation(index)
         self._bump_generation()
         return True
@@ -694,34 +603,29 @@ class CompiledProgram:
 
         Only called for subtrees the live tree has *pruned* (their PST node
         ids never reappear), so nothing here can be reattached later.  A
-        freed slot reads as a neutral leaf — empty slices, zero annotation —
-        which every backend can still execute over; its
-        pool slices are the only garbage left behind."""
+        freed slot reads as a neutral leaf — empty record, zero annotation —
+        which every backend can still execute over."""
+        records = self._records
         queue = [index]
         for slot in queue:
-            table = self.value_tables[slot]
+            _position, table, ranges, star, subs = records[slot]
             if table is not None:
                 queue.extend(table.values())
-            begin, end = self.range_start[slot], self.range_end[slot]
-            queue.extend(self.range_children[begin:end])
-            if self.star[slot] >= 0:
-                queue.append(self.star[slot])
-            self._release_leaf_subs(slot)
-            self._waste += end - begin
-            del self.index_of_node[self._slot_node_id[slot]]
-            self.event_pos[slot] = self.level[slot] = self.star[slot] = -1
-            self.value_tables[slot] = None
-            self.range_start[slot] = self.range_end[slot] = 0
-            self.ann_yes[slot] = self.ann_maybe[slot] = 0
-            self._records[slot] = _FREE_RECORD
+            if ranges is not None:
+                queue.extend(child for _test, child in ranges)
+            if star >= 0:
+                queue.append(star)
+            self._release_leaf_subs(subs)
+            records[slot] = _FREE_RECORD
+            self.ann_yes[slot] = self.ann_maybe[slot] = self._slot_node_id[slot] = 0
         self._free_slots.extend(queue)
 
     def _sync_leaf(self, index: int, node: PSTNode) -> None:
-        begin, end = self.sub_start[index], self.sub_end[index]
-        if self.subs_flat[begin:end] == list(node.subscriptions):
+        subs = self._records[index][4]
+        if (subs or ()) == tuple(node.subscriptions):
             return
-        self._release_leaf_subs(index)
-        self._write_leaf_subs(index, node)
+        self._release_leaf_subs(subs)
+        self._write_leaf(index, node.subscriptions)
 
     def _sync_edge(
         self,
@@ -729,56 +633,72 @@ class CompiledProgram:
         node: PSTNode,
         test: AttributeTest,
         child: Optional[PSTNode],
-    ) -> None:
-        """Make the flat edge for ``test`` at ``node`` agree with the tree."""
-        child_index = self._ensure_index(child) if child is not None else -1
+    ) -> int:
+        """Make the edge for ``test`` out of slot ``index`` (holding
+        ``node``) agree with the tree, and return the child's slot (``-1``
+        when the edge is gone).
+
+        The edge's slot is found through the parent's record — the interned
+        value's table entry, the star child, or the range pair with an equal
+        test — and is the live child only if its node id says so.  A child
+        the slot does not hold is lowered; one that sits on top of the slot's
+        node (a re-materialized level) is lowered around it, so the
+        redirected node keeps its slot.  A pruned edge is recycled."""
+        position, table, ranges, star, _subs = self._records[index]
         if test.is_dont_care:
-            if self.star[index] != child_index:
-                if self.star[index] >= 0 and child_index < 0:
-                    # The star branch was pruned outright.  (A redirect keeps
-                    # the old child reachable through its new parent.)
-                    self._recycle_subtree(self.star[index])
-                self.star[index] = child_index
-            return
-        if isinstance(test, EqualityTest):
-            table = self.value_tables[index]
-            if child_index < 0:
-                if table is not None:
-                    value_id = self.value_ids.get(test.value)
-                    if value_id is not None:
-                        dropped = table.pop(value_id, None)
-                        if dropped is not None:
-                            self._recycle_subtree(dropped)
-                    if not table:
-                        self.value_tables[index] = None
-                return
-            if table is None:
-                table = {}
-                self.value_tables[index] = table
-            table[self._intern(test.value)] = child_index
-            return
-        # Range edge: rebuild the node's CSR slice when it disagrees.
-        begin, end = self.range_start[index], self.range_end[index]
-        live = node.range_branches
-        if len(live) == end - begin and all(
-            self.range_tests[begin + k] == live[k][0]
-            and self.range_children[begin + k]
-            == self.index_of_node.get(live[k][1].node_id)
-            for k in range(len(live))
-        ):
-            return
-        if child_index < 0:
-            for k in range(begin, end):
-                if self.range_tests[k] == test:
-                    self._recycle_subtree(self.range_children[k])
-        self._waste += end - begin
-        self._write_range_slice(index, node)
+            slot = star
+        elif isinstance(test, EqualityTest):
+            value_id = self.value_ids.get(test.value)
+            slot = table.get(value_id, -1) if table is not None else -1
+        else:
+            slot = next(
+                (branch for branch_test, branch in ranges or () if branch_test == test), -1
+            )
+        held = self._slot_node_id[slot] if slot >= 0 else 0
+        if child is None:
+            if slot < 0:
+                return -1
+            self._recycle_subtree(slot)
+            child_slot = -1
+        elif held == child.node_id:
+            return slot
+        elif child.star_child is not None and held == child.star_child.node_id:
+            child_slot = self._lower(child, star_slot=slot)
+        else:
+            if slot >= 0:
+                self._recycle_subtree(slot)
+            child_slot = self._lower(child)
+        if test.is_dont_care:
+            star = child_slot
+        elif isinstance(test, EqualityTest):
+            if child_slot >= 0:
+                if table is None:
+                    table = {}
+                table[self._intern(test.value)] = child_slot
+            else:
+                del table[value_id]
+                table = table or None
+        else:
+            # Rebuilt in the tree's branch order, which the kernels' visit
+            # order (and so the link search's steps) follows.
+            old_ranges = ranges or ()
+            ranges = tuple(
+                (
+                    branch_test,
+                    child_slot
+                    if branch_test == test
+                    else next(b for t, b in old_ranges if t == branch_test),
+                )
+                for branch_test, _branch in node.range_branches
+            ) or None
+        self._records[index] = (position, table, ranges, star, None)
+        return child_slot
 
     def __repr__(self) -> str:
         return (
             f"CompiledProgram({self.node_count} nodes, "
             f"{len(self.value_ids)} interned values, "
-            f"{len(self.subs_flat)} leaf slots, waste={self._waste}, "
+            f"{len(self._sub_leaf)} subscriptions, "
             f"annotated={self.annotated})"
         )
 

@@ -214,16 +214,10 @@ class CompiledEngine(_EngineBase):
         self._obs_compiles = registry.counter("engine.compiled.recompiles")
         self._obs_patches = registry.counter("engine.compiled.patches")
         self._obs_patch_bailouts = registry.counter("engine.compiled.patch_bailouts")
-        self._obs_waste_ratio = registry.gauge("engine.compiled.waste_ratio")
 
     def invalidate(self) -> None:
-        """Drop the compiled form; the next match recompiles from the tree.
-
-        The waste gauge resets with the program — a fresh compile starts
-        waste-free."""
-        if self._program is not None:
-            self._program = None
-            self._obs_waste_ratio.set(0.0)
+        """Drop the compiled form; the next match recompiles from the tree."""
+        self._program = None
 
     @property
     def program(self) -> CompiledProgram:
@@ -240,7 +234,6 @@ class CompiledEngine(_EngineBase):
             self._program = compile_tree(self.tree, backend=self._backend)
             self._annotation_dirty = self._num_links is not None
             self._obs_compiles.inc()
-            self._obs_waste_ratio.set(0.0)
         return self._program
 
     def insert(self, subscription: Subscription) -> None:
@@ -257,9 +250,6 @@ class CompiledEngine(_EngineBase):
             return
         if self._program.patch(self.tree, subscription.predicate):
             self._obs_patches.inc()
-            self._obs_waste_ratio.set(
-                self._program.waste / max(1, self._program.node_count)
-            )
         else:
             self._obs_patch_bailouts.inc()
             self._program = None

@@ -1,5 +1,5 @@
 """Smoke test of ``benchmarks/setup_split.py``: one JSON line with the set-up
-split and the heap census after set-up."""
+split, the heap census after set-up and the compiled programs' bytes."""
 
 from __future__ import annotations
 
@@ -31,3 +31,8 @@ def test_setup_split_reports_the_heap():
     top = report["top_tracked_types"]
     assert len(top) == 5 and all(count > 0 for count in top.values())
     assert report["tracked_objects"] >= sum(top.values())
+    assert report["programs"] > 0 and report["program_slots"] > 0
+    fields = report["program_field_mib"]
+    assert "_records" in fields and "index_of_node" not in fields
+    assert all(size >= 0 for size in fields.values())
+    assert 0 < fields["_records"] <= report["program_mib"]

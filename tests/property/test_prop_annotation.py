@@ -31,6 +31,7 @@ from repro.matching import (
     compile_tree,
     uniform_schema,
 )
+from tests.program_walk import slots_by_node
 
 SCHEMA = uniform_schema(3)
 DOMAIN = [0, 1, 2]
@@ -191,8 +192,9 @@ churn = st.lists(
 def assert_exact(tree, program):
     reference = TreeAnnotation(NUM_LINKS, link_of)
     reference.annotate(tree)
+    slots = slots_by_node(program, tree)
     for node in tree.nodes():
-        slot = program.index_of_node[node.node_id]
+        slot = slots[node.node_id]
         assert (program.ann_yes[slot], program.ann_maybe[slot]) == pack_tritvector(
             reference.vector_for(node)
         ), f"slot {slot} (node #{node.node_id}) differs from TreeAnnotation"

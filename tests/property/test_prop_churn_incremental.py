@@ -1,13 +1,16 @@
 """Incremental ≡ rebuild: a patched program is a freshly compiled one.
 
 ``CompiledProgram.patch`` maintains three things along the changed path
-instead of rebuilding them: the flat arrays, the packed annotations, and the
-``subscription_id -> leaf`` map digests project through; slots under a pruned
-branch are recycled.  This suite drives random interleavings of every
-operation that touches that state through one ``CompiledEngine`` and, after
-each step, holds the engine's program against a program compiled from the
-same tree there and then — same match sets, same steps, same refined masks,
-same digest projection — and the map against the from-the-root graph walk
+instead of rebuilding them: the node records, the packed annotations, and
+the ``subscription_id -> leaf`` map digests project through; slots under a
+pruned branch are recycled, and a live node never changes slot — a child a
+re-materialized level is put above keeps its own.  This suite drives random
+interleavings of every operation that touches that state through one
+``CompiledEngine`` (trivial-test elimination followed by a re-materializing
+insert included) and, after each step, holds the engine's program against a
+program compiled from the same tree there and then — same match sets, same
+steps, same refined masks, same digest projection —, its records against
+the live tree node for node, and the map against the from-the-root walk
 that used to build it (kept here as the reference).
 """
 
@@ -21,6 +24,7 @@ from repro.matching import Event, Predicate, RangeOp, Subscription, uniform_sche
 from repro.matching.compile import _FREE_RECORD, compile_tree
 from repro.matching.engines import CompiledEngine
 from repro.matching.predicates import EqualityTest, RangeTest
+from tests.program_walk import slots_by_node
 
 SCHEMA = uniform_schema(4)
 DOMAIN = [0, 1, 2]
@@ -47,11 +51,13 @@ links = st.integers(min_value=0, max_value=NUM_LINKS - 1)
 yes_masks = st.integers(min_value=0, max_value=FULL)
 
 #: One step: (operation, predicate, pick, link, event, yes bits).  ``pick``
-#: selects the live subscription a remove / refresh acts on; ``pressure``
-#: pre-charges the program's waste so that the waste bail-out (and the
-#: recompile after it) happens inside sequences this short.
+#: selects the live subscription a remove / refresh acts on, or the spliced
+#: edge and skipped level an ``eliminate`` step's insert constrains;
+#: ``invalidate`` makes the next step patch a fresh compile.
 steps = st.tuples(
-    st.sampled_from(["insert", "insert", "remove", "remove", "refresh", "pressure", "match"]),
+    st.sampled_from(
+        ["insert", "insert", "remove", "remove", "refresh", "invalidate", "eliminate", "match"]
+    ),
     predicate_specs,
     st.integers(min_value=0, max_value=1 << 16),
     links,
@@ -70,7 +76,7 @@ def predicate_of(spec) -> Predicate:
 
 
 def reference_sub_leaf(program):
-    """``subscription_id -> leaf index`` by walking the live node graph from
+    """``subscription_id -> leaf index`` by walking the live records from
     the root — what ``CompiledProgram`` computed per generation before the
     map became part of lowering."""
     mapping = {}
@@ -80,20 +86,17 @@ def reference_sub_leaf(program):
         index = stack.pop()
         assert index not in seen, "the compiled graph must stay a tree"
         seen.add(index)
-        if program.event_pos[index] < 0:
-            for subscription in program.subs_flat[
-                program.sub_start[index] : program.sub_end[index]
-            ]:
+        position, table, ranges, star, subs = program._records[index]
+        if position < 0:
+            for subscription in subs or ():
                 mapping[subscription.subscription_id] = index
             continue
-        table = program.value_tables[index]
         if table is not None:
             stack.extend(table.values())
-        stack.extend(
-            program.range_children[program.range_start[index] : program.range_end[index]]
-        )
-        if program.star[index] >= 0:
-            stack.append(program.star[index])
+        if ranges is not None:
+            stack.extend(child for _test, child in ranges)
+        if star >= 0:
+            stack.append(star)
     return mapping, seen
 
 
@@ -102,20 +105,56 @@ def assert_structure(engine):
     mapping, reachable = reference_sub_leaf(program)
     assert program._sub_leaf == mapping
     assert set(mapping) == {s.subscription_id for s in engine.tree.subscriptions}
+    # The reachable slots are the live tree, node for node.
+    assert set(slots_by_node(program, engine.tree).values()) == reachable
     # Every slot is either a live node or on the free list, exactly once.
     free = program._free_slots
     assert len(set(free)) == len(free)
     assert reachable.isdisjoint(free)
     assert len(reachable) + len(free) == program.node_count
-    assert len(program.index_of_node) == len(reachable) == engine.tree.node_count()
-    assert set(program.index_of_node.values()) == reachable
     for slot in free:
         assert program._records[slot] == _FREE_RECORD
         assert program.ann_yes[slot] == program.ann_maybe[slot] == 0
-    # Orphaned slices pin nothing: every Subscription the pool still holds
-    # is a live one.
-    held = [s.subscription_id for s in program.subs_flat if s is not None]
-    assert sorted(held) == sorted(mapping)
+        assert program._slot_node_id[slot] == 0
+
+
+def spliced_edges(tree):
+    """Every edge ``eliminate_trivial_tests`` left skipping levels, the
+    root's included: ``(tests down to it, first skipped level, level
+    reached)``, with ``tests`` in attribute order (``None`` = don't care)."""
+    levels = len(SCHEMA.names)
+    edges = []
+    stack = [(tree.root, -1, [None] * levels)]
+    while stack:
+        node, parent_level, tests = stack.pop()
+        level = levels if node.is_leaf else node.attribute_position
+        if level > parent_level + 1:
+            edges.append((tests, parent_level + 1, level))
+        if node.is_leaf:
+            continue
+        labelled = [(EqualityTest(value), child) for value, child in node.value_branches.items()]
+        labelled.extend(node.range_branches)
+        for test, child in labelled:
+            stack.append((child, level, tests[:level] + [test] + tests[level + 1 :]))
+        if node.star_child is not None:
+            stack.append((node.star_child, level, tests))
+    return edges
+
+
+def rematerializing_subscription(engine, pick, value):
+    """After trivial-test elimination, a subscription down a spliced edge
+    that constrains one of the levels it skips; ``None`` if nothing was
+    spliced."""
+    edges = spliced_edges(engine.tree)
+    if not edges:
+        return None
+    tests, first, reached = edges[pick % len(edges)]
+    tests = list(tests)
+    tests[first + pick % (reached - first)] = EqualityTest(value)
+    predicate = Predicate(
+        SCHEMA, {name: test for name, test in zip(SCHEMA.names, tests) if test is not None}
+    )
+    return Subscription(predicate, "rematerialized")
 
 
 def assert_equals_rebuild(engine, link_of, event, yes_bits):
@@ -147,21 +186,42 @@ def test_every_step_equals_a_fresh_compile(backend, script):
     def link_of(subscription):
         return link_by_id[subscription.subscription_id]
 
+    def insert(subscription, link):
+        link_by_id[subscription.subscription_id] = link
+        engine.insert(subscription)
+        live.append(subscription)
+
     engine.bind_links(NUM_LINKS, link_of)
     live = []
     for operation, spec, pick, link, event, yes_bits in script:
+        program = engine._program
+        before = slots_by_node(program, engine.tree) if program is not None else {}
         if operation == "insert":
-            subscription = Subscription(predicate_of(spec), f"s{link}")
-            link_by_id[subscription.subscription_id] = link
-            engine.insert(subscription)
-            live.append(subscription)
+            insert(Subscription(predicate_of(spec), f"s{link}"), link)
         elif operation == "remove" and live:
             engine.remove(live.pop(pick % len(live)).subscription_id)
         elif operation == "refresh" and live:
             subscription = live[pick % len(live)]
             link_by_id[subscription.subscription_id] = link
             engine.refresh_links(subscription)
-        elif operation == "pressure":
-            engine.program._waste += 40
+        elif operation == "invalidate":
+            engine.invalidate()
+        elif operation == "eliminate":
+            # The tree changes behind the engine's back, so the engine is
+            # told; the insert that follows is then patched into a fresh,
+            # annotated program of the eliminated tree.
+            engine.tree.eliminate_trivial_tests()
+            engine.invalidate()
+            subscription = rematerializing_subscription(engine, pick, DOMAIN[link % 3])
+            if subscription is not None:
+                engine.project_links([], 0, 0)  # compile + annotate
+                program = engine.program
+                before = slots_by_node(program, engine.tree)
+                insert(subscription, link)
+        if engine._program is program and program is not None:
+            # A patch moves no live node: a redirected child keeps its slot.
+            after = slots_by_node(program, engine.tree)
+            for node_id in before.keys() & after.keys():
+                assert after[node_id] == before[node_id], f"node #{node_id} moved"
         assert_structure(engine)
         assert_equals_rebuild(engine, link_of, event, yes_bits)

@@ -3,7 +3,7 @@ and nothing, in space.
 
 The equivalence of a patched program with a rebuilt one is the property
 suite's business (``tests/property/test_prop_churn_incremental.py``); this
-file pins the *cost* side — the node arrays stay put under steady churn, no
+file pins the *cost* side — the node slots stay put under steady churn, no
 recompile is needed to keep them so, removed subscriptions are let go of, and
 the first digest projection after a patch does not grow with the
 subscription set.
@@ -23,6 +23,7 @@ from repro.matching.engines import CompiledEngine
 from repro.matching.predicates import Subscription
 from repro.workload.generators import SubscriptionGenerator
 from repro.workload.spec import WorkloadSpec
+from tests.program_walk import slots_by_node
 
 #: churn_mem's subscription population: 10 attributes of 5 values.
 SPEC = WorkloadSpec(num_attributes=10, values_per_attribute=5)
@@ -76,7 +77,7 @@ class TestSteadyChurnIsStationary:
         assert engine.program is program  # patched 10 000 times, never recompiled
         assert abs(program.node_count - starting_nodes) <= 0.05 * starting_nodes
         live_nodes = engine.tree.node_count()
-        assert len(program.index_of_node) == live_nodes
+        assert len(slots_by_node(program, engine.tree)) == live_nodes
         assert program.node_count == live_nodes + len(program._free_slots)
         gc.collect()
         assert removed() is None  # no orphaned slice pins it

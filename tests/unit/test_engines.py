@@ -82,21 +82,24 @@ class TestCompiledProgramLifecycle:
         engine.insert(subscription((0, 2, None)))
         assert engine.program is program  # patched, not recompiled
 
-    def test_waste_accumulates_and_triggers_recompile(self):
+    def test_steady_churn_never_recompiles(self, live_registry):
+        """A patch leaves no garbage behind, so nothing ever forces a
+        recompile: pruned slots are reused and the slot count stays put."""
         engine = CompiledEngine(SCHEMA)
         engine.insert(subscription((0, 1, None)))
         program = engine.program
-        # Repeated insert/remove of the same shape leaves dead slots behind;
-        # past the waste threshold the patch bails out and the engine
-        # recompiles from the tree.
-        for round_index in range(500):
-            sub = subscription((round_index % 3, None, 1))
+        recompiles = live_registry.counter("engine.compiled.recompiles")
+        assert recompiles.value == 1
+        slot_counts = set()
+        for round_index in range(5000):
+            sub = subscription((round_index % 3, None, round_index % 2))
             engine.insert(sub)
             engine.remove(sub.subscription_id)
-            if engine._program is None or engine._program is not program:
-                break
-        else:
-            pytest.fail("patching never fell back to recompilation")
+            slot_counts.add(engine.program.node_count)
+        assert engine.program is program
+        assert recompiles.value == 1
+        # The standing path's 4 slots plus the longest churned path's 3.
+        assert max(slot_counts) == 7
         event = Event.from_tuple(SCHEMA, (0, 1, 0))
         assert {s.subscription_id for s in engine.match(event).subscriptions}
 

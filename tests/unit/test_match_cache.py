@@ -60,20 +60,6 @@ class TestInvalidation:
         engine.remove(bob.subscription_id)
         assert {s.subscriber for s in engine.match(target).subscriptions} == {"alice"}
 
-    def test_invalidate_resets_waste_gauge(self, live_registry):
-        """``invalidate()`` discards the program, so the waste gauge must
-        return to zero — a fresh compile starts waste-free."""
-        engine = build_engine(subscription("alice", a1=1))
-        assert engine.program.waste == 0
-        engine.insert(subscription("carol", a1=1))  # patch: orphans the leaf slice
-        gauge = live_registry.gauge("engine.compiled.waste_ratio")
-        assert gauge.value > 0.0
-        engine.invalidate()
-        assert gauge.value == 0.0
-        assert {
-            s.subscriber for s in engine.match(event(1, 1, 0)).subscriptions
-        } == {"alice", "carol"}
-
     def test_churn_never_serves_stale_results(self):
         """Alternating matches of one event with churn on its path."""
         engine = build_engine()

@@ -190,7 +190,7 @@ class TestAnnotatedViews:
         # of a 3-link broker, all behind link 0 of a 1-link broker.
         wide = program.annotated_view(3, lambda s: "abc".index(s.subscriber[0]))
         narrow = program.annotated_view(1, lambda s: 0)
-        for slot in ("_records", "value_tables", "subs_flat", "value_ids", "index_of_node"):
+        for slot in ("_records", "value_ids", "_sub_leaf", "_free_slots", "_slot_node_id"):
             assert getattr(wide, slot) is getattr(program, slot) is getattr(narrow, slot)
         assert wide.ann_yes is not narrow.ann_yes is not program.ann_yes
         assert not program.annotated, "a view never annotates its base"

@@ -8,33 +8,93 @@ population (10 attributes, 20 values each, population seed 1999) into a
 Unused PST containers are shared immutable empties, and equality tests are
 interned, so a broker-subscription costs ~14 tracked objects; an empty list
 or dict per node, or one test per predicate slot, more than doubles that.
+
+The second guard compiles and annotates that replica and sizes what the
+compiled program owns per node slot.  One record per slot is the whole
+structure; beside the records and the two annotation columns a program
+keeps only the slot's node id and the subscription-to-leaf map, so a second
+copy of the structure — a parallel array, a node-id map — shows as a
+multiple of that small remainder.
 """
 
 from __future__ import annotations
 
 import gc
+import sys
 
 from repro.matching import EqualityTest, Subscription
+from repro.matching.compile import CompiledProgram
 from repro.matching.engines import CompiledEngine
+from repro.matching.predicates import AttributeTest, Predicate
+from repro.matching.pst import PSTNode
 from repro.workload.generators import SubscriptionGenerator
 from repro.workload.spec import WorkloadSpec
 
 SUBSCRIPTIONS = 2000
 POPULATION_SEED = 1999  # the e2e benchmark's population seed
 CLIENTS = [f"c{i}" for i in range(40)]
+#: Bytes per slot, measured at 240.4 (records and annotation) and 13.6
+#: (everything else) on 14 889 slots, plus ~15 %.  Restoring a parallel
+#: array adds >= 8 bookkeeping bytes per slot, a node-id map ~40.
+STRUCTURE_BOUND = 276
+BOOKKEEPING_BOUND = 15.6
 
 
-def test_replica_tracked_objects_per_subscription():
+#: Where the program walk stops: the tree and what its leaves name.
+BORROWED = (PSTNode, Subscription, Predicate, AttributeTest)
+#: Program slots that wire it to its surroundings rather than hold structure.
+WIRING = {
+    "schema",
+    "attribute_order",
+    "backend",
+    "_obs_kernel_calls",
+    "_obs_kernel_events",
+    "_link_of_subscriber",
+    "_schema_ok",
+    "_base",
+}
+#: The records and the annotation columns; every other field is bookkeeping.
+STRUCTURE = ("_records", "ann_yes", "ann_maybe")
+
+
+def replica():
     spec = WorkloadSpec(
         num_attributes=10, values_per_attribute=20, factoring_levels=0, locality_regions=1
     )
     generator = SubscriptionGenerator(spec, seed=POPULATION_SEED)
     engine = CompiledEngine(spec.schema(), domains=spec.domains())
-    gc.collect()
-    before = len(gc.get_objects())
     for index in range(SUBSCRIPTIONS):
         client = CLIENTS[index % len(CLIENTS)]
         engine.insert(Subscription(generator.predicate_for(client), client))
+    return engine
+
+
+def owned_bytes(program, fields, seen):
+    """``sys.getsizeof`` summed over what ``fields`` of ``program`` reach and
+    ``seen`` does not hold yet, without entering the tree's objects; small
+    ints are free."""
+    total = 0
+    stack = [getattr(program, field) for field in fields]
+    while stack:
+        item = stack.pop()
+        if item is None or type(item) is bool or isinstance(item, BORROWED):
+            continue
+        if (type(item) is int and -5 <= item <= 256) or id(item) in seen:
+            continue
+        seen.add(id(item))
+        total += sys.getsizeof(item)
+        if isinstance(item, dict):
+            stack.extend(item.keys())
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return total
+
+
+def test_replica_tracked_objects_per_subscription():
+    gc.collect()
+    before = len(gc.get_objects())
+    engine = replica()
     gc.collect()
     per_subscription = (len(gc.get_objects()) - before) / SUBSCRIPTIONS
     assert per_subscription <= 16, f"{per_subscription:.1f} tracked objects per subscription"
@@ -46,3 +106,19 @@ def test_replica_tracked_objects_per_subscription():
         if isinstance(test, EqualityTest)
     }
     assert len(tests) <= 200, f"{len(tests)} distinct EqualityTest instances"
+
+
+def test_compiled_program_bytes_per_slot():
+    engine = replica()
+    engine.bind_links(len(CLIENTS), lambda subscription: int(subscription.subscriber[1:]))
+    engine.project_links([], 0, 0)  # compile + annotate
+    program = engine.program
+    slots = program.node_count
+    # Node ids and subscription ids are the tree's, not the program's.
+    seen = {id(node.node_id) for node in engine.tree.nodes()}
+    seen.update(id(subscription.subscription_id) for subscription in engine.subscriptions)
+    structure = owned_bytes(program, STRUCTURE, seen) / slots
+    others = [field for field in CompiledProgram.__slots__ if field not in WIRING]
+    bookkeeping = owned_bytes(program, [f for f in others if f not in STRUCTURE], seen) / slots
+    assert structure <= STRUCTURE_BOUND, f"{structure:.1f} record bytes per slot"
+    assert bookkeeping <= BOOKKEEPING_BOUND, f"{bookkeeping:.1f} bookkeeping bytes per slot"
