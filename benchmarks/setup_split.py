@@ -15,8 +15,12 @@ annotated view's shared structure counted once), and ``program_field_mib``
 each field's *exclusive* share — the bytes only that field reaches, i.e.
 what deleting it would free.  The walk stops at PST nodes, subscriptions,
 predicates and tests (the tree owns them), counts small ints as free and
-the PST's node ids as the tree's.  Run from the repository root
-(``--quick`` uses the workload's smoke size)::
+the PST's node ids as the tree's.  Per broker it counts the PST nodes the
+broker's router matches on (``pst_nodes``; all sub-trees of a factored
+matcher, both engines of an aggregating one) and those among them left with
+only a ``*``-child (``star_only_nodes``, which trivial-test elimination
+keeps at 0).  Run from the repository root (``--quick`` uses the workload's
+smoke size)::
 
     PYTHONHASHSEED=0 PYTHONPATH=src python benchmarks/setup_split.py chain_mem_25k --seed 1
 
@@ -37,6 +41,7 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from benchmarks.e2e.workloads import WORKLOADS  # noqa: E402
+from repro.core.router import ContentRouter  # noqa: E402
 from repro.matching import parser  # noqa: E402
 from repro.matching.compile import CompiledProgram  # noqa: E402
 from repro.matching.predicates import AttributeTest, Predicate, Subscription  # noqa: E402
@@ -110,6 +115,30 @@ def program_census(programs):
     return total, dict(zip(fields, exclusive))
 
 
+def router_trees(router):
+    """The PSTs a router matches on."""
+    matcher = router.matcher
+    if hasattr(matcher, "trees"):  # factored: one sub-tree per index key
+        return [tree for _key, tree in matcher.trees()]
+    if hasattr(matcher, "inner"):  # aggregating: roots and covered groups
+        return [matcher.inner.tree, matcher._covered.tree]
+    return [matcher.tree]
+
+
+def pst_census(routers):
+    """``({broker: PST nodes}, {broker: star-only nodes})`` over ``routers``."""
+    nodes, star_only = {}, {}
+    for router in sorted(routers, key=lambda router: router.broker):
+        tree_nodes = [node for tree in router_trees(router) for node in tree.nodes()]
+        nodes[router.broker] = len(tree_nodes)
+        star_only[router.broker] = sum(
+            1
+            for node in tree_nodes
+            if node.star_child is not None and not node.value_branches and not node.range_branches
+        )
+    return nodes, star_only
+
+
 def main() -> None:
     arguments = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     arguments.add_argument("workload", choices=sorted(WORKLOADS))
@@ -170,6 +199,9 @@ def main() -> None:
         objects = gc.get_objects()
         census = collections.Counter(type(item).__name__ for item in objects)
         programs = [item for item in objects if type(item) is CompiledProgram]
+        pst_nodes, star_only_nodes = pst_census(
+            [item for item in objects if type(item) is ContentRouter]
+        )
         del objects
         program_bytes, field_bytes = program_census(programs)
     finally:
@@ -192,6 +224,8 @@ def main() -> None:
     report["program_field_mib"] = {
         field: round(size / mib, 2) for field, size in field_bytes.items()
     }
+    report["pst_nodes"] = pst_nodes
+    report["star_only_nodes"] = star_only_nodes
     print(json.dumps(report))
 
 

@@ -28,7 +28,6 @@ class TestMatchingMicro:
     def test_pst_match_2000_subscriptions(self, benchmark):
         subscriptions, sample = build_workload(CHART1_SPEC, 2000)
         tree = build_pst(CHART1_SPEC.schema(), subscriptions)
-        tree.eliminate_trivial_tests()
         state = {"i": 0}
 
         def match():
@@ -40,7 +39,6 @@ class TestMatchingMicro:
     def test_dag_match_2000_subscriptions(self, benchmark):
         subscriptions, sample = build_workload(CHART2_SPEC, 2000)
         tree = build_pst(CHART2_SPEC.schema(), subscriptions)
-        tree.eliminate_trivial_tests()
         dag = SearchDag(tree)
         state = {"i": 0}
 

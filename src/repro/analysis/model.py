@@ -28,11 +28,19 @@ for Zipf).  Since subscriptions are independent, the expected number of
 
     E[V_j] = Σ_{C⊆{1..j}} (1 − (1 − P(C))^S)
 
-and the expected matching steps are ``1 + Σ_{j=1..N} E[V_j]`` (the root plus
-one node per visited prefix; leaves are the ``j = N`` terms).  Every inner
-term saturates at 1 as ``S`` grows — which *is* the sublinearity: the tree
-keeps sharing prefixes, so doubling the subscriptions far less than doubles
-the visited nodes.
+and a tree with a node on every level visits ``1 + Σ_{j=1..N} E[V_j]``
+nodes (the root plus one node per visited prefix; leaves are the ``j = N``
+terms).  Every inner term saturates at 1 as ``S`` grows — which *is* the
+sublinearity: the tree keeps sharing prefixes, so doubling the
+subscriptions far less than doubles the visited nodes.
+
+The PST never keeps a node whose only child is its ``*``-child (trivial-test
+elimination, Section 2.1): the node of prefix ``π`` (length ``j < N``) is
+spliced out when some subscription carries ``π`` followed by ``*`` and none
+carries ``π`` followed by a test.  With ``P = P(π)`` and ``p`` the non-``*``
+probability of attribute ``j + 1``, that has probability
+``(1 − P·p)^S − (1 − P)^S``, and the expected steps subtract it over every
+compatible prefix, the empty one (the root) included.
 """
 
 from __future__ import annotations
@@ -50,8 +58,9 @@ from repro.workload.spec import WorkloadSpec
 class MatchingCostModel:
     """Closed-form expectations for PST matching under a workload spec.
 
-    The model describes the *plain* (unoptimized, unfactored) PST; Section
-    2.1 optimizations only reduce the measured numbers.
+    The model describes the unfactored PST, whose trivial tests are always
+    eliminated; factoring and delayed branching only reduce the measured
+    numbers.
     """
 
     spec: WorkloadSpec
@@ -100,11 +109,15 @@ class MatchingCostModel:
 
     def expected_steps(self) -> float:
         """Expected matching steps per event: the root plus the visited
-        nodes at every level."""
-        return 1.0 + sum(
-            self.expected_visited_prefixes(level)
-            for level in range(1, self.spec.num_attributes + 1)
-        )
+        nodes at every level, less the visited nodes elimination splices."""
+        levels, count = self.spec.num_attributes, self.num_subscriptions
+        steps = 1.0 + sum(self.expected_visited_prefixes(j) for j in range(1, levels + 1))
+        for level in range(levels):
+            p_next = self.spec.non_star_probability(level)
+            for constrained in itertools.product((False, True), repeat=level):
+                probability = self.pattern_probability(constrained)
+                steps -= (1.0 - probability * p_next) ** count - (1.0 - probability) ** count
+        return steps
 
     def expected_matches(self) -> float:
         """Expected number of subscriptions matched per event."""

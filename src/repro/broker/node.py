@@ -181,6 +181,8 @@ class BrokerNode:
         self._obs_coalesced_sends = obs.counter("coalesced_sends", broker=name)
         self._obs_digest_hits = obs.counter("digest_hits", broker=name)
         self._obs_digest_fallbacks = obs.counter("digest_fallbacks", broker=name)
+        self._obs_forwards_dropped = obs.counter("forwards_dropped", broker=name)
+        self._obs_unneeded_forwards = get_registry().counter("link.unneeded_forwards", broker=name)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -599,6 +601,9 @@ class BrokerNode:
             entries, decisions, out_digests
         ):
             assert decision is not None
+            if root != self.name and not decision.forward_to and not decision.deliver_to:
+                # The neighbour that sent this event here had no reason to.
+                self._obs_unneeded_forwards.inc()
             for neighbor in decision.forward_to:
                 per_root = forwards.setdefault(neighbor, {})
                 per_root.setdefault(root, []).append((publisher, event_data, out_digest))
@@ -607,7 +612,9 @@ class BrokerNode:
         for neighbor, per_root in forwards.items():
             connection = self._broker_connections.get(neighbor)
             if connection is None or not connection.is_open:
-                continue  # neighbor down; the simulator studies this, not the prototype
+                # Neighbor down: the events are dropped (counted, not parked).
+                self._obs_forwards_dropped.inc(sum(len(batch) for batch in per_root.values()))
+                continue
             for root, batch in per_root.items():
                 if len(batch) == 1:
                     publisher, event_data, digest = batch[0]

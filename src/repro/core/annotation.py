@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import RoutingError
-from repro.matching.pst import ParallelSearchTree, PSTNode
+from repro.matching.pst import ParallelSearchTree, PSTNode, child_for_test
 from repro.matching.predicates import Subscription
 from repro.core.trits import (
     TritVector,
@@ -94,7 +94,7 @@ class TreeAnnotation:
             path.append(node)
             if node.is_leaf:
                 break
-            node = self._child_for_test(node, tests[node.attribute_position])
+            node = child_for_test(node, tests[node.attribute_position])
         for stale in path:
             self._by_node.pop(stale.node_id, None)
         # _annotate_node recurses only into children without annotations...
@@ -107,18 +107,6 @@ class TreeAnnotation:
             else:
                 self._by_node[node.node_id] = self._combine_children(tree, node)
         return self._by_node[tree.root.node_id]
-
-    def _child_for_test(self, node: PSTNode, test) -> Optional[PSTNode]:
-        if test.is_dont_care:
-            return node.star_child
-        from repro.matching.predicates import EqualityTest
-
-        if isinstance(test, EqualityTest):
-            return node.value_branches.get(test.value)
-        for branch_test, child in node.range_branches:
-            if branch_test == test:
-                return child
-        return None
 
     def _cached_or_computed(self, tree: ParallelSearchTree, child: PSTNode) -> TritVector:
         cached = self._by_node.get(child.node_id)

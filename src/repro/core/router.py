@@ -353,7 +353,6 @@ class ContentRouter:
         pays for every touched sub-tree, none is left for later routes."""
         matcher = self._factored
         assert matcher is not None
-        matcher.compact()
         num_links, link_of = self.links.num_links, self._link_of_subscriber
         current = {}
         for key, tree in matcher.trees():

@@ -73,7 +73,6 @@ def _run_factoring_ablation(config: AblationConfig) -> ExperimentTable:
             tree = ParallelSearchTree(spec.schema(), domains=spec.domains())
             for subscription in subscriptions:
                 tree.insert(subscription)
-            tree.eliminate_trivial_tests()
             steps = sum(tree.match(event).steps for event in sample) / len(sample)
             table.add_row(0, steps, 1, tree.node_count())
             continue
@@ -118,7 +117,6 @@ def _run_ordering_ablation(config: AblationConfig) -> ExperimentTable:
         )
         for subscription in subscriptions:
             tree.insert(subscription)
-        tree.eliminate_trivial_tests()
         steps = sum(tree.match(event).steps for event in sample) / len(sample)
         table.add_row(name, steps, tree.node_count())
     return table
@@ -137,7 +135,6 @@ def run_delayed_branching_ablation(
     tree = ParallelSearchTree(spec.schema(), domains=spec.domains())
     for subscription in subscriptions:
         tree.insert(subscription)
-    tree.eliminate_trivial_tests()
     tree_steps = sum(tree.match(event).steps for event in sample) / len(sample)
     table.add_row("parallel search tree", tree_steps, tree.node_count())
     dag = SearchDag(tree)
@@ -175,7 +172,6 @@ def run_range_workload_ablation(
         tree = ParallelSearchTree(spec.schema(), domains=spec.domains())
         for subscription in subscriptions:
             tree.insert(subscription)
-        tree.eliminate_trivial_tests()
         steps = sum(tree.match(event).steps for event in sample) / len(sample)
         matches = sum(
             len(tree.match(event).subscriptions) for event in sample

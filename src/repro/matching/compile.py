@@ -58,9 +58,10 @@ rewritten: a new child is lowered, a pruned one is recycled — its slots go
 onto a free list the next lowering reuses — and the
 ``subscription_id -> leaf`` map digests project through is kept current by
 the same writes.  A subscription change costs its path, leaves no garbage,
-and steady churn leaves the slot count stationary; ``patch`` refuses only a
-tree whose root was replaced, and the owning engine then performs a fresh
-:func:`compile_tree`.
+and steady churn leaves the slot count stationary.  A replaced root is
+patched in place at slot 0 too; ``patch`` refuses only a root change it
+cannot explain (a tree mutated behind the program's back), and the owning
+engine then performs a fresh :func:`compile_tree`.
 
 **Batching.**  :meth:`CompiledProgram.match_batch` and
 :meth:`CompiledProgram.match_links_batch` hand the whole batch to the
@@ -88,7 +89,7 @@ from repro.matching.predicates import (
     Predicate,
     Subscription,
 )
-from repro.matching.pst import MatchResult, ParallelSearchTree, PSTNode
+from repro.matching.pst import MatchResult, ParallelSearchTree, PSTNode, child_for_test
 from repro.matching.schema import AttributeValue, EventSchema
 from repro.obs import get_registry
 
@@ -567,16 +568,17 @@ class CompiledProgram:
         """Re-lower the root-to-leaf path selected by ``predicate`` after one
         subscription was inserted into / removed from ``tree``.
 
-        Returns ``False`` (leaving the program untouched is then unsafe —
-        the caller must fully recompile) when the tree's root was replaced
-        (a re-materializing insert above the old root).  Otherwise walks the
-        path in the tree and the program together, syncing each edge and the
-        leaf with the live tree, and recomputes the packed annotations of the
-        path bottom-up when annotations are bound.
+        A replaced root first takes slot 0 (:meth:`_sync_root`); ``False``
+        (leaving the program untouched is then unsafe — the caller must
+        fully recompile) means the root changed in a way one insert or
+        remove cannot.  Then walks the path in the tree and the program
+        together, syncing each edge and the leaf with the live tree, and
+        recomputes the packed annotations of the path bottom-up when
+        annotations are bound.
         """
         if self._base is not None:
             raise RoutingError("an annotated view cannot patch the structure it shares")
-        if self._slot_node_id[0] != tree.root.node_id:
+        if self._slot_node_id[0] != tree.root.node_id and not self._sync_root(tree.root):
             return False
         tests = [predicate.tests[position] for position in self._positions]
         index = 0
@@ -584,7 +586,7 @@ class CompiledProgram:
         node = tree.root
         while not node.is_leaf:
             test = tests[node.attribute_position]
-            child = _child_for_test(node, test)
+            child = child_for_test(node, test)
             index = self._sync_edge(index, node, test, child)
             if child is None:
                 break
@@ -597,6 +599,37 @@ class CompiledProgram:
                 self.ann_yes[index], self.ann_maybe[index] = self._node_annotation(index)
         self._bump_generation()
         return True
+
+    def _sync_root(self, root: PSTNode) -> bool:
+        """Swap a replaced root into slot 0: a level re-materialized above
+        the old root, the ``*``-child the old root was spliced out for, or
+        a fresh root where an empty one stood.  ``False`` for anything
+        else."""
+        position, table, ranges, star, subs = self._records[0]
+        held = self._slot_node_id[0]
+        if root.star_child is not None and root.star_child.node_id == held:
+            slot = self._lower(root, star_slot=0)
+            self._swap_slots(0, slot)
+            self._records[0] = (*self._records[0][:3], slot, None)
+        elif star >= 0 and self._slot_node_id[star] == root.node_id:
+            self._swap_slots(0, star)
+            self._records[star] = (position, table, ranges, -1, None)
+            self._recycle_subtree(star)
+        elif table is None and ranges is None and star < 0 and subs is None:
+            slot = self._lower(root)
+            self._swap_slots(0, slot)
+            self._recycle_subtree(slot)
+        else:
+            return False
+        return True
+
+    def _swap_slots(self, a: int, b: int) -> None:
+        """Exchange two slots' contents; the caller re-points references."""
+        for column in (self._records, self.ann_yes, self.ann_maybe, self._slot_node_id):
+            column[a], column[b] = column[b], column[a]
+        for slot in (a, b):
+            for subscription in self._records[slot][4] or ():
+                self._sub_leaf[subscription.subscription_id] = slot
 
     def _recycle_subtree(self, index: int) -> None:
         """Free every slot under an unreachable node for reuse.
@@ -643,7 +676,9 @@ class CompiledProgram:
         test — and is the live child only if its node id says so.  A child
         the slot does not hold is lowered; one that sits on top of the slot's
         node (a re-materialized level) is lowered around it, so the
-        redirected node keeps its slot.  A pruned edge is recycled."""
+        redirected node keeps its slot; a held node spliced out for its
+        ``*``-child is freed, and the edge takes that child's slot.  A
+        pruned edge is recycled."""
         position, table, ranges, star, _subs = self._records[index]
         if test.is_dont_care:
             slot = star
@@ -655,6 +690,7 @@ class CompiledProgram:
                 (branch for branch_test, branch in ranges or () if branch_test == test), -1
             )
         held = self._slot_node_id[slot] if slot >= 0 else 0
+        held_star = self._records[slot][3] if slot >= 0 else -1
         if child is None:
             if slot < 0:
                 return -1
@@ -664,6 +700,10 @@ class CompiledProgram:
             return slot
         elif child.star_child is not None and held == child.star_child.node_id:
             child_slot = self._lower(child, star_slot=slot)
+        elif held_star >= 0 and self._slot_node_id[held_star] == child.node_id:
+            self._records[slot] = (*self._records[slot][:3], -1, None)
+            self._recycle_subtree(slot)
+            child_slot = held_star
         else:
             if slot >= 0:
                 self._recycle_subtree(slot)
@@ -701,18 +741,6 @@ class CompiledProgram:
             f"{len(self._sub_leaf)} subscriptions, "
             f"annotated={self.annotated})"
         )
-
-
-def _child_for_test(node: PSTNode, test: AttributeTest) -> Optional[PSTNode]:
-    """The child whose branch label equals ``test`` (the update-path walk)."""
-    if test.is_dont_care:
-        return node.star_child
-    if isinstance(test, EqualityTest):
-        return node.value_branches.get(test.value)
-    for branch_test, child in node.range_branches:
-        if branch_test == test:
-            return child
-    return None
 
 
 def compile_tree(

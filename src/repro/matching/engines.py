@@ -186,8 +186,8 @@ class CompiledEngine(_EngineBase):
     The program is (re)compiled on first use after construction or after a
     patch bail-out; annotations are packed bitmasks attached to the same
     program.  ``invalidate()`` forces a recompile (needed only if the
-    underlying ``tree`` is mutated behind the engine's back, e.g. by calling
-    ``tree.eliminate_trivial_tests()`` directly)."""
+    underlying ``tree`` is mutated other than through :meth:`insert` and
+    :meth:`remove`)."""
 
     name = "compiled"
 

@@ -10,8 +10,11 @@ Three optimizations are described:
    mentions); matching becomes a table lookup on the event's index values
    followed by a search of one (smaller) sub-PST.
 
-2. **Trivial test elimination** is implemented directly on the tree — see
-   :meth:`repro.matching.pst.ParallelSearchTree.eliminate_trivial_tests`.
+2. **Trivial test elimination** is an invariant of the tree itself: no
+   :class:`~repro.matching.pst.ParallelSearchTree` node is ever left with
+   only a ``*``-child (see :mod:`repro.matching.pst`).  For factoring this
+   means the index levels a relaxed insertion leaves ``*`` never cost a
+   search step.
 
 3. **Delayed branching** (:class:`SearchDag`): instead of forking a parallel
    subsearch at every ``*``-branch, the ``*``-subtree is merged down into
@@ -94,9 +97,8 @@ class FactoredMatcher(Matcher):
     engine:
         ``"tree"`` searches the sub-PSTs directly; ``"compiled"`` lowers each
         sub-PST with :mod:`repro.matching.compile` on first use and matches
-        through the array kernels (programs are invalidated by mutation and
-        by :meth:`compact`).  Either way match sets and step counts are
-        identical.
+        through the array kernels (programs are invalidated by mutation).
+        Either way match sets and step counts are identical.
 
     Events whose index values fall outside the declared domains select
     :data:`OUT_OF_DOMAIN` buckets, so matching stays exactly equivalent to
@@ -162,8 +164,6 @@ class FactoredMatcher(Matcher):
         self._programs: Dict[Tuple[AttributeValue, ...], CompiledProgram] = {}
         self._by_id: Dict[int, Subscription] = {}
         self._keys_by_id: Dict[int, List[Tuple[AttributeValue, ...]]] = {}
-        #: Sub-trees changed since the last :meth:`compact`.
-        self._dirty_keys: Set[Tuple[AttributeValue, ...]] = set()
         #: Bumped per sub-tree a change touches; a key's version is the value
         #: at its last change (never reused, even if the sub-tree empties).
         self.mutations = 0
@@ -219,7 +219,7 @@ class FactoredMatcher(Matcher):
         if tree is None:
             # The index attributes stay in the sub-PST's schema (every
             # subscription in this tree has them fixed or ``*``), but they are
-            # ordered last so they are always spliced out of the search path.
+            # ordered last, so a path grows no node for them where they are ``*``.
             order = self._residual_order + [
                 n for n in self.schema.names if n in self.index_attributes
             ]
@@ -252,7 +252,6 @@ class FactoredMatcher(Matcher):
     def _touch(self, key: Tuple[AttributeValue, ...]) -> None:
         """Sub-tree ``key`` changed: whatever was derived from it is stale."""
         self._programs.pop(key, None)
-        self._dirty_keys.add(key)
         self.mutations += 1
         self._versions[key] = self.mutations
 
@@ -288,16 +287,6 @@ class FactoredMatcher(Matcher):
                 del self._trees[key]
         return subscription
 
-    def compact(self) -> None:
-        """Splice the always-star index levels left by relaxed insertions so
-        they cost no search steps.  Idempotent, and per sub-tree: only trees
-        changed since the last compaction are walked (an untouched tree is
-        already spliced, so its compiled form stays exact)."""
-        while self._dirty_keys:
-            tree = self._trees.get(self._dirty_keys.pop())
-            if tree is not None:
-                tree.eliminate_trivial_tests()
-
     def version_of(self, key: Tuple[AttributeValue, ...]) -> int:
         """State derived from populated sub-tree ``key`` (a router's
         annotations) is current iff it was derived at this version."""
@@ -306,7 +295,6 @@ class FactoredMatcher(Matcher):
     def program_for(self, key: Tuple[AttributeValue, ...]) -> CompiledProgram:
         """The compiled form of populated sub-tree ``key``, lowered once per
         change, whoever asks (:meth:`match` or a router)."""
-        self.compact()
         program = self._programs.get(key)
         if program is None:
             program = self._programs[key] = compile_tree(
@@ -330,7 +318,6 @@ class FactoredMatcher(Matcher):
 
         The lookup counts as one matching step.
         """
-        self.compact()
         key = self.key_for_event(event)
         tree = self._trees.get(key)
         self._obs_matches.inc()

@@ -17,11 +17,15 @@ subscriptions stored at reached leaves.  The paper counts a *matching step*
 as the visitation of a single node; :class:`MatchResult` reports that count
 so Chart 2 can be regenerated.
 
-The tree also supports **trivial test elimination** (Section 2.1, item 2)
-natively: each node records which attribute it tests via
-``attribute_position``, so splicing out a node whose only child hangs off a
-``*``-branch simply promotes the child (see
-:meth:`ParallelSearchTree.eliminate_trivial_tests`).
+**Trivial test elimination** (Section 2.1, item 2) is an invariant of the
+tree rather than a pass over it: no reachable non-leaf node has only a
+``*``-child.  Each node records the attribute it tests in
+``attribute_position``, so a path may skip levels.  An insert grows a new
+child at the subscription's next *constrained* level (or straight to the
+leaf) and re-materializes a skipped level the subscription constrains; a
+remove replaces a node it leaves with only a ``*``-child by that child.  The
+shape therefore depends only on the live subscription set, never on the
+history that produced it (up to branch order).
 
 Optional per-attribute **domains** (the finite value sets used throughout the
 paper's simulations, e.g. "5 values per attribute") tighten the link-matching
@@ -119,6 +123,19 @@ class PSTNode:
             f"{len(self.value_branches)} values, {len(self.range_branches)} ranges, "
             f"star={self.star_child is not None})"
         )
+
+
+def child_for_test(node: PSTNode, test: AttributeTest) -> Optional[PSTNode]:
+    """The child of ``node`` whose branch label equals ``test``, if any —
+    one step of the root-to-leaf walk a predicate selects."""
+    if test.is_dont_care:
+        return node.star_child
+    if isinstance(test, EqualityTest):
+        return node.value_branches.get(test.value)
+    for branch_test, child in node.range_branches:
+        if branch_test == test:
+            return child
+    return None
 
 
 class MatchResult:
@@ -225,9 +242,9 @@ class ParallelSearchTree:
     def insert(self, subscription: Subscription) -> None:
         """Add a subscription, extending the tree along its path.
 
-        Works on optimized (level-skipping) trees too: if the tree earlier
-        spliced out a level this subscription constrains, the level is
-        re-materialized on the affected path.
+        New nodes start at the subscription's next constrained level, and a
+        level the path skips but the subscription constrains is
+        re-materialized, so no node is left with only a ``*``-child.
         """
         if subscription.predicate.schema != self.schema:
             raise SubscriptionError("subscription schema does not match the tree's schema")
@@ -241,6 +258,8 @@ class ParallelSearchTree:
                 f"{subscription.predicate.describe()!r}"
             )
         tests = self._tests_in_order(subscription.predicate)
+        if self.root.is_empty:
+            self.root = self._new_node(tests, 0)
         self.root = self._insert(self.root, tests, 0, subscription)
         self._by_id[subscription.subscription_id] = subscription
 
@@ -261,8 +280,8 @@ class ParallelSearchTree:
         subscription: Subscription,
     ) -> PSTNode:
         """Insert below ``node``, which covers levels ``level..`` — its own
-        ``attribute_position`` may be greater than ``level`` on optimized
-        trees.  Returns the (possibly replaced) node."""
+        ``attribute_position`` is greater than ``level`` where the path skips
+        levels.  Returns the (possibly replaced) node."""
         end = len(self.attribute_order)
         node_position = end if node.is_leaf else node.attribute_position
         assert node_position is not None
@@ -270,12 +289,8 @@ class ParallelSearchTree:
         if target is not None:
             # The subscription constrains a level this path skips: insert a
             # fresh node at that level whose *-branch leads to the old path.
-            # An empty old node (a drained root left behind by removals) is
-            # dropped rather than grafted — grafting it would leak dead
-            # structure that no search or removal would ever prune.
             replacement = PSTNode(target)
-            if not node.is_empty:
-                replacement.star_child = node
+            replacement.star_child = node
             return self._insert(replacement, tests, target, subscription)
         if node.is_leaf:
             if not node.subscriptions:
@@ -283,47 +298,40 @@ class ParallelSearchTree:
             node.subscriptions.append(subscription)
             return node
         test = tests[node_position]
-        child = self._child_for_test(node, test)
+        child = child_for_test(node, test)
         if child is None:
-            child = self._grow_child(node, test, node_position)
+            child = self._new_node(tests, node_position + 1)
+            self._set_child(node, test, child)
         new_child = self._insert(child, tests, node_position + 1, subscription)
         if new_child is not child:
-            self._unlink_child(node, test)
-            self._attach_child(node, test, new_child)
+            self._set_child(node, test, new_child)
         return node
 
-    def _next_position(self, position: int) -> Optional[int]:
-        """Tree level after ``position``; ``None`` means the next node is a leaf."""
-        return position + 1 if position + 1 < len(self.attribute_order) else None
+    def _new_node(self, tests: List[AttributeTest], level: int) -> PSTNode:
+        """An empty node for a path that continues at ``level``: placed at
+        the first level from there that ``tests`` constrain, or a leaf."""
+        return PSTNode(self._first_constrained(tests, level, len(self.attribute_order)))
 
-    def _child_for_test(self, node: PSTNode, test: AttributeTest) -> Optional[PSTNode]:
-        """The existing child whose branch label equals ``test``, if any."""
-        if test.is_dont_care:
-            return node.star_child
-        if isinstance(test, EqualityTest):
-            return node.value_branches.get(test.value)
-        for branch_test, child in node.range_branches:
-            if branch_test == test:
-                return child
-        return None
-
-    def _grow_child(self, node: PSTNode, test: AttributeTest, position: int) -> PSTNode:
-        child = PSTNode(self._next_position(position))
-        self._attach_child(node, test, child)
-        return child
-
-    def _attach_child(self, node: PSTNode, test: AttributeTest, child: PSTNode) -> None:
+    def _set_child(self, node: PSTNode, test: AttributeTest, child: PSTNode) -> None:
+        """Point the branch for ``test`` at ``child``; a new branch goes
+        last, an existing one keeps its place in the branch order."""
         if test.is_dont_care:
             node.star_child = child
         elif isinstance(test, EqualityTest):
             if not node.value_branches:
                 node.value_branches = {}
             node.value_branches[test.value] = child
+        elif any(branch_test == test for branch_test, _old in node.range_branches):
+            node.range_branches = tuple(
+                (branch_test, child if branch_test == test else old)
+                for branch_test, old in node.range_branches
+            )
         else:
             node.range_branches = (*node.range_branches, (test, child))
 
     def remove(self, subscription_id: int) -> Subscription:
-        """Remove a subscription by id, pruning now-empty branches.
+        """Remove a subscription by id, pruning now-empty branches and
+        splicing out a node left with only a ``*``-child.
 
         Returns the removed subscription; raises :class:`SubscriptionError`
         if the id is unknown.
@@ -332,14 +340,17 @@ class ParallelSearchTree:
         if subscription is None:
             raise SubscriptionError(f"unknown subscription id {subscription_id}")
         tests = self._tests_in_order(subscription.predicate)
-        self._remove_along_path(self.root, tests, subscription)
+        # A drained root stays, empty, until the next insert replaces it.
+        self.root = self._remove_along_path(self.root, tests, subscription) or self.root
         return subscription
 
     def _remove_along_path(
         self, node: PSTNode, tests: List[AttributeTest], subscription: Subscription
-    ) -> bool:
-        """Remove ``subscription`` below ``node``; returns True if ``node``
-        became empty and should be pruned by its parent."""
+    ) -> Optional[PSTNode]:
+        """Remove ``subscription`` below ``node`` and return what takes
+        ``node``'s place in its parent: ``None`` once it is empty (pruned),
+        its ``*``-child once that is all it has left (a trivial test,
+        spliced out), otherwise ``node`` itself."""
         if node.is_leaf:
             try:
                 node.subscriptions.remove(subscription)
@@ -350,19 +361,24 @@ class ParallelSearchTree:
                     f"subscription #{subscription.subscription_id} not found at its leaf "
                     "(tree structure was mutated externally?)"
                 ) from None
-            return node.is_empty
+            return node if node.subscriptions else None
         position = node.attribute_position
         assert position is not None
         test = tests[position]
-        child = self._child_for_test(node, test)
+        child = child_for_test(node, test)
         if child is None:
             raise SubscriptionError(
                 f"no branch for {test!r} while removing subscription "
                 f"#{subscription.subscription_id}"
             )
-        if self._remove_along_path(child, tests, subscription):
+        replacement = self._remove_along_path(child, tests, subscription)
+        if replacement is None:
             self._unlink_child(node, test)
-        return node.is_empty
+        elif replacement is not child:
+            self._set_child(node, test, replacement)
+        if node.value_branches or node.range_branches:
+            return node
+        return node.star_child
 
     def _unlink_child(self, node: PSTNode, test: AttributeTest) -> None:
         if test.is_dont_care:
@@ -420,47 +436,6 @@ class ParallelSearchTree:
         counting is irrelevant.
         """
         return [s for s in self._by_id.values() if s.predicate.matches(event)]
-
-    # ------------------------------------------------------------------
-    # Optimizations applied in place
-
-    def eliminate_trivial_tests(self) -> int:
-        """Section 2.1, item 2: splice out nodes whose only child hangs off a
-        ``*``-branch.
-
-        Such a node tests an attribute that none of the subscriptions below
-        it constrain, so the test is pure overhead.  Returns the number of
-        nodes eliminated.  The tree remains a valid PST; node
-        ``attribute_position`` values simply skip the eliminated levels.
-
-        Note: after elimination, newly inserted subscriptions may re-create
-        spliced levels; callers that mix heavy insertion with matching should
-        re-run this periodically (the broker engine does).
-        """
-        eliminated = 0
-
-        def splice(node: PSTNode) -> PSTNode:
-            nonlocal eliminated
-            while (
-                not node.is_leaf
-                and node.star_child is not None
-                and not node.value_branches
-                and not node.range_branches
-            ):
-                node = node.star_child
-                eliminated += 1
-            if not node.is_leaf:
-                for value, child in list(node.value_branches.items()):
-                    node.value_branches[value] = splice(child)
-                node.range_branches = tuple(
-                    (test, splice(child)) for test, child in node.range_branches
-                )
-                if node.star_child is not None:
-                    node.star_child = splice(node.star_child)
-            return node
-
-        self.root = splice(self.root)
-        return eliminated
 
     def __repr__(self) -> str:
         return (

@@ -76,6 +76,7 @@ class LinkMatchingProtocol(RoutingProtocol):
         self._obs_digest_hits = self._obs.counter("digest_hits")
         self._obs_digest_fallbacks = self._obs.counter("digest_fallbacks")
         self._obs_digests_minted = self._obs.counter("digests_minted")
+        self._obs_unneeded_forwards = registry.counter("link.unneeded_forwards")
         # Hop distance -> its (refinement_steps, deliveries) counters, fetched
         # on the first message at that distance (bounded by the diameter).
         self._obs_per_hop: Dict[int, Tuple[Counter, Counter]] = {}
@@ -410,6 +411,9 @@ class LinkMatchingProtocol(RoutingProtocol):
             )
         per_hop[0].inc(decision.steps)
         per_hop[1].inc(len(decision.deliver_to))
+        if message.hop and not decision.forward_to and not decision.deliver_to:
+            # The upstream broker's refinement sent this copy for nothing.
+            self._obs_unneeded_forwards.inc()
         sends = []
         for neighbor in decision.forward_to:
             forward = message.forwarded()

@@ -1,5 +1,6 @@
 """Smoke test of ``benchmarks/setup_split.py``: one JSON line with the set-up
-split, the heap census after set-up and the compiled programs' bytes."""
+split, the heap census after set-up, the compiled programs' bytes and the
+per-broker PST census (no node left with only a ``*``-child)."""
 
 from __future__ import annotations
 
@@ -11,11 +12,11 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
-def test_setup_split_reports_the_heap():
+def setup_split(workload):
     environment = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONHASHSEED="0")
     script = os.path.join(ROOT, "benchmarks", "setup_split.py")
     completed = subprocess.run(
-        [sys.executable, script, "fanout_mem", "--quick"],
+        [sys.executable, script, workload, "--quick"],
         capture_output=True,
         text=True,
         timeout=120,
@@ -23,7 +24,11 @@ def test_setup_split_reports_the_heap():
         env=environment,
         check=True,
     )
-    report = json.loads(completed.stdout.strip().splitlines()[-1])
+    return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
+def test_setup_split_reports_the_heap():
+    report = setup_split("fanout_mem")
     assert report["workload"] == "fanout_mem"
     for layer in ("parse", "annotate", "insert", "compile", "gc"):
         assert report[f"{layer}_s"] >= 0 and 0 <= report[f"{layer}_share"] <= 1
@@ -36,3 +41,13 @@ def test_setup_split_reports_the_heap():
     assert "_records" in fields and "index_of_node" not in fields
     assert all(size >= 0 for size in fields.values())
     assert 0 < fields["_records"] <= report["program_mib"]
+    assert report["pst_nodes"] and all(count > 0 for count in report["pst_nodes"].values())
+    assert report["star_only_nodes"] == dict.fromkeys(report["pst_nodes"], 0)
+
+
+def test_an_engine_backed_replica_has_no_star_only_node():
+    """``churn_mem`` routes on a private compiled engine per broker (not a
+    factored matcher), the path trivial-test elimination once skipped."""
+    report = setup_split("churn_mem")
+    assert sorted(report["pst_nodes"]) == ["B0", "B1"]
+    assert report["star_only_nodes"] == {"B0": 0, "B1": 0}

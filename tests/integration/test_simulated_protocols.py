@@ -61,6 +61,17 @@ class TestCrossProtocolAgreement:
             outcomes.append(delivered)
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
+    def test_link_matching_forwards_nothing_unneeded_on_figure6(self, live_registry):
+        topology = figure6_topology(subscribers_per_broker=2)
+        rng = random.Random(5)
+        events = [
+            Event.from_tuple(SCHEMA, tuple(rng.randrange(3) for _ in range(3)))
+            for _ in range(30)
+        ]
+        result = run_events(topology, LinkMatchingProtocol(build_context(topology)), events)
+        assert result.matched_deliveries  # events did travel
+        assert live_registry.counter("link.unneeded_forwards").value == 0
+
     def test_flooding_processes_most_messages(self):
         topology = figure6_topology(subscribers_per_broker=2)
         context = build_context(topology)

@@ -4,14 +4,19 @@
 instead of rebuilding them: the node records, the packed annotations, and
 the ``subscription_id -> leaf`` map digests project through; slots under a
 pruned branch are recycled, and a live node never changes slot — a child a
-re-materialized level is put above keeps its own.  This suite drives random
+re-materialized level is put above keeps its own, and so does the
+``*``-child a spliced node leaves behind — except across a root
+replacement, where the new root takes slot 0.  This suite drives random
 interleavings of every operation that touches that state through one
-``CompiledEngine`` (trivial-test elimination followed by a re-materializing
-insert included) and, after each step, holds the engine's program against a
+``CompiledEngine`` (an insert that re-materializes a skipped level
+included) and, after each step, holds the engine's program against a
 program compiled from the same tree there and then — same match sets, same
 steps, same refined masks, same digest projection —, its records against
 the live tree node for node, and the map against the from-the-root walk
-that used to build it (kept here as the reference).
+that used to build it (kept here as the reference).  The tree itself must
+hold trivial-test elimination as an invariant (no node has only a
+``*``-child) and be the tree a fresh build of the live set gives, up to
+branch order; no patch may bail out to a recompile.
 """
 
 from __future__ import annotations
@@ -20,10 +25,18 @@ import importlib.util
 
 from hypothesis import given, settings, strategies as st
 
-from repro.matching import Event, Predicate, RangeOp, Subscription, uniform_schema
+from repro.matching import (
+    Event,
+    ParallelSearchTree,
+    Predicate,
+    RangeOp,
+    Subscription,
+    uniform_schema,
+)
 from repro.matching.compile import _FREE_RECORD, compile_tree
 from repro.matching.engines import CompiledEngine
 from repro.matching.predicates import EqualityTest, RangeTest
+from repro.obs import MetricsRegistry, get_registry, set_registry
 from tests.program_walk import slots_by_node
 
 SCHEMA = uniform_schema(4)
@@ -51,12 +64,25 @@ links = st.integers(min_value=0, max_value=NUM_LINKS - 1)
 yes_masks = st.integers(min_value=0, max_value=FULL)
 
 #: One step: (operation, predicate, pick, link, event, yes bits).  ``pick``
-#: selects the live subscription a remove / refresh acts on, or the spliced
-#: edge and skipped level an ``eliminate`` step's insert constrains;
-#: ``invalidate`` makes the next step patch a fresh compile.
+#: selects the live subscription a remove / refresh acts on, or the
+#: level-skipping edge and skipped level a ``rematerialize`` step's insert
+#: constrains; ``unroot`` inserts a subscription that leaves the root's
+#: level ``*`` and removes every one that constrains it, so the last removal
+#: splices the root out for its ``*``-child; ``invalidate`` makes the next
+#: step patch a fresh compile.
 steps = st.tuples(
     st.sampled_from(
-        ["insert", "insert", "remove", "remove", "refresh", "invalidate", "eliminate", "match"]
+        [
+            "insert",
+            "insert",
+            "remove",
+            "remove",
+            "refresh",
+            "invalidate",
+            "rematerialize",
+            "unroot",
+            "match",
+        ]
     ),
     predicate_specs,
     st.integers(min_value=0, max_value=1 << 16),
@@ -118,10 +144,10 @@ def assert_structure(engine):
         assert program._slot_node_id[slot] == 0
 
 
-def spliced_edges(tree):
-    """Every edge ``eliminate_trivial_tests`` left skipping levels, the
-    root's included: ``(tests down to it, first skipped level, level
-    reached)``, with ``tests`` in attribute order (``None`` = don't care)."""
+def skipping_edges(tree):
+    """Every edge that skips levels, the root's included: ``(tests down to
+    it, first skipped level, level reached)``, with ``tests`` in attribute
+    order (``None`` = don't care)."""
     levels = len(SCHEMA.names)
     edges = []
     stack = [(tree.root, -1, [None] * levels)]
@@ -142,10 +168,9 @@ def spliced_edges(tree):
 
 
 def rematerializing_subscription(engine, pick, value):
-    """After trivial-test elimination, a subscription down a spliced edge
-    that constrains one of the levels it skips; ``None`` if nothing was
-    spliced."""
-    edges = spliced_edges(engine.tree)
+    """A subscription down a level-skipping edge that constrains one of the
+    levels it skips; ``None`` if no edge skips a level."""
+    edges = skipping_edges(engine.tree)
     if not edges:
         return None
     tests, first, reached = edges[pick % len(edges)]
@@ -155,6 +180,35 @@ def rematerializing_subscription(engine, pick, value):
         SCHEMA, {name: test for name, test in zip(SCHEMA.names, tests) if test is not None}
     )
     return Subscription(predicate, "rematerialized")
+
+
+def shape(node):
+    """A node's subtree up to branch order: its tested level, its labelled
+    children and its leaf's subscription ids; ``None`` for an empty node
+    (a drained root)."""
+    if node.is_empty:
+        return None
+    if node.is_leaf:
+        return frozenset(s.subscription_id for s in node.subscriptions)
+    labelled = [(EqualityTest(value), child) for value, child in node.value_branches.items()]
+    labelled.extend(node.range_branches)
+    return (
+        node.attribute_position,
+        frozenset((test, shape(child)) for test, child in labelled),
+        shape(node.star_child) if node.star_child is not None else None,
+    )
+
+
+def assert_canonical(tree):
+    """No node keeps only a ``*``-child, and the history that built the tree
+    left no trace: a fresh build of the live set has the same shape."""
+    for node in tree.nodes():
+        if node.star_child is not None:
+            assert node.value_branches or node.range_branches, f"{node} is star-only"
+    fresh = ParallelSearchTree(SCHEMA, domains=DOMAINS)
+    for subscription in tree.subscriptions:
+        fresh.insert(subscription)
+    assert shape(tree.root) == shape(fresh.root)
 
 
 def assert_equals_rebuild(engine, link_of, event, yes_bits):
@@ -180,6 +234,15 @@ def assert_equals_rebuild(engine, link_of, event, yes_bits):
 )
 @settings(max_examples=150, deadline=None)
 def test_every_step_equals_a_fresh_compile(backend, script):
+    previous = set_registry(MetricsRegistry(enabled=True))
+    try:
+        run_script(backend, script)
+        assert get_registry().counter("engine.compiled.patch_bailouts").value == 0
+    finally:
+        set_registry(previous)
+
+
+def run_script(backend, script):
     engine = CompiledEngine(SCHEMA, domains=DOMAINS, backend=backend)
     link_by_id = {}
 
@@ -196,6 +259,7 @@ def test_every_step_equals_a_fresh_compile(backend, script):
     for operation, spec, pick, link, event, yes_bits in script:
         program = engine._program
         before = slots_by_node(program, engine.tree) if program is not None else {}
+        old_root = engine.tree.root.node_id
         if operation == "insert":
             insert(Subscription(predicate_of(spec), f"s{link}"), link)
         elif operation == "remove" and live:
@@ -206,22 +270,26 @@ def test_every_step_equals_a_fresh_compile(backend, script):
             engine.refresh_links(subscription)
         elif operation == "invalidate":
             engine.invalidate()
-        elif operation == "eliminate":
-            # The tree changes behind the engine's back, so the engine is
-            # told; the insert that follows is then patched into a fresh,
-            # annotated program of the eliminated tree.
-            engine.tree.eliminate_trivial_tests()
-            engine.invalidate()
+        elif operation == "unroot" and not engine.tree.root.is_leaf:
+            # A survivor that leaves the root's level (and those above) ``*``
+            # keeps the tree from draining, so the root is spliced, not emptied.
+            level = engine.tree.root.attribute_position
+            survivor = predicate_of((None,) * (level + 1) + spec[level + 1 :])
+            insert(Subscription(survivor, f"s{link}"), link)
+            for subscription in [s for s in live if not s.predicate.tests[level].is_dont_care]:
+                engine.remove(subscription.subscription_id)
+                live.remove(subscription)
+        elif operation == "rematerialize":
             subscription = rematerializing_subscription(engine, pick, DOMAIN[link % 3])
             if subscription is not None:
-                engine.project_links([], 0, 0)  # compile + annotate
-                program = engine.program
-                before = slots_by_node(program, engine.tree)
                 insert(subscription, link)
         if engine._program is program and program is not None:
             # A patch moves no live node: a redirected child keeps its slot.
+            # Only a root replacement moves the roots it swaps through slot 0.
             after = slots_by_node(program, engine.tree)
-            for node_id in before.keys() & after.keys():
+            moved = {old_root, engine.tree.root.node_id}
+            for node_id in (before.keys() & after.keys()) - moved:
                 assert after[node_id] == before[node_id], f"node #{node_id} moved"
+        assert_canonical(engine.tree)
         assert_structure(engine)
         assert_equals_rebuild(engine, link_of, event, yes_bits)

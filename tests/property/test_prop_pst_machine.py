@@ -1,11 +1,12 @@
 """Stateful fuzzing of the Parallel Search Tree against a reference model.
 
-Random interleavings of insert / remove / eliminate-trivial-tests / match;
-the model is a plain list of subscriptions evaluated brute force.  Catches
-structural corruption that single-shot property tests can miss (e.g. a
-splice interacting with a later removal).  After every step, no node may
-hold an empty mutable container: unused ones are the shared immutable
-empties, so a replica allocates only what it holds.
+Random interleavings of insert / remove / match; the model is a plain list
+of subscriptions evaluated brute force.  Catches structural corruption that
+single-shot property tests can miss (e.g. a splice interacting with a later
+removal).  After every step, no reachable non-leaf node has only a
+``*``-child (trivial-test elimination is an invariant of insert and
+remove), and no node holds an empty mutable container: unused ones are the
+shared immutable empties, so a replica allocates only what it holds.
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ class PstMachine(RuleBasedStateMachine):
         assert removed.subscription_id == victim_id
         del self.model[victim_id]
 
-    @rule()
-    def optimize(self):
-        self.tree.eliminate_trivial_tests()
-
     @rule(values=event_values)
     def match(self, values):
         event = Event.from_tuple(SCHEMA, values)
@@ -76,6 +73,12 @@ class PstMachine(RuleBasedStateMachine):
     @invariant()
     def registry_size_consistent(self):
         assert len(self.tree) == len(self.model)
+
+    @invariant()
+    def no_star_only_node(self):
+        for node in self.tree.nodes():
+            if node.star_child is not None:
+                assert node.value_branches or node.range_branches, node
 
     @invariant()
     def no_empty_mutable_container(self):

@@ -47,7 +47,6 @@ class TestPropagation:
     def test_star_only_tree_is_yes(self, schema5):
         # A match-all subscription guarantees delivery on its link at the root.
         tree = build_pst(schema5, [make_subscription(schema5, "*", "l1")])
-        tree.eliminate_trivial_tests()
         annotation = annotate(tree)
         assert annotation.vector_for(tree.root)[1] is Y
 
@@ -89,7 +88,6 @@ class TestPropagation:
                 make_subscription(schema5, "a2=1", "l1"),    # conditional on l1
             ],
         )
-        tree.eliminate_trivial_tests()
         annotation = annotate(tree)
         root = annotation.vector_for(tree.root)
         assert root[0] is Y
@@ -127,6 +125,5 @@ class TestStaleness:
         tree = build_pst(schema5, [make_subscription(schema5, "a1=1", "l0")])
         annotation = annotate(tree)
         tree.insert(make_subscription(schema5, "*", "l1"))
-        tree.eliminate_trivial_tests()
         annotation.annotate(tree)
         assert annotation.vector_for(tree.root)[1] is Y

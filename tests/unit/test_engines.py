@@ -3,6 +3,8 @@ lifecycle (lazy compilation, incremental patching, recompile fallback)."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.errors import RoutingError, SubscriptionError
@@ -16,6 +18,7 @@ from repro.matching import (
 from repro.matching.compile import compile_tree
 from repro.matching.events import Event
 from repro.matching.predicates import EqualityTest, Predicate, Subscription
+from tests.program_walk import slots_by_node
 
 SCHEMA = uniform_schema(3)
 DOMAINS = {name: [0, 1, 2] for name in SCHEMA.names}
@@ -32,6 +35,17 @@ def subscription(values, subscriber="s0", **kwargs):
 
 def link_of(sub):
     return int(sub.subscriber[1:])
+
+
+def assert_matches_a_fresh_compile(engine):
+    """The patched program walks like one lowered from the tree now."""
+    slots_by_node(engine.program, engine.tree)
+    fresh = compile_tree(engine.tree)
+    fresh.annotate(2, link_of)
+    for values in itertools.product(range(3), repeat=3):
+        event = Event.from_tuple(SCHEMA, values)
+        assert engine.match(event).steps == fresh.match(event).steps
+        assert engine.match_links(event, 0, 0b11) == fresh.match_links(event, 0, 0b11)
 
 
 class TestCreateEngine:
@@ -98,10 +112,55 @@ class TestCompiledProgramLifecycle:
             slot_counts.add(engine.program.node_count)
         assert engine.program is program
         assert recompiles.value == 1
-        # The standing path's 4 slots plus the longest churned path's 3.
-        assert max(slot_counts) == 7
+        # The standing path's 3 slots (root, a2 node, leaf; a3 is ``*``)
+        # plus the longest churned path's 2 (an a3 node and its leaf).
+        assert max(slot_counts) == 5
         event = Event.from_tuple(SCHEMA, (0, 1, 0))
         assert {s.subscription_id for s in engine.match(event).subscriptions}
+
+    def test_a_spliced_node_is_patched_in_place(self, live_registry):
+        """A removal that leaves a node with only its ``*``-child splices it
+        out; the patch frees that node's slot and its pruned branch, and the
+        parent's edge takes the ``*``-child's slot as it is."""
+        engine = CompiledEngine(SCHEMA, domains=DOMAINS)
+        engine.bind_links(2, link_of)
+        keep = subscription((0, None, 1), "s0")
+        gone = subscription((0, 2, 1), "s1")
+        engine.insert(keep)
+        engine.insert(gone)
+        program = engine.program
+        engine.project_links([], 0, 0)  # annotate
+        a2_node = engine.tree.root.value_branches[0]
+        star_slot = slots_by_node(program, engine.tree)[a2_node.star_child.node_id]
+        engine.remove(gone.subscription_id)
+        assert engine.tree.root.value_branches[0] is a2_node.star_child
+        assert engine.program is program
+        assert slots_by_node(program, engine.tree)[a2_node.star_child.node_id] == star_slot
+        assert len(program._free_slots) == 3  # the a2 node, gone's a3 node and leaf
+        assert_matches_a_fresh_compile(engine)
+        assert live_registry.counter("engine.compiled.patch_bailouts").value == 0
+
+    @pytest.mark.parametrize(
+        "standing, changed",
+        [
+            ((None, 1, 2), (0, 1, 2)),  # a level re-materialized above the root
+            ((0, 1, 2), (None, 1, 2)),  # the root spliced out on remove
+        ],
+    )
+    def test_a_replaced_root_is_patched_at_slot_zero(self, live_registry, standing, changed):
+        engine = CompiledEngine(SCHEMA, domains=DOMAINS)
+        engine.bind_links(2, link_of)
+        engine.insert(subscription(standing, "s0"))
+        program = engine.program
+        engine.project_links([], 0, 0)  # annotate
+        late = subscription(changed, "s1")
+        engine.insert(late)
+        if standing[0] is not None:
+            engine.remove(engine.subscriptions[0].subscription_id)  # leaves late only
+        assert engine.program is program
+        assert program._slot_node_id[0] == engine.tree.root.node_id
+        assert_matches_a_fresh_compile(engine)
+        assert live_registry.counter("engine.compiled.patch_bailouts").value == 0
 
     def test_invalidate_forces_recompile(self):
         engine = CompiledEngine(SCHEMA)

@@ -12,7 +12,7 @@ from repro.broker import (
     RequestFailed,
 )
 from repro.errors import ProtocolError, RoutingError, TransportError
-from repro.matching import stock_trade_schema
+from repro.matching import Subscription, parse_predicate, stock_trade_schema
 from repro.network import NodeKind, Topology
 
 
@@ -189,6 +189,57 @@ class TestRefusedUnsubscribe:
             removed = live_registry.counter("broker.subscriptions_removed", broker=name)
             assert (added.value, removed.value) == (2, 1)
             assert added.value - removed.value == node.subscription_count
+
+
+class TestForwardAccounting:
+    def test_forwards_to_a_down_neighbor_are_counted_per_event(self, live_registry):
+        schema, transport, nodes = two_broker_network()
+        bob = client("bob", schema, transport, "B1")
+        pub = client("pub", schema, transport, "B0")
+        bob.subscribe_and_wait("*")
+        transport.pump()
+        nodes["B0"]._broker_connections["B1"].close()
+        transport.pump()
+        assert nodes["B0"].connected_brokers == []
+        pub.publish({"issue": "A", "price": 1.0, "volume": 1})
+        pub.publish_many(
+            [{"issue": "B", "price": 2.0, "volume": 2}, {"issue": "C", "price": 3.0, "volume": 3}]
+        )
+        transport.pump()
+        dropped = live_registry.counter("broker.forwards_dropped", broker="B0")
+        assert dropped.value == 3
+        assert bob.received_events == []
+
+    def test_no_unneeded_forward_on_a_steady_chain(self, live_registry):
+        schema, transport, nodes = two_broker_network()
+        alice = client("alice", schema, transport, "B0")
+        bob = client("bob", schema, transport, "B1")
+        pub = client("pub", schema, transport, "B0")
+        alice.subscribe_and_wait("issue='IBM'")
+        bob.subscribe_and_wait("volume>100")
+        transport.pump()
+        for volume in (50, 150, 250, 5):
+            for issue in ("IBM", "HP"):
+                pub.publish({"issue": issue, "price": 1.0, "volume": volume})
+        transport.pump()
+        assert len(bob.received_events) == 4  # forwards did happen
+        for name in nodes:
+            assert live_registry.counter("link.unneeded_forwards", broker=name).value == 0
+
+    def test_a_desynchronised_replica_forwards_for_nothing(self, live_registry):
+        schema, transport, nodes = two_broker_network()
+        pub = client("pub", schema, transport, "B0")
+        # Only B0's replica holds this subscription of bob's (B1 never heard
+        # of it), so B0 forwards events that B1 has no use for.
+        nodes["B0"].router.add_subscription(
+            Subscription(parse_predicate(schema, "issue='IBM'"), "bob")
+        )
+        pub.publish({"issue": "IBM", "price": 1.0, "volume": 1})
+        pub.publish({"issue": "HP", "price": 1.0, "volume": 1})
+        transport.pump()
+        unneeded = live_registry.counter("link.unneeded_forwards", broker="B1")
+        assert unneeded.value == 1
+        assert live_registry.counter("link.unneeded_forwards", broker="B0").value == 0
 
 
 class TestPublishAndDeliver:

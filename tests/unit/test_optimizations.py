@@ -153,9 +153,9 @@ class TestPerSubtreeStaleness:
         assert matcher.program_for((0,)) is programs[(0,)]
 
     def test_program_is_lowered_from_the_compacted_tree(self, schema5):
-        """``program_for`` compacts first: the star-only index level a
-        relaxed insert leaves is spliced before lowering, so the program
-        and the tree agree on steps."""
+        """The index level a relaxed insert leaves ``*`` never gets a node
+        (trivial-test elimination is a tree invariant), so the lowered
+        program and the tree agree on steps."""
         matcher = FactoredMatcher(schema5, ["a1"], DOMAINS, engine="compiled")
         matcher.insert(make_subscription(schema5, "a1=1 & a5=2", "alice"))
         event = Event.from_tuple(schema5, (1, 0, 0, 0, 2))
@@ -275,7 +275,6 @@ class TestSearchDag:
     def test_works_on_optimized_tree(self, schema5):
         subscriptions, events = random_workload(schema5, 60, 80, seed=8)
         tree = build_pst(schema5, subscriptions)
-        tree.eliminate_trivial_tests()
         dag = SearchDag(tree)
         for event in events:
             assert {s.subscription_id for s in dag.match(event).subscriptions} == {

@@ -19,6 +19,15 @@ from repro.matching import (
 from tests.conftest import make_subscription
 
 
+def star_only_nodes(tree):
+    """Reachable non-leaf nodes whose only child hangs off the ``*``-branch."""
+    return [
+        node
+        for node in tree.nodes()
+        if node.star_child is not None and not node.value_branches and not node.range_branches
+    ]
+
+
 def figure2_tree(schema5) -> ParallelSearchTree:
     """A small tree in the spirit of Figure 2."""
     subscriptions = [
@@ -213,44 +222,51 @@ class TestRemove:
 
 
 class TestTrivialTestElimination:
+    """Section 2.1, item 2, as an invariant of insert and remove: no
+    reachable non-leaf node has only a ``*``-child."""
+
     def test_eliminates_star_only_levels(self, schema5):
         tree = build_pst(schema5, [make_subscription(schema5, "a5=3", "alice")])
-        before = tree.node_count()
-        eliminated = tree.eliminate_trivial_tests()
-        assert eliminated == 4  # a1..a4 levels were pure-star
-        assert tree.node_count() == before - eliminated
+        # The a1..a4 levels are don't-care: the root tests a5 directly, and
+        # the path is the root and its leaf (six nodes without elimination).
+        assert tree.root.attribute_position == 4
+        assert tree.node_count() == 2
+        assert star_only_nodes(tree) == []
+
+    def test_match_all_subscription_is_a_root_leaf(self, schema5):
+        tree = build_pst(schema5, [make_subscription(schema5, "*", "alice")])
+        assert tree.root.is_leaf
+        assert tree.node_count() == 1
 
     def test_matching_unchanged_after_elimination(self, schema5):
         tree = figure2_tree(schema5)
-        events = [
-            Event.from_tuple(schema5, (a, b, c, 1, e))
-            for a in range(3)
-            for b in range(3)
-            for c in range(4)
-            for e in range(4)
-        ]
-        expected = [
-            {s.subscription_id for s in tree.match(event).subscriptions}
-            for event in events
-        ]
-        tree.eliminate_trivial_tests()
-        for event, want in zip(events, expected):
-            got = {s.subscription_id for s in tree.match(event).subscriptions}
-            assert got == want
+        assert star_only_nodes(tree) == []
+        # s3 (a3=3 alone) hangs off the root's *-branch straight at a3.
+        assert tree.root.star_child.attribute_position == 2
+        for a in range(3):
+            for b in range(3):
+                for c in range(5):
+                    for e in range(4):
+                        event = Event.from_tuple(schema5, (a, b, c, 1, e))
+                        got = {s.subscription_id for s in tree.match(event).subscriptions}
+                        want = {s.subscription_id for s in tree.match_brute_force(event)}
+                        assert got == want
 
     def test_steps_do_not_increase(self, schema5):
         tree = figure2_tree(schema5)
         event = Event.from_tuple(schema5, (1, 2, 3, 1, 3))
-        before = tree.match(event).steps
-        tree.eliminate_trivial_tests()
-        assert tree.match(event).steps <= before
+        # 15 steps over 18 nodes when every level had a node.
+        assert tree.node_count() == 10
+        assert tree.match(event).steps == 9
 
     def test_insert_after_elimination_rematerializes(self, schema5):
         tree = build_pst(schema5, [make_subscription(schema5, "a5=3", "alice")])
-        tree.eliminate_trivial_tests()
-        # This subscription constrains a2, a level that was spliced out.
+        # This subscription constrains a2, a level the path skips.
         newcomer = make_subscription(schema5, "a2=7 & a5=3", "bob")
         tree.insert(newcomer)
+        assert tree.root.attribute_position == 1
+        assert tree.root.star_child.attribute_position == 4
+        assert star_only_nodes(tree) == []
         hit = Event.from_tuple(schema5, (0, 7, 0, 0, 3))
         miss = Event.from_tuple(schema5, (0, 8, 0, 0, 3))
         assert tree.match(hit).subscribers == {"alice", "bob"}
@@ -260,10 +276,45 @@ class TestTrivialTestElimination:
         alice = make_subscription(schema5, "a5=3", "alice")
         bob = make_subscription(schema5, "a3=1 & a5=3", "bob")
         tree = build_pst(schema5, [alice, bob])
-        tree.eliminate_trivial_tests()
+        assert tree.root.attribute_position == 2
         tree.remove(bob.subscription_id)
+        # The a3 root kept only its *-branch: its child replaced it.
+        assert tree.root.attribute_position == 4
+        assert tree.node_count() == 2
+        assert star_only_nodes(tree) == []
         event = Event.from_tuple(schema5, (0, 0, 1, 0, 3))
         assert tree.match(event).subscribers == {"alice"}
+
+    def test_remove_splices_below_the_root(self, schema5):
+        keep = make_subscription(schema5, "a1=1 & a4=2", "keep")
+        gone = make_subscription(schema5, "a1=1 & a2=5 & a4=2", "gone")
+        tree = build_pst(schema5, [keep, gone])
+        assert tree.root.value_branches[1].attribute_position == 1
+        tree.remove(gone.subscription_id)
+        assert tree.root.value_branches[1].attribute_position == 3
+        assert star_only_nodes(tree) == []
+
+    def test_shape_is_history_independent(self, schema5):
+        expressions = ["a5=3", "a3=1 & a5=3", "a1=1 & a3=1", "a2=2", "*", "a1=2 & a4=4"]
+        subscriptions = [
+            make_subscription(schema5, expression, f"s{i}")
+            for i, expression in enumerate(expressions)
+        ]
+        churned = build_pst(schema5, subscriptions)
+        for victim in subscriptions[1::2]:
+            churned.remove(victim.subscription_id)
+        fresh = build_pst(schema5, subscriptions[0::2])
+
+        def shape(node):
+            if node.is_leaf:
+                return frozenset(s.subscription_id for s in node.subscriptions)
+            return (
+                node.attribute_position,
+                frozenset((v, shape(c)) for v, c in node.value_branches.items()),
+                shape(node.star_child) if node.star_child is not None else None,
+            )
+
+        assert shape(churned.root) == shape(fresh.root)
 
 
 class TestDomains:

@@ -6,15 +6,18 @@ The guard inserts 2 000 subscriptions of the ``chain_mem_25k`` benchmark's
 population (10 attributes, 20 values each, population seed 1999) into a
 :class:`CompiledEngine` and counts the garbage collector's tracked objects.
 Unused PST containers are shared immutable empties, and equality tests are
-interned, so a broker-subscription costs ~14 tracked objects; an empty list
+interned, so a broker-subscription costs ~10 tracked objects; an empty list
 or dict per node, or one test per predicate slot, more than doubles that.
 
-The second guard compiles and annotates that replica and sizes what the
-compiled program owns per node slot.  One record per slot is the whole
-structure; beside the records and the two annotation columns a program
-keeps only the slot's node id and the subscription-to-leaf map, so a second
-copy of the structure — a parallel array, a node-id map — shows as a
-multiple of that small remainder.
+The other guards compile and annotate that replica.  One node slot per PST
+node, and no node left with only a ``*``-child (trivial-test elimination
+is a tree invariant), keeps it at ~3.6 slots per subscription; a tree that
+grows a node on every level its subscriptions leave ``*`` needs twice that.
+Then they size what the compiled program owns per node slot.  One record
+per slot is the whole structure; beside the records and the two annotation
+columns a program keeps only the slot's node id and the
+subscription-to-leaf map, so a second copy of the structure — a parallel
+array, a node-id map — shows as a multiple of that small remainder.
 """
 
 from __future__ import annotations
@@ -33,11 +36,14 @@ from repro.workload.spec import WorkloadSpec
 SUBSCRIPTIONS = 2000
 POPULATION_SEED = 1999  # the e2e benchmark's population seed
 CLIENTS = [f"c{i}" for i in range(40)]
-#: Bytes per slot, measured at 240.4 (records and annotation) and 13.6
-#: (everything else) on 14 889 slots, plus ~15 %.  Restoring a parallel
-#: array adds >= 8 bookkeeping bytes per slot, a node-id map ~40.
-STRUCTURE_BOUND = 276
-BOOKKEEPING_BOUND = 15.6
+#: Slots per subscription, measured at 3.571 (7 142 slots), plus 5 %; 7.44
+#: (14 889 slots) while star-only nodes were kept.
+SLOTS_PER_SUBSCRIPTION_BOUND = 3.75
+#: Bytes per slot, measured at 333.2 (records and annotation) and 19.7
+#: (everything else) on those 7 142 slots, plus ~15 %.  Restoring a
+#: parallel array adds >= 8 bookkeeping bytes per slot, a node-id map ~40.
+STRUCTURE_BOUND = 383
+BOOKKEEPING_BOUND = 22.6
 
 
 #: Where the program walk stops: the tree and what its leaves name.
@@ -108,10 +114,23 @@ def test_replica_tracked_objects_per_subscription():
     assert len(tests) <= 200, f"{len(tests)} distinct EqualityTest instances"
 
 
-def test_compiled_program_bytes_per_slot():
+def annotated_replica():
     engine = replica()
     engine.bind_links(len(CLIENTS), lambda subscription: int(subscription.subscriber[1:]))
     engine.project_links([], 0, 0)  # compile + annotate
+    return engine
+
+
+def test_compiled_program_slots_per_subscription():
+    engine = annotated_replica()
+    per_subscription = engine.program.node_count / SUBSCRIPTIONS
+    assert per_subscription <= SLOTS_PER_SUBSCRIPTION_BOUND, (
+        f"{per_subscription:.3f} slots per subscription"
+    )
+
+
+def test_compiled_program_bytes_per_slot():
+    engine = annotated_replica()
     program = engine.program
     slots = program.node_count
     # Node ids and subscription ids are the tree's, not the program's.
