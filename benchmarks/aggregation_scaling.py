@@ -151,7 +151,7 @@ def run(counts, num_events, repeats, seed, dup_rate, cover_scan_limit,
             subscriptions, aggregate=True, cover_scan_limit=cover_scan_limit
         )
         ingest_s = time.perf_counter() - ingest_start
-        engine.match(events[0])  # compile outside the timed region
+        engine.match(events[0])  # first-use work outside the timed region
         per_event = time_events(engine, events, repeats)
         inner_cells = program_cells(engine.inner)
         covered_cells = program_cells(engine._covered)

@@ -20,8 +20,8 @@ subscription count falls below ``X``.
 ``--churn N`` interleaves subscription churn with the matching loop: every
 ``N`` events one registered subscription is removed and a fresh one inserted
 (net size constant).  The tree engine patches annotations in place; the
-compiled engine pays for incremental patches — which is exactly the cost
-the steady-state table hides, so churn rows make patch cost visible in the
+compiled engine walks its records on insert and remove — which is exactly
+the cost the steady-state table hides, so churn rows make it visible in the
 trend tables.
 """
 
@@ -92,9 +92,9 @@ def make_churn_plan(subscriptions, num_ops, generator, seed):
 
 def time_matches_churn(engine, events, churn, plan):
     """One timed pass interleaving matching with churn: every ``churn``
-    events the next plan op runs (remove + insert).  The churn cost — tree
-    annotation patches vs compiled patches and recompiles — lands inside the
-    timed region, which is the point."""
+    events the next plan op runs (remove + insert).  The churn cost — the
+    tree's path re-annotation vs the program's record walks — lands inside
+    the timed region, which is the point."""
     ops = iter(plan)
     total_steps = 0
     start = time.perf_counter()
@@ -247,7 +247,7 @@ def main(argv=None):
         "--churn", type=int, default=0, metavar="N",
         help="interleave subscription churn with matching: every N events "
         "replace one registered subscription with a fresh one (0 = off); "
-        "patch/recompile cost lands inside the timed region",
+        "insert/remove cost lands inside the timed region",
     )
     parser.add_argument(
         "--backend", default=None, choices=("interp", "vector"),

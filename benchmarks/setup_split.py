@@ -1,26 +1,27 @@
-"""Where a workload's set-up time goes: parse, annotate, PST insert, compile.
+"""Where a workload's set-up time goes: parse, annotate, insert.
 
 Runs one ``setup()`` of a ``benchmarks/e2e`` workload with wall-clock
 wrappers (no profiler, so the shares are unprofiled ones) around
 ``parse_predicate``, ``CompiledProgram.annotate`` (which ``annotated_view``
-calls), ``ParallelSearchTree.insert`` and ``CompiledProgram.__init__`` (what
-``compile_tree`` runs), records the garbage collector's pauses, and prints
-one JSON line.  A layer's seconds include the collections that land inside
-it (``gc_in``); the four layers never nest.  After set-up it takes a heap
-census: ``tracked_objects`` (what the collector walks on every full
-collection), the five most numerous tracked types, and the number and
-seconds of generation-2 pauses during set-up.  It also sizes the compiled
-programs: ``program_mib`` is what every live ``CompiledProgram`` owns (an
-annotated view's shared structure counted once), and ``program_field_mib``
-each field's *exclusive* share — the bytes only that field reaches, i.e.
-what deleting it would free.  The walk stops at PST nodes, subscriptions,
-predicates and tests (the tree owns them), counts small ints as free and
-the PST's node ids as the tree's.  Per broker it counts the PST nodes the
-broker's router matches on (``pst_nodes``; all sub-trees of a factored
-matcher, both engines of an aggregating one) and those among them left with
-only a ``*``-child (``star_only_nodes``, which trivial-test elimination
-keeps at 0).  Run from the repository root (``--quick`` uses the workload's
-smoke size)::
+calls) and ``CompiledProgram.insert`` (Section 2's insertion walk on the
+records, path re-annotation included), records the garbage collector's
+pauses, and prints one JSON line.  A layer's seconds include the
+collections that land inside it (``gc_in``); the three layers never nest.
+After set-up it takes a heap census: ``tracked_objects`` (what the
+collector walks on every full collection), the five most numerous tracked
+types, ``tracked_pst_nodes`` (a compiled replica builds none), and the
+number and seconds of generation-2 pauses during set-up.  It also sizes the
+compiled programs: ``program_mib`` is what every live ``CompiledProgram``
+owns (an annotated view's shared structure counted once), and
+``program_field_mib`` each field's *exclusive* share — the bytes only that
+field reaches, i.e. what deleting it would free.  The walk stops at
+subscriptions, predicates and tests (what leaves name) and counts small ints
+as free.  Per broker it counts the live slots of the programs the broker's
+router matches on (``live_slots``; all sub-trees of a factored matcher,
+both programs of an aggregating engine) and those among them holding a
+node left with only a ``*``-child (``star_only_slots``, which trivial-test
+elimination keeps at 0).  Run from the repository root (``--quick`` uses
+the workload's smoke size)::
 
     PYTHONHASHSEED=0 PYTHONPATH=src python benchmarks/setup_split.py chain_mem_25k --seed 1
 
@@ -45,12 +46,11 @@ from repro.core.router import ContentRouter  # noqa: E402
 from repro.matching import parser  # noqa: E402
 from repro.matching.compile import CompiledProgram  # noqa: E402
 from repro.matching.predicates import AttributeTest, Predicate, Subscription  # noqa: E402
-from repro.matching.pst import ParallelSearchTree, PSTNode  # noqa: E402
 
-LAYERS = ("parse", "annotate", "insert", "compile")
+LAYERS = ("parse", "annotate", "insert")
 
 #: What a program points at but does not own.
-_BORROWED = (PSTNode, Subscription, Predicate, AttributeTest, CompiledProgram)
+_BORROWED = (Subscription, Predicate, AttributeTest, CompiledProgram)
 #: Program slots that wire it to its surroundings rather than hold structure.
 _WIRING = frozenset(
     (
@@ -64,7 +64,7 @@ _WIRING = frozenset(
         "_base",
     )
 )
-#: Owner of what no field owns alone: what two fields reach, the PST's node ids.
+#: Owner of what no field owns alone: what two fields reach.
 _SHARED = -1
 
 
@@ -85,9 +85,6 @@ def program_census(programs):
     that reaches it until a second one does."""
     fields = [field for field in CompiledProgram.__slots__ if field not in _WIRING]
     owner = {}
-    for program in programs:
-        for node_id in program._slot_node_id:
-            owner[id(node_id)] = _SHARED
     exclusive = [0] * len(fields)
     total = 0
     for program in programs:
@@ -115,28 +112,33 @@ def program_census(programs):
     return total, dict(zip(fields, exclusive))
 
 
-def router_trees(router):
-    """The PSTs a router matches on."""
+def router_programs(router):
+    """The compiled programs a router matches on."""
     matcher = router.matcher
-    if hasattr(matcher, "trees"):  # factored: one sub-tree per index key
-        return [tree for _key, tree in matcher.trees()]
+    if hasattr(matcher, "subtrees"):  # factored: one sub-tree per index key
+        return [program for _key, program in matcher.subtrees()]
     if hasattr(matcher, "inner"):  # aggregating: roots and covered groups
-        return [matcher.inner.tree, matcher._covered.tree]
-    return [matcher.tree]
+        return [matcher.inner.program, matcher._covered.program]
+    return [matcher.program]
 
 
-def pst_census(routers):
-    """``({broker: PST nodes}, {broker: star-only nodes})`` over ``routers``."""
-    nodes, star_only = {}, {}
+def slot_census(routers):
+    """``({broker: live slots}, {broker: star-only slots})`` over
+    ``routers``: the slots reachable from each program's root, and those
+    holding a node with a ``*``-child and no other branch."""
+    live, star_only = {}, {}
     for router in sorted(routers, key=lambda router: router.broker):
-        tree_nodes = [node for tree in router_trees(router) for node in tree.nodes()]
-        nodes[router.broker] = len(tree_nodes)
+        records = [
+            program._records[slot]
+            for program in router_programs(router)
+            for slot in program.reachable_slots()
+        ]
+        live[router.broker] = len(records)
         star_only[router.broker] = sum(
-            1
-            for node in tree_nodes
-            if node.star_child is not None and not node.value_branches and not node.range_branches
+            1 for _position, table, ranges, star, _subs in records
+            if star >= 0 and table is None and ranges is None
         )
-    return nodes, star_only
+    return live, star_only
 
 
 def main() -> None:
@@ -183,8 +185,7 @@ def main() -> None:
         if getattr(module, "parse_predicate", None) is original:
             module.parse_predicate = parse
     CompiledProgram.annotate = timed("annotate", CompiledProgram.annotate)
-    CompiledProgram.__init__ = timed("compile", CompiledProgram.__init__)
-    ParallelSearchTree.insert = timed("insert", ParallelSearchTree.insert)
+    CompiledProgram.insert = timed("insert", CompiledProgram.insert)
 
     workload = WORKLOADS[args.workload](args.seed, args.quick, None)
     gc.callbacks.append(on_gc)
@@ -199,7 +200,7 @@ def main() -> None:
         objects = gc.get_objects()
         census = collections.Counter(type(item).__name__ for item in objects)
         programs = [item for item in objects if type(item) is CompiledProgram]
-        pst_nodes, star_only_nodes = pst_census(
+        live_slots, star_only_slots = slot_census(
             [item for item in objects if type(item) is ContentRouter]
         )
         del objects
@@ -215,6 +216,7 @@ def main() -> None:
     report["gen2_pause_s"] = round(full_collections["seconds"], 3)
     report["tracked_objects"] = sum(census.values())
     report["top_tracked_types"] = dict(census.most_common(5))
+    report["tracked_pst_nodes"] = census["PSTNode"]
     mib = 1 << 20
     report["programs"] = len(programs)
     report["program_slots"] = sum(
@@ -224,8 +226,8 @@ def main() -> None:
     report["program_field_mib"] = {
         field: round(size / mib, 2) for field, size in field_bytes.items()
     }
-    report["pst_nodes"] = pst_nodes
-    report["star_only_nodes"] = star_only_nodes
+    report["live_slots"] = live_slots
+    report["star_only_slots"] = star_only_slots
     print(json.dumps(report))
 
 

@@ -84,9 +84,9 @@ def optimizations_demo() -> None:
         factored.insert(
             Subscription(subscription.predicate, subscription.subscriber)
         )
-    total_nodes = sum(t.node_count() for _k, t in factored.trees())
+    total_nodes = sum(t.node_count() for _k, t in factored.subtrees())
     print(f"+ factoring (3 levels):   {mean_steps(factored):7.1f} steps/event, "
-          f"{total_nodes:>6} nodes across {len(dict(factored.trees()))} sub-trees")
+          f"{total_nodes:>6} nodes across {len(dict(factored.subtrees()))} sub-trees")
 
     dag = SearchDag(plain)
     print(f"+ delayed branching DAG:  {mean_steps(dag):7.1f} steps/event, "

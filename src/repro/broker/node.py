@@ -32,7 +32,13 @@ import threading
 from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.errors import PredicateError, ProtocolError, RoutingError, TransportError
+from repro.errors import (
+    PredicateError,
+    ProtocolError,
+    RoutingError,
+    SubscriptionError,
+    TransportError,
+)
 from repro.broker import messages as wire
 from repro.broker.codec import decode_event
 from repro.broker.event_log import EventLog
@@ -480,11 +486,17 @@ class BrokerNode:
     def _handle_sub_propagate(self, connection: Connection, message: wire.SubPropagate) -> None:
         if message.subscription_id in self._subscriber_of:
             return  # flood deduplication
+        try:
+            predicate = parse_predicate(self.config.schema, message.expression)
+            self.router.add_subscription(
+                Subscription(predicate, message.subscriber, subscription_id=message.subscription_id)
+            )
+        except (PredicateError, SubscriptionError) as exc:
+            # Nothing was recorded: the id stays unknown here.
+            raise ProtocolError(
+                f"bad SUB_PROPAGATE for subscription #{message.subscription_id}: {exc}"
+            ) from exc
         self._subscriber_of[message.subscription_id] = message.subscriber
-        predicate = parse_predicate(self.config.schema, message.expression)
-        self.router.add_subscription(
-            Subscription(predicate, message.subscriber, subscription_id=message.subscription_id)
-        )
         self._obs_subscribes.inc()
         self._flood_to_brokers(message, exclude=connection)
 

@@ -17,8 +17,8 @@ is one broker's state:
   spanning tree),
 * the trit-vector annotations of the matcher's tree(s) — maintained
   incrementally inside the engine on the non-factored path; on the factored
-  path one :meth:`~CompiledProgram.annotated_view` per sub-tree of the
-  program the matcher lowered, re-taken only where a change touched,
+  path one :meth:`~CompiledProgram.annotated_view` per sub-tree program
+  the matcher keeps, re-taken only where a change touched,
 * :meth:`route` — run the Section 3.3 refinement for an event arriving on a
   given spanning tree and return the neighbors to forward to.
 
@@ -355,16 +355,16 @@ class ContentRouter:
         assert matcher is not None
         num_links, link_of = self.links.num_links, self._link_of_subscriber
         current = {}
-        for key, tree in matcher.trees():
+        for key, subtree in matcher.subtrees():
             entry = self._subtrees.get(key)
             version = matcher.version_of(key)
             if entry is None or entry[0] != version:
-                if self.engine == "compiled":
-                    refiner = matcher.program_for(key).annotated_view(num_links, link_of)
+                if isinstance(subtree, CompiledProgram):
+                    refiner = subtree.annotated_view(num_links, link_of)
                 else:
                     annotation = TreeAnnotation(num_links, link_of)
-                    annotation.annotate(tree)
-                    refiner = LinkMatcher(tree, annotation)
+                    annotation.annotate(subtree)
+                    refiner = LinkMatcher(subtree, annotation)
                 entry = (version, refiner)
             current[key] = entry
         self._subtrees = current

@@ -82,8 +82,8 @@ def _run_factoring_ablation(config: AblationConfig) -> ExperimentTable:
         for subscription in subscriptions:
             matcher.insert(subscription)
         steps = sum(matcher.match(event).steps for event in sample) / len(sample)
-        total_nodes = sum(tree.node_count() for _key, tree in matcher.trees())
-        table.add_row(levels, steps, len(dict(matcher.trees())), total_nodes)
+        total_nodes = sum(tree.node_count() for _key, tree in matcher.subtrees())
+        table.add_row(levels, steps, len(dict(matcher.subtrees())), total_nodes)
     return table
 
 

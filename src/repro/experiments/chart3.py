@@ -50,8 +50,8 @@ def measure_matching_time(
 ) -> Tuple[float, float, int]:
     """Return (avg ms per match, avg matches per event, avg steps).
 
-    One untimed warmup pass brings the engine to steady state (factoring
-    compaction, compiled-program lowering) before measurement: the paper's
+    One untimed warmup pass brings the engine to steady state (first-use
+    annotation, the vector backend's columnar index) before measurement: the paper's
     Chart 3 measures matching time, not one-time subscription processing.
     """
     total_matches = 0

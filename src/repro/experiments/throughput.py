@@ -125,7 +125,7 @@ def _run_throughput(config: ThroughputConfig) -> ExperimentTable:
         for subscription in node.router.matcher.subscriptions:
             engine.matcher.insert(subscription)
         for event in sample:
-            engine.match(event)  # steady state: compaction + program lowering
+            engine.match(event)  # steady state: lazily built kernel state
         match_start = time.perf_counter()
         for event in sample:
             engine.match(event)

@@ -2,7 +2,7 @@
 Search Tree of Section 2 of the paper (plus its optimizations)."""
 
 from repro.matching.base import Matcher, MatcherEngine
-from repro.matching.compile import CompiledProgram, compile_tree
+from repro.matching.compile import CompiledProgram
 from repro.matching.events import Event
 from repro.matching.optimizations import OUT_OF_DOMAIN, DagNode, FactoredMatcher, SearchDag
 from repro.matching.ordering import (
@@ -81,7 +81,6 @@ __all__ = [
     "MatcherEngine",
     "OUT_OF_DOMAIN",
     "TreeEngine",
-    "compile_tree",
     "create_engine",
     "ParallelSearchTree",
     "PSTNode",

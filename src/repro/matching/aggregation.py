@@ -39,7 +39,7 @@ benchmark baseline).
 group matches an event iff its own canonical predicate does: every covered
 group's representative lives in a second compiled engine, ``_covered``
 (same schema, attribute order, domains and backend as the inner engine),
-patched incrementally as groups are attached, demoted, promoted and
+changed by insert and remove as groups are attached, demoted, promoted and
 dissolved.
 
 **Engine-boundary expansion.**  Both engines match over deduplicated
@@ -196,8 +196,8 @@ class AggregatingEngine(MatcherEngine):
         #: The covered groups' representatives, compiled like the roots'.
         self._covered = CompiledEngine(
             inner.schema,
-            attribute_order=inner.tree.attribute_order,
-            domains=inner.tree.domains,
+            attribute_order=inner.program.attribute_order,
+            domains=inner.program.domains,
             backend=inner.backend_name,
         )
         #: The attribute-inverted cover-candidate index; ``None`` in linear
@@ -520,12 +520,6 @@ class AggregatingEngine(MatcherEngine):
     def _update_gauges(self) -> None:
         self._obs_forest_nodes.set(len(self._groups))
         self._obs_compression.set(self.compression_ratio)
-
-    def invalidate(self) -> None:
-        """Drop both engines' compiled forms (forest state is exact and
-        survives; the next match recompiles the deduplicated leaves)."""
-        self.inner.invalidate()
-        self._covered.invalidate()
 
     # ------------------------------------------------------------------
     # Matching (expansion at the engine boundary)

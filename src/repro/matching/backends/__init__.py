@@ -5,7 +5,8 @@ record per node; *how those records are executed* is this package's axis.  A
 :class:`KernelBackend` implements the raw kernels over a compiled program's
 records — single-event search, batched search, and the Section 3.3 link
 refinement — while :class:`~repro.matching.compile.CompiledProgram` keeps
-everything execution-independent: schema checks, patching, and annotation.
+everything execution-independent: schema checks, insert/remove, and
+annotation.
 
 Backends (:data:`BACKEND_NAMES`):
 
@@ -30,7 +31,7 @@ else — and ``_records`` is all the structure a program has: no parallel
 arrays or pools describe it a second time.
 
 ``program.generation`` increments on every mutation of the records
-(patch or re-annotation) and ``program.backend_state`` is a scratch dict
+(insert, remove or re-annotation) and ``program.backend_state`` is a scratch dict
 cleared alongside it: backends key derived structures (the vector backend's
 columnar index) on the generation and rebuild lazily when it moves.
 """

@@ -59,11 +59,11 @@ record-ordered child list by reach bits reproduces ``interp``'s child
 list verbatim.)
 
 The derived columnar index is cached in ``program.backend_state`` keyed by
-``program.generation``; any patch or re-annotation bumps the generation and
-the next batch rebuilds it lazily.  The single-event ``match`` delegates to
-``interp`` — vectorization pays off across a batch, not within one event's
-walk — while single-event ``match_links`` runs as a batch of one through
-the native path.
+``program.generation``; any insert, remove or re-annotation bumps the
+generation and the next batch rebuilds it lazily.  The single-event
+``match`` delegates to ``interp`` — vectorization pays off across a batch,
+not within one event's walk — while single-event ``match_links`` runs as a
+batch of one through the native path.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class _ColumnarIndex:
     ``AttributeTest.evaluate`` (whose TypeError semantics bulk ops cannot
     reproduce) and leaf lists are extended into result lists as-is.
 
-    This build sits on the cold path (first batch after every recompile),
+    This build sits on the cold path (first batch after every change),
     so columns come from C-level ``map(itemgetter, ...)`` transposes rather
     than a per-record Python loop — at ~100k nodes the difference is real
     milliseconds against the cold-throughput gate.

@@ -1,14 +1,14 @@
-"""Lowering a Parallel Search Tree into flat array-based matching kernels.
+"""The Parallel Search Tree as flat array-based matching kernels.
 
 The object-graph matcher (:class:`~repro.matching.pst.ParallelSearchTree` +
 :class:`~repro.core.annotation.TreeAnnotation` +
 :class:`~repro.core.link_matcher.LinkMatcher`) walks ``PSTNode`` instances and
 allocates a fresh immutable :class:`~repro.core.trits.TritVector` per
 refinement step.  That is the hottest path of the whole reproduction — every
-broker runs it for every event — so this module *compiles* a built tree into
-a :class:`CompiledProgram`: one flat record per node, indexed by node
-number, over which two iterative (explicit-stack, no recursion, no
-per-visit allocation) kernels run:
+broker runs it for every event — so this module keeps the tree as a
+:class:`CompiledProgram`: one flat record per node, indexed by node number,
+over which two iterative (explicit-stack, no recursion, no per-visit
+allocation) kernels run:
 
 * :meth:`CompiledProgram.match` — the Section 2 parallel search;
 * :meth:`CompiledProgram.match_links` — the Section 3.3 refinement search,
@@ -18,8 +18,8 @@ per-visit allocation) kernels run:
 The kernel *loops* themselves live in :mod:`repro.matching.backends` behind
 the :class:`~repro.matching.backends.KernelBackend` interface (``interp``
 is the reference loop, ``vector`` the columnar bulk-array one); this module
-owns everything execution-independent — lowering, patching, annotation
-and the schema checks — and delegates the raw walks to the program's
+owns everything execution-independent — insertion, removal, annotation and
+the schema checks — and delegates the raw walks to the program's
 :attr:`~CompiledProgram.backend`.
 
 Record layout (one slot per node, node 0 is always the root).  The
@@ -31,15 +31,14 @@ structure is ``_records[n]``, one tuple
                        ``-1`` for a leaf (doubles as the node-kind flag)
 ``value_table``        dict mapping *interned value ids* to child slots, or
                        ``None`` when the node has no value branches
-``range_pairs``        ``((test, child slot), ...)`` in the tree's branch
-                       order, or ``None``
+``range_pairs``        ``((test, child slot), ...)`` in branch order, or
+                       ``None``
 ``star_child``         slot of the ``*``-branch child, ``-1`` when absent
 ``leaf_subs``          a leaf's subscriptions as a tuple, ``None`` otherwise
 =====================  =======================================================
 
-Beside it, per slot: ``ann_yes[n]`` / ``ann_maybe[n]`` (the node's trit
-annotation, packed) and ``_slot_node_id[n]`` (the PST node lowered there,
-``0`` for a free slot).
+Beside it, per slot, ``ann_yes[n]`` / ``ann_maybe[n]``: the node's trit
+annotation, packed.
 
 Attribute values are interned once into ``value_ids`` (a plain dict, so
 ``1``/``1.0``/``True`` collapse exactly as they do as PST hash-branch keys);
@@ -49,19 +48,18 @@ Both kernels intentionally visit nodes in the same order and count the same
 ``steps`` as the object-graph implementations, so the paper's step-count
 charts (Chart 2) are bit-for-bit unchanged; only wall-clock time improves.
 
-**Incremental recompilation.**  Subscription churn does not force a full
-rebuild: :meth:`CompiledProgram.patch` walks the root-to-leaf path selected
-by the changed predicate (the same walk as ``TreeAnnotation.update_path``)
-in the tree and the program together, finding each child's slot through its
-parent's record and confirming it by node id.  Only an edge that changed is
-rewritten: a new child is lowered, a pruned one is recycled — its slots go
-onto a free list the next lowering reuses — and the
-``subscription_id -> leaf`` map digests project through is kept current by
-the same writes.  A subscription change costs its path, leaves no garbage,
-and steady churn leaves the slot count stationary.  A replaced root is
-patched in place at slot 0 too; ``patch`` refuses only a root change it
-cannot explain (a tree mutated behind the program's back), and the owning
-engine then performs a fresh :func:`compile_tree`.
+**The program is the replica.**  No ``PSTNode`` graph stands behind a
+program: :meth:`CompiledProgram.insert` and :meth:`CompiledProgram.remove`
+run Section 2's walks on the records by the rules
+:class:`~repro.matching.pst.ParallelSearchTree` follows, so the reachable
+records are, node for node, the tree the same history builds.  A
+re-materialized level takes the skipping node's slot and moves that node to
+a fresh one; a spliced node's slot takes its ``*``-child's record; so a
+parent's edge never changes when its child is replaced, and a new range
+branch goes last.  A pruned slot goes onto a free list the next insert
+reuses; the ``subscription_id -> leaf`` map digests project through and,
+with links bound, the packed annotations of the changed path are written by
+the same walks.  A subscription change costs its path and leaves no garbage.
 
 **Batching.**  :meth:`CompiledProgram.match_batch` and
 :meth:`CompiledProgram.match_links_batch` hand the whole batch to the
@@ -74,22 +72,31 @@ program.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import RoutingError, SubscriptionError
-from repro.core.trits import (
-    alternative_combine_bits,
-    parallel_combine_bits,
-)
+from repro.core.trits import alternative_combine_bits, parallel_combine_bits
 from repro.matching.backends import DEFAULT_BACKEND, KernelBackend, create_backend
 from repro.matching.events import Event
-from repro.matching.predicates import (
-    AttributeTest,
-    EqualityTest,
-    Predicate,
-    Subscription,
+from repro.matching.predicates import AttributeTest, EqualityTest, Predicate, Subscription
+from repro.matching.pst import (
+    MatchResult,
+    check_insertable,
+    checked_domains,
+    checked_order,
+    first_constrained,
 )
-from repro.matching.pst import MatchResult, ParallelSearchTree, PSTNode, child_for_test
 from repro.matching.schema import AttributeValue, EventSchema
 from repro.obs import get_registry
 
@@ -105,17 +112,26 @@ _FREE_RECORD = (-1, None, None, -1, None)
 
 
 class CompiledProgram:
-    """The flat, kernel-ready form of one Parallel Search Tree.
+    """One Parallel Search Tree as flat, kernel-ready records.
 
-    Build with :func:`compile_tree`; rebuild or :meth:`patch` after the
-    source tree changes.  Link annotations are attached separately with
-    :meth:`annotate` (matching alone never needs them).
+    Starts empty; :meth:`insert` and :meth:`remove` change it one
+    subscription at a time.  Link annotations are attached separately with
+    :meth:`annotate` (matching alone never needs them) and follow every
+    change from then on.
+
+    ``attribute_order`` and ``domains`` mean what they mean for
+    :class:`~repro.matching.pst.ParallelSearchTree`; ``backend`` selects
+    the kernel execution backend (a
+    :data:`~repro.matching.backends.BACKEND_NAMES` name or a
+    :class:`~repro.matching.backends.KernelBackend` instance; ``None``
+    means :data:`~repro.matching.backends.DEFAULT_BACKEND`).
     """
 
     __slots__ = (
         "schema",
         "attribute_order",
         "_positions",
+        "_levels",
         "_domains",
         # one kernel record per node slot, and its packed annotation
         "_records",
@@ -136,25 +152,29 @@ class CompiledProgram:
         "_sub_leaf",
         # slot recycling
         "_free_slots",
-        "_slot_node_id",
         # the program an annotated view shares its structure with
         "_base",
     )
 
     def __init__(
         self,
-        tree: ParallelSearchTree,
+        schema: EventSchema,
         *,
+        attribute_order: Optional[Sequence[str]] = None,
+        domains: Optional[Mapping[str, Iterable[AttributeValue]]] = None,
         backend: Union[str, KernelBackend, None] = None,
     ) -> None:
-        self.schema = tree.schema
-        self.attribute_order = tree.attribute_order
+        self.schema = schema
+        self.attribute_order = checked_order(schema, attribute_order)
         self._positions: Tuple[int, ...] = tuple(
-            tree.schema.position_of(name) for name in tree.attribute_order
+            schema.position_of(name) for name in self.attribute_order
         )
-        self._records: List[tuple] = []
-        self.ann_yes: List[int] = []
-        self.ann_maybe: List[int] = []
+        #: Tree level of each schema position (the inverse of ``_positions``).
+        self._levels = tuple(map(self._positions.index, range(len(self._positions))))
+        # An empty root at the first level, as a fresh tree has.
+        self._records: List[tuple] = [(self._positions[0], None, None, -1, None)]
+        self.ann_yes: List[int] = [0]
+        self.ann_maybe: List[int] = [0]
         self.value_ids: Dict[AttributeValue, int] = {}
         self.num_links: Optional[int] = None
         self._link_of_subscriber: Optional[LinkOfSubscriber] = None
@@ -163,8 +183,9 @@ class CompiledProgram:
         self._domains: List[Optional[Dict[int, AttributeValue]]] = [None] * len(
             self._positions
         )
-        for level, position in enumerate(self._positions):
-            domain = tree.domain_of(level)
+        declared = checked_domains(schema, domains)
+        for position in self._positions:
+            domain = declared.get(schema.names[position])
             if domain is not None:
                 self._domains[position] = {self._intern(value): value for value in domain}
         #: Last foreign schema object that deep-compared equal to ours —
@@ -176,8 +197,8 @@ class CompiledProgram:
         self.backend: KernelBackend = (
             create_backend(backend) if isinstance(backend, str) else backend
         )
-        #: Bumped on every mutation of the records (patch, annotate);
-        #: backends key derived state on it and rebuild lazily.
+        #: Bumped on every mutation of the records (insert, remove,
+        #: annotate); backends key derived state on it and rebuild lazily.
         self.generation = 0
         #: Backend-owned scratch (vector's columnar index, …), cleared on
         #: every generation bump.
@@ -189,20 +210,13 @@ class CompiledProgram:
         self._obs_kernel_events = registry.counter(
             "engine.backend.kernel_events", backend=self.backend.name
         )
-        #: ``subscription_id -> leaf index`` over the live leaves, written by
-        #: lowering and retired by :meth:`patch` — never rebuilt.
+        #: ``subscription_id -> leaf index`` over the live leaves, in
+        #: insertion order, written by :meth:`insert` and :meth:`remove`.
         self._sub_leaf: Dict[int, int] = {}
-        #: Slots :meth:`_recycle_subtree` proved unreachable, reset to neutral
-        #: leaves and awaiting reuse by :meth:`_lower`.
+        #: Slots :meth:`remove` pruned, reset to neutral leaves and awaiting
+        #: reuse by :meth:`insert`.
         self._free_slots: List[int] = []
-        #: PST node id lowered into each slot, ``0`` for a free one: how
-        #: :meth:`patch` recognises the live tree's node in a slot.
-        self._slot_node_id: List[int] = []
         self._base: Optional[CompiledProgram] = None
-        self._lower(tree.root)
-
-    # ------------------------------------------------------------------
-    # Lowering
 
     def _intern(self, value: AttributeValue) -> int:
         value_id = self.value_ids.get(value)
@@ -211,57 +225,63 @@ class CompiledProgram:
             self.value_ids[value] = value_id
         return value_id
 
-    def _lower(self, node: PSTNode, star_slot: int = -1) -> int:
-        """Lower ``node`` and everything under it into fresh slots (free
-        ones first) and return its slot.  ``star_slot`` is the slot already
-        holding ``node``'s ``*``-child, which then keeps it — a re-materialized
-        level redirects its old child rather than re-lowering it."""
-        if self._free_slots:
-            index = self._free_slots.pop()  # already a neutral leaf
-            self._slot_node_id[index] = node.node_id
-        else:
-            index = len(self._records)
-            self._records.append(_FREE_RECORD)
-            self.ann_yes.append(0)
-            self.ann_maybe.append(0)
-            self._slot_node_id.append(node.node_id)
-        if node.is_leaf:
-            self._write_leaf(index, node.subscriptions)
-            return index
-        lower = self._lower
-        table = (
-            {self._intern(value): lower(child) for value, child in node.value_branches.items()}
-            if node.value_branches
-            else None
-        )
-        ranges = tuple((test, lower(child)) for test, child in node.range_branches) or None
-        star = node.star_child
-        if star is not None and star_slot < 0:
-            star_slot = lower(star)
-        self._records[index] = (
-            self._positions[node.attribute_position],
-            table,
-            ranges,
-            star_slot if star is not None else -1,
-            None,
-        )
-        return index
+    # ------------------------------------------------------------------
+    # Introspection
 
-    def _write_leaf(self, index: int, subscriptions: Sequence[Subscription]) -> None:
-        subs = tuple(subscriptions)
-        for subscription in subs:
-            self._sub_leaf[subscription.subscription_id] = index
-        self._records[index] = (-1, None, None, -1, subs or None)
+    def __len__(self) -> int:
+        return len(self._sub_leaf)
 
-    def _release_leaf_subs(self, subs: Optional[Tuple[Subscription, ...]]) -> None:
-        """Retire a leaf's subscriptions from the digest map."""
-        for subscription in subs or ():
-            del self._sub_leaf[subscription.subscription_id]
+    def __contains__(self, subscription_id: object) -> bool:
+        return subscription_id in self._sub_leaf
+
+    @property
+    def subscriptions(self) -> List[Subscription]:
+        """All registered subscriptions, in insertion order."""
+        records = self._records
+        by_leaf: Dict[int, Dict[int, Subscription]] = {}
+        out = []
+        for subscription_id, leaf in self._sub_leaf.items():
+            members = by_leaf.get(leaf)
+            if members is None:
+                members = by_leaf[leaf] = {s.subscription_id: s for s in records[leaf][4]}
+            out.append(members[subscription_id])
+        return out
+
+    def match_brute_force(self, event: Event) -> List[Subscription]:
+        """Reference semantics: evaluate every predicate directly."""
+        return [s for s in self.subscriptions if s.predicate.matches(event)]
+
+    @property
+    def domains(self) -> Dict[str, FrozenSet[AttributeValue]]:
+        """The declared finite domains by attribute name."""
+        names = self.schema.names
+        return {
+            names[position]: frozenset(domain.values())
+            for position, domain in enumerate(self._domains)
+            if domain is not None
+        }
 
     @property
     def node_count(self) -> int:
         """Node slots (live + free-for-reuse)."""
         return len(self._records)
+
+    def reachable_slots(self) -> List[int]:
+        """The live slots, breadth-first from the root: every node after
+        its parent."""
+        order = [0]
+        records = self._records
+        for index in order:
+            position, table, ranges, star, _subs = records[index]
+            if position < 0:
+                continue
+            if table is not None:
+                order.extend(table.values())
+            if ranges is not None:
+                order.extend(child for _test, child in ranges)
+            if star >= 0:
+                order.append(star)
+        return order
 
     # ------------------------------------------------------------------
     # Annotation (packed trit vectors)
@@ -287,24 +307,13 @@ class CompiledProgram:
         # execute over (the link kernels read them), so re-annotation moves
         # the generation like any other record mutation.
         self._bump_generation()
-        # Breadth-first from the root lists every node after its parent, so
-        # the reversed order has each node's children annotated before it.
-        order = [0]
         records = self._records
-        for index in order:
-            position, table, ranges, star, _subs = records[index]
-            if position < 0:
-                continue
-            if table is not None:
-                order.extend(table.values())
-            if ranges is not None:
-                order.extend(child for _test, child in ranges)
-            if star >= 0:
-                order.append(star)
         ann_yes, ann_maybe = self.ann_yes, self.ann_maybe
         leaf_annotation = self._leaf_annotation
         combined_annotation = self._combined_annotation
-        for index in reversed(order):
+        # Reversed breadth-first order has each node's children annotated
+        # before it.
+        for index in reversed(self.reachable_slots()):
             if records[index][0] < 0:
                 ann_yes[index], ann_maybe[index] = leaf_annotation(index)
             else:
@@ -317,7 +326,8 @@ class CompiledProgram:
         3.1): a program holding every structure slot of this one by reference
         and owning only what annotation writes — ``ann_yes`` / ``ann_maybe``,
         the link binding, ``generation``, ``backend_state``.  Kernels run on
-        it unchanged; :meth:`patch` through a view is refused."""
+        it unchanged; :meth:`insert` / :meth:`remove` through a view are
+        refused."""
         view = object.__new__(CompiledProgram)
         for slot in CompiledProgram.__slots__:
             setattr(view, slot, getattr(self, slot))
@@ -551,188 +561,212 @@ class CompiledProgram:
         return yes_bits | (maybe_bits & bits), steps
 
     # ------------------------------------------------------------------
-    # Incremental recompilation
+    # Insert / remove (Section 2's walks on the records)
 
     def _bump_generation(self) -> None:
         """Advance the record generation and drop backend scratch.
 
         Called after any mutation of the records or annotations backends
-        execute over (:meth:`patch`, :meth:`annotate`): the vector backend
-        rebuilds its columnar index lazily under the new generation tag.
+        execute over (:meth:`insert`, :meth:`remove`, :meth:`annotate`): the
+        vector backend rebuilds its columnar index lazily under the new
+        generation tag.
         """
         self.generation += 1
         if self.backend_state:
             self.backend_state.clear()
 
-    def patch(self, tree: ParallelSearchTree, predicate: Predicate) -> bool:
-        """Re-lower the root-to-leaf path selected by ``predicate`` after one
-        subscription was inserted into / removed from ``tree``.
+    def insert(self, subscription: Subscription) -> None:
+        """Add a subscription, extending the records along its path.
 
-        A replaced root first takes slot 0 (:meth:`_sync_root`); ``False``
-        (leaving the program untouched is then unsafe — the caller must
-        fully recompile) means the root changed in a way one insert or
-        remove cannot.  Then walks the path in the tree and the program
-        together, syncing each edge and the leaf with the live tree, and
-        recomputes the packed annotations of the path bottom-up when
-        annotations are bound.
+        New nodes start at the subscription's next constrained level, and a
+        level the path skips but the subscription constrains is
+        re-materialized in the skipping node's slot, so no node is left with
+        only a ``*``-child.
         """
-        if self._base is not None:
-            raise RoutingError("an annotated view cannot patch the structure it shares")
-        if self._slot_node_id[0] != tree.root.node_id and not self._sync_root(tree.root):
-            return False
-        tests = [predicate.tests[position] for position in self._positions]
-        index = 0
-        path = [index]
-        node = tree.root
-        while not node.is_leaf:
-            test = tests[node.attribute_position]
-            child = child_for_test(node, test)
-            index = self._sync_edge(index, node, test, child)
-            if child is None:
-                break
-            path.append(index)
-            node = child
-        else:
-            self._sync_leaf(index, node)
-        if self.annotated:
-            for index in reversed(path):
-                self.ann_yes[index], self.ann_maybe[index] = self._node_annotation(index)
-        self._bump_generation()
-        return True
-
-    def _sync_root(self, root: PSTNode) -> bool:
-        """Swap a replaced root into slot 0: a level re-materialized above
-        the old root, the ``*``-child the old root was spliced out for, or
-        a fresh root where an empty one stood.  ``False`` for anything
-        else."""
-        position, table, ranges, star, subs = self._records[0]
-        held = self._slot_node_id[0]
-        if root.star_child is not None and root.star_child.node_id == held:
-            slot = self._lower(root, star_slot=0)
-            self._swap_slots(0, slot)
-            self._records[0] = (*self._records[0][:3], slot, None)
-        elif star >= 0 and self._slot_node_id[star] == root.node_id:
-            self._swap_slots(0, star)
-            self._records[star] = (position, table, ranges, -1, None)
-            self._recycle_subtree(star)
-        elif table is None and ranges is None and star < 0 and subs is None:
-            slot = self._lower(root)
-            self._swap_slots(0, slot)
-            self._recycle_subtree(slot)
-        else:
-            return False
-        return True
-
-    def _swap_slots(self, a: int, b: int) -> None:
-        """Exchange two slots' contents; the caller re-points references."""
-        for column in (self._records, self.ann_yes, self.ann_maybe, self._slot_node_id):
-            column[a], column[b] = column[b], column[a]
-        for slot in (a, b):
-            for subscription in self._records[slot][4] or ():
-                self._sub_leaf[subscription.subscription_id] = slot
-
-    def _recycle_subtree(self, index: int) -> None:
-        """Free every slot under an unreachable node for reuse.
-
-        Only called for subtrees the live tree has *pruned* (their PST node
-        ids never reappear), so nothing here can be reattached later.  A
-        freed slot reads as a neutral leaf — empty record, zero annotation —
-        which every backend can still execute over."""
+        self._require_owner()
+        check_insertable(self.schema, subscription, self._sub_leaf)
+        tests = self._tests_in_order(subscription.predicate)
         records = self._records
-        queue = [index]
-        for slot in queue:
-            _position, table, ranges, star, subs = records[slot]
-            if table is not None:
-                queue.extend(table.values())
-            if ranges is not None:
-                queue.extend(child for _test, child in ranges)
-            if star >= 0:
-                queue.append(star)
-            self._release_leaf_subs(subs)
-            records[slot] = _FREE_RECORD
-            self.ann_yes[slot] = self.ann_maybe[slot] = self._slot_node_id[slot] = 0
-        self._free_slots.extend(queue)
+        end = len(tests)
+        if records[0][1:] == _FREE_RECORD[1:]:  # an empty root: the path starts over
+            records[0] = self._node_record(tests, 0)
+        slot, level = 0, 0
+        path = [slot]
+        while True:
+            position = records[slot][0]
+            node_level = end if position < 0 else self._levels[position]
+            target = first_constrained(tests, level, node_level) if level < node_level else None
+            if target is not None:
+                # The subscription constrains a level this path skips: a
+                # fresh node at that level, whose *-branch leads to the old
+                # one, takes the old one's slot.
+                moved = self._new_slot(_FREE_RECORD)
+                self._move(slot, moved)
+                records[slot] = (self._positions[target], None, None, moved, None)
+                node_level = target
+            record = records[slot]
+            if record[0] < 0:
+                records[slot] = (-1, None, None, -1, (*(record[4] or ()), subscription))
+                self._sub_leaf[subscription.subscription_id] = slot
+                break
+            test = tests[node_level]
+            child = self._child(record, test)
+            if child < 0:
+                child = self._new_slot(self._node_record(tests, node_level + 1))
+                self._add_branch(slot, test, child)
+            slot, level = child, node_level + 1
+            path.append(slot)
+        self._changed(path)
 
-    def _sync_leaf(self, index: int, node: PSTNode) -> None:
-        subs = self._records[index][4]
-        if (subs or ()) == tuple(node.subscriptions):
-            return
-        self._release_leaf_subs(subs)
-        self._write_leaf(index, node.subscriptions)
+    def remove(self, subscription_id: int) -> Subscription:
+        """Remove a subscription by id, pruning now-empty branches onto the
+        free list and splicing out a node left with only a ``*``-child (its
+        slot takes the child's record).
 
-    def _sync_edge(
-        self,
-        index: int,
-        node: PSTNode,
-        test: AttributeTest,
-        child: Optional[PSTNode],
-    ) -> int:
-        """Make the edge for ``test`` out of slot ``index`` (holding
-        ``node``) agree with the tree, and return the child's slot (``-1``
-        when the edge is gone).
+        Returns the removed subscription; raises :class:`SubscriptionError`
+        if the id is unknown.
+        """
+        self._require_owner()
+        leaf = self._sub_leaf.pop(subscription_id, None)
+        if leaf is None:
+            raise SubscriptionError(f"unknown subscription id {subscription_id}")
+        records = self._records
+        subs = records[leaf][4]
+        subscription = next(s for s in subs if s.subscription_id == subscription_id)
+        tests = self._tests_in_order(subscription.predicate)
+        path = self._path(tests)
+        assert path[-1] == leaf, "a live subscription's path ends at its leaf"
+        remaining = tuple(s for s in subs if s.subscription_id != subscription_id)
+        records[leaf] = (-1, None, None, -1, remaining or None)
+        alive = bool(remaining)
+        # Bottom-up: a pruned child leaves its parent's record; a parent
+        # left with only its *-child is replaced by it.  A drained root
+        # stays, empty, until the next insert starts a path over.
+        for index in range(len(path) - 2, -1, -1):
+            slot = path[index]
+            if not alive:
+                self._drop_branch(slot, tests[self._levels[records[slot][0]]], path[index + 1])
+            _position, table, ranges, star, _subs = records[slot]
+            alive = True
+            if table is None and ranges is None:
+                if star >= 0:  # splice: the *-child takes the node's slot
+                    self._move(star, slot)
+                    self._free(star)
+                else:
+                    alive = False
+        self._changed(path)
+        return subscription
 
-        The edge's slot is found through the parent's record — the interned
-        value's table entry, the star child, or the range pair with an equal
-        test — and is the live child only if its node id says so.  A child
-        the slot does not hold is lowered; one that sits on top of the slot's
-        node (a re-materialized level) is lowered around it, so the
-        redirected node keeps its slot; a held node spliced out for its
-        ``*``-child is freed, and the edge takes that child's slot.  A
-        pruned edge is recycled."""
-        position, table, ranges, star, _subs = self._records[index]
-        if test.is_dont_care:
-            slot = star
-        elif isinstance(test, EqualityTest):
-            value_id = self.value_ids.get(test.value)
-            slot = table.get(value_id, -1) if table is not None else -1
-        else:
-            slot = next(
-                (branch for branch_test, branch in ranges or () if branch_test == test), -1
-            )
-        held = self._slot_node_id[slot] if slot >= 0 else 0
-        held_star = self._records[slot][3] if slot >= 0 else -1
-        if child is None:
+    def reannotate_path(self, predicate: Predicate) -> None:
+        """Recompute the packed annotations along ``predicate``'s path after
+        its leaf's *link mapping* changed with no structural change."""
+        self._changed(self._path(self._tests_in_order(predicate)))
+
+    def _require_owner(self) -> None:
+        if self._base is not None:
+            raise RoutingError("an annotated view cannot change the structure it shares")
+
+    def _tests_in_order(self, predicate: Predicate) -> List[AttributeTest]:
+        return [predicate.tests[position] for position in self._positions]
+
+    def _path(self, tests: List[AttributeTest]) -> List[int]:
+        """The slots from the root down the branches ``tests`` label, as far
+        as they exist."""
+        records = self._records
+        slot = 0
+        path = [slot]
+        while records[slot][0] >= 0:
+            slot = self._child(records[slot], tests[self._levels[records[slot][0]]])
             if slot < 0:
-                return -1
-            self._recycle_subtree(slot)
-            child_slot = -1
-        elif held == child.node_id:
-            return slot
-        elif child.star_child is not None and held == child.star_child.node_id:
-            child_slot = self._lower(child, star_slot=slot)
-        elif held_star >= 0 and self._slot_node_id[held_star] == child.node_id:
-            self._records[slot] = (*self._records[slot][:3], -1, None)
-            self._recycle_subtree(slot)
-            child_slot = held_star
+                break
+            path.append(slot)
+        return path
+
+    def _changed(self, path: List[int]) -> None:
+        """Re-annotate ``path`` bottom-up (when links are bound) and move
+        the generation."""
+        if self.annotated:
+            ann_yes, ann_maybe = self.ann_yes, self.ann_maybe
+            for slot in reversed(path):
+                ann_yes[slot], ann_maybe[slot] = self._node_annotation(slot)
+        self._bump_generation()
+
+    def _node_record(self, tests: List[AttributeTest], level: int) -> tuple:
+        """An empty node for a path that continues at ``level``: placed at
+        the first level from there that ``tests`` constrain, or a leaf."""
+        target = first_constrained(tests, level, len(tests))
+        if target is None:
+            return _FREE_RECORD
+        return (self._positions[target], None, None, -1, None)
+
+    def _new_slot(self, record: tuple) -> int:
+        """A slot (free ones first) holding ``record``, annotation zero."""
+        if self._free_slots:
+            slot = self._free_slots.pop()  # already a neutral leaf
+            self._records[slot] = record
         else:
-            if slot >= 0:
-                self._recycle_subtree(slot)
-            child_slot = self._lower(child)
+            slot = len(self._records)
+            self._records.append(record)
+            self.ann_yes.append(0)
+            self.ann_maybe.append(0)
+        return slot
+
+    def _free(self, slot: int) -> None:
+        """Reset an unreachable slot to a neutral leaf — empty record, zero
+        annotation, which every backend can still execute over — for reuse."""
+        self._records[slot] = _FREE_RECORD
+        self.ann_yes[slot] = self.ann_maybe[slot] = 0
+        self._free_slots.append(slot)
+
+    def _move(self, source: int, target: int) -> None:
+        """Copy the node in ``source`` — record and annotation — to
+        ``target``; a leaf's subscriptions now map to ``target``."""
+        self._records[target] = record = self._records[source]
+        self.ann_yes[target] = self.ann_yes[source]
+        self.ann_maybe[target] = self.ann_maybe[source]
+        for subscription in record[4] or ():
+            self._sub_leaf[subscription.subscription_id] = target
+
+    def _child(self, record: tuple, test: AttributeTest) -> int:
+        """The slot of the child whose branch label equals ``test``, ``-1``
+        when there is none."""
+        _position, table, ranges, star, _subs = record
         if test.is_dont_care:
-            star = child_slot
+            return star
+        if isinstance(test, EqualityTest):
+            return table.get(self.value_ids.get(test.value), -1) if table is not None else -1
+        for branch_test, child in ranges or ():
+            if branch_test == test:
+                return child
+        return -1
+
+    def _add_branch(self, slot: int, test: AttributeTest, child: int) -> None:
+        """Give the node in ``slot`` a new branch for ``test``; a new range
+        branch goes last."""
+        position, table, ranges, star, _subs = self._records[slot]
+        if test.is_dont_care:
+            star = child
         elif isinstance(test, EqualityTest):
-            if child_slot >= 0:
-                if table is None:
-                    table = {}
-                table[self._intern(test.value)] = child_slot
-            else:
-                del table[value_id]
-                table = table or None
+            if table is not None:  # the record already holds the table
+                table[self._intern(test.value)] = child
+                return
+            table = {self._intern(test.value): child}
         else:
-            # Rebuilt in the tree's branch order, which the kernels' visit
-            # order (and so the link search's steps) follows.
-            old_ranges = ranges or ()
-            ranges = tuple(
-                (
-                    branch_test,
-                    child_slot
-                    if branch_test == test
-                    else next(b for t, b in old_ranges if t == branch_test),
-                )
-                for branch_test, _branch in node.range_branches
-            ) or None
-        self._records[index] = (position, table, ranges, star, None)
-        return child_slot
+            ranges = (*(ranges or ()), (test, child))
+        self._records[slot] = (position, table, ranges, star, None)
+
+    def _drop_branch(self, slot: int, test: AttributeTest, child: int) -> None:
+        """Unlink the pruned branch for ``test`` and free its slot."""
+        position, table, ranges, star, _subs = self._records[slot]
+        if test.is_dont_care:
+            star = -1
+        elif isinstance(test, EqualityTest):
+            del table[self.value_ids[test.value]]
+            table = table or None
+        else:
+            ranges = tuple(pair for pair in ranges if pair[0] != test) or None
+        self._records[slot] = (position, table, ranges, star, None)
+        self._free(child)
 
     def __repr__(self) -> str:
         return (
@@ -741,19 +775,4 @@ class CompiledProgram:
             f"{len(self._sub_leaf)} subscriptions, "
             f"annotated={self.annotated})"
         )
-
-
-def compile_tree(
-    tree: ParallelSearchTree,
-    *,
-    backend: Union[str, KernelBackend, None] = None,
-) -> CompiledProgram:
-    """Lower ``tree`` into a fresh :class:`CompiledProgram`.
-
-    ``backend`` selects the kernel execution backend (a
-    :data:`~repro.matching.backends.BACKEND_NAMES` name or a
-    :class:`~repro.matching.backends.KernelBackend` instance); ``None``
-    means :data:`~repro.matching.backends.DEFAULT_BACKEND`.
-    """
-    return CompiledProgram(tree, backend=backend)
 

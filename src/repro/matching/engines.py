@@ -4,18 +4,19 @@
   :class:`~repro.matching.pst.ParallelSearchTree` matched directly, with
   :class:`~repro.core.annotation.TreeAnnotation` +
   :class:`~repro.core.link_matcher.LinkMatcher` for link matching.
-* :class:`CompiledEngine` maintains the same tree for structure but lowers
-  it with :mod:`repro.matching.compile` and matches through the array
-  kernels; subscription churn is absorbed by incremental re-lowering
-  (:meth:`CompiledProgram.patch`) with a full recompile as fallback.
+* :class:`CompiledEngine` keeps the tree only as a
+  :class:`~repro.matching.compile.CompiledProgram` — flat records that
+  :meth:`~repro.matching.compile.CompiledProgram.insert` and
+  :meth:`~repro.matching.compile.CompiledProgram.remove` change directly —
+  and matches through the array kernels.
 
 Both engines produce identical match sets, identical step counts, and
 identical refined link masks (the equivalence property test in
 ``tests/property/test_prop_engine_equivalence.py`` pins this down); the
-compiled engine is simply faster per event, while the tree engine has no
-compile step and is the easier one to read next to the paper.  Consumers
-pick by name through :func:`create_engine`; the project default is
-``"compiled"``.
+compiled engine is simply faster per event, while the tree engine is the
+easier one to read next to the paper and the oracle every equivalence suite
+compares against.  Consumers pick by name through :func:`create_engine`;
+the project default is ``"compiled"``.
 """
 
 from __future__ import annotations
@@ -25,15 +26,10 @@ from typing import List, Mapping, Optional, Sequence, Tuple, Union
 from repro.errors import RoutingError, SubscriptionError
 from repro.core.annotation import LinkOfSubscriber, TreeAnnotation
 from repro.core.link_matcher import LinkMatcher
-from repro.matching.backends import (
-    DEFAULT_BACKEND,
-    KernelBackend,
-    create_backend,
-    require_backend_for,
-)
+from repro.matching.backends import KernelBackend, require_backend_for
 from repro.matching.base import MatcherEngine
 from repro.obs import get_registry
-from repro.matching.compile import CompiledProgram, compile_tree
+from repro.matching.compile import CompiledProgram
 from repro.matching.events import Event
 from repro.matching.pst import MatchResult, ParallelSearchTree
 from repro.matching.predicates import Subscription
@@ -50,19 +46,14 @@ BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
 class _EngineBase(MatcherEngine):
-    """Shared tree ownership: both engines keep a live PST for structure."""
+    """What both engines share: the link binding, the instruments, and the
+    subscription surface of the replica they keep (``_replica``: the tree
+    engine's PST, the compiled engine's program)."""
 
-    def __init__(
-        self,
-        schema: EventSchema,
-        *,
-        attribute_order: Optional[Sequence[str]] = None,
-        domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
-    ) -> None:
+    _replica: Union[ParallelSearchTree, CompiledProgram]
+
+    def __init__(self, schema: EventSchema) -> None:
         self.schema = schema
-        self.tree = ParallelSearchTree(
-            schema, attribute_order=attribute_order, domains=domains
-        )
         self._num_links: Optional[int] = None
         self._link_of_subscriber: Optional[LinkOfSubscriber] = None
         # Instruments come from the global registry (no-ops unless an entry
@@ -81,15 +72,15 @@ class _EngineBase(MatcherEngine):
 
     @property
     def subscriptions(self) -> List[Subscription]:
-        return self.tree.subscriptions
+        return self._replica.subscriptions
 
     @property
     def subscription_count(self) -> int:
-        return len(self.tree)
+        return len(self._replica)
 
     def match_brute_force(self, event: Event) -> List[Subscription]:
         """Reference semantics: evaluate every predicate directly."""
-        return self.tree.match_brute_force(event)
+        return self._replica.match_brute_force(event)
 
     def match_batch(self, events: Sequence[Event]) -> List[MatchResult]:
         self._obs_batch_size.observe(len(events))
@@ -109,11 +100,12 @@ class _EngineBase(MatcherEngine):
         return self._num_links
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({len(self.tree)} subscriptions)"
+        return f"{type(self).__name__}({self.subscription_count} subscriptions)"
 
 
 class TreeEngine(_EngineBase):
-    """Today's object-graph matcher behind the engine interface.
+    """The object-graph matcher behind the engine interface — the oracle
+    every equivalence suite holds the compiled engine against.
 
     Annotations are computed on first :meth:`match_links` and patched
     incrementally along the changed path on insert/remove (the behavior the
@@ -128,7 +120,10 @@ class TreeEngine(_EngineBase):
         attribute_order: Optional[Sequence[str]] = None,
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
     ) -> None:
-        super().__init__(schema, attribute_order=attribute_order, domains=domains)
+        super().__init__(schema)
+        self.tree = self._replica = ParallelSearchTree(
+            schema, attribute_order=attribute_order, domains=domains
+        )
         self._annotation: Optional[TreeAnnotation] = None
         self._link_matcher: Optional[LinkMatcher] = None
 
@@ -181,13 +176,9 @@ class TreeEngine(_EngineBase):
 
 
 class CompiledEngine(_EngineBase):
-    """The array-kernel matcher: compile lazily, patch incrementally.
-
-    The program is (re)compiled on first use after construction or after a
-    patch bail-out; annotations are packed bitmasks attached to the same
-    program.  ``invalidate()`` forces a recompile (needed only if the
-    underlying ``tree`` is mutated other than through :meth:`insert` and
-    :meth:`remove`)."""
+    """The array-kernel matcher: one :class:`CompiledProgram`, changed in
+    place by every insert and remove; annotations are packed bitmasks
+    attached to the same program."""
 
     name = "compiled"
 
@@ -199,70 +190,32 @@ class CompiledEngine(_EngineBase):
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         backend: Union[str, KernelBackend, None] = None,
     ) -> None:
-        super().__init__(schema, attribute_order=attribute_order, domains=domains)
-        self._program: Optional[CompiledProgram] = None
-        self._annotation_dirty = False
-        # Resolved once: recompiles after patch bail-outs must not silently
-        # change execution backends, and an invalid name fails construction
-        # instead of the first match.
-        if backend is None:
-            backend = DEFAULT_BACKEND
-        self._backend: KernelBackend = (
-            create_backend(backend) if isinstance(backend, str) else backend
+        super().__init__(schema)
+        self.program = self._replica = CompiledProgram(
+            schema, attribute_order=attribute_order, domains=domains, backend=backend
         )
-        registry = get_registry()
-        self._obs_compiles = registry.counter("engine.compiled.recompiles")
-        self._obs_patches = registry.counter("engine.compiled.patches")
-        self._obs_patch_bailouts = registry.counter("engine.compiled.patch_bailouts")
-
-    def invalidate(self) -> None:
-        """Drop the compiled form; the next match recompiles from the tree."""
-        self._program = None
-
-    @property
-    def program(self) -> CompiledProgram:
-        """The current compiled form (compiling first if needed)."""
-        return self._ensure_program()
+        self._annotation_dirty = False
 
     @property
     def backend_name(self) -> str:
         """Name of the kernel backend the program executes with."""
-        return self._backend.name
-
-    def _ensure_program(self) -> CompiledProgram:
-        if self._program is None:
-            self._program = compile_tree(self.tree, backend=self._backend)
-            self._annotation_dirty = self._num_links is not None
-            self._obs_compiles.inc()
-        return self._program
+        return self.program.backend.name
 
     def insert(self, subscription: Subscription) -> None:
-        self.tree.insert(subscription)
-        self._patch_program(subscription)
+        self.program.insert(subscription)
 
     def remove(self, subscription_id: int) -> Subscription:
-        subscription = self.tree.remove(subscription_id)
-        self._patch_program(subscription)
-        return subscription
-
-    def _patch_program(self, subscription: Subscription) -> None:
-        if self._program is None:
-            return
-        if self._program.patch(self.tree, subscription.predicate):
-            self._obs_patches.inc()
-        else:
-            self._obs_patch_bailouts.inc()
-            self._program = None
+        return self.program.remove(subscription_id)
 
     def match(self, event: Event) -> MatchResult:
-        result = self._ensure_program().match(event)
+        result = self.program.match(event)
         self._obs_matches.inc()
         self._obs_match_steps.inc(result.steps)
         return result
 
     def match_batch(self, events: Sequence[Event]) -> List[MatchResult]:
         self._obs_batch_size.observe(len(events))
-        results = self._ensure_program().match_batch(events)
+        results = self.program.match_batch(events)
         self._obs_matches.inc(len(results))
         self._obs_match_steps.inc(sum(result.steps for result in results))
         return results
@@ -276,23 +229,19 @@ class CompiledEngine(_EngineBase):
 
     def refresh_links(self, subscription: Subscription) -> None:
         """Recompute the link annotation along ``subscription``'s path after
-        its *link mapping* changed without any structural tree change.
+        its *link mapping* changed without any structural change.
 
         The aggregation layer calls this when a deduplicated leaf's member
         set changes (the leaf now lights a different union of links while
-        the tree is untouched).  Reuses the patch path: syncing an unchanged
-        path is a no-op, but the bottom-up re-annotation picks up the new
-        leaf mask — exactly the stale state.  No-op when nothing stale
-        exists (no program, annotation pending anyway).
+        the records are untouched).  No-op when nothing stale exists (no
+        annotation yet, or one pending anyway).
         """
-        if self._program is None or self._annotation_dirty:
+        if self._annotation_dirty or not self.program.annotated:
             return
-        if not self._program.annotated:
-            return
-        self._patch_program(subscription)
+        self.program.reannotate_path(subscription.predicate)
 
     def _annotated_program(self, num_links: int) -> CompiledProgram:
-        program = self._ensure_program()
+        program = self.program
         if self._annotation_dirty or not program.annotated:
             assert self._link_of_subscriber is not None
             program.annotate(num_links, self._link_of_subscriber)

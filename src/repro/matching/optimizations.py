@@ -8,7 +8,9 @@ Three optimizations are described:
    values.  A subscription with a ``*`` on an index attribute is replicated
    into every sub-PST for that attribute's domain (the space cost the paper
    mentions); matching becomes a table lookup on the event's index values
-   followed by a search of one (smaller) sub-PST.
+   followed by a search of one (smaller) sub-PST.  Under the compiled
+   engine each sub-PST exists only as a
+   :class:`~repro.matching.compile.CompiledProgram`.
 
 2. **Trivial test elimination** is an invariant of the tree itself: no
    :class:`~repro.matching.pst.ParallelSearchTree` node is ever left with
@@ -45,12 +47,13 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.errors import SubscriptionError
 from repro.matching.backends import require_backend_for
 from repro.matching.base import Matcher
-from repro.matching.compile import CompiledProgram, compile_tree
+from repro.matching.compile import CompiledProgram
 from repro.matching.events import Event
 from repro.matching.pst import MatchResult, ParallelSearchTree, PSTNode
 from repro.obs import get_registry
@@ -76,6 +79,9 @@ class _OutOfDomain:
 #: The shared out-of-domain key component.
 OUT_OF_DOMAIN = _OutOfDomain()
 
+#: One factoring key's sub-PST, as the matcher's engine keeps it.
+_SubTree = Union[ParallelSearchTree, CompiledProgram]
+
 
 class FactoredMatcher(Matcher):
     """Factoring (Section 2.1, item 1): one sub-PST per index-value combo.
@@ -95,10 +101,12 @@ class FactoredMatcher(Matcher):
         Optional attribute order for the residual sub-PSTs (must be a
         permutation of the non-index attributes).
     engine:
-        ``"tree"`` searches the sub-PSTs directly; ``"compiled"`` lowers each
-        sub-PST with :mod:`repro.matching.compile` on first use and matches
-        through the array kernels (programs are invalidated by mutation).
-        Either way match sets and step counts are identical.
+        ``"tree"`` keeps each sub-PST as a
+        :class:`~repro.matching.pst.ParallelSearchTree` and searches it
+        directly; ``"compiled"`` keeps it as a
+        :class:`~repro.matching.compile.CompiledProgram` only, changed in
+        place by every insert and remove, and matches through the array
+        kernels.  Either way match sets and step counts are identical.
 
     Events whose index values fall outside the declared domains select
     :data:`OUT_OF_DOMAIN` buckets, so matching stays exactly equivalent to
@@ -108,11 +116,12 @@ class FactoredMatcher(Matcher):
 
     **One replica per process.**  One matcher may back many
     :class:`~repro.core.router.ContentRouter` instances (every simulated
-    broker holds *the same* PST, Section 3.1).  :meth:`program_for` lowers a
-    sub-tree once, for :meth:`match` and every router's link matching alike
-    — a router keeps only an annotated view of it, so one that also answers
-    ``match_locally`` no longer holds two compiled copies of each sub-tree —
-    and staleness is per sub-tree (:meth:`version_of`).
+    broker holds *the same* PST, Section 3.1).  Each sub-tree is held once
+    (:meth:`subtrees`), for :meth:`match` and every router's link matching
+    alike — a compiled router keeps only an annotated view of its program —
+    and staleness is per sub-tree (:meth:`version_of`): a router re-derives
+    what it keeps for every sub-tree whose version moved before it routes
+    again.
     """
 
     def __init__(
@@ -160,8 +169,7 @@ class FactoredMatcher(Matcher):
                 )
             residual_names = list(residual_order)
         self._residual_order = residual_names
-        self._trees: Dict[Tuple[AttributeValue, ...], ParallelSearchTree] = {}
-        self._programs: Dict[Tuple[AttributeValue, ...], CompiledProgram] = {}
+        self._subtrees: Dict[Tuple[AttributeValue, ...], _SubTree] = {}
         self._by_id: Dict[int, Subscription] = {}
         self._keys_by_id: Dict[int, List[Tuple[AttributeValue, ...]]] = {}
         #: Bumped per sub-tree a change touches; a key's version is the value
@@ -173,7 +181,6 @@ class FactoredMatcher(Matcher):
         self._obs_matches = obs.counter("engine.matches", engine=label)
         self._obs_match_steps = obs.counter("engine.match_steps", engine=label)
         self._obs_index_misses = obs.counter("engine.factored.index_misses", engine=label)
-        self._obs_compiles = obs.counter("engine.factored.compiles", engine=label)
 
     # ------------------------------------------------------------------
 
@@ -187,9 +194,11 @@ class FactoredMatcher(Matcher):
     def subscriptions(self) -> List[Subscription]:
         return list(self._by_id.values())
 
-    def trees(self) -> Iterable[Tuple[Tuple[AttributeValue, ...], ParallelSearchTree]]:
-        """The populated ``(index key, sub-PST)`` pairs."""
-        return self._trees.items()
+    def subtrees(self) -> Iterable[Tuple[Tuple[AttributeValue, ...], _SubTree]]:
+        """The populated ``(index key, sub-PST)`` pairs: a
+        :class:`ParallelSearchTree` under ``engine="tree"``, its
+        :class:`CompiledProgram` under ``"compiled"``."""
+        return self._subtrees.items()
 
     def _keys_for(self, subscription: Subscription) -> List[Tuple[AttributeValue, ...]]:
         """All index-key combinations a subscription applies to.
@@ -214,20 +223,28 @@ class FactoredMatcher(Matcher):
             per_attribute.append(options)
         return [tuple(combo) for combo in itertools.product(*per_attribute)]
 
-    def _tree_for(self, key: Tuple[AttributeValue, ...]) -> ParallelSearchTree:
-        tree = self._trees.get(key)
-        if tree is None:
+    def _subtree_for(self, key: Tuple[AttributeValue, ...]) -> _SubTree:
+        subtree = self._subtrees.get(key)
+        if subtree is None:
             # The index attributes stay in the sub-PST's schema (every
             # subscription in this tree has them fixed or ``*``), but they are
             # ordered last, so a path grows no node for them where they are ``*``.
             order = self._residual_order + [
                 n for n in self.schema.names if n in self.index_attributes
             ]
-            tree = ParallelSearchTree(
-                self.schema, attribute_order=order, domains=self.domains
-            )
-            self._trees[key] = tree
-        return tree
+            if self.engine == "compiled":
+                subtree = CompiledProgram(
+                    self.schema,
+                    attribute_order=order,
+                    domains=self.domains,
+                    backend=self.backend,
+                )
+            else:
+                subtree = ParallelSearchTree(
+                    self.schema, attribute_order=order, domains=self.domains
+                )
+            self._subtrees[key] = subtree
+        return subtree
 
     def insert(self, subscription: Subscription) -> None:
         """Register a subscription in every applicable sub-PST.
@@ -244,14 +261,13 @@ class FactoredMatcher(Matcher):
             )
         keys = self._keys_for(subscription)
         for key in keys:
-            self._tree_for(key).insert(self._relaxed_for_key(subscription, key))
+            self._subtree_for(key).insert(self._relaxed_for_key(subscription, key))
             self._touch(key)
         self._by_id[subscription.subscription_id] = subscription
         self._keys_by_id[subscription.subscription_id] = keys
 
     def _touch(self, key: Tuple[AttributeValue, ...]) -> None:
         """Sub-tree ``key`` changed: whatever was derived from it is stale."""
-        self._programs.pop(key, None)
         self.mutations += 1
         self._versions[key] = self.mutations
 
@@ -280,28 +296,17 @@ class FactoredMatcher(Matcher):
         if subscription is None:
             raise SubscriptionError(f"unknown subscription id {subscription_id}")
         for key in self._keys_by_id.pop(subscription_id):
-            tree = self._trees[key]
-            tree.remove(subscription_id)
+            subtree = self._subtrees[key]
+            subtree.remove(subscription_id)
             self._touch(key)
-            if len(tree) == 0:
-                del self._trees[key]
+            if len(subtree) == 0:
+                del self._subtrees[key]
         return subscription
 
     def version_of(self, key: Tuple[AttributeValue, ...]) -> int:
         """State derived from populated sub-tree ``key`` (a router's
         annotations) is current iff it was derived at this version."""
         return self._versions[key]
-
-    def program_for(self, key: Tuple[AttributeValue, ...]) -> CompiledProgram:
-        """The compiled form of populated sub-tree ``key``, lowered once per
-        change, whoever asks (:meth:`match` or a router)."""
-        program = self._programs.get(key)
-        if program is None:
-            program = self._programs[key] = compile_tree(
-                self._trees[key], backend=self.backend
-            )
-            self._obs_compiles.inc()
-        return program
 
     def key_for_event(self, event: Event) -> Tuple[AttributeValue, ...]:
         """The index key an event selects (out-of-domain values map to the
@@ -319,16 +324,13 @@ class FactoredMatcher(Matcher):
         The lookup counts as one matching step.
         """
         key = self.key_for_event(event)
-        tree = self._trees.get(key)
+        subtree = self._subtrees.get(key)
         self._obs_matches.inc()
-        if tree is None:
+        if subtree is None:
             self._obs_index_misses.inc()
             self._obs_match_steps.inc()
             return MatchResult([], 1)
-        if self.engine == "compiled":
-            result = self.program_for(key).match(event)
-        else:
-            result = tree.match(event)
+        result = subtree.match(event)
         self._obs_match_steps.inc(result.steps + 1)
         return MatchResult(result.subscriptions, result.steps + 1)
 
@@ -338,7 +340,7 @@ class FactoredMatcher(Matcher):
     def __repr__(self) -> str:
         return (
             f"FactoredMatcher({len(self._by_id)} subscriptions, "
-            f"{len(self._trees)} sub-trees, index={list(self.index_attributes)!r})"
+            f"{len(self._subtrees)} sub-trees, index={list(self.index_attributes)!r})"
         )
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 from types import MappingProxyType
 from typing import (
+    Container,
     Dict,
     FrozenSet,
     Iterable,
@@ -138,6 +139,58 @@ def child_for_test(node: PSTNode, test: AttributeTest) -> Optional[PSTNode]:
     return None
 
 
+def checked_order(
+    schema: EventSchema, attribute_order: Optional[Sequence[str]]
+) -> Tuple[str, ...]:
+    """The tested attribute order: ``attribute_order``, which must be a
+    permutation of the schema's names, or declaration order."""
+    if attribute_order is None:
+        return tuple(schema.names)
+    order = tuple(attribute_order)
+    if sorted(order) != sorted(schema.names):
+        raise SubscriptionError(
+            f"attribute_order {list(order)!r} is not a permutation of the schema"
+        )
+    return order
+
+
+def checked_domains(
+    schema: EventSchema, domains: Optional[Mapping[str, Iterable[AttributeValue]]]
+) -> Dict[str, FrozenSet[AttributeValue]]:
+    """Declared finite domains by attribute name (every name validated)."""
+    checked: Dict[str, FrozenSet[AttributeValue]] = {}
+    for name, values in (domains or {}).items():
+        schema.position_of(name)  # validates the name
+        checked[name] = frozenset(values)
+    return checked
+
+
+def check_insertable(
+    schema: EventSchema, subscription: Subscription, registered: Container[int]
+) -> None:
+    """Refuse a subscription on another schema, a registered id, or an
+    unsatisfiable predicate."""
+    predicate = subscription.predicate
+    if predicate.schema is not schema and predicate.schema != schema:
+        raise SubscriptionError("subscription schema does not match the tree's schema")
+    if subscription.subscription_id in registered:
+        raise SubscriptionError(
+            f"subscription #{subscription.subscription_id} is already registered"
+        )
+    if not predicate.is_satisfiable:
+        raise SubscriptionError(
+            f"refusing to register unsatisfiable predicate {predicate.describe()!r}"
+        )
+
+
+def first_constrained(tests: Sequence[AttributeTest], start: int, stop: int) -> Optional[int]:
+    """First level in ``[start, stop)`` whose test is not a don't-care."""
+    for level in range(start, stop):
+        if not tests[level].is_dont_care:
+            return level
+    return None
+
+
 class MatchResult:
     """Outcome of a match: the satisfied subscriptions and the step count."""
 
@@ -182,21 +235,11 @@ class ParallelSearchTree:
         domains: Optional[Mapping[str, Iterable[AttributeValue]]] = None,
     ) -> None:
         self.schema = schema
-        if attribute_order is None:
-            order = tuple(schema.names)
-        else:
-            order = tuple(attribute_order)
-            if sorted(order) != sorted(schema.names):
-                raise SubscriptionError(
-                    f"attribute_order {list(order)!r} is not a permutation of the schema"
-                )
-        self.attribute_order: Tuple[str, ...] = order
-        self._positions: Tuple[int, ...] = tuple(schema.position_of(n) for n in order)
-        self.domains: Dict[str, FrozenSet[AttributeValue]] = {}
-        if domains:
-            for name, values in domains.items():
-                schema.position_of(name)  # validates the name
-                self.domains[name] = frozenset(values)
+        self.attribute_order = checked_order(schema, attribute_order)
+        self._positions: Tuple[int, ...] = tuple(
+            schema.position_of(n) for n in self.attribute_order
+        )
+        self.domains = checked_domains(schema, domains)
         self.root = PSTNode(0)
         self._by_id: Dict[int, Subscription] = {}
 
@@ -213,10 +256,6 @@ class ParallelSearchTree:
     def subscriptions(self) -> List[Subscription]:
         """All registered subscriptions (unordered)."""
         return list(self._by_id.values())
-
-    def attribute_at(self, position: int) -> str:
-        """Name of the attribute tested at tree level ``position``."""
-        return self.attribute_order[position]
 
     def nodes(self) -> Iterator[PSTNode]:
         """All nodes, preorder."""
@@ -246,31 +285,12 @@ class ParallelSearchTree:
         level the path skips but the subscription constrains is
         re-materialized, so no node is left with only a ``*``-child.
         """
-        if subscription.predicate.schema != self.schema:
-            raise SubscriptionError("subscription schema does not match the tree's schema")
-        if subscription.subscription_id in self._by_id:
-            raise SubscriptionError(
-                f"subscription #{subscription.subscription_id} is already registered"
-            )
-        if not subscription.predicate.is_satisfiable:
-            raise SubscriptionError(
-                f"refusing to register unsatisfiable predicate "
-                f"{subscription.predicate.describe()!r}"
-            )
+        check_insertable(self.schema, subscription, self._by_id)
         tests = self._tests_in_order(subscription.predicate)
         if self.root.is_empty:
             self.root = self._new_node(tests, 0)
         self.root = self._insert(self.root, tests, 0, subscription)
         self._by_id[subscription.subscription_id] = subscription
-
-    def _first_constrained(
-        self, tests: List[AttributeTest], start: int, stop: int
-    ) -> Optional[int]:
-        """First position in ``[start, stop)`` with a non-don't-care test."""
-        for position in range(start, stop):
-            if not tests[position].is_dont_care:
-                return position
-        return None
 
     def _insert(
         self,
@@ -285,7 +305,7 @@ class ParallelSearchTree:
         end = len(self.attribute_order)
         node_position = end if node.is_leaf else node.attribute_position
         assert node_position is not None
-        target = self._first_constrained(tests, level, node_position)
+        target = first_constrained(tests, level, node_position)
         if target is not None:
             # The subscription constrains a level this path skips: insert a
             # fresh node at that level whose *-branch leads to the old path.
@@ -310,7 +330,7 @@ class ParallelSearchTree:
     def _new_node(self, tests: List[AttributeTest], level: int) -> PSTNode:
         """An empty node for a path that continues at ``level``: placed at
         the first level from there that ``tests`` constrain, or a leaf."""
-        return PSTNode(self._first_constrained(tests, level, len(self.attribute_order)))
+        return PSTNode(first_constrained(tests, level, len(self.attribute_order)))
 
     def _set_child(self, node: PSTNode, test: AttributeTest, child: PSTNode) -> None:
         """Point the branch for ``test`` at ``child``; a new branch goes

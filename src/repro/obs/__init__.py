@@ -3,7 +3,7 @@
 One metrics registry (:mod:`repro.obs.registry`) feeds every measurement
 surface of the reproduction: the simulator's per-link and per-broker
 counters, the protocols' per-hop refinement counts, the matcher engines'
-compile/patch accounting, the CLI's ``--metrics-out`` flag, and the
+match and annotation accounting, the CLI's ``--metrics-out`` flag, and the
 schema-versioned ``BENCH_*.json`` benchmark artifacts
 (:mod:`repro.obs.bench`) that the CI perf-regression gate consumes.
 

@@ -7,8 +7,8 @@ paying for it on the hot path.  This module provides the four instrument
 kinds the charts consume:
 
 * :class:`Counter` — a monotonically increasing integer (events published,
-  matching steps, recompiles);
-* :class:`Gauge` — a point-in-time value (waste ratio, queue depth);
+  matching steps, annotation rebuilds);
+* :class:`Gauge` — a point-in-time value (compression ratio, queue depth);
 * :class:`Histogram` — fixed bucket boundaries chosen at creation time
   (delivery latency, queue-depth samples);
 * :class:`Timer` — monotonic-clock (``time.perf_counter``) duration

@@ -13,6 +13,7 @@ from repro.broker import (
     RequestFailed,
     TcpTransport,
 )
+from repro.broker import messages as wire
 from repro.matching import stock_trade_schema
 from repro.network import NodeKind, Topology
 
@@ -123,5 +124,24 @@ class TestTcpFailClosed:
         with pytest.raises(RequestFailed, match="unsatisfiable"):
             alice.subscribe_and_wait("volume>3 & volume<2", timeout_s=1.0)
         assert time.monotonic() - began < 1.0
+        alice.subscribe_and_wait("volume>3", timeout_s=8.0)
+        assert wait_until(lambda: all(n.subscription_count == 1 for n in nodes.values()))
+
+    def test_bad_sub_propagate_closes_the_peer_and_is_counted(self, tcp_network, live_registry):
+        """A framed SUB_PROPAGATE whose expression does not parse is a bad
+        frame: the receiver counts it and drops that connection, no
+        subscription is recorded, and the broker keeps serving everyone
+        else."""
+        schema, transport, endpoints, nodes = tcp_network
+        peer = transport.connect(endpoints["B1"])
+        try:
+            peer.send(wire.encode_message(wire.SubPropagate(10**9, "alice", "price <", "B0")))
+            assert wait_until(lambda: live_registry.value_of("transport.tcp.bad_frames") == 1)
+        finally:
+            peer.close()
+        assert 10**9 not in nodes["B1"]._subscriber_of
+        alice = BrokerClient("alice", schema, transport, endpoints["B0"])
+        alice.connect()
+        assert wait_until(lambda: alice.connected_broker == "B0")
         alice.subscribe_and_wait("volume>3", timeout_s=8.0)
         assert wait_until(lambda: all(n.subscription_count == 1 for n in nodes.values()))

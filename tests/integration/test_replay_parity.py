@@ -21,6 +21,7 @@ import pytest
 
 from repro.core import LinkMatcher, N, TreeAnnotation, TritVector
 from repro.matching.aggregation import AggregatingEngine
+from repro.matching.engines import TreeEngine
 from repro.matching.predicates import Subscription
 from repro.matching.pst import ParallelSearchTree
 from repro.workload.generators import EventGenerator, SubscriptionGenerator
@@ -47,35 +48,43 @@ def restricted_mask(router, root, destinations):
     )
 
 
-def unaggregated(engine, tree):
-    """``tree`` with each aggregation representative replaced by its group's
-    members: the same shape (members share the representative's canonical
-    predicate), with leaves that name real subscribers."""
-    copy = ParallelSearchTree(
-        tree.schema, attribute_order=tree.attribute_order, domains=tree.domains
+def oracle_tree(replica, members=None):
+    """The PST a replica's live subscriptions build — ``replica`` itself
+    when it is one, else a tree fed the program's subscriptions in insertion
+    order.  ``members`` replaces each aggregation representative by its
+    group's members: the same shape (members share the representative's
+    canonical predicate), with leaves that name real subscribers."""
+    if isinstance(replica, ParallelSearchTree) and members is None:
+        return replica
+    tree = ParallelSearchTree(
+        replica.schema, attribute_order=replica.attribute_order, domains=replica.domains
     )
-    for representative in tree.subscriptions:
-        for member in engine._rep_group[representative.subscription_id].members.values():
-            copy.insert(
+    for subscription in replica.subscriptions:
+        if members is None:
+            tree.insert(subscription)
+            continue
+        for member in members[subscription.subscription_id].members.values():
+            tree.insert(
                 Subscription(
-                    representative.predicate,
+                    subscription.predicate,
                     member.subscriber,
                     subscription_id=member.subscription_id,
                 )
             )
-    return copy
+    return tree
 
 
 def refined_trees(router, event):
     """The PSTs the router refines ``event`` over (``None``: no sub-tree can
     match, which costs one step and sends nowhere)."""
     if router._factored is not None:
-        tree = dict(router._factored.trees()).get(router._factored.key_for_event(event))
-        return None if tree is None else [tree]
+        subtree = dict(router._factored.subtrees()).get(router._factored.key_for_event(event))
+        return None if subtree is None else [oracle_tree(subtree)]
     engine = router._engine
     if isinstance(engine, AggregatingEngine):
-        return [unaggregated(engine, e.tree) for e in (engine.inner, engine._covered)]
-    return [engine.tree]
+        engines = (engine.inner, engine._covered)
+        return [oracle_tree(e.program, engine._rep_group) for e in engines]
+    return [oracle_tree(engine.tree if isinstance(engine, TreeEngine) else engine.program)]
 
 
 def oracle(router, event, root, destinations):

@@ -1,6 +1,7 @@
 """Smoke test of ``benchmarks/setup_split.py``: one JSON line with the set-up
-split, the heap census after set-up, the compiled programs' bytes and the
-per-broker PST census (no node left with only a ``*``-child)."""
+split, the heap census after set-up (no ``PSTNode`` in a compiled replica),
+the compiled programs' bytes and the per-broker slot census (no slot left
+holding a node with only a ``*``-child)."""
 
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ def setup_split(workload):
 def test_setup_split_reports_the_heap():
     report = setup_split("fanout_mem")
     assert report["workload"] == "fanout_mem"
-    for layer in ("parse", "annotate", "insert", "compile", "gc"):
+    for layer in ("parse", "annotate", "insert", "gc"):
         assert report[f"{layer}_s"] >= 0 and 0 <= report[f"{layer}_share"] <= 1
     assert report["gen2_pauses"] >= 0 and report["gen2_pause_s"] >= 0
     top = report["top_tracked_types"]
@@ -39,15 +40,18 @@ def test_setup_split_reports_the_heap():
     assert report["programs"] > 0 and report["program_slots"] > 0
     fields = report["program_field_mib"]
     assert "_records" in fields and "index_of_node" not in fields
+    assert "_slot_node_id" not in fields and "compile_s" not in report
     assert all(size >= 0 for size in fields.values())
     assert 0 < fields["_records"] <= report["program_mib"]
-    assert report["pst_nodes"] and all(count > 0 for count in report["pst_nodes"].values())
-    assert report["star_only_nodes"] == dict.fromkeys(report["pst_nodes"], 0)
+    assert report["live_slots"] and all(count > 0 for count in report["live_slots"].values())
+    assert report["star_only_slots"] == dict.fromkeys(report["live_slots"], 0)
 
 
 def test_an_engine_backed_replica_has_no_star_only_node():
     """``churn_mem`` routes on a private compiled engine per broker (not a
-    factored matcher), the path trivial-test elimination once skipped."""
+    factored matcher), the path trivial-test elimination once skipped; its
+    program is the whole replica, with no PST beside it."""
     report = setup_split("churn_mem")
-    assert sorted(report["pst_nodes"]) == ["B0", "B1"]
-    assert report["star_only_nodes"] == {"B0": 0, "B1": 0}
+    assert sorted(report["live_slots"]) == ["B0", "B1"]
+    assert report["star_only_slots"] == {"B0": 0, "B1": 0}
+    assert report["tracked_pst_nodes"] == 0 and "PSTNode" not in report["top_tracked_types"]

@@ -155,18 +155,20 @@ class TestLatencyModel:
 class TestOneReplicaPerProcess:
     """The structural guard behind ``sim_fig6``'s set-up cost, on counts
     rather than a clock: the Chart 1 configuration (Figure 6, factored) holds
-    one subscription replica, lowered once, however many brokers route."""
+    one subscription replica, one program per sub-tree, however many brokers
+    route."""
 
     def test_figure6_brokers_share_one_factored_replica(self, live_registry):
         import gc
 
+        from repro.matching.compile import CompiledProgram
         from repro.matching.pst import PSTNode
         from repro.workload.generators import SubscriptionGenerator, figure6_region_of
         from repro.workload.spec import CHART1_SPEC
 
-        def live_pst_nodes():
+        def live(kind):
             gc.collect()
-            return sum(1 for candidate in gc.get_objects() if type(candidate) is PSTNode)
+            return [candidate for candidate in gc.get_objects() if type(candidate) is kind]
 
         topology = figure6_topology(subscribers_per_broker=1)
         subscriptions = SubscriptionGenerator(
@@ -179,12 +181,13 @@ class TestOneReplicaPerProcess:
             domains=CHART1_SPEC.domains(),
             factoring_attributes=CHART1_SPEC.factoring_attributes,
         )
-        before = live_pst_nodes()
+        nodes_before = len(live(PSTNode))
+        programs_before = live(CompiledProgram)
         protocol = LinkMatchingProtocol(context)
         assert len(protocol.routers) == 39
         assert len({id(router.matcher) for router in protocol.routers.values()}) == 1
         matcher = protocol.routers["T0.R"].matcher
-        populated = dict(matcher.trees())
+        populated = dict(matcher.subtrees())
         schema = CHART1_SPEC.schema()
         root = sorted(context.spanning_trees)[0]
         in_domain = [key for key in populated if all(isinstance(p, int) for p in key)]
@@ -192,10 +195,14 @@ class TestOneReplicaPerProcess:
         for router in protocol.routers.values():
             for key in in_domain:  # one event per reachable sub-tree, at every broker
                 router.route(Event.from_tuple(schema, key + (0,) * 8), root)
-        compiles = live_registry.counter(
-            "engine.factored.compiles", engine="factored-compiled"
-        )
-        assert compiles.value == len(populated), "lowered once, not once per broker"
-        assert live_pst_nodes() - before == sum(
-            tree.node_count() for tree in populated.values()
-        )
+        programs = [
+            program
+            for program in live(CompiledProgram)
+            if program._base is None and all(program is not p for p in programs_before)
+        ]
+        assert {id(program) for program in programs} == {
+            id(program) for program in populated.values()
+        }, "one program per sub-tree, not one per broker"
+        for router in protocol.routers.values():
+            assert all(view._base is populated[key] for key, (_v, view) in router._subtrees.items())
+        assert len(live(PSTNode)) == nodes_before, "the compiled replica holds no PST"

@@ -28,9 +28,9 @@ from repro.matching import (
     RangeOp,
     RangeTest,
     Subscription,
-    compile_tree,
     uniform_schema,
 )
+from repro.matching.compile import CompiledProgram
 from tests.program_walk import slots_by_node
 
 SCHEMA = uniform_schema(3)
@@ -204,15 +204,15 @@ class TestCompiledAnnotationExact:
     @given(domains=st.tuples(level_domains, level_domains, level_domains), steps=churn)
     @settings(max_examples=200, deadline=None)
     def test_every_slot_matches_tree_annotation(self, domains, steps):
-        """``annotate``, every ``patch`` and ``annotated_view`` agree with
-        TreeAnnotation at every node: equality-only and mixed range nodes,
-        out-of-domain branch values, one-value, empty and open domains,
-        nodes with and without a *-child."""
+        """``annotate``, every insert and remove and ``annotated_view``
+        agree with TreeAnnotation at every node: equality-only and mixed
+        range nodes, out-of-domain branch values, one-value, empty and open
+        domains, nodes with and without a *-child."""
         declared = {
             name: domain for name, domain in zip(SCHEMA.names, domains) if domain is not None
         }
         tree = ParallelSearchTree(SCHEMA, domains=declared)
-        program = compile_tree(tree)
+        program = CompiledProgram(SCHEMA, domains=declared)
         program.annotate(NUM_LINKS, link_of)
         live = []
         for action, argument, link in steps:
@@ -224,15 +224,20 @@ class TestCompiledAnnotationExact:
                 }
                 subscription = Subscription(Predicate(SCHEMA, tests), str(link))
                 tree.insert(subscription)
+                program.insert(subscription)
                 live.append(subscription)
             elif live:
                 subscription = live.pop(argument % len(live))
                 tree.remove(subscription.subscription_id)
+                program.remove(subscription.subscription_id)
             else:
                 continue
-            if not program.patch(tree, subscription.predicate):
-                program = compile_tree(tree)
-                program.annotate(NUM_LINKS, link_of)
             assert_exact(tree, program)
         assert_exact(tree, program.annotated_view(NUM_LINKS, link_of))
-        assert_exact(tree, compile_tree(tree).annotated_view(NUM_LINKS, link_of))
+        # Built in one go from the live set, annotated first.
+        fresh_tree = ParallelSearchTree(SCHEMA, domains=declared)
+        fresh = CompiledProgram(SCHEMA, domains=declared)
+        for subscription in tree.subscriptions:
+            fresh_tree.insert(subscription)
+            fresh.insert(subscription)
+        assert_exact(fresh_tree, fresh.annotated_view(NUM_LINKS, link_of))

@@ -10,7 +10,7 @@ backend is *observationally identical* to the reference interpreter:
 * the same refined **link masks** bit for bit.
 
 Pinned here for the ``vector`` backend against ``interp``, across fresh
-programs, churn/recompile mid-stream, empty batches, duplicate-heavy
+programs, churn and re-annotation mid-stream, empty batches, duplicate-heavy
 batches, and batches larger than the vector chunk width.  The vector
 backend requires numpy, so the module skips without it.
 """
@@ -168,8 +168,9 @@ class TestVectorEquivalence:
             assert got.steps == want.steps
 
     def test_churn_and_recompile_mid_stream(self):
-        """Patches and recompiles bump the generation; the vector backend
-        must rebuild its columnar index rather than answer from a stale one."""
+        """Inserts, removes and full re-annotations bump the generation; the
+        vector backend must rebuild its columnar index rather than answer
+        from a stale one."""
         rng = random.Random(20260807)
         interp, vector = build_engines([])
         engines = (interp, vector)
@@ -196,7 +197,7 @@ class TestVectorEquivalence:
                     engine.insert(clone(subscription))
             if round_index % 29 == 28:
                 for engine in engines:
-                    engine.invalidate()
+                    engine.bind_links(NUM_LINKS, link_of)  # a full re-annotation
             events = [
                 Event.from_tuple(
                     SCHEMA, tuple(rng.choice(DOMAIN) for _ in SCHEMA.names)

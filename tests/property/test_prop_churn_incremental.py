@@ -1,22 +1,23 @@
-"""Incremental ≡ rebuild: a patched program is a freshly compiled one.
+"""The program is the replica: after any history it is the oracle's tree.
 
-``CompiledProgram.patch`` maintains three things along the changed path
-instead of rebuilding them: the node records, the packed annotations, and
-the ``subscription_id -> leaf`` map digests project through; slots under a
-pruned branch are recycled, and a live node never changes slot — a child a
-re-materialized level is put above keeps its own, and so does the
-``*``-child a spliced node leaves behind — except across a root
-replacement, where the new root takes slot 0.  This suite drives random
-interleavings of every operation that touches that state through one
-``CompiledEngine`` (an insert that re-materializes a skipped level
-included) and, after each step, holds the engine's program against a
-program compiled from the same tree there and then — same match sets, same
-steps, same refined masks, same digest projection —, its records against
-the live tree node for node, and the map against the from-the-root walk
-that used to build it (kept here as the reference).  The tree itself must
-hold trivial-test elimination as an invariant (no node has only a
-``*``-child) and be the tree a fresh build of the live set gives, up to
-branch order; no patch may bail out to a recompile.
+A ``CompiledEngine`` keeps no PST: ``CompiledProgram.insert`` / ``remove``
+run Section 2's walks on the records, maintaining three things along the
+changed path — the node records, the packed annotations, and the
+``subscription_id -> leaf`` map digests project through — and putting
+pruned slots on a free list.  This suite drives random interleavings of
+every operation that touches that state through one ``CompiledEngine`` and
+one ``TreeEngine`` (the object-graph oracle) fed the same history —
+equality, range, interval and don't-care tests; inserts that re-materialize
+a skipped level; removals that splice the root out or drain it — and after
+each step holds the program against the oracle: the slots reachable from
+slot 0 map node for node onto the oracle's PST (positions, value branches,
+range pairs in branch order, leaf subscriptions), every other slot is free
+exactly once, the digest map equals a from-the-root walk, every slot's
+packed annotation is ``TreeAnnotation``'s, and match sets, steps, refined
+masks and digest projections are the oracle's.  The oracle's tree must hold
+trivial-test elimination as an invariant (no node has only a ``*``-child)
+and be the tree a fresh build of the live set gives, up to branch order —
+so the program is history-independent too.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import importlib.util
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core import pack_tritvector
 from repro.matching import (
     Event,
     ParallelSearchTree,
@@ -33,10 +35,9 @@ from repro.matching import (
     Subscription,
     uniform_schema,
 )
-from repro.matching.compile import _FREE_RECORD, compile_tree
-from repro.matching.engines import CompiledEngine
-from repro.matching.predicates import EqualityTest, RangeTest
-from repro.obs import MetricsRegistry, get_registry, set_registry
+from repro.matching.compile import _FREE_RECORD
+from repro.matching.engines import CompiledEngine, TreeEngine
+from repro.matching.predicates import EqualityTest, IntervalTest, RangeTest
 from tests.program_walk import slots_by_node
 
 SCHEMA = uniform_schema(4)
@@ -47,7 +48,8 @@ FULL = (1 << NUM_LINKS) - 1
 #: ``vector`` requires numpy; without it the interp half still runs.
 BACKENDS = ["interp", "vector"] if importlib.util.find_spec("numpy") else ["interp"]
 
-#: Per attribute: None = don't care, int = equality, (op, bound) = range.
+#: Per attribute: None = don't care, int = equality, (op, bound) = range,
+#: (low, high) of ints = a closed interval.
 test_specs = st.one_of(
     st.none(),
     st.sampled_from(DOMAIN),
@@ -55,6 +57,7 @@ test_specs = st.one_of(
         st.sampled_from([RangeOp.LT, RangeOp.LE, RangeOp.GT, RangeOp.GE]),
         st.sampled_from(DOMAIN),
     ),
+    st.tuples(st.sampled_from(DOMAIN), st.sampled_from(DOMAIN)).map(sorted).map(tuple),
 )
 predicate_specs = st.tuples(*(test_specs for _ in range(4)))
 events = st.tuples(*(st.sampled_from(DOMAIN) for _ in range(4))).map(
@@ -68,19 +71,20 @@ yes_masks = st.integers(min_value=0, max_value=FULL)
 #: level-skipping edge and skipped level a ``rematerialize`` step's insert
 #: constrains; ``unroot`` inserts a subscription that leaves the root's
 #: level ``*`` and removes every one that constrains it, so the last removal
-#: splices the root out for its ``*``-child; ``invalidate`` makes the next
-#: step patch a fresh compile.
+#: splices the root out for its ``*``-child; ``drain`` removes every live
+#: subscription, leaving an empty root the next insert starts over from.
 steps = st.tuples(
     st.sampled_from(
         [
             "insert",
             "insert",
+            "insert",
             "remove",
             "remove",
             "refresh",
-            "invalidate",
             "rematerialize",
             "unroot",
+            "drain",
             "match",
         ]
     ),
@@ -92,19 +96,24 @@ steps = st.tuples(
 )
 
 
+def attribute_test_of(part):
+    if isinstance(part, int):
+        return EqualityTest(part)
+    if isinstance(part[0], RangeOp):
+        return RangeTest(*part)
+    return IntervalTest(*part)
+
+
 def predicate_of(spec) -> Predicate:
-    tests = {}
-    for name, part in zip(SCHEMA.names, spec):
-        if part is None:
-            continue
-        tests[name] = RangeTest(*part) if isinstance(part, tuple) else EqualityTest(part)
-    return Predicate(SCHEMA, tests)
+    tests = zip(SCHEMA.names, spec)
+    return Predicate(
+        SCHEMA, {name: attribute_test_of(part) for name, part in tests if part is not None}
+    )
 
 
 def reference_sub_leaf(program):
-    """``subscription_id -> leaf index`` by walking the live records from
-    the root — what ``CompiledProgram`` computed per generation before the
-    map became part of lowering."""
+    """``subscription_id -> leaf index`` and the reachable slots, by walking
+    the live records from the root."""
     mapping = {}
     stack = [0]
     seen = set()
@@ -126,13 +135,16 @@ def reference_sub_leaf(program):
     return mapping, seen
 
 
-def assert_structure(engine):
+def assert_structure(engine, oracle):
+    """The program's records are the oracle's tree, node for node."""
     program = engine.program
+    slots = slots_by_node(program, oracle.tree)
     mapping, reachable = reference_sub_leaf(program)
+    assert set(slots.values()) == reachable
     assert program._sub_leaf == mapping
-    assert set(mapping) == {s.subscription_id for s in engine.tree.subscriptions}
-    # The reachable slots are the live tree, node for node.
-    assert set(slots_by_node(program, engine.tree).values()) == reachable
+    assert [s.subscription_id for s in engine.subscriptions] == [
+        s.subscription_id for s in oracle.subscriptions
+    ]
     # Every slot is either a live node or on the free list, exactly once.
     free = program._free_slots
     assert len(set(free)) == len(free)
@@ -141,7 +153,7 @@ def assert_structure(engine):
     for slot in free:
         assert program._records[slot] == _FREE_RECORD
         assert program.ann_yes[slot] == program.ann_maybe[slot] == 0
-        assert program._slot_node_id[slot] == 0
+    return slots
 
 
 def skipping_edges(tree):
@@ -167,10 +179,10 @@ def skipping_edges(tree):
     return edges
 
 
-def rematerializing_subscription(engine, pick, value):
+def rematerializing_subscription(tree, pick, value):
     """A subscription down a level-skipping edge that constrains one of the
     levels it skips; ``None`` if no edge skips a level."""
-    edges = skipping_edges(engine.tree)
+    edges = skipping_edges(tree)
     if not edges:
         return None
     tests, first, reached = edges[pick % len(edges)]
@@ -211,20 +223,23 @@ def assert_canonical(tree):
     assert shape(tree.root) == shape(fresh.root)
 
 
-def assert_equals_rebuild(engine, link_of, event, yes_bits):
-    """The engine's (patched) answers against a fresh compile."""
-    fresh = compile_tree(engine.tree)
-    fresh.annotate(NUM_LINKS, link_of)
+def assert_answers_like_the_oracle(engine, oracle, slots, event, yes_bits):
     maybe_bits = FULL & ~yes_bits
-    expected = fresh.match(event)
+    expected = oracle.match(event)
     result = engine.match(event)
     ids = sorted(s.subscription_id for s in expected.subscriptions)
     assert sorted(s.subscription_id for s in result.subscriptions) == ids
     assert result.steps == expected.steps
-    refined = fresh.match_links(event, yes_bits, maybe_bits)
+    refined = oracle.match_links(event, yes_bits, maybe_bits)
     assert engine.match_links(event, yes_bits, maybe_bits) == refined
+    program = engine.program
+    for node in oracle.tree.nodes():
+        slot = slots[node.node_id]
+        assert (program.ann_yes[slot], program.ann_maybe[slot]) == pack_tritvector(
+            oracle._annotation.vector_for(node)
+        ), f"slot {slot}'s annotation differs from TreeAnnotation"
     projected = engine.project_links(ids, yes_bits, maybe_bits)
-    assert projected == fresh.project_links(ids, yes_bits, maybe_bits)
+    assert projected[0] == oracle.project_links(ids, yes_bits, maybe_bits)[0]
     assert projected[0] == refined[0]  # digest ≡ rematch
 
 
@@ -233,17 +248,9 @@ def assert_equals_rebuild(engine, link_of, event, yes_bits):
     script=st.lists(steps, min_size=1, max_size=40),
 )
 @settings(max_examples=150, deadline=None)
-def test_every_step_equals_a_fresh_compile(backend, script):
-    previous = set_registry(MetricsRegistry(enabled=True))
-    try:
-        run_script(backend, script)
-        assert get_registry().counter("engine.compiled.patch_bailouts").value == 0
-    finally:
-        set_registry(previous)
-
-
-def run_script(backend, script):
+def test_every_step_is_the_oracle_tree(backend, script):
     engine = CompiledEngine(SCHEMA, domains=DOMAINS, backend=backend)
+    oracle = TreeEngine(SCHEMA, domains=DOMAINS)
     link_by_id = {}
 
     def link_of(subscription):
@@ -252,44 +259,44 @@ def run_script(backend, script):
     def insert(subscription, link):
         link_by_id[subscription.subscription_id] = link
         engine.insert(subscription)
+        oracle.insert(subscription)
         live.append(subscription)
 
+    def remove(subscription):
+        assert engine.remove(subscription.subscription_id) is subscription
+        oracle.remove(subscription.subscription_id)
+        live.remove(subscription)
+
     engine.bind_links(NUM_LINKS, link_of)
+    oracle.bind_links(NUM_LINKS, link_of)
     live = []
     for operation, spec, pick, link, event, yes_bits in script:
-        program = engine._program
-        before = slots_by_node(program, engine.tree) if program is not None else {}
-        old_root = engine.tree.root.node_id
+        root = oracle.tree.root
         if operation == "insert":
             insert(Subscription(predicate_of(spec), f"s{link}"), link)
         elif operation == "remove" and live:
-            engine.remove(live.pop(pick % len(live)).subscription_id)
+            remove(live[pick % len(live)])
         elif operation == "refresh" and live:
             subscription = live[pick % len(live)]
             link_by_id[subscription.subscription_id] = link
             engine.refresh_links(subscription)
-        elif operation == "invalidate":
-            engine.invalidate()
-        elif operation == "unroot" and not engine.tree.root.is_leaf:
+            oracle.bind_links(NUM_LINKS, link_of)  # the oracle re-annotates from scratch
+        elif operation == "unroot" and not root.is_leaf and not root.is_empty:
             # A survivor that leaves the root's level (and those above) ``*``
             # keeps the tree from draining, so the root is spliced, not emptied.
-            level = engine.tree.root.attribute_position
+            level = root.attribute_position
             survivor = predicate_of((None,) * (level + 1) + spec[level + 1 :])
             insert(Subscription(survivor, f"s{link}"), link)
             for subscription in [s for s in live if not s.predicate.tests[level].is_dont_care]:
-                engine.remove(subscription.subscription_id)
-                live.remove(subscription)
+                remove(subscription)
+        elif operation == "drain":
+            for subscription in list(live):
+                remove(subscription)
+            assert oracle.tree.root.is_empty and engine.subscription_count == 0
         elif operation == "rematerialize":
-            subscription = rematerializing_subscription(engine, pick, DOMAIN[link % 3])
+            subscription = rematerializing_subscription(oracle.tree, pick, DOMAIN[link % 3])
             if subscription is not None:
                 insert(subscription, link)
-        if engine._program is program and program is not None:
-            # A patch moves no live node: a redirected child keeps its slot.
-            # Only a root replacement moves the roots it swaps through slot 0.
-            after = slots_by_node(program, engine.tree)
-            moved = {old_root, engine.tree.root.node_id}
-            for node_id in (before.keys() & after.keys()) - moved:
-                assert after[node_id] == before[node_id], f"node #{node_id} moved"
-        assert_canonical(engine.tree)
-        assert_structure(engine)
-        assert_equals_rebuild(engine, link_of, event, yes_bits)
+        assert_canonical(oracle.tree)
+        slots = assert_structure(engine, oracle)
+        assert_answers_like_the_oracle(engine, oracle, slots, event, yes_bits)

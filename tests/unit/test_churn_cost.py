@@ -1,12 +1,11 @@
 """What a subscription change costs a compiled program: its path, in time,
 and nothing, in space.
 
-The equivalence of a patched program with a rebuilt one is the property
+The equivalence of a changed program with the oracle tree is the property
 suite's business (``tests/property/test_prop_churn_incremental.py``); this
-file pins the *cost* side — the node slots stay put under steady churn, no
-recompile is needed to keep them so, removed subscriptions are let go of, and
-the first digest projection after a patch does not grow with the
-subscription set.
+file pins the *cost* side — the node slots stay put under steady churn,
+removed subscriptions are let go of, and the first digest projection after
+a change does not grow with the subscription set.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.matching.engines import CompiledEngine
 from repro.matching.predicates import Subscription
 from repro.workload.generators import SubscriptionGenerator
 from repro.workload.spec import WorkloadSpec
-from tests.program_walk import slots_by_node
 
 #: churn_mem's subscription population: 10 attributes of 5 values.
 SPEC = WorkloadSpec(num_attributes=10, values_per_attribute=5)
@@ -51,7 +49,7 @@ def churned_engine(standing, *, seed=1):
         subscription = generator.subscription_for("c")
         engine.insert(subscription)
         fifo.append(subscription.subscription_id)
-    engine.project_links([], 0, 0)  # compile + annotate
+    engine.project_links([], 0, 0)  # annotate
     return engine, generator, fifo
 
 
@@ -74,11 +72,9 @@ class TestSteadyChurnIsStationary:
         del tracked
         for _ in range(5000):
             churn_once(engine, generator, fifo)
-        assert engine.program is program  # patched 10 000 times, never recompiled
+        assert engine.program is program  # changed 10 000 times in place
         assert abs(program.node_count - starting_nodes) <= 0.05 * starting_nodes
-        live_nodes = engine.tree.node_count()
-        assert len(slots_by_node(program, engine.tree)) == live_nodes
-        assert program.node_count == live_nodes + len(program._free_slots)
+        assert program.node_count == len(program.reachable_slots()) + len(program._free_slots)
         gc.collect()
         assert removed() is None  # no orphaned slice pins it
 
@@ -98,7 +94,7 @@ class TestFirstProjectionAfterAPatch:
         best = float("inf")
         for _ in range(repeats):
             churn_once(engine, generator, fifo)
-            live = [i for i in ids if i in engine.tree]
+            live = [i for i in ids if i in engine.program]
             began = perf_counter()
             engine.project_links(live, 0, 0b1111)
             best = min(best, perf_counter() - began)

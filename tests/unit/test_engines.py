@@ -1,5 +1,5 @@
 """Unit tests of the MatcherEngine surface and the compiled program's
-lifecycle (lazy compilation, incremental patching, recompile fallback)."""
+lifecycle (one program per engine, changed in place by insert and remove)."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from repro.matching import (
     create_engine,
     uniform_schema,
 )
-from repro.matching.compile import compile_tree
+from repro.matching.compile import CompiledProgram
 from repro.matching.events import Event
 from repro.matching.predicates import EqualityTest, Predicate, Subscription
 from tests.program_walk import slots_by_node
@@ -37,15 +37,14 @@ def link_of(sub):
     return int(sub.subscriber[1:])
 
 
-def assert_matches_a_fresh_compile(engine):
-    """The patched program walks like one lowered from the tree now."""
-    slots_by_node(engine.program, engine.tree)
-    fresh = compile_tree(engine.tree)
-    fresh.annotate(2, link_of)
+def assert_answers_like_the_oracle(engine, oracle):
+    """The program's records are the oracle's tree, and it answers alike."""
+    slots_by_node(engine.program, oracle.tree)
+    oracle.bind_links(2, link_of)
     for values in itertools.product(range(3), repeat=3):
         event = Event.from_tuple(SCHEMA, values)
-        assert engine.match(event).steps == fresh.match(event).steps
-        assert engine.match_links(event, 0, 0b11) == fresh.match_links(event, 0, 0b11)
+        assert engine.match(event).steps == oracle.match(event).steps
+        assert engine.match_links(event, 0, 0b11) == oracle.match_links(event, 0, 0b11)
 
 
 class TestCreateEngine:
@@ -89,21 +88,21 @@ class TestEngineSurface:
 
 
 class TestCompiledProgramLifecycle:
-    def test_program_compiles_lazily_and_is_patched_in_place(self):
+    def test_the_program_is_built_eagerly_and_changed_in_place(self):
         engine = CompiledEngine(SCHEMA)
+        program = engine.program  # there from construction, empty
+        assert program.match(Event.from_tuple(SCHEMA, (0, 1, 2))).steps == 1
         engine.insert(subscription((0, 1, None)))
-        program = engine.program  # force compilation
         engine.insert(subscription((0, 2, None)))
-        assert engine.program is program  # patched, not recompiled
+        assert engine.program is program
+        assert len(program) == 2
 
-    def test_steady_churn_never_recompiles(self, live_registry):
-        """A patch leaves no garbage behind, so nothing ever forces a
-        recompile: pruned slots are reused and the slot count stays put."""
+    def test_steady_churn_never_recompiles(self):
+        """A change leaves no garbage behind: pruned slots are reused and
+        the slot count stays put, in one program for the engine's life."""
         engine = CompiledEngine(SCHEMA)
         engine.insert(subscription((0, 1, None)))
         program = engine.program
-        recompiles = live_registry.counter("engine.compiled.recompiles")
-        assert recompiles.value == 1
         slot_counts = set()
         for round_index in range(5000):
             sub = subscription((round_index % 3, None, round_index % 2))
@@ -111,34 +110,33 @@ class TestCompiledProgramLifecycle:
             engine.remove(sub.subscription_id)
             slot_counts.add(engine.program.node_count)
         assert engine.program is program
-        assert recompiles.value == 1
         # The standing path's 3 slots (root, a2 node, leaf; a3 is ``*``)
         # plus the longest churned path's 2 (an a3 node and its leaf).
         assert max(slot_counts) == 5
         event = Event.from_tuple(SCHEMA, (0, 1, 0))
         assert {s.subscription_id for s in engine.match(event).subscriptions}
 
-    def test_a_spliced_node_is_patched_in_place(self, live_registry):
+    def test_a_spliced_node_is_patched_in_place(self):
         """A removal that leaves a node with only its ``*``-child splices it
-        out; the patch frees that node's slot and its pruned branch, and the
-        parent's edge takes the ``*``-child's slot as it is."""
-        engine = CompiledEngine(SCHEMA, domains=DOMAINS)
+        out: the node's slot takes the child's record, and the child's old
+        slot and the pruned branch's two go onto the free list."""
+        engine, oracle = CompiledEngine(SCHEMA, domains=DOMAINS), TreeEngine(SCHEMA)
         engine.bind_links(2, link_of)
         keep = subscription((0, None, 1), "s0")
         gone = subscription((0, 2, 1), "s1")
-        engine.insert(keep)
-        engine.insert(gone)
+        for sub in (keep, gone):
+            engine.insert(sub)
+            oracle.insert(sub)
         program = engine.program
         engine.project_links([], 0, 0)  # annotate
-        a2_node = engine.tree.root.value_branches[0]
-        star_slot = slots_by_node(program, engine.tree)[a2_node.star_child.node_id]
+        a2_slot = program._records[0][1][program.value_ids[0]]
         engine.remove(gone.subscription_id)
-        assert engine.tree.root.value_branches[0] is a2_node.star_child
+        oracle.remove(gone.subscription_id)
         assert engine.program is program
-        assert slots_by_node(program, engine.tree)[a2_node.star_child.node_id] == star_slot
-        assert len(program._free_slots) == 3  # the a2 node, gone's a3 node and leaf
-        assert_matches_a_fresh_compile(engine)
-        assert live_registry.counter("engine.compiled.patch_bailouts").value == 0
+        assert program._records[0][1][program.value_ids[0]] == a2_slot
+        assert program._records[a2_slot][0] == SCHEMA.position_of("a3")
+        assert len(program._free_slots) == 3  # the *-child's old slot, gone's a3 node and leaf
+        assert_answers_like_the_oracle(engine, oracle)
 
     @pytest.mark.parametrize(
         "standing, changed",
@@ -147,33 +145,28 @@ class TestCompiledProgramLifecycle:
             ((0, 1, 2), (None, 1, 2)),  # the root spliced out on remove
         ],
     )
-    def test_a_replaced_root_is_patched_at_slot_zero(self, live_registry, standing, changed):
-        engine = CompiledEngine(SCHEMA, domains=DOMAINS)
+    def test_a_replaced_root_is_patched_at_slot_zero(self, standing, changed):
+        engine, oracle = CompiledEngine(SCHEMA, domains=DOMAINS), TreeEngine(SCHEMA)
         engine.bind_links(2, link_of)
-        engine.insert(subscription(standing, "s0"))
         program = engine.program
         engine.project_links([], 0, 0)  # annotate
-        late = subscription(changed, "s1")
-        engine.insert(late)
+        for sub in (subscription(standing, "s0"), subscription(changed, "s1")):
+            engine.insert(sub)
+            oracle.insert(sub)
         if standing[0] is not None:
-            engine.remove(engine.subscriptions[0].subscription_id)  # leaves late only
+            first = engine.subscriptions[0].subscription_id
+            engine.remove(first)  # leaves the late one only
+            oracle.remove(first)
         assert engine.program is program
-        assert program._slot_node_id[0] == engine.tree.root.node_id
-        assert_matches_a_fresh_compile(engine)
-        assert live_registry.counter("engine.compiled.patch_bailouts").value == 0
+        assert program._records[0][0] == oracle.tree.root.attribute_position  # order = schema order
+        assert_answers_like_the_oracle(engine, oracle)
 
-    def test_invalidate_forces_recompile(self):
-        engine = CompiledEngine(SCHEMA)
-        engine.insert(subscription((0, 1, None)))
-        before = engine.program
-        engine.invalidate()
-        assert engine.program is not before
-
-    def test_compile_tree_matches_like_the_tree(self):
+    def test_a_program_matches_like_the_tree(self):
         engine = TreeEngine(SCHEMA)
+        program = CompiledProgram(SCHEMA)
         for values in ((0, 1, None), (None, 1, 2), (2, None, None)):
             engine.insert(subscription(values))
-        program = compile_tree(engine.tree)
+            program.insert(engine.subscriptions[-1])
         for event_values in ((0, 1, 2), (2, 1, 2), (1, 1, 1)):
             event = Event.from_tuple(SCHEMA, event_values)
             tree_result = engine.match(event)
@@ -182,6 +175,30 @@ class TestCompiledProgramLifecycle:
                 s.subscription_id for s in compiled_result.subscriptions
             ) == sorted(s.subscription_id for s in tree_result.subscriptions)
             assert compiled_result.steps == tree_result.steps
+
+    def test_an_annotated_view_cannot_change_the_structure(self):
+        program = CompiledProgram(SCHEMA)
+        standing = subscription((0, None, None))
+        program.insert(standing)
+        view = program.annotated_view(1, lambda s: 0)
+        with pytest.raises(RoutingError, match="view"):
+            view.insert(subscription((1, None, None)))
+        with pytest.raises(RoutingError, match="view"):
+            view.remove(standing.subscription_id)
+        assert len(program) == 1
+
+    def test_bad_inserts_and_removes_change_nothing(self):
+        program = CompiledProgram(SCHEMA)
+        standing = subscription((0, None, None))
+        program.insert(standing)
+        records = list(program._records)
+        with pytest.raises(SubscriptionError, match="already registered"):
+            program.insert(standing)
+        with pytest.raises(SubscriptionError, match="unknown subscription id"):
+            program.remove(standing.subscription_id + 1)
+        with pytest.raises(SubscriptionError, match="schema"):
+            program.insert(Subscription(Predicate(uniform_schema(2), {}), "s0"))
+        assert program._records == records and program.subscriptions == [standing]
 
     def test_match_rejects_foreign_schema(self):
         engine = CompiledEngine(SCHEMA)

@@ -11,6 +11,7 @@ from repro.broker import (
     InMemoryTransport,
     RequestFailed,
 )
+from repro.broker import messages as wire
 from repro.errors import ProtocolError, RoutingError, TransportError
 from repro.matching import Subscription, parse_predicate, stock_trade_schema
 from repro.network import NodeKind, Topology
@@ -147,6 +148,29 @@ class TestSubscriptionPropagation:
             alice.unsubscribe_and_wait(subscription_id)
         transport.pump()
         assert nodes["B0"].subscription_count == 1
+
+
+class TestBadSubPropagate:
+    """A peer's SUB_PROPAGATE that does not parse, or names an unsatisfiable
+    predicate, is a protocol violation naming the subscription id — and
+    leaves no trace: no subscriber recorded, so the matching
+    UNSUB_PROPAGATE is a no-op rather than an unknown-id error."""
+
+    @pytest.mark.parametrize("expression", ["price <", "price > 5 & price < 3"])
+    def test_refused_without_a_phantom_id(self, expression):
+        _schema, _transport, nodes = two_broker_network()
+        node = nodes["B1"]
+        peer = node._broker_connections["B0"]
+        subscription_id = 10**9
+        with pytest.raises(ProtocolError, match=f"#{subscription_id}"):
+            node._dispatch(peer, wire.SubPropagate(subscription_id, "alice", expression, "B0"))
+        assert subscription_id not in node._subscriber_of
+        assert node.subscription_count == 0
+        node._dispatch(peer, wire.UnsubPropagate(subscription_id, "B0"))  # a no-op
+        assert node.subscription_count == 0
+        # The broker still takes a good one under the same id.
+        node._dispatch(peer, wire.SubPropagate(subscription_id, "alice", "price < 3", "B0"))
+        assert node.subscription_count == 1
 
 
 class TestRefusedUnsubscribe:

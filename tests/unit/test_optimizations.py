@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import RoutingError, SubscriptionError
 from repro.matching import Event, FactoredMatcher, ParallelSearchTree, SearchDag, build_pst
-from repro.matching.compile import compile_tree
+from repro.matching.compile import CompiledProgram
 from tests.conftest import make_subscription
 
 DOMAINS = {f"a{i}": [0, 1, 2] for i in range(1, 6)}
@@ -45,24 +45,24 @@ class TestFactoredMatcher:
     def test_equality_subscription_goes_to_one_tree(self, schema5):
         matcher = FactoredMatcher(schema5, ["a1"], DOMAINS)
         matcher.insert(make_subscription(schema5, "a1=1 & a3=2", "alice"))
-        assert len(dict(matcher.trees())) == 1
+        assert len(dict(matcher.subtrees())) == 1
 
     def test_star_subscription_replicated_across_domain(self, schema5):
         matcher = FactoredMatcher(schema5, ["a1"], DOMAINS)
         matcher.insert(make_subscription(schema5, "a3=2", "alice"))
         # One tree per a1 domain value, plus the out-of-domain bucket.
-        assert len(dict(matcher.trees())) == 4
+        assert len(dict(matcher.subtrees())) == 4
 
     def test_two_index_attributes_cross_product(self, schema5):
         matcher = FactoredMatcher(schema5, ["a1", "a2"], DOMAINS)
         matcher.insert(make_subscription(schema5, "a3=2", "alice"))
-        assert len(dict(matcher.trees())) == 16  # (3 values + out-of-domain)^2
+        assert len(dict(matcher.subtrees())) == 16  # (3 values + out-of-domain)^2
 
     def test_out_of_domain_equality_lives_in_overflow_bucket(self, schema5):
         matcher = FactoredMatcher(schema5, ["a1"], DOMAINS)
         matcher.insert(make_subscription(schema5, "a1=99", "alice"))
         assert len(matcher) == 1
-        assert len(dict(matcher.trees())) == 1  # the out-of-domain bucket
+        assert len(dict(matcher.subtrees())) == 1  # the out-of-domain bucket
         in_domain = Event.from_tuple(schema5, (1, 0, 0, 0, 0))
         assert matcher.match(in_domain).subscriptions == []
         out_miss = Event.from_tuple(schema5, (7, 0, 0, 0, 0))
@@ -110,7 +110,7 @@ class TestFactoredMatcher:
         removed = matcher.remove(sub.subscription_id)
         assert removed.subscription_id == sub.subscription_id
         assert len(matcher) == 0
-        assert len(dict(matcher.trees())) == 0
+        assert len(dict(matcher.subtrees())) == 0
 
     def test_remove_unknown(self, schema5):
         matcher = FactoredMatcher(schema5, ["a1"], DOMAINS)
@@ -132,35 +132,39 @@ class TestFactoredMatcher:
 
 class TestPerSubtreeStaleness:
     """A subscription change costs the sub-trees it maps to: only their
-    versions move, only they are re-spliced and re-lowered."""
+    versions move, only their programs change."""
 
     def test_a_change_moves_only_its_keys(self, schema5):
         matcher = FactoredMatcher(schema5, ["a1"], DOMAINS, engine="compiled")
         for value in range(3):
             matcher.insert(make_subscription(schema5, f"a1={value} & a2=1", "alice"))
-        programs = {key: matcher.program_for(key) for key, _ in matcher.trees()}
+        programs = dict(matcher.subtrees())
         versions = {key: matcher.version_of(key) for key in programs}
+        generations = {key: program.generation for key, program in programs.items()}
         mutations = matcher.mutations
         late = make_subscription(schema5, "a1=1 & a3=2", "bob")
         matcher.insert(late)
         assert matcher.mutations == mutations + 1
         for key, program in programs.items():
             touched = key == (1,)
-            assert (matcher.program_for(key) is not program) == touched
+            assert dict(matcher.subtrees())[key] is program
+            assert (program.generation != generations[key]) == touched
             assert (matcher.version_of(key) != versions[key]) == touched
         matcher.remove(late.subscription_id)
         assert matcher.version_of((1,)) > versions[(1,)] + 1  # never reused
-        assert matcher.program_for((0,)) is programs[(0,)]
+        assert dict(matcher.subtrees())[(0,)] is programs[(0,)]
 
     def test_program_is_lowered_from_the_compacted_tree(self, schema5):
         """The index level a relaxed insert leaves ``*`` never gets a node
-        (trivial-test elimination is a tree invariant), so the lowered
-        program and the tree agree on steps."""
+        (trivial-test elimination holds in the program as in the tree), so
+        the program and the tree-engine matcher agree on steps."""
         matcher = FactoredMatcher(schema5, ["a1"], DOMAINS, engine="compiled")
         matcher.insert(make_subscription(schema5, "a1=1 & a5=2", "alice"))
         event = Event.from_tuple(schema5, (1, 0, 0, 0, 2))
-        program = matcher.program_for((1,))
-        tree = dict(matcher.trees())[(1,)]
+        oracle = FactoredMatcher(schema5, ["a1"], DOMAINS, engine="tree")
+        oracle.insert(make_subscription(schema5, "a1=1 & a5=2", "alice"))
+        tree = dict(oracle.subtrees())[(1,)]
+        program = dict(matcher.subtrees())[(1,)]
         assert program.match(event).steps == tree.match(event).steps == 2
         assert matcher.match(event).steps == 3  # + the index lookup
 
@@ -178,19 +182,18 @@ class TestAnnotatedViews:
 
     @pytest.fixture
     def program(self, schema5):
-        tree = ParallelSearchTree(schema5, domains=DOMAINS)
-        tree.insert(make_subscription(schema5, "a1=1 & a2=1", "alice"))
-        tree.insert(make_subscription(schema5, "a1=1", "bob"))
-        tree.insert(make_subscription(schema5, "a3=2", "carol"))
-        return compile_tree(tree), tree
+        program = CompiledProgram(schema5, domains=DOMAINS)
+        program.insert(make_subscription(schema5, "a1=1 & a2=1", "alice"))
+        program.insert(make_subscription(schema5, "a1=1", "bob"))
+        program.insert(make_subscription(schema5, "a3=2", "carol"))
+        return program
 
     def test_views_do_not_see_each_others_annotations(self, program, schema5):
-        program, _tree = program
         # Two brokers, two link layouts: alice/bob/carol behind links 0/1/2
         # of a 3-link broker, all behind link 0 of a 1-link broker.
         wide = program.annotated_view(3, lambda s: "abc".index(s.subscriber[0]))
         narrow = program.annotated_view(1, lambda s: 0)
-        for slot in ("_records", "value_ids", "_sub_leaf", "_free_slots", "_slot_node_id"):
+        for slot in ("_records", "value_ids", "_sub_leaf", "_free_slots"):
             assert getattr(wide, slot) is getattr(program, slot) is getattr(narrow, slot)
         assert wide.ann_yes is not narrow.ann_yes is not program.ann_yes
         assert not program.annotated, "a view never annotates its base"
@@ -204,7 +207,7 @@ class TestAnnotatedViews:
         ]
 
     def test_reannotating_one_view_leaves_the_other_alone(self, program):
-        program, _tree = program
+        generation = program.generation  # one per insert
         first = program.annotated_view(2, lambda s: 0)
         second = program.annotated_view(2, lambda s: 1)
         second.backend_state["scratch"] = object()
@@ -212,16 +215,16 @@ class TestAnnotatedViews:
         first.annotate(2, lambda s: 1)
         assert first.generation == 2 and first.ann_yes == second.ann_yes
         assert (second.generation, second.backend_state, second.ann_yes) == before
-        assert program.generation == 0 and not program.backend_state
+        assert program.generation == generation and not program.backend_state
 
     def test_patch_through_a_view_is_refused(self, program, schema5):
-        program, tree = program
         view = program.annotated_view(1, lambda s: 0)
         late = make_subscription(schema5, "a1=2", "dave")
-        tree.insert(late)
         with pytest.raises(RoutingError, match="view"):
-            view.patch(tree, late.predicate)
-        assert program.patch(tree, late.predicate)  # the owner still can
+            view.insert(late)
+        assert late.subscription_id not in program
+        program.insert(late)  # the owner still can
+        assert late.subscription_id in view  # and every view shares the change
 
 
 class TestSearchDag:

@@ -5,19 +5,21 @@ replica allocates per subscription are what link matching costs in memory.
 The guard inserts 2 000 subscriptions of the ``chain_mem_25k`` benchmark's
 population (10 attributes, 20 values each, population seed 1999) into a
 :class:`CompiledEngine` and counts the garbage collector's tracked objects.
-Unused PST containers are shared immutable empties, and equality tests are
-interned, so a broker-subscription costs ~10 tracked objects; an empty list
-or dict per node, or one test per predicate slot, more than doubles that.
+The engine's program is the whole replica — no ``PSTNode`` graph stands
+behind it, which the next guard pins by the PST's node-id counter — and
+equality tests are interned, so a broker-subscription costs ~8 tracked
+objects; a PST kept beside the program (~10 more), or one test per
+predicate slot, more than doubles that.
 
-The other guards compile and annotate that replica.  One node slot per PST
-node, and no node left with only a ``*``-child (trivial-test elimination
-is a tree invariant), keeps it at ~3.6 slots per subscription; a tree that
-grows a node on every level its subscriptions leave ``*`` needs twice that.
-Then they size what the compiled program owns per node slot.  One record
-per slot is the whole structure; beside the records and the two annotation
-columns a program keeps only the slot's node id and the
-subscription-to-leaf map, so a second copy of the structure — a parallel
-array, a node-id map — shows as a multiple of that small remainder.
+The other guards annotate that replica.  One node slot per tree node, and
+no node left with only a ``*``-child (trivial-test elimination holds on the
+records), keeps it at ~3.6 slots per subscription; a tree that grows a node
+on every level its subscriptions leave ``*`` needs twice that.  Then they
+size what the compiled program owns per node slot.  One record per slot is
+the whole structure; beside the records and the two annotation columns a
+program keeps only the subscription-to-leaf map and the free list, so a
+second copy of the structure — a parallel array, a node-id map — shows as a
+multiple of that small remainder.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ from __future__ import annotations
 import gc
 import sys
 
-from repro.matching import EqualityTest, Subscription
+from repro.matching import EqualityTest, FactoredMatcher, Subscription, pst
 from repro.matching.compile import CompiledProgram
 from repro.matching.engines import CompiledEngine
 from repro.matching.predicates import AttributeTest, Predicate
-from repro.matching.pst import PSTNode
 from repro.workload.generators import SubscriptionGenerator
 from repro.workload.spec import WorkloadSpec
 
@@ -39,15 +40,16 @@ CLIENTS = [f"c{i}" for i in range(40)]
 #: Slots per subscription, measured at 3.571 (7 142 slots), plus 5 %; 7.44
 #: (14 889 slots) while star-only nodes were kept.
 SLOTS_PER_SUBSCRIPTION_BOUND = 3.75
-#: Bytes per slot, measured at 333.2 (records and annotation) and 19.7
+#: Bytes per slot, measured at 333.2 (records and annotation) and 11.4
 #: (everything else) on those 7 142 slots, plus ~15 %.  Restoring a
-#: parallel array adds >= 8 bookkeeping bytes per slot, a node-id map ~40.
+#: parallel array adds >= 8 bookkeeping bytes per slot (the per-slot node
+#: id column did: 19.7), a node-id map ~40.
 STRUCTURE_BOUND = 383
-BOOKKEEPING_BOUND = 22.6
+BOOKKEEPING_BOUND = 13.1
 
 
-#: Where the program walk stops: the tree and what its leaves name.
-BORROWED = (PSTNode, Subscription, Predicate, AttributeTest)
+#: Where the program walk stops: what its leaves name.
+BORROWED = (Subscription, Predicate, AttributeTest)
 #: Program slots that wire it to its surroundings rather than hold structure.
 WIRING = {
     "schema",
@@ -63,12 +65,14 @@ WIRING = {
 STRUCTURE = ("_records", "ann_yes", "ann_maybe")
 
 
-def replica():
-    spec = WorkloadSpec(
-        num_attributes=10, values_per_attribute=20, factoring_levels=0, locality_regions=1
-    )
-    generator = SubscriptionGenerator(spec, seed=POPULATION_SEED)
-    engine = CompiledEngine(spec.schema(), domains=spec.domains())
+SPEC = WorkloadSpec(
+    num_attributes=10, values_per_attribute=20, factoring_levels=0, locality_regions=1
+)
+
+
+def replica(matcher=None):
+    generator = SubscriptionGenerator(SPEC, seed=POPULATION_SEED)
+    engine = CompiledEngine(SPEC.schema(), domains=SPEC.domains()) if matcher is None else matcher
     for index in range(SUBSCRIPTIONS):
         client = CLIENTS[index % len(CLIENTS)]
         engine.insert(Subscription(generator.predicate_for(client), client))
@@ -114,10 +118,27 @@ def test_replica_tracked_objects_per_subscription():
     assert len(tests) <= 200, f"{len(tests)} distinct EqualityTest instances"
 
 
+def test_a_compiled_replica_builds_no_pst_node():
+    """Neither an engine's replica nor a compiled factored matcher's
+    constructs a single ``PSTNode``: the node-id counter does not move."""
+    first = next(pst._node_ids)
+    engine = replica()
+    engine.bind_links(len(CLIENTS), lambda subscription: int(subscription.subscriber[1:]))
+    engine.project_links([], 0, 0)  # annotate
+    for subscription in engine.subscriptions[:100]:
+        engine.remove(subscription.subscription_id)
+    factored = FactoredMatcher(
+        SPEC.schema(), SPEC.attribute_names[:2], SPEC.domains(), engine="compiled"
+    )
+    replica(factored)
+    assert len(factored) == SUBSCRIPTIONS and len(dict(factored.subtrees())) > 1
+    assert next(pst._node_ids) == first + 1
+
+
 def annotated_replica():
     engine = replica()
     engine.bind_links(len(CLIENTS), lambda subscription: int(subscription.subscriber[1:]))
-    engine.project_links([], 0, 0)  # compile + annotate
+    engine.project_links([], 0, 0)  # annotate
     return engine
 
 
@@ -133,9 +154,8 @@ def test_compiled_program_bytes_per_slot():
     engine = annotated_replica()
     program = engine.program
     slots = program.node_count
-    # Node ids and subscription ids are the tree's, not the program's.
-    seen = {id(node.node_id) for node in engine.tree.nodes()}
-    seen.update(id(subscription.subscription_id) for subscription in engine.subscriptions)
+    # Subscription ids are the subscriptions', not the program's.
+    seen = {id(subscription.subscription_id) for subscription in engine.subscriptions}
     structure = owned_bytes(program, STRUCTURE, seen) / slots
     others = [field for field in CompiledProgram.__slots__ if field not in WIRING]
     bookkeeping = owned_bytes(program, [f for f in others if f not in STRUCTURE], seen) / slots

@@ -211,7 +211,7 @@ class TestSharedMatcher:
         assert routers["B3"].route(event, "B0").deliver_to == ["c.B3"]
         assert routers["B2"].route(event, "B0").forward_to == []
         views = [router._subtrees[(1,)][1] for router in routers.values()]
-        program = matcher.program_for((1,))
+        program = dict(matcher.subtrees())[(1,)]
         assert all(view._base is program for view in views)
         assert all(view._records is program._records for view in views)
         assert len({id(view.ann_yes) for view in views}) == len(views)
@@ -223,14 +223,16 @@ class TestSharedMatcher:
         event = Event.from_tuple(schema5, (1, 2, 0, 0, 0))
         assert routers["B0"].route(event, "B0").forward_to == []
         untouched = routers["B0"]._subtrees[(2,)]
-        stale = matcher.program_for((1,))
-        # The owner mutates the shared matcher; B0 is not even told — its
-        # next route must still follow the program the matcher holds *now*.
+        program = dict(matcher.subtrees())[(1,)]
+        stale = routers["B0"]._subtrees[(1,)][1]
+        # The owner changes the shared matcher's program in place; B0 is not
+        # even told — its next route must still follow the program as it is
+        # *now*, through a view annotated after the change.
         matcher.insert(make_subscription(schema5, "a1=1 & a2=2", "c.B2"))
         assert routers["B0"].route(event, "B0").forward_to == ["B2"]
-        fresh = matcher.program_for((1,))
-        assert fresh is not stale
-        assert routers["B0"]._subtrees[(1,)][1]._base is fresh
+        assert dict(matcher.subtrees())[(1,)] is program
+        fresh = routers["B0"]._subtrees[(1,)][1]
+        assert fresh is not stale and fresh._base is program
         assert routers["B0"]._subtrees[(2,)] is untouched, "only the touched key re-annotates"
 
     def test_emptied_subtree_is_dropped(self, two_broker_topology, schema5):
@@ -296,8 +298,8 @@ class TestSharedMatcher:
 
 class TestChurnCostIsPerSubtree:
     """Counts, not clocks: after one subscription change on a warm matcher
-    shared by N routers, each touched sub-tree is lowered once and annotated
-    once per router; untouched sub-trees cost nothing."""
+    shared by N routers, each touched sub-tree is changed in place and
+    annotated once per router; untouched sub-trees cost nothing."""
 
     def test_one_insert_recompiles_and_reannotates_its_keys_only(
         self, diamond_topology, live_registry, monkeypatch
@@ -318,8 +320,8 @@ class TestChurnCostIsPerSubtree:
         warm = Event.from_tuple(schema, (0, 0, 1, 0))
         for router in routers.values():
             router.route(warm, "B0")
-        compiles = live_registry.counter("engine.factored.compiles", engine="factored-compiled")
-        assert len(list(matcher.trees())) == 36 and compiles.value == 36
+        programs = dict(matcher.subtrees())
+        assert len(programs) == 36
 
         annotations = []
         annotate = CompiledProgram.annotate
@@ -337,6 +339,7 @@ class TestChurnCostIsPerSubtree:
         for router in routers.values():
             router.route(warm, "B0")
             router.route(warm, "B0")
-        assert compiles.value == 36 + len(keys)
+        assert all(programs[key] is dict(matcher.subtrees())[key] for key in programs)
+        assert len(dict(matcher.subtrees())) == 36 + 1  # one out-of-domain key is new
         assert len(annotations) == len(keys) * len(routers)
         assert len({id(view) for view in annotations}) == len(annotations)
