@@ -43,19 +43,9 @@ RESULTS_PATH = RESULTS_DIR / "compare_engines.txt"
 ENGINES = ("tree", "compiled")
 
 
-def build_engine(name, subscriptions, *, backend=None, aggregate=False):
+def build_engine(name, subscriptions):
     spec = CHART1_SPEC
-    engine = create_engine(
-        name,
-        spec.schema(),
-        domains=spec.domains(),
-        # The tree engine has no kernels to swap; --backend only affects
-        # the compiled side of the comparison.
-        backend=backend if name == "compiled" else None,
-        # The covering forest wraps the compiled side only: the tree engine
-        # stays the unaggregated reference the speedup is measured against.
-        aggregate=aggregate and name == "compiled",
-    )
+    engine = create_engine(name, spec.schema(), domains=spec.domains())
     for subscription in subscriptions:
         engine.insert(subscription)
     return engine
@@ -108,10 +98,7 @@ def time_matches_churn(engine, events, churn, plan):
     return elapsed / len(events), total_steps / len(events)
 
 
-def run(
-    counts, num_events, repeats, seed,
-    *, churn=0, backend=None, aggregate=False, dup_rate=0.0,
-):
+def run(counts, num_events, repeats, seed, *, churn=0):
     """Sweep the subscription counts; returns (rows, rendered table text).
 
     Each row is ``{subscriptions, avg_steps, tree_us, compiled_us, speedup}``.
@@ -120,9 +107,7 @@ def run(
     from the same starting state).
     """
     spec = CHART1_SPEC
-    subscription_generator = SubscriptionGenerator(
-        spec, seed=seed, duplicate_rate=dup_rate
-    )
+    subscription_generator = SubscriptionGenerator(spec, seed=seed)
     event_generator = EventGenerator(spec, seed=seed + 1)
     events = [event_generator.event_for() for _ in range(num_events)]
 
@@ -148,9 +133,7 @@ def run(
             if churn:
                 best = float("inf")
                 for _ in range(repeats):
-                    engine = build_engine(
-                        name, subscriptions, backend=backend, aggregate=aggregate
-                    )
+                    engine = build_engine(name, subscriptions)
                     engine.match(events[0])  # warm up (compiled: force compilation)
                     per_event, avg_steps = time_matches_churn(
                         engine, events, churn, plan
@@ -158,30 +141,10 @@ def run(
                     best = min(best, per_event)
                 per_match[name], steps[name] = best, avg_steps
             else:
-                engine = build_engine(
-                    name, subscriptions, backend=backend, aggregate=aggregate
-                )
+                engine = build_engine(name, subscriptions)
                 engine.match(events[0])  # warm up (compiled: force compilation)
                 per_match[name], steps[name] = time_matches(engine, events, repeats)
-        compression = None
-        if aggregate:
-            # Aggregation legitimately changes the step count (deduped
-            # leaves walk once for many subscribers); sanity-check match
-            # sets instead of steps.
-            tree_set = sorted(
-                s.subscription_id
-                for s in build_engine("tree", subscriptions).match(events[0]).subscriptions
-            )
-            agg_engine = build_engine(
-                "compiled", subscriptions, backend=backend, aggregate=True
-            )
-            agg_set = sorted(
-                s.subscription_id for s in agg_engine.match(events[0]).subscriptions
-            )
-            assert tree_set == agg_set, "aggregation changed the match set"
-            compression = agg_engine.compression_ratio
-        else:
-            assert steps["tree"] == steps["compiled"], "engines disagree on steps"
+        assert steps["tree"] == steps["compiled"], "engines disagree on steps"
         speedup = per_match["tree"] / per_match["compiled"]
         row = {
             "subscriptions": count,
@@ -190,8 +153,6 @@ def run(
             "compiled_us": per_match["compiled"] * 1e6,
             "speedup": speedup,
         }
-        if compression is not None:
-            row["compression"] = compression
         rows.append(row)
         lines.append(
             f"{count:>13} {steps['tree']:>9.1f} "
@@ -212,9 +173,6 @@ def emit_bench(rows, args, directory):
             "repeats": args.repeats,
             "seed": args.seed,
             "churn": args.churn,
-            "backend": args.backend,
-            "aggregate": args.aggregate,
-            "dup_rate": args.dup_rate,
         },
         wall_clock_s=None,
         metrics=get_registry(),
@@ -249,30 +207,10 @@ def main(argv=None):
         "replace one registered subscription with a fresh one (0 = off); "
         "insert/remove cost lands inside the timed region",
     )
-    parser.add_argument(
-        "--backend", default=None, choices=("interp", "vector"),
-        help="kernel backend for the compiled engine (default: engine default)",
-    )
-    parser.add_argument(
-        "--aggregate", action="store_true",
-        help="wrap the compiled engine in the online covering forest "
-        "(repro.matching.aggregation); the tree engine stays the "
-        "unaggregated reference, so the speedup column shows the dedup win",
-    )
-    parser.add_argument(
-        "--dup-rate", type=float, default=0.0, metavar="D",
-        help="probability that a generated subscription reuses a previously "
-        "generated predicate body (see SubscriptionGenerator duplicate_rate); "
-        "makes the aggregation win measurable",
-    )
     args = parser.parse_args(argv)
 
     get_registry().enable()  # before any engine exists, so instruments record
-    rows, table = run(
-        args.counts, args.events, args.repeats, args.seed,
-        churn=args.churn, backend=args.backend,
-        aggregate=args.aggregate, dup_rate=args.dup_rate,
-    )
+    rows, table = run(args.counts, args.events, args.repeats, args.seed, churn=args.churn)
     print(table)
     if args.save:
         RESULTS_DIR.mkdir(exist_ok=True)

@@ -17,11 +17,10 @@ owns (an annotated view's shared structure counted once), and
 field reaches, i.e. what deleting it would free.  The walk stops at
 subscriptions, predicates and tests (what leaves name) and counts small ints
 as free.  Per broker it counts the live slots of the programs the broker's
-router matches on (``live_slots``; all sub-trees of a factored matcher,
-both programs of an aggregating engine) and those among them holding a
-node left with only a ``*``-child (``star_only_slots``, which trivial-test
-elimination keeps at 0).  Run from the repository root (``--quick`` uses
-the workload's smoke size)::
+router matches on (``live_slots``; all sub-trees of a factored matcher) and
+those among them holding a node left with only a ``*``-child
+(``star_only_slots``, which trivial-test elimination keeps at 0).  Run
+from the repository root (``--quick`` uses the workload's smoke size)::
 
     PYTHONHASHSEED=0 PYTHONPATH=src python benchmarks/setup_split.py chain_mem_25k --seed 1
 
@@ -56,9 +55,6 @@ _WIRING = frozenset(
     (
         "schema",
         "attribute_order",
-        "backend",
-        "_obs_kernel_calls",
-        "_obs_kernel_events",
         "_link_of_subscriber",
         "_schema_ok",
         "_base",
@@ -117,8 +113,6 @@ def router_programs(router):
     matcher = router.matcher
     if hasattr(matcher, "subtrees"):  # factored: one sub-tree per index key
         return [program for _key, program in matcher.subtrees()]
-    if hasattr(matcher, "inner"):  # aggregating: roots and covered groups
-        return [matcher.inner.program, matcher._covered.program]
     return [matcher.program]
 
 

@@ -52,59 +52,14 @@ def _metric_value(payload: Dict[str, Any], key: Optional[str]) -> Any:
 
 
 def _speedup_cell(payload: Dict[str, Any]) -> Any:
-    """compare_engines/backend_scaling/aggregation_scaling artifacts carry
-    sweep rows in ``extra``.
-
-    The cell shows the sweep's headline row: the vector kernel
-    (backend_scaling) or the largest subscription count (compare_engines
-    and aggregation_scaling — the latter's baseline may be skipped at
-    scale, so the cell can be empty).
-    """
+    """compare_engines artifacts carry sweep rows in ``extra``; the cell
+    shows the largest subscription count's speedup."""
     rows = payload.get("extra", {}).get("rows")
     if not rows:
         return ""
-    if any("backend" in row for row in rows):
-        gate_row = next(
-            (row for row in rows if row.get("backend") == "vector"), rows[0]
-        )
-    else:
-        gate_row = max(rows, key=lambda row: row.get("subscriptions", 0))
+    gate_row = max(rows, key=lambda row: row.get("subscriptions", 0))
     speedup = gate_row.get("speedup")
     return f"{speedup:.2f}x" if isinstance(speedup, (int, float)) else ""
-
-
-def _compression_cell(payload: Dict[str, Any]) -> Any:
-    """Subscription-aggregation compression at the largest sweep point
-    (aggregation_scaling artifacts only; empty for every other benchmark)."""
-    rows = payload.get("extra", {}).get("rows") or []
-    if not any("compression" in row for row in rows):
-        return ""
-    gate_row = max(rows, key=lambda row: row.get("subscriptions", 0))
-    compression = gate_row.get("compression")
-    return (
-        f"{compression:.2f}x" if isinstance(compression, (int, float)) else ""
-    )
-
-
-def _ingest_cell(payload: Dict[str, Any]) -> Any:
-    """Subscription-ingest throughput (aggregation_scaling artifacts only).
-
-    Prefers the covering-index gate comparison (``extra.ingest_gate`` —
-    indexed subs/s at the gate count), falling back to the largest sweep
-    row's insert-loop throughput; empty for every other benchmark.
-    """
-    extra = payload.get("extra", {})
-    gate = extra.get("ingest_gate")
-    if isinstance(gate, dict):
-        rate = gate.get("indexed_subs_per_s")
-        if isinstance(rate, (int, float)):
-            return f"{rate:,.0f}/s"
-    rows = extra.get("rows") or []
-    if not any("ingest_subs_per_s" in row for row in rows):
-        return ""
-    gate_row = max(rows, key=lambda row: row.get("subscriptions", 0))
-    rate = gate_row.get("ingest_subs_per_s")
-    return f"{rate:,.0f}/s" if isinstance(rate, (int, float)) else ""
 
 
 def _hop_cost_cell(payload: Dict[str, Any]) -> Any:
@@ -118,23 +73,6 @@ def _hop_cost_cell(payload: Dict[str, Any]) -> Any:
     )
     reduction = gate_row.get("step_reduction")
     return f"{reduction:.2f}x" if isinstance(reduction, (int, float)) else ""
-
-
-def _backend_cell(payload: Dict[str, Any]) -> Any:
-    """The kernel backend a sweep ran on.
-
-    backend_scaling artifacts sweep the whole axis; the other scripts
-    record a single ``--backend`` choice in their workload block (absent
-    or null means the engine default).
-    """
-    rows = payload.get("extra", {}).get("rows") or []
-    if any("backend" in row for row in rows):
-        # Same headline row the speedup cell shows.
-        gate_row = next(
-            (row for row in rows if row.get("backend") == "vector"), rows[0]
-        )
-        return gate_row.get("backend", "")
-    return payload.get("workload", {}).get("backend") or ""
 
 
 def trend_tables(
@@ -153,8 +91,7 @@ def trend_tables(
     tables = []
     for name in sorted(by_name):
         columns = [
-            "created", "git_sha", "engine", "backend", "wall_clock_s",
-            "speedup", "compression", "ingest", "hop_cost",
+            "created", "git_sha", "engine", "wall_clock_s", "speedup", "hop_cost",
         ]
         if metric:
             columns.append(metric)
@@ -168,11 +105,8 @@ def trend_tables(
                 created,
                 str(payload.get("git_sha", ""))[:10],
                 payload.get("engine") or "",
-                _backend_cell(payload),
                 f"{wall:.2f}" if isinstance(wall, (int, float)) else "",
                 _speedup_cell(payload),
-                _compression_cell(payload),
-                _ingest_cell(payload),
                 _hop_cost_cell(payload),
             ]
             if metric:

@@ -45,16 +45,9 @@ class MatchingEngine:
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
         engine: str = DEFAULT_ENGINE,
-        backend: Optional[str] = None,
-        aggregate: bool = False,
     ) -> None:
         self.schema = schema
         self.engine = engine
-        if aggregate:
-            # Aggregation compresses the subscription set inside the engine;
-            # factoring splits it before the engine sees it — aggregation
-            # takes precedence (mirrors ContentRouter).
-            factoring_attributes = None
         if factoring_attributes:
             if domains is None:
                 raise SubscriptionError("factoring requires finite attribute domains")
@@ -68,16 +61,10 @@ class MatchingEngine:
                     else None
                 ),
                 engine=engine,
-                backend=backend,
             )
         else:
             self.matcher = create_engine(
-                engine,
-                schema,
-                attribute_order=attribute_order,
-                domains=domains,
-                backend=backend,
-                aggregate=aggregate,
+                engine, schema, attribute_order=attribute_order, domains=domains
             )
 
     # ------------------------------------------------------------------

@@ -45,6 +45,7 @@ from repro.broker.event_log import EventLog
 from repro.broker.transport import Connection, Listener, Transport
 from repro.core.router import ContentRouter
 from repro.matching.digest import MatchDigest
+from repro.matching.events import Event
 from repro.matching.parser import parse_predicate
 from repro.matching.predicates import Subscription
 from repro.matching.schema import AttributeValue, EventSchema
@@ -68,8 +69,6 @@ class BrokerNetworkConfig:
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
         engine: str = "compiled",
-        backend: Optional[str] = None,
-        aggregate: bool = False,
     ) -> None:
         topology.validate()
         if not topology.publishers():
@@ -80,8 +79,6 @@ class BrokerNetworkConfig:
         self.domains = domains
         self.factoring_attributes = factoring_attributes
         self.engine = engine
-        self.backend = backend
-        self.aggregate = aggregate
         self.routing_tables: Dict[str, RoutingTable] = all_routing_tables(topology)
         self.spanning_trees: Dict[str, SpanningTree] = spanning_trees_for_publishers(topology)
 
@@ -145,8 +142,6 @@ class BrokerNode:
             domains=config.domains,
             factoring_attributes=config.factoring_attributes,
             engine=config.engine,
-            backend=config.backend,
-            aggregate=config.aggregate,
         )
         #: When set, per-client event logs are persisted under this
         #: directory (one subdirectory per broker), so reliable redelivery
@@ -188,6 +183,7 @@ class BrokerNode:
         self._obs_digest_hits = obs.counter("digest_hits", broker=name)
         self._obs_digest_fallbacks = obs.counter("digest_fallbacks", broker=name)
         self._obs_forwards_dropped = obs.counter("forwards_dropped", broker=name)
+        self._obs_events_rejected = obs.counter("events_rejected", broker=name)
         self._obs_unneeded_forwards = get_registry().counter("link.unneeded_forwards", broker=name)
 
     # ------------------------------------------------------------------
@@ -559,6 +555,9 @@ class BrokerNode:
         stripped from the forwards.  The epoch/checksum converge without any
         coordination because subscription flooding applies every add/remove
         exactly once at every broker.
+
+        An event the router refuses (a value outside a declared domain) is
+        rejected alone (:meth:`_reject`); every other entry still routes.
         """
         self._obs_ingest_batches.inc()
         events = [
@@ -576,6 +575,7 @@ class BrokerNode:
         decisions = [None] * len(entries)
         # The digest each entry's forwards carry (consumed, minted, or None).
         out_digests: List[Optional[MatchDigest]] = [None] * len(entries)
+        rejected = 0
         for root, indices in by_root.items():
             plain: List[int] = []
             for i in indices:
@@ -589,30 +589,32 @@ class BrokerNode:
                     )
                 except RoutingError:
                     self._obs_digest_fallbacks.inc()
-                    decisions[i] = self.router.route(events[i], root)
+                    try:
+                        decisions[i] = self.router.route(events[i], root)
+                    except RoutingError as error:
+                        self._reject(entries[i], error)
+                        rejected += 1
                 else:
                     self._obs_digest_hits.inc()
                     out_digests[i] = digest
             if not plain:
                 continue
             plain_events = [events[i] for i in plain]
-            if use_digests:
-                for i, (decision, digest) in zip(
-                    plain, self.router.route_digest_batch(plain_events, root)
-                ):
-                    decisions[i] = decision
-                    out_digests[i] = digest
-            else:
-                for i, decision in zip(plain, self.router.route_batch(plain_events, root)):
-                    decisions[i] = decision
-        self.events_routed += len(entries)
-        self._obs_routed.inc(len(entries))
+            for i, outcome in zip(plain, self._route_group(plain_events, root, use_digests)):
+                if isinstance(outcome, RoutingError):
+                    self._reject(entries[i], outcome)
+                    rejected += 1
+                else:
+                    decisions[i], out_digests[i] = outcome
+        self.events_routed += len(entries) - rejected
+        self._obs_routed.inc(len(entries) - rejected)
         # neighbor -> root -> (publisher, event_data, digest), in batch order.
         forwards: Dict[str, Dict[str, List[Tuple[str, bytes, Optional[MatchDigest]]]]] = {}
         for (event_data, root, publisher, _digest), decision, out_digest in zip(
             entries, decisions, out_digests
         ):
-            assert decision is not None
+            if decision is None:
+                continue  # rejected
             if root != self.name and not decision.forward_to and not decision.deliver_to:
                 # The neighbour that sent this event here had no reason to.
                 self._obs_unneeded_forwards.inc()
@@ -647,6 +649,39 @@ class BrokerNode:
                         )
                     )
                     self._obs_coalesced_sends.inc()
+
+    def _route_group(
+        self, events: List[Event], root: str, use_digests: bool
+    ) -> List[object]:
+        """Route digest-less events on ``root``'s tree as one batch: per
+        event ``(decision, minted digest or None)``, or the
+        :class:`RoutingError` the router refused it with.  A refused batch
+        is retried one event at a time, so only the refused events fail."""
+        try:
+            if use_digests:
+                return self.router.route_digest_batch(events, root)
+            return [(decision, None) for decision in self.router.route_batch(events, root)]
+        except RoutingError as error:
+            if len(events) == 1:
+                return [error]
+            return [
+                outcome
+                for event in events
+                for outcome in self._route_group([event], root, use_digests)
+            ]
+
+    def _reject(
+        self, entry: Tuple[bytes, str, str, Optional[MatchDigest]], error: RoutingError
+    ) -> None:
+        """Count an ingest entry the router refused; a publisher attached
+        here is told why."""
+        self._obs_events_rejected.inc()
+        _event_data, root, publisher, _digest = entry
+        session = self._sessions.get(publisher) if root == self.name else None
+        if session is not None and session.is_connected:
+            session.connection.send(
+                wire.encode_message(wire.ErrorReply(0, f"event rejected: {error}"))
+            )
 
     def _deliver_to_client(self, client: str, event_data: bytes) -> None:
         session = self._session_for(client)

@@ -38,8 +38,6 @@ from repro.experiments import (
     run_throughput,
     run_virtual_link_ablation,
 )
-from repro.errors import SubscriptionError
-from repro.matching.backends import require_backend_for
 from repro.obs import metrics_output
 
 from repro.experiments.ascii_chart import (
@@ -73,21 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="compiled",
         help="matching engine: array kernels (compiled, default) or the "
         "object-graph PST (tree)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("interp", "vector"),
-        default=None,
-        help="kernel execution backend of the compiled engine: reference "
-        "interpreter loops (interp, the default) or columnar bulk-array "
-        "kernels (vector, requires numpy)",
-    )
-    parser.add_argument(
-        "--aggregate",
-        action="store_true",
-        help="compress the subscription set with the online covering forest "
-        "before compilation (dedupes identical predicate bodies and folds "
-        "covered predicates under their covering parent)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -133,8 +116,6 @@ def _run_chart1(args: argparse.Namespace) -> None:
         probe_duration_s=args.probe_duration or (0.5 if args.paper_scale else 0.4),
         include_match_first=args.match_first,
         engine=args.engine,
-        backend=args.backend,
-        aggregate=args.aggregate,
         metrics_out=args.metrics_out,
     )
     table = run_chart1(config)
@@ -162,8 +143,6 @@ def _run_chart2(args: argparse.Namespace) -> None:
         num_events=args.events or (1000 if args.paper_scale else 120),
         subscribers_per_broker=10 if args.paper_scale else 3,
         engine=args.engine,
-        backend=args.backend,
-        aggregate=args.aggregate,
         metrics_out=args.metrics_out,
     )
     table = run_chart2(config)
@@ -189,8 +168,6 @@ def _run_chart3(args: argparse.Namespace) -> None:
         ),
         num_events=args.events or (300 if args.paper_scale else 150),
         engine=args.engine,
-        backend=args.backend,
-        aggregate=args.aggregate,
         metrics_out=args.metrics_out,
     )
     table = run_chart3(config)
@@ -210,8 +187,6 @@ def _run_throughput(args: argparse.Namespace) -> None:
         subscription_counts=(10, 100, 1000, 5000) if args.paper_scale else (10, 100, 1000),
         num_events=4000 if args.paper_scale else 1500,
         engine=args.engine,
-        backend=args.backend,
-        aggregate=args.aggregate,
         metrics_out=args.metrics_out,
     )
     print(run_throughput(config).format())
@@ -227,8 +202,6 @@ def _run_bursty(args: argparse.Namespace) -> None:
         else (1.0, 2.0, 5.0, 10.0),
         duration_s=2.0 if args.paper_scale else 0.8,
         engine=args.engine,
-        backend=args.backend,
-        aggregate=args.aggregate,
         metrics_out=args.metrics_out,
     )
     print(run_bursty(config).format())
@@ -308,13 +281,7 @@ def _run_demo(args: argparse.Namespace) -> None:
     topology.add_client("alice", "NY")
     topology.add_client("bob", "TOKYO")
     topology.add_client("ticker", "NY", kind=NodeKind.PUBLISHER)
-    network = ContentRoutedNetwork(
-        topology,
-        stock_trade_schema(),
-        engine=args.engine,
-        backend=args.backend,
-        aggregate=args.aggregate,
-    )
+    network = ContentRoutedNetwork(topology, stock_trade_schema(), engine=args.engine)
     network.subscribe("alice", "issue='IBM' & price<120 & volume>1000")
     network.subscribe("bob", "volume>50000")
     for values in (
@@ -341,12 +308,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        require_backend_for(args.engine, args.backend)
-    except SubscriptionError as error:
-        parser.error(str(error))
-    if args.aggregate and args.engine == "tree":
-        parser.error("--aggregate requires engine='compiled': tree has nothing to compress")
     # The registry must be enabled before the handler builds its engines and
     # protocols (instruments fetched while disabled stay no-ops), so the
     # enable-write lifecycle wraps the whole handler.

@@ -142,8 +142,6 @@ class ContentRoutedNetwork:
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
         engine: str = "compiled",
-        backend: Optional[str] = None,
-        aggregate: bool = False,
     ) -> None:
         topology.validate()
         if not topology.publishers():
@@ -157,8 +155,6 @@ class ContentRoutedNetwork:
             domains=domains,
             factoring_attributes=factoring_attributes,
             engine=engine,
-            backend=backend,
-            aggregate=aggregate,
         )
         # One subscription replica for all factored routers (None: each
         # engine-backed router keeps a private engine).

@@ -118,17 +118,12 @@ def factored_matcher_for(
     domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
     factoring_attributes: Optional[Sequence[str]] = None,
     engine: str = "compiled",
-    backend: Optional[str] = None,
-    aggregate: bool = False,
 ) -> Optional[FactoredMatcher]:
     """The :class:`FactoredMatcher` a router with this configuration routes
     on, or ``None`` when the configuration is engine-backed.  Builders of
     several routers over one subscription set call this once and pass the
     result to every :class:`ContentRouter` as ``matcher``."""
-    # Aggregation takes precedence: the factored matcher splits subscriptions
-    # across sub-trees before the engine sees them, which would defeat (and
-    # complicate) the covering forest.
-    if aggregate or not factoring_attributes:
+    if not factoring_attributes:
         return None
     if domains is None:
         raise RoutingError("factoring requires finite attribute domains")
@@ -142,7 +137,6 @@ def factored_matcher_for(
             else None
         ),
         engine=engine,
-        backend=backend,
     )
 
 
@@ -161,8 +155,6 @@ class ContentRouter:
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
         engine: str = "compiled",
-        backend: Optional[str] = None,
-        aggregate: bool = False,
         matcher: Optional[FactoredMatcher] = None,
     ) -> None:
         self.topology = topology
@@ -191,8 +183,6 @@ class ContentRouter:
                 domains=domains,
                 factoring_attributes=factoring_attributes,
                 engine=engine,
-                backend=backend,
-                aggregate=aggregate,
             )
         elif matcher.engine != engine or matcher.schema != schema:
             raise RoutingError("the shared matcher was built for another engine or schema")
@@ -205,12 +195,7 @@ class ContentRouter:
             from repro.matching.engines import create_engine
 
             self._engine = create_engine(
-                engine,
-                schema,
-                attribute_order=attribute_order,
-                domains=domains,
-                backend=backend,
-                aggregate=aggregate,
+                engine, schema, attribute_order=attribute_order, domains=domains
             )
             self._engine.bind_links(self.links.num_links, self._link_of_subscriber)
         # Factored path: factoring key -> (matcher's version of the sub-tree,

@@ -22,7 +22,7 @@ Expected shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.experiments.tables import ExperimentTable
 from repro.network.figures import figure6_topology
@@ -48,11 +48,6 @@ class BaselineConfig:
     num_events_per_publisher: int = 150
     seed: int = 0
     engine: str = "compiled"
-    #: Kernel execution backend (None = engine default).
-    backend: Optional[str] = None
-    #: Compress the subscription set with the covering forest
-    #: (:mod:`repro.matching.aggregation`) before compilation.
-    aggregate: bool = False
 
 
 def run_baseline_comparison(config: BaselineConfig = BaselineConfig()) -> ExperimentTable:
@@ -88,8 +83,6 @@ def run_baseline_comparison(config: BaselineConfig = BaselineConfig()) -> Experi
             domains=spec.domains(),
             factoring_attributes=spec.factoring_attributes,
             engine=config.engine,
-            backend=config.backend,
-            aggregate=config.aggregate,
         )
         protocols: List[RoutingProtocol] = [
             LinkMatchingProtocol(context),

@@ -41,11 +41,6 @@ class BurstyConfig:
     on_mean_s: float = 0.05
     seed: int = 0
     engine: str = "compiled"
-    #: Kernel execution backend (None = engine default).
-    backend: Optional[str] = None
-    #: Compress the subscription set with the covering forest
-    #: (:mod:`repro.matching.aggregation`) before compilation.
-    aggregate: bool = False
     #: Optional path: write the global obs-registry JSON snapshot here.
     metrics_out: Optional[str] = None
 
@@ -81,8 +76,6 @@ def _run_bursty(config: BurstyConfig) -> ExperimentTable:
         domains=spec.domains(),
         factoring_attributes=spec.factoring_attributes,
         engine=config.engine,
-        backend=config.backend,
-        aggregate=config.aggregate,
     )
     protocol = LinkMatchingProtocol(context)
     publishers = topology.publishers()

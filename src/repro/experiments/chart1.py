@@ -54,11 +54,6 @@ class Chart1Config:
     seed: int = 0
     include_match_first: bool = False
     engine: str = "compiled"
-    #: Kernel execution backend (None = engine default).
-    backend: Optional[str] = None
-    #: Compress the subscription set with the covering forest
-    #: (:mod:`repro.matching.aggregation`) before compilation.
-    aggregate: bool = False
     #: Optional path: write the global obs-registry JSON snapshot here.
     metrics_out: Optional[str] = None
 
@@ -136,8 +131,6 @@ def _run_chart1(config: Chart1Config) -> ExperimentTable:
             domains=spec.domains(),
             factoring_attributes=spec.factoring_attributes,
             engine=config.engine,
-            backend=config.backend,
-            aggregate=config.aggregate,
         )
         for protocol in _protocols(context, config):
             result = saturation_for(topology, protocol, events, config)

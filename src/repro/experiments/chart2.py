@@ -48,11 +48,6 @@ class Chart2Config:
     seed: int = 0
     use_factoring: bool = True
     engine: str = "compiled"
-    #: Kernel execution backend (None = engine default).
-    backend: Optional[str] = None
-    #: Compress the subscription set with the covering forest
-    #: (:mod:`repro.matching.aggregation`) before compilation.
-    aggregate: bool = False
     #: Optional path: write the global obs-registry JSON snapshot here.
     metrics_out: Optional[str] = None
 
@@ -134,8 +129,6 @@ def _run_chart2(config: Chart2Config) -> ExperimentTable:
                 spec.factoring_attributes if config.use_factoring else None
             ),
             engine=config.engine,
-            backend=config.backend,
-            aggregate=config.aggregate,
         )
         for subscription in subscriptions:
             network.subscribe(subscription.subscriber, subscription.predicate)

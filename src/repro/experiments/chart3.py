@@ -36,11 +36,6 @@ class Chart3Config:
     seed: int = 0
     use_factoring: bool = True
     engine: str = "compiled"
-    #: Kernel execution backend (None = engine default).
-    backend: Optional[str] = None
-    #: Compress the subscription set with the covering forest
-    #: (:mod:`repro.matching.aggregation`) before compilation.
-    aggregate: bool = False
     #: Optional path: write the global obs-registry JSON snapshot here.
     metrics_out: Optional[str] = None
 
@@ -51,8 +46,8 @@ def measure_matching_time(
     """Return (avg ms per match, avg matches per event, avg steps).
 
     One untimed warmup pass brings the engine to steady state (first-use
-    annotation, the vector backend's columnar index) before measurement: the paper's
-    Chart 3 measures matching time, not one-time subscription processing.
+    annotation) before measurement: the paper's Chart 3 measures matching
+    time, not one-time subscription processing.
     """
     total_matches = 0
     total_steps = 0
@@ -103,8 +98,6 @@ def _run_chart3(config: Chart3Config) -> ExperimentTable:
                 spec.factoring_attributes if config.use_factoring else None
             ),
             engine=config.engine,
-            backend=config.backend,
-            aggregate=config.aggregate,
         )
         for subscription in subscriptions:
             engine.matcher.insert(subscription)

@@ -39,11 +39,6 @@ class ThroughputConfig:
     num_events: int = 2000
     seed: int = 0
     engine: str = "compiled"
-    #: Kernel execution backend (None = engine default).
-    backend: Optional[str] = None
-    #: Compress the subscription set with the covering forest
-    #: (:mod:`repro.matching.aggregation`) before compilation.
-    aggregate: bool = False
     #: Optional path: write the global obs-registry JSON snapshot here.
     metrics_out: Optional[str] = None
 
@@ -83,8 +78,6 @@ def _run_throughput(config: ThroughputConfig) -> ExperimentTable:
             domains=spec.domains(),
             factoring_attributes=spec.factoring_attributes,
             engine=config.engine,
-            backend=config.backend,
-            aggregate=config.aggregate,
         )
         transport = InMemoryTransport()
         node = BrokerNode(broker_config, "B0", transport, {"B0": "mem://B0"})
@@ -119,8 +112,6 @@ def _run_throughput(config: ThroughputConfig) -> ExperimentTable:
             domains=spec.domains(),
             factoring_attributes=spec.factoring_attributes,
             engine=config.engine,
-            backend=config.backend,
-            aggregate=config.aggregate,
         )
         for subscription in node.router.matcher.subscriptions:
             engine.matcher.insert(subscription)

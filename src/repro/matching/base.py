@@ -72,8 +72,8 @@ class Matcher(abc.ABC):
 
         Result ``i`` is exactly ``match(events[i])`` — same match set, same
         step count.  This base fallback just loops (:func:`per_event_loop`);
-        ``CompiledEngine`` overrides it to hand the whole batch to its
-        kernel backend (which may share traversal across it).
+        ``CompiledEngine`` overrides it to check the batch once and walk its
+        program per event.
         """
         return per_event_loop(self.match, events)
 
@@ -84,14 +84,10 @@ class Matcher(abc.ABC):
 
 
 def _link_bits(link_of: "LinkOfSubscriber", subscription: Subscription) -> int:
-    """The packed link bits ``link_of`` assigns to one subscription (a
+    """The packed link bit ``link_of`` assigns to one subscription (a
     negative position means unreachable and lights nothing)."""
-    mapped = link_of(subscription)
-    bits = 0
-    for position in (mapped,) if isinstance(mapped, int) else mapped:
-        if position >= 0:
-            bits |= 1 << position
-    return bits
+    position = link_of(subscription)
+    return 1 << position if position >= 0 else 0
 
 
 class MatcherEngine(Matcher):
@@ -149,7 +145,7 @@ class MatcherEngine(Matcher):
 
         Result ``i`` is exactly ``match_links(events[i], yes_bits,
         maybe_bits)``.  This base fallback loops (:func:`per_event_loop`);
-        ``CompiledEngine`` overrides it with its kernel backend's batch path.
+        ``CompiledEngine`` overrides it to check the batch once.
         """
         return per_event_loop(
             lambda event: self.match_links(event, yes_bits, maybe_bits), events
@@ -174,7 +170,7 @@ class MatcherEngine(Matcher):
         independently of every other, so this equals a rebuild."""
         if self._link_projection is not None:
             self._link_projection[subscription.subscription_id] = _link_bits(
-                self._projection_link_of(), subscription
+                self._link_of_subscriber, subscription
             )
 
     def _link_projection_remove(self, subscription_id: int) -> None:
@@ -182,17 +178,10 @@ class MatcherEngine(Matcher):
         if self._link_projection is not None:
             self._link_projection.pop(subscription_id, None)
 
-    def _projection_link_of(self) -> "Optional[LinkOfSubscriber]":
-        """The subscription→link mapping the projection table is built from
-        (the one handed to :meth:`bind_links`); ``None`` before binding.
-        The aggregating engine overrides this: its inner binding maps
-        *representatives* to link unions, while digests carry member ids."""
-        return getattr(self, "_link_of_subscriber", None)
-
     def _link_projection_table(self) -> Dict[int, int]:
         table = self._link_projection
         if table is None:
-            link_of = self._projection_link_of()
+            link_of = getattr(self, "_link_of_subscriber", None)
             if link_of is None:
                 raise RoutingError(
                     f"{type(self).__name__}.project_links() requires a prior "

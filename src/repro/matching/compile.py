@@ -15,13 +15,6 @@ allocation) kernels run:
   with trit masks packed as two integer bitmasks (``yes_bits``/``maybe_bits``)
   per :mod:`repro.core.trits`.
 
-The kernel *loops* themselves live in :mod:`repro.matching.backends` behind
-the :class:`~repro.matching.backends.KernelBackend` interface (``interp``
-is the reference loop, ``vector`` the columnar bulk-array one); this module
-owns everything execution-independent — insertion, removal, annotation and
-the schema checks — and delegates the raw walks to the program's
-:attr:`~CompiledProgram.backend`.
-
 Record layout (one slot per node, node 0 is always the root).  The
 structure is ``_records[n]``, one tuple
 ``(event_position, value_table, range_pairs, star_child, leaf_subs)``:
@@ -62,12 +55,10 @@ with links bound, the packed annotations of the changed path are written by
 the same walks.  A subscription change costs its path and leaves no garbage.
 
 **Batching.**  :meth:`CompiledProgram.match_batch` and
-:meth:`CompiledProgram.match_links_batch` hand the whole batch to the
-backend's batch kernel: ``interp`` answers it one event at a time, ``vector``
-advances a shared frontier per tree level.  Per event the answer — match
-set, step count, refined mask — is exactly the single-event kernel's, and
-nothing is remembered between events: matching an event is walking the
-program.
+:meth:`CompiledProgram.match_links_batch` check the batch once and walk the
+program once per event.  Per event the answer — match set, step count,
+refined mask — is exactly the single-event kernel's, and nothing is
+remembered between events: matching an event is walking the program.
 """
 
 from __future__ import annotations
@@ -82,12 +73,10 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.errors import RoutingError, SubscriptionError
 from repro.core.trits import alternative_combine_bits, parallel_combine_bits
-from repro.matching.backends import DEFAULT_BACKEND, KernelBackend, create_backend
 from repro.matching.events import Event
 from repro.matching.predicates import AttributeTest, EqualityTest, Predicate, Subscription
 from repro.matching.pst import (
@@ -98,14 +87,10 @@ from repro.matching.pst import (
     first_constrained,
 )
 from repro.matching.schema import AttributeValue, EventSchema
-from repro.obs import get_registry
 
 #: Maps a subscription to the broker-local (virtual) link position through
 #: which its subscriber is best reached (same contract as TreeAnnotation's).
-#: An aggregating layer may instead return an *iterable* of positions — a
-#: deduplicated leaf stands for several subscribers, so its annotation is
-#: the union of their link bits (see :mod:`repro.matching.aggregation`).
-LinkOfSubscriber = Callable[[Subscription], Union[int, Sequence[int]]]
+LinkOfSubscriber = Callable[[Subscription], int]
 
 #: The kernel record of a slot with no node in it: a leaf holding nothing.
 _FREE_RECORD = (-1, None, None, -1, None)
@@ -120,11 +105,7 @@ class CompiledProgram:
     change from then on.
 
     ``attribute_order`` and ``domains`` mean what they mean for
-    :class:`~repro.matching.pst.ParallelSearchTree`; ``backend`` selects
-    the kernel execution backend (a
-    :data:`~repro.matching.backends.BACKEND_NAMES` name or a
-    :class:`~repro.matching.backends.KernelBackend` instance; ``None``
-    means :data:`~repro.matching.backends.DEFAULT_BACKEND`).
+    :class:`~repro.matching.pst.ParallelSearchTree`.
     """
 
     __slots__ = (
@@ -142,12 +123,6 @@ class CompiledProgram:
         "num_links",
         "_link_of_subscriber",
         "_schema_ok",
-        # execution backend
-        "backend",
-        "generation",
-        "backend_state",
-        "_obs_kernel_calls",
-        "_obs_kernel_events",
         # digest projection (subscription id -> live leaf index)
         "_sub_leaf",
         # slot recycling
@@ -162,7 +137,6 @@ class CompiledProgram:
         *,
         attribute_order: Optional[Sequence[str]] = None,
         domains: Optional[Mapping[str, Iterable[AttributeValue]]] = None,
-        backend: Union[str, KernelBackend, None] = None,
     ) -> None:
         self.schema = schema
         self.attribute_order = checked_order(schema, attribute_order)
@@ -192,24 +166,6 @@ class CompiledProgram:
         #: kept as a strong reference so the ``is`` fast path in
         #: :meth:`_schema_mismatch` cannot be fooled by id reuse.
         self._schema_ok: Optional[EventSchema] = None
-        if backend is None:
-            backend = DEFAULT_BACKEND
-        self.backend: KernelBackend = (
-            create_backend(backend) if isinstance(backend, str) else backend
-        )
-        #: Bumped on every mutation of the records (insert, remove,
-        #: annotate); backends key derived state on it and rebuild lazily.
-        self.generation = 0
-        #: Backend-owned scratch (vector's columnar index, …), cleared on
-        #: every generation bump.
-        self.backend_state: Dict[str, object] = {}
-        registry = get_registry()
-        self._obs_kernel_calls = registry.counter(
-            "engine.backend.kernel_calls", backend=self.backend.name
-        )
-        self._obs_kernel_events = registry.counter(
-            "engine.backend.kernel_events", backend=self.backend.name
-        )
         #: ``subscription_id -> leaf index`` over the live leaves, in
         #: insertion order, written by :meth:`insert` and :meth:`remove`.
         self._sub_leaf: Dict[int, int] = {}
@@ -303,10 +259,6 @@ class CompiledProgram:
             raise RoutingError("num_links must be >= 0")
         self.num_links = num_links
         self._link_of_subscriber = link_of_subscriber
-        # The annotation arrays are part of the record surface backends
-        # execute over (the link kernels read them), so re-annotation moves
-        # the generation like any other record mutation.
-        self._bump_generation()
         records = self._records
         ann_yes, ann_maybe = self.ann_yes, self.ann_maybe
         leaf_annotation = self._leaf_annotation
@@ -324,8 +276,8 @@ class CompiledProgram:
     ) -> "CompiledProgram":
         """One broker's trit vectors on the tree every broker shares (Section
         3.1): a program holding every structure slot of this one by reference
-        and owning only what annotation writes — ``ann_yes`` / ``ann_maybe``,
-        the link binding, ``generation``, ``backend_state``.  Kernels run on
+        and owning only what annotation writes — ``ann_yes`` / ``ann_maybe``
+        and the link binding.  Kernels run on
         it unchanged; :meth:`insert` / :meth:`remove` through a view are
         refused."""
         view = object.__new__(CompiledProgram)
@@ -334,8 +286,6 @@ class CompiledProgram:
         view._base = self
         view.ann_yes = [0] * len(self.ann_yes)
         view.ann_maybe = [0] * len(self.ann_maybe)
-        view.generation = 0
-        view.backend_state = {}
         view.annotate(num_links, link_of_subscriber)
         return view
 
@@ -348,19 +298,14 @@ class CompiledProgram:
         assert self.num_links is not None and self._link_of_subscriber is not None
         yes = 0
         for subscription in self._records[index][4] or ():
-            mapped = self._link_of_subscriber(subscription)
-            # Plain engines map a subscription to one position; an
-            # aggregating layer maps a deduplicated leaf to the union of its
-            # member subscribers' positions.  -1 means unreachable either way.
-            positions = (mapped,) if isinstance(mapped, int) else mapped
-            for position in positions:
-                if position < 0:
-                    continue  # subscriber unreachable — no link to light
-                if position >= self.num_links:
-                    raise RoutingError(
-                        f"link position {position} out of range for {subscription!r}"
-                    )
-                yes |= 1 << position
+            position = self._link_of_subscriber(subscription)
+            if position < 0:
+                continue  # subscriber unreachable — no link to light
+            if position >= self.num_links:
+                raise RoutingError(
+                    f"link position {position} out of range for {subscription!r}"
+                )
+            yes |= 1 << position
         return yes, 0
 
     def _combined_annotation(self, index: int) -> Tuple[int, int]:
@@ -445,32 +390,21 @@ class CompiledProgram:
         node is appended to the work queue once and processed once, so the
         ``steps`` count is identical (it is simply the final queue length);
         only the visit *order* differs (breadth-first rather than LIFO),
-        which neither the match set nor the step count observes.  The walk
-        itself is the :attr:`backend`'s single-event kernel; every backend
-        returns what ``interp`` returns, bit for bit.
+        which neither the match set nor the step count observes.
         """
         if self._schema_mismatch(event):
             raise SubscriptionError("event schema does not match the tree's schema")
-        matched, steps = self.backend.match(self, event.as_tuple())
-        self._obs_kernel_calls.inc()
-        self._obs_kernel_events.inc()
+        matched, steps = self._search(event.as_tuple())
         return MatchResult(matched, steps)
 
     def match_batch(self, events: Sequence[Event]) -> List[MatchResult]:
-        """Match a batch of events through one call of the :attr:`backend`'s
-        batch kernel.  Per event this is exactly :meth:`match` — same match
-        set, same step count, repeats included."""
-        if not events:
-            return []
+        """Match a batch of events, checked once.  Per event this is exactly
+        :meth:`match` — same match set, same step count, repeats included."""
         for event in events:
             if self._schema_mismatch(event):
                 raise SubscriptionError("event schema does not match the tree's schema")
-        kernel_out = self.backend.match_batch(
-            self, [event.as_tuple() for event in events]
-        )
-        self._obs_kernel_calls.inc()
-        self._obs_kernel_events.inc(len(events))
-        return [MatchResult(matched, steps) for matched, steps in kernel_out]
+        search = self._search
+        return [MatchResult(*search(event.as_tuple())) for event in events]
 
     def match_links(
         self, event: Event, yes_bits: int, maybe_bits: int
@@ -480,17 +414,12 @@ class CompiledProgram:
         Takes the initialization mask as ``(yes_bits, maybe_bits)`` and
         returns ``(final_yes_bits, steps)``; the final mask has no Maybe
         trits by construction, so the Yes bits determine it completely.
-        An explicit frame stack mirrors ``LinkMatcher``'s recursion exactly
-        — same visit order, same early exits, same ``steps``.
         """
         if not self.annotated:
             raise RoutingError("program has no link annotations — call annotate()")
         if self._schema_mismatch(event):
             raise RoutingError("event schema does not match the annotated tree")
-        result = self.backend.match_links(self, event.as_tuple(), yes_bits, maybe_bits)
-        self._obs_kernel_calls.inc()
-        self._obs_kernel_events.inc()
-        return result
+        return self._refine(event.as_tuple(), yes_bits, maybe_bits)
 
     def match_links_batch(
         self, events: Sequence[Event], yes_bits: int, maybe_bits: int
@@ -504,12 +433,123 @@ class CompiledProgram:
         for event in events:
             if self._schema_mismatch(event):
                 raise RoutingError("event schema does not match the annotated tree")
-        results = self.backend.match_links_batch(
-            self, [event.as_tuple() for event in events], yes_bits, maybe_bits
-        )
-        self._obs_kernel_calls.inc()
-        self._obs_kernel_events.inc(len(events))
-        return results
+        refine = self._refine
+        return [refine(event.as_tuple(), yes_bits, maybe_bits) for event in events]
+
+    def _search(self, values: tuple) -> Tuple[list, int]:
+        """The parallel search on one event's value tuple:
+        ``(matched_subscriptions, steps)``."""
+        value_ids = self.value_ids
+        interned = [value_ids.get(value) for value in values]
+        records = self._records
+        matched: list = []
+        extend = matched.extend
+        # The for loop walks the queue while children are appended to it —
+        # CPython list iteration sees the growth, giving a pop-free BFS.
+        queue = [0]
+        push = queue.append
+        for node_index in queue:
+            position, table, ranges, star_child, subs = records[node_index]
+            if position >= 0:
+                if table is not None:
+                    child = table.get(interned[position])
+                    if child is not None:
+                        push(child)
+                if ranges is not None:
+                    value = values[position]
+                    for test, range_child in ranges:
+                        if test.evaluate(value):
+                            push(range_child)
+                if star_child >= 0:
+                    push(star_child)
+            elif subs is not None:
+                extend(subs)
+        return matched, len(queue)
+
+    def _refine(self, values: tuple, yes_bits: int, maybe_bits: int) -> Tuple[int, int]:
+        """The refinement search on one event's value tuple:
+        ``(final_yes_bits, steps)``.
+
+        An explicit frame stack mirrors ``LinkMatcher``'s recursion exactly
+        — same visit order, same early exits, same ``steps``.
+        """
+        value_ids = self.value_ids
+        interned = [value_ids.get(value) for value in values]
+        records = self._records
+        ann_yes = self.ann_yes
+        ann_maybe = self.ann_maybe
+        steps = 0
+        # Each frame: [children, next_child_position, yes_bits, maybe_bits].
+        frames: List[list] = []
+        current = 0
+        cur_yes = yes_bits
+        cur_maybe = maybe_bits
+        returned_yes = 0
+        entering = True
+        while True:
+            if entering:
+                steps += 1
+                # Step 2: refine Maybes with the node's annotation.
+                cur_yes |= cur_maybe & ann_yes[current]
+                cur_maybe &= ann_maybe[current]
+                if not cur_maybe:
+                    returned_yes = cur_yes
+                    entering = False
+                    continue
+                position, table, ranges, star_child, _subs = records[current]
+                if position < 0:
+                    # Leaf annotations are Yes/No only, so refinement above
+                    # has already removed every Maybe; this is unreachable
+                    # unless an annotation is stale.
+                    raise RoutingError(
+                        "leaf annotation left Maybe trits — stale annotation?"
+                    )
+                children: List[int] = []
+                if table is not None:
+                    child = table.get(interned[position])
+                    if child is not None:
+                        children.append(child)
+                if ranges is not None:
+                    value = values[position]
+                    for test, range_child in ranges:
+                        if test.evaluate(value):
+                            children.append(range_child)
+                if star_child >= 0:
+                    children.append(star_child)
+                if not children:
+                    # No applicable branch: remaining Maybes become No.
+                    returned_yes = cur_yes
+                    entering = False
+                    continue
+                frames.append([children, 0, cur_yes, cur_maybe])
+                current = children[0]
+                continue
+            # Returning `returned_yes` from a completed subsearch.
+            if not frames:
+                return returned_yes, steps
+            frame = frames[-1]
+            # Step 3: convert to Yes every Maybe whose returned trit is Yes.
+            frame_maybe = frame[3]
+            frame_yes = frame[2] | (frame_maybe & returned_yes)
+            frame_maybe &= ~returned_yes
+            if not frame_maybe:
+                frames.pop()
+                returned_yes = frame_yes
+                continue
+            next_child = frame[1] + 1
+            children = frame[0]
+            if next_child == len(children):
+                # All children searched: remaining Maybes become No.
+                frames.pop()
+                returned_yes = frame_yes
+                continue
+            frame[1] = next_child
+            frame[2] = frame_yes
+            frame[3] = frame_maybe
+            current = children[next_child]
+            cur_yes = frame_yes
+            cur_maybe = frame_maybe
+            entering = True
 
     # ------------------------------------------------------------------
     # Digest projection (match-once forwarding)
@@ -562,18 +602,6 @@ class CompiledProgram:
 
     # ------------------------------------------------------------------
     # Insert / remove (Section 2's walks on the records)
-
-    def _bump_generation(self) -> None:
-        """Advance the record generation and drop backend scratch.
-
-        Called after any mutation of the records or annotations backends
-        execute over (:meth:`insert`, :meth:`remove`, :meth:`annotate`): the
-        vector backend rebuilds its columnar index lazily under the new
-        generation tag.
-        """
-        self.generation += 1
-        if self.backend_state:
-            self.backend_state.clear()
 
     def insert(self, subscription: Subscription) -> None:
         """Add a subscription, extending the records along its path.
@@ -657,11 +685,6 @@ class CompiledProgram:
         self._changed(path)
         return subscription
 
-    def reannotate_path(self, predicate: Predicate) -> None:
-        """Recompute the packed annotations along ``predicate``'s path after
-        its leaf's *link mapping* changed with no structural change."""
-        self._changed(self._path(self._tests_in_order(predicate)))
-
     def _require_owner(self) -> None:
         if self._base is not None:
             raise RoutingError("an annotated view cannot change the structure it shares")
@@ -683,13 +706,11 @@ class CompiledProgram:
         return path
 
     def _changed(self, path: List[int]) -> None:
-        """Re-annotate ``path`` bottom-up (when links are bound) and move
-        the generation."""
+        """Re-annotate ``path`` bottom-up when links are bound."""
         if self.annotated:
             ann_yes, ann_maybe = self.ann_yes, self.ann_maybe
             for slot in reversed(path):
                 ann_yes[slot], ann_maybe[slot] = self._node_annotation(slot)
-        self._bump_generation()
 
     def _node_record(self, tests: List[AttributeTest], level: int) -> tuple:
         """An empty node for a path that continues at ``level``: placed at
@@ -713,7 +734,7 @@ class CompiledProgram:
 
     def _free(self, slot: int) -> None:
         """Reset an unreachable slot to a neutral leaf — empty record, zero
-        annotation, which every backend can still execute over — for reuse."""
+        annotation, which the kernels can still execute over — for reuse."""
         self._records[slot] = _FREE_RECORD
         self.ann_yes[slot] = self.ann_maybe[slot] = 0
         self._free_slots.append(slot)

@@ -26,7 +26,6 @@ from typing import List, Mapping, Optional, Sequence, Tuple, Union
 from repro.errors import RoutingError, SubscriptionError
 from repro.core.annotation import LinkOfSubscriber, TreeAnnotation
 from repro.core.link_matcher import LinkMatcher
-from repro.matching.backends import KernelBackend, require_backend_for
 from repro.matching.base import MatcherEngine
 from repro.obs import get_registry
 from repro.matching.compile import CompiledProgram
@@ -188,18 +187,12 @@ class CompiledEngine(_EngineBase):
         *,
         attribute_order: Optional[Sequence[str]] = None,
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
-        backend: Union[str, KernelBackend, None] = None,
     ) -> None:
         super().__init__(schema)
         self.program = self._replica = CompiledProgram(
-            schema, attribute_order=attribute_order, domains=domains, backend=backend
+            schema, attribute_order=attribute_order, domains=domains
         )
         self._annotation_dirty = False
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the kernel backend the program executes with."""
-        return self.program.backend.name
 
     def insert(self, subscription: Subscription) -> None:
         self.program.insert(subscription)
@@ -226,19 +219,6 @@ class CompiledEngine(_EngineBase):
         self._num_links = num_links
         self._link_of_subscriber = link_of_subscriber
         self._annotation_dirty = True
-
-    def refresh_links(self, subscription: Subscription) -> None:
-        """Recompute the link annotation along ``subscription``'s path after
-        its *link mapping* changed without any structural change.
-
-        The aggregation layer calls this when a deduplicated leaf's member
-        set changes (the leaf now lights a different union of links while
-        the records are untouched).  No-op when nothing stale exists (no
-        annotation yet, or one pending anyway).
-        """
-        if self._annotation_dirty or not self.program.annotated:
-            return
-        self.program.reannotate_path(subscription.predicate)
 
     def _annotated_program(self, num_links: int) -> CompiledProgram:
         program = self.program
@@ -286,42 +266,11 @@ def create_engine(
     *,
     attribute_order: Optional[Sequence[str]] = None,
     domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
-    backend: Optional[str] = None,
-    aggregate: bool = False,
 ) -> MatcherEngine:
-    """Instantiate an engine by name (``"compiled"``, ``"tree"``).
-
-    ``backend`` selects how the compiled record arrays are executed (one of
-    :data:`~repro.matching.backends.BACKEND_NAMES`; ``None`` means
-    :data:`~repro.matching.backends.DEFAULT_BACKEND`).  The tree engine
-    (which has no compiled arrays) accepts only the default.
-
-    ``aggregate=True`` wraps the compiled engine in an
-    :class:`~repro.matching.aggregation.AggregatingEngine`: subscriptions
-    are canonicalized and deduplicated through an online covering forest so
-    the compiled arrays grow with *distinct* predicates, not subscribers.
-    Match sets and refined link masks are unchanged; step counts are
-    attributed to the deduplicated leaves.  The tree engine has no compiled
-    form to compress, so ``aggregate`` with ``engine="tree"`` is an error.
-    """
-    require_backend_for(engine, backend)
+    """Instantiate an engine by name (``"compiled"``, ``"tree"``)."""
     if engine == "compiled":
-        compiled = CompiledEngine(
-            schema, attribute_order=attribute_order, domains=domains, backend=backend
-        )
-        if not aggregate:
-            return compiled
-        # Imported here: aggregation wraps the engine this module defines,
-        # so a module-scope import would cycle.
-        from repro.matching.aggregation import AggregatingEngine
-
-        return AggregatingEngine(compiled)
+        return CompiledEngine(schema, attribute_order=attribute_order, domains=domains)
     if engine == "tree":
-        if aggregate:
-            raise SubscriptionError(
-                "engine 'tree' has no compiled program to compress — "
-                "aggregate=True requires engine='compiled'"
-            )
         return TreeEngine(schema, attribute_order=attribute_order, domains=domains)
     raise SubscriptionError(
         f"unknown matcher engine {engine!r} — expected one of {ENGINE_NAMES}"

@@ -51,7 +51,6 @@ from typing import (
 )
 
 from repro.errors import SubscriptionError
-from repro.matching.backends import require_backend_for
 from repro.matching.base import Matcher
 from repro.matching.compile import CompiledProgram
 from repro.matching.events import Event
@@ -132,7 +131,6 @@ class FactoredMatcher(Matcher):
         *,
         residual_order: Optional[Sequence[str]] = None,
         engine: str = "tree",
-        backend: Optional[str] = None,
     ) -> None:
         if not index_attributes:
             raise SubscriptionError("factoring needs at least one index attribute")
@@ -141,9 +139,6 @@ class FactoredMatcher(Matcher):
                 f"unknown matcher engine {engine!r} — expected 'tree' or 'compiled'"
             )
         self.engine = engine
-        # Kernel backend for the compiled sub-programs (tree mode has none).
-        require_backend_for(engine, backend)
-        self.backend = backend
         self.schema = schema
         self.index_attributes: Tuple[str, ...] = tuple(index_attributes)
         self.domains: Dict[str, FrozenSet[AttributeValue]] = {
@@ -234,10 +229,7 @@ class FactoredMatcher(Matcher):
             ]
             if self.engine == "compiled":
                 subtree = CompiledProgram(
-                    self.schema,
-                    attribute_order=order,
-                    domains=self.domains,
-                    backend=self.backend,
+                    self.schema, attribute_order=order, domains=self.domains
                 )
             else:
                 subtree = ParallelSearchTree(

@@ -90,29 +90,6 @@ def _as_interval(test: AttributeTest) -> Optional[IntervalTest]:
     return None
 
 
-def canonical_test(attribute: Attribute, test: AttributeTest) -> AttributeTest:
-    """The canonical form of one attribute's test — the bound extraction the
-    covering machinery keys on.
-
-    Strict integer bounds close (``x < 4`` ≡ ``x <= 3``) and one-sided range
-    tests normalize to intervals, so tests that accept the same values
-    compare and hash equal.  Equality tests and don't-cares are already
-    canonical and pass through unchanged (identity-preserving, so callers
-    can detect "nothing changed" with ``is``).  This is the per-attribute
-    step of :func:`repro.matching.aggregation.canonicalize_predicate`, and
-    the reason a canonical predicate only ever carries equality tests,
-    closed-bound :class:`~repro.matching.predicates.IntervalTest`\\ s, or
-    don't-cares — the three shapes
-    :class:`~repro.matching.covering_index.CoveringIndex` indexes.
-    """
-    canonical = _canonicalize_integer_bounds(attribute, test)
-    if isinstance(canonical, RangeTest):
-        interval = _as_interval(canonical)
-        if interval is not None:
-            return interval
-    return canonical
-
-
 def _interval_contains(outer: IntervalTest, inner: IntervalTest) -> bool:
     """Whether every value accepted by ``inner`` is accepted by ``outer``.
 

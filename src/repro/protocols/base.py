@@ -224,8 +224,6 @@ class ProtocolContext:
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
         engine: str = "compiled",
-        backend: Optional[str] = None,
-        aggregate: bool = False,
     ) -> None:
         topology.validate()
         self.topology = topology
@@ -235,8 +233,6 @@ class ProtocolContext:
         self.domains = domains
         self.factoring_attributes = factoring_attributes
         self.engine = engine
-        self.backend = backend
-        self.aggregate = aggregate
         self.routing_tables: Dict[str, RoutingTable] = all_routing_tables(topology)
         self.spanning_trees: Dict[str, SpanningTree] = spanning_trees_for_publishers(topology)
 
@@ -249,8 +245,6 @@ class ProtocolContext:
             domains=self.domains,
             factoring_attributes=self.factoring_attributes,
             engine=self.engine,
-            backend=self.backend,
-            aggregate=self.aggregate,
         )
 
     def tree_children(self, broker: str, root: str) -> List[str]:

@@ -65,8 +65,6 @@ class FloodingProtocol(RoutingProtocol):
             context.schema,
             attribute_order=context.attribute_order,
             domains=context.domains,
-            backend=context.backend,
-            aggregate=context.aggregate,
         )
 
     def on_topology_repaired(self, repair) -> List[str]:

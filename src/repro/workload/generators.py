@@ -62,8 +62,7 @@ class SubscriptionGenerator:
         self._samplers: Dict[int, ZipfSampler] = {}
         #: With probability ``duplicate_rate`` a predicate is re-drawn from
         #: the previously generated pool instead of sampled fresh — models
-        #: many subscribers registering the *same* popular predicate body
-        #: (the regime subscription aggregation compresses).
+        #: many subscribers registering the *same* popular predicate body.
         self.duplicate_rate = duplicate_rate
         self._predicate_pool: List[Predicate] = []
 

@@ -1,14 +1,13 @@
 """The whole matcher configuration lattice, in one place.
 
-Every combination of ``engine`` × ``backend`` × ``aggregate`` × factoring
-that a caller can ask a :class:`~repro.core.ContentRouter` for is
-enumerated here.  A combination is either in :data:`CONSTRUCTIBLE` — then
-it must build and route exactly like the paper-faithful ``tree`` router and
-match exactly like brute-force predicate evaluation, before and after
-subscription churn — or it is not, and then asking for it must raise
-:class:`~repro.errors.SubscriptionError`, never hand back a router that
-quietly runs something else.  A new engine, backend or option therefore
-cannot land without a row here.
+Every combination of ``engine`` × factoring that a caller can ask a
+:class:`~repro.core.ContentRouter` for is enumerated here.  A combination
+is either in :data:`CONSTRUCTIBLE` — then it must build and route exactly
+like the paper-faithful ``tree`` router and match exactly like brute-force
+predicate evaluation, before and after subscription churn — or it is not,
+and then asking for it must raise :class:`~repro.errors.SubscriptionError`,
+never hand back a router that quietly runs something else.  A new engine or
+option therefore cannot land without a row here.
 """
 
 from __future__ import annotations
@@ -19,34 +18,23 @@ import pytest
 
 from repro.core import ContentRouter
 from repro.errors import SubscriptionError
-from repro.matching.backends import BACKEND_NAMES
 from repro.matching.engines import ENGINE_NAMES
 from repro.matching.predicates import Subscription
 from repro.network import RoutingTable, spanning_trees_for_publishers
 from repro.workload.generators import EventGenerator, SubscriptionGenerator
 from repro.workload.spec import WorkloadSpec
 
-#: ``(engine, backend, aggregate, factored)``, written out by hand.  With
-#: ``aggregate`` the router drops factoring (the covering forest wants the
-#: whole subscription set), so those rows build an unfactored router.
+#: ``(engine, factored)``, written out by hand.
 CONSTRUCTIBLE = [
-    ("compiled", "interp", False, False),
-    ("compiled", "interp", False, True),
-    ("compiled", "interp", True, False),
-    ("compiled", "interp", True, True),
-    ("compiled", "vector", False, False),
-    ("compiled", "vector", False, True),
-    ("compiled", "vector", True, False),
-    ("compiled", "vector", True, True),
-    ("tree", "interp", False, False),
-    ("tree", "interp", False, True),
+    ("compiled", False),
+    ("compiled", True),
+    ("tree", False),
+    ("tree", True),
 ]
-LATTICE = list(
-    itertools.product(ENGINE_NAMES, BACKEND_NAMES, (False, True), (False, True))
-)
+LATTICE = list(itertools.product(ENGINE_NAMES, (False, True)))
 
 #: Selective enough that every forward/deliver combination of a vantage
-#: occurs among the events, duplicated enough that aggregation compresses 2x.
+#: occurs among the events, duplicated enough that leaves are shared.
 SPEC = WorkloadSpec(
     num_attributes=5,
     values_per_attribute=4,
@@ -63,7 +51,7 @@ NUM_EVENTS = 200
 VANTAGES = [("B0", "B0"), ("B1", "B0"), ("B3", "B3"), ("B1", "B3")]
 
 
-def build_router(topology, broker, engine, backend, aggregate, factored):
+def build_router(topology, broker, engine, factored):
     return ContentRouter(
         topology,
         broker,
@@ -73,8 +61,6 @@ def build_router(topology, broker, engine, backend, aggregate, factored):
         domains=SPEC.domains(),
         factoring_attributes=SPEC.factoring_attributes if factored else None,
         engine=engine,
-        backend=backend,
-        aggregate=aggregate,
     )
 
 
@@ -111,18 +97,12 @@ def assert_equivalent(router, oracle, root, live, events):
 
 
 @pytest.mark.parametrize(
-    "engine, backend, aggregate, factored",
+    "engine, factored",
     LATTICE,
-    ids=[
-        f"{engine}-{backend}-{'agg' if aggregate else 'plain'}-"
-        f"{'factored' if factored else 'whole'}"
-        for engine, backend, aggregate, factored in LATTICE
-    ],
+    ids=[f"{engine}-{'factored' if factored else 'whole'}" for engine, factored in LATTICE],
 )
-def test_lattice_point(diamond_topology, engine, backend, aggregate, factored):
-    if backend == "vector":
-        pytest.importorskip("numpy")
-    config = (engine, backend, aggregate, factored)
+def test_lattice_point(diamond_topology, engine, factored):
+    config = (engine, factored)
     if config not in CONSTRUCTIBLE:
         with pytest.raises(SubscriptionError):
             build_router(diamond_topology, "B0", *config)
@@ -138,7 +118,7 @@ def test_lattice_point(diamond_topology, engine, backend, aggregate, factored):
 
     for broker, root in VANTAGES:
         router = build_router(diamond_topology, broker, *config)
-        oracle = build_router(diamond_topology, broker, "tree", "interp", False, False)
+        oracle = build_router(diamond_topology, broker, "tree", False)
         live = {}
         for subscription in standing:
             live[subscription.subscription_id] = subscription
@@ -146,8 +126,8 @@ def test_lattice_point(diamond_topology, engine, backend, aggregate, factored):
             oracle.add_subscription(clone(subscription))
         assert_equivalent(router, oracle, root, live, events)
         # Churn after matching: subscribe the late ones, drop every
-        # third standing one (duplicates included, so aggregation groups
-        # lose members and covering parents dissolve).
+        # third standing one (duplicates included, so shared leaves lose
+        # members).
         for subscription in late:
             live[subscription.subscription_id] = subscription
             router.add_subscription(clone(subscription))
@@ -160,6 +140,6 @@ def test_lattice_point(diamond_topology, engine, backend, aggregate, factored):
 
 
 def test_literal_list_is_inside_the_lattice():
-    """A row naming a removed engine or backend must not linger."""
+    """A row naming a removed engine or option must not linger."""
     assert set(CONSTRUCTIBLE) <= set(LATTICE)
     assert len(set(CONSTRUCTIBLE)) == len(CONSTRUCTIBLE)

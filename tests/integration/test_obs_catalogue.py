@@ -2,7 +2,7 @@
 
 Two directions.  Forwards: run a short simulator scenario (link matching
 with digests and a fault plan, then flooding) and an in-memory prototype
-broker chain (plain, then ``aggregate=True``) with the registry enabled, and
+broker chain with the registry enabled, and
 require every instrument they create to have a catalogue row.  Backwards:
 every catalogue row must name an instrument the source can still create — a
 row that outlives its subject (a deleted engine's gauges, say) fails here.
@@ -97,9 +97,9 @@ def run_fabric():
         network.publish("P1", random_event(rng))
 
 
-def run_broker_chain(**config_kwargs):
+def run_broker_chain():
     topology, interests = chain_with_interests()
-    config = BrokerNetworkConfig(topology, SCHEMA, domains=DOMAINS, **config_kwargs)
+    config = BrokerNetworkConfig(topology, SCHEMA, domains=DOMAINS)
     transport = InMemoryTransport()
     endpoints = {broker: f"mem://{broker}" for broker in topology.brokers()}
     nodes = [BrokerNode(config, broker, transport, endpoints) for broker in topology.brokers()]
@@ -141,10 +141,9 @@ def test_every_instrument_created_has_a_catalogue_row(live_registry):
     created = run_simulator()
     run_fabric()
     run_broker_chain()
-    run_broker_chain(aggregate=True)
     created.update(instrument.name for _key, instrument in live_registry.instruments())
     # The scenarios must actually reach every instrumented layer.
-    for scope in ("engine.", "match.aggregation.", "router.", "fabric.",
+    for scope in ("engine.", "router.", "fabric.",
                   "protocol.link_matching.", "protocol.flooding.", "sim.fault.",
                   "sim.broker.", "broker."):
         assert any(name.startswith(scope) for name in created), scope

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 import pytest
@@ -27,8 +28,9 @@ def wait_until(predicate, timeout_s=8.0):
     return False
 
 
-@pytest.fixture
-def tcp_network():
+@contextlib.contextmanager
+def running_tcp_network(**config_kwargs):
+    """B0 - B1 - B2 over loopback: alice@B0, carol@B2, pub@B1."""
     schema = stock_trade_schema()
     topology = Topology()
     topology.add_broker("B0")
@@ -39,7 +41,7 @@ def tcp_network():
     topology.add_client("alice", "B0")
     topology.add_client("carol", "B2")
     topology.add_client("pub", "B1", kind=NodeKind.PUBLISHER)
-    config = BrokerNetworkConfig(topology, schema)
+    config = BrokerNetworkConfig(topology, schema, **config_kwargs)
     transport = TcpTransport(sender_threads=2)
     # Ephemeral ports: every node listens on :0 and publishes its actual
     # port back into the shared endpoints mapping at start().
@@ -52,10 +54,18 @@ def tcp_network():
     assert wait_until(
         lambda: all(len(n.connected_brokers) >= 1 for n in nodes.values())
     )
-    yield schema, transport, endpoints, nodes
-    for node in nodes.values():
-        node.stop()
-    transport.close()
+    try:
+        yield schema, transport, endpoints, nodes
+    finally:
+        for node in nodes.values():
+            node.stop()
+        transport.close()
+
+
+@pytest.fixture
+def tcp_network():
+    with running_tcp_network() as network:
+        yield network
 
 
 class TestTcpEndToEnd:
@@ -145,3 +155,27 @@ class TestTcpFailClosed:
         assert wait_until(lambda: alice.connected_broker == "B0")
         alice.subscribe_and_wait("volume>3", timeout_s=8.0)
         assert wait_until(lambda: all(n.subscription_count == 1 for n in nodes.values()))
+
+    def test_out_of_domain_publish_is_refused_and_the_connection_stays(self, live_registry):
+        """A publish outside a declared domain is answered with an error
+        naming the attribute and counted; the publisher's connection stays
+        open and its next event is delivered."""
+        with running_tcp_network(domains={"issue": ["IBM", "MSFT"]}) as network:
+            schema, transport, endpoints, nodes = network
+            alice = BrokerClient("alice", schema, transport, endpoints["B0"])
+            pub = BrokerClient("pub", schema, transport, endpoints["B1"])
+            alice.connect()
+            pub.connect()
+            assert wait_until(lambda: alice.connected_broker == "B0")
+            assert wait_until(lambda: pub.connected_broker == "B1")
+            alice.subscribe_and_wait("*", timeout_s=8.0)
+            assert wait_until(lambda: nodes["B1"].subscription_count == 1)
+            pub.publish({"issue": "HP", "price": 1.0, "volume": 1})
+            assert wait_until(lambda: len(pub.errors) == 1)
+            assert "'issue'" in pub.errors[0]
+            rejected = live_registry.counter("broker.events_rejected", broker="B1")
+            assert rejected.value == 1
+            assert pub.is_connected and nodes["B1"].session("pub").is_connected
+            pub.publish({"issue": "IBM", "price": 1.0, "volume": 1})
+            assert wait_until(lambda: len(alice.received_events) == 1)
+            assert alice.received_events[0]["issue"] == "IBM"

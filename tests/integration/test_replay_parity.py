@@ -7,10 +7,9 @@ AND on packed bits; here it is redone the paper's way — a
 :class:`~repro.core.trits.TritVector` built position by position from the
 virtual links' destination lists — and refined by
 :class:`~repro.core.link_matcher.LinkMatcher` over the very trees the
-configuration refines (the factored sub-tree the event selects; under
-aggregation, both deduplicated programs, their Yes sets ORed and their steps
-summed).  The decision must agree on neighbors, steps and mask, for random
-destination subsets, the empty one included.
+configuration refines (the factored sub-tree the event selects).  The
+decision must agree on neighbors, steps and mask, for random destination
+subsets, the empty one included.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ import random
 import pytest
 
 from repro.core import LinkMatcher, N, TreeAnnotation, TritVector
-from repro.matching.aggregation import AggregatingEngine
 from repro.matching.engines import TreeEngine
-from repro.matching.predicates import Subscription
 from repro.matching.pst import ParallelSearchTree
 from repro.workload.generators import EventGenerator, SubscriptionGenerator
 from tests.integration.test_config_matrix import (
@@ -48,73 +45,50 @@ def restricted_mask(router, root, destinations):
     )
 
 
-def oracle_tree(replica, members=None):
+def oracle_tree(replica):
     """The PST a replica's live subscriptions build — ``replica`` itself
     when it is one, else a tree fed the program's subscriptions in insertion
-    order.  ``members`` replaces each aggregation representative by its
-    group's members: the same shape (members share the representative's
-    canonical predicate), with leaves that name real subscribers."""
-    if isinstance(replica, ParallelSearchTree) and members is None:
+    order."""
+    if isinstance(replica, ParallelSearchTree):
         return replica
     tree = ParallelSearchTree(
         replica.schema, attribute_order=replica.attribute_order, domains=replica.domains
     )
     for subscription in replica.subscriptions:
-        if members is None:
-            tree.insert(subscription)
-            continue
-        for member in members[subscription.subscription_id].members.values():
-            tree.insert(
-                Subscription(
-                    subscription.predicate,
-                    member.subscriber,
-                    subscription_id=member.subscription_id,
-                )
-            )
+        tree.insert(subscription)
     return tree
 
 
-def refined_trees(router, event):
-    """The PSTs the router refines ``event`` over (``None``: no sub-tree can
+def refined_tree(router, event):
+    """The PST the router refines ``event`` over (``None``: no sub-tree can
     match, which costs one step and sends nowhere)."""
     if router._factored is not None:
         subtree = dict(router._factored.subtrees()).get(router._factored.key_for_event(event))
-        return None if subtree is None else [oracle_tree(subtree)]
+        return None if subtree is None else oracle_tree(subtree)
     engine = router._engine
-    if isinstance(engine, AggregatingEngine):
-        engines = (engine.inner, engine._covered)
-        return [oracle_tree(e.program, engine._rep_group) for e in engines]
-    return [oracle_tree(engine.tree if isinstance(engine, TreeEngine) else engine.program)]
+    return oracle_tree(engine.tree if isinstance(engine, TreeEngine) else engine.program)
 
 
 def oracle(router, event, root, destinations):
     mask = restricted_mask(router, root, destinations)
-    trees = refined_trees(router, event)
-    if trees is None:
+    tree = refined_tree(router, event)
+    if tree is None:
         return mask.close_maybes(), 1
-    final, steps = TritVector.all_no(len(mask)), 0
-    for tree in trees:
-        annotation = TreeAnnotation(router.links.num_links, router._link_of_subscriber)
-        annotation.annotate(tree)
-        result = LinkMatcher(tree, annotation).match_links(event, mask)
-        final, steps = final.parallel(result.mask), steps + result.steps
-    return final, steps
+    annotation = TreeAnnotation(router.links.num_links, router._link_of_subscriber)
+    annotation.annotate(tree)
+    result = LinkMatcher(tree, annotation).match_links(event, mask)
+    return result.mask, result.steps
 
 
 @pytest.mark.parametrize(
-    "engine, backend, aggregate, factored",
+    "engine, factored",
     CONSTRUCTIBLE,
     ids=[
-        f"{engine}-{backend}-{'agg' if aggregate else 'plain'}-"
-        f"{'factored' if factored else 'whole'}"
-        for engine, backend, aggregate, factored in CONSTRUCTIBLE
+        f"{engine}-{'factored' if factored else 'whole'}"
+        for engine, factored in CONSTRUCTIBLE
     ],
 )
-def test_restricted_route_equals_link_matcher(
-    diamond_topology, engine, backend, aggregate, factored
-):
-    if backend == "vector":
-        pytest.importorskip("numpy")
+def test_restricted_route_equals_link_matcher(diamond_topology, engine, factored):
     subscriptions = SubscriptionGenerator(
         SPEC, seed=25, duplicate_rate=0.3
     ).subscriptions_for(diamond_topology.subscribers(), 100)
@@ -123,7 +97,7 @@ def test_restricted_route_equals_link_matcher(
     clients = diamond_topology.clients()
     rng = random.Random(27)
     for broker, root in VANTAGES:
-        router = build_router(diamond_topology, broker, engine, backend, aggregate, factored)
+        router = build_router(diamond_topology, broker, engine, factored)
         for subscription in subscriptions:
             router.add_subscription(clone(subscription))
         for event in events:

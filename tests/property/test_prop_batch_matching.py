@@ -5,13 +5,11 @@ every batch of events, ``match_batch(events)[i]`` must equal
 ``match(events[i])`` — same match set, same step count.  Likewise
 ``match_links_batch`` against per-event ``match_links``.  Half the batches
 are drawn from a pool of at most four events, so in-batch duplicates reach
-both backends' batch kernels (nothing folds them first) with their step
-counts compared too.
+the compiled batch path (nothing folds them first) with their step counts
+compared too.
 """
 
 from __future__ import annotations
-
-import importlib.util
 
 from hypothesis import given, settings, strategies as st
 
@@ -26,8 +24,6 @@ SCHEMA = uniform_schema(4)
 DOMAIN = [0, 1, 2]
 DOMAINS = {name: DOMAIN for name in SCHEMA.names}
 NUM_LINKS = 5
-#: ``vector`` requires numpy; without it the interp half still runs.
-BACKENDS = ["interp", "vector"] if importlib.util.find_spec("numpy") else ["interp"]
 
 test_specs = st.one_of(
     st.none(),
@@ -84,12 +80,10 @@ def assert_batch_equivalent(matcher, events):
 
 
 class TestMatchBatchEquivalence:
-    @given(
-        backend=st.sampled_from(BACKENDS), specs=subscription_lists, batch=event_batches
-    )
+    @given(specs=subscription_lists, batch=event_batches)
     @settings(max_examples=150)
-    def test_compiled(self, backend, specs, batch):
-        engine = CompiledEngine(SCHEMA, domains=DOMAINS, backend=backend)
+    def test_compiled(self, specs, batch):
+        engine = CompiledEngine(SCHEMA, domains=DOMAINS)
         for subscription in make_subscriptions(specs):
             engine.insert(subscription)
         events = [Event.from_tuple(SCHEMA, values) for values in batch]
@@ -131,15 +125,10 @@ class TestMatchBatchEquivalence:
 
 
 class TestMatchLinksBatchEquivalence:
-    @given(
-        backend=st.sampled_from(BACKENDS),
-        specs=subscription_lists,
-        batch=event_batches,
-        mask=masks,
-    )
+    @given(specs=subscription_lists, batch=event_batches, mask=masks)
     @settings(max_examples=100)
-    def test_compiled(self, backend, specs, batch, mask):
-        engine = CompiledEngine(SCHEMA, domains=DOMAINS, backend=backend)
+    def test_compiled(self, specs, batch, mask):
+        engine = CompiledEngine(SCHEMA, domains=DOMAINS)
         for subscription in make_subscriptions(specs):
             engine.insert(subscription)
         engine.bind_links(NUM_LINKS, link_of)

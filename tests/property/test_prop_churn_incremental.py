@@ -22,8 +22,6 @@ so the program is history-independent too.
 
 from __future__ import annotations
 
-import importlib.util
-
 from hypothesis import given, settings, strategies as st
 
 from repro.core import pack_tritvector
@@ -45,8 +43,6 @@ DOMAIN = [0, 1, 2]
 DOMAINS = {name: DOMAIN for name in SCHEMA.names}
 NUM_LINKS = 5
 FULL = (1 << NUM_LINKS) - 1
-#: ``vector`` requires numpy; without it the interp half still runs.
-BACKENDS = ["interp", "vector"] if importlib.util.find_spec("numpy") else ["interp"]
 
 #: Per attribute: None = don't care, int = equality, (op, bound) = range,
 #: (low, high) of ints = a closed interval.
@@ -67,7 +63,7 @@ links = st.integers(min_value=0, max_value=NUM_LINKS - 1)
 yes_masks = st.integers(min_value=0, max_value=FULL)
 
 #: One step: (operation, predicate, pick, link, event, yes bits).  ``pick``
-#: selects the live subscription a remove / refresh acts on, or the
+#: selects the live subscription a remove / rebind acts on, or the
 #: level-skipping edge and skipped level a ``rematerialize`` step's insert
 #: constrains; ``unroot`` inserts a subscription that leaves the root's
 #: level ``*`` and removes every one that constrains it, so the last removal
@@ -81,7 +77,7 @@ steps = st.tuples(
             "insert",
             "remove",
             "remove",
-            "refresh",
+            "rebind",
             "rematerialize",
             "unroot",
             "drain",
@@ -243,13 +239,10 @@ def assert_answers_like_the_oracle(engine, oracle, slots, event, yes_bits):
     assert projected[0] == refined[0]  # digest ≡ rematch
 
 
-@given(
-    backend=st.sampled_from(BACKENDS),
-    script=st.lists(steps, min_size=1, max_size=40),
-)
+@given(script=st.lists(steps, min_size=1, max_size=40))
 @settings(max_examples=150, deadline=None)
-def test_every_step_is_the_oracle_tree(backend, script):
-    engine = CompiledEngine(SCHEMA, domains=DOMAINS, backend=backend)
+def test_every_step_is_the_oracle_tree(script):
+    engine = CompiledEngine(SCHEMA, domains=DOMAINS)
     oracle = TreeEngine(SCHEMA, domains=DOMAINS)
     link_by_id = {}
 
@@ -276,11 +269,12 @@ def test_every_step_is_the_oracle_tree(backend, script):
             insert(Subscription(predicate_of(spec), f"s{link}"), link)
         elif operation == "remove" and live:
             remove(live[pick % len(live)])
-        elif operation == "refresh" and live:
+        elif operation == "rebind" and live:
+            # One subscriber moves to another link: both re-annotate.
             subscription = live[pick % len(live)]
             link_by_id[subscription.subscription_id] = link
-            engine.refresh_links(subscription)
-            oracle.bind_links(NUM_LINKS, link_of)  # the oracle re-annotates from scratch
+            engine.bind_links(NUM_LINKS, link_of)
+            oracle.bind_links(NUM_LINKS, link_of)
         elif operation == "unroot" and not root.is_leaf and not root.is_empty:
             # A survivor that leaves the root's level (and those above) ``*``
             # keeps the tree from draining, so the root is spliced, not emptied.

@@ -3,9 +3,8 @@
 The invariant under test is *bit-identity*: routing a random event through
 random topologies with digests enabled produces exactly the same forward
 edges, delivery sets and link masks as per-hop rematching — across matching
-engines, execution backends and aggregation, and through every
-fallback of the digest matrix (epoch-mismatch churn, diverged subscription
-sets, stale flood windows, fault replays).
+engines, and through every fallback of the digest matrix (epoch-mismatch
+churn, diverged subscription sets, stale flood windows, fault replays).
 """
 
 from __future__ import annotations
@@ -22,13 +21,10 @@ SCHEMA = uniform_schema(3)
 DOMAIN = [0, 1]
 DOMAINS = {name: DOMAIN for name in SCHEMA.names}
 
-#: The engine matrix the bit-identity property runs over: both engines, the
-#: vector execution backend, and subscription aggregation.
+#: The engine matrix the bit-identity property runs over: both engines.
 CONFIGS = [
     {"engine": "tree"},
     {"engine": "compiled"},
-    {"engine": "compiled", "backend": "vector"},
-    {"engine": "compiled", "aggregate": True},
 ]
 
 CONFIG_IDS = [
@@ -83,8 +79,6 @@ def make_subscriptions(specs_by_client):
 
 
 def build_protocol(topology, subscriptions, config, *, use_digests):
-    if config.get("backend") == "vector":
-        pytest.importorskip("numpy")
     context = ProtocolContext(
         topology, SCHEMA, subscriptions, domains=DOMAINS, **config
     )

@@ -140,10 +140,10 @@ class _RouterSet:
     sharing one FactoredMatcher (``shared``) or each owning a private one,
     or — with no ``engine`` — the unfactored tree-engine oracle."""
 
-    def __init__(self, topology, tables, trees, engine=None, backend=None, shared=False):
+    def __init__(self, topology, tables, trees, engine=None, shared=False):
         options = dict(domains=DOMAINS, engine="tree")
         if engine is not None:
-            options.update(factoring_attributes=["a1"], engine=engine, backend=backend)
+            options.update(factoring_attributes=["a1"], engine=engine)
         self.matcher = factored_matcher_for(SCHEMA, **options) if shared else None
         self.routers = {
             broker: ContentRouter(
@@ -166,9 +166,7 @@ class _RouterSet:
             router.remove_subscription(subscription_id)
 
 
-@pytest.mark.parametrize(
-    "engine,backend", [("compiled", "interp"), ("compiled", "vector"), ("tree", None)]
-)
+@pytest.mark.parametrize("engine", ["compiled", "tree"])
 class TestSharedMatcherEqualsPrivate:
     """N routers sharing one subscription replica decide exactly what N
     routers with a private replica each decide — same neighbors, same
@@ -179,13 +177,11 @@ class TestSharedMatcherEqualsPrivate:
 
     @given(topology=topologies(), data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_interleaved_operations(self, engine, backend, topology, data):
-        if backend == "vector":
-            pytest.importorskip("numpy")
+    def test_interleaved_operations(self, engine, topology, data):
         tables = all_routing_tables(topology)
         trees = spanning_trees_for_publishers(topology)
-        shared = _RouterSet(topology, tables, trees, engine, backend, shared=True)
-        private = _RouterSet(topology, tables, trees, engine, backend)
+        shared = _RouterSet(topology, tables, trees, engine, shared=True)
+        private = _RouterSet(topology, tables, trees, engine)
         oracle = _RouterSet(topology, tables, trees)
         assert len({id(r.matcher) for r in shared.routers.values()}) == 1
         brokers, roots = topology.brokers(), sorted(trees)

@@ -47,9 +47,8 @@ class TestSubscriptionManager:
             {},
             {"engine": "tree"},
             {"factoring_attributes": ["a1"], "domains": {"a1": [0, 1, 2]}},
-            {"aggregate": True},
         ],
-        ids=["compiled", "tree", "factored", "aggregate"],
+        ids=["compiled", "tree", "factored"],
     )
     def test_count_does_not_list_the_subscriptions(self, schema5, monkeypatch, kwargs):
         """``subscription_count`` (and ``repr``) must come from the

@@ -34,19 +34,16 @@ class TestParsing:
             timeout=60,
         )
 
-    def test_engine_backend_mismatch_is_a_usage_error(self):
-        """``--engine tree --backend vector`` used to end in a traceback."""
-        completed = self._run_cli("--engine", "tree", "--backend", "vector", "demo")
+    @pytest.mark.parametrize(
+        "flags", [("--backend", "vector"), ("--aggregate",)], ids=["backend", "aggregate"]
+    )
+    def test_removed_matcher_flags_are_usage_errors(self, flags):
+        """The kernel-backend and aggregation options are gone: asking for
+        one is an argparse error, not a silently different matcher."""
+        completed = self._run_cli(*flags, "demo")
         assert completed.returncode == 2
         assert "Traceback" not in completed.stderr
-        assert "requires engine='compiled'" in completed.stderr
-
-    def test_tree_engine_with_aggregate_is_a_usage_error(self):
-        """``--engine tree --aggregate`` used to end in a traceback."""
-        completed = self._run_cli("--engine", "tree", "--aggregate", "demo")
-        assert completed.returncode == 2
-        assert "Traceback" not in completed.stderr
-        assert "--aggregate requires engine='compiled'" in completed.stderr
+        assert completed.stderr.startswith("usage: repro")
 
 
 class TestFastCommands:

@@ -13,8 +13,9 @@ from repro.broker import (
 )
 from repro.broker import messages as wire
 from repro.errors import ProtocolError, RoutingError, TransportError
-from repro.matching import Subscription, parse_predicate, stock_trade_schema
+from repro.matching import Subscription, parse_predicate, stock_trade_schema, uniform_schema
 from repro.network import NodeKind, Topology
+from repro.testkit import InMemoryBrokerHarness
 
 
 def two_broker_network():
@@ -264,6 +265,48 @@ class TestForwardAccounting:
         unneeded = live_registry.counter("link.unneeded_forwards", broker="B1")
         assert unneeded.value == 1
         assert live_registry.counter("link.unneeded_forwards", broker="B0").value == 0
+
+
+class TestOutOfDomainPublish:
+    """An event outside a declared domain is refused on its own: the rest
+    of its ingest batch routes, the publisher hears why, and the broker
+    counts it."""
+
+    DOMAINS = {"a1": [0, 1, 2], "a2": [0, 1, 2]}
+
+    def harness(self):
+        harness = InMemoryBrokerHarness.for_chain(2, uniform_schema(2), domains=self.DOMAINS)
+        subscriber = harness.attach("S.B1.00")
+        subscriber.subscribe_and_wait("a1=1")
+        harness.settle()
+        return harness, subscriber, harness.attach("P1")
+
+    def test_a_batch_delivers_everything_but_the_bad_event(self, live_registry):
+        harness, subscriber, publisher = self.harness()
+        publisher.publish_many(
+            [{"a1": 1, "a2": 0}, {"a1": 7, "a2": 0}, {"a1": 1, "a2": 1}]
+        )
+        harness.settle()
+        assert [e.as_tuple() for e in subscriber.received_events] == [(1, 0), (1, 1)]
+        assert len(publisher.errors) == 1
+        assert "'a1'" in publisher.errors[0] and "7" in publisher.errors[0]
+        rejected = live_registry.counter("broker.events_rejected", broker="B0")
+        assert rejected.value == 1
+        assert harness.node("B0").events_routed == 2
+        assert live_registry.counter("broker.events_rejected", broker="B1").value == 0
+        harness.shutdown()
+
+    def test_a_single_publish_is_refused_and_the_next_one_routes(self, live_registry):
+        harness, subscriber, publisher = self.harness()
+        publisher.publish({"a1": 1, "a2": 9})
+        harness.settle()
+        assert subscriber.received_events == []
+        assert len(publisher.errors) == 1 and "'a2'" in publisher.errors[0]
+        publisher.publish({"a1": 1, "a2": 2})
+        harness.settle()
+        assert [e.as_tuple() for e in subscriber.received_events] == [(1, 2)]
+        assert live_registry.counter("broker.events_rejected", broker="B0").value == 1
+        harness.shutdown()
 
 
 class TestPublishAndDeliver:

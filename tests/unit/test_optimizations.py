@@ -140,7 +140,7 @@ class TestPerSubtreeStaleness:
             matcher.insert(make_subscription(schema5, f"a1={value} & a2=1", "alice"))
         programs = dict(matcher.subtrees())
         versions = {key: matcher.version_of(key) for key in programs}
-        generations = {key: program.generation for key, program in programs.items()}
+        sizes = {key: len(program) for key, program in programs.items()}
         mutations = matcher.mutations
         late = make_subscription(schema5, "a1=1 & a3=2", "bob")
         matcher.insert(late)
@@ -148,7 +148,7 @@ class TestPerSubtreeStaleness:
         for key, program in programs.items():
             touched = key == (1,)
             assert dict(matcher.subtrees())[key] is program
-            assert (program.generation != generations[key]) == touched
+            assert (len(program) != sizes[key]) == touched
             assert (matcher.version_of(key) != versions[key]) == touched
         matcher.remove(late.subscription_id)
         assert matcher.version_of((1,)) > versions[(1,)] + 1  # never reused
@@ -207,15 +207,14 @@ class TestAnnotatedViews:
         ]
 
     def test_reannotating_one_view_leaves_the_other_alone(self, program):
-        generation = program.generation  # one per insert
+        base = list(program.ann_yes)
         first = program.annotated_view(2, lambda s: 0)
         second = program.annotated_view(2, lambda s: 1)
-        second.backend_state["scratch"] = object()
-        before = (second.generation, dict(second.backend_state), list(second.ann_yes))
+        before = list(second.ann_yes)
         first.annotate(2, lambda s: 1)
-        assert first.generation == 2 and first.ann_yes == second.ann_yes
-        assert (second.generation, second.backend_state, second.ann_yes) == before
-        assert program.generation == generation and not program.backend_state
+        assert first.ann_yes == second.ann_yes
+        assert second.ann_yes == before
+        assert program.ann_yes == base and not program.annotated
 
     def test_patch_through_a_view_is_refused(self, program, schema5):
         view = program.annotated_view(1, lambda s: 0)

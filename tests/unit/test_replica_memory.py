@@ -54,9 +54,6 @@ BORROWED = (Subscription, Predicate, AttributeTest)
 WIRING = {
     "schema",
     "attribute_order",
-    "backend",
-    "_obs_kernel_calls",
-    "_obs_kernel_events",
     "_link_of_subscriber",
     "_schema_ok",
     "_base",

@@ -46,8 +46,8 @@ class TestSubscriptions:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{}, {"factoring_attributes": ["a1"], "domains": DOMAINS}, {"aggregate": True}],
-        ids=["plain", "factored", "aggregate"],
+        [{}, {"factoring_attributes": ["a1"], "domains": DOMAINS}],
+        ids=["plain", "factored"],
     )
     def test_count_does_not_list_the_subscriptions(
         self, two_broker_topology, schema5, monkeypatch, kwargs
@@ -151,26 +151,6 @@ class TestFactoredRouter:
             router_for(
                 two_broker_topology, "B0", schema5, factoring_attributes=["a1"]
             )
-
-    def test_factored_router_honors_backend(self, two_broker_topology, schema5):
-        """Regression: the per-sub-tree link programs were compiled without
-        the router's backend, so a factored ``backend="vector"`` router
-        refined every event on ``interp``."""
-        pytest.importorskip("numpy")
-        router = router_for(
-            two_broker_topology,
-            "B0",
-            schema5,
-            domains=DOMAINS,
-            factoring_attributes=["a1"],
-            backend="vector",
-        )
-        for value in range(3):
-            router.add_subscription(make_subscription(schema5, f"a1={value} & a2=1", "c1"))
-        decision = router.route(Event.from_tuple(schema5, (1, 1, 0, 0, 0)), "B0")
-        assert decision.forward_to == ["B1"]
-        assert router._subtrees, "the route must have annotated link programs"
-        assert {view.backend.name for _, view in router._subtrees.values()} == {"vector"}
 
     def test_local_matching(self, two_broker_topology, schema5):
         router = router_for(two_broker_topology, "B0", schema5)
