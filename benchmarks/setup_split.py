@@ -7,6 +7,9 @@ calls) and ``CompiledProgram.insert`` (Section 2's insertion walk on the
 records, path re-annotation included), records the garbage collector's
 pauses, and prints one JSON line.  A layer's seconds include the
 collections that land inside it (``gc_in``); the three layers never nest.
+``parse_calls`` counts the ``parse_predicate`` calls and ``parse_us`` is
+their mean microseconds with the collector's pauses inside them taken out:
+a per-expression parse cost that compares across commits and machines.
 After set-up it takes a heap census: ``tracked_objects`` (what the
 collector walks on every full collection), the five most numerous tracked
 types, ``tracked_pst_nodes`` (a compiled replica builds none), and the
@@ -144,6 +147,7 @@ def main() -> None:
 
     seconds = dict.fromkeys(LAYERS + ("gc",), 0.0)
     gc_in = dict.fromkeys(LAYERS, 0.0)
+    calls = dict.fromkeys(LAYERS, 0)
     full_collections = {"count": 0, "seconds": 0.0}
     inside = [None]
     gc_began = [0.0]
@@ -162,6 +166,7 @@ def main() -> None:
 
     def timed(layer, function):
         def wrapper(*args, **kwargs):
+            calls[layer] += 1
             inside[0] = layer
             began = time.perf_counter()
             try:
@@ -206,6 +211,10 @@ def main() -> None:
         report[f"{name}_s"] = round(value, 3)
         report[f"{name}_share"] = round(value / total, 3)
     report.update({f"gc_in_{name}_s": round(value, 3) for name, value in gc_in.items()})
+    report["parse_calls"] = calls["parse"]
+    report["parse_us"] = round(
+        (seconds["parse"] - gc_in["parse"]) / max(calls["parse"], 1) * 1e6, 2
+    )
     report["gen2_pauses"] = full_collections["count"]
     report["gen2_pause_s"] = round(full_collections["seconds"], 3)
     report["tracked_objects"] = sum(census.values())

@@ -12,7 +12,7 @@ from repro.matching.ordering import (
     order_quality,
     reverse_declaration_order,
 )
-from repro.matching.parser import parse_predicate, tokenize
+from repro.matching.parser import parse_predicate
 from repro.matching.predicates import (
     DONT_CARE,
     AttributeTest,
@@ -101,6 +101,5 @@ __all__ = [
     "redundant_subscriptions",
     "reverse_declaration_order",
     "stock_trade_schema",
-    "tokenize",
     "uniform_schema",
 ]

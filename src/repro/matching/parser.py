@@ -6,14 +6,21 @@ The paper writes subscriptions as conjunctions of attribute comparisons::
 
 Grammar (conjunctive only, matching the paper's predicate model)::
 
-    expression := clause ( ('&' | 'and') clause )*
+    expression := clause ( ('&' | '&&' | 'and') clause )*
     clause     := NAME op literal | NAME '=' '*' | '(' expression ')'
     op         := '=' | '==' | '!=' | '<' | '<=' | '>' | '>='
     literal    := STRING | NUMBER | 'true' | 'false'
 
 Strings may be single- or double-quoted with backslash escapes.  Numbers with
 a ``.`` or exponent parse as floats, others as integers.  ``attr = *`` is an
-explicit don't-care (equivalent to omitting the attribute).
+explicit don't-care (equivalent to omitting the attribute).  Keywords are
+matched in any case and are not names.
+
+Conjunction is associative, so an expression is a run of comparisons joined
+by ``&``, each with any number of ``(`` before it and ``)`` after it, whose
+parenthesis depth never goes negative and ends at zero.  The scanner reads
+exactly that: one match of :data:`_CLAUSE` per comparison, each test written
+straight into its schema position.
 
 The entry point is :func:`parse_predicate`, which validates names and types
 against an :class:`~repro.matching.schema.EventSchema` and returns a
@@ -22,11 +29,10 @@ against an :class:`~repro.matching.schema.EventSchema` and returns a
 
 from __future__ import annotations
 
-import enum
 import re
-from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from repro.errors import ParseError
+from repro.errors import ParseError, PredicateError
 from repro.matching.predicates import (
     DONT_CARE,
     AttributeTest,
@@ -37,108 +43,159 @@ from repro.matching.predicates import (
 )
 from repro.matching.schema import EventSchema
 
-
-class TokenType(enum.Enum):
-    NAME = "name"
-    STRING = "string"
-    NUMBER = "number"
-    OPERATOR = "operator"
-    AND = "and"
-    STAR = "star"
-    LPAREN = "("
-    RPAREN = ")"
-    END = "end"
-
-
-class Token(NamedTuple):
-    type: TokenType
-    value: Union[str, int, float, bool]
-    position: int
-
-
-#: Each ``TokenType.X`` through the class is a descriptor call; the
-#: tokenizer and the parser read these aliases (declaration order).
-_NAME, _STRING, _NUMBER, _OPERATOR, _AND, _STAR, _LPAREN, _RPAREN, _END = TokenType
-
-
-#: One alternative per token class, tried in this order at each position.
-#: ``\s``, ``\w`` and ``\d`` are exactly ``str.isspace``, ``isalnum``-or-``_``
-#: and ``isdecimal``, so Unicode text splits where the grammar says it does.
-#: Whitespace matches nothing, so ``finditer`` skips it; every other
-#: character starts some match, ``error`` at worst.
-_TOKEN_PATTERN = re.compile(
+#: One comparison with its parentheses and the conjunction after it.  Each
+#: part after the opening parentheses is optional, written ``(?: X | )``, so
+#: the match always succeeds and the first group left out (``None``) says
+#: what is missing; ``?`` or ``*`` over a group would take the regex engine's
+#: slow repeat, so parenthesis runs are character classes that take the
+#: whitespace between them.  ``\s``, ``\w`` and ``\d`` are exactly
+#: ``str.isspace``, ``isalnum``-or-``_`` and ``isdecimal``, and ``int`` and
+#: ``float`` accept every decimal digit ``\d`` does.
+_CLAUSE = re.compile(
     r"""
-      (?P<keyword>(?:[Aa][Nn][Dd]|[Tt][Rr][Uu][Ee]|[Ff][Aa][Ll][Ss][Ee])(?!\w))
-    | (?P<name>[A-Za-z_]\w*)
-    | (?P<operator><=|>=|!=|==|[<>=])
-    | (?P<integer>[-+]?\d+(?![\d.eE]))
-    | (?P<and>&&?)
-    | (?P<float>(?:\d|[-+.](?=[\d.]))(?:[\d.eE]|(?<=[eE])[-+])*)
-    | (?P<string>'[^'\\]*(?:\\.[^'\\]*)*'|"[^"\\]*(?:\\.[^"\\]*)*")
-    | (?P<star>\*)
-    | (?P<lparen>\()
-    | (?P<rparen>\))
-    | (?P<word>[^\W\d]\w*)
-    | (?P<error>\S)
+    \s* (?P<open> \([\s(]* | )
+    (?: (?P<name> (?!(?:[Aa][Nn][Dd]|[Tt][Rr][Uu][Ee]|[Ff][Aa][Ll][Ss][Ee])(?!\w)) [A-Za-z_]\w* ) \s*
+        (?: (?P<op> <=|>=|!=|==|[<>=] ) \s*
+            (?: (?: (?P<integer> [-+]?\d+(?![\d.eE]) )
+                  | (?P<float> (?:\d|[-+.](?=[\d.]))(?:[\d.eE]|(?<=[eE])[-+])* )
+                  | (?P<string> '[^'\\]*(?:\\.[^'\\]*)*' | "[^"\\]*(?:\\.[^"\\]*)*" )
+                  | (?P<boolean> (?:[Tt][Rr][Uu][Ee]|[Ff][Aa][Ll][Ss][Ee])(?!\w) )
+                  | (?P<star> \* ) )
+                \s* (?P<close> \)[\s)]* | ) (?P<conjunction> &&? | [Aa][Nn][Dd](?!\w) | )
+            | )
+        | )
+    | )
     """,
     re.VERBOSE | re.DOTALL,
 )
-#: Groups whose lexeme is the token's value.
-_VERBATIM = dict(name=_NAME, operator=_OPERATOR, star=_STAR, lparen=_LPAREN, rparen=_RPAREN)
-#: Builds a Token from a ``(type, value, position)`` tuple without going
-#: through the NamedTuple's Python-level ``__new__``.
-_new_tuple = tuple.__new__
+_match_clause = _CLAUSE.match
+_LITERALS = ("integer", "float", "string", "boolean", "star")
+#: ``=`` and ``==`` are absent: they make equality tests.
+_RANGE_OPS = {op.value: op for op in RangeOp}
+
+_Placed = Dict[int, Union[AttributeTest, List[AttributeTest]]]
 
 
-def tokenize(text: str) -> List[Token]:
-    """Split ``text`` into tokens, raising :class:`ParseError` on bad input.
+def parse_predicate(schema: EventSchema, text: str) -> Predicate:
+    """Parse ``text`` into a :class:`Predicate` over ``schema``.
 
-    Every token carries the index of its first character."""
-    tokens: List[Token] = []
-    append = tokens.append
-    for match in _TOKEN_PATTERN.finditer(text):
-        kind = match.lastgroup
-        value = match[0]
-        start = match.start()
-        token_type = _VERBATIM.get(kind)
-        if token_type is None:
-            token_type, value = _literal(kind, value, text, start, tokens)
-        append(_new_tuple(Token, (token_type, value, start)))
-    append(_new_tuple(Token, (_END, "", len(text))))
-    return tokens
+    A rejected text raises :class:`ParseError` at its leftmost offending
+    character, a literal the attribute's type refuses included.
+
+    >>> schema = stock_trade_schema()
+    >>> p = parse_predicate(schema, "issue='IBM' & price<120 & volume>1000")
+    >>> p.describe()
+    "issue='IBM' & price<120 & volume>1000"
+    """
+    stripped = text.strip()
+    if not stripped or stripped == "*":
+        return Predicate.at_positions(schema, {})
+    try:
+        return Predicate.at_positions(schema, _scan(schema, text, False))
+    except PredicateError:
+        pass
+    # Rejected: scan again, placing the tests after every clause, so that
+    # the error names the leftmost offending character.
+    _scan(schema, text, True)
+    raise AssertionError(f"{text!r} was rejected, then scanned clean")
 
 
-def _literal(kind: str, lexeme: str, text: str, start: int, tokens: List[Token]) -> Tuple:
-    """Type and value of a token whose value is not its lexeme; raises the
-    :class:`ParseError` for a lexeme that begins no token."""
-    if kind == "integer" or kind == "float":
+def _scan(schema: EventSchema, text: str, place_each: bool) -> _Placed:
+    """The tests of ``text`` by schema position: a lone test as itself (it is
+    its own normal form), repeated ones as a list for
+    :func:`~repro.matching.predicates.normalize_tests`.  With ``place_each``
+    the tests read so far are placed after every clause, so that a literal
+    the attribute's type refuses raises here, at the literal."""
+    positions = schema.positions
+    placed: _Placed = {}
+    depth = 0
+    start = 0
+    while True:
+        clause = _match_clause(text, start)
+        opens, name, symbol, integer, floating, string, boolean, star, closes, conjunction = (
+            clause.groups()
+        )
+        if opens:
+            depth += opens.count("(")
+        slot = positions.get(name)
+        if slot is None:
+            if name is None:
+                raise _expected("an attribute name", text, clause.end())
+            raise ParseError(f"unknown attribute {name!r}", position=clause.start("name"))
+        op = _RANGE_OPS.get(symbol)
         try:
-            return _NUMBER, int(lexeme) if kind == "integer" else float(lexeme)
-        except ValueError:
-            raise ParseError(f"malformed number {lexeme!r}", position=start) from None
-    if kind == "and":
-        return _AND, "&"
-    if kind == "keyword":
-        lowered = lexeme.lower()
-        return (_AND, lexeme) if lowered == "and" else (_NUMBER, lowered == "true")
-    if kind == "string":
-        return _STRING, _read_string(text, start)[0] if "\\" in lexeme else lexeme[1:-1]
-    if kind == "word" and lexeme[0].isalpha():
-        return _NAME, lexeme
-    if lexeme in ("'", '"'):
+            if integer is not None:
+                value = int(integer)
+            elif string is not None:
+                if "\\" in string:
+                    value = _read_string(text, clause.start("string"))[0]
+                else:
+                    value = string[1:-1]
+            elif floating is not None:
+                value = float(floating)
+            elif boolean is not None:
+                value = boolean[0] in "Tt"
+            elif star is None:
+                raise _no_literal(text, clause.end(), symbol)
+        except ValueError:  # past int's digit limit, or not a float
+            raise ParseError(
+                f"malformed number {(integer or floating)[:20]!r}", position=_literal_start(clause)
+            ) from None
+        if op is None:
+            test = EqualityTest(value) if star is None else DONT_CARE
+        elif star is None and boolean is None:
+            test = RangeTest(op, value)
+        else:
+            what = "'*' is only valid with '='" if boolean is None else "booleans have no order"
+            raise ParseError(what, position=_literal_start(clause))
+        tests = placed.setdefault(slot, test)
+        if tests is not test:
+            if type(tests) is list:
+                tests.append(test)
+            else:
+                placed[slot] = [tests, test]
+        if place_each:
+            try:
+                Predicate.at_positions(schema, placed)
+            except PredicateError as error:
+                raise ParseError(str(error), position=_literal_start(clause)) from None
+        if closes:
+            count = closes.count(")")
+            if count > depth:  # the (depth + 1)-th ')' closes nothing
+                unmatched = [i for i, character in enumerate(closes) if character == ")"][depth]
+                raise ParseError("unmatched ')'", position=clause.start("close") + unmatched)
+            depth -= count
+        start = clause.end()
+        if not conjunction:
+            break
+    if start != len(text):
+        raise ParseError(f"trailing input at {_found(text, start)}", position=start)
+    if depth:
+        raise _expected(f"')' to close {depth} '('", text, start)
+    return placed
+
+
+def _found(text: str, start: int) -> str:
+    """What an error message names at ``start``."""
+    rest = text[start:].split(None, 1)
+    return repr(rest[0][:20]) if rest else "the end of the text"
+
+
+def _expected(what: str, text: str, start: int) -> ParseError:
+    return ParseError(f"expected {what}, found {_found(text, start)}", position=start)
+
+
+def _no_literal(text: str, start: int, symbol: Optional[str]) -> ParseError:
+    """The error for a clause that stops at ``start``, before its literal."""
+    if symbol is None:
+        return _expected("an operator", text, start)
+    if text[start : start + 1] in ("'", '"'):
         _read_string(text, start)  # unterminated: raises
-    if lexeme[0].isdigit():
-        # A digit that is not decimal (``²``) reads as a number literal that
-        # no conversion accepts: the literal just before it when that one
-        # runs on into it, else its own.
-        if (
-            tokens
-            and tokens[-1].type is _NUMBER
-            and _TOKEN_PATTERN.match(text, tokens[-1].position).end() == start
-        ):
-            start = tokens[-1].position
-        raise ParseError(f"malformed number at {start}", position=start)
-    raise ParseError(f"unexpected character {lexeme[0]!r}", position=start)
+    return _expected("a literal", text, start)
+
+
+def _literal_start(clause: re.Match) -> int:
+    return next(clause.start(group) for group in _LITERALS if clause[group] is not None)
 
 
 _HEX_ESCAPES = {"x": 2, "u": 4, "U": 8}
@@ -179,97 +236,3 @@ def _read_string(text: str, start: int) -> Tuple[str, int]:
         out.append(ch)
         i += 1
     raise ParseError("unterminated string literal", position=start)
-
-
-class _Parser:
-    """Recursive-descent parser producing the tests per attribute: a lone
-    test as itself (it is its own normal form), repeated ones as a list for
-    :func:`~repro.matching.predicates.normalize_tests`."""
-
-    __slots__ = ("_tokens", "_schema", "_position", "clauses")
-
-    def __init__(self, tokens: Sequence[Token], schema: EventSchema) -> None:
-        self._tokens = tokens
-        self._schema = schema
-        self._position = 0
-        self.clauses: Dict[str, Union[AttributeTest, List[AttributeTest]]] = {}
-
-    def _peek(self) -> Token:
-        return self._tokens[self._position]
-
-    def _advance(self) -> Token:
-        token = self._tokens[self._position]
-        self._position += 1
-        return token
-
-    def _expect(self, type: TokenType) -> Token:
-        token = self._advance()
-        if token.type is not type:
-            raise ParseError(
-                f"expected {type.value}, found {token.value!r}", position=token.position
-            )
-        return token
-
-    def parse(self) -> Dict[str, Union[AttributeTest, List[AttributeTest]]]:
-        self._expression()
-        end = self._peek()
-        if end.type is not _END:
-            raise ParseError(f"trailing input at {end.value!r}", position=end.position)
-        return self.clauses
-
-    def _add(self, name: str, test: AttributeTest) -> None:
-        tests = self.clauses.setdefault(name, test)
-        if isinstance(tests, list):
-            tests.append(test)
-        elif tests is not test:
-            self.clauses[name] = [tests, test]
-
-    def _expression(self) -> None:
-        self._clause()
-        while self._peek().type is _AND:
-            self._advance()
-            self._clause()
-
-    def _clause(self) -> None:
-        token = self._peek()
-        if token.type is _LPAREN:
-            self._advance()
-            self._expression()
-            self._expect(_RPAREN)
-            return
-        name_token = self._expect(_NAME)
-        name = name_token.value
-        if name not in self._schema:
-            raise ParseError(f"unknown attribute {name!r}", position=name_token.position)
-        op_token = self._expect(_OPERATOR)
-        symbol = op_token.value
-        value_token = self._advance()
-        if value_token.type is _STAR:
-            if symbol not in ("=", "=="):
-                raise ParseError("'*' is only valid with '='", position=value_token.position)
-            self._add(name, DONT_CARE)
-            return
-        if value_token.type not in (_STRING, _NUMBER):
-            raise ParseError(
-                f"expected a literal, found {value_token.value!r}", position=value_token.position
-            )
-        value = value_token.value
-        if symbol in ("=", "=="):
-            self._add(name, EqualityTest(value))
-        else:
-            self._add(name, RangeTest(RangeOp.from_symbol(symbol), value))
-
-
-def parse_predicate(schema: EventSchema, text: str) -> Predicate:
-    """Parse ``text`` into a :class:`Predicate` over ``schema``.
-
-    >>> schema = stock_trade_schema()
-    >>> p = parse_predicate(schema, "issue='IBM' & price<120 & volume>1000")
-    >>> p.describe()
-    "issue='IBM' & price<120 & volume>1000"
-    """
-    stripped = text.strip()
-    if not stripped or stripped == "*":
-        return Predicate(schema, {})
-    clauses = _Parser(tokenize(stripped), schema).parse()
-    return Predicate(schema, clauses)

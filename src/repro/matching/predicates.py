@@ -26,9 +26,9 @@ import operator
 import weakref
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.errors import PredicateError
+from repro.errors import PredicateError, SchemaError
 from repro.matching.events import Event
-from repro.matching.schema import AttributeValue, EventSchema
+from repro.matching.schema import Attribute, AttributeType, AttributeValue, EventSchema
 
 
 class RangeOp(enum.Enum):
@@ -358,6 +358,48 @@ def normalize_tests(tests: Sequence[AttributeTest]) -> AttributeTest:
     )
 
 
+def _placed_tests(
+    schema: EventSchema, placed: Mapping[int, Union[AttributeTest, Sequence[AttributeTest]]]
+) -> Tuple[AttributeTest, ...]:
+    """One test per schema position: each of ``placed`` checked against its
+    attribute (several normalized), don't-cares elsewhere."""
+    attributes = schema.attributes
+    slots = [DONT_CARE] * len(attributes)
+    for position, given in placed.items():
+        attribute = attributes[position]
+        if isinstance(given, AttributeTest):
+            slots[position] = _checked(attribute, given)
+        else:
+            slots[position] = normalize_tests([_checked(attribute, test) for test in given])
+    return tuple(slots)
+
+
+def _checked(attribute: Attribute, test: AttributeTest) -> AttributeTest:
+    """``test`` on ``attribute``, or :class:`PredicateError`: an equality
+    value coerced to the attribute's type; a range only on an ordered
+    attribute, a :class:`RangeTest`'s bound a number (not a bool) on a
+    numeric one and a string on a string one.  (:func:`normalize_tests`
+    builds an :class:`IntervalTest` from checked tests.)"""
+    kind = attribute.type
+    if isinstance(test, EqualityTest):
+        try:
+            value = kind.coerce(test.value)
+        except SchemaError as error:
+            raise PredicateError(f"attribute {attribute.name!r}: {error}") from None
+        return test if value is test.value else EqualityTest(value)
+    if test.is_dont_care:
+        return test
+    if not kind.is_ordered:
+        raise PredicateError(f"range test on unordered attribute {attribute.name!r}")
+    if isinstance(test, RangeTest) and not (
+        isinstance(test.bound, str)
+        if kind is AttributeType.STRING
+        else isinstance(test.bound, (int, float)) and not isinstance(test.bound, bool)
+    ):
+        raise PredicateError(f"range bound {test.bound!r} on {kind.value} attribute {attribute.name!r}")
+    return test
+
+
 class Predicate:
     """A conjunction of per-attribute tests aligned to a schema.
 
@@ -372,25 +414,28 @@ class Predicate:
         schema: EventSchema,
         tests: Mapping[str, Union[AttributeTest, Sequence[AttributeTest]]],
     ) -> None:
-        unknown = set(tests) - set(schema.names)
-        if unknown:
-            raise PredicateError(f"predicate mentions unknown attributes: {sorted(unknown)!r}")
-        slots: list = []
-        for attribute in schema:
-            given = tests.get(attribute.name, DONT_CARE)
-            if isinstance(given, AttributeTest):
-                test = given
-            else:
-                test = normalize_tests(list(given))
-            if isinstance(test, (RangeTest, IntervalTest)) and not attribute.type.is_ordered:
-                raise PredicateError(f"range test on unordered attribute {attribute.name!r}")
-            if isinstance(test, EqualityTest):
-                value = attribute.type.coerce(test.value)
-                if value is not test.value:
-                    test = EqualityTest(value)
-            slots.append(test)
+        positions = schema.positions
+        try:
+            placed = {positions[name]: given for name, given in tests.items()}
+        except KeyError:
+            unknown = sorted(name for name in tests if name not in positions)
+            raise PredicateError(f"predicate mentions unknown attributes: {unknown!r}") from None
         self.schema = schema
-        self._tests: Tuple[AttributeTest, ...] = tuple(slots)
+        self._tests: Tuple[AttributeTest, ...] = _placed_tests(schema, placed)
+
+    @classmethod
+    def at_positions(
+        cls,
+        schema: EventSchema,
+        placed: Mapping[int, Union[AttributeTest, Sequence[AttributeTest]]],
+    ) -> "Predicate":
+        """The predicate with ``placed[i]`` (several tests normalized) at
+        schema position ``i`` and don't-cares elsewhere: :meth:`__init__`
+        without its name lookup, and with the same checks."""
+        predicate = cls.__new__(cls)
+        predicate.schema = schema
+        predicate._tests = _placed_tests(schema, placed)
+        return predicate
 
     @classmethod
     def from_values(cls, schema: EventSchema, **values: AttributeValue) -> "Predicate":

@@ -44,11 +44,6 @@ class AttributeType(enum.Enum):
     DOLLAR = "dollar"
     BOOLEAN = "boolean"
 
-    @property
-    def python_types(self) -> Tuple[type, ...]:
-        """The Python types accepted for values of this attribute type."""
-        return _PYTHON_TYPES[self]
-
     def coerce(self, value: AttributeValue) -> AttributeValue:
         """Coerce ``value`` to this type, raising :class:`SchemaError` if the
         value is not acceptable.
@@ -83,14 +78,6 @@ class AttributeType(enum.Enum):
 _NUMBER_TYPES = (AttributeType.FLOAT, AttributeType.DOLLAR)
 _INTEGER = AttributeType.INTEGER
 _BOOLEAN = AttributeType.BOOLEAN
-
-_PYTHON_TYPES: Dict[AttributeType, Tuple[type, ...]] = {
-    AttributeType.STRING: (str,),
-    AttributeType.INTEGER: (int,),
-    AttributeType.FLOAT: (int, float),
-    AttributeType.DOLLAR: (int, float),
-    AttributeType.BOOLEAN: (bool,),
-}
 
 _IDENTIFIER_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
@@ -176,6 +163,11 @@ class EventSchema:
     def names(self) -> Tuple[str, ...]:
         """Attribute names in declaration order."""
         return self._names
+
+    @property
+    def positions(self) -> Mapping[str, int]:
+        """Attribute name → position (read-only: the parser's lookup)."""
+        return self._index
 
     def __len__(self) -> int:
         return len(self._attributes)

@@ -1,13 +1,16 @@
-"""The character-loop tokenizer: the reference the compiled-pattern
-:func:`repro.matching.parser.tokenize` is checked against.  One character
-at a time, every token carrying the index of its first character."""
+"""The character-loop tokenizer: the reference that the compiled-pattern
+:func:`tests.token_parser.tokenize` is checked against, the tokenizer of
+the two-stage parser that is in turn the reference for the clause scanner
+:func:`repro.matching.parser.parse_predicate`.  One character at a time,
+every token carrying the index of its first character."""
 
 from __future__ import annotations
 
 from typing import List, Tuple, Union
 
 from repro.errors import ParseError
-from repro.matching.parser import Token, TokenType, _read_string
+from repro.matching.parser import _read_string
+from tests.token_parser import Token, TokenType
 
 _OPERATORS = ("<=", ">=", "!=", "==", "<", ">", "=")
 

@@ -1,5 +1,5 @@
 """Smoke test of ``benchmarks/setup_split.py``: one JSON line with the set-up
-split, the heap census after set-up (no ``PSTNode`` in a compiled replica),
+split (with the parse count and mean cost), the heap census after set-up (no ``PSTNode`` in a compiled replica),
 the compiled programs' bytes and the per-broker slot census (no slot left
 holding a node with only a ``*``-child)."""
 
@@ -34,6 +34,10 @@ def test_setup_split_reports_the_heap():
     for layer in ("parse", "annotate", "insert", "gc"):
         assert report[f"{layer}_s"] >= 0 and 0 <= report[f"{layer}_share"] <= 1
     assert report["gen2_pauses"] >= 0 and report["gen2_pause_s"] >= 0
+    # --quick: 200 subscriptions, each parsed once at the one broker.
+    assert report["parse_calls"] == 200
+    # The mean leaves out GC pauses, so it is at most parse_s (to 3 decimals).
+    assert 0 < report["parse_us"] * report["parse_calls"] <= (report["parse_s"] + 5e-4) * 1e6
     top = report["top_tracked_types"]
     assert len(top) == 5 and all(count > 0 for count in top.values())
     assert report["tracked_objects"] >= sum(top.values())
@@ -53,5 +57,7 @@ def test_an_engine_backed_replica_has_no_star_only_node():
     program is the whole replica, with no PST beside it."""
     report = setup_split("churn_mem")
     assert sorted(report["live_slots"]) == ["B0", "B1"]
+    # Both brokers parse every subscription: 500 standing ones and more.
+    assert report["parse_calls"] % 2 == 0 and report["parse_calls"] >= 2 * 500
     assert report["star_only_slots"] == {"B0": 0, "B1": 0}
     assert report["tracked_pst_nodes"] == 0 and "PSTNode" not in report["top_tracked_types"]

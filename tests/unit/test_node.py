@@ -18,7 +18,7 @@ from repro.network import NodeKind, Topology
 from repro.testkit import InMemoryBrokerHarness
 
 
-def two_broker_network():
+def two_broker_network(domains=None):
     """B0 -- B1; alice@B0, bob@B1, pub@B0."""
     schema = stock_trade_schema()
     topology = Topology()
@@ -28,7 +28,7 @@ def two_broker_network():
     topology.add_client("alice", "B0")
     topology.add_client("bob", "B1")
     topology.add_client("pub", "B0", kind=NodeKind.PUBLISHER)
-    config = BrokerNetworkConfig(topology, schema)
+    config = BrokerNetworkConfig(topology, schema, domains=domains)
     transport = InMemoryTransport()
     endpoints = {name: f"mem://{name}" for name in topology.brokers()}
     nodes = {name: BrokerNode(config, name, transport, endpoints) for name in topology.brokers()}
@@ -139,6 +139,27 @@ class TestSubscriptionPropagation:
         transport.pump()
         assert [node.subscription_count for node in nodes.values()] == [1, 1]
 
+    @pytest.mark.parametrize("domains", [None, {"issue": ["IBM", "HP"]}])
+    @pytest.mark.parametrize(
+        "expression, attribute",
+        [
+            ("price = 'x'", "price"),
+            ("price < 'x'", "price"),
+            ("issue < 5", "issue"),
+            ("volume > 1 & volume = 2.5", "volume"),
+        ],
+    )
+    def test_mistyped_literal_reported(self, domains, expression, attribute):
+        """Regression: an equality literal that does not coerce escaped the
+        parser as a SchemaError, and a mistyped range bound was granted as
+        a subscription that could never match."""
+        schema, transport, nodes = two_broker_network(domains=domains)
+        alice = client("alice", schema, transport, "B0")
+        with pytest.raises(RequestFailed, match=f"'{attribute}'"):
+            alice.subscribe_and_wait(expression)
+        transport.pump()
+        assert [node.subscription_count for node in nodes.values()] == [0, 0]
+
     def test_cannot_remove_another_clients_subscription(self):
         schema, transport, nodes = two_broker_network()
         alice = client("alice", schema, transport, "B0")
@@ -157,7 +178,9 @@ class TestBadSubPropagate:
     leaves no trace: no subscriber recorded, so the matching
     UNSUB_PROPAGATE is a no-op rather than an unknown-id error."""
 
-    @pytest.mark.parametrize("expression", ["price <", "price > 5 & price < 3"])
+    @pytest.mark.parametrize(
+        "expression", ["price <", "price > 5 & price < 3", "price = 'x'", "price < 'x'"]
+    )
     def test_refused_without_a_phantom_id(self, expression):
         _schema, _transport, nodes = two_broker_network()
         node = nodes["B1"]

@@ -1,4 +1,8 @@
-"""Unit tests for the subscription expression parser."""
+"""Unit tests for the subscription expression parser.
+
+:class:`TestTokenizer` tests the token list of the two-stage reference
+parser in ``tests/token_parser.py``, which the property tests hold the
+clause scanner to."""
 
 from __future__ import annotations
 
@@ -9,13 +13,13 @@ from repro.matching import (
     DONT_CARE,
     EqualityTest,
     Event,
+    EventSchema,
     IntervalTest,
     RangeOp,
     RangeTest,
     parse_predicate,
-    tokenize,
 )
-from repro.matching.parser import TokenType
+from tests.token_parser import TokenType, tokenize
 
 
 class TestTokenizer:
@@ -146,6 +150,55 @@ class TestParsePredicate:
     def test_unbalanced_paren(self, stock_schema):
         with pytest.raises(ParseError):
             parse_predicate(stock_schema, "(price<120")
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("price = 'x'", 8),
+            ("price < 'x'", 8),
+            ("issue < 5", 8),
+            ("volume = 2.5", 9),
+            ("volume > 1 & volume = 2.5", 22),
+            ("volume=true", 7),
+            ("volume<true", 7),
+            ("price='x' & nope=1", 6),
+            ("nope=1 & price='x'", 0),
+            ("price='x' & ) volume=1", 6),
+        ],
+    )
+    def test_mistyped_literal_points_at_the_literal(self, stock_schema, text, position):
+        """Regression: a literal the attribute's type refuses escaped as a
+        SchemaError, or made a range test that never matched.  The error is
+        the leftmost one, whether the type or the syntax is at fault."""
+        with pytest.raises(ParseError) as info:
+            parse_predicate(stock_schema, text)
+        assert info.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, position, message",
+        [
+            ("price<1) & (price>0", 7, "unmatched"),
+            ("(price<1)) & (volume>0", 9, "unmatched"),
+            ("((price<1) & volume>0", 21, "to close 1"),
+            ("  price<120 7", 12, "trailing input"),
+            ("price<120 &", 11, "attribute name"),
+            ("price<120 & )", 12, "attribute name"),
+            ("price 120", 6, "operator"),
+            ("price='IBM", 6, "unterminated"),
+            ("price=1.2.3", 6, "malformed number"),
+        ],
+    )
+    def test_rejected_text_points_at_the_offence(self, stock_schema, text, position, message):
+        with pytest.raises(ParseError, match=message) as info:
+            parse_predicate(stock_schema, text)
+        assert info.value.position == position
+
+    def test_keywords_are_not_names(self):
+        schema = EventSchema([("And", "integer"), ("true", "integer"), ("andx", "integer")])
+        for text in ("And=1", "true=1", "andx=1 & true=2"):
+            with pytest.raises(ParseError):
+                parse_predicate(schema, text)
+        assert parse_predicate(schema, "andx=1 and(andx<3)").test_for("andx") == EqualityTest(1)
 
     def test_semantics_match_python(self, stock_schema):
         predicate = parse_predicate(stock_schema, "price>=100 & price<=120 & issue!='X'")

@@ -222,6 +222,38 @@ class TestPredicate:
         with pytest.raises(PredicateError):
             Predicate(schema, {"flag": RangeTest(RangeOp.LT, 1)})
 
+    @pytest.mark.parametrize(
+        "attribute, test",
+        [
+            ("price", EqualityTest("x")),
+            ("volume", EqualityTest(2.5)),
+            ("volume", EqualityTest(True)),
+            ("price", RangeTest(RangeOp.LT, "x")),
+            ("issue", RangeTest(RangeOp.GE, 5)),
+            ("volume", [RangeTest(RangeOp.GT, 1), RangeTest(RangeOp.LT, "9")]),
+        ],
+    )
+    def test_mistyped_literal_rejected(self, stock_schema, attribute, test):
+        """Regression: a value that does not coerce raised SchemaError, and a
+        mistyped range bound made a predicate that never matched (or, beside
+        a second bound, raised TypeError)."""
+        with pytest.raises(PredicateError, match=f"'{attribute}'"):
+            Predicate(stock_schema, {attribute: test})
+
+    def test_range_bounds_of_either_number_type(self, stock_schema):
+        predicate = Predicate(
+            stock_schema,
+            {"volume": RangeTest(RangeOp.GT, 2.5), "price": RangeTest(RangeOp.LT, 3)},
+        )
+        assert predicate.test_for("volume") == RangeTest(RangeOp.GT, 2.5)
+
+    def test_at_positions_is_init_by_position(self, stock_schema):
+        tests = {"issue": EqualityTest("IBM"), "price": [RangeTest(RangeOp.GT, 1), DONT_CARE]}
+        placed = {stock_schema.positions[name]: test for name, test in tests.items()}
+        assert Predicate.at_positions(stock_schema, placed) == Predicate(stock_schema, tests)
+        with pytest.raises(PredicateError, match="'volume'"):
+            Predicate.at_positions(stock_schema, {2: EqualityTest("x")})
+
     def test_equality_value_coerced(self, stock_schema):
         predicate = Predicate(stock_schema, {"price": EqualityTest(120)})
         test = predicate.test_for("price")
