@@ -33,7 +33,7 @@ import random
 import sys
 import time
 
-from repro.matching.engines import create_engine
+from repro.matching.engines import create_matcher, view_of
 from repro.obs import bench as obs_bench
 from repro.obs import get_registry
 from repro.workload import CHART1_SPEC, EventGenerator, SubscriptionGenerator
@@ -45,7 +45,7 @@ ENGINES = ("tree", "compiled")
 
 def build_engine(name, subscriptions):
     spec = CHART1_SPEC
-    engine = create_engine(name, spec.schema(), domains=spec.domains())
+    engine = view_of(create_matcher(spec.schema(), engine=name, domains=spec.domains()))
     for subscription in subscriptions:
         engine.insert(subscription)
     return engine

@@ -19,7 +19,7 @@ import pathlib
 import sys
 import time
 
-from repro.matching.engines import create_engine
+from repro.matching.engines import create_matcher, view_of
 from repro.obs import get_registry
 from repro.workload import CHART1_SPEC, EventGenerator, SubscriptionGenerator
 
@@ -46,7 +46,9 @@ def measure(engine_name, count, num_events, repeats, seed):
     engines = {}
     for arm in ("disabled", "enabled"):
         registry.disable() if arm == "disabled" else registry.enable()
-        engine = create_engine(engine_name, spec.schema(), domains=spec.domains())
+        engine = view_of(
+            create_matcher(spec.schema(), engine=engine_name, domains=spec.domains())
+        )
         for subscription in subscriptions:
             engine.insert(subscription)
         engine.match(events[0])  # warm up (compiled: force compilation)

@@ -2,9 +2,9 @@
 
 Runs one ``setup()`` of a ``benchmarks/e2e`` workload with wall-clock
 wrappers (no profiler, so the shares are unprofiled ones) around
-``parse_predicate``, ``CompiledProgram.annotate`` (which ``annotated_view``
-calls) and ``CompiledProgram.insert`` (Section 2's insertion walk on the
-records, path re-annotation included), records the garbage collector's
+``parse_predicate``, ``CompiledProgram.annotate`` (a view's full annotation,
+at its first route) and ``CompiledProgram.insert`` (Section 2's insertion
+walk on the records, path re-annotation included), records the garbage collector's
 pauses, and prints one JSON line.  A layer's seconds include the
 collections that land inside it (``gc_in``); the three layers never nest.
 ``parse_calls`` counts the ``parse_predicate`` calls and ``parse_us`` is
@@ -15,12 +15,12 @@ collector walks on every full collection), the five most numerous tracked
 types, ``tracked_pst_nodes`` (a compiled replica builds none), and the
 number and seconds of generation-2 pauses during set-up.  It also sizes the
 compiled programs: ``program_mib`` is what every live ``CompiledProgram``
-owns (an annotated view's shared structure counted once), and
-``program_field_mib`` each field's *exclusive* share — the bytes only that
-field reaches, i.e. what deleting it would free.  The walk stops at
+and the annotation columns of its views own, and ``program_field_mib`` each
+field's *exclusive* share — the bytes only that field reaches, i.e. what
+deleting it would free (``ann_yes`` / ``ann_maybe``: the views' columns).  The walk stops at
 subscriptions, predicates and tests (what leaves name) and counts small ints
 as free.  Per broker it counts the live slots of the programs the broker's
-router matches on (``live_slots``; all sub-trees of a factored matcher) and
+router's replica holds (``live_slots``; all sub-trees of a factored one) and
 those among them holding a node left with only a ``*``-child
 (``star_only_slots``, which trivial-test elimination keeps at 0).  Run
 from the repository root (``--quick`` uses the workload's smoke size)::
@@ -47,6 +47,7 @@ from benchmarks.e2e.workloads import WORKLOADS  # noqa: E402
 from repro.core.router import ContentRouter  # noqa: E402
 from repro.matching import parser  # noqa: E402
 from repro.matching.compile import CompiledProgram  # noqa: E402
+from repro.matching.optimizations import FactoredMatcher  # noqa: E402
 from repro.matching.predicates import AttributeTest, Predicate, Subscription  # noqa: E402
 
 LAYERS = ("parse", "annotate", "insert")
@@ -54,15 +55,9 @@ LAYERS = ("parse", "annotate", "insert")
 #: What a program points at but does not own.
 _BORROWED = (Subscription, Predicate, AttributeTest, CompiledProgram)
 #: Program slots that wire it to its surroundings rather than hold structure.
-_WIRING = frozenset(
-    (
-        "schema",
-        "attribute_order",
-        "_link_of_subscriber",
-        "_schema_ok",
-        "_base",
-    )
-)
+_WIRING = frozenset(("schema", "attribute_order", "_schema_ok", "views"))
+#: The per-view annotation columns, counted as fields of the program viewed.
+_COLUMNS = ("ann_yes", "ann_maybe")
 #: Owner of what no field owns alone: what two fields reach.
 _SHARED = -1
 
@@ -83,12 +78,16 @@ def program_census(programs):
     ``sys.getsizeof`` walk per field, each object owned by the first field
     that reaches it until a second one does."""
     fields = [field for field in CompiledProgram.__slots__ if field not in _WIRING]
+    fields += _COLUMNS
     owner = {}
     exclusive = [0] * len(fields)
     total = 0
     for program in programs:
         for field_index, field in enumerate(fields):
-            stack = [getattr(program, field)]
+            if field in _COLUMNS:
+                stack = [getattr(view, field) for view in program.views]
+            else:
+                stack = [getattr(program, field)]
             while stack:
                 item = stack.pop()
                 kind = type(item)
@@ -112,11 +111,11 @@ def program_census(programs):
 
 
 def router_programs(router):
-    """The compiled programs a router matches on."""
-    matcher = router.matcher
-    if hasattr(matcher, "subtrees"):  # factored: one sub-tree per index key
-        return [program for _key, program in matcher.subtrees()]
-    return [matcher.program]
+    """The compiled programs of the replica a router views."""
+    replica = router.replica
+    if isinstance(replica, FactoredMatcher):  # one sub-tree per index key
+        return [program for _key, program in replica.subtrees()]
+    return [replica]
 
 
 def slot_census(routers):
@@ -222,9 +221,7 @@ def main() -> None:
     report["tracked_pst_nodes"] = census["PSTNode"]
     mib = 1 << 20
     report["programs"] = len(programs)
-    report["program_slots"] = sum(
-        len(program._records) for program in programs if program._base is None
-    )
+    report["program_slots"] = sum(len(program._records) for program in programs)
     report["program_mib"] = round(program_bytes / mib, 2)
     report["program_field_mib"] = {
         field: round(size / mib, 2) for field, size in field_bytes.items()

@@ -7,21 +7,18 @@ subscription expression, and adds the subscription to the matching tree.
 An event parser first parses a received event, then un-marshals it according
 to the pre-defined event schema."
 
-:class:`MatchingEngine` bundles exactly those two roles around any
-:class:`~repro.matching.base.Matcher` (plain PST by default, factored on
-request).
+:class:`MatchingEngine` bundles exactly those two roles around a view of
+one subscription replica (:func:`~repro.matching.engines.create_matcher`:
+a plain tree by default, factored on request).
 """
 
 from __future__ import annotations
 
 from typing import List, Mapping, Optional, Sequence, Union
 
-from repro.errors import SubscriptionError
 from repro.broker.codec import decode_event, encode_event
-from repro.matching.base import MatcherEngine
-from repro.matching.engines import DEFAULT_ENGINE, create_engine
+from repro.matching.engines import DEFAULT_ENGINE, create_matcher, view_of
 from repro.matching.events import Event
-from repro.matching.optimizations import FactoredMatcher
 from repro.matching.parser import parse_predicate
 from repro.matching.predicates import Predicate, Subscription
 from repro.matching.pst import MatchResult
@@ -33,9 +30,9 @@ class MatchingEngine:
 
     ``engine`` selects the matching implementation — ``"compiled"`` (the
     default: array kernels from :mod:`repro.matching.compile`) or ``"tree"``
-    (the object-graph PST).  With ``factoring_attributes`` the matcher is a
-    :class:`FactoredMatcher` whose sub-trees are searched with the selected
-    engine."""
+    (the object-graph PST).  With ``factoring_attributes`` the replica is a
+    :class:`~repro.matching.optimizations.FactoredMatcher` whose sub-trees
+    are searched with the selected engine.  ``matcher`` is a view of it."""
 
     def __init__(
         self,
@@ -48,24 +45,15 @@ class MatchingEngine:
     ) -> None:
         self.schema = schema
         self.engine = engine
-        if factoring_attributes:
-            if domains is None:
-                raise SubscriptionError("factoring requires finite attribute domains")
-            self.matcher: Union[MatcherEngine, FactoredMatcher] = FactoredMatcher(
+        self.matcher = view_of(
+            create_matcher(
                 schema,
-                factoring_attributes,
-                domains,
-                residual_order=(
-                    [n for n in attribute_order if n not in factoring_attributes]
-                    if attribute_order is not None
-                    else None
-                ),
                 engine=engine,
+                attribute_order=attribute_order,
+                domains=domains,
+                factoring_attributes=factoring_attributes,
             )
-        else:
-            self.matcher = create_engine(
-                engine, schema, attribute_order=attribute_order, domains=domains
-            )
+        )
 
     # ------------------------------------------------------------------
     # Subscription manager
@@ -95,8 +83,6 @@ class MatchingEngine:
     @property
     def subscription_count(self) -> int:
         """O(1): the matcher's own tally, not a listing to count."""
-        if isinstance(self.matcher, FactoredMatcher):
-            return len(self.matcher)
         return self.matcher.subscription_count
 
     # ------------------------------------------------------------------

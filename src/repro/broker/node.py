@@ -45,6 +45,7 @@ from repro.broker.event_log import EventLog
 from repro.broker.transport import Connection, Listener, Transport
 from repro.core.router import ContentRouter
 from repro.matching.digest import MatchDigest
+from repro.matching.engines import create_matcher
 from repro.matching.events import Event
 from repro.matching.parser import parse_predicate
 from repro.matching.predicates import Subscription
@@ -132,16 +133,21 @@ class BrokerNode:
         # and listen on ephemeral ports ("host:0"), each node publishes its
         # actual bound port back into the shared mapping at start().
         self.endpoints = endpoints if isinstance(endpoints, dict) else dict(endpoints)
+        # A private replica: brokers are separate processes in principle.
+        # The node inserts and removes; its router is only told.
+        self.replica = create_matcher(
+            config.schema,
+            engine=config.engine,
+            attribute_order=config.attribute_order,
+            domains=config.domains,
+            factoring_attributes=config.factoring_attributes,
+        )
         self.router = ContentRouter(
             config.topology,
             name,
             config.routing_tables[name],
             config.spanning_trees,
-            config.schema,
-            attribute_order=config.attribute_order,
-            domains=config.domains,
-            factoring_attributes=config.factoring_attributes,
-            engine=config.engine,
+            self.replica,
         )
         #: When set, per-client event logs are persisted under this
         #: directory (one subdirectory per broker), so reliable redelivery
@@ -354,6 +360,7 @@ class BrokerNode:
             return
         subscription_id = next(_global_subscription_ids)
         subscription = Subscription(predicate, client, subscription_id=subscription_id)
+        self.replica.insert(subscription)
         self.router.add_subscription(subscription)
         self._obs_subscribes.inc()
         self._subscriber_of[subscription_id] = client
@@ -384,6 +391,7 @@ class BrokerNode:
             connection.send(wire.encode_message(wire.ErrorReply(message.request_id, reason)))
             return
         del self._subscriber_of[message.subscription_id]
+        self.replica.remove(message.subscription_id)
         self.router.remove_subscription(message.subscription_id)
         self._obs_unsubscribes.inc()
         self._flood_to_brokers(
@@ -460,7 +468,7 @@ class BrokerNode:
         self._send_subscription_sync(connection)
 
     def _send_subscription_sync(self, connection: Connection) -> None:
-        for subscription in self.router.matcher.subscriptions:
+        for subscription in self.replica.subscriptions:
             connection.send(
                 wire.encode_message(
                     wire.SubPropagate(
@@ -484,14 +492,18 @@ class BrokerNode:
             return  # flood deduplication
         try:
             predicate = parse_predicate(self.config.schema, message.expression)
-            self.router.add_subscription(
-                Subscription(predicate, message.subscriber, subscription_id=message.subscription_id)
+            # The subscriber is checked before the replica takes the id: a
+            # refused propagate records nothing.
+            self.router.links.position_of(message.subscriber)
+            subscription = Subscription(
+                predicate, message.subscriber, subscription_id=message.subscription_id
             )
-        except (PredicateError, SubscriptionError) as exc:
-            # Nothing was recorded: the id stays unknown here.
+            self.replica.insert(subscription)
+        except (PredicateError, RoutingError, SubscriptionError) as exc:
             raise ProtocolError(
                 f"bad SUB_PROPAGATE for subscription #{message.subscription_id}: {exc}"
             ) from exc
+        self.router.add_subscription(subscription)
         self._subscriber_of[message.subscription_id] = message.subscriber
         self._obs_subscribes.inc()
         self._flood_to_brokers(message, exclude=connection)
@@ -499,6 +511,7 @@ class BrokerNode:
     def _handle_unsub_propagate(self, connection: Connection, message: wire.UnsubPropagate) -> None:
         if self._subscriber_of.pop(message.subscription_id, None) is None:
             return
+        self.replica.remove(message.subscription_id)
         self.router.remove_subscription(message.subscription_id)
         self._obs_unsubscribes.inc()
         self._flood_to_brokers(message, exclude=connection)

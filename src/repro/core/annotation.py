@@ -52,9 +52,10 @@ LinkOfSubscriber = Callable[[Subscription], int]
 class TreeAnnotation:
     """The trit-vector annotation of one PST for one broker.
 
-    Annotations are keyed by PST node id.  The annotation snapshot is valid
-    for the tree structure at :meth:`annotate` time; after subscriptions
-    change, call :meth:`annotate` again (the router tracks dirtiness).
+    Annotations are keyed by PST node id.  :meth:`annotate` computes them
+    for the tree as it is; after a subscription changes, :meth:`update_path`
+    re-annotates its path (a :class:`~repro.matching.engines.TreeEngine`
+    does so for every change its tree makes).
     """
 
     def __init__(self, num_links: int, link_of_subscriber: LinkOfSubscriber) -> None:

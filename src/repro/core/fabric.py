@@ -2,7 +2,7 @@
 
 :class:`ContentRoutedNetwork` is the *untimed* reference implementation of
 the whole protocol: every broker routes on the full subscription set (per
-Section 3.1; under factoring one shared replica, annotated per broker), and
+Section 3.1: one shared replica, annotated per broker), and
 :meth:`publish` walks an event hop by hop down the publisher's spanning
 tree, asking each broker's :class:`~repro.core.router.ContentRouter` for
 its route decision.
@@ -20,7 +20,8 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import RoutingError, TopologyError
-from repro.core.router import ContentRouter, RouteDecision, factored_matcher_for
+from repro.core.router import ContentRouter, RouteDecision
+from repro.matching.engines import create_matcher
 from repro.matching.events import Event
 from repro.matching.parser import parse_predicate
 from repro.matching.predicates import Predicate, Subscription
@@ -129,8 +130,8 @@ class DeliveryTrace:
 class ContentRoutedNetwork:
     """The full link-matching system over a topology (see module docstring).
 
-    Parameters mirror :class:`~repro.core.router.ContentRouter`; they are
-    applied uniformly to every broker.
+    The matcher parameters are :func:`~repro.matching.engines.create_matcher`'s:
+    they build the one subscription replica every broker's router views.
     """
 
     def __init__(
@@ -150,24 +151,20 @@ class ContentRoutedNetwork:
         self.schema = schema
         self.routing_tables: Dict[str, RoutingTable] = all_routing_tables(topology)
         self.spanning_trees: Dict[str, SpanningTree] = spanning_trees_for_publishers(topology)
-        options = dict(
+        self.replica = create_matcher(
+            schema,
+            engine=engine,
             attribute_order=attribute_order,
             domains=domains,
             factoring_attributes=factoring_attributes,
-            engine=engine,
         )
-        # One subscription replica for all factored routers (None: each
-        # engine-backed router keeps a private engine).
-        self._matcher = factored_matcher_for(schema, **options)
         self.routers: Dict[str, ContentRouter] = {
             broker: ContentRouter(
                 topology,
                 broker,
                 self.routing_tables[broker],
                 self.spanning_trees,
-                schema,
-                matcher=self._matcher,
-                **options,
+                self.replica,
             )
             for broker in topology.brokers()
         }
@@ -188,8 +185,7 @@ class ContentRoutedNetwork:
         if isinstance(predicate, str):
             predicate = parse_predicate(self.schema, predicate)
         subscription = Subscription(predicate, client)
-        if self._matcher is not None:
-            self._matcher.insert(subscription)
+        self.replica.insert(subscription)
         for router in self.routers.values():
             router.add_subscription(subscription)
         self._subscriptions[subscription.subscription_id] = subscription
@@ -200,8 +196,7 @@ class ContentRoutedNetwork:
         subscription = self._subscriptions.pop(subscription_id, None)
         if subscription is None:
             raise RoutingError(f"unknown subscription id {subscription_id}")
-        if self._matcher is not None:
-            self._matcher.remove(subscription_id)
+        self.replica.remove(subscription_id)
         for router in self.routers.values():
             router.remove_subscription(subscription_id)
         return subscription

@@ -20,7 +20,8 @@ from typing import List, Optional, Tuple
 from repro.core.masks import VirtualLinkTable
 from repro.experiments.tables import ExperimentTable
 from repro.obs import metrics_output
-from repro.matching.optimizations import FactoredMatcher, SearchDag
+from repro.matching.engines import create_matcher
+from repro.matching.optimizations import SearchDag
 from repro.matching.ordering import (
     declaration_order,
     order_by_fewest_dont_cares,
@@ -69,21 +70,17 @@ def _run_factoring_ablation(config: AblationConfig) -> ExperimentTable:
     subscriptions, sample = _workload(config)
     max_levels = min(4, spec.num_attributes - 1)
     for levels in range(0, max_levels + 1):
-        if levels == 0:
-            tree = ParallelSearchTree(spec.schema(), domains=spec.domains())
-            for subscription in subscriptions:
-                tree.insert(subscription)
-            steps = sum(tree.match(event).steps for event in sample) / len(sample)
-            table.add_row(0, steps, 1, tree.node_count())
-            continue
-        matcher = FactoredMatcher(
-            spec.schema(), spec.attribute_names[:levels], spec.domains()
+        replica = create_matcher(
+            spec.schema(),
+            engine="tree",
+            domains=spec.domains(),
+            factoring_attributes=spec.attribute_names[:levels],
         )
         for subscription in subscriptions:
-            matcher.insert(subscription)
-        steps = sum(matcher.match(event).steps for event in sample) / len(sample)
-        total_nodes = sum(tree.node_count() for _key, tree in matcher.subtrees())
-        table.add_row(levels, steps, len(dict(matcher.subtrees())), total_nodes)
+            replica.insert(subscription)
+        steps = sum(replica.match(event).steps for event in sample) / len(sample)
+        trees = [tree for _key, tree in replica.subtrees()] if levels else [replica]
+        table.add_row(levels, steps, len(trees), sum(tree.node_count() for tree in trees))
     return table
 
 

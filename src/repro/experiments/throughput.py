@@ -113,7 +113,7 @@ def _run_throughput(config: ThroughputConfig) -> ExperimentTable:
             factoring_attributes=spec.factoring_attributes,
             engine=config.engine,
         )
-        for subscription in node.router.matcher.subscriptions:
+        for subscription in node.replica.subscriptions:
             engine.matcher.insert(subscription)
         for event in sample:
             engine.match(event)  # steady state: lazily built kernel state

@@ -45,8 +45,10 @@ _ENGINE_EXPORTS = (
     "CompiledEngine",
     "DEFAULT_ENGINE",
     "ENGINE_NAMES",
+    "FactoredEngine",
     "TreeEngine",
-    "create_engine",
+    "create_matcher",
+    "view_of",
 )
 
 
@@ -73,6 +75,7 @@ __all__ = [
     "EqualityTest",
     "Event",
     "EventSchema",
+    "FactoredEngine",
     "FactoredMatcher",
     "InformationSpace",
     "IntervalTest",
@@ -81,7 +84,8 @@ __all__ = [
     "MatcherEngine",
     "OUT_OF_DOMAIN",
     "TreeEngine",
-    "create_engine",
+    "create_matcher",
+    "view_of",
     "ParallelSearchTree",
     "PSTNode",
     "Predicate",

@@ -30,8 +30,11 @@ structure is ``_records[n]``, one tuple
 ``leaf_subs``          a leaf's subscriptions as a tuple, ``None`` otherwise
 =====================  =======================================================
 
-Beside it, per slot, ``ann_yes[n]`` / ``ann_maybe[n]``: the node's trit
-annotation, packed.
+Annotations are not the program's: each broker's
+:class:`~repro.matching.engines.CompiledEngine` over it (a *view*, one per
+router) owns ``ann_yes[n]`` / ``ann_maybe[n]``, node ``n``'s trit
+annotation packed for that broker's links (Section 3.1: every broker holds
+the same PST and annotates it for itself).
 
 Attribute values are interned once into ``value_ids`` (a plain dict, so
 ``1``/``1.0``/``True`` collapse exactly as they do as PST hash-branch keys);
@@ -50,9 +53,11 @@ re-materialized level takes the skipping node's slot and moves that node to
 a fresh one; a spliced node's slot takes its ``*``-child's record; so a
 parent's edge never changes when its child is replaced, and a new range
 branch goes last.  A pruned slot goes onto a free list the next insert
-reuses; the ``subscription_id -> leaf`` map digests project through and,
-with links bound, the packed annotations of the changed path are written by
-the same walks.  A subscription change costs its path and leaves no garbage.
+reuses; the ``subscription_id -> leaf`` map digests project through.  The
+same walks keep every annotated view live: a moved node's annotation moves
+with it, and the changed path is re-annotated once per view.  A view that
+has never been annotated costs nothing.  A subscription change costs its
+path and leaves no garbage.
 
 **Batching.**  :meth:`CompiledProgram.match_batch` and
 :meth:`CompiledProgram.match_links_batch` check the batch once and walk the
@@ -64,7 +69,7 @@ remembered between events: matching an event is walking the program.
 from __future__ import annotations
 
 from typing import (
-    Callable,
+    Any,
     Dict,
     FrozenSet,
     Iterable,
@@ -88,10 +93,6 @@ from repro.matching.pst import (
 )
 from repro.matching.schema import AttributeValue, EventSchema
 
-#: Maps a subscription to the broker-local (virtual) link position through
-#: which its subscriber is best reached (same contract as TreeAnnotation's).
-LinkOfSubscriber = Callable[[Subscription], int]
-
 #: The kernel record of a slot with no node in it: a leaf holding nothing.
 _FREE_RECORD = (-1, None, None, -1, None)
 
@@ -100,9 +101,9 @@ class CompiledProgram:
     """One Parallel Search Tree as flat, kernel-ready records.
 
     Starts empty; :meth:`insert` and :meth:`remove` change it one
-    subscription at a time.  Link annotations are attached separately with
-    :meth:`annotate` (matching alone never needs them) and follow every
-    change from then on.
+    subscription at a time.  Link annotations belong to its ``views`` (see
+    the module docstring): :meth:`annotate` writes one view's in full, and
+    every change from then on re-annotates its path in each annotated view.
 
     ``attribute_order`` and ``domains`` mean what they mean for
     :class:`~repro.matching.pst.ParallelSearchTree`.
@@ -114,21 +115,17 @@ class CompiledProgram:
         "_positions",
         "_levels",
         "_domains",
-        # one kernel record per node slot, and its packed annotation
+        # one kernel record per node slot
         "_records",
-        "ann_yes",
-        "ann_maybe",
         # interning / bookkeeping
         "value_ids",
-        "num_links",
-        "_link_of_subscriber",
         "_schema_ok",
         # digest projection (subscription id -> live leaf index)
         "_sub_leaf",
         # slot recycling
         "_free_slots",
-        # the program an annotated view shares its structure with
-        "_base",
+        # the per-router views this program keeps annotated
+        "views",
     )
 
     def __init__(
@@ -147,11 +144,7 @@ class CompiledProgram:
         self._levels = tuple(map(self._positions.index, range(len(self._positions))))
         # An empty root at the first level, as a fresh tree has.
         self._records: List[tuple] = [(self._positions[0], None, None, -1, None)]
-        self.ann_yes: List[int] = [0]
-        self.ann_maybe: List[int] = [0]
         self.value_ids: Dict[AttributeValue, int] = {}
-        self.num_links: Optional[int] = None
-        self._link_of_subscriber: Optional[LinkOfSubscriber] = None
         #: Each schema position's declared domain as ``{interned id: value}``;
         #: ``None`` when the domain is open.
         self._domains: List[Optional[Dict[int, AttributeValue]]] = [None] * len(
@@ -172,7 +165,9 @@ class CompiledProgram:
         #: Slots :meth:`remove` pruned, reset to neutral leaves and awaiting
         #: reuse by :meth:`insert`.
         self._free_slots: List[int] = []
-        self._base: Optional[CompiledProgram] = None
+        #: The views handed out over this program (each a
+        #: :class:`~repro.matching.engines.CompiledEngine`), annotated or not.
+        self.views: List[Any] = []
 
     def _intern(self, value: AttributeValue) -> int:
         value_id = self.value_ids.get(value)
@@ -240,14 +235,11 @@ class CompiledProgram:
         return order
 
     # ------------------------------------------------------------------
-    # Annotation (packed trit vectors)
+    # Annotation (packed trit vectors, one pair of columns per view)
 
-    @property
-    def annotated(self) -> bool:
-        return self.num_links is not None
-
-    def annotate(self, num_links: int, link_of_subscriber: LinkOfSubscriber) -> None:
-        """(Re)compute all packed per-node annotations bottom-up.
+    def annotate(self, view: Any) -> None:
+        """(Re)compute all of ``view``'s packed per-node annotations
+        bottom-up, for its ``num_links`` and ``link_of_subscriber``.
 
         Exactly :class:`~repro.core.annotation.TreeAnnotation`'s trits.  Its
         per-value fold collapses, Alternative Combine being idempotent, to
@@ -255,66 +247,43 @@ class CompiledProgram:
         :meth:`_combined_annotation`); only nodes with range branches under a
         declared domain fold per value.
         """
-        if num_links < 0:
-            raise RoutingError("num_links must be >= 0")
-        self.num_links = num_links
-        self._link_of_subscriber = link_of_subscriber
         records = self._records
-        ann_yes, ann_maybe = self.ann_yes, self.ann_maybe
-        leaf_annotation = self._leaf_annotation
-        combined_annotation = self._combined_annotation
-        # Reversed breadth-first order has each node's children annotated
-        # before it.
-        for index in reversed(self.reachable_slots()):
-            if records[index][0] < 0:
-                ann_yes[index], ann_maybe[index] = leaf_annotation(index)
-            else:
-                ann_yes[index], ann_maybe[index] = combined_annotation(index)
+        view.ann_yes = ann_yes = [0] * len(records)
+        view.ann_maybe = ann_maybe = [0] * len(records)
+        try:
+            # Reversed breadth-first order has each node's children
+            # annotated before it.
+            for index in reversed(self.reachable_slots()):
+                ann_yes[index], ann_maybe[index] = self._node_annotation(index, view)
+        except RoutingError:
+            view.ann_yes = view.ann_maybe = None  # half-written: not annotated
+            raise
 
-    def annotated_view(
-        self, num_links: int, link_of_subscriber: LinkOfSubscriber
-    ) -> "CompiledProgram":
-        """One broker's trit vectors on the tree every broker shares (Section
-        3.1): a program holding every structure slot of this one by reference
-        and owning only what annotation writes — ``ann_yes`` / ``ann_maybe``
-        and the link binding.  Kernels run on
-        it unchanged; :meth:`insert` / :meth:`remove` through a view are
-        refused."""
-        view = object.__new__(CompiledProgram)
-        for slot in CompiledProgram.__slots__:
-            setattr(view, slot, getattr(self, slot))
-        view._base = self
-        view.ann_yes = [0] * len(self.ann_yes)
-        view.ann_maybe = [0] * len(self.ann_maybe)
-        view.annotate(num_links, link_of_subscriber)
-        return view
-
-    def _node_annotation(self, index: int) -> Tuple[int, int]:
+    def _node_annotation(self, index: int, view: Any) -> Tuple[int, int]:
         if self._records[index][0] < 0:
-            return self._leaf_annotation(index)
-        return self._combined_annotation(index)
+            return self._leaf_annotation(index, view)
+        return self._combined_annotation(index, view)
 
-    def _leaf_annotation(self, index: int) -> Tuple[int, int]:
-        assert self.num_links is not None and self._link_of_subscriber is not None
+    def _leaf_annotation(self, index: int, view: Any) -> Tuple[int, int]:
+        num_links, link_of = view.num_links, view.link_of_subscriber
         yes = 0
         for subscription in self._records[index][4] or ():
-            position = self._link_of_subscriber(subscription)
+            position = link_of(subscription)
             if position < 0:
                 continue  # subscriber unreachable — no link to light
-            if position >= self.num_links:
+            if position >= num_links:
                 raise RoutingError(
                     f"link position {position} out of range for {subscription!r}"
                 )
             yes |= 1 << position
         return yes, 0
 
-    def _combined_annotation(self, index: int) -> Tuple[int, int]:
+    def _combined_annotation(self, index: int, view: Any) -> Tuple[int, int]:
         """Alternative Combine over the outcomes an event can meet at node
         ``index``, each the Parallel Combine of the branches it takes."""
-        assert self.num_links is not None
-        full = (1 << self.num_links) - 1
-        ann_yes = self.ann_yes
-        ann_maybe = self.ann_maybe
+        full = (1 << view.num_links) - 1
+        ann_yes = view.ann_yes
+        ann_maybe = view.ann_maybe
         position, table, ranges, star, _subs = self._records[index]
         star_yes, star_maybe = (ann_yes[star], ann_maybe[star]) if star >= 0 else (0, 0)
         domain = self._domains[position]
@@ -407,34 +376,38 @@ class CompiledProgram:
         return [MatchResult(*search(event.as_tuple())) for event in events]
 
     def match_links(
-        self, event: Event, yes_bits: int, maybe_bits: int
+        self, view: Any, event: Event, yes_bits: int, maybe_bits: int
     ) -> Tuple[int, int]:
-        """The Section 3.3 refinement search over packed masks.
+        """The Section 3.3 refinement search over packed masks, on
+        ``view``'s annotation.
 
         Takes the initialization mask as ``(yes_bits, maybe_bits)`` and
         returns ``(final_yes_bits, steps)``; the final mask has no Maybe
         trits by construction, so the Yes bits determine it completely.
         """
-        if not self.annotated:
-            raise RoutingError("program has no link annotations — call annotate()")
+        if view.ann_yes is None:
+            raise RoutingError("the view has no link annotations — call annotate()")
         if self._schema_mismatch(event):
             raise RoutingError("event schema does not match the annotated tree")
-        return self._refine(event.as_tuple(), yes_bits, maybe_bits)
+        return self._refine(event.as_tuple(), yes_bits, maybe_bits, view.ann_yes, view.ann_maybe)
 
     def match_links_batch(
-        self, events: Sequence[Event], yes_bits: int, maybe_bits: int
+        self, view: Any, events: Sequence[Event], yes_bits: int, maybe_bits: int
     ) -> List[Tuple[int, int]]:
         """Refine one shared initialization mask for a batch of events.
         Per event this is exactly :meth:`match_links`."""
         if not events:
             return []
-        if not self.annotated:
-            raise RoutingError("program has no link annotations — call annotate()")
+        if view.ann_yes is None:
+            raise RoutingError("the view has no link annotations — call annotate()")
         for event in events:
             if self._schema_mismatch(event):
                 raise RoutingError("event schema does not match the annotated tree")
-        refine = self._refine
-        return [refine(event.as_tuple(), yes_bits, maybe_bits) for event in events]
+        refine, ann_yes, ann_maybe = self._refine, view.ann_yes, view.ann_maybe
+        return [
+            refine(event.as_tuple(), yes_bits, maybe_bits, ann_yes, ann_maybe)
+            for event in events
+        ]
 
     def _search(self, values: tuple) -> Tuple[list, int]:
         """The parallel search on one event's value tuple:
@@ -466,9 +439,16 @@ class CompiledProgram:
                 extend(subs)
         return matched, len(queue)
 
-    def _refine(self, values: tuple, yes_bits: int, maybe_bits: int) -> Tuple[int, int]:
-        """The refinement search on one event's value tuple:
-        ``(final_yes_bits, steps)``.
+    def _refine(
+        self,
+        values: tuple,
+        yes_bits: int,
+        maybe_bits: int,
+        ann_yes: List[int],
+        ann_maybe: List[int],
+    ) -> Tuple[int, int]:
+        """The refinement search on one event's value tuple over one view's
+        annotation columns: ``(final_yes_bits, steps)``.
 
         An explicit frame stack mirrors ``LinkMatcher``'s recursion exactly
         — same visit order, same early exits, same ``steps``.
@@ -476,8 +456,6 @@ class CompiledProgram:
         value_ids = self.value_ids
         interned = [value_ids.get(value) for value in values]
         records = self._records
-        ann_yes = self.ann_yes
-        ann_maybe = self.ann_maybe
         steps = 0
         # Each frame: [children, next_child_position, yes_bits, maybe_bits].
         frames: List[list] = []
@@ -555,9 +533,9 @@ class CompiledProgram:
     # Digest projection (match-once forwarding)
 
     def project_links(
-        self, subscription_ids: Sequence[int], yes_bits: int, maybe_bits: int
+        self, view: Any, subscription_ids: Sequence[int], yes_bits: int, maybe_bits: int
     ) -> Tuple[int, int]:
-        """Project a match digest straight onto this program's packed
+        """Project a match digest straight onto ``view``'s packed
         leaf-annotation columns: one OR per matched *leaf*.
 
         Subscriptions sharing a leaf have identical predicates, so a digest
@@ -570,10 +548,10 @@ class CompiledProgram:
         :class:`RoutingError` for unknown ids (diverged subscription sets —
         the caller must fall back to full matching).
         """
-        if not self.annotated:
-            raise RoutingError("program has no link annotations — call annotate()")
+        if view.ann_yes is None:
+            raise RoutingError("the view has no link annotations — call annotate()")
         mapping = self._sub_leaf
-        ann_yes = self.ann_yes
+        ann_yes = view.ann_yes
         bits = 0
         steps = 0
         seen_leaf = -1
@@ -611,7 +589,6 @@ class CompiledProgram:
         re-materialized in the skipping node's slot, so no node is left with
         only a ``*``-child.
         """
-        self._require_owner()
         check_insertable(self.schema, subscription, self._sub_leaf)
         tests = self._tests_in_order(subscription.predicate)
         records = self._records
@@ -654,7 +631,6 @@ class CompiledProgram:
         Returns the removed subscription; raises :class:`SubscriptionError`
         if the id is unknown.
         """
-        self._require_owner()
         leaf = self._sub_leaf.pop(subscription_id, None)
         if leaf is None:
             raise SubscriptionError(f"unknown subscription id {subscription_id}")
@@ -685,10 +661,6 @@ class CompiledProgram:
         self._changed(path)
         return subscription
 
-    def _require_owner(self) -> None:
-        if self._base is not None:
-            raise RoutingError("an annotated view cannot change the structure it shares")
-
     def _tests_in_order(self, predicate: Predicate) -> List[AttributeTest]:
         return [predicate.tests[position] for position in self._positions]
 
@@ -706,11 +678,16 @@ class CompiledProgram:
         return path
 
     def _changed(self, path: List[int]) -> None:
-        """Re-annotate ``path`` bottom-up when links are bound."""
-        if self.annotated:
-            ann_yes, ann_maybe = self.ann_yes, self.ann_maybe
-            for slot in reversed(path):
-                ann_yes[slot], ann_maybe[slot] = self._node_annotation(slot)
+        """Re-annotate ``path`` in every annotated view."""
+        for view in self.views:
+            if view.ann_yes is not None:
+                self._annotate_path(view, path)
+
+    def _annotate_path(self, view: Any, path: List[int]) -> None:
+        """Recompute ``view``'s annotation of ``path``'s slots, bottom-up."""
+        ann_yes, ann_maybe = view.ann_yes, view.ann_maybe
+        for slot in reversed(path):
+            ann_yes[slot], ann_maybe[slot] = self._node_annotation(slot, view)
 
     def _node_record(self, tests: List[AttributeTest], level: int) -> tuple:
         """An empty node for a path that continues at ``level``: placed at
@@ -728,23 +705,29 @@ class CompiledProgram:
         else:
             slot = len(self._records)
             self._records.append(record)
-            self.ann_yes.append(0)
-            self.ann_maybe.append(0)
+            for view in self.views:
+                if view.ann_yes is not None:
+                    view.ann_yes.append(0)
+                    view.ann_maybe.append(0)
         return slot
 
     def _free(self, slot: int) -> None:
         """Reset an unreachable slot to a neutral leaf — empty record, zero
         annotation, which the kernels can still execute over — for reuse."""
         self._records[slot] = _FREE_RECORD
-        self.ann_yes[slot] = self.ann_maybe[slot] = 0
+        for view in self.views:
+            if view.ann_yes is not None:
+                view.ann_yes[slot] = view.ann_maybe[slot] = 0
         self._free_slots.append(slot)
 
     def _move(self, source: int, target: int) -> None:
-        """Copy the node in ``source`` — record and annotation — to
+        """Copy the node in ``source`` — record and annotations — to
         ``target``; a leaf's subscriptions now map to ``target``."""
         self._records[target] = record = self._records[source]
-        self.ann_yes[target] = self.ann_yes[source]
-        self.ann_maybe[target] = self.ann_maybe[source]
+        for view in self.views:
+            if view.ann_yes is not None:
+                view.ann_yes[target] = view.ann_yes[source]
+                view.ann_maybe[target] = view.ann_maybe[source]
         for subscription in record[4] or ():
             self._sub_leaf[subscription.subscription_id] = target
 
@@ -794,6 +777,6 @@ class CompiledProgram:
             f"CompiledProgram({self.node_count} nodes, "
             f"{len(self.value_ids)} interned values, "
             f"{len(self._sub_leaf)} subscriptions, "
-            f"annotated={self.annotated})"
+            f"{len(self.views)} views)"
         )
 

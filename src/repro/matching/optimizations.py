@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 from typing import (
+    Any,
     Dict,
     FrozenSet,
     Iterable,
@@ -117,10 +118,10 @@ class FactoredMatcher(Matcher):
     :class:`~repro.core.router.ContentRouter` instances (every simulated
     broker holds *the same* PST, Section 3.1).  Each sub-tree is held once
     (:meth:`subtrees`), for :meth:`match` and every router's link matching
-    alike — a compiled router keeps only an annotated view of its program —
-    and staleness is per sub-tree (:meth:`version_of`): a router re-derives
-    what it keeps for every sub-tree whose version moved before it routes
-    again.
+    alike.  A router's view
+    (:class:`~repro.matching.engines.FactoredEngine`, one of ``views``)
+    keeps one view of each sub-tree it has routed into, which that sub-tree
+    keeps live; a sub-tree that empties is dropped from every view.
     """
 
     def __init__(
@@ -164,13 +165,12 @@ class FactoredMatcher(Matcher):
                 )
             residual_names = list(residual_order)
         self._residual_order = residual_names
-        self._subtrees: Dict[Tuple[AttributeValue, ...], _SubTree] = {}
+        self._trees: Dict[Tuple[AttributeValue, ...], _SubTree] = {}
         self._by_id: Dict[int, Subscription] = {}
         self._keys_by_id: Dict[int, List[Tuple[AttributeValue, ...]]] = {}
-        #: Bumped per sub-tree a change touches; a key's version is the value
-        #: at its last change (never reused, even if the sub-tree empties).
-        self.mutations = 0
-        self._versions: Dict[Tuple[AttributeValue, ...], int] = {}
+        #: The views handed out over this matcher (each a
+        #: :class:`~repro.matching.engines.FactoredEngine`).
+        self.views: List[Any] = []
         obs = get_registry()
         label = f"factored-{engine}"
         self._obs_matches = obs.counter("engine.matches", engine=label)
@@ -193,7 +193,11 @@ class FactoredMatcher(Matcher):
         """The populated ``(index key, sub-PST)`` pairs: a
         :class:`ParallelSearchTree` under ``engine="tree"``, its
         :class:`CompiledProgram` under ``"compiled"``."""
-        return self._subtrees.items()
+        return self._trees.items()
+
+    def subtree(self, key: Tuple[AttributeValue, ...]) -> Optional[_SubTree]:
+        """The sub-PST of index key ``key``; ``None`` while unpopulated."""
+        return self._trees.get(key)
 
     def _keys_for(self, subscription: Subscription) -> List[Tuple[AttributeValue, ...]]:
         """All index-key combinations a subscription applies to.
@@ -219,7 +223,7 @@ class FactoredMatcher(Matcher):
         return [tuple(combo) for combo in itertools.product(*per_attribute)]
 
     def _subtree_for(self, key: Tuple[AttributeValue, ...]) -> _SubTree:
-        subtree = self._subtrees.get(key)
+        subtree = self._trees.get(key)
         if subtree is None:
             # The index attributes stay in the sub-PST's schema (every
             # subscription in this tree has them fixed or ``*``), but they are
@@ -235,7 +239,7 @@ class FactoredMatcher(Matcher):
                 subtree = ParallelSearchTree(
                     self.schema, attribute_order=order, domains=self.domains
                 )
-            self._subtrees[key] = subtree
+            self._trees[key] = subtree
         return subtree
 
     def insert(self, subscription: Subscription) -> None:
@@ -254,14 +258,8 @@ class FactoredMatcher(Matcher):
         keys = self._keys_for(subscription)
         for key in keys:
             self._subtree_for(key).insert(self._relaxed_for_key(subscription, key))
-            self._touch(key)
         self._by_id[subscription.subscription_id] = subscription
         self._keys_by_id[subscription.subscription_id] = keys
-
-    def _touch(self, key: Tuple[AttributeValue, ...]) -> None:
-        """Sub-tree ``key`` changed: whatever was derived from it is stale."""
-        self.mutations += 1
-        self._versions[key] = self.mutations
 
     def _relaxed_for_key(
         self, subscription: Subscription, key: Tuple[AttributeValue, ...]
@@ -288,17 +286,13 @@ class FactoredMatcher(Matcher):
         if subscription is None:
             raise SubscriptionError(f"unknown subscription id {subscription_id}")
         for key in self._keys_by_id.pop(subscription_id):
-            subtree = self._subtrees[key]
+            subtree = self._trees[key]
             subtree.remove(subscription_id)
-            self._touch(key)
             if len(subtree) == 0:
-                del self._subtrees[key]
+                del self._trees[key]
+                for view in self.views:
+                    view.drop(key)
         return subscription
-
-    def version_of(self, key: Tuple[AttributeValue, ...]) -> int:
-        """State derived from populated sub-tree ``key`` (a router's
-        annotations) is current iff it was derived at this version."""
-        return self._versions[key]
 
     def key_for_event(self, event: Event) -> Tuple[AttributeValue, ...]:
         """The index key an event selects (out-of-domain values map to the
@@ -316,7 +310,7 @@ class FactoredMatcher(Matcher):
         The lookup counts as one matching step.
         """
         key = self.key_for_event(event)
-        subtree = self._subtrees.get(key)
+        subtree = self._trees.get(key)
         self._obs_matches.inc()
         if subtree is None:
             self._obs_index_misses.inc()
@@ -332,7 +326,7 @@ class FactoredMatcher(Matcher):
     def __repr__(self) -> str:
         return (
             f"FactoredMatcher({len(self._by_id)} subscriptions, "
-            f"{len(self._subtrees)} sub-trees, index={list(self.index_attributes)!r})"
+            f"{len(self._trees)} sub-trees, index={list(self.index_attributes)!r})"
         )
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 from types import MappingProxyType
 from typing import (
+    Any,
     Container,
     Dict,
     FrozenSet,
@@ -242,6 +243,9 @@ class ParallelSearchTree:
         self.domains = checked_domains(schema, domains)
         self.root = PSTNode(0)
         self._by_id: Dict[int, Subscription] = {}
+        #: The views handed out over this tree (each a
+        #: :class:`~repro.matching.engines.TreeEngine`), told of every change.
+        self.views: List[Any] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -291,6 +295,8 @@ class ParallelSearchTree:
             self.root = self._new_node(tests, 0)
         self.root = self._insert(self.root, tests, 0, subscription)
         self._by_id[subscription.subscription_id] = subscription
+        for view in self.views:
+            view.path_changed(subscription)
 
     def _insert(
         self,
@@ -362,6 +368,8 @@ class ParallelSearchTree:
         tests = self._tests_in_order(subscription.predicate)
         # A drained root stays, empty, until the next insert replaces it.
         self.root = self._remove_along_path(self.root, tests, subscription) or self.root
+        for view in self.views:
+            view.path_changed(subscription)
         return subscription
 
     def _remove_along_path(

@@ -239,7 +239,7 @@ class ProtocolContext:
     @property
     def matcher_options(self) -> dict:
         """The matcher configuration, as the keyword arguments
-        :class:`~repro.core.router.ContentRouter` takes."""
+        :func:`~repro.matching.engines.create_matcher` takes."""
         return dict(
             attribute_order=self.attribute_order,
             domains=self.domains,

@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence
 
 from repro.matching.base import MatcherEngine
 from repro.matching.pst import MatchResult
-from repro.matching.engines import create_engine
+from repro.matching.engines import create_matcher, view_of
 from repro.obs import get_registry
 from repro.protocols.base import Decision, ProtocolContext, RoutingProtocol, SimMessage
 
@@ -60,11 +60,13 @@ class FloodingProtocol(RoutingProtocol):
 
     def _make_local_tree(self) -> MatcherEngine:
         context = self.context
-        return create_engine(
-            context.engine,
-            context.schema,
-            attribute_order=context.attribute_order,
-            domains=context.domains,
+        return view_of(
+            create_matcher(
+                context.schema,
+                engine=context.engine,
+                attribute_order=context.attribute_order,
+                domains=context.domains,
+            )
         )
 
     def on_topology_repaired(self, repair) -> List[str]:

@@ -4,15 +4,15 @@ This is a thin adapter: the real work lives in
 :class:`repro.core.router.ContentRouter` (annotation + mask refinement).
 Every broker holds a router over the full replicated subscription set; the
 decision for a message is the router's route decision for the message's
-spanning tree.  Under factoring the replica exists once per process: the
-protocol owns one :class:`~repro.matching.optimizations.FactoredMatcher` and
-every router keeps only its own trit annotations of it (engine-backed
-routers still hold a private engine each).
+spanning tree.  The replica exists once per process, factored or not: the
+protocol builds it with :func:`~repro.matching.engines.create_matcher`,
+inserts every subscription once, and every router keeps only its own trit
+annotations of it.
 
 Resilience (see :mod:`repro.sim.faults` and ``docs/resilience.md``):
 
 * After a topology repair, :meth:`on_topology_repaired` rebuilds each
-  affected broker's virtual-link table and rebinds its engine — discarding
+  affected broker's virtual-link table and rebinds its view — discarding
   the annotation keyed on the old positions.  Unaffected brokers keep
   theirs.
 * While a broker is marked *stale* (structure repaired, annotations not yet
@@ -42,8 +42,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.core.router import ContentRouter, RouteDecision, factored_matcher_for
+from repro.core.router import ContentRouter, RouteDecision
 from repro.errors import RoutingError
+from repro.matching.engines import create_matcher
 from repro.matching.predicates import Subscription
 from repro.obs import Counter, get_registry
 from repro.protocols.base import (
@@ -88,12 +89,10 @@ class LinkMatchingProtocol(RoutingProtocol):
         # Subscriptions a router could not index yet (subscriber cut off at
         # build time); retried after every repair.
         self._deferred: Dict[str, List[Subscription]] = {}
-        # The one subscription replica every factored router routes on
-        # (None: engine-backed routers, a private engine each).
-        self._matcher = factored_matcher_for(context.schema, **context.matcher_options)
-        if self._matcher is not None:
-            for subscription in self._subscriptions:
-                self._matcher.insert(subscription)
+        # The one subscription replica every router routes on.
+        self.replica = create_matcher(context.schema, **context.matcher_options)
+        for subscription in self._subscriptions:
+            self.replica.insert(subscription)
         self.routers: Dict[str, ContentRouter] = {}
         for broker in context.topology.brokers():
             self.routers[broker] = self._build_router(broker)
@@ -109,17 +108,15 @@ class LinkMatchingProtocol(RoutingProtocol):
             broker,
             context.routing_tables[broker],
             context.spanning_trees,
-            context.schema,
-            matcher=self._matcher,
-            **context.matcher_options,
+            self.replica,
         )
         for subscription in self._subscriptions:
             try:
                 router.add_subscription(subscription)
             except RoutingError:
                 # A subscriber currently cut off owns no virtual link at this
-                # broker (a shared matcher indexes it, lighting no link);
-                # retried after the repair that reattaches it.
+                # broker (the replica holds it, lighting no link); retried
+                # after the repair that reattaches it.
                 self._deferred.setdefault(broker, []).append(subscription)
         return router
 
@@ -129,12 +126,15 @@ class LinkMatchingProtocol(RoutingProtocol):
     def on_topology_repaired(self, repair: TopologyRepair) -> List[str]:
         """Rebuild virtual-link tables for affected brokers only.
 
-        Returns the brokers whose layout actually changed (engine
+        Returns the brokers whose layout actually changed (view
         rebound) — the fault coordinator holds those in a stale
         window with flood fallback until their annotations are rebuilt.
         """
         context = self.context
         for broker in repair.joined_brokers:
+            old = self.routers.get(broker)
+            if old is not None:
+                old.close()
             self.routers[broker] = self._build_router(broker)
         if not repair.changed:
             return list(repair.joined_brokers)
@@ -196,9 +196,9 @@ class LinkMatchingProtocol(RoutingProtocol):
             self._stale.discard(broker)
 
     def add_subscription(self, subscription: Subscription) -> None:
-        """Insert a subscription into every broker's router at runtime."""
-        if self._matcher is not None:
-            self._matcher.insert(subscription)  # once; a duplicate raises here
+        """Insert a subscription into the replica, once (a duplicate raises
+        here), and tell every broker's router at runtime."""
+        self.replica.insert(subscription)
         self._subscriptions.append(subscription)
         for broker, router in self.routers.items():
             try:
@@ -215,7 +215,7 @@ class LinkMatchingProtocol(RoutingProtocol):
 
     def _can_mint(self, broker: str, router: ContentRouter) -> bool:
         """Whether ``broker`` may mint a digest for a digest-less message:
-        digests enabled, an engine-backed (non-factored) router, and no
+        digests enabled, a non-factored router, and no
         deferred subscriptions (a deferred broker's set is smaller than its
         peers', so a digest minted here would under-deliver downstream)."""
         return (

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.router import factored_matcher_for
 from repro.errors import SimulationError
-from repro.matching.engines import create_engine
+from repro.matching.engines import create_matcher
 from repro.protocols.base import Decision, ProtocolContext, RoutingProtocol, SimMessage
 
 
@@ -41,13 +40,9 @@ class MatchFirstProtocol(RoutingProtocol):
     def __init__(self, context: ProtocolContext) -> None:
         super().__init__(context)
         # The full match does not depend on where it runs: the brokers that
-        # host publishers share one matcher — the one a ContentRouter would
-        # hold, without the link tables and masks match-first never reads.
-        options = context.matcher_options
-        self._matcher = factored_matcher_for(context.schema, **options)
-        if self._matcher is None:
-            del options["factoring_attributes"]
-            self._matcher = create_engine(options.pop("engine"), context.schema, **options)
+        # host publishers share one replica — the one a ContentRouter would
+        # view, without the link tables and masks match-first never reads.
+        self._matcher = create_matcher(context.schema, **context.matcher_options)
         for subscription in context.subscriptions:
             self._matcher.insert(subscription)
 

@@ -64,7 +64,7 @@ from typing import (
 
 from repro.broker.event_log import EventLog
 from repro.errors import SimulationError
-from repro.matching.engines import create_engine
+from repro.matching.engines import create_matcher
 from repro.matching.predicates import Subscription
 from repro.network.topology import Link, NodeKind
 from repro.protocols.base import SimMessage
@@ -979,10 +979,12 @@ def check_invariants(result, coordinator: FaultCoordinator) -> InvariantReport:
     for activation, subscriptions in coordinator.subscription_epochs:
         if not subscriptions:
             continue
-        engine = create_engine("tree", context.schema, attribute_order=context.attribute_order)
+        replica = create_matcher(
+            context.schema, engine="tree", attribute_order=context.attribute_order
+        )
         for subscription in subscriptions:
-            engine.insert(subscription)
-        epochs.append((activation, engine))
+            replica.insert(subscription)
+        epochs.append((activation, replica))
     lost: List[Tuple[str, int]] = []
     expected_count = 0
     events_checked = 0
@@ -994,10 +996,10 @@ def check_invariants(result, coordinator: FaultCoordinator) -> InvariantReport:
         if tree is None:
             continue
         expected: Set[str] = set()
-        for activation, engine in epochs:
+        for activation, replica in epochs:
             if activation > record.publish_ticks:
                 continue
-            expected.update(engine.match(record.event).subscribers)
+            expected.update(replica.match(record.event).subscribers)
         for subscriber in expected:
             if subscriber not in topology or subscriber not in tree.parent:
                 continue

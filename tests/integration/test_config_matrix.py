@@ -1,12 +1,13 @@
 """The whole matcher configuration lattice, in one place.
 
-Every combination of ``engine`` × factoring that a caller can ask a
-:class:`~repro.core.ContentRouter` for is enumerated here.  A combination
+Every combination of ``engine`` × factoring that a caller can ask
+:func:`~repro.matching.engines.create_matcher` for (the replica a
+:class:`~repro.core.ContentRouter` views) is enumerated here.  A combination
 is either in :data:`CONSTRUCTIBLE` — then it must build and route exactly
 like the paper-faithful ``tree`` router and match exactly like brute-force
 predicate evaluation, before and after subscription churn — or it is not,
 and then asking for it must raise :class:`~repro.errors.SubscriptionError`,
-never hand back a router that quietly runs something else.  A new engine or
+never hand back a replica that quietly runs something else.  A new engine or
 option therefore cannot land without a row here.
 """
 
@@ -18,7 +19,7 @@ import pytest
 
 from repro.core import ContentRouter
 from repro.errors import SubscriptionError
-from repro.matching.engines import ENGINE_NAMES
+from repro.matching.engines import ENGINE_NAMES, create_matcher
 from repro.matching.predicates import Subscription
 from repro.network import RoutingTable, spanning_trees_for_publishers
 from repro.workload.generators import EventGenerator, SubscriptionGenerator
@@ -52,16 +53,30 @@ VANTAGES = [("B0", "B0"), ("B1", "B0"), ("B3", "B3"), ("B1", "B3")]
 
 
 def build_router(topology, broker, engine, factored):
+    """A router on a private replica of the given configuration."""
+    replica = create_matcher(
+        SPEC.schema(),
+        engine=engine,
+        domains=SPEC.domains(),
+        factoring_attributes=SPEC.factoring_attributes if factored else None,
+    )
     return ContentRouter(
         topology,
         broker,
         RoutingTable(topology, broker),
         spanning_trees_for_publishers(topology),
-        SPEC.schema(),
-        domains=SPEC.domains(),
-        factoring_attributes=SPEC.factoring_attributes if factored else None,
-        engine=engine,
+        replica,
     )
+
+
+def subscribe(router, subscription):
+    router.replica.insert(subscription)
+    router.add_subscription(subscription)
+
+
+def unsubscribe(router, subscription_id):
+    router.replica.remove(subscription_id)
+    router.remove_subscription(subscription_id)
 
 
 def clone(subscription):
@@ -122,20 +137,20 @@ def test_lattice_point(diamond_topology, engine, factored):
         live = {}
         for subscription in standing:
             live[subscription.subscription_id] = subscription
-            router.add_subscription(clone(subscription))
-            oracle.add_subscription(clone(subscription))
+            subscribe(router, clone(subscription))
+            subscribe(oracle, clone(subscription))
         assert_equivalent(router, oracle, root, live, events)
         # Churn after matching: subscribe the late ones, drop every
         # third standing one (duplicates included, so shared leaves lose
         # members).
         for subscription in late:
             live[subscription.subscription_id] = subscription
-            router.add_subscription(clone(subscription))
-            oracle.add_subscription(clone(subscription))
+            subscribe(router, clone(subscription))
+            subscribe(oracle, clone(subscription))
         for subscription in standing[::3]:
             del live[subscription.subscription_id]
-            router.remove_subscription(subscription.subscription_id)
-            oracle.remove_subscription(subscription.subscription_id)
+            unsubscribe(router, subscription.subscription_id)
+            unsubscribe(oracle, subscription.subscription_id)
         assert_equivalent(router, oracle, root, live, events)
 
 

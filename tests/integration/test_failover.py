@@ -257,8 +257,8 @@ def test_factored_figure6_shares_one_replica_through_faults(monkeypatch):
         factoring_attributes=spec.factoring_attributes,
     )
     protocol = LinkMatchingProtocol(context)
-    shared = protocol.routers[mid_name(0, 0)].matcher
-    assert all(router.matcher is shared for router in protocol.routers.values())
+    shared = protocol.routers[mid_name(0, 0)].replica
+    assert all(router.replica is shared for router in protocol.routers.values())
 
     inserts = [0]
     pst_insert = ParallelSearchTree.insert
@@ -320,7 +320,8 @@ def test_factored_figure6_shares_one_replica_through_faults(monkeypatch):
     assert deferred_at_add[0] == len(protocol.routers) - 2  # T0.J not joined yet
     assert not protocol._deferred
     assert built == {"T0.J": 0}, "a joined broker annotates the shared replica"
-    assert protocol.routers["T0.J"].matcher is shared
+    assert protocol.routers["T0.J"].replica is shared
+    assert len(shared.views) == len(protocol.routers), "one view per live router"
     assert inserts[0] > 0, "the runtime subscriptions were inserted — once, by the owner"
     assert len(shared) == len(subscriptions) + 2
     matched = {record.client for record in result.deliveries if record.matched}

@@ -173,6 +173,23 @@ class TestTcpFailClosed:
         assert 10**9 not in nodes["B1"]._subscriber_of
         assert all(node.subscription_count == 0 for node in nodes.values())
 
+    def test_sub_propagate_for_an_unknown_subscriber_closes_the_peer_and_is_counted(
+        self, tcp_network, live_registry
+    ):
+        """Regression: a SUB_PROPAGATE naming a subscriber the broker does
+        not know raised RoutingError out of the receiver thread, uncounted."""
+        _schema, transport, endpoints, nodes = tcp_network
+        peer = transport.connect(endpoints["B1"])
+        peer.start()  # its receiver sees the broker hang up
+        try:
+            peer.send(wire.encode_message(wire.SubPropagate(10**9, "nobody", "price < 3", "B0")))
+            assert wait_until(lambda: live_registry.value_of("transport.tcp.bad_frames") == 1)
+            assert wait_until(lambda: not peer.is_open)
+        finally:
+            peer.close()
+        assert 10**9 not in nodes["B1"]._subscriber_of
+        assert all(node.subscription_count == 0 for node in nodes.values())
+
     def test_out_of_domain_publish_is_refused_and_the_connection_stays(self, live_registry):
         """A publish outside a declared domain is answered with an error
         naming the attribute and counted; the publisher's connection stays

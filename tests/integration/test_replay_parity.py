@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro.core import LinkMatcher, N, TreeAnnotation, TritVector
-from repro.matching.engines import TreeEngine
+from repro.matching.optimizations import FactoredMatcher
 from repro.matching.pst import ParallelSearchTree
 from repro.workload.generators import EventGenerator, SubscriptionGenerator
 from tests.integration.test_config_matrix import (
@@ -28,6 +28,7 @@ from tests.integration.test_config_matrix import (
     VANTAGES,
     build_router,
     clone,
+    subscribe,
 )
 
 NUM_EVENTS = 40
@@ -62,11 +63,11 @@ def oracle_tree(replica):
 def refined_tree(router, event):
     """The PST the router refines ``event`` over (``None``: no sub-tree can
     match, which costs one step and sends nowhere)."""
-    if router._factored is not None:
-        subtree = dict(router._factored.subtrees()).get(router._factored.key_for_event(event))
+    replica = router.replica
+    if isinstance(replica, FactoredMatcher):
+        subtree = replica.subtree(replica.key_for_event(event))
         return None if subtree is None else oracle_tree(subtree)
-    engine = router._engine
-    return oracle_tree(engine.tree if isinstance(engine, TreeEngine) else engine.program)
+    return oracle_tree(replica)
 
 
 def oracle(router, event, root, destinations):
@@ -99,7 +100,7 @@ def test_restricted_route_equals_link_matcher(diamond_topology, engine, factored
     for broker, root in VANTAGES:
         router = build_router(diamond_topology, broker, engine, factored)
         for subscription in subscriptions:
-            router.add_subscription(clone(subscription))
+            subscribe(router, clone(subscription))
         for event in events:
             subsets = [frozenset(), frozenset(clients)] + [
                 frozenset(rng.sample(clients, rng.randint(1, len(clients))))

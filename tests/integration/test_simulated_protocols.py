@@ -185,8 +185,8 @@ class TestOneReplicaPerProcess:
         programs_before = live(CompiledProgram)
         protocol = LinkMatchingProtocol(context)
         assert len(protocol.routers) == 39
-        assert len({id(router.matcher) for router in protocol.routers.values()}) == 1
-        matcher = protocol.routers["T0.R"].matcher
+        assert len({id(router.replica) for router in protocol.routers.values()}) == 1
+        matcher = protocol.routers["T0.R"].replica
         populated = dict(matcher.subtrees())
         schema = CHART1_SPEC.schema()
         root = sorted(context.spanning_trees)[0]
@@ -198,11 +198,46 @@ class TestOneReplicaPerProcess:
         programs = [
             program
             for program in live(CompiledProgram)
-            if program._base is None and all(program is not p for p in programs_before)
+            if all(program is not p for p in programs_before)
         ]
         assert {id(program) for program in programs} == {
             id(program) for program in populated.values()
         }, "one program per sub-tree, not one per broker"
-        for router in protocol.routers.values():
-            assert all(view._base is populated[key] for key, (_v, view) in router._subtrees.items())
+        # Every broker routed into every in-domain key: one view of each of
+        # those programs per broker, and one view of the replica per broker.
+        assert len(matcher.views) == len(protocol.routers)
+        for key in in_domain:
+            assert len(populated[key].views) == len(protocol.routers)
         assert len(live(PSTNode)) == nodes_before, "the compiled replica holds no PST"
+
+    def test_figure6_brokers_share_one_whole_replica(self):
+        """Without factoring too: one program for every broker, each router
+        a view of it that has annotated nothing before its first route."""
+        import gc
+
+        from repro.matching.compile import CompiledProgram
+        from repro.workload.generators import SubscriptionGenerator, figure6_region_of
+        from repro.workload.spec import CHART1_SPEC
+
+        def live_programs():
+            gc.collect()
+            return [candidate for candidate in gc.get_objects() if type(candidate) is CompiledProgram]
+
+        topology = figure6_topology(subscribers_per_broker=1)
+        subscriptions = SubscriptionGenerator(
+            CHART1_SPEC, seed=1, region_of=figure6_region_of
+        ).subscriptions_for(topology.subscribers(), 300)
+        context = ProtocolContext(
+            topology, CHART1_SPEC.schema(), subscriptions, domains=CHART1_SPEC.domains()
+        )
+        before = live_programs()
+        protocol = LinkMatchingProtocol(context)
+        built = [p for p in live_programs() if all(p is not q for q in before)]
+        assert built == [protocol.replica], "one program, not one per broker"
+        assert {id(router.replica) for router in protocol.routers.values()} == {
+            id(protocol.replica)
+        }
+        assert len(protocol.replica) == len(subscriptions)
+        views = protocol.replica.views
+        assert len(views) == len(protocol.routers) == 39
+        assert all(view.ann_yes is None for view in views)

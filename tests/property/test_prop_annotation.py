@@ -29,6 +29,7 @@ from repro.matching import (
     RangeTest,
     Subscription,
     uniform_schema,
+    view_of,
 )
 from repro.matching.compile import CompiledProgram
 from tests.program_walk import slots_by_node
@@ -189,13 +190,21 @@ churn = st.lists(
 )
 
 
-def assert_exact(tree, program):
+def annotated_view(program):
+    """A view of ``program`` for ``NUM_LINKS`` links, annotated in full."""
+    view = view_of(program)
+    view.bind_links(NUM_LINKS, link_of)
+    program.annotate(view)
+    return view
+
+
+def assert_exact(tree, view):
     reference = TreeAnnotation(NUM_LINKS, link_of)
     reference.annotate(tree)
-    slots = slots_by_node(program, tree)
+    slots = slots_by_node(view.program, tree)
     for node in tree.nodes():
         slot = slots[node.node_id]
-        assert (program.ann_yes[slot], program.ann_maybe[slot]) == pack_tritvector(
+        assert (view.ann_yes[slot], view.ann_maybe[slot]) == pack_tritvector(
             reference.vector_for(node)
         ), f"slot {slot} (node #{node.node_id}) differs from TreeAnnotation"
 
@@ -204,8 +213,9 @@ class TestCompiledAnnotationExact:
     @given(domains=st.tuples(level_domains, level_domains, level_domains), steps=churn)
     @settings(max_examples=200, deadline=None)
     def test_every_slot_matches_tree_annotation(self, domains, steps):
-        """``annotate``, every insert and remove and ``annotated_view``
-        agree with TreeAnnotation at every node: equality-only and mixed
+        """``annotate``, every insert and remove (re-annotating a live view
+        along the path) and a fresh view agree with TreeAnnotation at every
+        node: equality-only and mixed
         range nodes, out-of-domain branch values, one-value, empty and open
         domains, nodes with and without a *-child."""
         declared = {
@@ -213,7 +223,7 @@ class TestCompiledAnnotationExact:
         }
         tree = ParallelSearchTree(SCHEMA, domains=declared)
         program = CompiledProgram(SCHEMA, domains=declared)
-        program.annotate(NUM_LINKS, link_of)
+        view = annotated_view(program)
         live = []
         for action, argument, link in steps:
             if action == "insert":
@@ -232,12 +242,12 @@ class TestCompiledAnnotationExact:
                 program.remove(subscription.subscription_id)
             else:
                 continue
-            assert_exact(tree, program)
-        assert_exact(tree, program.annotated_view(NUM_LINKS, link_of))
+            assert_exact(tree, view)
+        assert_exact(tree, annotated_view(program))
         # Built in one go from the live set, annotated first.
         fresh_tree = ParallelSearchTree(SCHEMA, domains=declared)
         fresh = CompiledProgram(SCHEMA, domains=declared)
         for subscription in tree.subscriptions:
             fresh_tree.insert(subscription)
             fresh.insert(subscription)
-        assert_exact(fresh_tree, fresh.annotated_view(NUM_LINKS, link_of))
+        assert_exact(fresh_tree, annotated_view(fresh))

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import M, N, Y
 from repro.core.trits import pack_tritvector
-from repro.matching import Event, Predicate, RangeOp, Subscription, uniform_schema
+from repro.matching import Event, ParallelSearchTree, Predicate, RangeOp, Subscription, uniform_schema
+from repro.matching.compile import CompiledProgram
 from repro.matching.engines import CompiledEngine, TreeEngine
 from repro.matching.optimizations import FactoredMatcher
 from repro.matching.predicates import EqualityTest, RangeTest
@@ -83,7 +84,7 @@ class TestMatchBatchEquivalence:
     @given(specs=subscription_lists, batch=event_batches)
     @settings(max_examples=150)
     def test_compiled(self, specs, batch):
-        engine = CompiledEngine(SCHEMA, domains=DOMAINS)
+        engine = CompiledEngine(CompiledProgram(SCHEMA, domains=DOMAINS))
         for subscription in make_subscriptions(specs):
             engine.insert(subscription)
         events = [Event.from_tuple(SCHEMA, values) for values in batch]
@@ -92,7 +93,7 @@ class TestMatchBatchEquivalence:
     @given(specs=subscription_lists, batch=event_batches)
     @settings(max_examples=75)
     def test_tree_fallback(self, specs, batch):
-        engine = TreeEngine(SCHEMA, domains=DOMAINS)
+        engine = TreeEngine(ParallelSearchTree(SCHEMA, domains=DOMAINS))
         for subscription in make_subscriptions(specs):
             engine.insert(subscription)
         events = [Event.from_tuple(SCHEMA, values) for values in batch]
@@ -111,7 +112,7 @@ class TestMatchBatchEquivalence:
     @settings(max_examples=50)
     def test_identical_events_share_one_result(self, specs, event_values):
         """A batch of copies of one event: every slot gets the same answer."""
-        engine = CompiledEngine(SCHEMA, domains=DOMAINS)
+        engine = CompiledEngine(CompiledProgram(SCHEMA, domains=DOMAINS))
         for subscription in make_subscriptions(specs):
             engine.insert(subscription)
         events = [Event.from_tuple(SCHEMA, event_values) for _ in range(6)]
@@ -128,7 +129,7 @@ class TestMatchLinksBatchEquivalence:
     @given(specs=subscription_lists, batch=event_batches, mask=masks)
     @settings(max_examples=100)
     def test_compiled(self, specs, batch, mask):
-        engine = CompiledEngine(SCHEMA, domains=DOMAINS)
+        engine = CompiledEngine(CompiledProgram(SCHEMA, domains=DOMAINS))
         for subscription in make_subscriptions(specs):
             engine.insert(subscription)
         engine.bind_links(NUM_LINKS, link_of)
@@ -139,7 +140,7 @@ class TestMatchLinksBatchEquivalence:
     @given(specs=subscription_lists, batch=event_batches, mask=masks)
     @settings(max_examples=50)
     def test_tree_fallback(self, specs, batch, mask):
-        engine = TreeEngine(SCHEMA, domains=DOMAINS)
+        engine = TreeEngine(ParallelSearchTree(SCHEMA, domains=DOMAINS))
         for subscription in make_subscriptions(specs):
             engine.insert(subscription)
         engine.bind_links(NUM_LINKS, link_of)

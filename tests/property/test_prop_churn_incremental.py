@@ -33,7 +33,7 @@ from repro.matching import (
     Subscription,
     uniform_schema,
 )
-from repro.matching.compile import _FREE_RECORD
+from repro.matching.compile import _FREE_RECORD, CompiledProgram
 from repro.matching.engines import CompiledEngine, TreeEngine
 from repro.matching.predicates import EqualityTest, IntervalTest, RangeTest
 from tests.program_walk import slots_by_node
@@ -146,9 +146,13 @@ def assert_structure(engine, oracle):
     assert len(set(free)) == len(free)
     assert reachable.isdisjoint(free)
     assert len(reachable) + len(free) == program.node_count
+    annotated = engine.ann_yes is not None  # the view's columns, once annotated
+    if annotated:
+        assert len(engine.ann_yes) == len(engine.ann_maybe) == program.node_count
     for slot in free:
         assert program._records[slot] == _FREE_RECORD
-        assert program.ann_yes[slot] == program.ann_maybe[slot] == 0
+        if annotated:
+            assert engine.ann_yes[slot] == engine.ann_maybe[slot] == 0
     return slots
 
 
@@ -228,10 +232,9 @@ def assert_answers_like_the_oracle(engine, oracle, slots, event, yes_bits):
     assert result.steps == expected.steps
     refined = oracle.match_links(event, yes_bits, maybe_bits)
     assert engine.match_links(event, yes_bits, maybe_bits) == refined
-    program = engine.program
     for node in oracle.tree.nodes():
         slot = slots[node.node_id]
-        assert (program.ann_yes[slot], program.ann_maybe[slot]) == pack_tritvector(
+        assert (engine.ann_yes[slot], engine.ann_maybe[slot]) == pack_tritvector(
             oracle._annotation.vector_for(node)
         ), f"slot {slot}'s annotation differs from TreeAnnotation"
     projected = engine.project_links(ids, yes_bits, maybe_bits)
@@ -242,8 +245,8 @@ def assert_answers_like_the_oracle(engine, oracle, slots, event, yes_bits):
 @given(script=st.lists(steps, min_size=1, max_size=40))
 @settings(max_examples=150, deadline=None)
 def test_every_step_is_the_oracle_tree(script):
-    engine = CompiledEngine(SCHEMA, domains=DOMAINS)
-    oracle = TreeEngine(SCHEMA, domains=DOMAINS)
+    engine = CompiledEngine(CompiledProgram(SCHEMA, domains=DOMAINS))
+    oracle = TreeEngine(ParallelSearchTree(SCHEMA, domains=DOMAINS))
     link_by_id = {}
 
     def link_of(subscription):

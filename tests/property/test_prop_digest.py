@@ -12,8 +12,16 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import ContentRouter
 from repro.errors import RoutingError
-from repro.matching import EqualityTest, Event, Predicate, Subscription, uniform_schema
+from repro.matching import (
+    EqualityTest,
+    Event,
+    Predicate,
+    Subscription,
+    create_matcher,
+    uniform_schema,
+)
 from repro.network import NodeKind, Topology
 from repro.protocols import LinkMatchingProtocol, ProtocolContext, SimMessage
 
@@ -246,10 +254,11 @@ class TestDigestBitIdentity:
     def test_diverged_broker_falls_back_to_its_own_set(
         self, config, topology, subscription_data, event, data
     ):
-        """A broker whose replicated set silently diverged (here: one
-        subscription removed behind the protocol's back) rejects the digest
-        on the checksum even though the epoch counter still matches, and
-        routes with its own set."""
+        """A broker whose replicated set silently diverged (here: its router
+        swapped for one on a private replica that missed one subscription, as
+        a broker in another process might) rejects the digest on the
+        checksum even though the epoch counter still matches, and routes
+        with its own set."""
         subscriptions = make_subscriptions(
             draw_placements(data, topology, subscription_data)
         )
@@ -259,14 +268,27 @@ class TestDigestBitIdentity:
             return
         root = topology.broker_of(topology.publishers()[0])
         diverged = data.draw(st.sampled_from([b for b in brokers if b != root]))
-        router = protocol.routers[diverged]
         victim = data.draw(st.sampled_from(subscriptions))
-        router.remove_subscription(victim.subscription_id)
-        # The hidden removal bumped only the diverged router's counter;
-        # re-align every other router up to it so *only the checksum* can
-        # catch the divergence — the counters agree, the sets do not.
+        context = protocol.context
+        replica = create_matcher(SCHEMA, **context.matcher_options)
+        router = ContentRouter(
+            topology,
+            diverged,
+            context.routing_tables[diverged],
+            context.spanning_trees,
+            replica,
+        )
+        for subscription in subscriptions:
+            if subscription is not victim:
+                replica.insert(subscription)
+                router.add_subscription(subscription)
+        protocol.routers[diverged].close()
+        protocol.routers[diverged] = router
+        # Re-align every router's counter so *only the checksum* can catch
+        # the divergence — the counters agree, the sets do not.
+        epoch = max(other.subscription_epoch for other in protocol.routers.values())
         for other in protocol.routers.values():
-            other.sync_epoch(router.subscription_epoch)
+            other.sync_epoch(epoch)
         _decision, digest = protocol.routers[root].route_digest(event, root)
         assert digest is not None
         with pytest.raises(RoutingError):

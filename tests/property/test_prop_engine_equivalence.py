@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import M, N, Y
 from repro.core.trits import pack_tritvector
-from repro.matching import Event, Predicate, RangeOp, Subscription, uniform_schema
+from repro.matching import Event, ParallelSearchTree, Predicate, RangeOp, Subscription, uniform_schema
+from repro.matching.compile import CompiledProgram
 from repro.matching.engines import CompiledEngine, TreeEngine
 from repro.matching.predicates import EqualityTest, RangeTest
 
@@ -66,8 +67,8 @@ def link_of(subscription):
 
 
 def build_engines(subscriptions, *, domains=None):
-    tree = TreeEngine(SCHEMA, domains=domains)
-    compiled = CompiledEngine(SCHEMA, domains=domains)
+    tree = TreeEngine(ParallelSearchTree(SCHEMA, domains=domains))
+    compiled = CompiledEngine(CompiledProgram(SCHEMA, domains=domains))
     for subscription in subscriptions:
         tree.insert(subscription)
         compiled.insert(

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.masks import VirtualLinkTable
 from repro.core.router import ContentRouter
-from repro.matching import Event, Subscription, parse_predicate, uniform_schema
+from repro.matching import Event, Subscription, create_matcher, parse_predicate, uniform_schema
 from repro.errors import RoutingError
 from repro.network.paths import RoutingTable
 from repro.network.spanning import SpanningTree
@@ -171,21 +171,15 @@ def test_repaired_router_decisions_equal_fresh(data):
     subscriptions = subscriptions_for(topology)
 
     def build_router(table, trees):
-        router = ContentRouter(
-            topology,
-            "B1",
-            table,
-            trees,
-            SCHEMA,
-            domains=DOMAINS,
-            engine=engine,
-        )
+        replica = create_matcher(SCHEMA, engine=engine, domains=DOMAINS)
+        router = ContentRouter(topology, "B1", table, trees, replica)
         for subscription in subscriptions:
+            replica.insert(subscription)
             try:
                 router.add_subscription(subscription)
             except RoutingError:
                 # Subscriber currently cut off — the protocol defers these
-                # (see LinkMatchingProtocol._build_router); a repaired router
+                # (see LinkMatchingProtocol._build_router); the replica
                 # keeps them indexed with no link to light, which must route
                 # identically.
                 pass

@@ -6,7 +6,7 @@ import pytest
 
 from repro.broker import MatchingEngine
 from repro.errors import ParseError, SubscriptionError
-from repro.matching import CompiledEngine, Event, FactoredMatcher, TreeEngine
+from repro.matching import CompiledEngine, Event, FactoredEngine, FactoredMatcher, TreeEngine
 
 
 class TestSubscriptionManager:
@@ -101,7 +101,8 @@ class TestMatcherSelection:
             domains={f"a{i}": [0, 1, 2] for i in range(1, 6)},
             factoring_attributes=["a1"],
         )
-        assert isinstance(engine.matcher, FactoredMatcher)
+        assert isinstance(engine.matcher, FactoredEngine)
+        assert isinstance(engine.matcher.matcher, FactoredMatcher)
 
     def test_factoring_without_domains_rejected(self, schema5):
         with pytest.raises(SubscriptionError):

@@ -18,6 +18,7 @@ from time import perf_counter
 import pytest
 
 from repro.errors import RoutingError
+from repro.matching.compile import CompiledProgram
 from repro.matching.engines import CompiledEngine
 from repro.matching.predicates import Subscription
 from repro.workload.generators import SubscriptionGenerator
@@ -40,7 +41,7 @@ def churned_engine(standing, *, seed=1):
     """An annotated engine holding ``standing`` subscriptions plus a full
     FIFO of churn subscriptions; returns it with the generator and FIFO."""
     generator = SubscriptionGenerator(SPEC, seed=seed)
-    engine = CompiledEngine(SPEC.schema(), domains=SPEC.domains())
+    engine = CompiledEngine(CompiledProgram(SPEC.schema(), domains=SPEC.domains()))
     engine.bind_links(NUM_LINKS, lambda s: s.subscription_id % NUM_LINKS)
     for _ in range(standing):
         engine.insert(generator.subscription_for("c"))

@@ -14,7 +14,7 @@ from repro.matching.digest import (
     MatchDigest,
     mix_subscription_id,
 )
-from repro.matching.engines import create_engine
+from repro.matching.engines import create_matcher, view_of
 from repro.obs import MetricsRegistry, get_registry, set_registry
 from repro.protocols import LinkMatchingProtocol, ProtocolContext, SimMessage
 from tests.conftest import make_subscription
@@ -71,8 +71,8 @@ class TestMatchDigestEncoding:
 
 
 class TestProjectLinks:
-    def _engine(self, name="compiled", **kwargs):
-        engine = create_engine(name, SCHEMA2, domains=None, **kwargs)
+    def _engine(self, name="compiled"):
+        engine = view_of(create_matcher(SCHEMA2, engine=name))
         subs = [
             make_subscription(SCHEMA2, "a1=1", "alice"),
             make_subscription(SCHEMA2, "a1=2", "bob"),
@@ -113,7 +113,7 @@ class TestProjectLinks:
             engine.project_links([999_999_999], 0, 0b11)
 
     def test_unbound_engine_raises(self):
-        engine = create_engine("compiled", SCHEMA2, domains=None)
+        engine = view_of(create_matcher(SCHEMA2))
         engine.insert(make_subscription(SCHEMA2, "a1=1", "alice"))
         with pytest.raises(RoutingError):
             engine.project_links([1], 0, 1)
@@ -158,9 +158,11 @@ class TestEpochs:
         epoch = router.subscription_epoch
         checksum = router._subscription_checksum
         extra = make_subscription(SCHEMA2, "a2=3", "c.B0")
+        protocol.replica.insert(extra)
         router.add_subscription(extra)
         assert router.subscription_epoch == epoch + 1
         assert router._subscription_checksum != checksum
+        protocol.replica.remove(extra.subscription_id)
         router.remove_subscription(extra.subscription_id)
         assert router.subscription_epoch == epoch + 2
         assert router._subscription_checksum == checksum  # XOR round trip
@@ -191,7 +193,9 @@ class TestEpochs:
         decision = router.route(event, "B0")
         assert decision.epoch == router.subscription_epoch
         decision.assert_current(router.subscription_epoch)  # no raise
-        router.add_subscription(make_subscription(SCHEMA2, "a2=9", "c.B0"))
+        late = make_subscription(SCHEMA2, "a2=9", "c.B0")
+        protocol.replica.insert(late)
+        router.add_subscription(late)
         with pytest.raises(RoutingError):
             decision.assert_current(router.subscription_epoch)
 

@@ -10,6 +10,7 @@ event matched before and after every change must see exactly the live set.
 from __future__ import annotations
 
 from repro.matching import Event, Predicate, Subscription, uniform_schema
+from repro.matching.compile import CompiledProgram
 from repro.matching.engines import CompiledEngine
 from repro.matching.predicates import EqualityTest
 
@@ -30,7 +31,7 @@ def event(*values):
 
 
 def build_engine(*subscriptions):
-    engine = CompiledEngine(SCHEMA, domains=DOMAINS)
+    engine = CompiledEngine(CompiledProgram(SCHEMA, domains=DOMAINS))
     for entry in subscriptions:
         engine.insert(entry)
     return engine

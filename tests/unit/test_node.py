@@ -196,6 +196,24 @@ class TestBadSubPropagate:
         node._dispatch(peer, wire.SubPropagate(subscription_id, "alice", "price < 3", "B0"))
         assert node.subscription_count == 1
 
+    @pytest.mark.parametrize("subscriber", ["nobody", "B0"])
+    def test_unknown_subscriber_refused_without_a_phantom_id(self, subscriber):
+        """A subscriber this broker does not know (a name outside the
+        topology, or a broker's) is refused before the replica takes the
+        id."""
+        _schema, _transport, nodes = two_broker_network()
+        node = nodes["B1"]
+        peer = node._broker_connections["B0"]
+        subscription_id = 10**9
+        with pytest.raises(ProtocolError, match=f"#{subscription_id}"):
+            node._dispatch(peer, wire.SubPropagate(subscription_id, subscriber, "price < 3", "B0"))
+        assert subscription_id not in node._subscriber_of
+        assert subscription_id not in node.replica
+        assert node.subscription_count == 0
+        node._dispatch(peer, wire.UnsubPropagate(subscription_id, "B0"))  # a no-op
+        node._dispatch(peer, wire.SubPropagate(subscription_id, "alice", "price < 3", "B0"))
+        assert node.subscription_count == 1
+
 
 class TestRefusedUnsubscribe:
     def test_refusal_leaves_epochs_counters_and_digests_alone(self, live_registry):
@@ -279,9 +297,9 @@ class TestForwardAccounting:
         pub = client("pub", schema, transport, "B0")
         # Only B0's replica holds this subscription of bob's (B1 never heard
         # of it), so B0 forwards events that B1 has no use for.
-        nodes["B0"].router.add_subscription(
-            Subscription(parse_predicate(schema, "issue='IBM'"), "bob")
-        )
+        hidden = Subscription(parse_predicate(schema, "issue='IBM'"), "bob")
+        nodes["B0"].replica.insert(hidden)
+        nodes["B0"].router.add_subscription(hidden)
         pub.publish({"issue": "IBM", "price": 1.0, "volume": 1})
         pub.publish({"issue": "HP", "price": 1.0, "volume": 1})
         transport.pump()

@@ -6,8 +6,15 @@ import random
 
 import pytest
 
-from repro.errors import RoutingError, SubscriptionError
-from repro.matching import Event, FactoredMatcher, ParallelSearchTree, SearchDag, build_pst
+from repro.errors import SubscriptionError
+from repro.matching import (
+    Event,
+    FactoredMatcher,
+    ParallelSearchTree,
+    SearchDag,
+    build_pst,
+    view_of,
+)
 from repro.matching.compile import CompiledProgram
 from tests.conftest import make_subscription
 
@@ -132,27 +139,22 @@ class TestFactoredMatcher:
 
 class TestPerSubtreeStaleness:
     """A subscription change costs the sub-trees it maps to: only their
-    versions move, only their programs change."""
+    programs change, in place."""
 
     def test_a_change_moves_only_its_keys(self, schema5):
         matcher = FactoredMatcher(schema5, ["a1"], DOMAINS, engine="compiled")
         for value in range(3):
             matcher.insert(make_subscription(schema5, f"a1={value} & a2=1", "alice"))
         programs = dict(matcher.subtrees())
-        versions = {key: matcher.version_of(key) for key in programs}
         sizes = {key: len(program) for key, program in programs.items()}
-        mutations = matcher.mutations
         late = make_subscription(schema5, "a1=1 & a3=2", "bob")
         matcher.insert(late)
-        assert matcher.mutations == mutations + 1
         for key, program in programs.items():
             touched = key == (1,)
-            assert dict(matcher.subtrees())[key] is program
+            assert matcher.subtree(key) is program
             assert (len(program) != sizes[key]) == touched
-            assert (matcher.version_of(key) != versions[key]) == touched
         matcher.remove(late.subscription_id)
-        assert matcher.version_of((1,)) > versions[(1,)] + 1  # never reused
-        assert dict(matcher.subtrees())[(0,)] is programs[(0,)]
+        assert all(matcher.subtree(key) is program for key, program in programs.items())
 
     def test_program_is_lowered_from_the_compacted_tree(self, schema5):
         """The index level a relaxed insert leaves ``*`` never gets a node
@@ -178,7 +180,7 @@ class TestPerSubtreeStaleness:
 
 
 class TestAnnotatedViews:
-    """``CompiledProgram.annotated_view``: one structure, N annotations."""
+    """A program's views (``view_of``): one structure, N annotations."""
 
     @pytest.fixture
     def program(self, schema5):
@@ -188,15 +190,22 @@ class TestAnnotatedViews:
         program.insert(make_subscription(schema5, "a3=2", "carol"))
         return program
 
+    @staticmethod
+    def view(program, num_links, link_of):
+        view = view_of(program)
+        view.bind_links(num_links, link_of)
+        view.project_links([], 0, 0)  # annotate
+        return view
+
     def test_views_do_not_see_each_others_annotations(self, program, schema5):
         # Two brokers, two link layouts: alice/bob/carol behind links 0/1/2
         # of a 3-link broker, all behind link 0 of a 1-link broker.
-        wide = program.annotated_view(3, lambda s: "abc".index(s.subscriber[0]))
-        narrow = program.annotated_view(1, lambda s: 0)
-        for slot in ("_records", "value_ids", "_sub_leaf", "_free_slots"):
-            assert getattr(wide, slot) is getattr(program, slot) is getattr(narrow, slot)
-        assert wide.ann_yes is not narrow.ann_yes is not program.ann_yes
-        assert not program.annotated, "a view never annotates its base"
+        wide = self.view(program, 3, lambda s: "abc".index(s.subscriber[0]))
+        narrow = self.view(program, 1, lambda s: 0)
+        assert wide.program is program is narrow.program
+        assert program.views == [wide, narrow]
+        assert wide.ann_yes is not narrow.ann_yes
+        assert not hasattr(program, "ann_yes"), "the program holds no annotation"
         event = Event.from_tuple(schema5, (1, 1, 0, 0, 0))
         assert wide.match_links(event, 0, 0b111)[0] == 0b011
         assert narrow.match_links(event, 0, 0b1)[0] == 0b1
@@ -207,23 +216,27 @@ class TestAnnotatedViews:
         ]
 
     def test_reannotating_one_view_leaves_the_other_alone(self, program):
-        base = list(program.ann_yes)
-        first = program.annotated_view(2, lambda s: 0)
-        second = program.annotated_view(2, lambda s: 1)
+        first = self.view(program, 2, lambda s: 0)
+        second = self.view(program, 2, lambda s: 1)
         before = list(second.ann_yes)
-        first.annotate(2, lambda s: 1)
+        first.bind_links(2, lambda s: 1)
+        first.project_links([], 0, 0)  # annotate again
         assert first.ann_yes == second.ann_yes
         assert second.ann_yes == before
-        assert program.ann_yes == base and not program.annotated
 
-    def test_patch_through_a_view_is_refused(self, program, schema5):
-        view = program.annotated_view(1, lambda s: 0)
+    def test_a_change_through_one_view_reaches_every_view(self, program, schema5):
+        first = self.view(program, 1, lambda s: 0)
+        second = self.view(program, 1, lambda s: 0)
         late = make_subscription(schema5, "a1=2", "dave")
-        with pytest.raises(RoutingError, match="view"):
-            view.insert(late)
-        assert late.subscription_id not in program
-        program.insert(late)  # the owner still can
-        assert late.subscription_id in view  # and every view shares the change
+        event = Event.from_tuple(schema5, (2, 0, 0, 0, 0))
+        assert second.match_links(event, 0, 0b1)[0] == 0
+        first.insert(late)  # a view's change is its replica's
+        assert late.subscription_id in program
+        assert second.match_links(event, 0, 0b1)[0] == 0b1
+        program.remove(late.subscription_id)
+        assert first.match_links(event, 0, 0b1)[0] == 0
+        second.release()
+        assert program.views == [first]
 
 
 class TestSearchDag:

@@ -14,6 +14,7 @@ from repro.protocols import (
     ProtocolContext,
     SimMessage,
 )
+from repro.protocols.base import TopologyRepair
 from tests.conftest import make_subscription
 
 SCHEMA2 = uniform_schema(2)
@@ -71,6 +72,19 @@ class TestLinkMatching:
         protocol = LinkMatchingProtocol(context)
         decisions = drive(protocol, "B0", Event.from_tuple(SCHEMA2, (1, 0)))
         assert set(decisions) == {"B0"}  # only the publishing broker works
+
+    def test_a_rejoined_brokers_router_releases_its_view(self, diamond_topology):
+        """One replica for every router, and one view of it per live
+        router: a broker that joins again gets a new router, and the one it
+        replaces stops being kept live."""
+        context = context_for(diamond_topology, [("c.B0", "a1=1"), ("c.B3", "a1=1")])
+        protocol = LinkMatchingProtocol(context)
+        replaced = protocol.routers["B1"]
+        protocol.on_topology_repaired(TopologyRepair({}, {}, ("B1",)))
+        assert protocol.routers["B1"] is not replaced
+        assert len(protocol.replica.views) == len(protocol.routers) == 4
+        decisions = drive(protocol, "B0", Event.from_tuple(SCHEMA2, (1, 0)))
+        assert {c for d in decisions.values() for c in d.matched_deliveries} == {"c.B0", "c.B3"}
 
 
 class TestFlooding:
@@ -157,7 +171,7 @@ class TestMatchFirst:
         subscription copy) per spanning-tree root — and the same destination
         list and step count a router's ``match_locally`` reports."""
         from repro.matching.optimizations import FactoredMatcher
-        from tests.unit.test_router import router_for
+        from tests.unit.test_router import router_for, subscribe
 
         subscriptions = [
             make_subscription(SCHEMA2, expression, subscriber)
@@ -177,7 +191,7 @@ class TestMatchFirst:
                 diamond_topology, root, SCHEMA2, domains=domains, factoring_attributes=factoring
             )
             for subscription in subscriptions:
-                router.add_subscription(subscription)
+                subscribe(router, subscription)
             local = router.match_locally(event)
             decision = protocol.handle(root, protocol.make_message(event, root))
             assert decision.matching_steps == local.steps

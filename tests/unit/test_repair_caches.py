@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.router import ContentRouter
-from repro.matching import Event, Subscription, parse_predicate, uniform_schema
+from repro.matching import Event, Subscription, create_matcher, parse_predicate, uniform_schema
 from repro.network.paths import RoutingTable
 from repro.network.spanning import SpanningTree
 from repro.network.topology import NodeKind, Topology
@@ -41,17 +41,12 @@ def build_topology() -> Topology:
 
 
 def build_router(topology, table, trees, engine):
-    router = ContentRouter(
-        topology,
-        "B1",
-        table,
-        trees,
-        SCHEMA,
-        domains=DOMAINS,
-        engine=engine,
-    )
-    router.add_subscription(Subscription(parse_predicate(SCHEMA, "a1=0"), "S2"))
-    router.add_subscription(Subscription(parse_predicate(SCHEMA, "a1=1"), "S3"))
+    replica = create_matcher(SCHEMA, engine=engine, domains=DOMAINS)
+    router = ContentRouter(topology, "B1", table, trees, replica)
+    for subscriber, expression in (("S2", "a1=0"), ("S3", "a1=1")):
+        subscription = Subscription(parse_predicate(SCHEMA, expression), subscriber)
+        replica.insert(subscription)
+        router.add_subscription(subscription)
     return router
 
 

@@ -15,11 +15,12 @@ The other guards annotate that replica.  One node slot per tree node, and
 no node left with only a ``*``-child (trivial-test elimination holds on the
 records), keeps it at ~3.6 slots per subscription; a tree that grows a node
 on every level its subscriptions leave ``*`` needs twice that.  Then they
-size what the compiled program owns per node slot.  One record per slot is
-the whole structure; beside the records and the two annotation columns a
-program keeps only the subscription-to-leaf map and the free list, so a
-second copy of the structure — a parallel array, a node-id map — shows as a
-multiple of that small remainder.
+size what the compiled program and its one view own per node slot.  One
+record per slot is the whole structure and the view's two columns the whole
+annotation — the program holds none of its own, so a router's view is not a
+second copy; beside them a program keeps only the subscription-to-leaf map
+and the free list, so a second copy of the structure — a parallel array, a
+node-id map — shows as a multiple of that small remainder.
 """
 
 from __future__ import annotations
@@ -51,15 +52,11 @@ BOOKKEEPING_BOUND = 13.1
 #: Where the program walk stops: what its leaves name.
 BORROWED = (Subscription, Predicate, AttributeTest)
 #: Program slots that wire it to its surroundings rather than hold structure.
-WIRING = {
-    "schema",
-    "attribute_order",
-    "_link_of_subscriber",
-    "_schema_ok",
-    "_base",
-}
-#: The records and the annotation columns; every other field is bookkeeping.
-STRUCTURE = ("_records", "ann_yes", "ann_maybe")
+WIRING = {"schema", "attribute_order", "_schema_ok", "views"}
+#: The program's records and its view's annotation columns; every other
+#: program field is bookkeeping.
+STRUCTURE = ("_records",)
+COLUMNS = ("ann_yes", "ann_maybe")
 
 
 SPEC = WorkloadSpec(
@@ -69,19 +66,21 @@ SPEC = WorkloadSpec(
 
 def replica(matcher=None):
     generator = SubscriptionGenerator(SPEC, seed=POPULATION_SEED)
-    engine = CompiledEngine(SPEC.schema(), domains=SPEC.domains()) if matcher is None else matcher
+    engine = matcher
+    if engine is None:
+        engine = CompiledEngine(CompiledProgram(SPEC.schema(), domains=SPEC.domains()))
     for index in range(SUBSCRIPTIONS):
         client = CLIENTS[index % len(CLIENTS)]
         engine.insert(Subscription(generator.predicate_for(client), client))
     return engine
 
 
-def owned_bytes(program, fields, seen):
-    """``sys.getsizeof`` summed over what ``fields`` of ``program`` reach and
-    ``seen`` does not hold yet, without entering the tree's objects; small
-    ints are free."""
+def owned_bytes(owner, fields, seen):
+    """``sys.getsizeof`` summed over what ``fields`` of ``owner`` (a program
+    or its view) reach and ``seen`` does not hold yet, without entering the
+    tree's objects; small ints are free."""
     total = 0
-    stack = [getattr(program, field) for field in fields]
+    stack = [getattr(owner, field) for field in fields]
     while stack:
         item = stack.pop()
         if item is None or type(item) is bool or isinstance(item, BORROWED):
@@ -153,7 +152,9 @@ def test_compiled_program_bytes_per_slot():
     slots = program.node_count
     # Subscription ids are the subscriptions', not the program's.
     seen = {id(subscription.subscription_id) for subscription in engine.subscriptions}
-    structure = owned_bytes(program, STRUCTURE, seen) / slots
+    assert program.views == [engine]
+    assert not set(COLUMNS) & set(CompiledProgram.__slots__), "one set of columns: the view's"
+    structure = (owned_bytes(program, STRUCTURE, seen) + owned_bytes(engine, COLUMNS, seen)) / slots
     others = [field for field in CompiledProgram.__slots__ if field not in WIRING]
     bookkeeping = owned_bytes(program, [f for f in others if f not in STRUCTURE], seen) / slots
     assert structure <= STRUCTURE_BOUND, f"{structure:.1f} record bytes per slot"
