@@ -1,15 +1,16 @@
-"""Head-to-head: object-graph PST (tree) vs array-kernel (compiled) engine.
+"""Head-to-head: the object-graph PST (tree) vs the compiled program.
 
 Builds identical Chart-1-spec subscription sets at several sizes and times
-``match()`` over a fixed event sample with both engines.  Both engines take
-exactly the same number of matching *steps* (the equivalence suite proves
-it); this script measures how much wall-clock time the compiled arrays save
-per step.
+``match()`` over a fixed event sample on the compiled engine and on the
+object-graph PST the test suite keeps as its oracle (``tests/oracle``).
+Both take exactly the same number of matching *steps* (the equivalence
+suite proves it); this script measures how much wall-clock time the
+compiled records save per step.
 
-Run from the repo root::
+Run from the repo root, with the repo root importable for the oracle::
 
-    PYTHONPATH=src python benchmarks/compare_engines.py
-    PYTHONPATH=src python benchmarks/compare_engines.py --counts 1000 25000 --save
+    PYTHONPATH=src:. python benchmarks/compare_engines.py
+    PYTHONPATH=src:. python benchmarks/compare_engines.py --counts 1000 25000 --save
 
 ``--save`` archives the table under ``benchmarks/results/compare_engines.txt``
 and emits the machine-readable ``BENCH_compare_engines.json`` artifact next
@@ -19,10 +20,10 @@ subscription count falls below ``X``.
 
 ``--churn N`` interleaves subscription churn with the matching loop: every
 ``N`` events one registered subscription is removed and a fresh one inserted
-(net size constant).  The tree engine patches annotations in place; the
-compiled engine walks its records on insert and remove — which is exactly
-the cost the steady-state table hides, so churn rows make it visible in the
-trend tables.
+(net size constant).  The tree relinks its nodes; the compiled engine walks
+its records on insert and remove — which is exactly the cost the
+steady-state table hides, so churn rows make it visible in the trend
+tables.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.matching.engines import create_matcher, view_of
 from repro.obs import bench as obs_bench
 from repro.obs import get_registry
 from repro.workload import CHART1_SPEC, EventGenerator, SubscriptionGenerator
+from tests.oracle import ParallelSearchTree
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 RESULTS_PATH = RESULTS_DIR / "compare_engines.txt"
@@ -44,8 +46,13 @@ ENGINES = ("tree", "compiled")
 
 
 def build_engine(name, subscriptions):
+    """``"compiled"``: a view of a compiled program; ``"tree"``: the oracle
+    PST."""
     spec = CHART1_SPEC
-    engine = view_of(create_matcher(spec.schema(), engine=name, domains=spec.domains()))
+    if name == "compiled":
+        engine = view_of(create_matcher(spec.schema(), domains=spec.domains()))
+    else:
+        engine = ParallelSearchTree(spec.schema(), domains=spec.domains())
     for subscription in subscriptions:
         engine.insert(subscription)
     return engine
@@ -134,7 +141,7 @@ def run(counts, num_events, repeats, seed, *, churn=0):
                 best = float("inf")
                 for _ in range(repeats):
                     engine = build_engine(name, subscriptions)
-                    engine.match(events[0])  # warm up (compiled: force compilation)
+                    engine.match(events[0])  # warm up
                     per_event, avg_steps = time_matches_churn(
                         engine, events, churn, plan
                     )
@@ -142,7 +149,7 @@ def run(counts, num_events, repeats, seed, *, churn=0):
                 per_match[name], steps[name] = best, avg_steps
             else:
                 engine = build_engine(name, subscriptions)
-                engine.match(events[0])  # warm up (compiled: force compilation)
+                engine.match(events[0])  # warm up
                 per_match[name], steps[name] = time_matches(engine, events, repeats)
         assert steps["tree"] == steps["compiled"], "engines disagree on steps"
         speedup = per_match["tree"] / per_match["compiled"]
@@ -165,7 +172,6 @@ def run(counts, num_events, repeats, seed, *, churn=0):
 def emit_bench(rows, args, directory):
     payload = obs_bench.bench_payload(
         "compare_engines",
-        engine="tree-vs-compiled",
         workload={
             "spec": "CHART1_SPEC",
             "counts": list(args.counts),

@@ -52,7 +52,6 @@ def emit_bench(
     name: str,
     *,
     table: Any = None,
-    engine: Optional[str] = None,
     workload: Any = None,
     wall_clock_s: Optional[float] = None,
     extra: Optional[Dict[str, Any]] = None,
@@ -61,7 +60,6 @@ def emit_bench(
     """Write ``BENCH_<name>.json`` (global-registry snapshot embedded)."""
     payload = obs_bench.bench_payload(
         name,
-        engine=engine,
         workload=workload,
         wall_clock_s=wall_clock_s,
         metrics=get_registry(),
@@ -79,7 +77,6 @@ def archive_table(
     name: str,
     table,
     *,
-    engine: Optional[str] = None,
     workload: Any = None,
     wall_clock_s: Optional[float] = None,
 ) -> None:
@@ -93,7 +90,6 @@ def archive_table(
     emit_bench(
         name,
         table=table,
-        engine=engine,
         workload=workload,
         wall_clock_s=wall_clock_s,
     )

@@ -150,8 +150,8 @@ def format_table(rows, args):
 def emit_bench(rows, args, wall_s, directory):
     payload = obs_bench.bench_payload(
         "failover",
-        engine="link-matching",
         workload={
+            "protocol": "link-matching",
             "spec": "CHART1_SPEC",
             "subscriptions": args.subscriptions,
             "subscribers_per_broker": args.subscribers_per_broker,

@@ -124,8 +124,7 @@ def drive_totals(protocol, root, events):
     }
 
 
-def run(depths, counts, num_events, seed, engine, subscribers_per_broker,
-        spec_name="selective"):
+def run(depths, counts, num_events, seed, subscribers_per_broker, spec_name="selective"):
     """Sweep depth × subscription count; returns (rows, rendered table)."""
     spec = SPECS[spec_name]
     schema = spec.schema()
@@ -138,7 +137,7 @@ def run(depths, counts, num_events, seed, engine, subscribers_per_broker,
         f"{'reduction':>9} {'origin_on':>10} {'down_mean':>9} {'digest_B':>8}"
     )
     lines = [
-        f"engine={engine} spec={spec_name} events={num_events} seed={seed} "
+        f"spec={spec_name} events={num_events} seed={seed} "
         f"subscribers_per_broker={subscribers_per_broker}",
         "",
         header,
@@ -154,9 +153,7 @@ def run(depths, counts, num_events, seed, engine, subscribers_per_broker,
             subscriptions = SubscriptionGenerator(
                 spec, seed=seed
             ).subscriptions_for(subscribers, count)
-            context = ProtocolContext(
-                topology, schema, subscriptions, domains=domains, engine=engine
-            )
+            context = ProtocolContext(topology, schema, subscriptions, domains=domains)
             digest_on = LinkMatchingProtocol(context, use_digests=True)
             digest_off = LinkMatchingProtocol(context, use_digests=False)
             root = topology.broker_of(topology.publishers()[0])
@@ -204,7 +201,6 @@ def run(depths, counts, num_events, seed, engine, subscribers_per_broker,
 def emit_bench(rows, args, directory):
     payload = obs_bench.bench_payload(
         "hop_cost",
-        engine=args.engine,
         workload={
             "spec": args.spec,
             "depths": args.depths,
@@ -234,10 +230,6 @@ def main(argv=None):
     parser.add_argument("--events", type=int, default=200, help="events per run")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
-        "--engine", default="compiled", choices=["tree", "compiled"],
-        help="matching engine behind every broker's router",
-    )
-    parser.add_argument(
         "--spec", default="selective", choices=sorted(SPECS),
         help="workload density: the paper's chart parameters (dense matches) "
         "or the selective regime where digests stay small",
@@ -262,7 +254,7 @@ def main(argv=None):
 
     get_registry().enable()  # before any router exists, so instruments record
     rows, table = run(
-        args.depths, args.counts, args.events, args.seed, args.engine,
+        args.depths, args.counts, args.events, args.seed,
         args.subscribers_per_broker, spec_name=args.spec,
     )
     print(table)

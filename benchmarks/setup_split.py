@@ -12,8 +12,7 @@ their mean microseconds with the collector's pauses inside them taken out:
 a per-expression parse cost that compares across commits and machines.
 After set-up it takes a heap census: ``tracked_objects`` (what the
 collector walks on every full collection), the five most numerous tracked
-types, ``tracked_pst_nodes`` (a compiled replica builds none), and the
-number and seconds of generation-2 pauses during set-up.  It also sizes the
+types, and the number and seconds of generation-2 pauses during set-up.  It also sizes the
 compiled programs: ``program_mib`` is what every live ``CompiledProgram``
 and the annotation columns of its views own, and ``program_field_mib`` each
 field's *exclusive* share — the bytes only that field reaches, i.e. what
@@ -218,7 +217,6 @@ def main() -> None:
     report["gen2_pause_s"] = round(full_collections["seconds"], 3)
     report["tracked_objects"] = sum(census.values())
     report["top_tracked_types"] = dict(census.most_common(5))
-    report["tracked_pst_nodes"] = census["PSTNode"]
     mib = 1 << 20
     report["programs"] = len(programs)
     report["program_slots"] = sum(len(program._records) for program in programs)

@@ -37,7 +37,6 @@ def test_bursty_loads(once):
     archive_table(
         "bursty_loads",
         table,
-        engine=config.engine,
         workload=config,
         wall_clock_s=once.last_wall_clock_s,
     )

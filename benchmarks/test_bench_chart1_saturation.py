@@ -34,7 +34,6 @@ def test_chart1_saturation_points(once):
     archive_table(
         "chart1_saturation",
         table,
-        engine=config.engine,
         workload=config,
         wall_clock_s=once.last_wall_clock_s,
     )

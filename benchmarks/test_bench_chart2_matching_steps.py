@@ -34,7 +34,6 @@ def test_chart2_matching_steps(once):
     archive_table(
         "chart2_matching_steps",
         table,
-        engine=config.engine,
         workload=config,
         wall_clock_s=once.last_wall_clock_s,
     )

@@ -27,7 +27,6 @@ def test_chart3_matching_time(once):
     archive_table(
         "chart3_matching_time",
         table,
-        engine=config.engine,
         workload=config,
         wall_clock_s=once.last_wall_clock_s,
     )

@@ -11,9 +11,16 @@ from __future__ import annotations
 import random
 
 from repro.core import ContentRoutedNetwork, TritVector
-from repro.matching import SearchDag, build_pst
+from repro.matching import CompiledProgram, SearchDag
 from repro.network import linear_chain
 from repro.workload import CHART1_SPEC, CHART2_SPEC, EventGenerator, SubscriptionGenerator
+
+
+def build_program(spec, subscriptions):
+    program = CompiledProgram(spec.schema())
+    for subscription in subscriptions:
+        program.insert(subscription)
+    return program
 
 
 def build_workload(spec, num_subscriptions, seed=0):
@@ -27,7 +34,7 @@ def build_workload(spec, num_subscriptions, seed=0):
 class TestMatchingMicro:
     def test_pst_match_2000_subscriptions(self, benchmark):
         subscriptions, sample = build_workload(CHART1_SPEC, 2000)
-        tree = build_pst(CHART1_SPEC.schema(), subscriptions)
+        tree = build_program(CHART1_SPEC, subscriptions)
         state = {"i": 0}
 
         def match():
@@ -38,8 +45,7 @@ class TestMatchingMicro:
 
     def test_dag_match_2000_subscriptions(self, benchmark):
         subscriptions, sample = build_workload(CHART2_SPEC, 2000)
-        tree = build_pst(CHART2_SPEC.schema(), subscriptions)
-        dag = SearchDag(tree)
+        dag = SearchDag(build_program(CHART2_SPEC, subscriptions))
         state = {"i": 0}
 
         def match():
@@ -52,11 +58,11 @@ class TestMatchingMicro:
         spec = CHART1_SPEC
         generator = SubscriptionGenerator(spec, seed=7)
         subscriptions = generator.subscriptions_for(["c"], 4000)
-        state = {"tree": build_pst(spec.schema(), []), "i": 0}
+        state = {"tree": CompiledProgram(spec.schema()), "i": 0}
 
         def insert():
             if state["i"] >= len(subscriptions):
-                state["tree"] = build_pst(spec.schema(), [])
+                state["tree"] = CompiledProgram(spec.schema())
                 state["i"] = 0
             state["tree"].insert(subscriptions[state["i"]])
             state["i"] += 1

@@ -25,7 +25,6 @@ def test_broker_throughput(once):
     archive_table(
         "throughput",
         table,
-        engine=config.engine,
         workload=config,
         wall_clock_s=once.last_wall_clock_s,
     )

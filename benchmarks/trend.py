@@ -91,7 +91,7 @@ def trend_tables(
     tables = []
     for name in sorted(by_name):
         columns = [
-            "created", "git_sha", "engine", "wall_clock_s", "speedup", "hop_cost",
+            "created", "git_sha", "wall_clock_s", "speedup", "hop_cost",
         ]
         if metric:
             columns.append(metric)
@@ -104,7 +104,6 @@ def trend_tables(
             row = [
                 created,
                 str(payload.get("git_sha", ""))[:10],
-                payload.get("engine") or "",
                 f"{wall:.2f}" if isinstance(wall, (int, float)) else "",
                 _speedup_cell(payload),
                 _hop_cost_cell(payload),

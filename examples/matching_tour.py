@@ -1,4 +1,5 @@
-"""A tour of the matching machinery: PST, trits, optimizations.
+"""A tour of the matching machinery: the PST as a compiled program, trits,
+optimizations.
 
 Walks the exact structures from the paper's figures:
 
@@ -16,15 +17,28 @@ from __future__ import annotations
 
 from repro.core import TritVector
 from repro.matching import (
+    CompiledProgram,
     Event,
     FactoredMatcher,
     SearchDag,
     Subscription,
-    build_pst,
     parse_predicate,
     uniform_schema,
 )
 from repro.workload import CHART2_SPEC, EventGenerator, SubscriptionGenerator
+
+
+def build_program(schema, subscriptions, **options) -> CompiledProgram:
+    """A PST holding ``subscriptions``, kept as one flat record per node."""
+    program = CompiledProgram(schema, **options)
+    for subscription in subscriptions:
+        program.insert(subscription)
+    return program
+
+
+def node_count(program: CompiledProgram) -> int:
+    """The tree's nodes: the slots reachable from the root."""
+    return len(program.reachable_slots())
 
 
 def figure2_demo() -> None:
@@ -40,14 +54,14 @@ def figure2_demo() -> None:
         Subscription(parse_predicate(schema, expression), name)
         for name, expression in expressions.items()
     ]
-    tree = build_pst(schema, subscriptions)
+    tree = build_program(schema, subscriptions)
     event = Event.from_tuple(schema, (1, 2, 3, 1, 2))
     result = tree.match(event)
     print(f"event a = {event.as_tuple()}")
     for name, expression in expressions.items():
         hit = "MATCH" if name in result.subscribers else "  -  "
         print(f"  [{hit}] {name}: {expression}")
-    print(f"matching steps: {result.steps} (tree has {tree.node_count()} nodes)")
+    print(f"matching steps: {result.steps} (tree has {node_count(tree)} nodes)")
 
 
 def figure5_demo() -> None:
@@ -73,9 +87,9 @@ def optimizations_demo() -> None:
         return sum(matcher.match(e).steps for e in sample) / len(sample)
 
     # Trivial-test elimination is built in: no node has only a *-child.
-    plain = build_pst(spec.schema(), subscriptions, domains=spec.domains())
+    plain = build_program(spec.schema(), subscriptions, domains=spec.domains())
     print(f"PST:                      {mean_steps(plain):7.1f} steps/event, "
-          f"{plain.node_count():>6} nodes")
+          f"{node_count(plain):>6} nodes")
 
     factored = FactoredMatcher(
         spec.schema(), spec.factoring_attributes, spec.domains()
@@ -84,7 +98,7 @@ def optimizations_demo() -> None:
         factored.insert(
             Subscription(subscription.predicate, subscription.subscriber)
         )
-    total_nodes = sum(t.node_count() for _k, t in factored.subtrees())
+    total_nodes = sum(node_count(t) for _k, t in factored.subtrees())
     print(f"+ factoring (3 levels):   {mean_steps(factored):7.1f} steps/event, "
           f"{total_nodes:>6} nodes across {len(dict(factored.subtrees()))} sub-trees")
 

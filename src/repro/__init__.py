@@ -6,8 +6,9 @@ broker.
 
 Public API highlights
 ---------------------
-* :mod:`repro.matching` — event schemas, predicates, the Parallel Search Tree.
-* :mod:`repro.core` — trits, annotations, masks, the link-matching router.
+* :mod:`repro.matching` — event schemas, predicates, the Parallel Search Tree
+  (as a compiled program).
+* :mod:`repro.core` — trits, masks, the link-matching router.
 * :mod:`repro.network` — topologies, routing tables, spanning trees.
 * :mod:`repro.sim` / :mod:`repro.protocols` — the network simulator and the
   link-matching / flooding / match-first protocols it compares.
@@ -22,7 +23,6 @@ from repro.core import (  # noqa: E402 (re-exports after module docstring)
     ContentRoutedNetwork,
     ContentRouter,
     DeliveryTrace,
-    LinkMatcher,
     Trit,
     TritVector,
 )
@@ -30,7 +30,6 @@ from repro.matching import (  # noqa: E402
     Event,
     EventSchema,
     FactoredMatcher,
-    ParallelSearchTree,
     Predicate,
     SearchDag,
     Subscription,
@@ -47,8 +46,6 @@ __all__ = [
     "Event",
     "EventSchema",
     "FactoredMatcher",
-    "LinkMatcher",
-    "ParallelSearchTree",
     "Predicate",
     "SearchDag",
     "Subscription",

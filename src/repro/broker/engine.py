@@ -9,7 +9,7 @@ to the pre-defined event schema."
 
 :class:`MatchingEngine` bundles exactly those two roles around a view of
 one subscription replica (:func:`~repro.matching.engines.create_matcher`:
-a plain tree by default, factored on request).
+one compiled program, or a factored set of them on request).
 """
 
 from __future__ import annotations
@@ -17,22 +17,21 @@ from __future__ import annotations
 from typing import List, Mapping, Optional, Sequence, Union
 
 from repro.broker.codec import decode_event, encode_event
-from repro.matching.engines import DEFAULT_ENGINE, create_matcher, view_of
+from repro.matching.engines import create_matcher, view_of
 from repro.matching.events import Event
 from repro.matching.parser import parse_predicate
 from repro.matching.predicates import Predicate, Subscription
-from repro.matching.pst import MatchResult
+from repro.matching.compile import MatchResult
 from repro.matching.schema import AttributeValue, EventSchema
 
 
 class MatchingEngine:
     """Subscription manager + event parser over one information space.
 
-    ``engine`` selects the matching implementation — ``"compiled"`` (the
-    default: array kernels from :mod:`repro.matching.compile`) or ``"tree"``
-    (the object-graph PST).  With ``factoring_attributes`` the replica is a
-    :class:`~repro.matching.optimizations.FactoredMatcher` whose sub-trees
-    are searched with the selected engine.  ``matcher`` is a view of it."""
+    The replica is a :class:`~repro.matching.compile.CompiledProgram`, or
+    with ``factoring_attributes`` a
+    :class:`~repro.matching.optimizations.FactoredMatcher` of them.
+    ``matcher`` is a view of it."""
 
     def __init__(
         self,
@@ -41,14 +40,11 @@ class MatchingEngine:
         attribute_order: Optional[Sequence[str]] = None,
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
-        engine: str = DEFAULT_ENGINE,
     ) -> None:
         self.schema = schema
-        self.engine = engine
         self.matcher = view_of(
             create_matcher(
                 schema,
-                engine=engine,
                 attribute_order=attribute_order,
                 domains=domains,
                 factoring_attributes=factoring_attributes,

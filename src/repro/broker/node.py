@@ -2,10 +2,11 @@
 
 A :class:`BrokerNode` assembles the components the paper diagrams:
 
-* **matching engine** — subscription manager + event parser
-  (:class:`~repro.broker.engine.MatchingEngine`), used here through the
-  link-matching :class:`~repro.core.router.ContentRouter` so inter-broker
-  forwarding is content-routed exactly as in Section 3;
+* **matching engine** — the node's own subscription replica
+  (:func:`~repro.matching.engines.create_matcher`) and the link-matching
+  :class:`~repro.core.router.ContentRouter` over it, so inter-broker
+  forwarding is content-routed exactly as in Section 3; subscriptions are
+  parsed on arrival and events decoded by :mod:`repro.broker.codec`;
 * **client protocol** — CONNECT/SUBSCRIBE/PUBLISH/EVENT/ACK handling with a
   per-client :class:`~repro.broker.event_log.EventLog` for reliable
   redelivery across disconnects, plus a garbage collector for acked entries;
@@ -69,7 +70,6 @@ class BrokerNetworkConfig:
         attribute_order: Optional[Sequence[str]] = None,
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
-        engine: str = "compiled",
     ) -> None:
         topology.validate()
         if not topology.publishers():
@@ -79,7 +79,6 @@ class BrokerNetworkConfig:
         self.attribute_order = attribute_order
         self.domains = domains
         self.factoring_attributes = factoring_attributes
-        self.engine = engine
         self.routing_tables: Dict[str, RoutingTable] = all_routing_tables(topology)
         self.spanning_trees: Dict[str, SpanningTree] = spanning_trees_for_publishers(topology)
 
@@ -137,7 +136,6 @@ class BrokerNode:
         # The node inserts and removes; its router is only told.
         self.replica = create_matcher(
             config.schema,
-            engine=config.engine,
             attribute_order=config.attribute_order,
             domains=config.domains,
             factoring_attributes=config.factoring_attributes,

@@ -65,13 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="enable the observability registry and write its JSON snapshot "
         "to PATH when the command finishes",
     )
-    parser.add_argument(
-        "--engine",
-        choices=("tree", "compiled"),
-        default="compiled",
-        help="matching engine: array kernels (compiled, default) or the "
-        "object-graph PST (tree)",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     chart1 = commands.add_parser("chart1", help="saturation points (flooding vs link matching)")
@@ -115,7 +108,6 @@ def _run_chart1(args: argparse.Namespace) -> None:
         subscribers_per_broker=10 if args.paper_scale else 3,
         probe_duration_s=args.probe_duration or (0.5 if args.paper_scale else 0.4),
         include_match_first=args.match_first,
-        engine=args.engine,
         metrics_out=args.metrics_out,
     )
     table = run_chart1(config)
@@ -142,7 +134,6 @@ def _run_chart2(args: argparse.Namespace) -> None:
         ),
         num_events=args.events or (1000 if args.paper_scale else 120),
         subscribers_per_broker=10 if args.paper_scale else 3,
-        engine=args.engine,
         metrics_out=args.metrics_out,
     )
     table = run_chart2(config)
@@ -167,7 +158,6 @@ def _run_chart3(args: argparse.Namespace) -> None:
             else Chart3Config().subscription_counts
         ),
         num_events=args.events or (300 if args.paper_scale else 150),
-        engine=args.engine,
         metrics_out=args.metrics_out,
     )
     table = run_chart3(config)
@@ -186,7 +176,6 @@ def _run_throughput(args: argparse.Namespace) -> None:
     config = ThroughputConfig(
         subscription_counts=(10, 100, 1000, 5000) if args.paper_scale else (10, 100, 1000),
         num_events=4000 if args.paper_scale else 1500,
-        engine=args.engine,
         metrics_out=args.metrics_out,
     )
     print(run_throughput(config).format())
@@ -201,7 +190,6 @@ def _run_bursty(args: argparse.Namespace) -> None:
         if args.burstiness
         else (1.0, 2.0, 5.0, 10.0),
         duration_s=2.0 if args.paper_scale else 0.8,
-        engine=args.engine,
         metrics_out=args.metrics_out,
     )
     print(run_bursty(config).format())
@@ -228,7 +216,7 @@ def _run_ablations(args: argparse.Namespace) -> None:
 def _run_model(args: argparse.Namespace) -> None:
     from repro.analysis import MatchingCostModel
     from repro.experiments import ExperimentTable
-    from repro.matching import ParallelSearchTree
+    from repro.matching import CompiledProgram
     from repro.workload import EventGenerator, SubscriptionGenerator, WorkloadSpec
 
     spec = WorkloadSpec(
@@ -247,15 +235,13 @@ def _run_model(args: argparse.Namespace) -> None:
     for count in counts:
         model = MatchingCostModel(spec, count)
         generator = SubscriptionGenerator(spec, seed=count)
-        tree = ParallelSearchTree(spec.schema())
+        program = CompiledProgram(spec.schema())
         for subscription in generator.subscriptions_for(["c"], count):
-            tree.insert(subscription)
+            program.insert(subscription)
         events = EventGenerator(spec, seed=count + 1)
-        sample = [events.event_for() for _ in range(args.events)]
-        measured_steps = sum(tree.match(e).steps for e in sample) / len(sample)
-        measured_matches = sum(
-            len(tree.match(e).subscriptions) for e in sample
-        ) / len(sample)
+        results = [program.match(events.event_for()) for _ in range(args.events)]
+        measured_steps = sum(r.steps for r in results) / len(results)
+        measured_matches = sum(len(r.subscriptions) for r in results) / len(results)
         table.add_row(
             count,
             model.expected_steps(),
@@ -281,7 +267,7 @@ def _run_demo(args: argparse.Namespace) -> None:
     topology.add_client("alice", "NY")
     topology.add_client("bob", "TOKYO")
     topology.add_client("ticker", "NY", kind=NodeKind.PUBLISHER)
-    network = ContentRoutedNetwork(topology, stock_trade_schema(), engine=args.engine)
+    network = ContentRoutedNetwork(topology, stock_trade_schema())
     network.subscribe("alice", "issue='IBM' & price<120 & volume>1000")
     network.subscribe("bob", "volume>50000")
     for values in (

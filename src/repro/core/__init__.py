@@ -1,10 +1,9 @@
-"""The paper's contribution: link matching.  Trit algebra, PST annotations,
-virtual links and initialization masks, the refinement search, per-broker
-routers, and the untimed content-routed network fabric."""
+"""The paper's contribution: link matching.  Trit algebra, virtual links and
+initialization masks, per-broker routers (annotation and the refinement
+search run on the compiled program), and the untimed content-routed network
+fabric."""
 
-from repro.core.annotation import TreeAnnotation
 from repro.core.fabric import ContentRoutedNetwork, DeliveryTrace
-from repro.core.link_matcher import LinkMatcher, LinkMatchResult
 from repro.core.masks import VirtualLink, VirtualLinkTable
 from repro.core.router import ContentRouter, RouteDecision
 from repro.core.trits import (
@@ -15,12 +14,9 @@ from repro.core.trits import (
     TritVector,
     Y,
     alternative_combine,
-    alternative_combine_all,
     alternative_combine_bits,
     import_yes_bits,
-    pack_tritvector,
     parallel_combine,
-    parallel_combine_all,
     parallel_combine_bits,
     refine_bits,
     unpack_tritvector,
@@ -30,25 +26,19 @@ __all__ = [
     "ContentRoutedNetwork",
     "ContentRouter",
     "DeliveryTrace",
-    "LinkMatchResult",
-    "LinkMatcher",
     "M",
     "N",
     "PackedTrits",
     "RouteDecision",
-    "TreeAnnotation",
     "Trit",
     "TritVector",
     "VirtualLink",
     "VirtualLinkTable",
     "Y",
     "alternative_combine",
-    "alternative_combine_all",
     "alternative_combine_bits",
     "import_yes_bits",
-    "pack_tritvector",
     "parallel_combine",
-    "parallel_combine_all",
     "parallel_combine_bits",
     "refine_bits",
     "unpack_tritvector",

@@ -25,7 +25,7 @@ from repro.matching.engines import create_matcher
 from repro.matching.events import Event
 from repro.matching.parser import parse_predicate
 from repro.matching.predicates import Predicate, Subscription
-from repro.matching.pst import MatchResult
+from repro.matching.compile import MatchResult
 from repro.matching.schema import AttributeValue, EventSchema
 from repro.network.paths import RoutingTable, all_routing_tables
 from repro.network.spanning import SpanningTree, spanning_trees_for_publishers
@@ -142,7 +142,6 @@ class ContentRoutedNetwork:
         attribute_order: Optional[Sequence[str]] = None,
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
-        engine: str = "compiled",
     ) -> None:
         topology.validate()
         if not topology.publishers():
@@ -153,7 +152,6 @@ class ContentRoutedNetwork:
         self.spanning_trees: Dict[str, SpanningTree] = spanning_trees_for_publishers(topology)
         self.replica = create_matcher(
             schema,
-            engine=engine,
             attribute_order=attribute_order,
             domains=domains,
             factoring_attributes=factoring_attributes,

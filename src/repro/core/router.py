@@ -33,7 +33,7 @@ from repro.core.masks import VirtualLinkTable
 from repro.core.trits import N, Y, TritVector
 from repro.matching.digest import MatchDigest, mix_subscription_id
 from repro.matching.events import Event
-from repro.matching.pst import MatchResult
+from repro.matching.compile import MatchResult
 from repro.matching.predicates import Subscription
 from repro.network.paths import RoutingTable
 from repro.obs import get_registry

@@ -23,7 +23,7 @@ Two operators combine child annotations into a parent's (Figure 4):
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Tuple, Union
 
 
 class Trit(enum.Enum):
@@ -68,9 +68,7 @@ def parallel_combine(a: Trit, b: Trit) -> Trit:
 class TritVector:
     """An immutable fixed-length vector of trits, one per (virtual) link.
 
-    Supports the two combine operators element-wise, refinement (Section 3.3
-    step 2: replace each Maybe with the corresponding annotation trit), and
-    the Yes-import step of the search (step 3).
+    Supports the two combine operators element-wise.
 
     Construction accepts trits or a compact letter string::
 
@@ -132,25 +130,6 @@ class TritVector:
             parallel_combine(a, b) for a, b in zip(self._trits, other._trits)
         )
 
-    def refine_with(self, annotation: "TritVector") -> "TritVector":
-        """Section 3.3 step 2: replace every Maybe with the annotation's trit."""
-        self._check_length(annotation)
-        return TritVector(
-            annotation[i] if trit is M else trit for i, trit in enumerate(self._trits)
-        )
-
-    def import_yes(self, returned: "TritVector") -> "TritVector":
-        """Section 3.3 step 3: convert Maybes to Yes where a subsearch said Yes."""
-        self._check_length(returned)
-        return TritVector(
-            Y if trit is M and returned[i] is Y else trit
-            for i, trit in enumerate(self._trits)
-        )
-
-    def close_maybes(self) -> "TritVector":
-        """Section 3.3 step 3, final clause: remaining Maybes become No."""
-        return TritVector(N if trit is M else trit for trit in self._trits)
-
     @property
     def has_maybe(self) -> bool:
         return M in self._trits
@@ -182,29 +161,6 @@ class TritVector:
         return f"TritVector({str(self)!r})"
 
 
-def alternative_combine_all(vectors: Sequence[TritVector], length: int) -> TritVector:
-    """Alternative Combine over any number of vectors.
-
-    The operator is associative and commutative, so the fold order does not
-    matter.  With no vectors the result is all-No (there is no alternative
-    through which anything could match).
-    """
-    if not vectors:
-        return TritVector.all_no(length)
-    result = vectors[0]
-    for vector in vectors[1:]:
-        result = result.alternative(vector)
-    return result
-
-
-def parallel_combine_all(vectors: Sequence[TritVector], length: int) -> TritVector:
-    """Parallel Combine over any number of vectors; identity is all-No."""
-    result = TritVector.all_no(length)
-    for vector in vectors:
-        result = result.parallel(vector)
-    return result
-
-
 # ----------------------------------------------------------------------
 # Packed trit vectors — the bitmask encoding used by the compiled matcher.
 #
@@ -216,20 +172,6 @@ def parallel_combine_all(vectors: Sequence[TritVector], length: int) -> TritVect
 # which is what makes :mod:`repro.matching.compile` kernels allocation-free.
 
 PackedTrits = Tuple[int, int]
-
-
-def pack_tritvector(vector: Iterable[Trit]) -> PackedTrits:
-    """Encode a trit vector (or any iterable of trits) as ``(yes, maybe)``."""
-    yes = 0
-    maybe = 0
-    for i, trit in enumerate(vector):
-        if trit is Y:
-            yes |= 1 << i
-        elif trit is M:
-            maybe |= 1 << i
-        elif trit is not N:
-            raise TypeError(f"not a trit: {trit!r}")
-    return yes, maybe
 
 
 def unpack_tritvector(yes_bits: int, maybe_bits: int, length: int) -> TritVector:

@@ -20,6 +20,7 @@ from typing import List, Optional, Tuple
 from repro.core.masks import VirtualLinkTable
 from repro.experiments.tables import ExperimentTable
 from repro.obs import metrics_output
+from repro.matching.compile import CompiledProgram
 from repro.matching.engines import create_matcher
 from repro.matching.optimizations import SearchDag
 from repro.matching.ordering import (
@@ -27,7 +28,6 @@ from repro.matching.ordering import (
     order_by_fewest_dont_cares,
     reverse_declaration_order,
 )
-from repro.matching.pst import ParallelSearchTree
 from repro.network.figures import figure6_topology
 from repro.network.paths import all_routing_tables
 from repro.network.spanning import spanning_trees_for_publishers
@@ -55,6 +55,18 @@ def _workload(config: AblationConfig) -> Tuple[List, List]:
     return subscriptions, sample
 
 
+def _program(spec: WorkloadSpec, subscriptions: List, **options) -> CompiledProgram:
+    program = CompiledProgram(spec.schema(), domains=spec.domains(), **options)
+    for subscription in subscriptions:
+        program.insert(subscription)
+    return program
+
+
+def _node_count(program: CompiledProgram) -> int:
+    """The tree's nodes: the program's reachable slots (free ones excluded)."""
+    return len(program.reachable_slots())
+
+
 def run_factoring_ablation(config: AblationConfig = AblationConfig()) -> ExperimentTable:
     """Matching steps and structure size per number of factored attributes."""
     with metrics_output(config.metrics_out):
@@ -72,15 +84,14 @@ def _run_factoring_ablation(config: AblationConfig) -> ExperimentTable:
     for levels in range(0, max_levels + 1):
         replica = create_matcher(
             spec.schema(),
-            engine="tree",
             domains=spec.domains(),
             factoring_attributes=spec.attribute_names[:levels],
         )
         for subscription in subscriptions:
             replica.insert(subscription)
         steps = sum(replica.match(event).steps for event in sample) / len(sample)
-        trees = [tree for _key, tree in replica.subtrees()] if levels else [replica]
-        table.add_row(levels, steps, len(trees), sum(tree.node_count() for tree in trees))
+        programs = [program for _key, program in replica.subtrees()] if levels else [replica]
+        table.add_row(levels, steps, len(programs), sum(map(_node_count, programs)))
     return table
 
 
@@ -109,13 +120,9 @@ def _run_ordering_ablation(config: AblationConfig) -> ExperimentTable:
         ("reverse", reverse_declaration_order(spec.schema())),
     ]
     for name, order in orders:
-        tree = ParallelSearchTree(
-            spec.schema(), attribute_order=order, domains=spec.domains()
-        )
-        for subscription in subscriptions:
-            tree.insert(subscription)
-        steps = sum(tree.match(event).steps for event in sample) / len(sample)
-        table.add_row(name, steps, tree.node_count())
+        program = _program(spec, subscriptions, attribute_order=order)
+        steps = sum(program.match(event).steps for event in sample) / len(sample)
+        table.add_row(name, steps, _node_count(program))
     return table
 
 
@@ -129,12 +136,10 @@ def run_delayed_branching_ablation(
     )
     spec = config.spec
     subscriptions, sample = _workload(config)
-    tree = ParallelSearchTree(spec.schema(), domains=spec.domains())
-    for subscription in subscriptions:
-        tree.insert(subscription)
-    tree_steps = sum(tree.match(event).steps for event in sample) / len(sample)
-    table.add_row("parallel search tree", tree_steps, tree.node_count())
-    dag = SearchDag(tree)
+    program = _program(spec, subscriptions)
+    tree_steps = sum(program.match(event).steps for event in sample) / len(sample)
+    table.add_row("parallel search tree", tree_steps, _node_count(program))
+    dag = SearchDag(program)
     dag_steps = sum(dag.match(event).steps for event in sample) / len(sample)
     table.add_row("search DAG", dag_steps, dag.node_count())
     return table
@@ -166,14 +171,11 @@ def run_range_workload_ablation(
             seed=config.seed,
         )
         subscriptions, sample = _workload(scoped)
-        tree = ParallelSearchTree(spec.schema(), domains=spec.domains())
-        for subscription in subscriptions:
-            tree.insert(subscription)
-        steps = sum(tree.match(event).steps for event in sample) / len(sample)
-        matches = sum(
-            len(tree.match(event).subscriptions) for event in sample
-        ) / len(sample)
-        table.add_row(range_probability, steps, matches, tree.node_count())
+        program = _program(spec, subscriptions)
+        results = [program.match(event) for event in sample]
+        steps = sum(r.steps for r in results) / len(sample)
+        matches = sum(len(r.subscriptions) for r in results) / len(sample)
+        table.add_row(range_probability, steps, matches, _node_count(program))
     return table
 
 

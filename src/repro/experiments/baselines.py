@@ -47,7 +47,6 @@ class BaselineConfig:
     publish_rate: float = 1500.0
     num_events_per_publisher: int = 150
     seed: int = 0
-    engine: str = "compiled"
 
 
 def run_baseline_comparison(config: BaselineConfig = BaselineConfig()) -> ExperimentTable:
@@ -82,7 +81,6 @@ def run_baseline_comparison(config: BaselineConfig = BaselineConfig()) -> Experi
             subscriptions,
             domains=spec.domains(),
             factoring_attributes=spec.factoring_attributes,
-            engine=config.engine,
         )
         protocols: List[RoutingProtocol] = [
             LinkMatchingProtocol(context),

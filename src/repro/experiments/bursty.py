@@ -40,7 +40,6 @@ class BurstyConfig:
     duration_s: float = 1.0
     on_mean_s: float = 0.05
     seed: int = 0
-    engine: str = "compiled"
     #: Optional path: write the global obs-registry JSON snapshot here.
     metrics_out: Optional[str] = None
 
@@ -75,7 +74,6 @@ def _run_bursty(config: BurstyConfig) -> ExperimentTable:
         subscriptions,
         domains=spec.domains(),
         factoring_attributes=spec.factoring_attributes,
-        engine=config.engine,
     )
     protocol = LinkMatchingProtocol(context)
     publishers = topology.publishers()

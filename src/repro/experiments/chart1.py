@@ -53,7 +53,6 @@ class Chart1Config:
     max_rate: float = 5e5
     seed: int = 0
     include_match_first: bool = False
-    engine: str = "compiled"
     #: Optional path: write the global obs-registry JSON snapshot here.
     metrics_out: Optional[str] = None
 
@@ -130,7 +129,6 @@ def _run_chart1(config: Chart1Config) -> ExperimentTable:
             subscriptions,
             domains=spec.domains(),
             factoring_attributes=spec.factoring_attributes,
-            engine=config.engine,
         )
         for protocol in _protocols(context, config):
             result = saturation_for(topology, protocol, events, config)

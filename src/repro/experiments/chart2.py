@@ -47,7 +47,6 @@ class Chart2Config:
     max_hops: int = 6
     seed: int = 0
     use_factoring: bool = True
-    engine: str = "compiled"
     #: Optional path: write the global obs-registry JSON snapshot here.
     metrics_out: Optional[str] = None
 
@@ -128,7 +127,6 @@ def _run_chart2(config: Chart2Config) -> ExperimentTable:
             factoring_attributes=(
                 spec.factoring_attributes if config.use_factoring else None
             ),
-            engine=config.engine,
         )
         for subscription in subscriptions:
             network.subscribe(subscription.subscriber, subscription.predicate)

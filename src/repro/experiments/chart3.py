@@ -35,7 +35,6 @@ class Chart3Config:
     num_events: int = 200
     seed: int = 0
     use_factoring: bool = True
-    engine: str = "compiled"
     #: Optional path: write the global obs-registry JSON snapshot here.
     metrics_out: Optional[str] = None
 
@@ -97,7 +96,6 @@ def _run_chart3(config: Chart3Config) -> ExperimentTable:
             factoring_attributes=(
                 spec.factoring_attributes if config.use_factoring else None
             ),
-            engine=config.engine,
         )
         for subscription in subscriptions:
             engine.matcher.insert(subscription)

@@ -38,7 +38,6 @@ class ThroughputConfig:
     num_subscriber_clients: int = 10
     num_events: int = 2000
     seed: int = 0
-    engine: str = "compiled"
     #: Optional path: write the global obs-registry JSON snapshot here.
     metrics_out: Optional[str] = None
 
@@ -77,7 +76,6 @@ def _run_throughput(config: ThroughputConfig) -> ExperimentTable:
             spec.schema(),
             domains=spec.domains(),
             factoring_attributes=spec.factoring_attributes,
-            engine=config.engine,
         )
         transport = InMemoryTransport()
         node = BrokerNode(broker_config, "B0", transport, {"B0": "mem://B0"})
@@ -111,7 +109,6 @@ def _run_throughput(config: ThroughputConfig) -> ExperimentTable:
             spec.schema(),
             domains=spec.domains(),
             factoring_attributes=spec.factoring_attributes,
-            engine=config.engine,
         )
         for subscription in node.replica.subscriptions:
             engine.matcher.insert(subscription)

@@ -1,8 +1,9 @@
 """Content-based matching: schemas, events, predicates, and the Parallel
-Search Tree of Section 2 of the paper (plus its optimizations)."""
+Search Tree of Section 2 of the paper as a compiled program (plus its
+optimizations)."""
 
 from repro.matching.base import Matcher, MatcherEngine
-from repro.matching.compile import CompiledProgram
+from repro.matching.compile import CompiledProgram, MatchResult
 from repro.matching.events import Event
 from repro.matching.optimizations import OUT_OF_DOMAIN, DagNode, FactoredMatcher, SearchDag
 from repro.matching.ordering import (
@@ -25,7 +26,6 @@ from repro.matching.predicates import (
     Subscription,
     normalize_tests,
 )
-from repro.matching.pst import MatchResult, ParallelSearchTree, PSTNode, build_pst
 from repro.matching.subsumption import covers, predicate_subsumes, redundant_subscriptions
 from repro.matching.schema import (
     Attribute,
@@ -38,15 +38,12 @@ from repro.matching.schema import (
 )
 
 # The engine implementations live in repro.matching.engines, which depends on
-# repro.core (annotations, link matching).  Importing them eagerly here would
-# create an import cycle (repro.core.annotation imports repro.matching.pst,
-# which initializes this package), so they are exposed lazily instead.
+# repro.core (trits).  Importing them eagerly here would create an import
+# cycle (repro.core's routers import this package), so they are exposed
+# lazily instead.
 _ENGINE_EXPORTS = (
     "CompiledEngine",
-    "DEFAULT_ENGINE",
-    "ENGINE_NAMES",
     "FactoredEngine",
-    "TreeEngine",
     "create_matcher",
     "view_of",
 )
@@ -67,11 +64,9 @@ __all__ = [
     "AttributeValue",
     "CompiledEngine",
     "CompiledProgram",
-    "DEFAULT_ENGINE",
     "DONT_CARE",
     "DagNode",
     "DontCare",
-    "ENGINE_NAMES",
     "EqualityTest",
     "Event",
     "EventSchema",
@@ -83,17 +78,13 @@ __all__ = [
     "Matcher",
     "MatcherEngine",
     "OUT_OF_DOMAIN",
-    "TreeEngine",
     "create_matcher",
     "view_of",
-    "ParallelSearchTree",
-    "PSTNode",
     "Predicate",
     "RangeOp",
     "RangeTest",
     "SearchDag",
     "Subscription",
-    "build_pst",
     "covers",
     "declaration_order",
     "dont_care_counts",

@@ -1,42 +1,28 @@
 """The informal matcher interface shared by all matching engines.
 
-:class:`ParallelSearchTree`, :class:`FactoredMatcher` and :class:`SearchDag`
-all expose the same surface; components that only *consume* a matcher (the
-broker engine, the simulator's protocols, the benchmarks) type against this
-ABC.  Python duck typing would suffice, but the ABC documents the contract
-and gives a single place to explain the semantics.
+:class:`~repro.matching.compile.CompiledProgram`,
+:class:`~repro.matching.optimizations.FactoredMatcher` and
+:class:`~repro.matching.optimizations.SearchDag` all expose the same
+surface; components that only *consume* a matcher (the broker engine, the
+simulator's protocols, the benchmarks) type against this ABC.  Python duck
+typing would suffice, but the ABC documents the contract and gives a single
+place to explain the semantics.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    List,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Callable, List, Sequence, Tuple
 
+from repro.matching.compile import MatchResult
 from repro.matching.events import Event
-from repro.matching.pst import MatchResult
 from repro.matching.predicates import Subscription
 
-if TYPE_CHECKING:  # imported lazily to avoid a cycle with repro.core
-    from repro.core.annotation import LinkOfSubscriber
-
-_R = TypeVar("_R")
-
-
-def per_event_loop(fn: Callable[[Event], _R], events: Sequence[Event]) -> List[_R]:
-    """The per-event batch fallback: result ``i`` is exactly ``fn(events[i])``.
-
-    The one canonical form of the loop that the base-class batch methods
-    (and any engine without a real batched kernel) fall back to — kept as a
-    named helper so implementations don't each re-grow their own copy.
-    """
-    return [fn(event) for event in events]
+#: Maps a subscription to the broker-local (virtual) link position through
+#: which its subscriber is best reached.  A negative position means the
+#: subscriber is currently unreachable (cut off by a failure): the
+#: subscription contributes no link, so no annotation bit lights for it.
+LinkOfSubscriber = Callable[[Subscription], int]
 
 
 class Matcher(abc.ABC):
@@ -68,11 +54,11 @@ class Matcher(abc.ABC):
         """Match a batch of events.
 
         Result ``i`` is exactly ``match(events[i])`` — same match set, same
-        step count.  This base fallback just loops (:func:`per_event_loop`);
-        ``CompiledEngine`` overrides it to check the batch once and walk its
-        program per event.
+        step count.  This base fallback loops (the factored matcher and its
+        views use it); ``CompiledEngine`` overrides it to check the batch
+        once and walk its program per event.
         """
-        return per_event_loop(self.match, events)
+        return [self.match(event) for event in events]
 
     @property
     @abc.abstractmethod
@@ -86,11 +72,9 @@ class MatcherEngine(Matcher):
     annotation — the full per-broker matching surface.
 
     The implementations are in :mod:`repro.matching.engines`
-    (``TreeEngine``, ``CompiledEngine``, ``FactoredEngine``), one per
-    replica type, obtained with :func:`repro.matching.engines.view_of`.
-    Both engines preserve exact match sets and step counts.  ``insert`` /
-    ``remove`` go to the replica, which keeps every view's annotation
-    current.
+    (``CompiledEngine``, ``FactoredEngine``), one per replica type, obtained
+    with :func:`repro.matching.engines.view_of`.  ``insert`` / ``remove`` go
+    to the replica, which keeps every view's annotation current.
 
     Link matching is optional state: :meth:`bind_links` declares the
     broker's virtual-link geometry; :meth:`match_links` then refines an
@@ -102,7 +86,7 @@ class MatcherEngine(Matcher):
     of :mod:`repro.core.trits`.
     """
 
-    #: The engine's registry name ("tree" / "compiled").
+    #: The engine's registry name ("compiled" / "factored").
     name: str = "abstract"
 
     #: Whether :meth:`project_links` can serve match digests.
@@ -110,7 +94,7 @@ class MatcherEngine(Matcher):
 
     @abc.abstractmethod
     def bind_links(
-        self, num_links: int, link_of_subscriber: "LinkOfSubscriber"
+        self, num_links: int, link_of_subscriber: LinkOfSubscriber
     ) -> None:
         """Declare the number of (virtual) links and the subscription-to-link
         mapping; the annotation is rebuilt in full at the next link match."""
@@ -129,18 +113,15 @@ class MatcherEngine(Matcher):
         mask; returns ``(final_yes_bits, steps)``.  Requires a prior
         :meth:`bind_links`."""
 
+    @abc.abstractmethod
     def match_links_batch(
         self, events: Sequence[Event], yes_bits: int, maybe_bits: int
     ) -> List[Tuple[int, int]]:
         """Refine one shared initialization mask for a batch of events.
 
         Result ``i`` is exactly ``match_links(events[i], yes_bits,
-        maybe_bits)``.  This base fallback loops (:func:`per_event_loop`);
-        ``CompiledEngine`` overrides it to check the batch once.
+        maybe_bits)``; the batch is checked once.
         """
-        return per_event_loop(
-            lambda event: self.match_links(event, yes_bits, maybe_bits), events
-        )
 
     @abc.abstractmethod
     def project_links(
@@ -162,16 +143,3 @@ class MatcherEngine(Matcher):
     @abc.abstractmethod
     def release(self) -> None:
         """Leave the replica's ``views``: it stops keeping this view live."""
-
-
-# ParallelSearchTree satisfies the interface structurally; register it so
-# isinstance checks work without forcing inheritance into the hot class.
-# (FactoredMatcher subclasses Matcher directly to inherit the match_batch
-# fallback.)
-def _register_implementations() -> None:
-    from repro.matching.pst import ParallelSearchTree
-
-    Matcher.register(ParallelSearchTree)
-
-
-_register_implementations()

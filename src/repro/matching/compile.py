@@ -1,14 +1,23 @@
-"""The Parallel Search Tree as flat array-based matching kernels.
+"""The Parallel Search Tree (Section 2 of the paper) as flat records.
 
-The object-graph matcher (:class:`~repro.matching.pst.ParallelSearchTree` +
-:class:`~repro.core.annotation.TreeAnnotation` +
-:class:`~repro.core.link_matcher.LinkMatcher`) walks ``PSTNode`` instances and
-allocates a fresh immutable :class:`~repro.core.trits.TritVector` per
-refinement step.  That is the hottest path of the whole reproduction — every
-broker runs it for every event — so this module keeps the tree as a
-:class:`CompiledProgram`: one flat record per node, indexed by node number,
-over which two iterative (explicit-stack, no recursion, no per-visit
-allocation) kernels run:
+Subscriptions are organized into a tree in which each level tests one
+attribute (in a fixed order) and each root-to-leaf path spells out one
+predicate.  A node's branches are *value branches* (equality tests, found by
+hash lookup), *range branches* (scanned in order) and the ``*``-branch
+("don't care", followed in parallel with any applicable branch).  The paper
+counts a *matching step* as the visitation of one node; :class:`MatchResult`
+reports that count so Chart 2 can be regenerated.
+
+**Trivial test elimination** (Section 2.1, item 2) is an invariant of the
+tree rather than a pass over it: no reachable non-leaf node has only a
+``*``-child, so a path may skip levels.  The shape therefore depends only on
+the live subscription set, never on the history that produced it (up to
+branch order).
+
+Matching is the hottest path of the whole reproduction — every broker runs
+it for every event — so the tree is kept as a :class:`CompiledProgram`: one
+flat record per node, indexed by node number, over which two iterative
+(explicit-stack, no recursion, no per-visit allocation) kernels run:
 
 * :meth:`CompiledProgram.match` — the Section 2 parallel search;
 * :meth:`CompiledProgram.match_links` — the Section 3.3 refinement search,
@@ -40,15 +49,14 @@ Attribute values are interned once into ``value_ids`` (a plain dict, so
 ``1``/``1.0``/``True`` collapse exactly as they do as PST hash-branch keys);
 a match then interns the event's values once and performs int-keyed lookups.
 
-Both kernels intentionally visit nodes in the same order and count the same
-``steps`` as the object-graph implementations, so the paper's step-count
-charts (Chart 2) are bit-for-bit unchanged; only wall-clock time improves.
+Both kernels count the same ``steps`` as the paper's node-at-a-time
+search; the test suite holds them, node for node and step for step, against
+an object-graph PST kept there as the reference (``tests/oracle``).
 
-**The program is the replica.**  No ``PSTNode`` graph stands behind a
-program: :meth:`CompiledProgram.insert` and :meth:`CompiledProgram.remove`
-run Section 2's walks on the records by the rules
-:class:`~repro.matching.pst.ParallelSearchTree` follows, so the reachable
-records are, node for node, the tree the same history builds.  A
+**The program is the replica.**  No node graph stands behind a program:
+:meth:`CompiledProgram.insert` and :meth:`CompiledProgram.remove` run
+Section 2's walks on the records, so the reachable records are, node for
+node, the tree the same history builds.  A
 re-materialized level takes the skipping node's slot and moves that node to
 a fresh one; a spliced node's slot takes its ``*``-child's record; so a
 parent's edge never changes when its child is replaced, and a new range
@@ -70,6 +78,7 @@ from __future__ import annotations
 
 from typing import (
     Any,
+    Container,
     Dict,
     FrozenSet,
     Iterable,
@@ -77,6 +86,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -84,17 +94,80 @@ from repro.errors import RoutingError, SubscriptionError
 from repro.core.trits import alternative_combine_bits, parallel_combine_bits
 from repro.matching.events import Event
 from repro.matching.predicates import AttributeTest, EqualityTest, Predicate, Subscription
-from repro.matching.pst import (
-    MatchResult,
-    check_insertable,
-    checked_domains,
-    checked_order,
-    first_constrained,
-)
 from repro.matching.schema import AttributeValue, EventSchema
 
 #: The kernel record of a slot with no node in it: a leaf holding nothing.
 _FREE_RECORD = (-1, None, None, -1, None)
+
+
+class MatchResult:
+    """Outcome of a match: the satisfied subscriptions and the step count."""
+
+    __slots__ = ("subscriptions", "steps")
+
+    def __init__(self, subscriptions: List[Subscription], steps: int) -> None:
+        self.subscriptions = subscriptions
+        self.steps = steps
+
+    @property
+    def subscribers(self) -> Set[str]:
+        """The distinct subscriber identities among the matches."""
+        return {s.subscriber for s in self.subscriptions}
+
+    def __repr__(self) -> str:
+        return f"MatchResult({len(self.subscriptions)} subscriptions, {self.steps} steps)"
+
+
+def checked_order(
+    schema: EventSchema, attribute_order: Optional[Sequence[str]]
+) -> Tuple[str, ...]:
+    """The tested attribute order: ``attribute_order``, which must be a
+    permutation of the schema's names, or declaration order."""
+    if attribute_order is None:
+        return tuple(schema.names)
+    order = tuple(attribute_order)
+    if sorted(order) != sorted(schema.names):
+        raise SubscriptionError(
+            f"attribute_order {list(order)!r} is not a permutation of the schema"
+        )
+    return order
+
+
+def checked_domains(
+    schema: EventSchema, domains: Optional[Mapping[str, Iterable[AttributeValue]]]
+) -> Dict[str, FrozenSet[AttributeValue]]:
+    """Declared finite domains by attribute name (every name validated)."""
+    checked: Dict[str, FrozenSet[AttributeValue]] = {}
+    for name, values in (domains or {}).items():
+        schema.position_of(name)  # validates the name
+        checked[name] = frozenset(values)
+    return checked
+
+
+def check_insertable(
+    schema: EventSchema, subscription: Subscription, registered: Container[int]
+) -> None:
+    """Refuse a subscription on another schema, a registered id, or an
+    unsatisfiable predicate."""
+    predicate = subscription.predicate
+    if predicate.schema is not schema and predicate.schema != schema:
+        raise SubscriptionError("subscription schema does not match the tree's schema")
+    if subscription.subscription_id in registered:
+        raise SubscriptionError(
+            f"subscription #{subscription.subscription_id} is already registered"
+        )
+    if not predicate.is_satisfiable:
+        raise SubscriptionError(
+            f"refusing to register unsatisfiable predicate {predicate.describe()!r}"
+        )
+
+
+def first_constrained(tests: Sequence[AttributeTest], start: int, stop: int) -> Optional[int]:
+    """First level in ``[start, stop)`` whose test is not a don't-care."""
+    for level in range(start, stop):
+        if not tests[level].is_dont_care:
+            return level
+    return None
 
 
 class CompiledProgram:
@@ -105,8 +178,11 @@ class CompiledProgram:
     the module docstring): :meth:`annotate` writes one view's in full, and
     every change from then on re-annotates its path in each annotated view.
 
-    ``attribute_order`` and ``domains`` mean what they mean for
-    :class:`~repro.matching.pst.ParallelSearchTree`.
+    ``attribute_order`` (a permutation of the schema's names; default
+    declaration order, see :mod:`repro.matching.ordering`) fixes the tested
+    order.  ``domains`` optionally maps attribute names to their finite value
+    sets; only annotation uses them (a node whose value branches cover the
+    domain can promote a link to Yes), matching never does.
     """
 
     __slots__ = (
@@ -241,8 +317,8 @@ class CompiledProgram:
         """(Re)compute all of ``view``'s packed per-node annotations
         bottom-up, for its ``num_links`` and ``link_of_subscriber``.
 
-        Exactly :class:`~repro.core.annotation.TreeAnnotation`'s trits.  Its
-        per-value fold collapses, Alternative Combine being idempotent, to
+        Section 3.1's recipe, evaluated per domain value under a declared
+        domain.  The per-value fold collapses, Alternative Combine being idempotent, to
         one outcome per branch plus the bare ``*``-branch (see
         :meth:`_combined_annotation`); only nodes with range branches under a
         declared domain fold per value.
@@ -311,7 +387,7 @@ class CompiledProgram:
         # the *-branch, and the bare *-branch for the values no branch takes
         # (under an open domain there always are some).  Values sharing an
         # outcome count once (x A x = x); and as Parallel distributes over
-        # Alternative, TreeAnnotation's open-domain (branches A No) P star
+        # Alternative, the paper's open-domain recipe (branches A No) P star
         # is this same fold.
         branches = table.items() if table is not None else ()
         taken = [child for value_id, child in branches if domain is None or value_id in domain]
@@ -355,11 +431,10 @@ class CompiledProgram:
     def match(self, event: Event) -> MatchResult:
         """The Section 2 parallel search over the flat records.
 
-        Visits exactly the nodes ``ParallelSearchTree.match`` visits — every
-        node is appended to the work queue once and processed once, so the
-        ``steps`` count is identical (it is simply the final queue length);
-        only the visit *order* differs (breadth-first rather than LIFO),
-        which neither the match set nor the step count observes.
+        Visits every node whose path the event satisfies — each is appended
+        to the work queue once and processed once, so ``steps`` is simply the
+        final queue length.  Visiting breadth-first rather than in the
+        paper's parallel order changes neither the match set nor the count.
         """
         if self._schema_mismatch(event):
             raise SubscriptionError("event schema does not match the tree's schema")
@@ -450,7 +525,7 @@ class CompiledProgram:
         """The refinement search on one event's value tuple over one view's
         annotation columns: ``(final_yes_bits, steps)``.
 
-        An explicit frame stack mirrors ``LinkMatcher``'s recursion exactly
+        An explicit frame stack mirrors the paper's recursive search exactly
         — same visit order, same early exits, same ``steps``.
         """
         value_ids = self.value_ids

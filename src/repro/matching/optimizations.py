@@ -8,14 +8,13 @@ Three optimizations are described:
    values.  A subscription with a ``*`` on an index attribute is replicated
    into every sub-PST for that attribute's domain (the space cost the paper
    mentions); matching becomes a table lookup on the event's index values
-   followed by a search of one (smaller) sub-PST.  Under the compiled
-   engine each sub-PST exists only as a
+   followed by a search of one (smaller) sub-PST, each a
    :class:`~repro.matching.compile.CompiledProgram`.
 
 2. **Trivial test elimination** is an invariant of the tree itself: no
-   :class:`~repro.matching.pst.ParallelSearchTree` node is ever left with
-   only a ``*``-child (see :mod:`repro.matching.pst`).  For factoring this
-   means the index levels a relaxed insertion leaves ``*`` never cost a
+   :class:`~repro.matching.compile.CompiledProgram` node is ever left with
+   only a ``*``-child (see :mod:`repro.matching.compile`).  For factoring
+   this means the index levels a relaxed insertion leaves ``*`` never cost a
    search step.
 
 3. **Delayed branching** (:class:`SearchDag`): instead of forking a parallel
@@ -48,14 +47,12 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from repro.errors import SubscriptionError
 from repro.matching.base import Matcher
-from repro.matching.compile import CompiledProgram
+from repro.matching.compile import CompiledProgram, MatchResult, check_insertable
 from repro.matching.events import Event
-from repro.matching.pst import MatchResult, ParallelSearchTree, PSTNode
 from repro.obs import get_registry
 from repro.matching.predicates import EqualityTest, Predicate, Subscription
 from repro.matching.schema import AttributeValue, EventSchema
@@ -79,9 +76,6 @@ class _OutOfDomain:
 #: The shared out-of-domain key component.
 OUT_OF_DOMAIN = _OutOfDomain()
 
-#: One factoring key's sub-PST, as the matcher's engine keeps it.
-_SubTree = Union[ParallelSearchTree, CompiledProgram]
-
 
 class FactoredMatcher(Matcher):
     """Factoring (Section 2.1, item 1): one sub-PST per index-value combo.
@@ -100,13 +94,9 @@ class FactoredMatcher(Matcher):
     residual_order:
         Optional attribute order for the residual sub-PSTs (must be a
         permutation of the non-index attributes).
-    engine:
-        ``"tree"`` keeps each sub-PST as a
-        :class:`~repro.matching.pst.ParallelSearchTree` and searches it
-        directly; ``"compiled"`` keeps it as a
-        :class:`~repro.matching.compile.CompiledProgram` only, changed in
-        place by every insert and remove, and matches through the array
-        kernels.  Either way match sets and step counts are identical.
+
+    Each sub-PST is a :class:`~repro.matching.compile.CompiledProgram`,
+    changed in place by every insert and remove.
 
     Events whose index values fall outside the declared domains select
     :data:`OUT_OF_DOMAIN` buckets, so matching stays exactly equivalent to
@@ -131,15 +121,9 @@ class FactoredMatcher(Matcher):
         domains: Mapping[str, Iterable[AttributeValue]],
         *,
         residual_order: Optional[Sequence[str]] = None,
-        engine: str = "tree",
     ) -> None:
         if not index_attributes:
             raise SubscriptionError("factoring needs at least one index attribute")
-        if engine not in ("tree", "compiled"):
-            raise SubscriptionError(
-                f"unknown matcher engine {engine!r} — expected 'tree' or 'compiled'"
-            )
-        self.engine = engine
         self.schema = schema
         self.index_attributes: Tuple[str, ...] = tuple(index_attributes)
         self.domains: Dict[str, FrozenSet[AttributeValue]] = {
@@ -165,17 +149,19 @@ class FactoredMatcher(Matcher):
                 )
             residual_names = list(residual_order)
         self._residual_order = residual_names
-        self._trees: Dict[Tuple[AttributeValue, ...], _SubTree] = {}
+        self._trees: Dict[Tuple[AttributeValue, ...], CompiledProgram] = {}
         self._by_id: Dict[int, Subscription] = {}
         self._keys_by_id: Dict[int, List[Tuple[AttributeValue, ...]]] = {}
+        #: The last foreign schema object found equal to ours (see
+        #: :meth:`check_schema`).
+        self._schema_ok: Optional[EventSchema] = None
         #: The views handed out over this matcher (each a
         #: :class:`~repro.matching.engines.FactoredEngine`).
         self.views: List[Any] = []
         obs = get_registry()
-        label = f"factored-{engine}"
-        self._obs_matches = obs.counter("engine.matches", engine=label)
-        self._obs_match_steps = obs.counter("engine.match_steps", engine=label)
-        self._obs_index_misses = obs.counter("engine.factored.index_misses", engine=label)
+        self._obs_matches = obs.counter("engine.matches", engine="factored")
+        self._obs_match_steps = obs.counter("engine.match_steps", engine="factored")
+        self._obs_index_misses = obs.counter("engine.factored.index_misses", engine="factored")
 
     # ------------------------------------------------------------------
 
@@ -189,13 +175,11 @@ class FactoredMatcher(Matcher):
     def subscriptions(self) -> List[Subscription]:
         return list(self._by_id.values())
 
-    def subtrees(self) -> Iterable[Tuple[Tuple[AttributeValue, ...], _SubTree]]:
-        """The populated ``(index key, sub-PST)`` pairs: a
-        :class:`ParallelSearchTree` under ``engine="tree"``, its
-        :class:`CompiledProgram` under ``"compiled"``."""
+    def subtrees(self) -> Iterable[Tuple[Tuple[AttributeValue, ...], CompiledProgram]]:
+        """The populated ``(index key, sub-PST)`` pairs."""
         return self._trees.items()
 
-    def subtree(self, key: Tuple[AttributeValue, ...]) -> Optional[_SubTree]:
+    def subtree(self, key: Tuple[AttributeValue, ...]) -> Optional[CompiledProgram]:
         """The sub-PST of index key ``key``; ``None`` while unpopulated."""
         return self._trees.get(key)
 
@@ -222,7 +206,7 @@ class FactoredMatcher(Matcher):
             per_attribute.append(options)
         return [tuple(combo) for combo in itertools.product(*per_attribute)]
 
-    def _subtree_for(self, key: Tuple[AttributeValue, ...]) -> _SubTree:
+    def _subtree_for(self, key: Tuple[AttributeValue, ...]) -> CompiledProgram:
         subtree = self._trees.get(key)
         if subtree is None:
             # The index attributes stay in the sub-PST's schema (every
@@ -231,15 +215,9 @@ class FactoredMatcher(Matcher):
             order = self._residual_order + [
                 n for n in self.schema.names if n in self.index_attributes
             ]
-            if self.engine == "compiled":
-                subtree = CompiledProgram(
-                    self.schema, attribute_order=order, domains=self.domains
-                )
-            else:
-                subtree = ParallelSearchTree(
-                    self.schema, attribute_order=order, domains=self.domains
-                )
-            self._trees[key] = subtree
+            subtree = self._trees[key] = CompiledProgram(
+                self.schema, attribute_order=order, domains=self.domains
+            )
         return subtree
 
     def insert(self, subscription: Subscription) -> None:
@@ -251,10 +229,7 @@ class FactoredMatcher(Matcher):
         key component is :data:`OUT_OF_DOMAIN` keep their original tests (the
         key does not pin the value there).
         """
-        if subscription.subscription_id in self._by_id:
-            raise SubscriptionError(
-                f"subscription #{subscription.subscription_id} is already registered"
-            )
+        check_insertable(self.schema, subscription, self._by_id)
         keys = self._keys_for(subscription)
         for key in keys:
             self._subtree_for(key).insert(self._relaxed_for_key(subscription, key))
@@ -296,12 +271,16 @@ class FactoredMatcher(Matcher):
 
     def key_for_event(self, event: Event) -> Tuple[AttributeValue, ...]:
         """The index key an event selects (out-of-domain values map to the
-        :data:`OUT_OF_DOMAIN` bucket)."""
+        :data:`OUT_OF_DOMAIN` bucket).  An event on a shorter schema, which
+        lacks an index position, selects the empty key: no sub-tree."""
         values = event.as_tuple()
         key = []
-        for name, position in zip(self.index_attributes, self._index_positions):
-            value = values[position]
-            key.append(value if value in self.domains[name] else OUT_OF_DOMAIN)
+        try:
+            for name, position in zip(self.index_attributes, self._index_positions):
+                value = values[position]
+                key.append(value if value in self.domains[name] else OUT_OF_DOMAIN)
+        except IndexError:
+            return ()
         return tuple(key)
 
     def match(self, event: Event) -> MatchResult:
@@ -313,12 +292,24 @@ class FactoredMatcher(Matcher):
         subtree = self._trees.get(key)
         self._obs_matches.inc()
         if subtree is None:
+            self.check_schema(event, SubscriptionError)
             self._obs_index_misses.inc()
             self._obs_match_steps.inc()
             return MatchResult([], 1)
         result = subtree.match(event)
         self._obs_match_steps.inc(result.steps + 1)
         return MatchResult(result.subscriptions, result.steps + 1)
+
+    def check_schema(self, event: Event, error: type) -> None:
+        """Raise ``error`` for an event on another schema: the guard every
+        sub-PST applies, for an event whose index key selects none.  As
+        there, one deep comparison per foreign schema object suffices."""
+        schema = event.schema
+        if schema is self.schema or schema is self._schema_ok:
+            return
+        if schema != self.schema:
+            raise error("event schema does not match the tree's schema")
+        self._schema_ok = schema
 
     def match_brute_force(self, event: Event) -> List[Subscription]:
         return [s for s in self._by_id.values() if s.predicate.matches(event)]
@@ -361,65 +352,68 @@ class DagNode:
 class SearchDag:
     """Delayed branching (Section 2.1, item 3): a deterministic search DAG.
 
-    Built from a frozen :class:`ParallelSearchTree`; does not support
-    incremental updates (rebuild after churn — the broker engine rebuilds
-    lazily).  Only equality tests and don't-cares are supported, matching the
-    scope the paper gives for the annotated-tree algorithms.
+    Built from a :class:`CompiledProgram`'s records as they stand; later
+    inserts and removes do not reach it (build it again after churn).  Only
+    equality tests and don't-cares are supported, matching the scope the
+    paper gives for the annotated-tree algorithms.
     """
 
-    def __init__(self, tree: ParallelSearchTree) -> None:
-        for node in tree.nodes():
-            if node.range_branches:
-                raise SubscriptionError(
-                    "delayed branching supports equality and don't-care tests only"
-                )
-        self.schema = tree.schema
-        self.attribute_order = tree.attribute_order
-        self._source = tree
+    def __init__(self, program: CompiledProgram) -> None:
+        records = program._records
+        self._records = {slot: records[slot] for slot in program.reachable_slots()}
+        if any(record[2] is not None for record in self._records.values()):
+            raise SubscriptionError(
+                "delayed branching supports equality and don't-care tests only"
+            )
+        self.schema = program.schema
+        self.attribute_order = program.attribute_order
+        self._positions = program._positions
+        self._levels = program._levels
+        self._values = {value_id: value for value, value_id in program.value_ids.items()}
+        self._source = program
         self._memo: Dict[FrozenSet[int], DagNode] = {}
-        self._members: Dict[int, PSTNode] = {n.node_id: n for n in tree.nodes()}
-        self.root = self._build(frozenset([tree.root.node_id]))
+        self.root = self._build(frozenset([0]))
 
-    def _build(self, member_ids: FrozenSet[int]) -> DagNode:
-        memoized = self._memo.get(member_ids)
+    def _build(self, member_slots: FrozenSet[int]) -> DagNode:
+        memoized = self._memo.get(member_slots)
         if memoized is not None:
             return memoized
-        members = [self._members[i] for i in sorted(member_ids)]
+        members = [(slot, self._records[slot]) for slot in sorted(member_slots)]
         matched: List[Subscription] = []
-        active: List[PSTNode] = []
-        passive: List[PSTNode] = []
         level: Optional[int] = None
-        for node in members:
-            if node.is_leaf:
-                matched.extend(node.subscriptions)
-            elif level is None or node.attribute_position < level:
-                level = node.attribute_position
-        for node in members:
-            if node.is_leaf:
-                continue
-            if node.attribute_position == level:
-                active.append(node)
-            else:
-                passive.append(node)
+        for _slot, (position, _table, _ranges, _star, subs) in members:
+            if position < 0:
+                matched.extend(subs or ())
+            elif level is None or self._levels[position] < level:
+                level = self._levels[position]
+        active = [
+            record
+            for _slot, record in members
+            if record[0] >= 0 and self._levels[record[0]] == level
+        ]
+        passive = [
+            slot
+            for slot, record in members
+            if record[0] >= 0 and self._levels[record[0]] != level
+        ]
         dag_node = DagNode(level)
         dag_node.subscriptions = matched
-        self._memo[member_ids] = dag_node
+        self._memo[member_slots] = dag_node
         if level is None:
             return dag_node
-        else_ids = frozenset(
-            [n.star_child.node_id for n in active if n.star_child is not None]
-            + [n.node_id for n in passive]
-        )
-        values: Set[AttributeValue] = set()
-        for node in active:
-            values.update(node.value_branches)
-        for value in values:
-            value_ids = frozenset(
-                n.value_branches[value].node_id for n in active if value in n.value_branches
+        else_slots = frozenset([record[3] for record in active if record[3] >= 0] + passive)
+        value_ids: Set[int] = set()
+        for record in active:
+            value_ids.update(record[1] or ())
+        for value_id in value_ids:
+            value_slots = frozenset(
+                record[1][value_id] for record in active if value_id in (record[1] or ())
             )
-            dag_node.value_branches[value] = self._build(value_ids | else_ids)
-        if else_ids:
-            dag_node.else_branch = self._build(else_ids)
+            dag_node.value_branches[self._values[value_id]] = self._build(
+                value_slots | else_slots
+            )
+        if else_slots:
+            dag_node.else_branch = self._build(else_slots)
         return dag_node
 
     def node_count(self) -> int:
@@ -435,7 +429,7 @@ class SearchDag:
         if event.schema != self.schema:
             raise SubscriptionError("event schema does not match the DAG's schema")
         values = event.as_tuple()
-        positions = tuple(self.schema.position_of(n) for n in self.attribute_order)
+        positions = self._positions
         matched: List[Subscription] = []
         steps = 0
         node: Optional[DagNode] = self.root

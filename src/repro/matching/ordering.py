@@ -9,7 +9,7 @@ This module provides that heuristic (:func:`order_by_fewest_dont_cares`) plus
 two baselines used by the ablation benchmarks (declaration order and its
 reverse — the worst case puts the least selective attributes at the root).
 All functions return a permutation of the schema's attribute names, ready to
-pass as ``attribute_order`` to :class:`~repro.matching.pst.ParallelSearchTree`.
+pass as ``attribute_order`` to :class:`~repro.matching.compile.CompiledProgram`.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ the cross-PR perf trajectory, so its shape is versioned and validated:
       "created_unix": 1754500000.0,
       "machine": {"host": "...", "platform": "...", "python": "3.11.7"},
       "git_sha": "91ce3a2...",
-      "engine": "compiled",
       "workload": {"subscription_counts": [1000, 5000], "num_events": 120},
       "wall_clock_s": 12.34,
       "metrics": { "...counter snapshot..." },
@@ -63,7 +62,6 @@ _REQUIRED_FIELDS: Dict[str, tuple] = {
     "created_unix": (int, float),
     "machine": (dict,),
     "git_sha": (str,),
-    "engine": (str, type(None)),
     "workload": (dict,),
     "wall_clock_s": (int, float, type(None)),
     "metrics": (dict,),
@@ -113,7 +111,6 @@ def _workload_dict(workload: Any) -> Dict[str, Any]:
 def bench_payload(
     name: str,
     *,
-    engine: Optional[str] = None,
     workload: Any = None,
     wall_clock_s: Optional[float] = None,
     metrics: Optional[Union[MetricsRegistry, Dict[str, Any]]] = None,
@@ -135,7 +132,6 @@ def bench_payload(
         "created_unix": time.time(),
         "machine": machine_fingerprint(),
         "git_sha": git_sha(repo_root),
-        "engine": engine,
         "workload": _workload_dict(workload),
         "wall_clock_s": wall_clock_s,
         "metrics": (

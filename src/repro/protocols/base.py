@@ -211,8 +211,7 @@ class Decision:
 class ProtocolContext:
     """Everything a protocol needs to build its per-broker state: the
     topology, the event schema, the global subscription set, spanning trees,
-    routing tables, and the matcher configuration knobs (including which
-    matching engine — ``"tree"`` or ``"compiled"`` — brokers use)."""
+    routing tables, and the matcher configuration knobs."""
 
     def __init__(
         self,
@@ -223,7 +222,6 @@ class ProtocolContext:
         attribute_order: Optional[Sequence[str]] = None,
         domains: Optional[Mapping[str, Sequence[AttributeValue]]] = None,
         factoring_attributes: Optional[Sequence[str]] = None,
-        engine: str = "compiled",
     ) -> None:
         topology.validate()
         self.topology = topology
@@ -232,7 +230,6 @@ class ProtocolContext:
         self.attribute_order = attribute_order
         self.domains = domains
         self.factoring_attributes = factoring_attributes
-        self.engine = engine
         self.routing_tables: Dict[str, RoutingTable] = all_routing_tables(topology)
         self.spanning_trees: Dict[str, SpanningTree] = spanning_trees_for_publishers(topology)
 
@@ -244,7 +241,6 @@ class ProtocolContext:
             attribute_order=self.attribute_order,
             domains=self.domains,
             factoring_attributes=self.factoring_attributes,
-            engine=self.engine,
         )
 
     def tree_children(self, broker: str, root: str) -> List[str]:

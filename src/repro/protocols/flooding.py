@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.matching.base import MatcherEngine
-from repro.matching.pst import MatchResult
+from repro.matching.compile import MatchResult
 from repro.matching.engines import create_matcher, view_of
 from repro.obs import get_registry
 from repro.protocols.base import Decision, ProtocolContext, RoutingProtocol, SimMessage
@@ -63,7 +63,6 @@ class FloodingProtocol(RoutingProtocol):
         return view_of(
             create_matcher(
                 context.schema,
-                engine=context.engine,
                 attribute_order=context.attribute_order,
                 domains=context.domains,
             )

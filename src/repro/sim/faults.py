@@ -64,7 +64,6 @@ from typing import (
 
 from repro.broker.event_log import EventLog
 from repro.errors import SimulationError
-from repro.matching.engines import create_matcher
 from repro.matching.predicates import Subscription
 from repro.network.topology import Link, NodeKind
 from repro.protocols.base import SimMessage
@@ -973,18 +972,6 @@ def check_invariants(result, coordinator: FaultCoordinator) -> InvariantReport:
         for record in result.deliveries
         if record.matched
     }
-    # One matcher per subscription epoch so runtime subscriptions are only
-    # expected for events published after they were indexed.
-    epochs = []
-    for activation, subscriptions in coordinator.subscription_epochs:
-        if not subscriptions:
-            continue
-        replica = create_matcher(
-            context.schema, engine="tree", attribute_order=context.attribute_order
-        )
-        for subscription in subscriptions:
-            replica.insert(subscription)
-        epochs.append((activation, replica))
     lost: List[Tuple[str, int]] = []
     expected_count = 0
     events_checked = 0
@@ -996,10 +983,16 @@ def check_invariants(result, coordinator: FaultCoordinator) -> InvariantReport:
         if tree is None:
             continue
         expected: Set[str] = set()
-        for activation, replica in epochs:
+        # Each predicate evaluated directly — the reference semantics,
+        # sharing no code with the routing being checked — per subscription
+        # epoch, so runtime subscriptions are only expected for events
+        # published after they were indexed.
+        for activation, subscriptions in coordinator.subscription_epochs:
             if activation > record.publish_ticks:
                 continue
-            expected.update(replica.match(record.event).subscribers)
+            expected.update(
+                s.subscriber for s in subscriptions if s.predicate.matches(record.event)
+            )
         for subscriber in expected:
             if subscriber not in topology or subscriber not in tree.parent:
                 continue

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.matching import (
+    CompiledProgram,
     Event,
     EventSchema,
     Subscription,
@@ -47,6 +48,15 @@ def ibm_event(stock_schema) -> Event:
 def make_subscription(schema: EventSchema, expression: str, subscriber: str) -> Subscription:
     """Helper: parse an expression into a subscription."""
     return Subscription(parse_predicate(schema, expression), subscriber)
+
+
+def build_program(schema: EventSchema, subscriptions, **options) -> CompiledProgram:
+    """Helper: a compiled program holding ``subscriptions`` (``options`` as
+    :class:`CompiledProgram` takes them)."""
+    program = CompiledProgram(schema, **options)
+    for subscription in subscriptions:
+        program.insert(subscription)
+    return program
 
 
 @pytest.fixture

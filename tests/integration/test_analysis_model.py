@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis import MatchingCostModel
 from repro.errors import SimulationError
-from repro.matching import ParallelSearchTree
+from repro.matching import CompiledProgram
 from repro.workload import CHART1_SPEC, EventGenerator, SubscriptionGenerator, WorkloadSpec
 
 UNIFORM_SPEC = WorkloadSpec(
@@ -28,7 +28,7 @@ UNIFORM_SPEC = WorkloadSpec(
 
 def measure(spec: WorkloadSpec, num_subscriptions: int, num_events: int = 300, seed: int = 5):
     generator = SubscriptionGenerator(spec, seed=seed)
-    tree = ParallelSearchTree(spec.schema())
+    tree = CompiledProgram(spec.schema())
     for subscription in generator.subscriptions_for(["c"], num_subscriptions):
         tree.insert(subscription)
     events = EventGenerator(spec, seed=seed + 1)

@@ -34,7 +34,6 @@ def test_chart1_run_emits_valid_bench_artifact(tmp_path, fresh_registry):
 
     payload = bench.bench_payload(
         "chart1",
-        engine=config.engine,
         workload=config,
         wall_clock_s=wall_clock_s,
         metrics=fresh_registry,
@@ -45,7 +44,6 @@ def test_chart1_run_emits_valid_bench_artifact(tmp_path, fresh_registry):
     assert path.name == "BENCH_chart1.json"
     loaded = bench.load_bench(path)  # validates against the v1 schema
     assert loaded["schema"] == bench.BENCH_SCHEMA
-    assert loaded["engine"] == "compiled"
     assert loaded["workload"]["subscription_counts"] == [60]
     assert loaded["wall_clock_s"] == pytest.approx(wall_clock_s)
     assert loaded["table"]["rows"], "the Chart 1 table must ride along"

@@ -1,14 +1,13 @@
 """The whole matcher configuration lattice, in one place.
 
-Every combination of ``engine`` × factoring that a caller can ask
+Every configuration a caller can ask
 :func:`~repro.matching.engines.create_matcher` for (the replica a
-:class:`~repro.core.ContentRouter` views) is enumerated here.  A combination
-is either in :data:`CONSTRUCTIBLE` — then it must build and route exactly
-like the paper-faithful ``tree`` router and match exactly like brute-force
-predicate evaluation, before and after subscription churn — or it is not,
-and then asking for it must raise :class:`~repro.errors.SubscriptionError`,
-never hand back a replica that quietly runs something else.  A new engine or
-option therefore cannot land without a row here.
+:class:`~repro.core.ContentRouter` views) is enumerated here: one compiled
+program, whole or factored.  Each row in :data:`CONSTRUCTIBLE` must route
+exactly like the paper-faithful object-graph router of ``tests/oracle`` and
+match exactly like brute-force predicate evaluation, before and after
+subscription churn, and must refuse a subscription or an event on another
+schema.  A new option therefore cannot land without a row here.
 """
 
 from __future__ import annotations
@@ -18,21 +17,20 @@ import itertools
 import pytest
 
 from repro.core import ContentRouter
-from repro.errors import SubscriptionError
-from repro.matching.engines import ENGINE_NAMES, create_matcher
+from repro.errors import RoutingError, SubscriptionError
+from repro.matching import Event, create_matcher, parse_predicate, uniform_schema, view_of
 from repro.matching.predicates import Subscription
 from repro.network import RoutingTable, spanning_trees_for_publishers
 from repro.workload.generators import EventGenerator, SubscriptionGenerator
 from repro.workload.spec import WorkloadSpec
+from tests.oracle import OracleRouter, ParallelSearchTree
 
 #: ``(engine, factored)``, written out by hand.
 CONSTRUCTIBLE = [
     ("compiled", False),
     ("compiled", True),
-    ("tree", False),
-    ("tree", True),
 ]
-LATTICE = list(itertools.product(ENGINE_NAMES, (False, True)))
+LATTICE = list(itertools.product(("compiled",), (False, True)))
 
 #: Selective enough that every forward/deliver combination of a vantage
 #: occurs among the events, duplicated enough that leaves are shared.
@@ -56,7 +54,6 @@ def build_router(topology, broker, engine, factored):
     """A router on a private replica of the given configuration."""
     replica = create_matcher(
         SPEC.schema(),
-        engine=engine,
         domains=SPEC.domains(),
         factoring_attributes=SPEC.factoring_attributes if factored else None,
     )
@@ -133,7 +130,13 @@ def test_lattice_point(diamond_topology, engine, factored):
 
     for broker, root in VANTAGES:
         router = build_router(diamond_topology, broker, *config)
-        oracle = build_router(diamond_topology, broker, "tree", False)
+        oracle = OracleRouter(
+            diamond_topology,
+            broker,
+            RoutingTable(diamond_topology, broker),
+            spanning_trees_for_publishers(diamond_topology),
+            ParallelSearchTree(SPEC.schema(), domains=SPEC.domains()),
+        )
         live = {}
         for subscription in standing:
             live[subscription.subscription_id] = subscription
@@ -152,6 +155,40 @@ def test_lattice_point(diamond_topology, engine, factored):
             unsubscribe(router, subscription.subscription_id)
             unsubscribe(oracle, subscription.subscription_id)
         assert_equivalent(router, oracle, root, live, events)
+
+
+@pytest.mark.parametrize(
+    "engine, factored",
+    CONSTRUCTIBLE,
+    ids=[f"{engine}-{'factored' if factored else 'whole'}" for engine, factored in CONSTRUCTIBLE],
+)
+def test_a_foreign_schema_is_refused(engine, factored):
+    """A subscription or an event on another schema fails closed, whether or
+    not a factored replica's index key selects a populated sub-tree."""
+    ours, longer, shorter = uniform_schema(3), uniform_schema(4), uniform_schema(2)
+    replica = create_matcher(
+        ours,
+        domains={name: [0, 1, 2] for name in ours.names},
+        factoring_attributes=["a3"] if factored else None,
+    )
+    with pytest.raises(SubscriptionError):
+        replica.insert(Subscription(parse_predicate(longer, "a3=1 & a4=2"), "x"))
+    assert len(replica) == 0
+    replica.insert(Subscription(parse_predicate(ours, "a3=1"), "y"))
+    view = view_of(replica)
+    view.bind_links(1, lambda subscription: 0)
+    # Key a3=1 is populated, a3=2 is not, and the shorter schema has no a3.
+    for event in (
+        Event.from_tuple(longer, (0, 0, 1, 0)),
+        Event.from_tuple(longer, (0, 0, 2, 0)),
+        Event.from_tuple(shorter, (0, 0)),
+    ):
+        with pytest.raises(SubscriptionError):
+            replica.match(event)
+        with pytest.raises(RoutingError):
+            view.match_links(event, 0, 1)
+        with pytest.raises(RoutingError):
+            view.match_links_batch([event], 0, 1)
 
 
 def test_literal_list_is_inside_the_lattice():

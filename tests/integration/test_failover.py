@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.matching import Event, Subscription, parse_predicate, uniform_schema
-from repro.matching.pst import ParallelSearchTree
+from repro.matching.compile import CompiledProgram
 from repro.network.figures import (
     figure6_topology,
     leaf_name,
@@ -243,7 +243,7 @@ def test_factored_figure6_shares_one_replica_through_faults(monkeypatch):
     arrives for a subscriber that is cut off at that moment (indexed
     everywhere with no link to light, deferred until the repair), a broker
     joins: nothing lost, at most one copy per link, and building the joined
-    broker's router inserts into no PST."""
+    broker's router inserts into no program."""
     spec = WorkloadSpec(num_attributes=4, values_per_attribute=3, factoring_levels=2)
     topology = figure6_topology(subscribers_per_broker=1)
     subscriptions = SubscriptionGenerator(
@@ -261,13 +261,13 @@ def test_factored_figure6_shares_one_replica_through_faults(monkeypatch):
     assert all(router.replica is shared for router in protocol.routers.values())
 
     inserts = [0]
-    pst_insert = ParallelSearchTree.insert
+    program_insert = CompiledProgram.insert
 
-    def counting_insert(tree, subscription):
+    def counting_insert(program, subscription):
         inserts[0] += 1
-        pst_insert(tree, subscription)
+        program_insert(program, subscription)
 
-    monkeypatch.setattr(ParallelSearchTree, "insert", counting_insert)
+    monkeypatch.setattr(CompiledProgram, "insert", counting_insert)
     built = {}
     build_router = protocol._build_router
 

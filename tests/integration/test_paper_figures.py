@@ -1,4 +1,5 @@
-"""Golden tests reproducing the paper's worked examples.
+"""Golden tests reproducing the paper's worked examples, on the compiled
+program and on the object-graph oracle alike.
 
 * Figure 2: the matching tree for the five-attribute schema and the walk for
   event ``a = <1, 2, 3, 1, 2>``.
@@ -10,9 +11,11 @@
 
 from __future__ import annotations
 
-from repro.core import M, N, TreeAnnotation, TritVector, Y, alternative_combine, parallel_combine
-from repro.matching import Event, build_pst, uniform_schema
-from tests.conftest import make_subscription
+from repro.core import M, N, TritVector, Y, alternative_combine, parallel_combine
+from repro.core.trits import unpack_tritvector
+from repro.matching import Event, uniform_schema, view_of
+from tests.conftest import build_program, make_subscription
+from tests.oracle import TreeAnnotation, build_pst
 
 
 class TestFigure2:
@@ -32,22 +35,28 @@ class TestFigure2:
             make_subscription(self.schema, "a1=1 & a4=1", "a4_path"),
         ]
         self.tree = build_pst(self.schema, self.subscriptions)
+        self.program = build_program(self.schema, self.subscriptions)
+
+    def match(self, values):
+        """The subscribers both structures match, which must agree, steps
+        included."""
+        event = Event.from_tuple(self.schema, values)
+        tree, program = self.tree.match(event), self.program.match(event)
+        assert program.subscribers == tree.subscribers
+        assert program.steps == tree.steps
+        return tree.subscribers
 
     def test_event_from_the_figure(self):
         # a = <1, 2, 3, 1, 2>: matches everything except the rightmost leaf
         # (a5=3 fails: the event has a5=2).
-        event = Event.from_tuple(self.schema, (1, 2, 3, 1, 2))
-        result = self.tree.match(event)
-        assert result.subscribers == {"star_a1", "mid", "a4_path"}
+        assert self.match((1, 2, 3, 1, 2)) == {"star_a1", "mid", "a4_path"}
 
     def test_event_satisfying_rightmost_leaf(self):
-        event = Event.from_tuple(self.schema, (1, 2, 3, 1, 3))
-        assert "right" in self.tree.match(event).subscribers
+        assert "right" in self.match((1, 2, 3, 1, 3))
 
     def test_star_and_value_both_taken(self):
-        event = Event.from_tuple(self.schema, (1, 2, 0, 1, 0))
         # star_a1 via the *-branch, a4_path via the value branch.
-        assert self.tree.match(event).subscribers == {"star_a1", "a4_path"}
+        assert self.match((1, 2, 0, 1, 0)) == {"star_a1", "a4_path"}
 
 
 class TestFigure4:
@@ -99,3 +108,7 @@ class TestFigure5:
         annotation = TreeAnnotation(3, lambda s: links[s.subscriber])
         root_vector = annotation.annotate(tree)
         assert root_vector == TritVector("YYM")
+        view = view_of(build_program(schema, subscriptions, domains={"a1": [1, 2]}))
+        view.bind_links(3, lambda s: links[s.subscriber])
+        view.annotate()
+        assert unpack_tritvector(view.ann_yes[0], view.ann_maybe[0], 3) == TritVector("YYM")

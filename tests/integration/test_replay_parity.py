@@ -6,7 +6,7 @@ destinations ``S`` forced to No.  The router does that restriction as one
 AND on packed bits; here it is redone the paper's way — a
 :class:`~repro.core.trits.TritVector` built position by position from the
 virtual links' destination lists — and refined by
-:class:`~repro.core.link_matcher.LinkMatcher` over the very trees the
+:class:`~tests.oracle.link_matcher.LinkMatcher` over the very trees the
 configuration refines (the factored sub-tree the event selects).  The
 decision must agree on neighbors, steps and mask, for random destination
 subsets, the empty one included.
@@ -18,9 +18,8 @@ import random
 
 import pytest
 
-from repro.core import LinkMatcher, N, TreeAnnotation, TritVector
+from repro.core import N, TritVector
 from repro.matching.optimizations import FactoredMatcher
-from repro.matching.pst import ParallelSearchTree
 from repro.workload.generators import EventGenerator, SubscriptionGenerator
 from tests.integration.test_config_matrix import (
     CONSTRUCTIBLE,
@@ -30,6 +29,8 @@ from tests.integration.test_config_matrix import (
     clone,
     subscribe,
 )
+from tests.oracle import LinkMatcher, ParallelSearchTree, TreeAnnotation
+from tests.oracle.trits import close_maybes
 
 NUM_EVENTS = 40
 SUBSETS_PER_EVENT = 3
@@ -47,11 +48,8 @@ def restricted_mask(router, root, destinations):
 
 
 def oracle_tree(replica):
-    """The PST a replica's live subscriptions build — ``replica`` itself
-    when it is one, else a tree fed the program's subscriptions in insertion
+    """The PST a program's live subscriptions build, fed in insertion
     order."""
-    if isinstance(replica, ParallelSearchTree):
-        return replica
     tree = ParallelSearchTree(
         replica.schema, attribute_order=replica.attribute_order, domains=replica.domains
     )
@@ -74,7 +72,7 @@ def oracle(router, event, root, destinations):
     mask = restricted_mask(router, root, destinations)
     tree = refined_tree(router, event)
     if tree is None:
-        return mask.close_maybes(), 1
+        return close_maybes(mask), 1
     annotation = TreeAnnotation(router.links.num_links, router._link_of_subscriber)
     annotation.annotate(tree)
     result = LinkMatcher(tree, annotation).match_links(event, mask)

@@ -1,5 +1,5 @@
 """Smoke test of ``benchmarks/setup_split.py``: one JSON line with the set-up
-split (with the parse count and mean cost), the heap census after set-up (no ``PSTNode`` in a compiled replica),
+split (with the parse count and mean cost), the heap census after set-up,
 the compiled programs' bytes and the per-broker slot census (no slot left
 holding a node with only a ``*``-child)."""
 
@@ -54,10 +54,9 @@ def test_setup_split_reports_the_heap():
 def test_an_engine_backed_replica_has_no_star_only_node():
     """``churn_mem`` routes on a private compiled engine per broker (not a
     factored matcher), the path trivial-test elimination once skipped; its
-    program is the whole replica, with no PST beside it."""
+    program is the whole replica."""
     report = setup_split("churn_mem")
     assert sorted(report["live_slots"]) == ["B0", "B1"]
     # Both brokers parse every subscription: 500 standing ones and more.
     assert report["parse_calls"] % 2 == 0 and report["parse_calls"] >= 2 * 500
     assert report["star_only_slots"] == {"B0": 0, "B1": 0}
-    assert report["tracked_pst_nodes"] == 0 and "PSTNode" not in report["top_tracked_types"]

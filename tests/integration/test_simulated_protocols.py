@@ -162,7 +162,6 @@ class TestOneReplicaPerProcess:
         import gc
 
         from repro.matching.compile import CompiledProgram
-        from repro.matching.pst import PSTNode
         from repro.workload.generators import SubscriptionGenerator, figure6_region_of
         from repro.workload.spec import CHART1_SPEC
 
@@ -181,7 +180,6 @@ class TestOneReplicaPerProcess:
             domains=CHART1_SPEC.domains(),
             factoring_attributes=CHART1_SPEC.factoring_attributes,
         )
-        nodes_before = len(live(PSTNode))
         programs_before = live(CompiledProgram)
         protocol = LinkMatchingProtocol(context)
         assert len(protocol.routers) == 39
@@ -208,7 +206,6 @@ class TestOneReplicaPerProcess:
         assert len(matcher.views) == len(protocol.routers)
         for key in in_domain:
             assert len(populated[key].views) == len(protocol.routers)
-        assert len(live(PSTNode)) == nodes_before, "the compiled replica holds no PST"
 
     def test_figure6_brokers_share_one_whole_replica(self):
         """Without factoring too: one program for every broker, each router

@@ -1,4 +1,4 @@
-"""Annotating the PST with trit vectors — Section 3.1.
+"""Annotating the oracle PST with trit vectors — Section 3.1.
 
 Each broker annotates every node of its Parallel Search Tree with a trit
 vector of length equal to its number of (virtual) links.  Leaves get Yes at
@@ -31,22 +31,13 @@ branches can produce Maybe but never an unsound Yes or No.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
+from repro.core.trits import TritVector
 from repro.errors import RoutingError
-from repro.matching.pst import ParallelSearchTree, PSTNode, child_for_test
-from repro.matching.predicates import Subscription
-from repro.core.trits import (
-    TritVector,
-    alternative_combine_all,
-    parallel_combine_all,
-)
-
-#: Maps a subscription to the broker-local (virtual) link position through
-#: which its subscriber is best reached.  A negative position means the
-#: subscriber is currently unreachable (cut off by a failure): the
-#: subscription contributes no link, so no annotation bit lights for it.
-LinkOfSubscriber = Callable[[Subscription], int]
+from repro.matching.base import LinkOfSubscriber
+from tests.oracle.pst import ParallelSearchTree, PSTNode, child_for_test
+from tests.oracle.trits import alternative_combine_all, parallel_combine_all
 
 
 class TreeAnnotation:
@@ -54,8 +45,8 @@ class TreeAnnotation:
 
     Annotations are keyed by PST node id.  :meth:`annotate` computes them
     for the tree as it is; after a subscription changes, :meth:`update_path`
-    re-annotates its path (a :class:`~repro.matching.engines.TreeEngine`
-    does so for every change its tree makes).
+    re-annotates its path (a :class:`~tests.oracle.view.OracleView` does so
+    for every change its tree makes).
     """
 
     def __init__(self, num_links: int, link_of_subscriber: LinkOfSubscriber) -> None:

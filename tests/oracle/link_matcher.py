@@ -1,4 +1,4 @@
-"""The link-matching search — Section 3.3.
+"""The link-matching search of Section 3.3 on the oracle PST.
 
 Given an event, a broker refines the initialization mask of the publisher's
 spanning tree against the annotated PST until every trit is Yes or No:
@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from repro.core.trits import TritVector, unpack_tritvector
 from repro.errors import RoutingError
-from repro.core.annotation import TreeAnnotation
-from repro.core.trits import TritVector, pack_tritvector, unpack_tritvector
 from repro.matching.events import Event
-from repro.matching.pst import ParallelSearchTree, PSTNode
+from tests.oracle.annotation import TreeAnnotation
+from tests.oracle.pst import ParallelSearchTree, PSTNode
+from tests.oracle.trits import close_maybes, import_yes, pack_tritvector, refine_with
 
 
 class LinkMatchResult:
@@ -63,7 +64,7 @@ class LinkMatcher:
         def search(node: PSTNode, mask: TritVector) -> TritVector:
             nonlocal steps
             steps += 1
-            mask = mask.refine_with(self.annotation.vector_for(node))
+            mask = refine_with(mask, self.annotation.vector_for(node))
             if not mask.has_maybe:
                 return mask
             if node.is_leaf:
@@ -83,10 +84,10 @@ class LinkMatcher:
                 children.append(node.star_child)
             for child in children:
                 returned = search(child, mask)
-                mask = mask.import_yes(returned)
+                mask = import_yes(mask, returned)
                 if not mask.has_maybe:
                     return mask
-            return mask.close_maybes()
+            return close_maybes(mask)
 
         final = search(self.tree.root, initialization_mask)
         return LinkMatchResult(final, steps)

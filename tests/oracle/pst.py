@@ -1,4 +1,10 @@
-"""The Parallel Search Tree (PST) — Section 2 of the paper.
+"""The Parallel Search Tree (PST) of Section 2 as an object graph — the
+reference the compiled program is held against.
+
+:class:`~repro.matching.compile.CompiledProgram` is the only matcher the
+package ships; this literal node-per-object tree stays here, beside the
+tests, so that every equivalence property compares the program with an
+independent reading of the paper.
 
 Subscriptions are organized into a tree in which each level tests one
 attribute (in a fixed order) and each root-to-leaf path spells out one
@@ -29,7 +35,7 @@ history that produced it (up to branch order).
 
 Optional per-attribute **domains** (the finite value sets used throughout the
 paper's simulations, e.g. "5 values per attribute") tighten the link-matching
-annotations of :mod:`repro.core.annotation`: when a node's value branches
+annotations of :mod:`tests.oracle.annotation`: when a node's value branches
 cover the whole domain, the annotator may skip the implicit all-No
 alternative for unlisted values.
 """
@@ -40,7 +46,6 @@ import itertools
 from types import MappingProxyType
 from typing import (
     Any,
-    Container,
     Dict,
     FrozenSet,
     Iterable,
@@ -49,11 +54,17 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
 from repro.errors import SubscriptionError
+from repro.matching.compile import (
+    MatchResult,
+    check_insertable,
+    checked_domains,
+    checked_order,
+    first_constrained,
+)
 from repro.matching.events import Event
 from repro.matching.predicates import AttributeTest, EqualityTest, Predicate, Subscription
 from repro.matching.schema import AttributeValue, EventSchema
@@ -140,76 +151,6 @@ def child_for_test(node: PSTNode, test: AttributeTest) -> Optional[PSTNode]:
     return None
 
 
-def checked_order(
-    schema: EventSchema, attribute_order: Optional[Sequence[str]]
-) -> Tuple[str, ...]:
-    """The tested attribute order: ``attribute_order``, which must be a
-    permutation of the schema's names, or declaration order."""
-    if attribute_order is None:
-        return tuple(schema.names)
-    order = tuple(attribute_order)
-    if sorted(order) != sorted(schema.names):
-        raise SubscriptionError(
-            f"attribute_order {list(order)!r} is not a permutation of the schema"
-        )
-    return order
-
-
-def checked_domains(
-    schema: EventSchema, domains: Optional[Mapping[str, Iterable[AttributeValue]]]
-) -> Dict[str, FrozenSet[AttributeValue]]:
-    """Declared finite domains by attribute name (every name validated)."""
-    checked: Dict[str, FrozenSet[AttributeValue]] = {}
-    for name, values in (domains or {}).items():
-        schema.position_of(name)  # validates the name
-        checked[name] = frozenset(values)
-    return checked
-
-
-def check_insertable(
-    schema: EventSchema, subscription: Subscription, registered: Container[int]
-) -> None:
-    """Refuse a subscription on another schema, a registered id, or an
-    unsatisfiable predicate."""
-    predicate = subscription.predicate
-    if predicate.schema is not schema and predicate.schema != schema:
-        raise SubscriptionError("subscription schema does not match the tree's schema")
-    if subscription.subscription_id in registered:
-        raise SubscriptionError(
-            f"subscription #{subscription.subscription_id} is already registered"
-        )
-    if not predicate.is_satisfiable:
-        raise SubscriptionError(
-            f"refusing to register unsatisfiable predicate {predicate.describe()!r}"
-        )
-
-
-def first_constrained(tests: Sequence[AttributeTest], start: int, stop: int) -> Optional[int]:
-    """First level in ``[start, stop)`` whose test is not a don't-care."""
-    for level in range(start, stop):
-        if not tests[level].is_dont_care:
-            return level
-    return None
-
-
-class MatchResult:
-    """Outcome of a match: the satisfied subscriptions and the step count."""
-
-    __slots__ = ("subscriptions", "steps")
-
-    def __init__(self, subscriptions: List[Subscription], steps: int) -> None:
-        self.subscriptions = subscriptions
-        self.steps = steps
-
-    @property
-    def subscribers(self) -> Set[str]:
-        """The distinct subscriber identities among the matches."""
-        return {s.subscriber for s in self.subscriptions}
-
-    def __repr__(self) -> str:
-        return f"MatchResult({len(self.subscriptions)} subscriptions, {self.steps} steps)"
-
-
 class ParallelSearchTree:
     """The PST over a schema, with insert, remove, and parallel-search match.
 
@@ -243,8 +184,8 @@ class ParallelSearchTree:
         self.domains = checked_domains(schema, domains)
         self.root = PSTNode(0)
         self._by_id: Dict[int, Subscription] = {}
-        #: The views handed out over this tree (each a
-        #: :class:`~repro.matching.engines.TreeEngine`), told of every change.
+        #: The views over this tree (each a :class:`~tests.oracle.view.OracleView`),
+        #: told of every change.
         self.views: List[Any] = []
 
     # ------------------------------------------------------------------

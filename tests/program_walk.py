@@ -5,8 +5,8 @@ nodes to slots — no PST stands behind it at all: the root is slot 0 and
 every other node's slot is found through its parent's record — the value
 table entry of its interned value, the range pair at its branch position, or
 the star child.  Tests hold a program against a
-:class:`~repro.matching.pst.ParallelSearchTree` fed the same history (the
-``TreeEngine`` oracle) through :func:`slots_by_node`, which pairs each tree
+:class:`~tests.oracle.pst.ParallelSearchTree` fed the same history (the
+oracle) through :func:`slots_by_node`, which pairs each tree
 node with the slot reached by the same branches and checks on the way that
 the slot mirrors the node.
 """

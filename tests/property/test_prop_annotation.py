@@ -19,11 +19,10 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core import M, N, TreeAnnotation, Y, pack_tritvector
+from repro.core import M, N, Y
 from repro.matching import (
     EqualityTest,
     Event,
-    ParallelSearchTree,
     Predicate,
     RangeOp,
     RangeTest,
@@ -32,6 +31,8 @@ from repro.matching import (
     view_of,
 )
 from repro.matching.compile import CompiledProgram
+from tests.oracle import ParallelSearchTree, TreeAnnotation
+from tests.oracle.trits import pack_tritvector
 from tests.program_walk import slots_by_node
 
 SCHEMA = uniform_schema(3)

@@ -1,6 +1,6 @@
 """Batched matching is indistinguishable from per-event matching.
 
-For every engine (object-graph tree, compiled arrays, factored matcher) and
+For every engine (compiled arrays, factored matcher) and
 every batch of events, ``match_batch(events)[i]`` must equal
 ``match(events[i])`` — same match set, same step count.  Likewise
 ``match_links_batch`` against per-event ``match_links``.  Half the batches
@@ -14,12 +14,12 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core import M, N, Y
-from repro.core.trits import pack_tritvector
-from repro.matching import Event, ParallelSearchTree, Predicate, RangeOp, Subscription, uniform_schema
+from repro.matching import Event, Predicate, RangeOp, Subscription, uniform_schema
 from repro.matching.compile import CompiledProgram
-from repro.matching.engines import CompiledEngine, TreeEngine
+from repro.matching.engines import CompiledEngine
 from repro.matching.optimizations import FactoredMatcher
 from repro.matching.predicates import EqualityTest, RangeTest
+from tests.oracle.trits import pack_tritvector
 
 SCHEMA = uniform_schema(4)
 DOMAIN = [0, 1, 2]
@@ -91,15 +91,6 @@ class TestMatchBatchEquivalence:
         assert_batch_equivalent(engine, events)
 
     @given(specs=subscription_lists, batch=event_batches)
-    @settings(max_examples=75)
-    def test_tree_fallback(self, specs, batch):
-        engine = TreeEngine(ParallelSearchTree(SCHEMA, domains=DOMAINS))
-        for subscription in make_subscriptions(specs):
-            engine.insert(subscription)
-        events = [Event.from_tuple(SCHEMA, values) for values in batch]
-        assert_batch_equivalent(engine, events)
-
-    @given(specs=subscription_lists, batch=event_batches)
     @settings(max_examples=50)
     def test_factored_fallback(self, specs, batch):
         matcher = FactoredMatcher(SCHEMA, [SCHEMA.names[0]], DOMAINS)
@@ -137,13 +128,3 @@ class TestMatchLinksBatchEquivalence:
         batched = engine.match_links_batch(events, *mask)
         assert batched == [engine.match_links(event, *mask) for event in events]
 
-    @given(specs=subscription_lists, batch=event_batches, mask=masks)
-    @settings(max_examples=50)
-    def test_tree_fallback(self, specs, batch, mask):
-        engine = TreeEngine(ParallelSearchTree(SCHEMA, domains=DOMAINS))
-        for subscription in make_subscriptions(specs):
-            engine.insert(subscription)
-        engine.bind_links(NUM_LINKS, link_of)
-        events = [Event.from_tuple(SCHEMA, values) for values in batch]
-        batched = engine.match_links_batch(events, *mask)
-        assert batched == [engine.match_links(event, *mask) for event in events]

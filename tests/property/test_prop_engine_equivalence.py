@@ -1,15 +1,16 @@
-"""Engine equivalence: TreeEngine and CompiledEngine are indistinguishable.
+"""Program ≡ oracle: a CompiledEngine and the object-graph oracle's view
+are indistinguishable.
 
 The compiled matcher is only allowed to be *faster*: for every subscription
-set, every event, and every initialization mask, both engines must produce
+set, every event, and every initialization mask, both must produce
 
 * the same match set (order is unspecified — the tree searches depth-first,
   the compiled kernel breadth-first, so sets are compared),
 * the same step count (the paper's Chart 2/3 metric), and
 * the same refined link mask with the same step count from link matching.
 
-A churn test drives inserts and removes through both engines to exercise the
-compiled program's incremental patching (and its recompile fallback).
+A churn test drives inserts and removes through both to exercise the
+compiled program's incremental patching.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core import M, N, Y
-from repro.core.trits import pack_tritvector
-from repro.matching import Event, ParallelSearchTree, Predicate, RangeOp, Subscription, uniform_schema
+from repro.matching import Event, Predicate, RangeOp, Subscription, uniform_schema
 from repro.matching.compile import CompiledProgram
-from repro.matching.engines import CompiledEngine, TreeEngine
+from repro.matching.engines import CompiledEngine
 from repro.matching.predicates import EqualityTest, RangeTest
+from tests.oracle import OracleView, ParallelSearchTree
+from tests.oracle.trits import pack_tritvector
 
 SCHEMA = uniform_schema(4)
 DOMAIN = [0, 1, 2]
@@ -67,7 +69,7 @@ def link_of(subscription):
 
 
 def build_engines(subscriptions, *, domains=None):
-    tree = TreeEngine(ParallelSearchTree(SCHEMA, domains=domains))
+    tree = OracleView(ParallelSearchTree(SCHEMA, domains=domains))
     compiled = CompiledEngine(CompiledProgram(SCHEMA, domains=domains))
     for subscription in subscriptions:
         tree.insert(subscription)

@@ -18,9 +18,10 @@ from repro.matching import (
     Predicate,
     SearchDag,
     Subscription,
-    build_pst,
     uniform_schema,
 )
+from tests.conftest import build_program
+from tests.oracle.pst import build_pst
 
 SCHEMA = uniform_schema(4)
 DOMAIN = [0, 1, 2]
@@ -89,7 +90,7 @@ class TestMatchEquivalence:
     @settings(max_examples=150)
     def test_dag_matches_brute_force(self, specs, event_values):
         subscriptions = make_subscriptions(specs)
-        dag = SearchDag(build_pst(SCHEMA, subscriptions))
+        dag = SearchDag(build_program(SCHEMA, subscriptions))
         event = Event.from_tuple(SCHEMA, event_values)
         assert {
             s.subscription_id for s in dag.match(event).subscriptions

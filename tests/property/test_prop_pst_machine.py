@@ -17,13 +17,13 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.matching import (
     EqualityTest,
     Event,
-    ParallelSearchTree,
     Predicate,
     RangeOp,
     RangeTest,
     Subscription,
     uniform_schema,
 )
+from tests.oracle.pst import ParallelSearchTree
 
 SCHEMA = uniform_schema(3)
 DOMAIN = [0, 1, 2]

@@ -167,11 +167,10 @@ def test_repaired_router_decisions_equal_fresh(data):
         key for key in broker_links(topology) if key != ("B0", "B1")
     ] + ["B2", "B3", "B4"]
     element = data.draw(st.sampled_from(elements), label="failed element")
-    engine = data.draw(st.sampled_from(["compiled", "tree"]), label="engine")
     subscriptions = subscriptions_for(topology)
 
     def build_router(table, trees):
-        replica = create_matcher(SCHEMA, engine=engine, domains=DOMAINS)
+        replica = create_matcher(SCHEMA, domains=DOMAINS)
         router = ContentRouter(topology, "B1", table, trees, replica)
         for subscription in subscriptions:
             replica.insert(subscription)

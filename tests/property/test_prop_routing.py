@@ -25,6 +25,7 @@ from repro.network import NodeKind, Topology
 from repro.network.paths import all_routing_tables
 from repro.network.spanning import spanning_trees_for_publishers
 from tests.integration.test_config_matrix import CONSTRUCTIBLE
+from tests.oracle import OracleRouter, ParallelSearchTree
 
 SCHEMA = uniform_schema(3)
 DOMAIN = [0, 1]
@@ -146,21 +147,23 @@ def decision_fields(decision):
 class _RouterSet:
     """One router per broker over one subscription set, configured by one
     ``(engine, factored)`` row: all viewing one replica (``shared``) or each
-    its own — by default the unfactored tree-engine oracle."""
+    its own — without a row, each an oracle router on its own object-graph
+    PST."""
 
-    def __init__(self, topology, tables, trees, row=("tree", False), shared=False):
-        engine, factored = row
-        options = dict(
-            domains=DOMAINS, engine=engine, factoring_attributes=["a1"] if factored else None
-        )
-        self.replica = create_matcher(SCHEMA, **options) if shared else None
+    def __init__(self, topology, tables, trees, row=None, shared=False):
+        if row is None:
+            router, make_replica = OracleRouter, lambda: ParallelSearchTree(SCHEMA, domains=DOMAINS)
+        else:
+            options = dict(domains=DOMAINS, factoring_attributes=["a1"] if row[1] else None)
+            router, make_replica = ContentRouter, lambda: create_matcher(SCHEMA, **options)
+        self.replica = make_replica() if shared else None
         self.routers = {
-            broker: ContentRouter(
+            broker: router(
                 topology,
                 broker,
                 tables[broker],
                 trees,
-                self.replica if shared else create_matcher(SCHEMA, **options),
+                self.replica if shared else make_replica(),
             )
             for broker in topology.brokers()
         }
@@ -193,7 +196,7 @@ class TestSharedMatcherEqualsPrivate:
     routers with a private replica each decide — same neighbors, same
     steps, same mask, same epoch — through any interleaving of subscription
     churn, routing and link rebuilds, on every configuration; and both send
-    where the unfactored tree-engine router sends (a staleness bug common to
+    where the object-graph oracle router sends (a staleness bug common to
     both would otherwise compare equal)."""
 
     @given(topology=topologies(), data=st.data())

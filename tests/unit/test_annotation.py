@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import M, N, TreeAnnotation, TritVector, Y
+from repro.core import M, N, TritVector, Y
 from repro.errors import RoutingError
-from repro.matching import ParallelSearchTree, build_pst
 from tests.conftest import make_subscription
+from tests.oracle.annotation import TreeAnnotation
+from tests.oracle.pst import ParallelSearchTree, build_pst
 
 #: Map subscriber names to link positions for these tests.
 LINKS = {"l0": 0, "l1": 1, "l2": 2}

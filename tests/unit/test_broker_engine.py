@@ -6,7 +6,7 @@ import pytest
 
 from repro.broker import MatchingEngine
 from repro.errors import ParseError, SubscriptionError
-from repro.matching import CompiledEngine, Event, FactoredEngine, FactoredMatcher, TreeEngine
+from repro.matching import CompiledEngine, Event, FactoredEngine, FactoredMatcher
 
 
 class TestSubscriptionManager:
@@ -45,10 +45,9 @@ class TestSubscriptionManager:
         "kwargs",
         [
             {},
-            {"engine": "tree"},
             {"factoring_attributes": ["a1"], "domains": {"a1": [0, 1, 2]}},
         ],
-        ids=["compiled", "tree", "factored"],
+        ids=["compiled", "factored"],
     )
     def test_count_does_not_list_the_subscriptions(self, schema5, monkeypatch, kwargs):
         """``subscription_count`` (and ``repr``) must come from the
@@ -88,12 +87,11 @@ class TestMatcherSelection:
     def test_default_is_compiled_engine(self, stock_schema):
         assert isinstance(MatchingEngine(stock_schema).matcher, CompiledEngine)
 
-    def test_tree_engine_selectable(self, stock_schema):
-        assert isinstance(MatchingEngine(stock_schema, engine="tree").matcher, TreeEngine)
-
     def test_unknown_engine_rejected(self, stock_schema):
-        with pytest.raises(SubscriptionError):
-            MatchingEngine(stock_schema, engine="jit")
+        """There is one matcher: the engine knob is gone, not ignored."""
+        for name in ("tree", "compiled"):
+            with pytest.raises(TypeError):
+                MatchingEngine(stock_schema, engine=name)
 
     def test_factoring_selects_factored_matcher(self, schema5):
         engine = MatchingEngine(

@@ -35,11 +35,14 @@ class TestParsing:
         )
 
     @pytest.mark.parametrize(
-        "flags", [("--backend", "vector"), ("--aggregate",)], ids=["backend", "aggregate"]
+        "flags",
+        [("--backend", "vector"), ("--aggregate",), ("--engine", "tree")],
+        ids=["backend", "aggregate", "engine"],
     )
     def test_removed_matcher_flags_are_usage_errors(self, flags):
-        """The kernel-backend and aggregation options are gone: asking for
-        one is an argparse error, not a silently different matcher."""
+        """The kernel-backend, aggregation and engine options are gone:
+        asking for one is an argparse error, not a silently different
+        matcher."""
         completed = self._run_cli(*flags, "demo")
         assert completed.returncode == 2
         assert "Traceback" not in completed.stderr

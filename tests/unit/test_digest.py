@@ -71,8 +71,8 @@ class TestMatchDigestEncoding:
 
 
 class TestProjectLinks:
-    def _engine(self, name="compiled"):
-        engine = view_of(create_matcher(SCHEMA2, engine=name))
+    def _engine(self):
+        engine = view_of(create_matcher(SCHEMA2))
         subs = [
             make_subscription(SCHEMA2, "a1=1", "alice"),
             make_subscription(SCHEMA2, "a1=2", "bob"),
@@ -84,9 +84,9 @@ class TestProjectLinks:
         engine.bind_links(2, lambda s: links[s.subscriber])
         return engine, subs
 
-    @pytest.mark.parametrize("name", ["tree", "compiled"])
+    @pytest.mark.parametrize("name", ["compiled"])
     def test_projection_matches_refinement(self, name):
-        engine, subs = self._engine(name)
+        engine, subs = self._engine()
         event = Event.from_tuple(SCHEMA2, (1, 5))
         matched = [s for s in engine.match(event).subscriptions]
         ids = sorted(s.subscription_id for s in matched)
@@ -100,15 +100,15 @@ class TestProjectLinks:
         assert final_yes == expected_bits
         assert steps >= 1
 
-    @pytest.mark.parametrize("name", ["tree", "compiled"])
+    @pytest.mark.parametrize("name", ["compiled"])
     def test_yes_bits_pass_through(self, name):
-        engine, _subs = self._engine(name)
+        engine, _subs = self._engine()
         final_yes, _steps = engine.project_links([], 0b10, 0b01)
         assert final_yes == 0b10  # already-Yes links survive an empty match
 
-    @pytest.mark.parametrize("name", ["tree", "compiled"])
+    @pytest.mark.parametrize("name", ["compiled"])
     def test_unknown_id_raises(self, name):
-        engine, _subs = self._engine(name)
+        engine, _subs = self._engine()
         with pytest.raises(RoutingError):
             engine.project_links([999_999_999], 0, 0b11)
 
@@ -119,28 +119,12 @@ class TestProjectLinks:
             engine.project_links([1], 0, 1)
 
     def test_insert_invalidates_projection(self):
-        engine, _subs = self._engine("tree")
-        engine.project_links([], 0, 0)  # builds the table
+        engine, _subs = self._engine()
+        engine.project_links([], 0, 0)  # annotates
         new = make_subscription(SCHEMA2, "a2=7", "bob")
         engine.insert(new)
         final_yes, _steps = engine.project_links([new.subscription_id], 0, 0b11)
         assert final_yes == 0b10  # bob's link — the table follows churn
-
-    def test_churn_maintains_the_built_table(self):
-        """Insert/remove add and pop one entry of the live per-id table; the
-        result is the table a rebuild over all subscriptions would give."""
-        engine, subs = self._engine("tree")
-        engine.project_links([], 0, 0)  # builds the table
-        live = engine._link_projection
-        new = make_subscription(SCHEMA2, "a1=1", "bob")  # shares alice's leaf
-        engine.insert(new)
-        engine.remove(subs[2].subscription_id)
-        assert engine._link_projection is live
-        assert set(live) == {s.subscription_id for s in subs[:2]} | {new.subscription_id}
-        engine._invalidate_link_projection()
-        assert engine._link_projection_table() == live
-        with pytest.raises(RoutingError):
-            engine.project_links([subs[2].subscription_id], 0, 0b11)
 
 
 def _context(topology):

@@ -10,9 +10,8 @@ import pytest
 from repro.errors import RoutingError, SubscriptionError
 from repro.matching import (
     CompiledEngine,
+    FactoredMatcher,
     MatcherEngine,
-    ParallelSearchTree,
-    TreeEngine,
     create_matcher,
     uniform_schema,
     view_of,
@@ -20,6 +19,7 @@ from repro.matching import (
 from repro.matching.compile import CompiledProgram
 from repro.matching.events import Event
 from repro.matching.predicates import EqualityTest, Predicate, Subscription
+from tests.oracle import OracleView, ParallelSearchTree
 from tests.program_walk import slots_by_node
 
 SCHEMA = uniform_schema(3)
@@ -51,36 +51,42 @@ def assert_answers_like_the_oracle(engine, oracle):
 
 def engine_named(name, **options):
     """An engine by name: a view of a private replica."""
-    return view_of(create_matcher(SCHEMA, engine=name, **options))
+    engine = view_of(create_matcher(SCHEMA, **options))
+    assert engine.name == name
+    return engine
 
 
 class TestCreateEngine:
     """An engine is a view (``view_of``) of the replica ``create_matcher``
-    builds for an engine name."""
+    builds: one compiled program, or a factored set of them."""
 
     def test_names(self):
-        assert engine_named("tree").name == "tree"
         assert engine_named("compiled").name == "compiled"
-        assert isinstance(create_matcher(SCHEMA, engine="tree"), ParallelSearchTree)
-        assert isinstance(create_matcher(SCHEMA, engine="compiled"), CompiledProgram)
+        assert engine_named("factored", domains=DOMAINS, factoring_attributes=["a1"])
+        assert isinstance(create_matcher(SCHEMA), CompiledProgram)
+        factored = create_matcher(SCHEMA, domains=DOMAINS, factoring_attributes=["a1"])
+        assert isinstance(factored, FactoredMatcher)
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(SubscriptionError):
-            create_matcher(SCHEMA, engine="jit")
+        """There is one matcher: the engine knob is gone, not ignored."""
+        for name in ("tree", "compiled", "jit"):
+            with pytest.raises(TypeError):
+                create_matcher(SCHEMA, engine=name)
 
     def test_engines_are_matcher_engines(self):
-        assert isinstance(engine_named("tree"), MatcherEngine)
         assert isinstance(engine_named("compiled"), MatcherEngine)
+        factored = engine_named("factored", domains=DOMAINS, factoring_attributes=["a1"])
+        assert isinstance(factored, MatcherEngine)
 
 
 class TestEngineSurface:
-    @pytest.mark.parametrize("engine_name", ["tree", "compiled"])
+    @pytest.mark.parametrize("engine_name", ["compiled"])
     def test_match_links_requires_bind_links(self, engine_name):
         engine = engine_named(engine_name, domains=DOMAINS)
         with pytest.raises(RoutingError):
             engine.match_links(Event.from_tuple(SCHEMA, (0, 0, 0)), 0, 0b11)
 
-    @pytest.mark.parametrize("engine_name", ["tree", "compiled"])
+    @pytest.mark.parametrize("engine_name", ["compiled"])
     def test_a_failed_annotation_is_not_routed_on(self, engine_name):
         """A link position out of range aborts the full annotation, and the
         half-written one is not kept: the next link match tries again."""
@@ -93,14 +99,14 @@ class TestEngineSurface:
             with pytest.raises(RoutingError, match="out of range"):
                 engine.match_links(event, 0, 0b11)
 
-    @pytest.mark.parametrize("engine_name", ["tree", "compiled"])
+    @pytest.mark.parametrize("engine_name", ["compiled"])
     def test_match_links_rejects_wrong_mask_length(self, engine_name):
         engine = engine_named(engine_name, domains=DOMAINS)
         engine.bind_links(3, link_of)
         with pytest.raises(ValueError):  # a bit at position 3 of 3 links
             engine.match_links(Event.from_tuple(SCHEMA, (0, 0, 0)), 0, 0b1011)
 
-    @pytest.mark.parametrize("engine_name", ["tree", "compiled"])
+    @pytest.mark.parametrize("engine_name", ["compiled"])
     def test_subscription_bookkeeping(self, engine_name):
         engine = engine_named(engine_name)
         sub = subscription((0, None, 1))
@@ -145,7 +151,8 @@ class TestCompiledProgramLifecycle:
         """A removal that leaves a node with only its ``*``-child splices it
         out: the node's slot takes the child's record, and the child's old
         slot and the pruned branch's two go onto the free list."""
-        engine, oracle = CompiledEngine(CompiledProgram(SCHEMA, domains=DOMAINS)), TreeEngine(ParallelSearchTree(SCHEMA))
+        engine = CompiledEngine(CompiledProgram(SCHEMA, domains=DOMAINS))
+        oracle = OracleView(ParallelSearchTree(SCHEMA))
         engine.bind_links(2, link_of)
         keep = subscription((0, None, 1), "s0")
         gone = subscription((0, 2, 1), "s1")
@@ -171,7 +178,8 @@ class TestCompiledProgramLifecycle:
         ],
     )
     def test_a_replaced_root_is_patched_at_slot_zero(self, standing, changed):
-        engine, oracle = CompiledEngine(CompiledProgram(SCHEMA, domains=DOMAINS)), TreeEngine(ParallelSearchTree(SCHEMA))
+        engine = CompiledEngine(CompiledProgram(SCHEMA, domains=DOMAINS))
+        oracle = OracleView(ParallelSearchTree(SCHEMA))
         engine.bind_links(2, link_of)
         program = engine.program
         engine.project_links([], 0, 0)  # annotate
@@ -187,7 +195,7 @@ class TestCompiledProgramLifecycle:
         assert_answers_like_the_oracle(engine, oracle)
 
     def test_a_program_matches_like_the_tree(self):
-        engine = TreeEngine(ParallelSearchTree(SCHEMA))
+        engine = OracleView(ParallelSearchTree(SCHEMA))
         program = CompiledProgram(SCHEMA)
         for values in ((0, 1, None), (None, 1, 2), (2, None, None)):
             engine.insert(subscription(values))

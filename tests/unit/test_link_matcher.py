@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import LinkMatcher, TreeAnnotation, TritVector
+from repro.core import TritVector
 from repro.errors import RoutingError
-from repro.matching import Event, build_pst
+from repro.matching import Event
 from tests.conftest import make_subscription
+from tests.oracle import LinkMatcher, TreeAnnotation, build_pst
 
 LINKS = {"l0": 0, "l1": 1, "l2": 2}
 

@@ -266,7 +266,6 @@ class TestBenchArtifacts:
         registry = MetricsRegistry()
         registry.counter("engine.matches").inc(7)
         kwargs = dict(
-            engine="compiled",
             workload={"subscriptions": 100},
             wall_clock_s=1.5,
             metrics=registry,
@@ -304,7 +303,7 @@ class TestBenchArtifacts:
         path = bench.write_bench(self.make_payload(), tmp_path)
         assert path.name == "BENCH_unit_test.json"
         loaded = bench.load_bench(path)
-        assert loaded["engine"] == "compiled"
+        assert loaded["workload"] == {"subscriptions": 100}
 
     def test_load_bench_dir_skips_invalid(self, tmp_path):
         bench.write_bench(self.make_payload(), tmp_path)

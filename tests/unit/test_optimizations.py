@@ -7,16 +7,10 @@ import random
 import pytest
 
 from repro.errors import SubscriptionError
-from repro.matching import (
-    Event,
-    FactoredMatcher,
-    ParallelSearchTree,
-    SearchDag,
-    build_pst,
-    view_of,
-)
+from repro.matching import Event, FactoredMatcher, SearchDag, view_of
 from repro.matching.compile import CompiledProgram
-from tests.conftest import make_subscription
+from tests.conftest import build_program, make_subscription
+from tests.oracle import ParallelSearchTree
 
 DOMAINS = {f"a{i}": [0, 1, 2] for i in range(1, 6)}
 
@@ -90,7 +84,7 @@ class TestFactoredMatcher:
     def test_match_equals_plain_tree(self, schema5):
         subscriptions, events = random_workload(schema5, 60, 100, seed=3)
         matcher = FactoredMatcher(schema5, ["a1"], DOMAINS)
-        tree = ParallelSearchTree(schema5)
+        tree = CompiledProgram(schema5)
         for subscription in subscriptions:
             matcher.insert(subscription)
             tree.insert(subscription)
@@ -102,7 +96,7 @@ class TestFactoredMatcher:
     def test_factoring_reduces_steps(self, schema5):
         subscriptions, events = random_workload(schema5, 150, 100, seed=4)
         matcher = FactoredMatcher(schema5, ["a1"], DOMAINS)
-        tree = ParallelSearchTree(schema5)
+        tree = CompiledProgram(schema5)
         for subscription in subscriptions:
             matcher.insert(subscription)
             tree.insert(subscription)
@@ -142,7 +136,7 @@ class TestPerSubtreeStaleness:
     programs change, in place."""
 
     def test_a_change_moves_only_its_keys(self, schema5):
-        matcher = FactoredMatcher(schema5, ["a1"], DOMAINS, engine="compiled")
+        matcher = FactoredMatcher(schema5, ["a1"], DOMAINS)
         for value in range(3):
             matcher.insert(make_subscription(schema5, f"a1={value} & a2=1", "alice"))
         programs = dict(matcher.subtrees())
@@ -159,14 +153,17 @@ class TestPerSubtreeStaleness:
     def test_program_is_lowered_from_the_compacted_tree(self, schema5):
         """The index level a relaxed insert leaves ``*`` never gets a node
         (trivial-test elimination holds in the program as in the tree), so
-        the program and the tree-engine matcher agree on steps."""
-        matcher = FactoredMatcher(schema5, ["a1"], DOMAINS, engine="compiled")
+        the program and the oracle tree fed the same relaxed subscription
+        agree on steps."""
+        matcher = FactoredMatcher(schema5, ["a1"], DOMAINS)
         matcher.insert(make_subscription(schema5, "a1=1 & a5=2", "alice"))
         event = Event.from_tuple(schema5, (1, 0, 0, 0, 2))
-        oracle = FactoredMatcher(schema5, ["a1"], DOMAINS, engine="tree")
-        oracle.insert(make_subscription(schema5, "a1=1 & a5=2", "alice"))
-        tree = dict(oracle.subtrees())[(1,)]
         program = dict(matcher.subtrees())[(1,)]
+        tree = ParallelSearchTree(
+            schema5, attribute_order=program.attribute_order, domains=DOMAINS
+        )
+        for subscription in program.subscriptions:
+            tree.insert(subscription)
         assert program.match(event).steps == tree.match(event).steps == 2
         assert matcher.match(event).steps == 3  # + the index lookup
 
@@ -241,7 +238,7 @@ class TestAnnotatedViews:
 
 class TestSearchDag:
     def test_rejects_range_branches(self, stock_schema):
-        tree = build_pst(
+        tree = build_program(
             stock_schema, [make_subscription(stock_schema, "price<10", "a")]
         )
         with pytest.raises(SubscriptionError):
@@ -249,7 +246,7 @@ class TestSearchDag:
 
     def test_match_equals_tree(self, schema5):
         subscriptions, events = random_workload(schema5, 100, 200, seed=5)
-        tree = build_pst(schema5, subscriptions)
+        tree = build_program(schema5, subscriptions)
         dag = SearchDag(tree)
         for event in events:
             tree_ids = {s.subscription_id for s in tree.match(event).subscriptions}
@@ -258,13 +255,13 @@ class TestSearchDag:
 
     def test_steps_bounded_by_levels(self, schema5):
         subscriptions, events = random_workload(schema5, 100, 50, seed=6)
-        dag = SearchDag(build_pst(schema5, subscriptions))
+        dag = SearchDag(build_program(schema5, subscriptions))
         for event in events:
             assert dag.match(event).steps <= len(schema5) + 1
 
     def test_dag_never_more_steps_than_tree(self, schema5):
         subscriptions, events = random_workload(schema5, 100, 100, seed=7)
-        tree = build_pst(schema5, subscriptions)
+        tree = build_program(schema5, subscriptions)
         dag = SearchDag(tree)
         for event in events:
             assert dag.match(event).steps <= tree.match(event).steps
@@ -274,22 +271,22 @@ class TestSearchDag:
         subscriptions = [
             make_subscription(schema5, f"a1={v}", f"s{v}") for v in range(3)
         ] + [make_subscription(schema5, "a5=1", "tail")]
-        tree = build_pst(schema5, subscriptions)
+        tree = build_program(schema5, subscriptions)
         dag = SearchDag(tree)
         event = Event.from_tuple(schema5, (0, 0, 0, 0, 1))
         assert dag.match(event).subscribers == {"s0", "tail"}
         # All three a1 branches merge with the same *-subtree: the DAG must
         # be smaller than three independent copies of it.
-        assert dag.node_count() < 3 * tree.node_count()
+        assert dag.node_count() < 3 * len(tree.reachable_slots())
 
     def test_empty_tree(self, schema5):
-        dag = SearchDag(ParallelSearchTree(schema5))
+        dag = SearchDag(CompiledProgram(schema5))
         result = dag.match(Event.from_tuple(schema5, (0, 0, 0, 0, 0)))
         assert result.subscriptions == []
 
     def test_works_on_optimized_tree(self, schema5):
         subscriptions, events = random_workload(schema5, 60, 80, seed=8)
-        tree = build_pst(schema5, subscriptions)
+        tree = build_program(schema5, subscriptions)
         dag = SearchDag(tree)
         for event in events:
             assert {s.subscription_id for s in dag.match(event).subscriptions} == {
@@ -298,7 +295,7 @@ class TestSearchDag:
 
     def test_brute_force_passthrough(self, schema5):
         subscriptions, _ = random_workload(schema5, 10, 0, seed=9)
-        tree = build_pst(schema5, subscriptions)
+        tree = build_program(schema5, subscriptions)
         dag = SearchDag(tree)
         event = Event.from_tuple(schema5, (1, 1, 1, 1, 1))
         assert {s.subscription_id for s in dag.match_brute_force(event)} == {

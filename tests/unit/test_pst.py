@@ -7,16 +7,9 @@ import random
 import pytest
 
 from repro.errors import SubscriptionError
-from repro.matching import (
-    Event,
-    ParallelSearchTree,
-    Predicate,
-    RangeOp,
-    RangeTest,
-    Subscription,
-    build_pst,
-)
+from repro.matching import Event, Predicate, RangeOp, RangeTest, Subscription
 from tests.conftest import make_subscription
+from tests.oracle.pst import ParallelSearchTree, build_pst
 
 
 def star_only_nodes(tree):

@@ -7,11 +7,12 @@ import random
 
 import pytest
 
-from repro.core import ContentRoutedNetwork, M, N, TreeAnnotation, Y
+from repro.core import ContentRoutedNetwork, M, N, Y
 from repro.errors import RoutingError
-from repro.matching import build_pst, uniform_schema
+from repro.matching import uniform_schema
 from repro.network import linear_chain
 from tests.conftest import make_subscription
+from tests.oracle import TreeAnnotation, build_pst
 
 SCHEMA = uniform_schema(2)
 DOMAINS = {"a1": [0, 1, 2, 3], "a2": [0, 1, 2, 3]}

@@ -5,9 +5,8 @@ replica allocates per subscription are what link matching costs in memory.
 The guard inserts 2 000 subscriptions of the ``chain_mem_25k`` benchmark's
 population (10 attributes, 20 values each, population seed 1999) into a
 :class:`CompiledEngine` and counts the garbage collector's tracked objects.
-The engine's program is the whole replica — no ``PSTNode`` graph stands
-behind it, which the next guard pins by the PST's node-id counter — and
-equality tests are interned, so a broker-subscription costs ~8 tracked
+The engine's program is the whole replica — no node graph stands behind
+it — and equality tests are interned, so a broker-subscription costs ~8 tracked
 objects; a PST kept beside the program (~10 more), or one test per
 predicate slot, more than doubles that.
 
@@ -28,7 +27,7 @@ from __future__ import annotations
 import gc
 import sys
 
-from repro.matching import EqualityTest, FactoredMatcher, Subscription, pst
+from repro.matching import EqualityTest, Subscription
 from repro.matching.compile import CompiledProgram
 from repro.matching.engines import CompiledEngine
 from repro.matching.predicates import AttributeTest, Predicate
@@ -112,23 +111,6 @@ def test_replica_tracked_objects_per_subscription():
         if isinstance(test, EqualityTest)
     }
     assert len(tests) <= 200, f"{len(tests)} distinct EqualityTest instances"
-
-
-def test_a_compiled_replica_builds_no_pst_node():
-    """Neither an engine's replica nor a compiled factored matcher's
-    constructs a single ``PSTNode``: the node-id counter does not move."""
-    first = next(pst._node_ids)
-    engine = replica()
-    engine.bind_links(len(CLIENTS), lambda subscription: int(subscription.subscriber[1:]))
-    engine.project_links([], 0, 0)  # annotate
-    for subscription in engine.subscriptions[:100]:
-        engine.remove(subscription.subscription_id)
-    factored = FactoredMatcher(
-        SPEC.schema(), SPEC.attribute_names[:2], SPEC.domains(), engine="compiled"
-    )
-    replica(factored)
-    assert len(factored) == SUBSCRIPTIONS and len(dict(factored.subtrees())) > 1
-    assert next(pst._node_ids) == first + 1
 
 
 def annotated_replica():

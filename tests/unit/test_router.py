@@ -178,7 +178,7 @@ class TestAnnotationRebuilds:
     rebind — never a subscription change."""
 
     @pytest.mark.parametrize("factored", [False, True], ids=["whole", "factored"])
-    @pytest.mark.parametrize("engine", ["compiled", "tree"])
+    @pytest.mark.parametrize("engine", ["compiled"])
     def test_first_route_and_rebind_count(
         self, diamond_topology, schema5, live_registry, engine, factored
     ):
@@ -186,7 +186,6 @@ class TestAnnotationRebuilds:
             diamond_topology,
             "B0",
             schema5,
-            engine=engine,
             domains=DOMAINS,
             factoring_attributes=["a1"] if factored else None,
         )

@@ -20,12 +20,12 @@ from repro.core import (
     alternative_combine,
     alternative_combine_bits,
     import_yes_bits,
-    pack_tritvector,
     parallel_combine,
     parallel_combine_bits,
     refine_bits,
     unpack_tritvector,
 )
+from tests.oracle.trits import import_yes, pack_tritvector, refine_with
 
 trits = st.sampled_from([Y, M, N])
 vectors = st.integers(min_value=0, max_value=8).flatmap(
@@ -99,7 +99,7 @@ class TestPackedCombinesMatchScalarTables:
         m_yes, m_maybe = pack_tritvector(mask)
         a_yes, a_maybe = pack_tritvector(annotation)
         yes, maybe = refine_bits(m_yes, m_maybe, a_yes, a_maybe)
-        expected = mask.refine_with(annotation)
+        expected = refine_with(mask, annotation)
         assert unpack_tritvector(yes, maybe, len(mask)) == expected
 
     @given(pair=paired_vectors)
@@ -110,7 +110,7 @@ class TestPackedCombinesMatchScalarTables:
         # TritVector.import_yes only looks at the Yes positions of the
         # returned vector, so dropping its Maybe bits must not change it.
         yes, maybe = import_yes_bits(m_yes, m_maybe, returned_yes)
-        expected = mask.import_yes(returned)
+        expected = import_yes(mask, returned)
         assert unpack_tritvector(yes, maybe, len(mask)) == expected
 
 

