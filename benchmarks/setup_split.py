@@ -21,8 +21,11 @@ subscriptions, predicates and tests (what leaves name) and counts small ints
 as free.  Per broker it counts the live slots of the programs the broker's
 router's replica holds (``live_slots``; all sub-trees of a factored one) and
 those among them holding a node left with only a ``*``-child
-(``star_only_slots``, which trivial-test elimination keeps at 0).  Run
-from the repository root (``--quick`` uses the workload's smoke size)::
+(``star_only_slots``, which trivial-test elimination keeps at 0).  Summed
+over the programs, ``value_table_dicts`` and ``value_table_pairs`` count
+the value tables held as a dict (two or more value branches) and as a
+``(value_id, child)`` pair (one).  Run from the repository root
+(``--quick`` uses the workload's smoke size)::
 
     PYTHONHASHSEED=0 PYTHONPATH=src python benchmarks/setup_split.py chain_mem_25k --seed 1
 
@@ -226,6 +229,11 @@ def main() -> None:
     }
     report["live_slots"] = live_slots
     report["star_only_slots"] = star_only_slots
+    shapes = collections.Counter(
+        type(record[1]).__name__ for program in programs for record in program._records
+    )
+    report["value_table_dicts"] = shapes["dict"]
+    report["value_table_pairs"] = shapes["tuple"]
     print(json.dumps(report))
 
 

@@ -29,6 +29,7 @@ name.
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -488,13 +489,14 @@ class BrokerNode:
     def _handle_sub_propagate(self, connection: Connection, message: wire.SubPropagate) -> None:
         if message.subscription_id in self._subscriber_of:
             return  # flood deduplication
+        subscriber = sys.intern(message.subscriber)  # one object per name, not per message
         try:
             predicate = parse_predicate(self.config.schema, message.expression)
             # The subscriber is checked before the replica takes the id: a
             # refused propagate records nothing.
-            self.router.links.position_of(message.subscriber)
+            self.router.links.position_of(subscriber)
             subscription = Subscription(
-                predicate, message.subscriber, subscription_id=message.subscription_id
+                predicate, subscriber, subscription_id=message.subscription_id
             )
             self.replica.insert(subscription)
         except (PredicateError, RoutingError, SubscriptionError) as exc:
@@ -502,7 +504,7 @@ class BrokerNode:
                 f"bad SUB_PROPAGATE for subscription #{message.subscription_id}: {exc}"
             ) from exc
         self.router.add_subscription(subscription)
-        self._subscriber_of[message.subscription_id] = message.subscriber
+        self._subscriber_of[message.subscription_id] = subscriber
         self._obs_subscribes.inc()
         self._flood_to_brokers(message, exclude=connection)
 

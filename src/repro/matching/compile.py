@@ -31,8 +31,11 @@ structure is ``_records[n]``, one tuple
 =====================  =======================================================
 ``event_position``     schema position of the attribute node ``n`` tests, or
                        ``-1`` for a leaf (doubles as the node-kind flag)
-``value_table``        dict mapping *interned value ids* to child slots, or
-                       ``None`` when the node has no value branches
+``value_table``        the value branches, keyed by *interned value id*, in
+                       one of three shapes chosen by their number alone:
+                       ``None`` for none, the pair ``(value_id, child slot)``
+                       for one, a dict ``{value_id: child slot}`` for two or
+                       more (read any of them with :func:`value_branches`)
 ``range_pairs``        ``((test, child slot), ...)`` in branch order, or
                        ``None``
 ``star_child``         slot of the ``*``-branch child, ``-1`` when absent
@@ -98,6 +101,14 @@ from repro.matching.schema import AttributeValue, EventSchema
 
 #: The kernel record of a slot with no node in it: a leaf holding nothing.
 _FREE_RECORD = (-1, None, None, -1, None)
+
+
+def value_branches(table: Any) -> Iterable[Tuple[int, int]]:
+    """A value table's ``(value_id, child slot)`` branches, whatever its
+    shape (see the module docstring)."""
+    if table.__class__ is tuple:
+        return (table,)
+    return () if table is None else table.items()
 
 
 class MatchResult:
@@ -302,8 +313,7 @@ class CompiledProgram:
             position, table, ranges, star, _subs = records[index]
             if position < 0:
                 continue
-            if table is not None:
-                order.extend(table.values())
+            order.extend(child for _value_id, child in value_branches(table))
             if ranges is not None:
                 order.extend(child for _test, child in ranges)
             if star >= 0:
@@ -366,9 +376,10 @@ class CompiledProgram:
         out: Optional[Tuple[int, int]] = None
         if domain is not None and ranges is not None:
             # Which ranges accept depends on the value: fold every value's.
+            branches = dict(value_branches(table))
             for value_id, value in domain.items():
                 part = (star_yes, star_maybe)
-                child = table.get(value_id, -1) if table is not None else -1
+                child = branches.get(value_id, -1)
                 if child >= 0:
                     part = parallel_combine_bits(
                         part[0], part[1], ann_yes[child], ann_maybe[child]
@@ -389,7 +400,7 @@ class CompiledProgram:
         # outcome count once (x A x = x); and as Parallel distributes over
         # Alternative, the paper's open-domain recipe (branches A No) P star
         # is this same fold.
-        branches = table.items() if table is not None else ()
+        branches = value_branches(table)
         taken = [child for value_id, child in branches if domain is None or value_id in domain]
         if domain is None and ranges is not None:
             taken.extend(child for _test, child in ranges)
@@ -499,7 +510,10 @@ class CompiledProgram:
         for node_index in queue:
             position, table, ranges, star_child, subs = records[node_index]
             if position >= 0:
-                if table is not None:
+                if table.__class__ is tuple:
+                    if table[0] == interned[position]:
+                        push(table[1])
+                elif table is not None:
                     child = table.get(interned[position])
                     if child is not None:
                         push(child)
@@ -558,7 +572,10 @@ class CompiledProgram:
                         "leaf annotation left Maybe trits — stale annotation?"
                     )
                 children: List[int] = []
-                if table is not None:
+                if table.__class__ is tuple:
+                    if table[0] == interned[position]:
+                        children.append(table[1])
+                elif table is not None:
                     child = table.get(interned[position])
                     if child is not None:
                         children.append(child)
@@ -813,7 +830,10 @@ class CompiledProgram:
         if test.is_dont_care:
             return star
         if isinstance(test, EqualityTest):
-            return table.get(self.value_ids.get(test.value), -1) if table is not None else -1
+            value_id = self.value_ids.get(test.value)
+            if table.__class__ is tuple:
+                return table[1] if table[0] == value_id else -1
+            return table.get(value_id, -1) if table is not None else -1
         for branch_test, child in ranges or ():
             if branch_test == test:
                 return child
@@ -821,27 +841,34 @@ class CompiledProgram:
 
     def _add_branch(self, slot: int, test: AttributeTest, child: int) -> None:
         """Give the node in ``slot`` a new branch for ``test``; a new range
-        branch goes last."""
+        branch goes last, and a second value branch turns the pair into a
+        dict."""
         position, table, ranges, star, _subs = self._records[slot]
         if test.is_dont_care:
             star = child
         elif isinstance(test, EqualityTest):
-            if table is not None:  # the record already holds the table
-                table[self._intern(test.value)] = child
+            branch = (self._intern(test.value), child)
+            if table.__class__ is dict:  # the record already holds the dict
+                table[branch[0]] = child
                 return
-            table = {self._intern(test.value): child}
+            table = branch if table is None else dict((table, branch))
         else:
             ranges = (*(ranges or ()), (test, child))
         self._records[slot] = (position, table, ranges, star, None)
 
     def _drop_branch(self, slot: int, test: AttributeTest, child: int) -> None:
-        """Unlink the pruned branch for ``test`` and free its slot."""
+        """Unlink the pruned branch for ``test`` and free its slot; a dict
+        left with one value branch turns back into the pair."""
         position, table, ranges, star, _subs = self._records[slot]
         if test.is_dont_care:
             star = -1
         elif isinstance(test, EqualityTest):
-            del table[self.value_ids[test.value]]
-            table = table or None
+            if table.__class__ is tuple:  # the node's only value branch
+                table = None
+            else:
+                del table[self.value_ids[test.value]]
+                if len(table) == 1:
+                    (table,) = table.items()
         else:
             ranges = tuple(pair for pair in ranges if pair[0] != test) or None
         self._records[slot] = (position, table, ranges, star, None)

@@ -51,7 +51,7 @@ from typing import (
 
 from repro.errors import SubscriptionError
 from repro.matching.base import Matcher
-from repro.matching.compile import CompiledProgram, MatchResult, check_insertable
+from repro.matching.compile import CompiledProgram, MatchResult, check_insertable, value_branches
 from repro.matching.events import Event
 from repro.obs import get_registry
 from repro.matching.predicates import EqualityTest, Predicate, Subscription
@@ -359,8 +359,11 @@ class SearchDag:
     """
 
     def __init__(self, program: CompiledProgram) -> None:
-        records = program._records
-        self._records = {slot: records[slot] for slot in program.reachable_slots()}
+        # Each reachable record, its value table read out as a dict.
+        self._records = {}
+        for slot in program.reachable_slots():
+            position, table, *rest = program._records[slot]
+            self._records[slot] = (position, dict(value_branches(table)), *rest)
         if any(record[2] is not None for record in self._records.values()):
             raise SubscriptionError(
                 "delayed branching supports equality and don't-care tests only"
@@ -404,10 +407,10 @@ class SearchDag:
         else_slots = frozenset([record[3] for record in active if record[3] >= 0] + passive)
         value_ids: Set[int] = set()
         for record in active:
-            value_ids.update(record[1] or ())
+            value_ids.update(record[1])
         for value_id in value_ids:
             value_slots = frozenset(
-                record[1][value_id] for record in active if value_id in (record[1] or ())
+                record[1][value_id] for record in active if value_id in record[1]
             )
             dag_node.value_branches[self._values[value_id]] = self._build(
                 value_slots | else_slots

@@ -458,7 +458,7 @@ class Predicate:
         This is the reference semantics that the PST (and link matching on
         top of it) must agree with exactly.
         """
-        if event.schema != self.schema:
+        if event.schema is not self.schema and event.schema != self.schema:
             raise PredicateError("event and predicate use different schemas")
         values = event.as_tuple()
         return all(test.evaluate(value) for test, value in zip(self._tests, values))

@@ -22,6 +22,7 @@ order), so mutation after distribution would corrupt routing state.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import SchemaError
@@ -230,6 +231,8 @@ class EventSchema:
         return EventSchema([self[name] for name in names])
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, EventSchema):
             return NotImplemented
         return self._attributes == other._attributes
@@ -280,12 +283,13 @@ def stock_trade_schema() -> EventSchema:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def uniform_schema(
     num_attributes: int, prefix: str = "a", type: AttributeType = AttributeType.INTEGER
 ) -> EventSchema:
     """A synthetic schema ``[a1, a2, ..., aN]`` as used throughout the paper's
     simulations (e.g. the five-attribute schema of Figure 2 and the
-    ten-attribute schemas of Charts 1 and 2)."""
+    ten-attribute schemas of Charts 1 and 2), one shared object per argument list."""
     if num_attributes < 1:
         raise SchemaError("num_attributes must be >= 1")
     return EventSchema([(f"{prefix}{i + 1}", type) for i in range(num_attributes)])

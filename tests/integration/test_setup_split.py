@@ -1,7 +1,7 @@
 """Smoke test of ``benchmarks/setup_split.py``: one JSON line with the set-up
 split (with the parse count and mean cost), the heap census after set-up,
-the compiled programs' bytes and the per-broker slot census (no slot left
-holding a node with only a ``*``-child)."""
+the compiled programs' bytes, the per-broker slot census (no slot left
+holding a node with only a ``*``-child) and the value tables by shape."""
 
 from __future__ import annotations
 
@@ -9,6 +9,11 @@ import json
 import os
 import subprocess
 import sys
+
+from benchmarks.e2e.workloads import POPULATION_SEED, WORKLOADS
+from repro.matching.predicates import Subscription
+from repro.workload.generators import SubscriptionGenerator
+from tests.oracle import ParallelSearchTree
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -60,3 +65,24 @@ def test_an_engine_backed_replica_has_no_star_only_node():
     # Both brokers parse every subscription: 500 standing ones and more.
     assert report["parse_calls"] % 2 == 0 and report["parse_calls"] >= 2 * 500
     assert report["star_only_slots"] == {"B0": 0, "B1": 0}
+
+
+def test_a_value_table_is_a_dict_only_with_two_branches():
+    """``chain_mem_25k``'s brokers each hold the whole population: its value
+    tables are dicts at exactly the oracle tree's nodes with two or more
+    value branches, and pairs at those with one."""
+    report = setup_split("chain_mem_25k")
+    workload = WORKLOADS["chain_mem_25k"](1, True, None)
+    tree = ParallelSearchTree(workload.spec.schema())
+    generator = SubscriptionGenerator(workload.spec, seed=POPULATION_SEED)
+    clients = workload.topology.subscribers()
+    for index in range(workload.subscriptions):
+        client = clients[index % len(clients)]
+        tree.insert(Subscription(generator.predicate_for(client), client))
+    branches = [len(node.value_branches) for node in tree.nodes()]
+    assert report["live_slots"] == dict.fromkeys(report["live_slots"], len(branches))
+    brokers = report["programs"]
+    assert brokers == len(report["live_slots"]) == 4
+    assert report["value_table_dicts"] == brokers * sum(count >= 2 for count in branches)
+    assert report["value_table_pairs"] == brokers * branches.count(1)
+    assert 0 < report["value_table_dicts"] < report["value_table_pairs"]

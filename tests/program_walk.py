@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.matching.compile import value_branches
+
 
 def slots_by_node(program, tree) -> Dict[int, int]:
     """``PST node id -> slot`` for every node of ``tree``, asserting that
@@ -39,7 +41,7 @@ def slots_by_node(program, tree) -> Dict[int, int]:
             f"level {node.attribute_position}"
         )
         assert subs is None
-        table = table or {}
+        table = dict(value_branches(table))
         assert len(table) == len(node.value_branches)
         for value, child in node.value_branches.items():
             stack.append((child, table[program.value_ids[value]]))

@@ -11,7 +11,9 @@ equality, range, interval and don't-care tests; inserts that re-materialize
 a skipped level; removals that splice the root out or drain it — and after
 each step holds the program against the oracle: the slots reachable from
 slot 0 map node for node onto the oracle's PST (positions, value branches,
-range pairs in branch order, leaf subscriptions), every other slot is free
+range pairs in branch order, leaf subscriptions), every value table has the
+shape its branch count gives it (after every insert and remove, too: a pair
+for one branch, a dict only for two or more), every other slot is free
 exactly once, the digest map equals a from-the-root walk, every slot's
 packed annotation is ``TreeAnnotation``'s, and match sets, steps, refined
 masks and digest projections are the oracle's.  The oracle's tree must hold
@@ -31,7 +33,7 @@ from repro.matching import (
     Subscription,
     uniform_schema,
 )
-from repro.matching.compile import _FREE_RECORD, CompiledProgram
+from repro.matching.compile import _FREE_RECORD, CompiledProgram, value_branches
 from repro.matching.engines import CompiledEngine
 from repro.matching.predicates import EqualityTest, IntervalTest, RangeTest
 from tests.oracle import OracleView, ParallelSearchTree
@@ -122,13 +124,23 @@ def reference_sub_leaf(program):
             for subscription in subs or ():
                 mapping[subscription.subscription_id] = index
             continue
-        if table is not None:
-            stack.extend(table.values())
+        stack.extend(child for _value_id, child in value_branches(table))
         if ranges is not None:
             stack.extend(child for _test, child in ranges)
         if star >= 0:
             stack.append(star)
     return mapping, seen
+
+
+def assert_value_table_shapes(program):
+    """Every record's value table has the shape its branch count gives it:
+    ``None`` for none, a ``(value_id, child)`` pair for one, a dict for two
+    or more."""
+    for slot, (_position, table, _ranges, _star, _subs) in enumerate(program._records):
+        if isinstance(table, dict):
+            assert len(table) >= 2, f"slot {slot} keeps {len(table)} value branch in a dict"
+        elif table is not None:
+            assert type(table) is tuple and len(table) == 2, f"slot {slot}: {table!r}"
 
 
 def assert_structure(engine, oracle):
@@ -260,11 +272,13 @@ def test_every_step_is_the_oracle_tree(script):
         engine.insert(subscription)
         oracle.insert(subscription)
         live.append(subscription)
+        assert_value_table_shapes(engine.program)
 
     def remove(subscription):
         assert engine.remove(subscription.subscription_id) is subscription
         oracle.remove(subscription.subscription_id)
         live.remove(subscription)
+        assert_value_table_shapes(engine.program)
 
     engine.bind_links(NUM_LINKS, link_of)
     oracle.bind_links(NUM_LINKS, link_of)

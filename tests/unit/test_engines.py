@@ -16,7 +16,7 @@ from repro.matching import (
     uniform_schema,
     view_of,
 )
-from repro.matching.compile import CompiledProgram
+from repro.matching.compile import CompiledProgram, value_branches
 from repro.matching.events import Event
 from repro.matching.predicates import EqualityTest, Predicate, Subscription
 from tests.oracle import OracleView, ParallelSearchTree
@@ -161,11 +161,11 @@ class TestCompiledProgramLifecycle:
             oracle.insert(sub)
         program = engine.program
         engine.project_links([], 0, 0)  # annotate
-        a2_slot = program._records[0][1][program.value_ids[0]]
+        a2_slot = dict(value_branches(program._records[0][1]))[program.value_ids[0]]
         engine.remove(gone.subscription_id)
         oracle.remove(gone.subscription_id)
         assert engine.program is program
-        assert program._records[0][1][program.value_ids[0]] == a2_slot
+        assert dict(value_branches(program._records[0][1])) == {program.value_ids[0]: a2_slot}
         assert program._records[a2_slot][0] == SCHEMA.position_of("a3")
         assert len(program._free_slots) == 3  # the *-child's old slot, gone's a3 node and leaf
         assert_answers_like_the_oracle(engine, oracle)
@@ -193,6 +193,33 @@ class TestCompiledProgramLifecycle:
         assert engine.program is program
         assert program._records[0][0] == oracle.tree.root.attribute_position  # order = schema order
         assert_answers_like_the_oracle(engine, oracle)
+
+    def test_a_value_table_is_a_pair_until_a_second_branch(self):
+        """One value branch is kept as the pair ``(value_id, child)``; a
+        second turns it into a dict, and a removal back to one turns the
+        dict back into the pair."""
+        engine = CompiledEngine(CompiledProgram(SCHEMA, domains=DOMAINS))
+        oracle = OracleView(ParallelSearchTree(SCHEMA))
+        engine.bind_links(2, link_of)
+        program = engine.program
+        subs = [subscription((value, None, None), f"s{value % 2}") for value in (0, 1, 2)]
+        engine.insert(subs[0])
+        oracle.insert(subs[0])
+        table = program._records[0][1]
+        assert type(table) is tuple and table[0] == program.value_ids[0]
+        for sub in subs[1:]:
+            engine.insert(sub)
+            oracle.insert(sub)
+        assert type(program._records[0][1]) is dict and len(program._records[0][1]) == 3
+        assert_answers_like_the_oracle(engine, oracle)
+        for sub in subs[:2]:
+            engine.remove(sub.subscription_id)
+            oracle.remove(sub.subscription_id)
+        table = program._records[0][1]
+        assert type(table) is tuple and table[0] == program.value_ids[2]
+        assert_answers_like_the_oracle(engine, oracle)
+        engine.remove(subs[2].subscription_id)
+        assert program._records[0][1] is None
 
     def test_a_program_matches_like_the_tree(self):
         engine = OracleView(ParallelSearchTree(SCHEMA))

@@ -215,6 +215,23 @@ class TestBadSubPropagate:
         assert node.subscription_count == 1
 
 
+class TestPropagatedSubscriberName:
+    def test_one_clients_subscriptions_share_the_name_object(self):
+        """Each SUB_PROPAGATE decodes a fresh subscriber string; the broker
+        keeps one object per name, in its subscriber map and its replica."""
+        _schema, _transport, nodes = two_broker_network()
+        node = nodes["B1"]
+        peer = node._broker_connections["B0"]
+        names = ["".join(("ali", "ce")) for _ in range(2)]
+        assert names[0] == names[1] and names[0] is not names[1]
+        for subscription_id, name in zip((10**9, 10**9 + 1), names):
+            node._dispatch(peer, wire.SubPropagate(subscription_id, name, "price < 3", "B0"))
+        first, second = (node._subscriber_of[i] for i in (10**9, 10**9 + 1))
+        assert first is second
+        held = [s.subscriber for s in node.replica.subscriptions]
+        assert len(held) == 2 and held[0] is held[1] is first
+
+
 class TestRefusedUnsubscribe:
     def test_refusal_leaves_epochs_counters_and_digests_alone(self, live_registry):
         """Regression: a refused UNSUBSCRIBE used to remove the subscription

@@ -14,6 +14,7 @@ from repro.matching import (
     DontCare,
     EqualityTest,
     Event,
+    EventSchema,
     IntervalTest,
     Predicate,
     RangeOp,
@@ -205,6 +206,18 @@ class TestPredicate:
             },
         )
         assert predicate.matches(ibm_event)
+
+    def test_an_equal_foreign_schema_matches(self, stock_schema, ibm_event):
+        """Schemas compare by value: an equal schema object that is not the
+        predicate's still matches; a different schema raises."""
+        foreign = EventSchema([(a.name, a.type) for a in stock_schema])
+        assert foreign is not stock_schema and foreign == stock_schema
+        predicate = Predicate(stock_schema, {"issue": EqualityTest("IBM")})
+        assert predicate.matches(Event.from_tuple(foreign, ibm_event.as_tuple()))
+        assert predicate.matches(ibm_event)
+        other = EventSchema([("issue", "string"), ("price", "dollar"), ("size", "integer")])
+        with pytest.raises(PredicateError, match="different schemas"):
+            predicate.matches(Event(other, {"issue": "IBM", "price": 100.0, "size": 1}))
 
     def test_unconstrained_attributes_are_dont_care(self, stock_schema, ibm_event):
         predicate = Predicate(stock_schema, {"issue": EqualityTest("IBM")})

@@ -40,11 +40,12 @@ CLIENTS = [f"c{i}" for i in range(40)]
 #: Slots per subscription, measured at 3.571 (7 142 slots), plus 5 %; 7.44
 #: (14 889 slots) while star-only nodes were kept.
 SLOTS_PER_SUBSCRIPTION_BOUND = 3.75
-#: Bytes per slot, measured at 333.2 (records and annotation) and 11.4
-#: (everything else) on those 7 142 slots, plus ~15 %.  Restoring a
-#: parallel array adds >= 8 bookkeeping bytes per slot (the per-slot node
-#: id column did: 19.7), a node-id map ~40.
-STRUCTURE_BOUND = 383
+#: Bytes per slot, measured at 223.2 (records and annotation) and 11.4
+#: (everything else) on those 7 142 slots, plus ~15 %.  A node with one
+#: value branch keeps it as a pair; a one-entry dict in its place read
+#: 332.4.  Restoring a parallel array adds >= 8 bookkeeping bytes per slot
+#: (the per-slot node id column did: 19.7), a node-id map ~40.
+STRUCTURE_BOUND = 257
 BOOKKEEPING_BOUND = 13.1
 
 

@@ -163,6 +163,11 @@ class TestHelpers:
         assert schema.names == ("a1", "a2", "a3")
         assert all(a.type is AttributeType.INTEGER for a in schema)
 
+    def test_uniform_schema_is_one_shared_object(self):
+        assert uniform_schema(3) is uniform_schema(3)
+        assert uniform_schema(3) is not uniform_schema(4)
+        assert uniform_schema(3, prefix="b") is not uniform_schema(3)
+
     def test_uniform_schema_rejects_zero(self):
         with pytest.raises(SchemaError):
             uniform_schema(0)
