@@ -48,7 +48,6 @@ from repro.broker.transport import Connection, Listener, Transport
 from repro.core.router import ContentRouter
 from repro.matching.digest import MatchDigest
 from repro.matching.engines import create_matcher
-from repro.matching.events import Event
 from repro.matching.parser import parse_predicate
 from repro.matching.predicates import Subscription
 from repro.matching.schema import AttributeValue, EventSchema
@@ -156,9 +155,11 @@ class BrokerNode:
         self._lock = threading.RLock()
         self._listener: Optional[Listener] = None
         self._broker_connections: Dict[str, Connection] = {}
-        #: Connections we have already sent our hello+resync on; prevents
-        #: hello ping-pong when both ends of a link dial each other.
-        self._greeted_connections: Set[int] = set()
+        #: Every live broker connection, dialled or announced by a
+        #: BROKER_HELLO (after a re-dial a link can have two), and the only
+        #: ones broker-protocol messages are taken from.  Each was greeted
+        #: (hello + resync) once: no hello ping-pong when both ends dial.
+        self._broker_peers: Set[Connection] = set()
         self._sessions: Dict[str, ClientSession] = {}
         #: Live client connection -> its session (``session.connection`` is
         #: the key); what PUBLISH/SUBSCRIBE/ACK look their sender up in.
@@ -185,11 +186,8 @@ class BrokerNode:
         self._obs_unsubscribes = obs.counter("subscriptions_removed", broker=name)
         self._obs_ingest_batches = obs.counter("ingest_batches", broker=name)
         self._obs_coalesced_sends = obs.counter("coalesced_sends", broker=name)
-        self._obs_digest_hits = obs.counter("digest_hits", broker=name)
-        self._obs_digest_fallbacks = obs.counter("digest_fallbacks", broker=name)
         self._obs_forwards_dropped = obs.counter("forwards_dropped", broker=name)
         self._obs_events_rejected = obs.counter("events_rejected", broker=name)
-        self._obs_unneeded_forwards = get_registry().counter("link.unneeded_forwards", broker=name)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -223,6 +221,7 @@ class BrokerNode:
             for connection in list(self._broker_connections.values()):
                 connection.close()
             self._broker_connections.clear()
+            self._broker_peers.clear()
             self._session_of.clear()
             for session in self._sessions.values():
                 if session.connection is not None:
@@ -250,7 +249,7 @@ class BrokerNode:
         connection.start()
         with self._lock:
             self._broker_connections[neighbor] = connection
-            self._greeted_connections.add(id(connection))
+            self._broker_peers.add(connection)
         connection.send(wire.encode_message(wire.BrokerHello(self.name)))
         self._send_subscription_sync(connection)
 
@@ -266,7 +265,7 @@ class BrokerNode:
 
     def _on_connection_closed(self, connection: Connection) -> None:
         with self._lock:
-            self._greeted_connections.discard(id(connection))
+            self._broker_peers.discard(connection)
             for neighbor, existing in list(self._broker_connections.items()):
                 if existing is connection:
                     del self._broker_connections[neighbor]
@@ -458,11 +457,18 @@ class BrokerNode:
         the dialer greets when dialing, the acceptor greets on the first
         hello it sees.  Without that cap, two brokers dialing each other
         would answer each other's answers forever.
+
+        Refused (:class:`ProtocolError`) on a client's connection and from a
+        name that is not a topology neighbor of this broker.
         """
+        if connection in self._session_of or message.broker_name not in (
+            self.config.topology.broker_neighbors(self.name)
+        ):
+            raise ProtocolError(f"BROKER_HELLO from {message.broker_name!r} refused")
         self._broker_connections[message.broker_name] = connection
-        if id(connection) in self._greeted_connections:
+        if connection in self._broker_peers:
             return
-        self._greeted_connections.add(id(connection))
+        self._broker_peers.add(connection)
         connection.send(wire.encode_message(wire.BrokerHello(self.name)))
         self._send_subscription_sync(connection)
 
@@ -486,7 +492,16 @@ class BrokerNode:
                 continue
             connection.send(payload)
 
+    def _require_broker(self, connection: Connection, message: object) -> None:
+        """Broker-protocol messages come from broker connections only, so a
+        client cannot act for others or publish past :meth:`_publisher_of`."""
+        if connection not in self._broker_peers:
+            raise ProtocolError(
+                f"{type(message).__name__} on a connection that is not a broker's"
+            )
+
     def _handle_sub_propagate(self, connection: Connection, message: wire.SubPropagate) -> None:
+        self._require_broker(connection, message)
         if message.subscription_id in self._subscriber_of:
             return  # flood deduplication
         subscriber = sys.intern(message.subscriber)  # one object per name, not per message
@@ -509,6 +524,7 @@ class BrokerNode:
         self._flood_to_brokers(message, exclude=connection)
 
     def _handle_unsub_propagate(self, connection: Connection, message: wire.UnsubPropagate) -> None:
+        self._require_broker(connection, message)
         if self._subscriber_of.pop(message.subscription_id, None) is None:
             return
         self.replica.remove(message.subscription_id)
@@ -516,15 +532,17 @@ class BrokerNode:
         self._obs_unsubscribes.inc()
         self._flood_to_brokers(message, exclude=connection)
 
-    def _handle_broker_event(self, _connection: Connection, message: wire.BrokerEvent) -> None:
+    def _handle_broker_event(self, connection: Connection, message: wire.BrokerEvent) -> None:
+        self._require_broker(connection, message)
         self._ingest.append(
             (message.event_data, message.root, message.publisher, message.digest)
         )
         self._drain_ingest()
 
     def _handle_broker_event_batch(
-        self, _connection: Connection, message: wire.BrokerEventBatch
+        self, connection: Connection, message: wire.BrokerEventBatch
     ) -> None:
+        self._require_broker(connection, message)
         for i, (publisher, event_data) in enumerate(message.entries):
             self._ingest.append(
                 (event_data, message.root, publisher, message.digest_for(i))
@@ -550,92 +568,47 @@ class BrokerNode:
     def _route_entries(
         self, entries: List[Tuple[bytes, str, str, Optional[MatchDigest]]]
     ) -> None:
-        """Route one ingest batch: batched refinement, coalesced forwarding.
+        """Route one ingest batch: decode, one
+        :meth:`~repro.core.router.ContentRouter.route_hop` per spanning-tree
+        root (every decision, match-once digests included), then reject,
+        deliver and forward in batch order.
 
-        Entries are grouped by spanning-tree root for the router's
-        :meth:`~repro.core.router.ContentRouter.route_batch`; forwards are
-        then coalesced so each neighbor link carries one
+        Forwards are coalesced: each neighbor link carries one
         :class:`~repro.broker.messages.BrokerEventBatch` per root instead of
-        one message per event.  Per-event decisions, deliveries and event-log
-        appends are identical to the one-at-a-time path.
-
-        Match-once forwarding: digest-less entries route through
-        :meth:`~repro.core.router.ContentRouter.route_digest_batch`, minting
-        a digest the forwards carry; digest-bearing entries convert the
-        digest straight to this node's link mask.  A digest that fails
-        verification (the replicated subscription set diverged — e.g. a
-        subscription still propagating) falls back to a full rematch and is
-        stripped from the forwards.  The epoch/checksum converge without any
-        coordination because subscription flooding applies every add/remove
-        exactly once at every broker.
-
-        An event the router refuses (a value outside a declared domain) is
-        rejected alone (:meth:`_reject`); every other entry still routes.
+        one message per event.  An event the router refuses (a value outside
+        a declared domain) is rejected alone (:meth:`_reject`).
         """
         self._obs_ingest_batches.inc()
         events = [
             decode_event(self.config.schema, event_data, publisher=publisher)
             for event_data, _root, publisher, _digest in entries
         ]
-        use_digests = self.router.supports_digests
         by_root: Dict[str, List[int]] = {}
-        for i, (_event_data, root, _publisher, _digest) in enumerate(entries):
-            group = by_root.get(root)
-            if group is None:
-                by_root[root] = [i]
-            else:
-                group.append(i)
-        decisions = [None] * len(entries)
-        # The digest each entry's forwards carry (consumed, minted, or None).
-        out_digests: List[Optional[MatchDigest]] = [None] * len(entries)
-        rejected = 0
+        for i, entry in enumerate(entries):
+            by_root.setdefault(entry[1], []).append(i)
+        hops: List = [None] * len(entries)
         for root, indices in by_root.items():
-            plain: List[int] = []
-            for i in indices:
-                digest = entries[i][3]
-                if digest is None or not use_digests:
-                    plain.append(i)
-                    continue
-                try:
-                    decisions[i] = self.router.route_with_digest(
-                        events[i], root, digest
-                    )
-                except RoutingError:
-                    self._obs_digest_fallbacks.inc()
-                    try:
-                        decisions[i] = self.router.route(events[i], root)
-                    except RoutingError as error:
-                        self._reject(entries[i], error)
-                        rejected += 1
-                else:
-                    self._obs_digest_hits.inc()
-                    out_digests[i] = digest
-            if not plain:
-                continue
-            plain_events = [events[i] for i in plain]
-            for i, outcome in zip(plain, self._route_group(plain_events, root, use_digests)):
-                if isinstance(outcome, RoutingError):
-                    self._reject(entries[i], outcome)
-                    rejected += 1
-                else:
-                    decisions[i], out_digests[i] = outcome
-        self.events_routed += len(entries) - rejected
-        self._obs_routed.inc(len(entries) - rejected)
+            routed = self.router.route_hop(
+                [events[i] for i in indices], root, [entries[i][3] for i in indices], trusted=True
+            )
+            for i, hop in zip(indices, routed):
+                hops[i] = hop
+        routed_count = 0
         # neighbor -> root -> (publisher, event_data, digest), in batch order.
         forwards: Dict[str, Dict[str, List[Tuple[str, bytes, Optional[MatchDigest]]]]] = {}
-        for (event_data, root, publisher, _digest), decision, out_digest in zip(
-            entries, decisions, out_digests
-        ):
-            if decision is None:
-                continue  # rejected
-            if root != self.name and not decision.forward_to and not decision.deliver_to:
-                # The neighbour that sent this event here had no reason to.
-                self._obs_unneeded_forwards.inc()
+        for entry, (decision, out_digest) in zip(entries, hops):
+            if isinstance(decision, RoutingError):
+                self._reject(entry, decision)
+                continue
+            routed_count += 1
+            event_data, root, publisher, _digest = entry
             for neighbor in decision.forward_to:
                 per_root = forwards.setdefault(neighbor, {})
                 per_root.setdefault(root, []).append((publisher, event_data, out_digest))
             for client in decision.deliver_to:
                 self._deliver_to_client(client, event_data)
+        self.events_routed += routed_count
+        self._obs_routed.inc(routed_count)
         for neighbor, per_root in forwards.items():
             connection = self._broker_connections.get(neighbor)
             if connection is None or not connection.is_open:
@@ -662,26 +635,6 @@ class BrokerNode:
                         )
                     )
                     self._obs_coalesced_sends.inc()
-
-    def _route_group(
-        self, events: List[Event], root: str, use_digests: bool
-    ) -> List[object]:
-        """Route digest-less events on ``root``'s tree as one batch: per
-        event ``(decision, minted digest or None)``, or the
-        :class:`RoutingError` the router refused it with.  A refused batch
-        is retried one event at a time, so only the refused events fail."""
-        try:
-            if use_digests:
-                return self.router.route_digest_batch(events, root)
-            return [(decision, None) for decision in self.router.route_batch(events, root)]
-        except RoutingError as error:
-            if len(events) == 1:
-                return [error]
-            return [
-                outcome
-                for event in events
-                for outcome in self._route_group([event], root, use_digests)
-            ]
 
     def _reject(
         self, entry: Tuple[bytes, str, str, Optional[MatchDigest]], error: RoutingError

@@ -209,45 +209,9 @@ class ContentRoutedNetwork:
     def publish(
         self, publisher: str, event: Union[Event, Mapping[str, AttributeValue]]
     ) -> DeliveryTrace:
-        """Route one event from ``publisher`` through the network.
-
-        Returns the full :class:`DeliveryTrace`.  The walk follows each
-        broker's route decision; because decisions follow the publisher's
-        spanning tree, every broker is visited at most once.
-        """
-        node = self.topology.node(publisher)
-        if node.kind is not NodeKind.PUBLISHER:
-            raise RoutingError(f"{publisher!r} is not a publisher client")
-        if not isinstance(event, Event):
-            event = Event(self.schema, event, publisher=publisher)
-        root = self.topology.broker_of(publisher)
-        if root not in self.spanning_trees:
-            raise RoutingError(f"no spanning tree rooted at {root!r}")
-        trace = DeliveryTrace(event, root)
-        registry = get_registry()
-        registry.counter("fabric.events_published").inc()
-        frontier: List[Tuple[str, int]] = [(root, 1)]
-        visited: Set[str] = set()
-        while frontier:
-            broker, hop = frontier.pop()
-            if broker in visited:
-                raise RoutingError(
-                    f"broker {broker!r} visited twice — spanning tree violation"
-                )
-            visited.add(broker)
-            decision = self.routers[broker].route(event, root)
-            # Chart 2's quantity at its source: trit-mask refinement steps
-            # spent at each hop distance from the publishing broker.
-            registry.counter("fabric.refinement_steps", hop=str(hop)).inc(decision.steps)
-            trace.decisions[broker] = decision
-            trace.broker_steps[broker] = decision.steps
-            for client in decision.deliver_to:
-                trace.deliveries[client] = hop
-                registry.counter("fabric.deliveries", hop=str(hop)).inc()
-            for neighbor in decision.forward_to:
-                trace.links_used.append((broker, neighbor))
-                frontier.append((neighbor, hop + 1))
-        return trace
+        """Route one event from ``publisher`` through the network and return
+        its :class:`DeliveryTrace` (:meth:`publish_batch` of one event)."""
+        return self.publish_batch(publisher, [event])[0]
 
     def publish_batch(
         self,
@@ -257,11 +221,13 @@ class ContentRoutedNetwork:
         """Route a batch of events from ``publisher`` in one tree walk.
 
         Trace ``i`` is exactly ``publish(publisher, events[i])``.  The walk
-        visits each broker once with the subset of events that reached it
-        (a broker is only ever reached through its spanning-tree parent, so
-        subsets never split across visits) and routes that subset through
-        :meth:`ContentRouter.route_batch`, which amortizes refinement across
-        events sharing tested-attribute projections.
+        follows each broker's route decision, so every broker is visited at
+        most once, with the subset of events that reached it (a broker is
+        only ever reached through its spanning-tree parent, so subsets never
+        split across visits).  Each visit is one
+        :meth:`ContentRouter.route_hop` with no digests (``trusted=False``):
+        the fabric is the per-hop rematching reference.  An event the
+        router refuses raises its :class:`RoutingError`.
         """
         if not events:
             return []
@@ -291,12 +257,16 @@ class ContentRoutedNetwork:
                     f"broker {broker!r} visited twice — spanning tree violation"
                 )
             visited.add(broker)
-            decisions = self.routers[broker].route_batch(
-                [batch[i] for i in indices], root
+            hops = self.routers[broker].route_hop(
+                [batch[i] for i in indices], root, [None] * len(indices), trusted=False
             )
             by_neighbor: Dict[str, List[int]] = {}
-            for i, decision in zip(indices, decisions):
+            for i, (decision, _digest) in zip(indices, hops):
+                if isinstance(decision, RoutingError):
+                    raise decision
                 trace = traces[i]
+                # Chart 2's quantity at its source: trit-mask refinement
+                # steps spent at each hop distance from the publishing broker.
                 registry.counter("fabric.refinement_steps", hop=str(hop)).inc(
                     decision.steps
                 )
@@ -307,11 +277,7 @@ class ContentRoutedNetwork:
                     registry.counter("fabric.deliveries", hop=str(hop)).inc()
                 for neighbor in decision.forward_to:
                     trace.links_used.append((broker, neighbor))
-                    group = by_neighbor.get(neighbor)
-                    if group is None:
-                        by_neighbor[neighbor] = [i]
-                    else:
-                        group.append(i)
+                    by_neighbor.setdefault(neighbor, []).append(i)
             for neighbor, group in by_neighbor.items():
                 frontier.append((neighbor, hop + 1, group))
         return traces

@@ -17,16 +17,22 @@ is one broker's state:
 * its view of the replica (:func:`~repro.matching.engines.view_of`): this
   broker's trit-vector annotations, which the replica keeps current,
 * :meth:`route` — run the Section 3.3 refinement for an event arriving on a
-  given spanning tree and return the neighbors to forward to.
+  given spanning tree and return the neighbors to forward to,
+* :meth:`route_hop` — the whole per-broker step for a batch of arrivals:
+  verify or mint match digests, fall back to a full rematch, refuse an
+  event alone, and count it all.  It is the one copy of that step.
 
-Routers do not move messages themselves; the fabric
-(:class:`repro.core.fabric.ContentRoutedNetwork`) and the simulator drive
-them.
+Routers do not move messages themselves.  The fabric
+(:class:`repro.core.fabric.ContentRoutedNetwork`), the simulator's
+:class:`~repro.protocols.link_matching.LinkMatchingProtocol` and the
+prototype's :class:`~repro.broker.node.BrokerNode` each call
+:meth:`route_hop` and carry its result: synchronously, on the virtual
+clock, or encoded on the wire.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import RoutingError, SubscriptionError
 from repro.core.masks import VirtualLinkTable
@@ -105,6 +111,11 @@ class RouteDecision:
         )
 
 
+#: One event's outcome of :meth:`ContentRouter.route_hop`: its decision
+#: (or the error that refused it) and the digest its forwards carry.
+Hop = Tuple[Union[RouteDecision, RoutingError], Optional[MatchDigest]]
+
+
 class ContentRouter:
     """Per-broker link-matching state (see module docstring)."""
 
@@ -152,6 +163,10 @@ class ContentRouter:
         self._obs_forwards = registry.counter("router.forwards", broker=broker)
         self._obs_deliveries = registry.counter("router.local_deliveries", broker=broker)
         self._obs_epoch = registry.gauge("router.subscription_epoch", broker=broker)
+        self._obs_digest_hits = registry.counter("broker.digest_hits", broker=broker)
+        self._obs_digest_fallbacks = registry.counter("broker.digest_fallbacks", broker=broker)
+        self._obs_digests_minted = registry.counter("broker.digests_minted", broker=broker)
+        self._obs_unneeded_forwards = registry.counter("link.unneeded_forwards", broker=broker)
 
     def close(self) -> None:
         """Stop viewing the replica (a router being replaced): it no
@@ -296,6 +311,90 @@ class ContentRouter:
         maybe_bits = self.links.initialization_bits(tree_root)
         finals = self._engine.match_links_batch(events, 0, maybe_bits)
         return [self._decision_for(final_yes, steps) for final_yes, steps in finals]
+
+    def route_hop(
+        self,
+        events: Sequence[Event],
+        tree_root: str,
+        digests: Sequence[Optional[MatchDigest]],
+        *,
+        trusted: bool,
+        restrict_to: Optional[FrozenSet[str]] = None,
+    ) -> List[Hop]:
+        """This broker's Section 3.3 step for events arriving on
+        ``tree_root``'s tree, ``digests[i]`` being what event ``i`` carried.
+
+        Per event: its :class:`RouteDecision` (or the :class:`RoutingError`
+        that refused that event alone) and the digest its forwards carry.
+        A carried digest is verified by one :meth:`route_with_digest` call
+        and passed on; one that fails, or reaches a broker that is not
+        ``trusted`` (its set may differ from its peers', or digests are
+        off), falls back to a full rematch and is stripped.  A digest-less
+        event mints one where ``trusted``.  ``restrict_to`` is a replay's
+        restriction (see :meth:`route`): a digest projects the unrestricted
+        matched set, so a replay rematches and carries none.  Several
+        digest-less events share the batch kernels; a refused batch is
+        retried one event at a time.
+        """
+        plain: List[int] = []
+        if len(events) == 1:
+            hops = [self._hop_one(events[0], tree_root, digests[0], trusted, restrict_to)]
+        else:
+            hops = [None] * len(events)
+            for i, digest in enumerate(digests):
+                if digest is None and restrict_to is None:
+                    plain.append(i)
+                else:
+                    hops[i] = self._hop_one(events[i], tree_root, digest, trusted, restrict_to)
+        if plain:
+            batch = [events[i] for i in plain]
+            try:
+                if trusted and self.supports_digests:
+                    routed = self.route_digest_batch(batch, tree_root)
+                else:
+                    routed = [(d, None) for d in self.route_batch(batch, tree_root)]
+            except RoutingError:
+                routed = [self._hop_one(e, tree_root, None, trusted, None) for e in batch]
+            for i, hop in zip(plain, routed):
+                hops[i] = hop
+        arrived = tree_root != self.broker
+        for (decision, out), digest in zip(hops, digests):
+            if isinstance(decision, RoutingError):
+                continue
+            if out is not None and digest is None:
+                self._obs_digests_minted.inc()
+            if arrived and not decision.forward_to and not decision.deliver_to:
+                # The neighbour that sent this event here had no reason to.
+                self._obs_unneeded_forwards.inc()
+        return hops
+
+    def _hop_one(
+        self,
+        event: Event,
+        tree_root: str,
+        digest: Optional[MatchDigest],
+        trusted: bool,
+        restrict_to: Optional[FrozenSet[str]],
+    ) -> Hop:
+        """:meth:`route_hop` for one event, alone."""
+        try:
+            if restrict_to is not None:
+                return self.route(event, tree_root, restrict_to=restrict_to), None
+            if digest is not None:
+                if trusted:
+                    try:
+                        decision = self.route_with_digest(event, tree_root, digest)
+                    except RoutingError:
+                        pass
+                    else:
+                        self._obs_digest_hits.inc()
+                        return decision, digest
+                self._obs_digest_fallbacks.inc()
+            elif trusted and self.supports_digests:
+                return self.route_digest(event, tree_root)
+            return self.route(event, tree_root), None
+        except RoutingError as error:
+            return error, None
 
     def _decision_for(self, final_yes: int, steps: int) -> RouteDecision:
         forward_to, deliver_to = self.links.split(final_yes)

@@ -1,13 +1,13 @@
 """Link matching as a simulator protocol.
 
-This is a thin adapter: the real work lives in
-:class:`repro.core.router.ContentRouter` (annotation + mask refinement).
-Every broker holds a router over the full replicated subscription set; the
-decision for a message is the router's route decision for the message's
-spanning tree.  The replica exists once per process, factored or not: the
-protocol builds it with :func:`~repro.matching.engines.create_matcher`,
-inserts every subscription once, and every router keeps only its own trit
-annotations of it.
+The broker step itself is :meth:`repro.core.router.ContentRouter.route_hop`
+(annotation, mask refinement and match-once digests); this protocol carries
+its result on the virtual clock.  Every broker holds a router over the full
+replicated subscription set; the decision for a message is its router's
+``route_hop`` result for the message's spanning tree.  The replica exists
+once per process, factored or not: the protocol builds it with
+:func:`~repro.matching.engines.create_matcher`, inserts every subscription
+once, and every router keeps only its own trit annotations of it.
 
 Resilience (see :mod:`repro.sim.faults` and ``docs/resilience.md``):
 
@@ -25,24 +25,21 @@ Resilience (see :mod:`repro.sim.faults` and ``docs/resilience.md``):
   responsibilities, so subtrees that already received the event are not
   traversed again.
 
-Match-once forwarding (see ``docs/performance.md``): because every broker
-holds the same replicated subscription set, the matched-subscription set of
-an event is hop-invariant.  The publisher's broker therefore matches once,
-attaches an epoch-tagged :class:`~repro.matching.digest.MatchDigest` to the
-in-flight message, and every downstream broker converts the digest straight
-into its own link mask (one OR per matched leaf) instead of re-running the
-refinement kernel.  Any condition under which the digest cannot be trusted
-— epoch/checksum mismatch after churn, a broker holding deferred
-subscriptions, the stale flood-fallback window, ``replay_for``-restricted
-messages — falls back to full matching, so the fault suite's
-zero-loss/≤1-copy invariants hold unchanged.
+Match-once forwarding (see ``docs/performance.md``): the publisher's broker
+matches once and the in-flight message carries an epoch-tagged
+:class:`~repro.matching.digest.MatchDigest`, which every downstream broker
+converts straight into its own link mask.  ``route_hop`` decides when a
+digest is minted, trusted or dropped; this protocol only tells it that a
+broker holding deferred subscriptions, or a protocol with ``use_digests``
+off, is not ``trusted``.  Stale brokers flood and replays rematch, so the
+fault suite's zero-loss/≤1-copy invariants hold unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.core.router import ContentRouter, RouteDecision
+from repro.core.router import ContentRouter, Hop
 from repro.errors import RoutingError
 from repro.matching.engines import create_matcher
 from repro.matching.predicates import Subscription
@@ -55,10 +52,6 @@ from repro.protocols.base import (
     TopologyRepair,
 )
 
-#: Sentinel for :meth:`LinkMatchingProtocol._decision_for`'s ``digest``
-#: parameter: "keep whatever the incoming message carried".
-_INHERIT = object()
-
 
 class LinkMatchingProtocol(RoutingProtocol):
     """The paper's protocol: hop-by-hop partial matching."""
@@ -68,16 +61,11 @@ class LinkMatchingProtocol(RoutingProtocol):
 
     def __init__(self, context: ProtocolContext, *, use_digests: bool = True) -> None:
         super().__init__(context)
-        registry = get_registry()
-        self._obs = registry.scope("protocol.link_matching")
+        self._obs = get_registry().scope("protocol.link_matching")
         self._obs_handled = self._obs.counter("events_handled")
         self._obs_flood_fallbacks = self._obs.counter("flood_fallbacks")
         self._obs_replays_routed = self._obs.counter("replays_routed")
         self._obs_link_rebuilds = self._obs.counter("link_table_rebuilds")
-        self._obs_digest_hits = self._obs.counter("digest_hits")
-        self._obs_digest_fallbacks = self._obs.counter("digest_fallbacks")
-        self._obs_digests_minted = self._obs.counter("digests_minted")
-        self._obs_unneeded_forwards = registry.counter("link.unneeded_forwards")
         # Hop distance -> its (refinement_steps, deliveries) counters, fetched
         # on the first message at that distance (bounded by the diameter).
         self._obs_per_hop: Dict[int, Tuple[Counter, Counter]] = {}
@@ -213,151 +201,51 @@ class LinkMatchingProtocol(RoutingProtocol):
     # ------------------------------------------------------------------
     # Decisions
 
-    def _can_mint(self, broker: str, router: ContentRouter) -> bool:
-        """Whether ``broker`` may mint a digest for a digest-less message:
-        digests enabled, a non-factored router, and no
-        deferred subscriptions (a deferred broker's set is smaller than its
-        peers', so a digest minted here would under-deliver downstream)."""
-        return (
-            self.use_digests
-            and router.supports_digests
-            and broker not in self._deferred
-        )
-
-    def _consume_digest(
-        self, broker: str, router: ContentRouter, message: SimMessage
-    ) -> Decision:
-        """Turn an in-flight digest into this broker's decision, falling
-        back to full matching whenever the digest cannot be trusted here
-        (epoch/checksum mismatch, deferred-subscription divergence, unknown
-        ids).  The fallback decision strips the digest from its forwards —
-        downstream brokers share this broker's epoch after a protocol-level
-        sync, so re-verifying a digest this broker rejected would fail
-        there too."""
-        assert message.digest is not None
-        if broker not in self._deferred:
-            try:
-                routed = router.route_with_digest(
-                    message.event, message.root, message.digest
-                )
-            except RoutingError:
-                pass
-            else:
-                self._obs_digest_hits.inc()
-                return self._decision_for(message, routed)
-        self._obs_digest_fallbacks.inc()
-        routed = router.route(message.event, message.root)
-        return self._decision_for(message, routed, digest=None)
-
     def handle(self, broker: str, message: SimMessage) -> Decision:
-        if broker in self._stale:
-            return self._flood_decision(broker, message)
-        router = self.routers[broker]
-        if message.replay_for is not None:
-            # Replays route against a restricted mask; a digest projects the
-            # *unrestricted* matched set, so the replay path always rematches.
-            self._obs_replays_routed.inc()
-            routed = router.route(
-                message.event, message.root, restrict_to=message.replay_for
-            )
-            # Strip any digest: every downstream hop of a replay rematches
-            # anyway (replay_for rides along), so carrying it is dead weight.
-            return self._decision_for(message, routed, digest=None)
-        if message.digest is not None and self.use_digests:
-            return self._consume_digest(broker, router, message)
-        if self._can_mint(broker, router):
-            routed, digest = router.route_digest(message.event, message.root)
-            if digest is not None:
-                self._obs_digests_minted.inc()
-            return self._decision_for(message, routed, digest=digest)
-        routed = router.route(message.event, message.root)
-        return self._decision_for(message, routed)
+        return self._decide(broker, (message,))[0]
 
     def handle_batch(self, broker: str, messages: Sequence[SimMessage]) -> List[Decision]:
-        """Route a batch through the broker's router in one call.
+        """Decision ``i`` is exactly ``handle(broker, messages[i])``; the
+        batch reaches the router's batch kernels (see :meth:`_decide`)."""
+        return self._decide(broker, messages)
 
-        A stale broker floods the whole batch through one grouped pass (one
-        ``match_locally_batch`` call — the stale window exists for exactly
-        the load spikes where per-message round-trips hurt).  Otherwise
-        messages are grouped by spanning-tree root (the initialization mask
-        depends on it): digest-bearing messages are converted per message
-        (a handful of mask ORs each), digest-less ones go through the
-        minting batch path or :meth:`ContentRouter.route_batch`, which
-        answer each event exactly as the single-message path would.
-        Replay messages take the single-message path (their masks are not
-        the group's).
-        """
-        if not messages:
-            return []
+    def _decide(self, broker: str, messages: Sequence[SimMessage]) -> List[Decision]:
+        """One :meth:`~repro.core.router.ContentRouter.route_hop` per
+        spanning-tree root and replay restriction (the initialization mask
+        depends on both), or the flood fallback at a stale broker.  A lone
+        message builds no group (``handle`` is the simulator's hot path)."""
         if broker in self._stale:
-            return self._flood_decision_batch(broker, messages)
+            return self._flood(broker, messages)
         router = self.routers[broker]
-        decisions: List[Decision] = [None] * len(messages)  # type: ignore[list-item]
-        can_mint = self._can_mint(broker, router)
-        by_root: Dict[str, List[int]] = {}
+        trusted = self.use_digests and broker not in self._deferred
+        if len(messages) == 1:
+            message = messages[0]
+            hops = router.route_hop(
+                (message.event,),
+                message.root,
+                (message.digest,),
+                trusted=trusted,
+                restrict_to=message.replay_for,
+            )
+            return [self._decision_for(message, hops[0])]
+        groups: Dict[Tuple[str, Optional[FrozenSet[str]]], List[int]] = {}
         for i, message in enumerate(messages):
-            if message.replay_for is not None:
-                decisions[i] = self.handle(broker, message)
-            elif message.digest is not None and self.use_digests:
-                decisions[i] = self._consume_digest(broker, router, message)
-            else:
-                group = by_root.get(message.root)
-                if group is None:
-                    by_root[message.root] = [i]
-                else:
-                    group.append(i)
-        for root, indices in by_root.items():
+            groups.setdefault((message.root, message.replay_for), []).append(i)
+        decisions: List[Decision] = [None] * len(messages)  # type: ignore[list-item]
+        for (root, replay_for), indices in groups.items():
             events = [messages[i].event for i in indices]
-            if can_mint:
-                for i, (route_decision, digest) in zip(
-                    indices, router.route_digest_batch(events, root)
-                ):
-                    if digest is not None:
-                        self._obs_digests_minted.inc()
-                    decisions[i] = self._decision_for(
-                        messages[i], route_decision, digest=digest
-                    )
-            else:
-                for i, route_decision in zip(indices, router.route_batch(events, root)):
-                    decisions[i] = self._decision_for(messages[i], route_decision)
+            digests = [messages[i].digest for i in indices]
+            hops = router.route_hop(events, root, digests, trusted=trusted, restrict_to=replay_for)
+            for i, hop in zip(indices, hops):
+                decisions[i] = self._decision_for(messages[i], hop)
         return decisions
 
-    def _flood_decision(self, broker: str, message: SimMessage) -> Decision:
+    def _flood(self, broker: str, messages: Sequence[SimMessage]) -> List[Decision]:
         """Graceful degradation while annotations are stale: flood the
-        (already repaired) spanning tree and match only for local delivery.
-
-        Tree flooding keeps ≤1 copy per link and reaches every live
-        subscriber, so correctness is preserved; only bandwidth is wasted.
-        """
-        self._obs_handled.inc()
-        self._obs_flood_fallbacks.inc()
-        router = self.routers[broker]
-        local = router.match_locally(message.event)
-        local_clients = set(self.context.topology.clients_of(broker))
-        deliveries = sorted(
-            subscriber
-            for subscriber in local.subscribers
-            if subscriber in local_clients
-            and (message.replay_for is None or subscriber in message.replay_for)
-        )
-        children = self.context.tree_children(broker, message.root)
-        return Decision(
-            sends=[(child, message.forwarded()) for child in children],
-            deliveries=deliveries,
-            matching_steps=local.steps,
-        )
-
-    def _flood_decision_batch(
-        self, broker: str, messages: Sequence[SimMessage]
-    ) -> List[Decision]:
-        """Batched flood fallback: one ``match_locally_batch`` pass for the
-        whole stale-window batch instead of a per-message round-trip through
-        :meth:`_flood_decision` — the stale window coincides with exactly
-        the repair-induced load spikes where batching matters.  Decision
-        ``i`` equals ``_flood_decision(broker, messages[i])``: tree children
-        are cached per spanning-tree root, and a per-message ``replay_for``
-        restriction still narrows that message's deliveries.
-        """
+        (already repaired) spanning tree, and match in one batch pass only
+        for local delivery (narrowed by a message's ``replay_for``).  Tree
+        flooding keeps ≤1 copy per link and reaches every live subscriber;
+        only bandwidth is wasted."""
         router = self.routers[broker]
         self._obs_handled.inc(len(messages))
         self._obs_flood_fallbacks.inc(len(messages))
@@ -376,29 +264,19 @@ class LinkMatchingProtocol(RoutingProtocol):
             if children is None:
                 children = self.context.tree_children(broker, message.root)
                 children_of_root[message.root] = children
-            decisions.append(
-                Decision(
-                    sends=[(child, message.forwarded()) for child in children],
-                    deliveries=deliveries,
-                    matching_steps=local.steps,
-                )
-            )
+            sends = [(child, message.forwarded()) for child in children]
+            steps = local.steps
+            decisions.append(Decision(sends=sends, deliveries=deliveries, matching_steps=steps))
         return decisions
 
-    def _decision_for(
-        self,
-        message: SimMessage,
-        decision: RouteDecision,
-        digest: object = _INHERIT,
-    ) -> Decision:
-        """Translate a router decision into a protocol decision.
-
-        ``digest`` controls what the forwarded copies carry: the default
-        sentinel inherits the incoming message's digest (a consumed digest
-        stays valid downstream — all brokers share the epoch), ``None``
-        strips it (fallback paths), and a :class:`MatchDigest` attaches a
-        freshly minted one.
-        """
+    def _decision_for(self, message: SimMessage, hop: Hop) -> Decision:
+        """Translate a ``route_hop`` outcome into a protocol decision whose
+        forwards carry its digest (raising a refusal's :class:`RoutingError`)."""
+        decision, digest = hop
+        if isinstance(decision, RoutingError):
+            raise decision
+        if message.replay_for is not None:
+            self._obs_replays_routed.inc()
         self._obs_handled.inc()
         # Per-hop refinement accounting (Chart 2's quantity, as seen by the
         # simulator): one labeled counter pair per hop distance.
@@ -411,17 +289,9 @@ class LinkMatchingProtocol(RoutingProtocol):
             )
         per_hop[0].inc(decision.steps)
         per_hop[1].inc(len(decision.deliver_to))
-        if message.hop and not decision.forward_to and not decision.deliver_to:
-            # The upstream broker's refinement sent this copy for nothing.
-            self._obs_unneeded_forwards.inc()
         sends = []
         for neighbor in decision.forward_to:
             forward = message.forwarded()
-            if digest is not _INHERIT:
-                forward.digest = digest  # type: ignore[assignment]
+            forward.digest = digest
             sends.append((neighbor, forward))
-        return Decision(
-            sends=sends,
-            deliveries=decision.deliver_to,
-            matching_steps=decision.steps,
-        )
+        return Decision(sends=sends, deliveries=decision.deliver_to, matching_steps=decision.steps)

@@ -145,6 +145,7 @@ class TestTcpFailClosed:
         schema, transport, endpoints, nodes = tcp_network
         peer = transport.connect(endpoints["B1"])
         try:
+            peer.send(wire.encode_message(wire.BrokerHello("B0")))  # a broker link
             peer.send(wire.encode_message(wire.SubPropagate(10**9, "alice", "price <", "B0")))
             assert wait_until(lambda: live_registry.value_of("transport.tcp.bad_frames") == 1)
         finally:
@@ -165,6 +166,7 @@ class TestTcpFailClosed:
         peer = transport.connect(endpoints["B1"])
         peer.start()  # its receiver sees the broker hang up
         try:
+            peer.send(wire.encode_message(wire.BrokerHello("B0")))  # a broker link
             peer.send(wire.encode_message(wire.SubPropagate(10**9, "alice", "price = 'x'", "B0")))
             assert wait_until(lambda: live_registry.value_of("transport.tcp.bad_frames") == 1)
             assert wait_until(lambda: not peer.is_open)
@@ -182,6 +184,7 @@ class TestTcpFailClosed:
         peer = transport.connect(endpoints["B1"])
         peer.start()  # its receiver sees the broker hang up
         try:
+            peer.send(wire.encode_message(wire.BrokerHello("B0")))  # a broker link
             peer.send(wire.encode_message(wire.SubPropagate(10**9, "nobody", "price < 3", "B0")))
             assert wait_until(lambda: live_registry.value_of("transport.tcp.bad_frames") == 1)
             assert wait_until(lambda: not peer.is_open)

@@ -38,6 +38,16 @@ def run_events(topology, protocol, events, seed=3):
     return simulation.run()
 
 
+def unneeded_forwards(registry, topology):
+    """Every broker's ``link.unneeded_forwards`` (each series must exist)."""
+    values = [
+        registry.value_of("link.unneeded_forwards", broker=broker)
+        for broker in topology.brokers()
+    ]
+    assert None not in values
+    return values
+
+
 class TestCrossProtocolAgreement:
     def test_matched_deliveries_agree_on_figure6(self):
         topology = figure6_topology(subscribers_per_broker=2)
@@ -70,7 +80,30 @@ class TestCrossProtocolAgreement:
         ]
         result = run_events(topology, LinkMatchingProtocol(build_context(topology)), events)
         assert result.matched_deliveries  # events did travel
-        assert live_registry.counter("link.unneeded_forwards").value == 0
+        assert sum(unneeded_forwards(live_registry, topology)) == 0
+
+    def test_a_stale_brokers_flood_forwards_for_nothing(self, live_registry):
+        """The positive case: a stale broker floods every tree child, and
+        the children whose refinement yields nothing count it."""
+        topology = figure6_topology(subscribers_per_broker=2)
+        rng = random.Random(5)
+        events = [
+            Event.from_tuple(SCHEMA, tuple(rng.randrange(3) for _ in range(3)))
+            for _ in range(30)
+        ]
+        # Selective subscriptions, and the broker with the most tree children.
+        protocol = LinkMatchingProtocol(build_context(topology, constrain=1.0))
+        root = topology.broker_of("P1")
+        protocol.set_stale(
+            max(
+                topology.brokers(),
+                key=lambda broker: len(protocol.context.tree_children(broker, root)),
+            ),
+            True,
+        )
+        result = run_events(topology, protocol, events)
+        assert result.matched_deliveries
+        assert sum(unneeded_forwards(live_registry, topology)) > 0
 
     def test_flooding_processes_most_messages(self):
         topology = figure6_topology(subscribers_per_broker=2)

@@ -197,21 +197,24 @@ class TestProtocolDigestPath:
     def test_counters_mint_consume_fallback(self, diamond_topology):
         previous = self._with_registry()
         try:
+            registry = get_registry()
             protocol = LinkMatchingProtocol(_context(diamond_topology))
             event = Event.from_tuple(SCHEMA2, (1, 0))
             message = protocol.make_message(event, "B0")
             decision = protocol.handle("B0", message)
-            assert protocol._obs_digests_minted.value == 1
+            assert registry.value_of("broker.digests_minted", broker="B0") == 1
             forwards = [m for _n, m in decision.sends]
             assert forwards and all(m.digest is not None for m in forwards)
             next_broker, next_message = decision.sends[0]
+            hits = registry.counter("broker.digest_hits", broker=next_broker)
+            fallbacks = registry.counter("broker.digest_fallbacks", broker=next_broker)
             protocol.handle(next_broker, next_message)
-            assert protocol._obs_digest_hits.value == 1
-            assert protocol._obs_digest_fallbacks.value == 0
+            assert hits.value == 1
+            assert fallbacks.value == 0
             # Invalidate and replay the same digest: fallback.
             protocol.add_subscription(make_subscription(SCHEMA2, "a2=3", "c.B1"))
             fallback = protocol.handle(next_broker, next_message.forwarded())
-            assert protocol._obs_digest_fallbacks.value == 1
+            assert fallbacks.value == 1
             for _n, m in fallback.sends:
                 assert m.digest is None
         finally:

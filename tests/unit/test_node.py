@@ -12,10 +12,18 @@ from repro.broker import (
     RequestFailed,
 )
 from repro.broker import messages as wire
+from repro.broker.codec import encode_event
 from repro.errors import ProtocolError, RoutingError, TransportError
-from repro.matching import Subscription, parse_predicate, stock_trade_schema, uniform_schema
+from repro.matching import (
+    Event,
+    Subscription,
+    parse_predicate,
+    stock_trade_schema,
+    uniform_schema,
+)
 from repro.network import NodeKind, Topology
 from repro.testkit import InMemoryBrokerHarness
+from tests.integration.test_prototype_tcp import running_tcp_network, wait_until
 
 
 def two_broker_network(domains=None):
@@ -561,3 +569,105 @@ class TestConnectionToSessionMap:
         transport.pump()
         assert stranger.errors == ["not connected"]
         assert nodes["B0"].events_routed == 0
+
+
+def _sample_event(schema):
+    return encode_event(Event(schema, {"issue": "IBM", "price": 1.0, "volume": 5}))
+
+
+class TestBrokerMessageOrigin:
+    """Broker-protocol messages are taken from broker connections only.
+
+    Sent on a client's own connection, each is a :class:`ProtocolError` that
+    changes nothing: alice cannot drop bob's subscription or subscribe him
+    to something, and bob cannot publish through a broker that hosts no
+    publisher by posing as a forwarding broker."""
+
+    MESSAGES = {
+        "unsub_propagate": ("alice", lambda bobs, data: wire.UnsubPropagate(bobs, "B1")),
+        "sub_propagate": (
+            "alice",
+            lambda bobs, data: wire.SubPropagate(10**9, "bob", "issue='HP'", "B0"),
+        ),
+        "broker_event": ("bob", lambda bobs, data: wire.BrokerEvent("B0", "pub", data)),
+        "broker_event_batch": (
+            "bob",
+            lambda bobs, data: wire.BrokerEventBatch("B0", (("pub", data), ("pub", data))),
+        ),
+        "broker_hello": ("alice", lambda bobs, data: wire.BrokerHello("B1")),
+    }
+
+    def network(self):
+        schema, transport, nodes = two_broker_network()
+        clients = {
+            name: client(name, schema, transport, home)
+            for name, home in (("alice", "B0"), ("bob", "B1"))
+        }
+        bobs = clients["bob"].subscribe_and_wait("volume>0")
+        transport.pump()
+        return schema, transport, nodes, clients, bobs
+
+    @staticmethod
+    def unchanged(nodes, clients, bobs):
+        assert [node.subscription_count for node in nodes.values()] == [1, 1]
+        assert all(bobs in node._subscriber_of for node in nodes.values())
+        assert [node.events_delivered for node in nodes.values()] == [0, 0]
+        assert clients["bob"].received_events == []
+
+    @pytest.mark.parametrize("kind", sorted(MESSAGES))
+    def test_refused_on_a_client_connection(self, kind):
+        schema, transport, nodes, clients, bobs = self.network()
+        sender, make = self.MESSAGES[kind]
+        message = make(bobs, _sample_event(schema))
+        clients[sender]._connection.send(wire.encode_message(message))
+        with pytest.raises(ProtocolError):
+            transport.pump()
+        transport.pump()
+        self.unchanged(nodes, clients, bobs)
+        assert nodes["B0"].connected_brokers == ["B1"]
+        assert nodes["B1"].connected_brokers == ["B0"]
+
+    @pytest.mark.parametrize("name", ["B1", "alice", "nobody"])
+    def test_hello_from_a_non_neighbor_is_refused(self, name):
+        """B1 is B1 itself, alice a client: neither is B1's neighbor, so
+        the connection stays anonymous and its propagation is refused too."""
+        schema, transport, nodes, clients, bobs = self.network()
+        peer = transport.connect("mem://B1")
+        peer.start()
+        peer.send(wire.encode_message(wire.BrokerHello(name)))
+        with pytest.raises(ProtocolError, match="BROKER_HELLO"):
+            transport.pump()
+        peer.send(wire.encode_message(wire.UnsubPropagate(bobs, "B0")))
+        with pytest.raises(ProtocolError):
+            transport.pump()
+        self.unchanged(nodes, clients, bobs)
+        assert nodes["B1"].connected_brokers == ["B0"]
+
+    def test_a_neighbors_hello_makes_a_broker_connection(self):
+        _schema, transport, nodes, _clients, bobs = self.network()
+        peer = transport.connect("mem://B1")
+        peer.start()
+        peer.send(wire.encode_message(wire.BrokerHello("B0")))
+        peer.send(wire.encode_message(wire.UnsubPropagate(bobs, "B0")))
+        transport.pump()
+        assert nodes["B1"].subscription_count == 0
+
+    def test_refused_over_tcp_counted_and_dropped(self, live_registry):
+        with running_tcp_network() as (schema, transport, endpoints, nodes):
+            carol = BrokerClient("carol", schema, transport, endpoints["B2"])
+            carol.connect()
+            assert wait_until(lambda: carol.connected_broker == "B2")
+            carols = carol.subscribe_and_wait("*", timeout_s=8.0)
+            assert wait_until(lambda: all(n.subscription_count == 1 for n in nodes.values()))
+            peer = transport.connect(endpoints["B0"])
+            peer.start()  # its receiver sees the broker hang up
+            try:
+                peer.send(wire.encode_message(wire.Connect("alice")))
+                assert wait_until(lambda: nodes["B0"].session("alice").is_connected)
+                peer.send(wire.encode_message(wire.UnsubPropagate(carols, "B2")))
+                assert wait_until(lambda: live_registry.value_of("transport.tcp.bad_frames") == 1)
+                assert wait_until(lambda: not peer.is_open)
+            finally:
+                peer.close()
+            assert all(n.subscription_count == 1 for n in nodes.values())
+            assert all(carols in n._subscriber_of for n in nodes.values())
