@@ -32,7 +32,7 @@ import itertools
 import sys
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import (
     PredicateError,
@@ -156,10 +156,10 @@ class BrokerNode:
         self._listener: Optional[Listener] = None
         self._broker_connections: Dict[str, Connection] = {}
         #: Every live broker connection, dialled or announced by a
-        #: BROKER_HELLO (after a re-dial a link can have two), and the only
-        #: ones broker-protocol messages are taken from.  Each was greeted
-        #: (hello + resync) once: no hello ping-pong when both ends dial.
-        self._broker_peers: Set[Connection] = set()
+        #: BROKER_HELLO, to its neighbour's name (after a re-dial a link can
+        #: have two), and the only ones broker-protocol messages are taken
+        #: from.  Each was greeted (hello + resync) once: no hello ping-pong.
+        self._broker_peers: Dict[Connection, str] = {}
         self._sessions: Dict[str, ClientSession] = {}
         #: Live client connection -> its session (``session.connection`` is
         #: the key); what PUBLISH/SUBSCRIBE/ACK look their sender up in.
@@ -218,7 +218,7 @@ class BrokerNode:
             if self._listener is not None:
                 self._listener.close()
                 self._listener = None
-            for connection in list(self._broker_connections.values()):
+            for connection in list(self._broker_peers):
                 connection.close()
             self._broker_connections.clear()
             self._broker_peers.clear()
@@ -249,7 +249,7 @@ class BrokerNode:
         connection.start()
         with self._lock:
             self._broker_connections[neighbor] = connection
-            self._broker_peers.add(connection)
+            self._broker_peers[connection] = neighbor
         connection.send(wire.encode_message(wire.BrokerHello(self.name)))
         self._send_subscription_sync(connection)
 
@@ -265,10 +265,14 @@ class BrokerNode:
 
     def _on_connection_closed(self, connection: Connection) -> None:
         with self._lock:
-            self._broker_peers.discard(connection)
-            for neighbor, existing in list(self._broker_connections.items()):
-                if existing is connection:
-                    del self._broker_connections[neighbor]
+            neighbor = self._broker_peers.pop(connection, None)
+            if neighbor is not None and self._broker_connections.get(neighbor) is connection:
+                # The link passes to another open connection of that
+                # neighbour; the entry goes with the last one.
+                del self._broker_connections[neighbor]
+                for other, name in self._broker_peers.items():
+                    if name == neighbor and other.is_open:
+                        self._broker_connections[neighbor] = other
             session = self._session_of.pop(connection, None)
             if session is not None:
                 session.connection = None  # log is kept for redelivery
@@ -458,17 +462,26 @@ class BrokerNode:
         hello it sees.  Without that cap, two brokers dialing each other
         would answer each other's answers forever.
 
-        Refused (:class:`ProtocolError`) on a client's connection and from a
-        name that is not a topology neighbor of this broker.
+        A neighbour's open link keeps its connection; a newcomer is a peer
+        all the same (a restart needs that) and takes over when it closes.
+
+        Refused (:class:`ProtocolError`) on a client's connection, on one
+        already named otherwise, and from a name that is not a topology
+        neighbor of this broker.
         """
-        if connection in self._session_of or message.broker_name not in (
-            self.config.topology.broker_neighbors(self.name)
+        name = message.broker_name
+        if (
+            connection in self._session_of
+            or self._broker_peers.get(connection, name) != name
+            or name not in self.config.topology.broker_neighbors(self.name)
         ):
-            raise ProtocolError(f"BROKER_HELLO from {message.broker_name!r} refused")
-        self._broker_connections[message.broker_name] = connection
+            raise ProtocolError(f"BROKER_HELLO from {name!r} refused")
+        mapped = self._broker_connections.get(name)
+        if mapped is None or not mapped.is_open:
+            self._broker_connections[name] = connection
         if connection in self._broker_peers:
             return
-        self._broker_peers.add(connection)
+        self._broker_peers[connection] = name
         connection.send(wire.encode_message(wire.BrokerHello(self.name)))
         self._send_subscription_sync(connection)
 

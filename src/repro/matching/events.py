@@ -9,7 +9,7 @@ individual events end to end).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.errors import EventError, SchemaError
 from repro.matching.schema import AttributeValue, EventSchema
@@ -18,9 +18,9 @@ _event_ids = itertools.count(1)
 
 
 class Event:
-    """An immutable, validated event.
+    """An immutable, validated event, holding its values as one tuple.
 
-    Values can be given as a mapping or positionally in schema order::
+    Values can be given as a mapping or as a tuple in schema order::
 
         schema = stock_trade_schema()
         Event(schema, {"issue": "IBM", "price": 119.5, "volume": 2000})
@@ -31,23 +31,21 @@ class Event:
     lets the simulator and broker logs track a specific published instance.
     """
 
-    __slots__ = ("schema", "_values", "_tuple", "event_id", "publisher", "sequence")
+    __slots__ = ("schema", "_tuple", "event_id", "publisher", "sequence")
 
     def __init__(
         self,
         schema: EventSchema,
-        values: Mapping[str, AttributeValue],
+        values: Union[Mapping[str, AttributeValue], Tuple[AttributeValue, ...]],
         *,
         publisher: Optional[str] = None,
         sequence: Optional[int] = None,
     ) -> None:
         try:
-            coerced = schema.validate_values(values)
+            self._tuple: Tuple[AttributeValue, ...] = schema.validate_values(values)
         except SchemaError as exc:
             raise EventError(str(exc)) from exc
         self.schema = schema
-        self._values: Dict[str, AttributeValue] = coerced
-        self._tuple: Optional[Tuple[AttributeValue, ...]] = None
         self.event_id = next(_event_ids)
         self.publisher = publisher
         self.sequence = sequence
@@ -62,12 +60,7 @@ class Event:
         sequence: Optional[int] = None,
     ) -> "Event":
         """Build an event from values given in schema order."""
-        if len(values) != len(schema):
-            raise EventError(
-                f"expected {len(schema)} values for schema {schema!r}, got {len(values)}"
-            )
-        mapping = dict(zip(schema.names, values))
-        return cls(schema, mapping, publisher=publisher, sequence=sequence)
+        return cls(schema, tuple(values), publisher=publisher, sequence=sequence)
 
     @classmethod
     def _from_wire(
@@ -79,7 +72,6 @@ class Event:
         coerce it to (DESIGN.md §4.6) and is stored as is."""
         event = cls.__new__(cls)
         event.schema = schema
-        event._values = dict(zip(schema.names, values))
         event._tuple = values
         event.event_id = next(_event_ids)
         event.publisher = publisher
@@ -89,7 +81,7 @@ class Event:
     def value(self, name: str) -> AttributeValue:
         """The value of attribute ``name``."""
         try:
-            return self._values[name]
+            return self._tuple[self.schema.positions[name]]
         except KeyError:
             raise EventError(f"event has no attribute {name!r}") from None
 
@@ -98,40 +90,37 @@ class Event:
 
     @property
     def values(self) -> Dict[str, AttributeValue]:
-        """A copy of the attribute map."""
-        return dict(self._values)
+        """A new attribute map, built on each call."""
+        return dict(zip(self.schema.names, self._tuple))
 
     def as_tuple(self) -> Tuple[AttributeValue, ...]:
         """Attribute values in schema order (as drawn in the paper's figures,
-        e.g. ``a = <1, 2, 3, 1, 2>``).  Computed once — events are immutable,
-        and the matching hot paths read this repeatedly."""
-        values = self._tuple
-        if values is None:
-            values = self._tuple = self.schema.tuple_of(self._values)
-        return values
+        e.g. ``a = <1, 2, 3, 1, 2>``): the one tuple the event holds, so
+        every call returns the same object."""
+        return self._tuple
 
     def with_metadata(
         self, *, publisher: Optional[str] = None, sequence: Optional[int] = None
     ) -> "Event":
-        """Return a copy carrying the given delivery metadata."""
-        return Event(
-            self.schema,
-            self._values,
-            publisher=publisher if publisher is not None else self.publisher,
-            sequence=sequence if sequence is not None else self.sequence,
-        )
+        """Return a copy carrying the given delivery metadata; it shares this
+        event's validated values tuple rather than validating it again."""
+        event = Event.__new__(Event)
+        event.schema, event._tuple, event.event_id = self.schema, self._tuple, next(_event_ids)
+        event.publisher = publisher if publisher is not None else self.publisher
+        event.sequence = sequence if sequence is not None else self.sequence
+        return event
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Event):
             return NotImplemented
-        return self.schema == other.schema and self._values == other._values
+        return self.schema == other.schema and self._tuple == other._tuple
 
     def __hash__(self) -> int:
-        return hash((self.schema, self.as_tuple()))
+        return hash((self.schema, self._tuple))
 
     def __iter__(self) -> Iterator[AttributeValue]:
-        return iter(self.as_tuple())
+        return iter(self._tuple)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in self._values.items())
+        inner = ", ".join(f"{k}={v!r}" for k, v in zip(self.schema.names, self._tuple))
         return f"Event({inner})"

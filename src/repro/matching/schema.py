@@ -198,24 +198,32 @@ class EventSchema:
         """Validate and coerce ``value`` for attribute ``name``."""
         return self[name].type.coerce(value)
 
-    def validate_values(self, values: Mapping[str, AttributeValue]) -> Dict[str, AttributeValue]:
-        """Validate a full attribute map for an event of this schema.
-
-        Every schema attribute must be present (the paper's events are
-        complete tuples) and no extra keys are allowed.  Returns a new dict of
-        coerced values.
-        """
+    def validate_values(
+        self, values: Union[Mapping[str, AttributeValue], Tuple[AttributeValue, ...]]
+    ) -> Tuple[AttributeValue, ...]:
+        """Validate a full event: a map with every attribute and no other key
+        (the paper's events are complete tuples), or a tuple in schema order.
+        Returns the coerced values in schema order, in one pass over the
+        attributes; what is unknown or missing is found only if it fails."""
+        attributes = self._attributes
+        if isinstance(values, tuple):
+            if len(values) == len(attributes):
+                return tuple([a.type.coerce(value) for a, value in zip(attributes, values)])
+            raise SchemaError(f"expected {len(self)} values for schema {self!r}, got {len(values)}")
+        failure = None
+        try:
+            coerced = tuple([a.type.coerce(values[a.name]) for a in attributes])
+            if len(values) == len(attributes):
+                return coerced
+        except (KeyError, SchemaError) as exc:
+            failure = exc
         unknown = set(values) - set(self._index)
         if unknown:
             raise SchemaError(f"unknown attributes: {sorted(unknown)!r}")
         missing = set(self._index) - set(values)
         if missing:
             raise SchemaError(f"missing attributes: {sorted(missing)!r}")
-        return {name: self.coerce_value(name, values[name]) for name in self.names}
-
-    def tuple_of(self, values: Mapping[str, AttributeValue]) -> Tuple[AttributeValue, ...]:
-        """Return the values of a validated mapping in schema order."""
-        return tuple(values[name] for name in self.names)
+        raise failure  # a SchemaError: a value its attribute's type refuses
 
     def reordered(self, names: Sequence[str]) -> "EventSchema":
         """Return a new schema with attributes permuted into ``names`` order.

@@ -172,10 +172,8 @@ class EventGenerator:
         simulator gives each publisher process its own)."""
         rng = rng if rng is not None else self.rng
         sampler = self._sampler_for(publisher)
-        values = {
-            name: sampler.sample(rng) for name in self.spec.attribute_names
-        }
-        return Event(self.schema, values, publisher=publisher)
+        values = tuple([sampler.sample(rng) for _ in range(self.spec.num_attributes)])
+        return Event.from_tuple(self.schema, values, publisher=publisher)
 
     def factory_for(self, publisher: str) -> Callable[[random.Random], Event]:
         """An :data:`~repro.sim.clients.EventFactory` bound to ``publisher``."""

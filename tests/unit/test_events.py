@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
+from repro.broker.codec import WirePlan, decode_event, encode_event
 from repro.errors import EventError
 from repro.matching import Event, uniform_schema
+from repro.workload import EventGenerator, WorkloadSpec
 
 
 class TestConstruction:
@@ -90,3 +94,45 @@ class TestMetadata:
             stock_schema, {"issue": "X", "price": 1, "volume": 2}, publisher="P1"
         )
         assert event.with_metadata(sequence=5).publisher == "P1"
+
+
+class TestOneTuple:
+    """An event holds its values as one tuple and no per-event dict, on
+    every path that builds one."""
+
+    @staticmethod
+    def built(stock_schema):
+        event = Event(stock_schema, {"issue": "IBM", "price": 119, "volume": 2000})
+        return {
+            "mapping": event,
+            "from_tuple": Event.from_tuple(stock_schema, ("IBM", 119, 2000)),
+            "decode_event": decode_event(stock_schema, encode_event(event), publisher="P1"),
+            "with_metadata": event.with_metadata(publisher="P2", sequence=4),
+            "generator": EventGenerator(WorkloadSpec(num_attributes=10), seed=3).event_for("P1"),
+        }
+
+    @pytest.mark.parametrize(
+        "path", ["mapping", "from_tuple", "decode_event", "with_metadata", "generator"]
+    )
+    def test_no_dict_is_referenced(self, stock_schema, path):
+        event = self.built(stock_schema)[path]
+        referents = gc.get_referents(event)
+        assert not [r for r in referents if isinstance(r, dict)]
+        assert event.as_tuple() in referents and type(event.as_tuple()) is tuple
+        assert event.as_tuple() is event.as_tuple()
+        assert not hasattr(event, "__dict__")
+
+    def test_decoded_event_keeps_the_unpacked_tuple(self, stock_schema, ibm_event, monkeypatch):
+        unpacked = []
+        unpack = WirePlan.unpack
+
+        def spy(plan, data):
+            unpacked.append(unpack(plan, data))
+            return unpacked[-1]
+
+        monkeypatch.setattr(WirePlan, "unpack", spy)
+        event = decode_event(stock_schema, encode_event(ibm_event))
+        assert len(unpacked) == 1 and event.as_tuple() is unpacked[0]
+
+    def test_with_metadata_shares_the_tuple(self, ibm_event):
+        assert ibm_event.with_metadata(sequence=1).as_tuple() is ibm_event.as_tuple()

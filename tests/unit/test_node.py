@@ -671,3 +671,62 @@ class TestBrokerMessageOrigin:
                 peer.close()
             assert all(n.subscription_count == 1 for n in nodes.values())
             assert all(carols in n._subscriber_of for n in nodes.values())
+
+
+class TestOneLinkPerNeighbor:
+    """A second connection announced under a neighbour's name does not take
+    over that neighbour's live link: it becomes a broker peer (a restarted
+    neighbour needs that) and carries the link only once the first closes."""
+
+    @staticmethod
+    def network_and_newcomer():
+        schema, transport, nodes = two_broker_network()
+        bob = client("bob", schema, transport, "B1")
+        bobs = bob.subscribe_and_wait("volume>0")
+        transport.pump()
+        newcomer = transport.connect("mem://B1")
+        heard = []
+        newcomer.on_message = lambda payload: heard.append(wire.decode_message(payload))
+        newcomer.start()
+        newcomer.send(wire.encode_message(wire.BrokerHello("B0")))
+        transport.pump()
+        return schema, transport, nodes, bob, bobs, newcomer, heard
+
+    def test_a_flood_from_the_newcomer_reaches_the_live_link(self):
+        _schema, transport, nodes, _bob, bobs, newcomer, _heard = self.network_and_newcomer()
+        newcomer.send(wire.encode_message(wire.UnsubPropagate(bobs, "B0")))
+        transport.pump()
+        assert [node.subscription_count for node in nodes.values()] == [0, 0]
+
+    def test_the_link_outlives_the_newcomer(self):
+        _schema, transport, nodes, bob, _bobs, newcomer, _heard = self.network_and_newcomer()
+        newcomer.close()
+        transport.pump()
+        assert nodes["B1"].connected_brokers == ["B0"]
+        assert nodes["B0"].connected_brokers == ["B1"]
+        bob.subscribe_and_wait("volume>5")
+        transport.pump()
+        assert [node.subscription_count for node in nodes.values()] == [2, 2]
+
+    def test_the_newcomer_takes_over_when_the_link_closes(self):
+        _schema, transport, nodes, bob, _bobs, _newcomer, heard = self.network_and_newcomer()
+        nodes["B0"]._broker_connections["B1"].close()
+        transport.pump()
+        assert nodes["B1"].connected_brokers == ["B0"]
+        heard.clear()
+        bobs = bob.subscribe_and_wait("volume>5")
+        transport.pump()
+        assert [(type(m), m.subscription_id) for m in heard] == [(wire.SubPropagate, bobs)]
+
+    def test_a_broker_connection_keeps_its_name(self):
+        with InMemoryBrokerHarness.for_star(2, uniform_schema(2)) as harness:
+            peer = harness.transport.connect("mem://HUB")
+            peer.start()
+            peer.send(wire.encode_message(wire.BrokerHello("E0")))
+            harness.settle()
+            peer.send(wire.encode_message(wire.BrokerHello("E1")))
+            with pytest.raises(ProtocolError, match="BROKER_HELLO from 'E1'"):
+                harness.settle()
+            peer.close()
+            harness.settle()
+            assert harness.node("HUB").connected_brokers == ["E0", "E1"]

@@ -123,23 +123,33 @@ class TestEventSchema:
         assert len(stock_schema) == 3
         assert [a.name for a in stock_schema] == ["issue", "price", "volume"]
 
+    @staticmethod
+    def typed(values):
+        return [(type(value), value) for value in values]
+
     def test_validate_values_roundtrip(self, stock_schema):
         values = stock_schema.validate_values({"issue": "IBM", "price": 10, "volume": 5})
-        assert values == {"issue": "IBM", "price": 10.0, "volume": 5}
+        assert self.typed(values) == [(str, "IBM"), (float, 10.0), (int, 5)]
+        assert type(values) is tuple
 
     def test_validate_values_missing(self, stock_schema):
-        with pytest.raises(SchemaError, match="missing"):
+        with pytest.raises(SchemaError, match=r"^missing attributes: \['price', 'volume'\]$"):
             stock_schema.validate_values({"issue": "IBM"})
+        values = stock_schema.validate_values({"issue": "IBM", "price": 10, "volume": 0})
+        assert self.typed(values) == [(str, "IBM"), (float, 10.0), (int, 0)]
 
     def test_validate_values_unknown(self, stock_schema):
-        with pytest.raises(SchemaError, match="unknown"):
+        with pytest.raises(SchemaError, match=r"^unknown attributes: \['extra'\]$"):
             stock_schema.validate_values(
                 {"issue": "IBM", "price": 1, "volume": 2, "extra": 3}
             )
+        values = stock_schema.validate_values({"issue": "IBM", "price": 1, "volume": 2})
+        assert self.typed(values) == [(str, "IBM"), (float, 1.0), (int, 2)]
 
-    def test_tuple_of_preserves_order(self, stock_schema):
+    def test_validate_values_returns_schema_order(self, stock_schema):
         values = {"volume": 5, "issue": "IBM", "price": 1.0}
-        assert stock_schema.tuple_of(values) == ("IBM", 1.0, 5)
+        assert stock_schema.validate_values(values) == ("IBM", 1.0, 5)
+        assert stock_schema.validate_values(("IBM", 1, 5)) == ("IBM", 1.0, 5)
 
     def test_reordered(self, stock_schema):
         reordered = stock_schema.reordered(["volume", "issue", "price"])
