@@ -13,6 +13,8 @@ A :class:`BrokerNode` assembles the components the paper diagrams:
 * **broker protocol** — BROKER_HELLO handshakes, flooded subscription
   propagation (every broker keeps a full copy of the subscription set, as
   Section 3.1 requires), and BROKER_EVENT forwarding along spanning trees;
+  a forward to a neighbor whose link is down is parked and sent when the
+  link comes back (Section 4.2's "transient failures of connections");
 * **connection manager** — tracks broker and client connections, dials
   neighbor brokers at startup (the lexicographically smaller name dials, so
   each topology link maps to exactly one TCP connection);
@@ -160,6 +162,10 @@ class BrokerNode:
         #: have two), and the only ones broker-protocol messages are taken
         #: from.  Each was greeted (hello + resync) once: no hello ping-pong.
         self._broker_peers: Dict[Connection, str] = {}
+        #: Neighbour -> its forwards that found the link down, one root ->
+        #: batch map per ingest batch, digests stripped: the neighbour owes
+        #: its (static) subtree and routes a replay with its own replica.
+        self._parked: Dict[str, List[Dict[str, List[Tuple[str, bytes, None]]]]] = {}
         self._sessions: Dict[str, ClientSession] = {}
         #: Live client connection -> its session (``session.connection`` is
         #: the key); what PUBLISH/SUBSCRIBE/ACK look their sender up in.
@@ -186,7 +192,8 @@ class BrokerNode:
         self._obs_unsubscribes = obs.counter("subscriptions_removed", broker=name)
         self._obs_ingest_batches = obs.counter("ingest_batches", broker=name)
         self._obs_coalesced_sends = obs.counter("coalesced_sends", broker=name)
-        self._obs_forwards_dropped = obs.counter("forwards_dropped", broker=name)
+        self._obs_forwards_parked = obs.counter("forwards_parked", broker=name)
+        self._obs_forwards_replayed = obs.counter("forwards_replayed", broker=name)
         self._obs_events_rejected = obs.counter("events_rejected", broker=name)
 
     # ------------------------------------------------------------------
@@ -235,10 +242,11 @@ class BrokerNode:
         """Open (or re-open) the connection to a neighbor broker.
 
         Used at startup for the neighbors this node is responsible for, and
-        by operators after a neighbor restart (a restarted broker has lost
-        its connections *and* its subscription state; the hello handshake
-        triggers a full subscription resync from the peer — see
-        :meth:`_handle_broker_hello`).
+        by operators after a neighbor restart or a lost link (a restarted
+        broker has lost its connections *and* its subscription state; the
+        hello handshake triggers a full subscription resync from the peer —
+        see :meth:`_handle_broker_hello`).  After the hello and the sync,
+        the forwards parked while the link was down follow on it.
         """
         endpoint = self.endpoints.get(neighbor)
         if endpoint is None:
@@ -250,8 +258,9 @@ class BrokerNode:
         with self._lock:
             self._broker_connections[neighbor] = connection
             self._broker_peers[connection] = neighbor
-        connection.send(wire.encode_message(wire.BrokerHello(self.name)))
-        self._send_subscription_sync(connection)
+            connection.send(wire.encode_message(wire.BrokerHello(self.name)))
+            self._send_subscription_sync(connection)
+            self._replay_parked(neighbor)
 
     # ------------------------------------------------------------------
     # Connection management
@@ -273,6 +282,7 @@ class BrokerNode:
                 for other, name in self._broker_peers.items():
                     if name == neighbor and other.is_open:
                         self._broker_connections[neighbor] = other
+                self._replay_parked(neighbor)
             session = self._session_of.pop(connection, None)
             if session is not None:
                 session.connection = None  # log is kept for redelivery
@@ -464,6 +474,8 @@ class BrokerNode:
 
         A neighbour's open link keeps its connection; a newcomer is a peer
         all the same (a restart needs that) and takes over when it closes.
+        A connection that becomes the link carries the forwards parked while
+        the link was down, after our own hello and sync.
 
         Refused (:class:`ProtocolError`) on a client's connection, on one
         already named otherwise, and from a name that is not a topology
@@ -479,11 +491,11 @@ class BrokerNode:
         mapped = self._broker_connections.get(name)
         if mapped is None or not mapped.is_open:
             self._broker_connections[name] = connection
-        if connection in self._broker_peers:
-            return
-        self._broker_peers[connection] = name
-        connection.send(wire.encode_message(wire.BrokerHello(self.name)))
-        self._send_subscription_sync(connection)
+        if connection not in self._broker_peers:
+            self._broker_peers[connection] = name
+            connection.send(wire.encode_message(wire.BrokerHello(self.name)))
+            self._send_subscription_sync(connection)
+        self._replay_parked(name)
 
     def _send_subscription_sync(self, connection: Connection) -> None:
         for subscription in self.replica.subscriptions:
@@ -586,10 +598,10 @@ class BrokerNode:
         root (every decision, match-once digests included), then reject,
         deliver and forward in batch order.
 
-        Forwards are coalesced: each neighbor link carries one
-        :class:`~repro.broker.messages.BrokerEventBatch` per root instead of
-        one message per event.  An event the router refuses (a value outside
-        a declared domain) is rejected alone (:meth:`_reject`).
+        Forwards are coalesced (:meth:`_send_forwards`); those to a neighbor
+        whose link is down are parked (see ``_parked``).  An event the router
+        refuses (a value outside a declared domain) is rejected alone
+        (:meth:`_reject`).
         """
         self._obs_ingest_batches.inc()
         events = [
@@ -624,30 +636,47 @@ class BrokerNode:
         self._obs_routed.inc(routed_count)
         for neighbor, per_root in forwards.items():
             connection = self._broker_connections.get(neighbor)
-            if connection is None or not connection.is_open:
-                # Neighbor down: the events are dropped (counted, not parked).
-                self._obs_forwards_dropped.inc(sum(len(batch) for batch in per_root.values()))
+            if connection is not None and connection.is_open:
+                self._send_forwards(connection, per_root)
                 continue
-            for root, batch in per_root.items():
-                if len(batch) == 1:
-                    publisher, event_data, digest = batch[0]
-                    connection.send(
-                        wire.encode_message(
-                            wire.BrokerEvent(root, publisher, event_data, digest)
+            self._parked.setdefault(neighbor, []).append(
+                {root: [(p, d, None) for p, d, _ in batch] for root, batch in per_root.items()}
+            )
+            self._obs_forwards_parked.inc(sum(len(batch) for batch in per_root.values()))
+
+    def _send_forwards(self, connection: Connection, per_root: Mapping[str, List]) -> None:
+        """Send one neighbor's ``(publisher, event_data, digest)`` forwards
+        by root, coalesced: one
+        :class:`~repro.broker.messages.BrokerEventBatch` per root instead of
+        one message per event."""
+        for root, batch in per_root.items():
+            if len(batch) == 1:
+                publisher, event_data, digest = batch[0]
+                connection.send(
+                    wire.encode_message(wire.BrokerEvent(root, publisher, event_data, digest))
+                )
+            else:
+                digests = tuple(digest for _, _, digest in batch)
+                connection.send(
+                    wire.encode_message(
+                        wire.BrokerEventBatch(
+                            root,
+                            tuple((p, d) for p, d, _ in batch),
+                            digests if any(d is not None for d in digests) else (),
                         )
                     )
-                else:
-                    digests = tuple(digest for _, _, digest in batch)
-                    connection.send(
-                        wire.encode_message(
-                            wire.BrokerEventBatch(
-                                root,
-                                tuple((p, d) for p, d, _ in batch),
-                                digests if any(d is not None for d in digests) else (),
-                            )
-                        )
-                    )
-                    self._obs_coalesced_sends.inc()
+                )
+                self._obs_coalesced_sends.inc()
+
+    def _replay_parked(self, neighbor: str) -> None:
+        """Send the forwards parked for ``neighbor`` once its link is open
+        again, in the order they were parked."""
+        connection = self._broker_connections.get(neighbor)
+        if connection is None or not connection.is_open:
+            return
+        for per_root in self._parked.pop(neighbor, ()):
+            self._obs_forwards_replayed.inc(sum(len(batch) for batch in per_root.values()))
+            self._send_forwards(connection, per_root)
 
     def _reject(
         self, entry: Tuple[bytes, str, str, Optional[MatchDigest]], error: RoutingError

@@ -12,9 +12,9 @@ This module turns that sketch into a testable fault model for the simulator:
 * :class:`FaultCoordinator` — applies the actions to the live topology,
   schedules **incremental repair** (``ProtocolContext.repair_topology`` →
   ``RoutingProtocol.on_topology_repaired``) ``repair_delay_ms`` later, and
-  keeps the :class:`~repro.broker.event_log.EventLog` instances that make
-  the failures survivable: per-link transmit logs, per-publisher logs, and
-  per-client offline logs for subscribers cut off from the network.
+  keeps what makes the failures survivable: every copy in flight (so a
+  lost one can be parked), the parked copies, and a per-client offline
+  backlog for subscribers cut off from the network.
 * :func:`check_invariants` — verifies the two properties every run must
   preserve: **no event is lost to a live subscriber**, and **no link
   carries more than one copy** of an undisturbed event.
@@ -36,8 +36,9 @@ routing tables and virtual-link masks incrementally, then:
   element's responsibilities — subtrees already served are not traversed
   again (the ≤1-copy discipline for everyone else);
 * responsibilities that are *still* unreachable (the dead broker's own
-  clients) move to per-client offline logs, drained when a later repair
-  re-covers the client — the paper's reconnect-replay;
+  clients) move to per-client offline backlogs, each message replayed when
+  a later repair re-covers the client on its tree — the paper's
+  reconnect-replay;
 * brokers whose mask layout changed can be held **stale** for
   ``annotation_lag_ms``: they degrade to tree flood-fallback (correct,
   wasteful) until their annotations catch up.
@@ -62,7 +63,6 @@ from typing import (
     Tuple,
 )
 
-from repro.broker.event_log import EventLog
 from repro.errors import SimulationError
 from repro.matching.predicates import Subscription
 from repro.network.topology import Link, NodeKind
@@ -245,30 +245,19 @@ class FaultPlan:
 
 
 class _Entry:
-    """One logged copy of a message: where it came from, where it can be
+    """One copy of a message: where it came from, where it can be
     re-injected, and what subtree it was responsible for."""
 
-    __slots__ = ("log_key", "seq", "message", "source", "target", "tree_gen", "responsibility")
+    __slots__ = ("message", "source", "target", "tree_gen", "responsibility")
 
-    def __init__(
-        self,
-        log_key: Tuple[str, str],
-        seq: int,
-        message: SimMessage,
-        source: str,
-        target: Optional[str],
-        tree_gen: int,
-        responsibility: Optional[FrozenSet[str]],
-    ) -> None:
-        self.log_key = log_key
-        self.seq = seq
+    def __init__(self, message: SimMessage, source: str, target: str, tree_gen: int) -> None:
         self.message = message
         self.source = source
         self.target = target
         self.tree_gen = tree_gen
         # None means "the whole tree" (publisher-side copies and copies
         # whose tree was repaired before the responsibility was read).
-        self.responsibility = responsibility
+        self.responsibility: Optional[FrozenSet[str]] = None
 
 
 class PublishRecord:
@@ -282,7 +271,7 @@ class PublishRecord:
         self.publisher = publisher
         self.publish_ticks = publish_ticks
         #: Whether the event actually reached its root broker (immediately,
-        #: or later via publisher-log replay).
+        #: or later when its parked publish is replayed).
         self.entered = False
 
 
@@ -337,14 +326,14 @@ class FaultCoordinator:
         self._down_links: Dict[Tuple[str, str], Link] = {}
         self._islands: Dict[str, List[Link]] = {}
 
-        # Logs and replay state.  EventLogs keep the paper's per-client
-        # sequence/ack/GC discipline; the entries themselves additionally
-        # carry the live message so replay never depends on GC timing.
-        self._logs: Dict[Tuple[str, str], EventLog] = {}
-        self._offline_logs: Dict[str, EventLog] = {}
-        self._offline_messages: Dict[str, Dict[int, SimMessage]] = {}
+        # Replay state.  Nothing acknowledges a copy but its arrival, so
+        # these are plain containers: the copies in flight by message id
+        # (a lost one is parked from here), the parked copies, and each
+        # cut-off client's backlog in arrival order (a message leaves it
+        # only when it is replayed).
         self._entries: Dict[int, _Entry] = {}
         self._pending: List[_Entry] = []
+        self._offline: Dict[str, List[SimMessage]] = {}
 
         # Invariant bookkeeping
         self.events: Dict[int, PublishRecord] = {}
@@ -374,7 +363,7 @@ class FaultCoordinator:
                     (lambda a=action: self._apply(a)),
                 )
         # Subscribers with no live path per tree root, refreshed at every
-        # repair; publishes consult it to fill offline logs.
+        # repair; publishes consult it to fill offline backlogs.
         self._uncovered: Dict[str, FrozenSet[str]] = {}
 
     # ------------------------------------------------------------------
@@ -393,8 +382,8 @@ class FaultCoordinator:
 
     def on_publish(self, publisher: str, broker: str, message: SimMessage) -> bool:
         """Register a publish attempt; returns False when the event must be
-        parked because the publisher's broker is down (it re-enters via the
-        publisher log once the broker recovers)."""
+        parked because the publisher's broker is down (it is replayed once
+        the broker recovers)."""
         event_id = message.event.event_id
         now = self.network.simulator.now
         record = PublishRecord(message.event, message.root, publisher, now)
@@ -402,24 +391,26 @@ class FaultCoordinator:
         self._publish_index += 1
         for action in self._by_index.pop(self._publish_index, ()):  # event-index triggers
             self.network.simulator.schedule(0, (lambda a=action: self._apply(a)))
-        entry = self._log(("client", publisher), message, source=broker, target=broker)
+        entry = self._entry(message, broker, broker)
         if self.is_broker_down(broker):
             self._obs_pub_parked.inc()
             self._park(entry)
             return False
+        self._entries[message.message_id] = entry
         record.entered = True
         self._bump(event_id, +1)
         self._offline_log_uncovered(message)
         return True
 
     def on_transmit(self, source: str, target: str, message: SimMessage) -> bool:
-        """Log an outgoing broker-broker copy; returns False (parked) when
+        """Track an outgoing broker-broker copy; returns False (parked) when
         the link or the target is currently dead."""
-        entry = self._log((source, target), message, source=source, target=target)
+        entry = self._entry(message, source, target)
         if self.is_broker_down(target) or not self.topology.has_link(source, target):
             self._obs_parked.inc()
             self._park(entry)
             return False
+        self._entries[message.message_id] = entry
         self._bump(message.event.event_id, +1)
         key = (message.event.event_id, self._link_key(source, target))
         self.link_copies[key] = self.link_copies.get(key, 0) + 1
@@ -428,29 +419,17 @@ class FaultCoordinator:
     def on_arrival_lost(self, message: SimMessage) -> None:
         """A copy in flight when its link or target died drops at arrival."""
         self._obs_dropped.inc()
-        self._bump(message.event.event_id, -1)
-        entry = self._entries.get(message.message_id)
-        if entry is not None:
-            self._park(entry)
+        self._lose(message)
 
     def on_service_annihilated(self, messages: Sequence[SimMessage]) -> None:
         """Messages being serviced when their broker died."""
         for message in messages:
-            self._bump(message.event.event_id, -1)
-            entry = self._entries.get(message.message_id)
-            if entry is not None:
-                self._park(entry)
+            self._lose(message)
 
     def on_processed(self, broker: str, message: SimMessage) -> None:
-        """A broker finished servicing a copy: ack its log entry."""
+        """A broker finished servicing a copy: it is no longer in flight."""
         self._bump(message.event.event_id, -1)
-        entry = self._entries.pop(message.message_id, None)
-        if entry is None:
-            return
-        log = self._logs[entry.log_key]
-        log.ack(entry.seq)
-        if entry.seq % 256 == 0:
-            log.collect()
+        self._entries.pop(message.message_id, None)
 
     # ------------------------------------------------------------------
     # Runtime subscriptions (thundering herds, joining subscribers)
@@ -546,10 +525,7 @@ class FaultCoordinator:
         sim_broker = self.network.brokers[broker]
         for message in sim_broker.queue:
             self._obs_swept.inc()
-            self._bump(message.event.event_id, -1)
-            entry = self._entries.get(message.message_id)
-            if entry is not None:
-                self._park(entry)
+            self._lose(message)
         sim_broker.queue.clear()
 
     def _recover_broker(self, broker: str) -> None:
@@ -651,8 +627,8 @@ class FaultCoordinator:
         """Close the in-flight gap: an event published before a failure but
         still traveling when the repair lands will route with the repaired
         masks, which no longer cover the cut-off subscribers — and it was
-        published too early for the publish-time offline logging.  Log every
-        such event for the subscribers that just became uncovered."""
+        published too early for the publish-time offline backlog.  Backlog
+        every such event for the subscribers that just became uncovered."""
         newly: Dict[str, FrozenSet[str]] = {}
         for root, missing in self._uncovered.items():
             fresh = missing - old_uncovered.get(root, frozenset())
@@ -715,46 +691,28 @@ class FaultCoordinator:
             self._inject(record.root, message, replay_for=moved, hop=0)
 
     # ------------------------------------------------------------------
-    # Logs, parking and replay
+    # Parking and replay
 
     def _link_key(self, a: str, b: str) -> Tuple[str, str]:
         return (a, b) if a <= b else (b, a)
 
-    def _log(
-        self,
-        log_key: Tuple[str, str],
-        message: SimMessage,
-        *,
-        source: str,
-        target: Optional[str],
-    ) -> _Entry:
-        log = self._logs.get(log_key)
-        if log is None:
-            log = EventLog(f"{log_key[0]}->{log_key[1]}")
-            self._logs[log_key] = log
-        seq = log.append(message)
-        root = message.root
-        entry = _Entry(
-            log_key,
-            seq,
-            message,
-            source,
-            target,
-            self._tree_gen.get(root, 0),
-            None,
-        )
-        self._entries[message.message_id] = entry
-        return entry
+    def _entry(self, message: SimMessage, source: str, target: str) -> _Entry:
+        return _Entry(message, source, target, self._tree_gen.get(message.root, 0))
+
+    def _lose(self, message: SimMessage) -> None:
+        """A copy in flight died with its link or broker: park it, unless
+        it was already parked or processed."""
+        self._bump(message.event.event_id, -1)
+        entry = self._entries.pop(message.message_id, None)
+        if entry is not None:
+            self._park(entry)
 
     def _park(self, entry: _Entry) -> None:
         """A copy became undeliverable: remember it for replay after repair."""
         message = entry.message
         self.disturbed.add(message.event.event_id)
-        if self._entries.pop(message.message_id, None) is None:
-            return  # already parked or processed
         if (
-            entry.target is not None
-            and entry.target != entry.source
+            entry.target != entry.source
             and entry.tree_gen == self._tree_gen.get(message.root, 0)
         ):
             tree = self.protocol.context.spanning_trees.get(message.root)
@@ -766,7 +724,6 @@ class FaultCoordinator:
                     if node in self.topology and self.topology.node(node).kind.is_client
                 )
         # else: responsibility stays None = replay against the whole tree.
-        self._logs[entry.log_key].ack(entry.seq)
         self._pending.append(entry)
 
     def _inject(
@@ -777,7 +734,7 @@ class FaultCoordinator:
         replay_for: Optional[FrozenSet[str]],
         hop: int,
     ) -> None:
-        """Re-inject a replayed copy at ``broker`` (logged like any other
+        """Re-inject a replayed copy at ``broker`` (tracked like any other
         copy, so a second failure re-parks it)."""
         copy = SimMessage(
             message.event,
@@ -786,7 +743,7 @@ class FaultCoordinator:
             hop=hop,
             replay_for=replay_for,
         )
-        self._log(("replay", broker), copy, source=broker, target=broker)
+        self._entries[copy.message_id] = self._entry(copy, broker, broker)
         self._bump(copy.event.event_id, +1)
         self.disturbed.add(copy.event.event_id)
         self.network.brokers[broker].receive(copy)
@@ -848,45 +805,38 @@ class FaultCoordinator:
         self._pending.extend(still)
 
     def _offline_append(self, client: str, message: SimMessage) -> None:
-        log = self._offline_logs.get(client)
-        if log is None:
-            log = EventLog(client)
-            self._offline_logs[client] = log
-            self._offline_messages[client] = {}
-        seq = log.append(message.event.event_id)
-        self._offline_messages[client][seq] = message
+        self._offline.setdefault(client, []).append(message)
         self._obs_offline_logged.inc()
         self.disturbed.add(message.event.event_id)
 
     def _offline_log_uncovered(self, message: SimMessage) -> None:
         """An event entering while some subscribers are cut off goes to
-        their offline logs (the paper's reconnect-replay source)."""
+        their offline backlogs (the paper's reconnect-replay source)."""
         if not self._uncovered:
             return
         for client in self._uncovered.get(message.root, ()):  # post-repair gaps only
             self._offline_append(client, message)
 
     def _drain_offline(self) -> None:
+        """Replay each backlogged message whose tree covers its client
+        again; the rest (still cut off on their own tree) stay, in order."""
         trees = self.protocol.context.spanning_trees
-        for client, log in self._offline_logs.items():
-            backlog = log.entries_after(log.acked)
+        for client, backlog in self._offline.items():
             if not backlog:
                 continue
             broker = self.topology.broker_of(client)
             if self.is_broker_down(broker):
                 continue
-            messages = self._offline_messages[client]
             only = frozenset((client,))
-            for seq, _event_id in backlog:
-                message = messages.pop(seq)
+            still: List[SimMessage] = []
+            for message in backlog:
                 tree = trees.get(message.root)
                 if tree is None or client not in tree.parent:
-                    messages[seq] = message  # still cut off on this tree
+                    still.append(message)
                     continue
                 self._obs_offline_replayed.inc()
                 self._inject(broker, message, replay_for=only, hop=message.hop)
-                log.ack(seq)
-            log.collect()
+            backlog[:] = still
 
     # ------------------------------------------------------------------
     # Disturbance tracking

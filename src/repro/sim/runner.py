@@ -119,7 +119,7 @@ class NetworkSimulation:
         self._obs_published.inc()
         if self.faults is not None:
             if not self.faults.on_publish(publisher, broker, message):
-                return  # parked in the publisher log until the broker recovers
+                return  # parked until the broker recovers
             self.simulator.schedule(
                 ms_to_ticks(link.latency_ms),
                 lambda: self._guarded_arrival(broker, message),

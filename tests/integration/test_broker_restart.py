@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.broker import (
     BrokerClient,
@@ -11,6 +12,7 @@ from repro.broker import (
 )
 from repro.matching import uniform_schema
 from repro.network import NodeKind, Topology
+from repro.testkit import InMemoryBrokerHarness
 
 SCHEMA = uniform_schema(2)
 
@@ -108,3 +110,51 @@ class TestRestartResync:
         transport.pump()
         assert b0.subscription_count == 1
         assert b1.subscription_count == 1
+
+
+class TestRestartReplay:
+    def test_forwards_parked_for_a_stopped_broker_reach_the_far_side_once(self):
+        with InMemoryBrokerHarness.for_chain(3, SCHEMA) as harness:
+            far = harness.attach("S.B2.00")
+            pub = harness.attach("P1")
+            far.subscribe_and_wait("*")
+            harness.settle()
+            pub.publish({"a1": 0, "a2": 0})
+            harness.settle()
+            harness.node("B1").stop()
+            harness.settle()
+            for a2 in (1, 2, 3):
+                pub.publish({"a1": 0, "a2": a2})
+            harness.settle()
+            assert len(far.received_events) == 1
+            harness.restart_broker("B1")
+            pub.publish({"a1": 0, "a2": 4})
+            harness.settle()
+            assert [event.value("a2") for event in far.received_events] == [0, 1, 2, 3, 4]
+
+
+class TestOutageUnsubscribe:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
+    def test_an_unsubscribe_during_an_outage_stays_undone(self):
+        """F9: the re-dial's subscription sync brings back a subscription
+        cancelled while the link was down, at every broker."""
+        with InMemoryBrokerHarness.for_chain(3, SCHEMA) as harness:
+            subscriber = harness.attach("S.B2.00")
+            pub = harness.attach("P1")
+            subscription_id = subscriber.subscribe_and_wait("a1=1")
+            harness.settle()
+
+            def counts():
+                return [harness.node(b).subscription_count for b in ("B0", "B1", "B2")]
+
+            assert counts() == [1, 1, 1]
+            harness.node("B0")._broker_connections["B1"].close()
+            harness.settle()
+            subscriber.unsubscribe_and_wait(subscription_id)
+            harness.settle()
+            assert counts() == [1, 0, 0]
+            harness.node("B0").dial_broker("B1")
+            harness.settle()
+            pub.publish({"a1": 1, "a2": 0})
+            harness.settle()
+            assert (counts(), subscriber.received_events) == ([0, 0, 0], [])

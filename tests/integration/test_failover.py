@@ -17,6 +17,7 @@ import pytest
 
 from repro.matching import Event, Subscription, parse_predicate, uniform_schema
 from repro.matching.compile import CompiledProgram
+from repro.network import NodeKind
 from repro.network.figures import (
     figure6_topology,
     leaf_name,
@@ -108,6 +109,36 @@ def test_offline_log_replays_to_recovered_subscribers():
         "sim.fault.messages_replayed", {}
     ).get("value", 0)
     assert replays > 0
+
+
+def test_offline_backlog_keeps_what_another_tree_still_cuts_off():
+    """Two cuts heal at different times: a subscriber's backlog holds events
+    from both publishers' trees, and replaying the tree that heals first
+    must not discard what the other tree still owes it."""
+    topology = linear_chain(4, subscribers_per_broker=1)
+    topology.add_client("P2", "B3", kind=NodeKind.PUBLISHER)
+    subscriptions = [
+        Subscription(parse_predicate(SCHEMA, "*"), client)
+        for client in sorted(topology.subscribers())
+    ]
+    context = ProtocolContext(topology, SCHEMA, subscriptions, domains=DOMAINS)
+    plan = FaultPlan(
+        [
+            FaultAction.fail_link("B0", "B1", at_s=0.3),
+            FaultAction.fail_link("B2", "B3", at_s=0.3),
+            FaultAction.recover_link("B2", "B3", at_s=1.5),
+            FaultAction.recover_link("B0", "B1", at_s=2.5),
+        ]
+    )
+    simulation = NetworkSimulation(
+        topology, LinkMatchingProtocol(context), seed=3, fault_plan=plan
+    )
+    simulation.add_poisson_publisher("P1", 40.0, factory, 100)
+    simulation.add_poisson_publisher("P2", 40.0, factory, 100)
+    result = simulation.run()
+    report = check_invariants(result, simulation.faults)
+    assert report.ok, (report.lost[:5], report.duplicates[:5])
+    assert result.counter_snapshot()["sim.fault.offline_replayed"]["value"] > 0
 
 
 def test_fail_without_recovery_excludes_dead_subscribers():

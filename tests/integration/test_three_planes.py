@@ -29,7 +29,13 @@ from repro.core.router import ContentRouter
 from repro.matching import Event, Subscription, parse_predicate, uniform_schema
 from repro.network import NodeKind, Topology, figure6_topology, linear_chain
 from repro.protocols import LinkMatchingProtocol, ProtocolContext
-from repro.sim import NetworkSimulation
+from repro.sim import (
+    FaultAction,
+    FaultPlan,
+    NetworkSimulation,
+    check_invariants,
+    seconds_to_ticks,
+)
 from repro.testkit import InMemoryBrokerHarness
 
 SCHEMA = uniform_schema(3)
@@ -217,3 +223,137 @@ def test_three_planes_agree_event_by_event(shape, config, routed, live_registry)
     # Match-once digests are on wherever the replica is whole: the
     # simulator and the prototype both consumed some downstream.
     assert (hits > 0) == (factoring is None)
+
+
+# ----------------------------------------------------------------------
+# One link outage, two planes
+
+FAULT_SCHEMA = uniform_schema(4)  # a4 numbers the events; no subscription tests it
+FAULT_LINKS = {"chain": ("B1", "B2"), "diamond": ("B1", "B3")}
+
+
+def fault_scenario(topology: Topology, link, seed: int):
+    """Subscriptions, publishes ``(at_s, publisher, values)`` 100 ms apart,
+    and a :class:`FaultPlan` that fails ``link`` after the fourth publish
+    and recovers it after the eighth.  Nobody unsubscribes during the
+    outage (an unsubscribe made then is F9)."""
+    rng = random.Random(seed)
+    subscriptions = [
+        (client, expression(rng)) for client in sorted(topology.subscribers())
+    ]
+    publishers = sorted(topology.publishers())
+    publishes = [
+        (
+            0.1 * (index + 1),
+            publishers[index % len(publishers)],
+            tuple(rng.randrange(3) for _ in SCHEMA.names) + (index,),
+        )
+        for index in range(12)
+    ]
+    plan = FaultPlan(
+        [FaultAction.fail_link(*link, at_s=0.45), FaultAction.recover_link(*link, at_s=0.85)]
+    )
+    return subscriptions, publishes, plan
+
+
+def simulate_outage(topology, subscriptions, publishes, plan):
+    """The simulator runs the plan natively: the link fails and is
+    repaired, parked copies and offline backlogs replay on recovery."""
+    parsed = [
+        Subscription(parse_predicate(FAULT_SCHEMA, text), client)
+        for client, text in subscriptions
+    ]
+    context = ProtocolContext(topology, FAULT_SCHEMA, parsed)
+    simulation = NetworkSimulation(
+        topology, LinkMatchingProtocol(context), seed=1, fault_plan=plan
+    )
+    index_of = {}
+    for at_s, publisher, values in publishes:
+        event = Event.from_tuple(FAULT_SCHEMA, values)
+        index_of[event.event_id] = values[-1]
+        simulation.simulator.schedule_at(
+            seconds_to_ticks(at_s),
+            lambda p=publisher, e=event: simulation.publish(p, e),
+        )
+    result = simulation.run()
+    report = check_invariants(result, simulation.faults)
+    assert report.ok, (report.lost[:5], report.duplicates[:5])
+    return {
+        (record.client, index_of[record.event_id])
+        for record in result.deliveries
+        if record.matched
+    }
+
+
+def prototype_outage(topology, subscriptions, publishes, plan, monkeypatch):
+    """The prototype translates the plan in time order: the link's dialer
+    closes its connection, and later re-dials it; forwards park and replay.
+    The hub settles after every step."""
+    routed = Counter()
+    route_hop = ContentRouter.route_hop
+
+    def recording(self, events, *args, **kwargs):
+        routed.update((self.broker, event.value("a4")) for event in events)
+        return route_hop(self, events, *args, **kwargs)
+
+    monkeypatch.setattr(ContentRouter, "route_hop", recording)
+    timeline = sorted(
+        [(at_s, "publish", (publisher, values)) for at_s, publisher, values in publishes]
+        + [(action.at_s, action.kind, sorted(action.target)) for action in plan],
+        key=lambda step: step[0],
+    )
+    harness = InMemoryBrokerHarness(topology, FAULT_SCHEMA)
+    try:
+        clients = {
+            name: harness.attach(name)
+            for name in sorted(topology.subscribers()) + sorted(topology.publishers())
+        }
+        for client, text in subscriptions:
+            clients[client].subscribe_and_wait(text)
+        harness.settle()
+        for _at_s, kind, target in timeline:
+            if kind == "fail_link":
+                dialer, acceptor = target
+                harness.node(dialer)._broker_connections[acceptor].close()
+            elif kind == "recover_link":
+                harness.node(target[0]).dial_broker(target[1])
+            else:
+                publisher, values = target
+                clients[publisher].publish(dict(zip(FAULT_SCHEMA.names, values)))
+            harness.settle()
+        delivered = Counter(
+            (name, event.value("a4"))
+            for name in topology.subscribers()
+            for event in clients[name].received_events
+        )
+    finally:
+        harness.shutdown()
+    assert max(delivered.values()) == 1, "an event reached a client twice"
+    assert max(routed.values()) == 1, "an event was routed twice at one broker"
+    return set(delivered)
+
+
+@pytest.mark.parametrize("shape", sorted(FAULT_LINKS))
+def test_one_outage_on_two_planes(shape, monkeypatch, live_registry):
+    topology = TOPOLOGIES[shape]()
+    subscriptions, publishes, plan = fault_scenario(
+        topology, FAULT_LINKS[shape], seed=sum(map(ord, shape))
+    )
+    expected = set()
+    for _at_s, _publisher, values in publishes:
+        event = Event.from_tuple(FAULT_SCHEMA, values)
+        expected.update(
+            (client, values[-1])
+            for client, text in subscriptions
+            if parse_predicate(FAULT_SCHEMA, text).matches(event)
+        )
+    simulator = simulate_outage(TOPOLOGIES[shape](), subscriptions, publishes, plan)
+    prototype = prototype_outage(topology, subscriptions, publishes, plan, monkeypatch)
+    assert simulator == prototype == expected
+    # The outage hit traffic: the prototype parked forwards across the
+    # failed link, and replayed every one of them.
+    parked, replayed = (
+        sum(instrument.value for _key, instrument in live_registry.instruments(name))
+        for name in ("broker.forwards_parked", "broker.forwards_replayed")
+    )
+    assert parked > 0 and replayed == parked

@@ -297,9 +297,19 @@ class TestForwardAccounting:
             [{"issue": "B", "price": 2.0, "volume": 2}, {"issue": "C", "price": 3.0, "volume": 3}]
         )
         transport.pump()
-        dropped = live_registry.counter("broker.forwards_dropped", broker="B0")
-        assert dropped.value == 3
+        parked = live_registry.counter("broker.forwards_parked", broker="B0")
+        replayed = live_registry.counter("broker.forwards_replayed", broker="B0")
+        assert (parked.value, replayed.value) == (3, 0)
         assert bob.received_events == []
+        # The link comes back: the parked forwards follow the hello and the
+        # sync on it, carry no digest (B1 verifies none), and B1 routes each
+        # one it needed.
+        nodes["B0"].dial_broker("B1")
+        transport.pump()
+        assert replayed.value == 3
+        assert [event.value("issue") for event in bob.received_events] == ["A", "B", "C"]
+        for name in ("link.unneeded_forwards", "broker.digest_fallbacks", "broker.digest_hits"):
+            assert live_registry.counter(name, broker="B1").value == 0
 
     def test_no_unneeded_forward_on_a_steady_chain(self, live_registry):
         schema, transport, nodes = two_broker_network()
