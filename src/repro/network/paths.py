@@ -16,25 +16,18 @@ have the suffix property (any suffix of a canonical path is itself canonical),
 which makes every broker's routing table consistent with every shortest-path
 spanning tree.
 
-Incremental repair
-------------------
-:meth:`ShortestPaths.repair` revalidates the cached labels against the
-current topology after links were removed or added (fault injection,
-recovery, broker join/leave).  Removing an edge can only *worsen* paths, and
-only for nodes whose canonical path used that edge — every surviving label
-stays canonical because the candidate set it was minimal over only shrank.
-So repair detaches exactly the subtree hanging off the failed element, then
-re-runs a Dijkstra *bounded to the detached set*, seeded from the boundary
-edges out of the intact region.  Added edges can only *improve* paths, so
-they seed a relaxation wave that touches nothing unless it genuinely wins
-(including lexicographic tie-break wins at equal cost).  The result is
-guaranteed equal to a from-scratch rebuild — the property suite asserts it.
+Repair
+------
+:meth:`ShortestPaths.repair` runs the same Dijkstra as the constructor on
+the current topology (after fault injection, recovery, or a broker join or
+leave) and reports the nodes whose canonical label differs from the old one.
+A repaired instance is therefore a fresh build by construction.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import RoutingError
 from repro.network.topology import Topology
@@ -53,16 +46,14 @@ class ShortestPaths:
     """
 
     def __init__(self, topology: Topology, source: str) -> None:
-        topology.node(source)
         self.topology = topology
         self.source = source
+        self._build()
+
+    def _build(self) -> None:
+        self.topology.node(self.source)
         self.distance_ms: Dict[str, float] = {}
         self.parent: Dict[str, Optional[str]] = {}
-        #: Canonical labels, kept so repair() can patch instead of rebuild.
-        self._labels: Dict[str, Label] = {}
-        self._run_dijkstra()
-
-    def _run_dijkstra(self) -> None:
         # Priority key: (cost, path-as-name-tuple).  Comparing the explicit
         # path tuple implements the canonical (lexicographically smallest
         # among equal cost) choice; networks here are small enough that the
@@ -83,119 +74,24 @@ class ShortestPaths:
                 if incumbent is None or candidate < incumbent:
                     best[neighbor] = candidate
                     heapq.heappush(heap, candidate)
+        # The canonical labels, kept so repair() can report what changed.
         self._labels = best
-        self._publish_labels(best.keys(), removed=())
-
-    def _publish_labels(self, changed, removed) -> None:
-        """Sync the public ``distance_ms`` / ``parent`` views with labels."""
-        for node in removed:
-            self.distance_ms.pop(node, None)
-            self.parent.pop(node, None)
-        for node in changed:
-            cost, path = self._labels[node]
+        for node, (cost, path) in best.items():
             self.distance_ms[node] = cost
             self.parent[node] = path[-2] if len(path) > 1 else None
 
-    # ------------------------------------------------------------------
-    # Incremental repair
-
     def repair(self) -> FrozenSet[str]:
-        """Revalidate labels against the current topology.
+        """Rebuild from the current topology.
 
         Call after any number of link removals/additions or node joins.
         Returns the set of nodes whose canonical label changed — including
         nodes that became unreachable (label dropped) and nodes that gained
         a label (joined or re-attached).
         """
-        old_labels = self._labels
-        # Phase A — detach: a label is invalid when its path uses an edge
-        # that no longer exists, or the node itself left the topology.
-        detached: Set[str] = set()
-        for node, (_cost, path) in old_labels.items():
-            if node not in self.topology:
-                detached.add(node)
-                continue
-            for a, b in zip(path, path[1:]):
-                if not self.topology.has_link(a, b):
-                    detached.add(node)
-                    break
-        # Nodes present in the topology but without a label (a broker join)
-        # are "detached" too: candidates for (re-)attachment below.
-        for node in self.topology.nodes():
-            if node.name not in old_labels:
-                detached.add(node.name)
-        if self.source in detached:  # pragma: no cover - source never leaves
-            raise RoutingError(f"shortest-path source {self.source!r} was removed")
-
-        labels = {n: label for n, label in old_labels.items() if n not in detached}
-        if detached:
-            # Bounded Dijkstra over the detached set only, seeded from every
-            # boundary edge out of the intact region.  Surviving labels are
-            # still canonical (removals only shrink their candidate sets), so
-            # they are safe to relax from without re-settling them.
-            heap: List[Label] = []
-            for node, (cost, path) in labels.items():
-                if node not in self.topology:
-                    continue
-                for neighbor in self.topology.neighbors(node):
-                    if neighbor in detached and neighbor in self.topology:
-                        link = self.topology.link_between(node, neighbor)
-                        heapq.heappush(
-                            heap, (cost + link.latency_ms, path + (neighbor,))
-                        )
-            settled: Set[str] = set()
-            while heap:
-                cost, path = heapq.heappop(heap)
-                node = path[-1]
-                if node in settled:
-                    continue
-                incumbent = labels.get(node)
-                if incumbent is not None and incumbent <= (cost, path):
-                    continue
-                labels[node] = (cost, path)
-                settled.add(node)
-                for neighbor in self.topology.neighbors(node):
-                    if neighbor in detached and neighbor not in settled:
-                        link = self.topology.link_between(node, neighbor)
-                        heapq.heappush(
-                            heap, (cost + link.latency_ms, path + (neighbor,))
-                        )
-
-        # Phase B — improvement wave: added edges (and any re-attachment that
-        # opened a better route) can only improve labels, so one scan of the
-        # live edges seeds a relaxation wave that settles the rest.  Includes
-        # lexicographic tie-break wins at equal cost — canonical order is the
-        # full (cost, path) tuple order.
-        heap = []
-        for link in self.topology.links():
-            for u, v in ((link.a, link.b), (link.b, link.a)):
-                label = labels.get(u)
-                if label is None:
-                    continue
-                candidate = (label[0] + link.latency_ms, label[1] + (v,))
-                incumbent = labels.get(v)
-                if incumbent is None or candidate < incumbent:
-                    heapq.heappush(heap, candidate)
-        while heap:
-            cost, path = heapq.heappop(heap)
-            node = path[-1]
-            incumbent = labels.get(node)
-            if incumbent is not None and incumbent <= (cost, path):
-                continue
-            labels[node] = (cost, path)
-            for neighbor in self.topology.neighbors(node):
-                link = self.topology.link_between(node, neighbor)
-                candidate = (cost + link.latency_ms, path + (neighbor,))
-                if labels.get(neighbor, (float("inf"), ())) > candidate:
-                    heapq.heappush(heap, candidate)
-
-        removed = frozenset(n for n in old_labels if n not in labels)
-        changed = frozenset(
-            n for n, label in labels.items() if old_labels.get(n) != label
-        )
-        self._labels = labels
-        self._publish_labels(changed, removed=removed)
-        return changed | removed
+        old = self._labels
+        self._build()
+        new = self._labels
+        return frozenset(n for n in old.keys() | new.keys() if old.get(n) != new.get(n))
 
     def path_to(self, destination: str) -> List[str]:
         """The canonical path from the source to ``destination`` (inclusive)."""
@@ -228,9 +124,12 @@ class RoutingTable:
         self.topology = topology
         self.broker = broker
         self._paths = ShortestPaths(topology, broker)
+        self._derive_next_hops()
+
+    def _derive_next_hops(self) -> None:
         self._next_hop: Dict[str, str] = {}
         for destination in self._paths.parent:
-            if destination == broker:
+            if destination == self.broker:
                 continue
             path = self._paths.path_to(destination)
             self._next_hop[destination] = path[1]
@@ -239,13 +138,8 @@ class RoutingTable:
         """Re-derive next hops after a topology change; returns the changed
         destinations (rerouted, newly reachable, or now unreachable)."""
         changed = self._paths.repair()
-        for destination in changed:
-            if destination == self.broker:
-                continue
-            if destination in self._paths.parent:
-                self._next_hop[destination] = self._paths.path_to(destination)[1]
-            else:
-                self._next_hop.pop(destination, None)
+        if changed:
+            self._derive_next_hops()
         return changed
 
     def next_hop(self, destination: str) -> str:

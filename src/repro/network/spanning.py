@@ -12,18 +12,12 @@ A :class:`SpanningTree` answers the question the initialization mask needs:
 *which destinations are downstream of broker b, and through which of b's
 links?*
 
-Incremental repair
-------------------
-:meth:`SpanningTree.repair` patches the tree in place after the topology
-changed (link/broker failure or recovery, broker join/leave).  Because a
-node's canonical label embeds its whole root path, a node's tree position
-changes iff something on its root path changed — so the repair touches
-exactly the subtrees hanging off the failed (or improved) element: the
-changed nodes' parent/child edges are rewired, and descendant sets are
-recomputed only for the union of the changed nodes' old and new ancestor
-chains, bottom-up.  Nodes cut off from the root are dropped from the tree
-(the tree may cover a strict subset of the topology until they recover);
-repair ≡ rebuild-from-scratch is asserted by the property suite.
+Repair
+------
+:meth:`SpanningTree.repair` rebuilds the tree from the current topology
+(link/broker failure or recovery, broker join/leave) and reports the nodes
+whose root path changed.  Nodes cut off from the root are left out (the tree
+may cover a strict subset of the topology until they recover).
 """
 
 from __future__ import annotations
@@ -56,6 +50,9 @@ class SpanningTree:
             missing = [n.name for n in topology.nodes() if n.name not in self._paths.parent]
             if missing:
                 raise RoutingError(f"nodes unreachable from {root!r}: {missing!r}")
+        self._derive()
+
+    def _derive(self) -> None:
         self.parent: Dict[str, Optional[str]] = dict(self._paths.parent)
         self.children: Dict[str, List[str]] = {name: [] for name in self.parent}
         for node, parent in self.parent.items():
@@ -64,7 +61,7 @@ class SpanningTree:
         for child_list in self.children.values():
             child_list.sort()
         self._descendants: Dict[str, FrozenSet[str]] = {}
-        self._compute_descendants(root)
+        self._compute_descendants(self.root)
 
     def _compute_descendants(self, node: str) -> FrozenSet[str]:
         collected: Set[str] = set()
@@ -75,79 +72,18 @@ class SpanningTree:
         self._descendants[node] = frozen
         return frozen
 
-    # ------------------------------------------------------------------
-    # Incremental repair
-
     def repair(self) -> FrozenSet[str]:
-        """Patch the tree after the underlying topology changed.
+        """Rebuild the tree after the underlying topology changed.
 
         Returns the set of nodes whose tree position changed: rerouted
         (new parent or new root path), dropped (unreachable), or attached
         (recovered / joined).  Empty when the change did not affect this
         tree (e.g. a lateral link the tree never used).
         """
-        old_parent = dict(self.parent)
         changed = self._paths.repair()
-        if not changed:
-            return frozenset()
-
-        # Rewire parent/child edges for exactly the changed nodes.
-        new_parent = self._paths.parent
-        for node in changed:
-            old = old_parent.get(node)
-            if node in new_parent:
-                new = new_parent[node]
-                self.parent[node] = new
-                self.children.setdefault(node, [])
-            else:
-                new = None
-                self.parent.pop(node, None)
-                self.children.pop(node, None)
-                self._descendants.pop(node, None)
-            if old is not None and old != new:
-                siblings = self.children.get(old)
-                if siblings is not None and node in siblings:
-                    siblings.remove(node)
-            if node in new_parent and new is not None and old != new:
-                # The new parent may itself be a just-attached node whose
-                # children entry has not been created yet in this loop.
-                siblings = self.children.setdefault(new, [])
-                if node not in siblings:
-                    siblings.append(node)
-                    siblings.sort()
-
-        # Descendant sets can change only at ancestors (old or new) of the
-        # changed nodes; recompute those bottom-up from their children's
-        # (already correct) sets.
-        affected: Set[str] = set()
-        for node in changed:
-            walk = old_parent.get(node)
-            while walk is not None:
-                affected.add(walk)
-                walk = old_parent.get(walk)
-            walk = self.parent.get(node)
-            while walk is not None:
-                affected.add(walk)
-                walk = self.parent.get(walk)
-            if node in self.parent:
-                affected.add(node)
-        live_affected = [node for node in affected if node in self.parent]
-        live_affected.sort(key=self._depth_unchecked, reverse=True)
-        for node in live_affected:
-            collected: Set[str] = set()
-            for child in self.children[node]:
-                collected.add(child)
-                collected |= self._descendants[child]
-            self._descendants[node] = frozenset(collected)
+        if changed:
+            self._derive()
         return changed
-
-    def _depth_unchecked(self, node: str) -> int:
-        depth = 0
-        walk = self.parent.get(node)
-        while walk is not None:
-            depth += 1
-            walk = self.parent.get(walk)
-        return depth
 
     # ------------------------------------------------------------------
     # Queries

@@ -255,14 +255,15 @@ class ProtocolContext:
         ]
 
     def repair_topology(self) -> TopologyRepair:
-        """Incrementally repair spanning trees and routing tables after the
-        topology was mutated (failure, recovery, join, leave).
+        """Repair spanning trees and routing tables after the topology was
+        mutated (failure, recovery, join, leave).
 
-        Every cached structure is patched rather than rebuilt: trees via
-        :meth:`SpanningTree.repair`, tables via :meth:`RoutingTable.repair`.
-        Brokers that appeared get fresh tables (and fresh trees when they
-        host publishers); the report tells protocols what changed so they
-        can limit mask/annotation rebuilds to affected brokers.
+        Trees (:meth:`SpanningTree.repair`) and tables
+        (:meth:`RoutingTable.repair`) rebuild from the current topology and
+        report the nodes whose path changed.  Brokers that appeared get
+        fresh tables (and fresh trees when they host publishers); the report
+        tells protocols what changed so they can limit mask/annotation
+        rebuilds to affected brokers.
         """
         tree_changes: Dict[str, FrozenSet[str]] = {}
         for root, tree in self.spanning_trees.items():

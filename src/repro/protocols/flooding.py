@@ -5,18 +5,11 @@ multicast technology and unwanted messages are filtered out at these
 destinations."
 
 Every broker forwards every event to all of its spanning-tree children,
-unconditionally.  What happens at the edge is a policy knob:
-
-* ``filter_at_edge=False`` (the paper's pure flooding): the broker sends the
-  event to *every* attached client and clients filter for themselves.  The
-  broker pays a send per client; ``matched_deliveries`` records which clients
-  actually wanted the event so metrics can count useful vs wasted traffic.
-* ``filter_at_edge=True``: the broker matches the event against its *local*
-  clients' subscriptions and sends only to the matching ones (a stronger
-  baseline; still floods every broker).
-
-Either way, every broker in the network processes every event — which is
-exactly why flooding saturates first in Chart 1.
+unconditionally, and sends it to *every* attached subscriber; clients filter
+for themselves.  The broker pays a send per client; ``matched_deliveries``
+records which clients actually wanted the event so metrics can count useful
+vs wasted traffic.  Every broker in the network processes every event — which
+is exactly why flooding saturates first in Chart 1.
 """
 
 from __future__ import annotations
@@ -31,14 +24,13 @@ from repro.protocols.base import Decision, ProtocolContext, RoutingProtocol, Sim
 
 
 class FloodingProtocol(RoutingProtocol):
-    """Flood the spanning tree; filter at the edge or at the clients."""
+    """Flood the spanning tree; the clients filter."""
 
     name = "flooding"
     supports_faults = True
 
-    def __init__(self, context: ProtocolContext, *, filter_at_edge: bool = False) -> None:
+    def __init__(self, context: ProtocolContext) -> None:
         super().__init__(context)
-        self.filter_at_edge = filter_at_edge
         obs = get_registry().scope("protocol.flooding")
         self._obs_handled = obs.counter("events_handled")
         self._obs_deliveries = obs.counter("deliveries")
@@ -103,21 +95,15 @@ class FloodingProtocol(RoutingProtocol):
         children = self.context.tree_children(broker, message.root)
         sends = [(child, message.forwarded()) for child in children]
         matched_clients = sorted(local.subscribers)
-        if self.filter_at_edge:
-            deliveries = matched_clients
-            steps = local.steps
-        else:
-            # Pure flooding: the broker sends to every subscriber client and
-            # the clients filter for themselves, so the broker is charged no
-            # matching steps (the local match above is only bookkeeping for
-            # the useful-traffic metrics).
-            topology = self.context.topology
-            deliveries = [
-                client
-                for client in topology.clients_of(broker)
-                if client in self._subscriber_names
-            ]
-            steps = 0
+        # The broker sends to every subscriber client and the clients filter
+        # for themselves, so the broker is charged no matching steps (the
+        # local match above is only bookkeeping for the useful-traffic
+        # metrics).
+        deliveries = [
+            client
+            for client in self.context.topology.clients_of(broker)
+            if client in self._subscriber_names
+        ]
         self._obs_handled.inc()
         self._obs_deliveries.inc(len(deliveries))
         self._obs_wasted.inc(len(deliveries) - len(matched_clients))
@@ -125,5 +111,5 @@ class FloodingProtocol(RoutingProtocol):
             sends=sends,
             deliveries=deliveries,
             matched_deliveries=matched_clients,
-            matching_steps=steps,
+            matching_steps=0,
         )

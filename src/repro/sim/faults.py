@@ -1,4 +1,4 @@
-"""Fault injection, incremental repair and reliable replay.
+"""Fault injection, topology repair and reliable replay.
 
 The paper's Section 4.2 sketches how the multicast protocol survives
 "transient failures of connections by maintaining an event log per client".
@@ -10,7 +10,7 @@ This module turns that sketch into a testable fault model for the simulator:
   (``after_events``).  :meth:`FaultPlan.random` draws seeded random
   fail/recover pairs for chaos testing.
 * :class:`FaultCoordinator` — applies the actions to the live topology,
-  schedules **incremental repair** (``ProtocolContext.repair_topology`` →
+  schedules a **repair** (``ProtocolContext.repair_topology`` →
   ``RoutingProtocol.on_topology_repaired``) ``repair_delay_ms`` later, and
   keeps what makes the failures survivable: every copy in flight (so a
   lost one can be parked), the parked copies, and a per-client offline
@@ -28,8 +28,8 @@ dead broker's input queue is swept into the pending-replay set.  Until the
 repair fires, routing state is stale: messages forwarded toward the dead
 element are *parked* at the failure boundary, each remembering the
 downstream responsibility (the dead subtree, read from the tree as it was
-when the routing decision was made).  The repair patches spanning trees,
-routing tables and virtual-link masks incrementally, then:
+when the routing decision was made).  The repair rebuilds spanning trees,
+routing tables and the virtual-link masks whose layout changed, then:
 
 * parked messages are re-injected at their holder with a ``replay_for``
   restriction, so the rerouted copies only traverse toward the failed
@@ -646,7 +646,7 @@ class FaultCoordinator:
             message = SimMessage(
                 record.event, record.root, publish_time_ticks=record.publish_ticks
             )
-            for client in fresh:
+            for client in sorted(fresh):
                 self._offline_append(client, message)
 
     def _replay_moved_subscribers(self, repair) -> None:
@@ -777,7 +777,7 @@ class FaultCoordinator:
             covered = frozenset(
                 client for client in clients if tree is not None and client in tree.parent
             )
-            for client in clients - covered:
+            for client in sorted(clients - covered):
                 if self.topology.node(client).kind is NodeKind.SUBSCRIBER:
                     self._offline_append(client, message)
             if not covered:
@@ -814,7 +814,7 @@ class FaultCoordinator:
         their offline backlogs (the paper's reconnect-replay source)."""
         if not self._uncovered:
             return
-        for client in self._uncovered.get(message.root, ()):  # post-repair gaps only
+        for client in sorted(self._uncovered.get(message.root, ())):  # post-repair gaps
             self._offline_append(client, message)
 
     def _drain_offline(self) -> None:

@@ -5,13 +5,17 @@ checked as first-class properties:
 * at most one copy per link for undisturbed events.
 
 Every scenario runs the full pipeline — publishers, broker queues, fault
-coordinator, incremental repair, replay — and feeds the finished run to
+coordinator, topology repair, replay — and feeds the finished run to
 :func:`repro.sim.check_invariants`.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -39,6 +43,7 @@ from repro.workload.generators import EventGenerator, SubscriptionGenerator, fig
 
 SCHEMA = uniform_schema(3)
 DOMAINS = {f"a{i}": [0, 1, 2] for i in range(1, 4)}
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def build(subscribers_per_broker=2):
@@ -139,6 +144,39 @@ def test_offline_backlog_keeps_what_another_tree_still_cuts_off():
     report = check_invariants(result, simulation.faults)
     assert report.ok, (report.lost[:5], report.duplicates[:5])
     assert result.counter_snapshot()["sim.fault.offline_replayed"]["value"] > 0
+
+
+def test_faulted_run_does_not_depend_on_the_hash_seed():
+    """A faulted run backlogs and replays per client; the order it does so
+    must not follow set iteration order, which changes with the string hash
+    seed from one process to the next."""
+    script = (
+        "import json\n"
+        "from tests.integration.test_failover import run_plan, scripted_plan\n"
+        "_, result, report = run_plan(scripted_plan())\n"
+        "assert report.ok\n"
+        "print(json.dumps([[d.client, d.event_id, d.publish_time_ticks,\n"
+        "                   d.delivery_time_ticks, d.hop] for d in result.deliveries]))\n"
+    )
+    runs = []
+    for seed in ("1", "3"):
+        environment = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join((os.path.join(ROOT, "src"), ROOT)),
+            PYTHONHASHSEED=seed,
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            cwd=ROOT,
+            env=environment,
+            check=True,
+        )
+        runs.append(json.loads(completed.stdout))
+    assert runs[0], "the scenario delivered nothing"
+    assert runs[0] == runs[1]
 
 
 def test_fail_without_recovery_excludes_dead_subscribers():

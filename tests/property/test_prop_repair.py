@@ -1,10 +1,13 @@
-"""Property: incremental topology repair ≡ rebuild-from-scratch.
+"""Property: topology repair ≡ rebuild-from-scratch, and it reports what
+changed.
 
 After any single element failure (or its recovery), the repaired spanning
 tree, routing tables, virtual-link tables / initialization masks, and the
 routing decisions driven by per-link trit annotations must be *identical*
-to structures built fresh on the mutated topology.  This is the contract
-the fault coordinator leans on: it never rebuilds, it only repairs.
+to structures built fresh on the mutated topology.  ``repair()`` rebuilds,
+so that equality holds by construction.  What the fault coordinator reads on
+top of it is the set ``repair()`` returns, which must be exactly the nodes
+whose path changed.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from repro.core.masks import VirtualLinkTable
 from repro.core.router import ContentRouter
 from repro.matching import Event, Subscription, create_matcher, parse_predicate, uniform_schema
 from repro.errors import RoutingError
-from repro.network.paths import RoutingTable
+from repro.network.paths import RoutingTable, ShortestPaths
 from repro.network.spanning import SpanningTree
 from repro.network.topology import NodeKind, Topology
 
@@ -122,6 +125,34 @@ def assert_structures_equal(topology, tree, tables, link_tables) -> None:
         assert link_tables[broker].layout() == fresh_links.layout()
 
 
+def fresh_paths(topology: Topology):
+    """Every node's canonical path, from fresh builds: the spanning tree's
+    root paths, and each broker's own shortest paths."""
+    tree = SpanningTree(topology, ROOT, partial=True)
+    by_broker = {}
+    for broker in topology.brokers():
+        paths = ShortestPaths(topology, broker)
+        by_broker[broker] = {node: paths.path_to(node) for node in paths.parent}
+    return {node: tree.path_from_root(node) for node in tree.parent}, by_broker
+
+
+def differing(before, after):
+    return {node for node in before.keys() | after.keys() if before.get(node) != after.get(node)}
+
+
+def assert_changes_reported(before, after, tree_changed, table_changed) -> None:
+    """``repair()`` reports exactly the nodes whose path differs between
+    fresh builds before and after the mutation (rerouted, dropped or
+    gained); that covers every next-hop or reachability change."""
+    assert tree_changed == differing(before[0], after[0])
+    for broker, changed in table_changed.items():
+        old, new = before[1][broker], after[1][broker]
+        assert changed == differing(old, new), broker
+        hops_before = {node: path[1] for node, path in old.items() if len(path) > 1}
+        hops_after = {node: path[1] for node, path in new.items() if len(path) > 1}
+        assert differing(hops_before, hops_after) <= changed, broker
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_repair_equals_rebuild(data):
@@ -140,20 +171,26 @@ def test_repair_equals_rebuild(data):
         for broker in topology.brokers()
     }
 
+    def repair_all():
+        tree_changed = tree.repair()
+        table_changed = {}
+        for broker, table in tables.items():
+            table_changed[broker] = table.repair()
+            link_tables[broker].rebuild(table, {ROOT: tree})
+        return tree_changed, table_changed
+
+    healthy = fresh_paths(topology)
     removed = fail_element(topology, element)
-    tree.repair()
-    for broker, table in tables.items():
-        table.repair()
-        link_tables[broker].rebuild(table, {ROOT: tree})
+    changes = repair_all()
     assert_structures_equal(topology, tree, tables, link_tables)
+    failed = fresh_paths(topology)
+    assert_changes_reported(healthy, failed, *changes)
 
     if recover:
         restore(topology, removed)
-        tree.repair()
-        for broker, table in tables.items():
-            table.repair()
-            link_tables[broker].rebuild(table, {ROOT: tree})
+        changes = repair_all()
         assert_structures_equal(topology, tree, tables, link_tables)
+        assert_changes_reported(failed, fresh_paths(topology), *changes)
 
 
 @settings(max_examples=20, deadline=None)

@@ -109,16 +109,6 @@ class TestFlooding:
         decisions = drive(protocol, "B0", Event.from_tuple(SCHEMA2, (1, 0)))
         assert all(d.matching_steps == 0 for d in decisions.values())
 
-    def test_edge_filtering_delivers_only_matches(self, diamond_topology):
-        context = context_for(
-            diamond_topology, [("c.B1", "a1=1"), ("c.B2", "a1=2")]
-        )
-        protocol = FloodingProtocol(context, filter_at_edge=True)
-        decisions = drive(protocol, "B0", Event.from_tuple(SCHEMA2, (1, 0)))
-        sent_to = {c for d in decisions.values() for c in d.deliveries}
-        assert sent_to == {"c.B1"}
-        assert any(d.matching_steps > 0 for d in decisions.values())
-
     def test_no_duplicate_broker_visits(self, diamond_topology):
         context = context_for(diamond_topology, [])
         protocol = FloodingProtocol(context)
@@ -211,7 +201,6 @@ class TestProtocolEquivalence:
         protocols = [
             LinkMatchingProtocol(context),
             FloodingProtocol(context),
-            FloodingProtocol(context, filter_at_edge=True),
             MatchFirstProtocol(context),
         ]
         for trial in range(50):
