@@ -37,6 +37,7 @@ from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import (
+    ConnectionClosedError,
     PredicateError,
     ProtocolError,
     RoutingError,
@@ -59,6 +60,23 @@ from repro.network.topology import Topology
 from repro.obs import get_registry
 
 _global_subscription_ids = itertools.count(1_000_000)
+
+
+def _try_send(connection: Connection, payload: bytes) -> bool:
+    """Send ``payload``; ``False`` when the connection closed under the
+    caller.  A close on another thread (a TCP receiver or sender) can land
+    between a caller's ``is_open`` check and its send; its close
+    notification follows, so the caller treats the link as down."""
+    try:
+        connection.send(payload)
+    except ConnectionClosedError:
+        return False
+    return True
+
+
+def _send_message(connection: Connection, message: object) -> bool:
+    """Encode ``message`` and :func:`_try_send` it."""
+    return _try_send(connection, wire.encode_message(message))
 
 
 class BrokerNetworkConfig:
@@ -258,8 +276,7 @@ class BrokerNode:
         with self._lock:
             self._broker_connections[neighbor] = connection
             self._broker_peers[connection] = neighbor
-            connection.send(wire.encode_message(wire.BrokerHello(self.name)))
-            self._send_subscription_sync(connection)
+            self._greet(connection)
             self._replay_parked(neighbor)
 
     # ------------------------------------------------------------------
@@ -324,17 +341,12 @@ class BrokerNode:
         name = message.client_name
         node = self.config.topology.node(name) if name in self.config.topology else None
         if node is None or not node.kind.is_client:
-            connection.send(
-                wire.encode_message(wire.ErrorReply(0, f"unknown client {name!r}"))
-            )
+            _send_message(connection, wire.ErrorReply(0, f"unknown client {name!r}"))
             connection.close()
             return
         if self.config.topology.broker_of(name) != self.name:
-            connection.send(
-                wire.encode_message(
-                    wire.ErrorReply(0, f"{name!r} is not attached to broker {self.name!r}")
-                )
-            )
+            reason = f"{name!r} is not attached to broker {self.name!r}"
+            _send_message(connection, wire.ErrorReply(0, reason))
             connection.close()
             return
         session = self._session_for(name)
@@ -348,17 +360,18 @@ class BrokerNode:
         session.connection = connection
         self._session_of[connection] = session
         session.log.ack(min(message.last_seq, session.log.last_seq))
+        # A client gone again mid-backlog finds the rest in its log next time.
         backlog = session.log.entries_after(message.last_seq)
-        connection.send(wire.encode_message(wire.ConnAck(self.name, len(backlog))))
+        if not _send_message(connection, wire.ConnAck(self.name, len(backlog))):
+            return
         for seq, event_data in backlog:
-            connection.send(wire.encode_message(wire.EventDelivery(seq, event_data)))
+            if not _send_message(connection, wire.EventDelivery(seq, event_data)):
+                return
 
     def _handle_subscribe(self, connection: Connection, message: wire.Subscribe) -> None:
         session = self._session_of.get(connection)
         if session is None:
-            connection.send(
-                wire.encode_message(wire.ErrorReply(message.request_id, "not connected"))
-            )
+            _send_message(connection, wire.ErrorReply(message.request_id, "not connected"))
             return
         client = session.name
         try:
@@ -366,9 +379,7 @@ class BrokerNode:
             if not predicate.is_satisfiable:  # the router would refuse it
                 raise PredicateError(f"unsatisfiable predicate {message.expression!r}")
         except Exception as exc:  # parse/predicate errors go back to the client
-            connection.send(
-                wire.encode_message(wire.ErrorReply(message.request_id, str(exc)))
-            )
+            _send_message(connection, wire.ErrorReply(message.request_id, str(exc)))
             return
         subscription_id = next(_global_subscription_ids)
         subscription = Subscription(predicate, client, subscription_id=subscription_id)
@@ -380,16 +391,12 @@ class BrokerNode:
             wire.SubPropagate(subscription_id, client, message.expression, self.name),
             exclude=None,
         )
-        connection.send(
-            wire.encode_message(wire.SubAck(message.request_id, subscription_id))
-        )
+        _send_message(connection, wire.SubAck(message.request_id, subscription_id))
 
     def _handle_unsubscribe(self, connection: Connection, message: wire.Unsubscribe) -> None:
         session = self._session_of.get(connection)
         if session is None:
-            connection.send(
-                wire.encode_message(wire.ErrorReply(message.request_id, "not connected"))
-            )
+            _send_message(connection, wire.ErrorReply(message.request_id, "not connected"))
             return
         # Ownership is settled before anything mutates: a refusal must leave
         # the router, and with it the digest epoch, exactly as it was.
@@ -400,7 +407,7 @@ class BrokerNode:
                 if owner is None
                 else "not your subscription"
             )
-            connection.send(wire.encode_message(wire.ErrorReply(message.request_id, reason)))
+            _send_message(connection, wire.ErrorReply(message.request_id, reason))
             return
         del self._subscriber_of[message.subscription_id]
         self.replica.remove(message.subscription_id)
@@ -409,9 +416,7 @@ class BrokerNode:
         self._flood_to_brokers(
             wire.UnsubPropagate(message.subscription_id, self.name), exclude=None
         )
-        connection.send(
-            wire.encode_message(wire.UnsubAck(message.request_id, message.subscription_id))
-        )
+        _send_message(connection, wire.UnsubAck(message.request_id, message.subscription_id))
 
     def _publisher_of(self, connection: Connection) -> Optional[str]:
         """The client publishing on ``connection`` (``None``, after an error
@@ -423,7 +428,7 @@ class BrokerNode:
             reason = f"broker {self.name!r} hosts no declared publisher"
         else:
             return session.name
-        connection.send(wire.encode_message(wire.ErrorReply(0, reason)))
+        _send_message(connection, wire.ErrorReply(0, reason))
         return None
 
     def _handle_publish(self, connection: Connection, message: wire.Publish) -> None:
@@ -493,29 +498,30 @@ class BrokerNode:
             self._broker_connections[name] = connection
         if connection not in self._broker_peers:
             self._broker_peers[connection] = name
-            connection.send(wire.encode_message(wire.BrokerHello(self.name)))
-            self._send_subscription_sync(connection)
+            self._greet(connection)
         self._replay_parked(name)
 
-    def _send_subscription_sync(self, connection: Connection) -> None:
+    def _greet(self, connection: Connection) -> None:
+        """Our hello, then our whole subscription set as SUB_PROPAGATEs;
+        stops at a send that finds the link down."""
+        if not _send_message(connection, wire.BrokerHello(self.name)):
+            return
         for subscription in self.replica.subscriptions:
-            connection.send(
-                wire.encode_message(
-                    wire.SubPropagate(
-                        subscription.subscription_id,
-                        subscription.subscriber,
-                        subscription.predicate.describe(),
-                        self.name,
-                    )
-                )
+            propagate = wire.SubPropagate(
+                subscription.subscription_id,
+                subscription.subscriber,
+                subscription.predicate.describe(),
+                self.name,
             )
+            if not _send_message(connection, propagate):
+                return
 
     def _flood_to_brokers(self, message: object, exclude: Optional[Connection]) -> None:
         payload = wire.encode_message(message)
         for connection in self._broker_connections.values():
-            if connection is exclude or not connection.is_open:
-                continue
-            connection.send(payload)
+            # A link found down misses nothing: the hello resyncs it.
+            if connection is not exclude and connection.is_open:
+                _try_send(connection, payload)
 
     def _require_broker(self, connection: Connection, message: object) -> None:
         """Broker-protocol messages come from broker connections only, so a
@@ -635,48 +641,62 @@ class BrokerNode:
         self.events_routed += routed_count
         self._obs_routed.inc(routed_count)
         for neighbor, per_root in forwards.items():
-            connection = self._broker_connections.get(neighbor)
-            if connection is not None and connection.is_open:
-                self._send_forwards(connection, per_root)
-                continue
-            self._parked.setdefault(neighbor, []).append(
-                {root: [(p, d, None) for p, d, _ in batch] for root, batch in per_root.items()}
-            )
-            self._obs_forwards_parked.inc(sum(len(batch) for batch in per_root.values()))
+            parked = self._send_forwards(neighbor, per_root)
+            if parked:
+                self._obs_forwards_parked.inc(parked)
 
-    def _send_forwards(self, connection: Connection, per_root: Mapping[str, List]) -> None:
+    def _send_forwards(self, neighbor: str, per_root: Mapping[str, List]) -> int:
         """Send one neighbor's ``(publisher, event_data, digest)`` forwards
         by root, coalesced: one
         :class:`~repro.broker.messages.BrokerEventBatch` per root instead of
-        one message per event."""
-        for root, batch in per_root.items():
-            if len(batch) == 1:
-                publisher, event_data, digest = batch[0]
-                connection.send(
-                    wire.encode_message(wire.BrokerEvent(root, publisher, event_data, digest))
-                )
-            else:
-                digests = tuple(digest for _, _, digest in batch)
-                connection.send(
-                    wire.encode_message(
-                        wire.BrokerEventBatch(
-                            root,
-                            tuple((p, d) for p, d, _ in batch),
-                            digests if any(d is not None for d in digests) else (),
-                        )
-                    )
-                )
+        one message per event.
+
+        While the link is down, or parked forwards wait for it, the forwards
+        are parked behind them; a send that finds the link down parks the
+        roots not yet sent, so nothing is sent twice.  Returns how many
+        events were parked."""
+        connection = self._broker_connections.get(neighbor)
+        link_up = connection is not None and connection.is_open and neighbor not in self._parked
+        items = list(per_root.items())
+        for i, (root, batch) in enumerate(items):
+            if not link_up or not _try_send(connection, self._forward_payload(root, batch)):
+                unsent = {r: [(p, d, None) for p, d, _ in b] for r, b in items[i:]}
+                self._parked.setdefault(neighbor, []).append(unsent)
+                return sum(len(b) for b in unsent.values())
+            if len(batch) > 1:
                 self._obs_coalesced_sends.inc()
+        return 0
+
+    @staticmethod
+    def _forward_payload(
+        root: str, batch: List[Tuple[str, bytes, Optional[MatchDigest]]]
+    ) -> bytes:
+        if len(batch) == 1:
+            publisher, event_data, digest = batch[0]
+            return wire.encode_message(wire.BrokerEvent(root, publisher, event_data, digest))
+        digests = tuple(digest for _, _, digest in batch)
+        return wire.encode_message(
+            wire.BrokerEventBatch(
+                root,
+                tuple((p, d) for p, d, _ in batch),
+                digests if any(d is not None for d in digests) else (),
+            )
+        )
 
     def _replay_parked(self, neighbor: str) -> None:
         """Send the forwards parked for ``neighbor`` once its link is open
-        again, in the order they were parked."""
+        again, in the order they were parked; if the link goes down again
+        midway, what is left stays parked, in order."""
         connection = self._broker_connections.get(neighbor)
         if connection is None or not connection.is_open:
             return
-        for per_root in self._parked.pop(neighbor, ()):
-            self._obs_forwards_replayed.inc(sum(len(batch) for batch in per_root.values()))
-            self._send_forwards(connection, per_root)
+        pending = self._parked.pop(neighbor, [])
+        for i, per_root in enumerate(pending):
+            count = sum(len(batch) for batch in per_root.values())
+            self._obs_forwards_replayed.inc(count - self._send_forwards(neighbor, per_root))
+            if neighbor in self._parked:
+                self._parked[neighbor].extend(pending[i + 1 :])
+                return
 
     def _reject(
         self, entry: Tuple[bytes, str, str, Optional[MatchDigest]], error: RoutingError
@@ -687,9 +707,7 @@ class BrokerNode:
         _event_data, root, publisher, _digest = entry
         session = self._sessions.get(publisher) if root == self.name else None
         if session is not None and session.is_connected:
-            session.connection.send(
-                wire.encode_message(wire.ErrorReply(0, f"event rejected: {error}"))
-            )
+            _send_message(session.connection, wire.ErrorReply(0, f"event rejected: {error}"))
 
     def _deliver_to_client(self, client: str, event_data: bytes) -> None:
         session = self._session_for(client)
@@ -698,9 +716,10 @@ class BrokerNode:
         self._obs_delivered.inc()
         if session.is_connected:
             assert session.connection is not None
-            session.connection.send(
-                wire.encode_message(wire.EventDelivery(seq, event_data))
-            )
+            try:
+                session.connection.send(wire.encode_message(wire.EventDelivery(seq, event_data)))
+            except ConnectionClosedError:
+                pass  # gone meanwhile: the log redelivers it on reconnect
 
     #: Message class -> handler ``(node, connection, message)``.
     _HANDLERS = {

@@ -7,14 +7,25 @@ appropriate queue.  A pool of sending threads is responsible for monitoring
 these queues for outgoing messages, and sending them to destinations using
 the underlying network protocol."
 
-* Framing: 4-byte big-endian payload length + payload.
-* Each connection has a receiver thread (blocking reads, frame reassembly,
-  ``on_message`` callbacks) and an unbounded outgoing queue.  A frame the
-  handler rejects as malformed (:class:`~repro.errors.ProtocolError`, which
-  includes :class:`~repro.errors.CodecError`) closes the connection: it is
-  counted in ``transport.tcp.bad_frames``, never raised out of the thread.
+* Framing: 4-byte big-endian payload length + payload.  ``send`` refuses a
+  payload above :data:`MAX_FRAME_BYTES` (:class:`TransportError`).
+* Each connection has an unbounded outgoing queue and a receiver thread.
+  Both sides move bursts, not frames, and the byte stream is the same as
+  frame by frame: the frames in the order they were sent.  A pool thread
+  takes a connection's whole queue in one swap and writes it with one
+  ``sendall``; the receiver fills one buffer, allocated once, with
+  ``recv_into`` and passes every complete frame in it to ``on_message``,
+  one call per frame.  Nothing waits to fill a batch (no timer, no
+  corking, ``TCP_NODELAY`` on): a burst is what queued or arrived while
+  the previous system call ran.
+* A frame the handler rejects as malformed
+  (:class:`~repro.errors.ProtocolError`, which includes
+  :class:`~repro.errors.CodecError`) or a length header above
+  :data:`MAX_FRAME_BYTES` closes the connection, with the rest of its
+  burst: it is counted in ``transport.tcp.bad_frames``, never raised out
+  of the thread.
 * A :class:`SenderPool` shared by the whole transport drains ready
-  connections round-robin; ``send`` never blocks on the socket.
+  connections; ``send`` never blocks on the socket.
 """
 
 from __future__ import annotations
@@ -23,8 +34,7 @@ import queue
 import socket
 import struct
 import threading
-from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ConnectionClosedError, ProtocolError, TransportError
 from repro.broker.transport import AcceptHandler, Connection, Listener, Transport
@@ -33,6 +43,9 @@ from repro.obs import get_registry
 _LENGTH = struct.Struct(">I")
 #: Frames above this are rejected as corrupt rather than allocated.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
+#: Size of a connection's receive buffer; it grows only for a larger frame,
+#: and shrinks back once that frame is handled.
+RECEIVE_BUFFER_BYTES = 32 * 1024
 
 
 def parse_endpoint(endpoint: str) -> Tuple[str, int]:
@@ -50,10 +63,10 @@ def parse_endpoint(endpoint: str) -> Tuple[str, int]:
 class SenderPool:
     """The paper's pool of sending threads.
 
-    Connections with queued output register themselves on a ready queue;
-    pool threads pop a connection, drain a batch from its outgoing queue to
-    the socket, and re-register it if output remains.  One connection is
-    never drained by two threads at once (the ``_draining`` flag).
+    A connection with queued output is put on the ready queue once, by the
+    ``send`` that found it idle; a pool thread pops it and drains its
+    queue to the socket until the queue is empty.  So a connection is on
+    the ready queue at most once and never drained by two threads at once.
     """
 
     def __init__(self, num_threads: int = 2) -> None:
@@ -92,12 +105,17 @@ class TcpConnection(Connection):
         super().__init__()
         self._socket = sock
         self._pool = pool
-        self._outgoing: Deque[bytes] = deque()
+        #: Length headers and payloads, in send order, not yet written.
+        self._outgoing: List[bytes] = []
         self._lock = threading.Lock()
-        self._draining = False
+        #: On the pool's ready queue or being drained (under ``_lock``).
+        self._scheduled = False
         self._open = True
         self._receiver = threading.Thread(target=self._receive_loop, daemon=True)
-        self._obs_bad_frames = get_registry().counter("transport.tcp.bad_frames")
+        registry = get_registry()
+        self._obs_bad_frames = registry.counter("transport.tcp.bad_frames")
+        self._obs_socket_writes = registry.counter("transport.tcp.socket_writes")
+        self._obs_socket_reads = registry.counter("transport.tcp.socket_reads")
 
     def start(self) -> None:
         """Begin receiving (called once handlers are attached).  Idempotent —
@@ -110,69 +128,77 @@ class TcpConnection(Connection):
                 pass  # raced with another starter; the thread is running
 
     def send(self, payload: bytes) -> None:
+        if len(payload) > MAX_FRAME_BYTES:
+            raise TransportError(
+                f"payload of {len(payload)} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit"
+            )
         if not self._open:
             raise ConnectionClosedError("connection is closed")
-        frame = _LENGTH.pack(len(payload)) + payload
+        header = _LENGTH.pack(len(payload))
         with self._lock:
-            self._outgoing.append(frame)
-            should_notify = not self._draining
+            self._outgoing += (header, payload)
+            should_notify = not self._scheduled
+            self._scheduled = True
         if should_notify:
             self._pool.notify(self)
 
     def _drain(self) -> None:
-        """Called by a pool thread: flush the outgoing queue to the socket."""
-        with self._lock:
-            if self._draining:
-                return
-            self._draining = True
-        try:
-            while True:
-                with self._lock:
-                    if not self._outgoing:
-                        return
-                    frame = self._outgoing.popleft()
-                try:
-                    self._socket.sendall(frame)
-                except OSError:
-                    self._close_from_error()
-                    return
-        finally:
+        """Called by a pool thread: write the outgoing queue to the socket,
+        everything queued so far in one ``sendall``, until it is empty."""
+        while True:
             with self._lock:
-                self._draining = False
+                burst = self._outgoing
+                if not burst:
+                    self._scheduled = False
+                    return
+                self._outgoing = []
+            try:
+                self._socket.sendall(b"".join(burst))
+            except OSError:
+                self._close_from_error()
+                return
+            self._obs_socket_writes.inc()
 
     def _receive_loop(self) -> None:
+        buffer = bytearray(RECEIVE_BUFFER_BYTES)
+        view = memoryview(buffer)
+        filled = 0  # buffer[:filled] holds bytes not yet handled
         try:
             while self._open:
-                header = self._read_exact(_LENGTH.size)
-                if header is None:
-                    break
-                (length,) = _LENGTH.unpack(header)
-                if length > MAX_FRAME_BYTES:
-                    break
-                payload = self._read_exact(length)
-                if payload is None:
-                    break
-                handler = self.on_message
-                if handler is not None:
-                    handler(payload)
+                try:
+                    received = self._socket.recv_into(view[filled:])
+                except OSError:
+                    return
+                if not received:
+                    return
+                self._obs_socket_reads.inc()
+                filled += received
+                start, capacity = 0, RECEIVE_BUFFER_BYTES
+                while filled - start >= _LENGTH.size:
+                    (length,) = _LENGTH.unpack_from(buffer, start)
+                    if length > MAX_FRAME_BYTES:
+                        self._obs_bad_frames.inc()
+                        return
+                    end = start + _LENGTH.size + length
+                    if end > filled:
+                        capacity = max(capacity, end - start)
+                        break
+                    handler = self.on_message
+                    if handler is not None:
+                        handler(bytes(view[start + _LENGTH.size : end]))
+                    start = end
+                tail = filled - start  # a partial frame, moved to the front
+                if capacity != len(buffer):
+                    resized = bytearray(capacity)
+                    resized[:tail] = view[start:filled]
+                    buffer, view = resized, memoryview(resized)
+                elif start and tail:
+                    buffer[:tail] = buffer[start:filled]
+                filled = tail
         except ProtocolError:
             self._obs_bad_frames.inc()  # fail closed: the finally drops the peer
         finally:
             self._close_from_error()
-
-    def _read_exact(self, count: int) -> Optional[bytes]:
-        chunks = []
-        remaining = count
-        while remaining:
-            try:
-                chunk = self._socket.recv(remaining)
-            except OSError:
-                return None
-            if not chunk:
-                return None
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
 
     def close(self) -> None:
         if not self._open:
