@@ -252,8 +252,12 @@ class BrokerClient:
             if self.on_event is not None:
                 self.on_event(event, message.seq)
         # Duplicates (redelivery overlap) are acked but not re-processed.
-        if self.auto_ack and self.is_connected:
-            self.ack(message.seq)
+        connection = self._connection
+        if self.auto_ack and connection is not None and connection.is_open:
+            try:
+                self.ack(message.seq)
+            except TransportError:
+                pass  # closed meanwhile: the broker redelivers from its log
 
     #: Message class -> handler ``(client, message)``.
     _HANDLERS = {

@@ -49,7 +49,7 @@ class MessageType(enum.IntEnum):
     PUBLISH_BATCH = 17
 
 
-@dataclass(frozen=True)
+@dataclass
 class Connect:
     """Client → broker: open (or resume) a session.
 
@@ -61,63 +61,63 @@ class Connect:
     last_seq: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass
 class ConnAck:
     broker_name: str
     backlog: int  # events about to be redelivered
 
 
-@dataclass(frozen=True)
+@dataclass
 class Subscribe:
     request_id: int
     expression: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class SubAck:
     request_id: int
     subscription_id: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class Unsubscribe:
     request_id: int
     subscription_id: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class UnsubAck:
     request_id: int
     subscription_id: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class Publish:
     event_data: bytes
 
 
-@dataclass(frozen=True)
+@dataclass
 class EventDelivery:
     seq: int
     event_data: bytes
 
 
-@dataclass(frozen=True)
+@dataclass
 class Ack:
     seq: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class Disconnect:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass
 class BrokerHello:
     broker_name: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class BrokerEvent:
     """An event in transit on a spanning tree.
 
@@ -134,7 +134,7 @@ class BrokerEvent:
     digest: Optional[MatchDigest] = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class BrokerEventBatch:
     """A coalesced batch of events in transit on one spanning tree.
 
@@ -157,7 +157,7 @@ class BrokerEventBatch:
         return self.digests[index] if self.digests else None
 
 
-@dataclass(frozen=True)
+@dataclass
 class PublishBatch:
     """Client → broker: publish several events in one message.
 
@@ -168,7 +168,7 @@ class PublishBatch:
     events: Tuple[bytes, ...]
 
 
-@dataclass(frozen=True)
+@dataclass
 class SubPropagate:
     subscription_id: int
     subscriber: str
@@ -176,13 +176,13 @@ class SubPropagate:
     origin: str  # broker that accepted the subscription
 
 
-@dataclass(frozen=True)
+@dataclass
 class UnsubPropagate:
     subscription_id: int
     origin: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class ErrorReply:
     request_id: int
     reason: str

@@ -714,10 +714,10 @@ class BrokerNode:
         seq = session.log.append(event_data)
         self.events_delivered += 1
         self._obs_delivered.inc()
-        if session.is_connected:
-            assert session.connection is not None
+        connection = session.connection
+        if connection is not None and connection.is_open:
             try:
-                session.connection.send(wire.encode_message(wire.EventDelivery(seq, event_data)))
+                connection.send(wire.encode_message(wire.EventDelivery(seq, event_data)))
             except ConnectionClosedError:
                 pass  # gone meanwhile: the log redelivers it on reconnect
 

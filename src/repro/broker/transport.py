@@ -81,8 +81,9 @@ class Transport(abc.ABC):
 class InMemoryHub:
     """The shared switchboard for in-process endpoints.
 
-    ``send`` enqueues ``(connection, payload)`` pairs; :meth:`pump` delivers
-    them in order until quiescent.  Deferring delivery (instead of calling
+    ``send`` enqueues ``(connection, payload)`` pairs (``close`` a
+    ``(connection, None)`` notification); :meth:`pump` delivers them in
+    order until quiescent.  Deferring delivery (instead of calling
     handlers inline) avoids unbounded recursion when brokers react to
     messages by sending more messages.
     """
@@ -111,10 +112,6 @@ class InMemoryHub:
         on_accept(far)
         return near
 
-    def enqueue(self, target: "InMemoryConnection", payload: Optional[bytes]) -> None:
-        """``payload=None`` is the close notification."""
-        self._pending.append((target, payload))
-
     def pump(self, max_messages: Optional[int] = None) -> int:
         """Deliver queued messages in order; returns how many were delivered.
 
@@ -133,8 +130,8 @@ class InMemoryHub:
                 delivered += 1
                 if payload is None:
                     target._handle_close()
-                else:
-                    target._handle_message(payload)
+                elif target._open and target.on_message is not None:
+                    target.on_message(payload)
         finally:
             self._pumping = False
         return delivered
@@ -160,22 +157,20 @@ class InMemoryConnection(Connection):
         if not isinstance(payload, (bytes, bytearray)):
             raise TransportError(f"payload must be bytes, got {type(payload).__name__}")
         self.sent_count += 1
-        self.hub.enqueue(self.peer, bytes(payload))
+        self.hub._pending.append(
+            (self.peer, payload if payload.__class__ is bytes else bytes(payload))
+        )
 
     def close(self) -> None:
         if not self._open:
             return
         self._open = False
         if self.peer is not None:
-            self.hub.enqueue(self.peer, None)
+            self.hub._pending.append((self.peer, None))  # the close notification
 
     @property
     def is_open(self) -> bool:
         return self._open
-
-    def _handle_message(self, payload: bytes) -> None:
-        if self._open and self.on_message is not None:
-            self.on_message(payload)
 
     def _handle_close(self) -> None:
         if not self._open:

@@ -17,12 +17,15 @@ branch order).
 Matching is the hottest path of the whole reproduction — every broker runs
 it for every event — so the tree is kept as a :class:`CompiledProgram`: one
 flat record per node, indexed by node number, over which two iterative
-(explicit-stack, no recursion, no per-visit allocation) kernels run:
+(no recursion) kernels run:
 
-* :meth:`CompiledProgram.match` — the Section 2 parallel search;
+* :meth:`CompiledProgram.match` — the Section 2 parallel search, one work
+  queue per event;
 * :meth:`CompiledProgram.match_links` — the Section 3.3 refinement search,
   with trit masks packed as two integer bitmasks (``yes_bits``/``maybe_bits``)
-  per :mod:`repro.core.trits`.
+  per :mod:`repro.core.trits`; it allocates a frame only at a node with two
+  or more applicable children, and descends into a node's last one in the
+  node's place.
 
 Record layout (one slot per node, node 0 is always the root).  The
 structure is ``_records[n]``, one tuple
@@ -50,7 +53,9 @@ the same PST and annotates it for itself).
 
 Attribute values are interned once into ``value_ids`` (a plain dict, so
 ``1``/``1.0``/``True`` collapse exactly as they do as PST hash-branch keys);
-a match then interns the event's values once and performs int-keyed lookups.
+the parallel search interns the event's values once up front, the
+refinement search each value at the node that tests it, and both then
+perform int-keyed lookups.
 
 Both kernels count the same ``steps`` as the paper's node-at-a-time
 search; the test suite holds them, node for node and step for step, against
@@ -540,29 +545,27 @@ class CompiledProgram:
         annotation columns: ``(final_yes_bits, steps)``.
 
         An explicit frame stack mirrors the paper's recursive search exactly
-        — same visit order, same early exits, same ``steps``.
+        — same visit order, same early exits, same ``steps``.  A node's last
+        applicable child is searched in the node's own place, with no frame:
+        a subsearch entered with ``(yes, maybe)`` returns Yes bits ``R`` with
+        ``yes ⊆ R ⊆ yes | maybe``, so Step 3's merge ``yes | (maybe & R)``
+        is ``R`` itself.
         """
         value_ids = self.value_ids
-        interned = [value_ids.get(value) for value in values]
         records = self._records
         steps = 0
-        # Each frame: [children, next_child_position, yes_bits, maybe_bits].
+        # Each frame: [later_children, next_index, yes_bits, maybe_bits],
+        # pushed only by a node with two or more applicable children.
         frames: List[list] = []
         current = 0
         cur_yes = yes_bits
         cur_maybe = maybe_bits
-        returned_yes = 0
-        entering = True
         while True:
-            if entering:
-                steps += 1
-                # Step 2: refine Maybes with the node's annotation.
-                cur_yes |= cur_maybe & ann_yes[current]
-                cur_maybe &= ann_maybe[current]
-                if not cur_maybe:
-                    returned_yes = cur_yes
-                    entering = False
-                    continue
+            steps += 1
+            # Step 2: refine Maybes with the node's annotation.
+            cur_yes |= cur_maybe & ann_yes[current]
+            cur_maybe &= ann_maybe[current]
+            if cur_maybe:
                 position, table, ranges, star_child, _subs = records[current]
                 if position < 0:
                     # Leaf annotations are Yes/No only, so refinement above
@@ -571,55 +574,59 @@ class CompiledProgram:
                     raise RoutingError(
                         "leaf annotation left Maybe trits — stale annotation?"
                     )
-                children: List[int] = []
+                first = -1
+                later = None
                 if table.__class__ is tuple:
-                    if table[0] == interned[position]:
-                        children.append(table[1])
+                    if table[0] == value_ids.get(values[position]):
+                        first = table[1]
                 elif table is not None:
-                    child = table.get(interned[position])
-                    if child is not None:
-                        children.append(child)
+                    first = table.get(value_ids.get(values[position]), -1)
                 if ranges is not None:
                     value = values[position]
                     for test, range_child in ranges:
                         if test.evaluate(value):
-                            children.append(range_child)
+                            if first < 0:
+                                first = range_child
+                            elif later is None:
+                                later = [range_child]
+                            else:
+                                later.append(range_child)
                 if star_child >= 0:
-                    children.append(star_child)
-                if not children:
-                    # No applicable branch: remaining Maybes become No.
-                    returned_yes = cur_yes
-                    entering = False
+                    if first < 0:
+                        first = star_child
+                    elif later is None:
+                        later = [star_child]
+                    else:
+                        later.append(star_child)
+                if first >= 0:
+                    if later is not None:
+                        frames.append([later, 0, cur_yes, cur_maybe])
+                    current = first
                     continue
-                frames.append([children, 0, cur_yes, cur_maybe])
-                current = children[0]
-                continue
-            # Returning `returned_yes` from a completed subsearch.
-            if not frames:
-                return returned_yes, steps
-            frame = frames[-1]
-            # Step 3: convert to Yes every Maybe whose returned trit is Yes.
-            frame_maybe = frame[3]
-            frame_yes = frame[2] | (frame_maybe & returned_yes)
-            frame_maybe &= ~returned_yes
-            if not frame_maybe:
-                frames.pop()
-                returned_yes = frame_yes
-                continue
-            next_child = frame[1] + 1
-            children = frame[0]
-            if next_child == len(children):
-                # All children searched: remaining Maybes become No.
-                frames.pop()
-                returned_yes = frame_yes
-                continue
-            frame[1] = next_child
-            frame[2] = frame_yes
-            frame[3] = frame_maybe
-            current = children[next_child]
-            cur_yes = frame_yes
-            cur_maybe = frame_maybe
-            entering = True
+                # No applicable branch: remaining Maybes become No.
+            # The subsearch at `current` is complete and returns `cur_yes`.
+            while frames:
+                frame = frames[-1]
+                # Step 3: convert to Yes every Maybe whose returned trit is Yes.
+                frame_maybe = frame[3]
+                returned_yes = cur_yes
+                cur_yes = frame[2] | (frame_maybe & returned_yes)
+                cur_maybe = frame_maybe & ~returned_yes
+                if not cur_maybe:
+                    frames.pop()
+                    continue
+                later = frame[0]
+                index = frame[1]
+                current = later[index]
+                if index + 1 == len(later):
+                    frames.pop()  # the last child takes the node's place
+                else:
+                    frame[1] = index + 1
+                    frame[2] = cur_yes
+                    frame[3] = cur_maybe
+                break
+            else:
+                return cur_yes, steps
 
     # ------------------------------------------------------------------
     # Digest projection (match-once forwarding)

@@ -153,6 +153,25 @@ class TestGoldenVectors:
             assert decoded != message and decoded == _without_digests(message)
 
 
+class TestValueSemantics:
+    """A message is a value: equal to another exactly when the type and every
+    field are equal.  (A tuple-based message would compare equal to another
+    type with the same fields, and to a plain tuple.)"""
+
+    @pytest.mark.parametrize("message,_hex", GOLDEN, ids=lambda v: type(v).__name__)
+    def test_every_type_decodes_to_an_equal_message(self, message, _hex):
+        decoded = decode_message(encode_message(message))
+        assert decoded == message and type(decoded) is type(message)
+        assert repr(decoded) == repr(message)
+
+    def test_equality_depends_on_the_type(self):
+        assert wire.SubAck(1, 2) == wire.SubAck(1, 2)
+        assert wire.SubAck(1, 2) != wire.UnsubAck(1, 2)
+        assert wire.Ack(5) != (5,)
+        assert wire.Ack(5) != wire.Ack(6)
+        assert wire.Disconnect() == wire.Disconnect()
+
+
 class TestEncodeRange:
     @pytest.mark.parametrize(
         "message",

@@ -410,3 +410,43 @@ class TestSendRacingAClose:
             assert alice.received_events[0].value("issue") == "A"
             assert carol.received_events[0].value("issue") == "A"
         assert escaped == []
+
+
+class TestAckRacingAClose:
+    """``BrokerClient`` checks its connection is open and then auto-acks a
+    delivery; the connection can close in between on its own threads.  The
+    client treats the failed ack as the link being down: the delivery stays
+    recorded, the broker keeps it logged and redelivers it, and the
+    duplicate is acked but not processed again."""
+
+    def test_a_failed_auto_ack_keeps_the_delivery(self, monkeypatch):
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        with running_tcp_network() as (schema, transport, endpoints, nodes):
+            alice = BrokerClient("alice", schema, transport, endpoints["B0"])
+            pub = BrokerClient("pub", schema, transport, endpoints["B1"])
+            for client in (alice, pub):
+                client.connect()
+            assert wait_until(lambda: alice.connected_broker and pub.connected_broker)
+            alice.subscribe_and_wait("*", timeout_s=8.0)
+            assert wait_until(lambda: all(n.subscription_count == 1 for n in nodes.values()))
+            # Alice's connection looks open but refuses the ack.
+            connection = alice._connection
+            connection.send = closed_under_the_send
+
+            pub.publish({"issue": "A", "price": 1.0, "volume": 1})
+            assert wait_until(lambda: len(alice.received_events) == 1)
+            log = nodes["B0"].session("alice").log
+            # The ack never left, and the connection the delivery came in on
+            # is still up.
+            assert (log.last_seq, log.acked) == (1, 0)
+            assert connection.is_open and alice.is_connected
+
+            # A fresh session: the log redelivers the event; alice acks the
+            # duplicate and does not process it again.
+            alice.drop_connection()
+            alice.connect(resume=False)
+            assert wait_until(lambda: log.acked == 1)
+            assert [seq for seq, _event in alice.deliveries] == [1]
+            assert alice.received_events[0].value("issue") == "A"
+        assert escaped == []

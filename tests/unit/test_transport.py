@@ -86,6 +86,21 @@ class TestMessaging:
         with pytest.raises(TransportError):
             client.send("text")  # type: ignore[arg-type]
 
+    def test_a_bytearray_is_copied_at_send(self):
+        # The peer receives the payload as it was when sent, as bytes, even
+        # if the sender reuses its buffer before the pump.
+        transport = InMemoryTransport()
+        client, server = connected_pair(transport)
+        received = []
+        server.on_message = received.append
+        buffer = bytearray(b"first")
+        client.send(buffer)
+        buffer[:] = b"later"
+        client.send(b"bytes")
+        transport.pump()
+        assert received == [b"first", b"bytes"]
+        assert [type(payload) for payload in received] == [bytes, bytes]
+
     def test_handlers_may_send_more(self):
         # A reply loop: server echoes, client counts; the pump must flatten
         # the cascade without recursion errors.
