@@ -113,16 +113,19 @@ class SimMessage:
 
     def forwarded(self, *, destinations: Optional[Tuple[str, ...]] = None) -> "SimMessage":
         """A copy to send one hop further (a replay restriction and any
-        match digest ride along)."""
-        return SimMessage(
-            self.event,
-            self.root,
-            destinations=destinations if destinations is not None else self.destinations,
-            publish_time_ticks=self.publish_time_ticks,
-            hop=self.hop + 1,
-            replay_for=self.replay_for,
-            digest=self.digest,
-        )
+        match digest ride along).  Built field by field: one is made per
+        forwarded neighbour, and a keyword ``__init__`` call costs more than
+        the copy."""
+        copy = _new_message(SimMessage)
+        copy.message_id = next(_message_ids)
+        copy.event = self.event
+        copy.root = self.root
+        copy.destinations = destinations if destinations is not None else self.destinations
+        copy.publish_time_ticks = self.publish_time_ticks
+        copy.hop = self.hop + 1
+        copy.replay_for = self.replay_for
+        copy.digest = self.digest
+        return copy
 
     @property
     def header_entries(self) -> int:
@@ -164,6 +167,9 @@ class SimMessage:
         )
 
 
+_new_message = object.__new__
+
+
 class Decision:
     """A broker's answer for one message (see module docstring).
 
@@ -191,8 +197,9 @@ class Decision:
     ) -> None:
         self.sends = sends if sends is not None else []
         self.deliveries = deliveries if deliveries is not None else []
+        # Without a filtering subset every delivery matched: the same list.
         self.matched_deliveries = (
-            matched_deliveries if matched_deliveries is not None else list(self.deliveries)
+            matched_deliveries if matched_deliveries is not None else self.deliveries
         )
         self.matching_steps = matching_steps
         self.destination_entries = destination_entries
@@ -332,16 +339,6 @@ class RoutingProtocol(abc.ABC):
     @abc.abstractmethod
     def handle(self, broker: str, message: SimMessage) -> Decision:
         """Decide what ``broker`` does with ``message``."""
-
-    def handle_batch(self, broker: str, messages: Sequence[SimMessage]) -> List[Decision]:
-        """Decide what ``broker`` does with each message of a batch.
-
-        Decision ``i`` is exactly ``handle(broker, messages[i])``.  This base
-        fallback loops; protocols whose matchers have real batch kernels
-        (link matching, flooding) override it to amortize matching across
-        the batch.
-        """
-        return [self.handle(broker, message) for message in messages]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -14,7 +14,7 @@ is exactly why flooding saturates first in Chart 1.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.matching.base import MatcherEngine
 from repro.matching.compile import MatchResult
@@ -76,18 +76,6 @@ class FloodingProtocol(RoutingProtocol):
     def handle(self, broker: str, message: SimMessage) -> Decision:
         local = self._local_trees[broker].match(message.event)
         return self._decision_for(broker, message, local)
-
-    def handle_batch(self, broker: str, messages: Sequence[SimMessage]) -> List[Decision]:
-        """Flooding's batch path: one local ``match_batch`` for the lot."""
-        if not messages:
-            return []
-        locals_ = self._local_trees[broker].match_batch(
-            [message.event for message in messages]
-        )
-        return [
-            self._decision_for(broker, message, local)
-            for message, local in zip(messages, locals_)
-        ]
 
     def _decision_for(
         self, broker: str, message: SimMessage, local: MatchResult

@@ -202,7 +202,18 @@ class LinkMatchingProtocol(RoutingProtocol):
     # Decisions
 
     def handle(self, broker: str, message: SimMessage) -> Decision:
-        return self._decide(broker, (message,))[0]
+        """One message's :meth:`_decide`, without a group (the simulator's
+        hot path)."""
+        if broker in self._stale:
+            return self._flood(broker, (message,))[0]
+        (hop,) = self.routers[broker].route_hop(
+            (message.event,),
+            message.root,
+            (message.digest,),
+            trusted=self.use_digests and broker not in self._deferred,
+            restrict_to=message.replay_for,
+        )
+        return self._decision_for(message, hop)
 
     def handle_batch(self, broker: str, messages: Sequence[SimMessage]) -> List[Decision]:
         """Decision ``i`` is exactly ``handle(broker, messages[i])``; the
@@ -212,22 +223,11 @@ class LinkMatchingProtocol(RoutingProtocol):
     def _decide(self, broker: str, messages: Sequence[SimMessage]) -> List[Decision]:
         """One :meth:`~repro.core.router.ContentRouter.route_hop` per
         spanning-tree root and replay restriction (the initialization mask
-        depends on both), or the flood fallback at a stale broker.  A lone
-        message builds no group (``handle`` is the simulator's hot path)."""
+        depends on both), or the flood fallback at a stale broker."""
         if broker in self._stale:
             return self._flood(broker, messages)
         router = self.routers[broker]
         trusted = self.use_digests and broker not in self._deferred
-        if len(messages) == 1:
-            message = messages[0]
-            hops = router.route_hop(
-                (message.event,),
-                message.root,
-                (message.digest,),
-                trusted=trusted,
-                restrict_to=message.replay_for,
-            )
-            return [self._decision_for(message, hops[0])]
         groups: Dict[Tuple[str, Optional[FrozenSet[str]]], List[int]] = {}
         for i, message in enumerate(messages):
             groups.setdefault((message.root, message.replay_for), []).append(i)

@@ -5,35 +5,30 @@ traversing a link (hop delay), waiting at an incoming broker queue, getting
 matched, and being sent (software latency of the communication stack)".
 
 Arriving messages join the input queue; the (single) processor serves them
-FIFO.  Service time comes from the :class:`~repro.sim.cost.CostModel` applied
-to the protocol's :class:`~repro.protocols.base.Decision` for the message.
-When service completes, forwards and deliveries are handed back to the
-network (which adds hop delays) and the next queued message starts.
-
-With ``batch_size > 1`` the processor drains up to that many queued messages
-per service period and decides them together through the protocol's
-``handle_batch`` (identical per-message decisions; the batch kernels only
-make them cheaper).  Service ticks are still charged per message from the
-cost model and summed, so throughput accounting is unchanged — what batching
-models is the *coalescing* of matching work and sends: all of the batch's
-forwards leave when the batch completes, trading per-message latency for
-matcher amortization exactly like the prototype broker's ingest draining.
-``batch_size=1`` (the default) preserves the original one-at-a-time timing
-bit for bit.
+FIFO, one at a time.  Service time comes from the
+:class:`~repro.sim.cost.CostModel` applied to the protocol's
+:class:`~repro.protocols.base.Decision` for the message.  When service
+completes, forwards and deliveries are handed back to the network (which
+adds hop delays) and the next queued message starts.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, List
+from functools import partial
+from typing import TYPE_CHECKING, Deque
 
 from repro.protocols.base import Decision, RoutingProtocol, SimMessage
 from repro.sim.cost import CostModel
-from repro.sim.engine import Simulator, us_to_ticks
+from repro.sim.engine import Simulator
 from repro.sim.metrics import BrokerStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.runner import NetworkSimulation
+
+#: The :class:`BrokerStats` fields the run's registry exports per broker
+#: (``sim.broker.<field>{broker=...}``).
+EXPORTED_STATS = ("arrivals", "processed", "matching_steps", "messages_sent", "busy_ticks")
 
 
 class SimBroker:
@@ -46,96 +41,81 @@ class SimBroker:
         protocol: RoutingProtocol,
         cost_model: CostModel,
         network: "NetworkSimulation",
-        *,
-        batch_size: int = 1,
     ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self.simulator = simulator
         self.name = name
         self.protocol = protocol
         self.cost_model = cost_model
         self.network = network
-        self.batch_size = batch_size
         self.queue: Deque[SimMessage] = deque()
         self.busy = False
-        #: Messages popped for the in-progress service period — what the
-        #: fault layer loses when this broker dies mid-service.
-        self.in_service: List[SimMessage] = []
         self.stats = BrokerStats(name)
-        # Per-broker instruments in the run's registry (the exported view of
-        # the same quantities BrokerStats keeps for the overload criterion).
+        # The registry's per-broker counters export the stats above; they
+        # are brought up to date by sync_counters, not on every message.
         obs = network.registry.scope("sim.broker")
-        self._obs_arrivals = obs.counter("arrivals", broker=name)
-        self._obs_processed = obs.counter("processed", broker=name)
-        self._obs_matching_steps = obs.counter("matching_steps", broker=name)
-        self._obs_messages_sent = obs.counter("messages_sent", broker=name)
-        self._obs_busy_ticks = obs.counter("busy_ticks", broker=name)
+        self._counters = {field: obs.counter(field, broker=name) for field in EXPORTED_STATS}
+        self._synced = dict.fromkeys(EXPORTED_STATS, 0)
 
     @property
     def queue_length(self) -> int:
         return len(self.queue)
 
+    def sync_counters(self) -> None:
+        """Add to each exported counter what its stat gained since the last
+        sync (a registry shared by several runs accumulates all of them)."""
+        stats, synced = self.stats, self._synced
+        for field, counter in self._counters.items():
+            value = getattr(stats, field)
+            counter.inc(value - synced[field])
+            synced[field] = value
+
     def receive(self, message: SimMessage) -> None:
         """A message arrives on some incoming link (called by the network at
         the arrival instant)."""
-        self.stats.arrivals += 1
-        self._obs_arrivals.inc()
-        self.queue.append(message)
-        if len(self.queue) > self.stats.max_queue:
-            self.stats.max_queue = len(self.queue)
+        stats, queue = self.stats, self.queue
+        stats.arrivals += 1
+        queue.append(message)
+        if len(queue) > stats.max_queue:
+            stats.max_queue = len(queue)
         if not self.busy:
             self._start_next()
 
     def _start_next(self) -> None:
         self.busy = True
-        if self.batch_size == 1:
-            messages = [self.queue.popleft()]
-            decisions = [self.protocol.handle(self.name, messages[0])]
-        else:
-            count = min(self.batch_size, len(self.queue))
-            messages = [self.queue.popleft() for _ in range(count)]
-            decisions = self.protocol.handle_batch(self.name, messages)
-        self.in_service = messages
-        # Service ticks are charged per message and summed — batching changes
-        # who pays the matcher (the batch kernel), not what the cost model
-        # charges for the decisions.
-        service_ticks = 0
-        for decision in decisions:
-            service_us = self.cost_model.service_time_us(
-                matching_steps=decision.matching_steps,
-                sends=decision.send_count,
-                destination_entries=decision.destination_entries,
-            )
-            service_ticks += max(1, us_to_ticks(service_us))
-            self.stats.matching_steps += decision.matching_steps
-            self._obs_matching_steps.inc(decision.matching_steps)
-        self.stats.busy_ticks += service_ticks
-        self._obs_busy_ticks.inc(service_ticks)
-        self.simulator.schedule(service_ticks, lambda: self._finish(messages, decisions))
+        message = self.queue.popleft()
+        decision = self.protocol.handle(self.name, message)
+        steps = decision.matching_steps
+        service_ticks = self.cost_model.service_ticks(
+            steps, len(decision.sends) + len(decision.deliveries), decision.destination_entries
+        )
+        stats = self.stats
+        stats.matching_steps += steps
+        stats.busy_ticks += service_ticks
+        self.simulator.schedule(service_ticks, partial(self._finish, message, decision))
 
-    def _finish(self, messages: List[SimMessage], decisions: List[Decision]) -> None:
-        faults = self.network.faults
-        if faults is not None and faults.is_broker_down(self.name):
-            # The broker died mid-service: the batch is annihilated, its
+    def _finish(self, message: SimMessage, decision: Decision) -> None:
+        network, name = self.network, self.name
+        faults = network.faults
+        if faults is not None and faults.is_broker_down(name):
+            # The broker died mid-service: the message is annihilated, its
             # sends never happen (the fault layer replays from its logs).
-            faults.on_service_annihilated(messages)
-            self.in_service = []
+            faults.on_service_annihilated((message,))
             self.busy = False
             return
-        for message, decision in zip(messages, decisions):
-            self.stats.processed += 1
-            self.stats.messages_sent += decision.send_count
-            self._obs_processed.inc()
-            self._obs_messages_sent.inc(decision.send_count)
-            matched = set(decision.matched_deliveries)
-            for neighbor, outgoing in decision.sends:
-                self.network.transmit(self.name, neighbor, outgoing)
-            for client in decision.deliveries:
-                self.network.deliver(self.name, client, message, matched=client in matched)
-            if faults is not None:
-                faults.on_processed(self.name, message)
-        self.in_service = []
+        sends, deliveries = decision.sends, decision.deliveries
+        stats = self.stats
+        stats.processed += 1
+        stats.messages_sent += len(sends) + len(deliveries)
+        for neighbor, outgoing in sends:
+            network.transmit(name, neighbor, outgoing)
+        if deliveries:
+            matched = decision.matched_deliveries
+            if matched is not deliveries:
+                matched = set(matched)
+            for client in deliveries:
+                network.deliver(name, client, message, matched=client in matched)
+        if faults is not None:
+            faults.on_processed(name, message)
         self.busy = False
         if self.queue:
             self._start_next()

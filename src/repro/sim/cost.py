@@ -19,9 +19,11 @@ observes that transport costs outweigh matching costs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 from repro.errors import SimulationError
+from repro.sim.engine import us_to_ticks
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,10 @@ class CostModel:
     per_matching_step_us: float = 3.0
     per_send_us: float = 25.0
     per_destination_entry_us: float = 1.0
+    #: :meth:`service_ticks` by work profile; not part of the model's value.
+    _ticks: Dict[Tuple[int, int, int], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for field_name in (
@@ -57,6 +63,21 @@ class CostModel:
             + sends * self.per_send_us
             + destination_entries * self.per_destination_entry_us
         )
+
+    def service_ticks(self, matching_steps: int, sends: int, destination_entries: int) -> int:
+        """Whole ticks the processor is busy for one message with this work
+        profile: ``max(1, us_to_ticks(service_time_us(...)))``, rounded from
+        the summed microseconds (not per unit) and computed once per profile."""
+        key = (matching_steps, sends, destination_entries)
+        ticks = self._ticks.get(key)
+        if ticks is None:
+            service_us = self.service_time_us(
+                matching_steps=matching_steps,
+                sends=sends,
+                destination_entries=destination_entries,
+            )
+            ticks = self._ticks[key] = max(1, us_to_ticks(service_us))
+        return ticks
 
 
 #: The defaults used by the chart harnesses.

@@ -14,8 +14,9 @@ fully deterministic given a seed.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import math
+from heapq import heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -55,7 +56,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._sequence = itertools.count()
+        self._next_sequence = itertools.count().__next__
         self._queue: List[Tuple[int, int, Callable[[], None]]] = []
         self._processed_events = 0
         self._stop_requested = False
@@ -64,7 +65,7 @@ class Simulator:
         """Run ``callback`` ``delay_ticks`` from now."""
         if delay_ticks < 0:
             raise SimulationError(f"cannot schedule in the past (delay {delay_ticks})")
-        self.schedule_at(self.now + delay_ticks, callback)
+        heappush(self._queue, (self.now + delay_ticks, self._next_sequence(), callback))
 
     def schedule_at(self, time_ticks: int, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute time ``time_ticks``."""
@@ -72,7 +73,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time_ticks}, now is {self.now}"
             )
-        heapq.heappush(self._queue, (time_ticks, next(self._sequence), callback))
+        heappush(self._queue, (time_ticks, self._next_sequence(), callback))
 
     @property
     def pending(self) -> int:
@@ -89,10 +90,6 @@ class Simulator:
         that detect overload early and have no reason to keep simulating)."""
         self._stop_requested = True
 
-    @property
-    def stop_requested(self) -> bool:
-        return self._stop_requested
-
     def run(self, until_ticks: Optional[int] = None) -> int:
         """Process events in time order.
 
@@ -102,15 +99,15 @@ class Simulator:
         ends the run immediately.
         """
         self._stop_requested = False
-        while self._queue:
+        queue = self._queue
+        horizon = math.inf if until_ticks is None else until_ticks
+        while queue:
             if self._stop_requested:
                 return self.now
-            time_ticks, _seq, callback = self._queue[0]
-            if until_ticks is not None and time_ticks > until_ticks:
+            if queue[0][0] > horizon:
                 self.now = until_ticks
                 return self.now
-            heapq.heappop(self._queue)
-            self.now = time_ticks
+            self.now, _seq, callback = heappop(queue)
             self._processed_events += 1
             callback()
         if until_ticks is not None:

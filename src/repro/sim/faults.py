@@ -573,7 +573,6 @@ class FaultCoordinator:
             self.protocol,
             self.network.cost_model,
             self.network,
-            batch_size=self.network.batch_size,
         )
 
     # ------------------------------------------------------------------

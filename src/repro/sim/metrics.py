@@ -9,10 +9,10 @@ run combined with a saturated processor.
 
 Counting itself lives in the run's :mod:`repro.obs` registry (see
 :mod:`repro.sim.runner`); :class:`BrokerStats` remains the overload-criterion
-state — plain assignable integers, mirrored into the registry by
-:class:`~repro.sim.brokers.SimBroker` — and :class:`SimulationResult`
-carries the registry snapshot (:meth:`SimulationResult.counter_snapshot`)
-for export.
+state — plain assignable integers, exported into the registry by
+:meth:`~repro.sim.brokers.SimBroker.sync_counters` when a run takes its
+snapshot — and :class:`SimulationResult` carries the registry snapshot
+(:meth:`SimulationResult.counter_snapshot`) for export.
 """
 
 from __future__ import annotations

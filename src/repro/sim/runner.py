@@ -19,7 +19,8 @@ which is what ``BENCH_*.json`` artifacts embed.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.matching.events import Event
@@ -53,7 +54,6 @@ class NetworkSimulation:
         seed: int = 0,
         queue_sample_interval_ms: float = 50.0,
         registry: Optional[MetricsRegistry] = None,
-        batch_size: int = 1,
         fault_plan: Optional[FaultPlan] = None,
         repair_delay_ms: float = 5.0,
         annotation_lag_ms: float = 0.0,
@@ -62,9 +62,6 @@ class NetworkSimulation:
         self.topology = topology
         self.protocol = protocol
         self.cost_model = cost_model
-        #: Messages each broker drains per service period (1 = the paper's
-        #: one-at-a-time pipeline; >1 enables the batched matching path).
-        self.batch_size = batch_size
         self.simulator = Simulator()
         self.rng = random.Random(seed)
         #: The run's own always-enabled registry (pass one in to share).
@@ -75,13 +72,16 @@ class NetworkSimulation:
         self._obs_matched = self._obs.counter("deliveries.matched")
         self._obs_latency = self._obs.histogram("delivery.latency_ms", LATENCY_BUCKETS_MS)
         self._obs_queue_depth = self._obs.histogram("broker.queue_depth", QUEUE_DEPTH_BUCKETS)
-        # Per-link counters, cached by (src, dst) so transmit() pays one
-        # plain dict lookup, not a label-string render.
+        # Per-link counters by (src, dst), fetched once per link.
         self._link_counters: Dict[Tuple[str, str], Tuple[Counter, Counter]] = {}
+        # Without a fault plan the topology cannot change during the run, so
+        # each link's delay in ticks is resolved once, and a broker-broker
+        # link's with its counters and the target's receive.  A faulted run
+        # caches neither: every hop reads the link it crosses.
+        self._delays: Dict[Tuple[str, str], int] = {}
+        self._hops: Dict[Tuple[str, str], Tuple[int, Counter, Counter, Callable]] = {}
         self.brokers: Dict[str, SimBroker] = {
-            name: SimBroker(
-                self.simulator, name, protocol, cost_model, self, batch_size=batch_size
-            )
+            name: SimBroker(self.simulator, name, protocol, cost_model, self)
             for name in topology.brokers()
         }
         self.deliveries: List[DeliveryRecord] = []
@@ -112,7 +112,6 @@ class NetworkSimulation:
         if node.kind is not NodeKind.PUBLISHER:
             raise SimulationError(f"{publisher!r} is not a publisher client")
         broker = self.topology.broker_of(publisher)
-        link = self.topology.link_between(publisher, broker)
         message = self.protocol.make_message(
             event, broker, publish_time_ticks=self.simulator.now
         )
@@ -120,14 +119,20 @@ class NetworkSimulation:
         if self.faults is not None:
             if not self.faults.on_publish(publisher, broker, message):
                 return  # parked until the broker recovers
-            self.simulator.schedule(
-                ms_to_ticks(link.latency_ms),
-                lambda: self._guarded_arrival(broker, message),
-            )
-            return
-        self.simulator.schedule(
-            ms_to_ticks(link.latency_ms), lambda: self.brokers[broker].receive(message)
-        )
+            arrival = partial(self._guarded_arrival, broker, message)
+        else:
+            arrival = partial(self.brokers[broker].receive, message)
+        self.simulator.schedule(self._delay_ticks(publisher, broker), arrival)
+
+    def _delay_ticks(self, a: str, b: str) -> int:
+        """The hop delay of the ``a``-``b`` link in ticks (memoised while no
+        fault plan can change it)."""
+        if self.faults is not None:
+            return ms_to_ticks(self.topology.link_between(a, b).latency_ms)
+        delay = self._delays.get((a, b))
+        if delay is None:
+            delay = self._delays[(a, b)] = ms_to_ticks(self.topology.link_between(a, b).latency_ms)
+        return delay
 
     @property
     def published_events(self) -> int:
@@ -145,27 +150,30 @@ class NetworkSimulation:
 
     def transmit(self, source: str, target: str, message: SimMessage) -> None:
         """Send a message over the broker-broker link (adds hop delay)."""
-        if self.faults is not None and not self.faults.on_transmit(source, target, message):
-            return  # parked at the failure boundary, replayed after repair
-        link = self.topology.link_between(source, target)
+        hop = self._hops.get((source, target))
+        if hop is None:
+            if self.faults is not None and not self.faults.on_transmit(source, target, message):
+                return  # parked at the failure boundary, replayed after repair
+            hop = self._resolve_hop(source, target)
+        delay, messages, size, arrive = hop
+        messages.inc()
+        size.inc(message.wire_size_bytes)
+        self.simulator.schedule(delay, partial(arrive, message))
+
+    def _resolve_hop(self, source: str, target: str) -> Tuple[int, Counter, Counter, Callable]:
+        """The link's delay, its two counters and what a copy's arrival
+        calls; kept in ``_hops`` only while no fault plan can change them."""
+        delay = self._delay_ticks(source, target)
         counters = self._link_counters.get((source, target))
         if counters is None:
-            counters = (
+            counters = self._link_counters[(source, target)] = (
                 self._obs.counter("link.messages", src=source, dst=target),
                 self._obs.counter("link.bytes", src=source, dst=target),
             )
-            self._link_counters[(source, target)] = counters
-        counters[0].inc()
-        counters[1].inc(message.wire_size_bytes)
         if self.faults is not None:
-            self.simulator.schedule(
-                ms_to_ticks(link.latency_ms),
-                lambda: self._guarded_link_arrival(source, target, message),
-            )
-            return
-        self.simulator.schedule(
-            ms_to_ticks(link.latency_ms), lambda: self.brokers[target].receive(message)
-        )
+            return (delay, *counters, partial(self._guarded_link_arrival, source, target))
+        hop = self._hops[(source, target)] = (delay, *counters, self.brokers[target].receive)
+        return hop
 
     def _guarded_arrival(self, broker: str, message: SimMessage) -> None:
         """Arrival of a publisher injection under fault injection."""
@@ -187,25 +195,23 @@ class NetworkSimulation:
 
     def deliver(self, broker: str, client: str, message: SimMessage, *, matched: bool) -> None:
         """Send the event over the client link and record its arrival."""
-        link = self.topology.link_between(broker, client)
-        arrival = self.simulator.now + ms_to_ticks(link.latency_ms)
+        delay = self._delay_ticks(broker, client)
+        delivery = DeliveryRecord(
+            client,
+            message.event.event_id,
+            message.publish_time_ticks,
+            self.simulator.now + delay,
+            matched,
+            message.hop,
+        )
+        self.simulator.schedule(delay, partial(self._record, delivery))
 
-        def record() -> None:
-            delivery = DeliveryRecord(
-                client,
-                message.event.event_id,
-                message.publish_time_ticks,
-                arrival,
-                matched,
-                message.hop,
-            )
-            self.deliveries.append(delivery)
-            self._obs_deliveries.inc()
-            if matched:
-                self._obs_matched.inc()
-            self._obs_latency.observe(delivery.latency_ms)
-
-        self.simulator.schedule_at(arrival, record)
+    def _record(self, delivery: DeliveryRecord) -> None:
+        self.deliveries.append(delivery)
+        self._obs_deliveries.inc()
+        if delivery.matched:
+            self._obs_matched.inc()
+        self._obs_latency.observe(delivery.latency_ms)
 
     # ------------------------------------------------------------------
     # Publisher attachment
@@ -322,6 +328,8 @@ class NetworkSimulation:
             # One final sample so overload detection sees the drained state.
             for broker in self.brokers.values():
                 broker.stats.record_queue(self.simulator.now, broker.queue_length)
+        for broker in self.brokers.values():
+            broker.sync_counters()
         return SimulationResult(
             elapsed_ticks=self.simulator.now,
             broker_stats={name: b.stats for name, b in self.brokers.items()},

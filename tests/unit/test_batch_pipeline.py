@@ -1,12 +1,10 @@
-"""The batched event pipeline: client batches, broker ingest, sim batching.
+"""The batched event pipeline: client batches and broker ingest.
 
 Batching is a throughput optimization, never a semantics change: a
 ``publish_many`` call must deliver exactly what the equivalent ``publish``
-loop delivers (same events, same per-client sequencing), coalesced
+loop delivers (same events, same per-client sequencing), and coalesced
 ``BROKER_EVENT_BATCH`` forwarding must fan out like individual
-``BROKER_EVENT`` messages, and a simulated broker draining its queue in
-batches must produce the same deliveries as one draining it one message at
-a time.
+``BROKER_EVENT`` messages.
 """
 
 from __future__ import annotations
@@ -20,13 +18,8 @@ from repro.broker import (
     InMemoryTransport,
 )
 from repro.errors import ProtocolError
-from repro.matching import Event, stock_trade_schema, uniform_schema
+from repro.matching import stock_trade_schema
 from repro.network import NodeKind, Topology
-from repro.protocols import LinkMatchingProtocol, ProtocolContext
-from repro.sim import NetworkSimulation
-from tests.conftest import make_subscription
-
-SCHEMA2 = uniform_schema(2)
 
 
 def two_broker_network(**node_kwargs):
@@ -164,41 +157,3 @@ class TestIngestBatchSize:
         transport.pump()
         assert [seq for seq, _e in bob.deliveries] == list(range(1, 8))
 
-
-class TestSimBatchEquivalence:
-    def make_simulation(self, topology, expressions, batch_size):
-        subscriptions = [
-            make_subscription(SCHEMA2, expression, subscriber)
-            for subscriber, expression in expressions.items()
-        ]
-        context = ProtocolContext(topology, SCHEMA2, subscriptions)
-        return NetworkSimulation(
-            topology, LinkMatchingProtocol(context), seed=1, batch_size=batch_size
-        )
-
-    @pytest.mark.parametrize("batch_size", [2, 4, 16])
-    def test_batched_drain_matches_single_message_drain(
-        self, two_broker_topology, batch_size
-    ):
-        events = [Event.from_tuple(SCHEMA2, (i % 3, i % 2)) for i in range(12)]
-
-        def outcome(size):
-            simulation = self.make_simulation(
-                two_broker_topology, {"c1": "a1=1", "c0": "a2=0"}, size
-            )
-            for event in events:
-                simulation.publish("P1", event)
-            result = simulation.run()
-            return (
-                sorted((d.client, d.event_id, d.matched) for d in result.deliveries),
-                result.link_messages,
-            )
-
-        single_deliveries, single_links = outcome(1)
-        batched_deliveries, batched_links = outcome(batch_size)
-        assert batched_deliveries == single_deliveries
-        assert batched_links == single_links
-
-    def test_batch_size_validation(self, two_broker_topology):
-        with pytest.raises(ValueError):
-            self.make_simulation(two_broker_topology, {}, 0)
