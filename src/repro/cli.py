@@ -6,7 +6,6 @@ Usage (after ``pip install -e .``)::
     python -m repro chart2 --events 200
     python -m repro chart3 --subscriptions 1000 5000 25000
     python -m repro throughput
-    python -m repro bursty --mean-rate 3000
     python -m repro ablations
     python -m repro demo
 
@@ -23,12 +22,10 @@ from typing import Optional, Sequence
 
 from repro.experiments import (
     AblationConfig,
-    BurstyConfig,
     Chart1Config,
     Chart2Config,
     Chart3Config,
     ThroughputConfig,
-    run_bursty,
     run_chart1,
     run_chart2,
     run_chart3,
@@ -84,17 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     commands.add_parser("throughput", help="prototype broker events/sec")
 
-    bursty = commands.add_parser("bursty", help="bursty-load study (paper future work)")
-    bursty.add_argument("--mean-rate", type=float, default=None)
-    bursty.add_argument("--burstiness", type=float, nargs="+", default=None)
-
     commands.add_parser("ablations", help="factoring / ordering / DAG / virtual links")
-
-    model = commands.add_parser(
-        "model", help="analytical expected-cost model vs the measured PST"
-    )
-    model.add_argument("--subscriptions", type=int, nargs="+", default=None)
-    model.add_argument("--events", type=int, default=200)
 
     commands.add_parser("demo", help="run the quickstart scenario inline")
     return parser
@@ -108,7 +95,6 @@ def _run_chart1(args: argparse.Namespace) -> None:
         subscribers_per_broker=10 if args.paper_scale else 3,
         probe_duration_s=args.probe_duration or (0.5 if args.paper_scale else 0.4),
         include_match_first=args.match_first,
-        metrics_out=args.metrics_out,
     )
     table = run_chart1(config)
     print(table.format())
@@ -134,7 +120,6 @@ def _run_chart2(args: argparse.Namespace) -> None:
         ),
         num_events=args.events or (1000 if args.paper_scale else 120),
         subscribers_per_broker=10 if args.paper_scale else 3,
-        metrics_out=args.metrics_out,
     )
     table = run_chart2(config)
     print(table.format())
@@ -158,7 +143,6 @@ def _run_chart3(args: argparse.Namespace) -> None:
             else Chart3Config().subscription_counts
         ),
         num_events=args.events or (300 if args.paper_scale else 150),
-        metrics_out=args.metrics_out,
     )
     table = run_chart3(config)
     print(table.format())
@@ -176,23 +160,8 @@ def _run_throughput(args: argparse.Namespace) -> None:
     config = ThroughputConfig(
         subscription_counts=(10, 100, 1000, 5000) if args.paper_scale else (10, 100, 1000),
         num_events=4000 if args.paper_scale else 1500,
-        metrics_out=args.metrics_out,
     )
     print(run_throughput(config).format())
-
-
-def _run_bursty(args: argparse.Namespace) -> None:
-    config = BurstyConfig(
-        num_subscriptions=1000 if args.paper_scale else 200,
-        subscribers_per_broker=10 if args.paper_scale else 3,
-        mean_rate=args.mean_rate or (5000.0 if args.paper_scale else 3000.0),
-        burstiness_factors=tuple(args.burstiness)
-        if args.burstiness
-        else (1.0, 2.0, 5.0, 10.0),
-        duration_s=2.0 if args.paper_scale else 0.8,
-        metrics_out=args.metrics_out,
-    )
-    print(run_bursty(config).format())
 
 
 def _run_ablations(args: argparse.Namespace) -> None:
@@ -211,49 +180,6 @@ def _run_ablations(args: argparse.Namespace) -> None:
     ):
         print(table.format())
         print()
-
-
-def _run_model(args: argparse.Namespace) -> None:
-    from repro.analysis import MatchingCostModel
-    from repro.experiments import ExperimentTable
-    from repro.matching import CompiledProgram
-    from repro.workload import EventGenerator, SubscriptionGenerator, WorkloadSpec
-
-    spec = WorkloadSpec(
-        num_attributes=8,
-        values_per_attribute=4,
-        factoring_levels=0,
-        zipf_exponent=0.0,  # uniform values: the model is exact here
-        locality_regions=1,
-    )
-    counts = args.subscriptions or [500, 2000, 8000]
-    table = ExperimentTable(
-        "Analytical model vs measured PST (uniform values)",
-        ["subscriptions", "model_steps", "measured_steps", "model_matches",
-         "measured_matches", "sublinearity_ratio"],
-    )
-    for count in counts:
-        model = MatchingCostModel(spec, count)
-        generator = SubscriptionGenerator(spec, seed=count)
-        program = CompiledProgram(spec.schema())
-        for subscription in generator.subscriptions_for(["c"], count):
-            program.insert(subscription)
-        events = EventGenerator(spec, seed=count + 1)
-        results = [program.match(events.event_for()) for _ in range(args.events)]
-        measured_steps = sum(r.steps for r in results) / len(results)
-        measured_matches = sum(len(r.subscriptions) for r in results) / len(results)
-        table.add_row(
-            count,
-            model.expected_steps(),
-            measured_steps,
-            model.expected_matches(),
-            measured_matches,
-            model.sublinearity_ratio(),
-        )
-    print(table.format())
-    print()
-    print("sublinearity_ratio = steps(2S) / (2 x steps(S)); < 1 certifies the")
-    print("companion paper's claim that matching cost grows sublinearly in S.")
 
 
 def _run_demo(args: argparse.Namespace) -> None:
@@ -283,9 +209,7 @@ _HANDLERS = {
     "chart2": _run_chart2,
     "chart3": _run_chart3,
     "throughput": _run_throughput,
-    "bursty": _run_bursty,
     "ablations": _run_ablations,
-    "model": _run_model,
     "demo": _run_demo,
 }
 

@@ -1,6 +1,6 @@
 """Experiment harnesses that regenerate every table and figure of the
-paper's evaluation (Charts 1-3, the throughput claim), plus the future-work
-bursty-load study and ablations of the design choices."""
+paper's evaluation (Charts 1-3, the throughput claim, the network-loading
+baselines), plus ablations of the design choices."""
 
 from repro.experiments.ablations import (
     AblationConfig,
@@ -11,7 +11,6 @@ from repro.experiments.ablations import (
     run_virtual_link_ablation,
 )
 from repro.experiments.baselines import BaselineConfig, run_baseline_comparison
-from repro.experiments.bursty import BurstyConfig, run_bursty
 from repro.experiments.chart1 import Chart1Config, run_chart1, saturation_for
 from repro.experiments.chart2 import Chart2Config, measure_chart2_point, run_chart2
 from repro.experiments.chart3 import Chart3Config, measure_matching_time, run_chart3
@@ -21,7 +20,6 @@ from repro.experiments.throughput import ThroughputConfig, run_throughput
 __all__ = [
     "AblationConfig",
     "BaselineConfig",
-    "BurstyConfig",
     "Chart1Config",
     "Chart2Config",
     "Chart3Config",
@@ -30,7 +28,6 @@ __all__ = [
     "measure_chart2_point",
     "measure_matching_time",
     "run_baseline_comparison",
-    "run_bursty",
     "run_chart1",
     "run_chart2",
     "run_chart3",

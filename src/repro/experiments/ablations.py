@@ -15,11 +15,10 @@ Three studies, each isolating one Section 2.1 / Section 3 mechanism:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.masks import VirtualLinkTable
 from repro.experiments.tables import ExperimentTable
-from repro.obs import metrics_output
 from repro.matching.compile import CompiledProgram
 from repro.matching.engines import create_matcher
 from repro.matching.optimizations import SearchDag
@@ -41,9 +40,6 @@ class AblationConfig:
     num_subscriptions: int = 2000
     num_events: int = 300
     seed: int = 0
-    #: Optional path: write the global obs-registry JSON snapshot here
-    #: (honored by the config-taking ablations; the CLI flag covers all).
-    metrics_out: Optional[str] = None
 
 
 def _workload(config: AblationConfig) -> Tuple[List, List]:
@@ -69,11 +65,6 @@ def _node_count(program: CompiledProgram) -> int:
 
 def run_factoring_ablation(config: AblationConfig = AblationConfig()) -> ExperimentTable:
     """Matching steps and structure size per number of factored attributes."""
-    with metrics_output(config.metrics_out):
-        return _run_factoring_ablation(config)
-
-
-def _run_factoring_ablation(config: AblationConfig) -> ExperimentTable:
     table = ExperimentTable(
         "Ablation: factoring levels (Chart 1 workload)",
         ["factoring_levels", "mean_steps", "sub_trees", "total_nodes"],
@@ -102,11 +93,6 @@ def run_ordering_ablation(config: AblationConfig = AblationConfig()) -> Experime
     order is already near-optimal and the reversed order is the worst case —
     the heuristic should track the former and beat the latter.
     """
-    with metrics_output(config.metrics_out):
-        return _run_ordering_ablation(config)
-
-
-def _run_ordering_ablation(config: AblationConfig) -> ExperimentTable:
     table = ExperimentTable(
         "Ablation: PST attribute ordering",
         ["ordering", "mean_steps", "nodes"],

@@ -15,10 +15,9 @@ tracked events, Zipf values, locality of interest, Poisson arrivals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.experiments.tables import ExperimentTable
-from repro.obs import metrics_output
 from repro.network.figures import figure6_topology
 from repro.network.topology import Topology
 from repro.protocols.base import ProtocolContext, RoutingProtocol
@@ -53,8 +52,6 @@ class Chart1Config:
     max_rate: float = 5e5
     seed: int = 0
     include_match_first: bool = False
-    #: Optional path: write the global obs-registry JSON snapshot here.
-    metrics_out: Optional[str] = None
 
 
 def _protocols(context: ProtocolContext, config: Chart1Config) -> List[RoutingProtocol]:
@@ -104,11 +101,6 @@ def saturation_for(
 
 def run_chart1(config: Chart1Config = Chart1Config()) -> ExperimentTable:
     """Regenerate Chart 1's series (one row per protocol × subscription count)."""
-    with metrics_output(config.metrics_out):
-        return _run_chart1(config)
-
-
-def _run_chart1(config: Chart1Config) -> ExperimentTable:
     table = ExperimentTable(
         "Chart 1: saturation publish rate (events/s) vs number of subscriptions",
         ["subscriptions", "protocol", "saturation_rate_eps", "probes"],

@@ -20,11 +20,10 @@ attribute, non-``*`` probability 0.98 decaying at 82%, 1000 events.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.fabric import ContentRoutedNetwork
 from repro.experiments.tables import ExperimentTable
-from repro.obs import metrics_output
 from repro.network.figures import figure6_topology
 from repro.workload.generators import (
     EventGenerator,
@@ -47,8 +46,6 @@ class Chart2Config:
     max_hops: int = 6
     seed: int = 0
     use_factoring: bool = True
-    #: Optional path: write the global obs-registry JSON snapshot here.
-    metrics_out: Optional[str] = None
 
 
 @dataclass
@@ -100,11 +97,6 @@ def run_chart2(config: Chart2Config = Chart2Config()) -> ExperimentTable:
     (mean cumulative steps; blank when no delivery at that distance), then
     ``centralized``.
     """
-    with metrics_output(config.metrics_out):
-        return _run_chart2(config)
-
-
-def _run_chart2(config: Chart2Config) -> ExperimentTable:
     columns = ["subscriptions"]
     columns += [f"lm_{h}_hop{'s' if h > 1 else ''}" for h in range(1, config.max_hops + 1)]
     columns.append("centralized")

@@ -17,7 +17,6 @@ from typing import List, Optional, Tuple
 
 from repro.broker.engine import MatchingEngine
 from repro.experiments.tables import ExperimentTable
-from repro.obs import metrics_output
 from repro.workload.generators import EventGenerator, SubscriptionGenerator
 from repro.workload.spec import CHART1_SPEC, WorkloadSpec
 
@@ -35,8 +34,6 @@ class Chart3Config:
     num_events: int = 200
     seed: int = 0
     use_factoring: bool = True
-    #: Optional path: write the global obs-registry JSON snapshot here.
-    metrics_out: Optional[str] = None
 
 
 def measure_matching_time(
@@ -69,11 +66,6 @@ def measure_matching_time(
 
 def run_chart3(config: Chart3Config = Chart3Config()) -> ExperimentTable:
     """Regenerate Chart 3: average matching time vs subscription count."""
-    with metrics_output(config.metrics_out):
-        return _run_chart3(config)
-
-
-def _run_chart3(config: Chart3Config) -> ExperimentTable:
     table = ExperimentTable(
         "Chart 3: prototype matching time vs number of subscriptions",
         [

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.broker.client import BrokerClient
 from repro.broker.engine import MatchingEngine
 from repro.broker.node import BrokerNetworkConfig, BrokerNode
 from repro.broker.transport import InMemoryTransport
 from repro.experiments.tables import ExperimentTable
-from repro.obs import metrics_output
 from repro.network.topology import NodeKind, Topology
 from repro.workload.generators import EventGenerator, SubscriptionGenerator
 from repro.workload.spec import WorkloadSpec
@@ -38,8 +37,6 @@ class ThroughputConfig:
     num_subscriber_clients: int = 10
     num_events: int = 2000
     seed: int = 0
-    #: Optional path: write the global obs-registry JSON snapshot here.
-    metrics_out: Optional[str] = None
 
 
 def _single_broker_topology(num_subscribers: int) -> Topology:
@@ -53,11 +50,6 @@ def _single_broker_topology(num_subscribers: int) -> Topology:
 
 def run_throughput(config: ThroughputConfig = ThroughputConfig()) -> ExperimentTable:
     """Measure full-pipeline events/sec and the matching share of the cost."""
-    with metrics_output(config.metrics_out):
-        return _run_throughput(config)
-
-
-def _run_throughput(config: ThroughputConfig) -> ExperimentTable:
     table = ExperimentTable(
         "Broker throughput (single prototype broker, in-memory transport)",
         [

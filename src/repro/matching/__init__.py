@@ -26,7 +26,6 @@ from repro.matching.predicates import (
     Subscription,
     normalize_tests,
 )
-from repro.matching.subsumption import covers, predicate_subsumes, redundant_subscriptions
 from repro.matching.schema import (
     Attribute,
     AttributeType,
@@ -85,15 +84,12 @@ __all__ = [
     "RangeTest",
     "SearchDag",
     "Subscription",
-    "covers",
     "declaration_order",
     "dont_care_counts",
     "normalize_tests",
     "order_by_fewest_dont_cares",
     "order_quality",
     "parse_predicate",
-    "predicate_subsumes",
-    "redundant_subscriptions",
     "reverse_declaration_order",
     "stock_trade_schema",
     "uniform_schema",

@@ -20,7 +20,6 @@ Quick tour::
         expensive()
 
     print(obs.export.to_json(registry))
-    print(obs.export.to_prometheus(registry))
 
 Component-owned registries (the simulator creates one per run) follow the
 same API; see :mod:`repro.sim.runner`.

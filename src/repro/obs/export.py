@@ -1,12 +1,8 @@
-"""Exporters for :mod:`repro.obs` registries.
+"""JSON export for :mod:`repro.obs` registries.
 
-Two wire formats, both dependency-free:
-
-* **JSON** (:func:`to_json` / :func:`write_json`) — the machine-readable
-  form consumed by ``BENCH_*.json`` artifacts, ``benchmarks/trend.py`` and
-  the ``--metrics-out`` CLI flag;
-* **Prometheus text exposition** (:func:`to_prometheus`) — so a deployment
-  can serve the same counters to a real scraper without new code.
+:func:`to_json` / :func:`write_json` give the machine-readable form consumed
+by ``BENCH_*.json`` artifacts, ``benchmarks/trend.py`` and the
+``--metrics-out`` CLI flag (:func:`metrics_output`).
 
 Snapshots are plain dicts (see :meth:`MetricsRegistry.snapshot`), so the
 snapshot/diff API composes: export a snapshot taken before a run, one taken
@@ -19,20 +15,13 @@ from __future__ import annotations
 import contextlib
 import json
 import pathlib
-import re
 from typing import Any, Dict, Iterator, Optional, Union
 
 from repro.obs.registry import MetricsRegistry, diff_snapshots, get_registry
 
-__all__ = ["to_json", "write_json", "to_prometheus", "metrics_output", "diff_snapshots"]
+__all__ = ["to_json", "write_json", "metrics_output", "diff_snapshots"]
 
 Snapshot = Dict[str, Dict[str, Any]]
-
-#: Characters Prometheus forbids in metric names, collapsed to ``_``.
-_PROM_NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
-
-#: Flat snapshot keys look like ``name{k=v,k2=v2}`` or plain ``name``.
-_FLAT_KEY = re.compile(r"^(?P<name>[^{]+)(?:\{(?P<labels>.*)\})?$")
 
 
 def _as_snapshot(source: Union[MetricsRegistry, Snapshot]) -> Snapshot:
@@ -65,11 +54,10 @@ def metrics_output(
     """Enable the (global) registry for the duration of a block and write its
     JSON snapshot to ``path`` on exit.
 
-    This is how ``--metrics-out`` is threaded through the CLI and every
-    experiment config: instruments only record if the registry was enabled
-    when they were fetched, so the enable MUST happen before the experiment
-    constructs its engines and protocols — wrapping the whole ``run_*`` body
-    guarantees that ordering.  With ``path=None`` the block is a no-op
+    This is how the CLI's ``--metrics-out`` works: instruments only record if
+    the registry was enabled when they were fetched, so the enable MUST
+    happen before the command constructs its engines and protocols —
+    wrapping the whole command guarantees that ordering.  With ``path=None`` the block is a no-op
     passthrough (the registry's enabled state is untouched), so callers can
     wrap unconditionally.
     """
@@ -85,61 +73,3 @@ def metrics_output(
         write_json(target, path)
         if not was_enabled:
             target.disable()
-
-
-def _split_flat_key(key: str) -> tuple[str, Dict[str, str]]:
-    match = _FLAT_KEY.match(key)
-    if match is None:  # defensive; snapshot keys are always well-formed
-        return key, {}
-    labels: Dict[str, str] = {}
-    raw = match.group("labels")
-    if raw:
-        for pair in raw.split(","):
-            label_key, _, label_value = pair.partition("=")
-            labels[label_key] = label_value
-    return match.group("name"), labels
-
-
-def _prom_name(name: str) -> str:
-    return _PROM_NAME_BAD.sub("_", name)
-
-
-def _prom_labels(labels: Dict[str, str], extra: str = "") -> str:
-    rendered = [f'{_prom_name(k)}="{v}"' for k, v in sorted(labels.items())]
-    if extra:
-        rendered.append(extra)
-    return "{" + ",".join(rendered) + "}" if rendered else ""
-
-
-def to_prometheus(source: Union[MetricsRegistry, Snapshot], *, namespace: str = "repro") -> str:
-    """Render the Prometheus text exposition format (version 0.0.4).
-
-    Histograms and timers become the conventional ``_bucket``/``_sum``/
-    ``_count`` triplet with cumulative ``le`` buckets; timers are exported in
-    seconds, which is the Prometheus convention for durations.
-    """
-    snapshot = _as_snapshot(source)
-    lines: list[str] = []
-    typed: set[str] = set()
-    for key in sorted(snapshot):
-        entry = snapshot[key]
-        name, labels = _split_flat_key(key)
-        metric = _prom_name(f"{namespace}_{name}" if namespace else name)
-        kind = entry.get("type", "counter")
-        if kind in ("counter", "gauge"):
-            if metric not in typed:
-                lines.append(f"# TYPE {metric} {kind}")
-                typed.add(metric)
-            lines.append(f"{metric}{_prom_labels(labels)} {entry['value']}")
-        else:  # histogram / timer
-            if metric not in typed:
-                lines.append(f"# TYPE {metric} histogram")
-                typed.add(metric)
-            cumulative = 0
-            for boundary, count in entry["buckets"]:
-                cumulative += count
-                le_label = 'le="{}"'.format(boundary)
-                lines.append(f"{metric}_bucket{_prom_labels(labels, le_label)} {cumulative}")
-            lines.append(f"{metric}_sum{_prom_labels(labels)} {entry['sum']}")
-            lines.append(f"{metric}_count{_prom_labels(labels)} {entry['count']}")
-    return "\n".join(lines) + ("\n" if lines else "")

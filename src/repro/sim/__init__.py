@@ -1,9 +1,9 @@
 """Discrete-event network simulator (Section 4.1): virtual clock in 12 µs
-ticks, single-server broker queues, hop-delay links, Poisson and bursty
-publishers, overload detection and saturation search."""
+ticks, single-server broker queues, hop-delay links, Poisson publishers,
+overload detection and saturation search."""
 
 from repro.sim.brokers import SimBroker
-from repro.sim.clients import BurstyPublisher, EventFactory, PoissonPublisher
+from repro.sim.clients import EventFactory, PoissonPublisher
 from repro.sim.cost import DEFAULT_COST_MODEL, CostModel
 from repro.sim.engine import (
     TICK_US,
@@ -31,7 +31,6 @@ from repro.sim.saturation import (
 
 __all__ = [
     "BrokerStats",
-    "BurstyPublisher",
     "CostModel",
     "DEFAULT_COST_MODEL",
     "DeliveryRecord",

@@ -1,14 +1,10 @@
-"""Simulated clients: Poisson publishers and bursty (ON/OFF) publishers.
+"""Simulated clients: Poisson publishers.
 
 "Events arrive at the publishing brokers according to a Poisson
 distribution.  The mean arrival rate of published events, which is a key
 parameter, is controlled by a user specified parameter."
 
-:class:`PoissonPublisher` draws exponential inter-arrival times;
-:class:`BurstyPublisher` implements the ON/OFF (interrupted Poisson) process
-the paper's future-work section asks about — alternating exponential ON
-periods, during which events arrive at a high rate, and silent OFF periods,
-with the same long-run mean rate as a Poisson publisher of equal ``rate``.
+:class:`PoissonPublisher` draws exponential inter-arrival times.
 """
 
 from __future__ import annotations
@@ -82,87 +78,3 @@ class PoissonPublisher:
 
     def __repr__(self) -> str:
         return f"PoissonPublisher({self.name!r}, rate={self.rate}/s, left={self.remaining})"
-
-
-class BurstyPublisher:
-    """An ON/OFF publisher with the same long-run mean rate.
-
-    During ON periods events arrive at ``rate * burstiness``; ON periods have
-    mean length ``on_mean_s`` and OFF periods are sized so the duty cycle is
-    ``1 / burstiness``, preserving the long-run mean rate.
-    """
-
-    def __init__(
-        self,
-        simulator: Simulator,
-        network: "NetworkSimulation",
-        name: str,
-        rate_per_second: float,
-        event_factory: EventFactory,
-        num_events: int,
-        rng: random.Random,
-        *,
-        burstiness: float = 5.0,
-        on_mean_s: float = 0.2,
-    ) -> None:
-        if rate_per_second <= 0:
-            raise SimulationError("publish rate must be positive")
-        if burstiness < 1.0:
-            raise SimulationError("burstiness must be >= 1 (1 = plain Poisson)")
-        if on_mean_s <= 0:
-            raise SimulationError("on_mean_s must be positive")
-        self.simulator = simulator
-        self.network = network
-        self.name = name
-        self.rate = rate_per_second
-        self.burstiness = burstiness
-        self.on_mean_s = on_mean_s
-        self.off_mean_s = on_mean_s * (burstiness - 1.0)
-        self.event_factory = event_factory
-        self.remaining = num_events
-        self.rng = rng
-        self.published = 0
-        self._on = True
-        self._period_ends_at = 0
-        if self.remaining:
-            self._start_period()
-
-    def _start_period(self) -> None:
-        mean = self.on_mean_s if self._on else self.off_mean_s
-        length_s = self.rng.expovariate(1.0 / mean) if mean > 0 else 0.0
-        self._period_ends_at = self.simulator.now + max(1, seconds_to_ticks(length_s))
-        if self._on:
-            self._schedule_next_event()
-        else:
-            self.simulator.schedule_at(self._period_ends_at, self._flip)
-
-    def _flip(self) -> None:
-        if self.remaining <= 0:
-            return
-        self._on = not self._on
-        self._start_period()
-
-    def _schedule_next_event(self) -> None:
-        burst_rate = self.rate * self.burstiness
-        delay_s = self.rng.expovariate(burst_rate)
-        arrival = self.simulator.now + max(1, seconds_to_ticks(delay_s))
-        if arrival >= self._period_ends_at:
-            self.simulator.schedule_at(self._period_ends_at, self._flip)
-            return
-        self.simulator.schedule_at(arrival, self._publish_one)
-
-    def _publish_one(self) -> None:
-        if self.remaining <= 0:
-            return
-        event = self.event_factory(self.rng)
-        self.network.publish(self.name, event)
-        self.published += 1
-        self.remaining -= 1
-        if self.remaining:
-            self._schedule_next_event()
-
-    def __repr__(self) -> str:
-        return (
-            f"BurstyPublisher({self.name!r}, rate={self.rate}/s, "
-            f"burstiness={self.burstiness}, left={self.remaining})"
-        )

@@ -4,8 +4,7 @@
 topology broker, the link model (each transmit schedules an arrival after the
 link's hop delay), delivery recording, and a periodic queue-length sampler
 (for overload detection).  Publishers are attached with
-:meth:`add_poisson_publisher` / :meth:`add_bursty_publisher`; then
-:meth:`run` drives the clock and returns a
+:meth:`add_poisson_publisher`; then :meth:`run` drives the clock and returns a
 :class:`~repro.sim.metrics.SimulationResult`.
 
 Counting goes through a per-run :class:`~repro.obs.MetricsRegistry` (always
@@ -27,7 +26,7 @@ from repro.matching.events import Event
 from repro.obs import Counter, MetricsRegistry
 from repro.protocols.base import RoutingProtocol, SimMessage
 from repro.sim.brokers import SimBroker
-from repro.sim.clients import BurstyPublisher, EventFactory, PoissonPublisher
+from repro.sim.clients import EventFactory, PoissonPublisher
 from repro.sim.cost import DEFAULT_COST_MODEL, CostModel
 from repro.sim.engine import Simulator, ms_to_ticks, seconds_to_ticks
 from repro.sim.faults import FaultCoordinator, FaultPlan
@@ -234,30 +233,6 @@ class NetworkSimulation:
             num_events,
             random.Random(self.rng.randrange(2**63)),
             start_after_s=start_after_s,
-        )
-        self._publishers.append(process)
-        return process
-
-    def add_bursty_publisher(
-        self,
-        publisher: str,
-        rate_per_second: float,
-        event_factory: EventFactory,
-        num_events: int,
-        *,
-        burstiness: float = 5.0,
-        on_mean_s: float = 0.2,
-    ) -> BurstyPublisher:
-        process = BurstyPublisher(
-            self.simulator,
-            self,
-            publisher,
-            rate_per_second,
-            event_factory,
-            num_events,
-            random.Random(self.rng.randrange(2**63)),
-            burstiness=burstiness,
-            on_mean_s=on_mean_s,
         )
         self._publishers.append(process)
         return process

@@ -18,12 +18,10 @@ import pytest
 
 from repro.experiments import (
     AblationConfig,
-    BurstyConfig,
     Chart1Config,
     Chart2Config,
     Chart3Config,
     ThroughputConfig,
-    run_bursty,
     run_chart1,
     run_chart2,
     run_chart3,
@@ -108,20 +106,6 @@ class TestThroughput:
         # The paper: "transport system and network costs of a broker
         # outweigh the cost of matching".
         assert by_column["matching_cost_share"] < 0.5
-
-
-class TestBursty:
-    def test_burstiness_increases_queueing(self):
-        table = run_bursty(
-            BurstyConfig(
-                num_subscriptions=100,
-                mean_rate=2500.0,
-                burstiness_factors=(1.0, 10.0),
-                duration_s=0.6,
-            )
-        )
-        queues = dict(zip(table.column("burstiness"), table.column("max_queue")))
-        assert queues[10.0] >= queues[1.0]
 
 
 class TestAblations:

@@ -48,6 +48,15 @@ class TestParsing:
         assert "Traceback" not in completed.stderr
         assert completed.stderr.startswith("usage: repro")
 
+    @pytest.mark.parametrize("command", ["bursty", "model"])
+    def test_removed_commands_are_usage_errors(self, command):
+        """The bursty-load study and the analytical cost model are gone:
+        naming one is an argparse error."""
+        completed = self._run_cli(command)
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert completed.stderr.startswith("usage: repro")
+
 
 class TestFastCommands:
     def test_demo(self, capsys):
@@ -68,14 +77,3 @@ class TestFastCommands:
         out = capsys.readouterr().out
         assert "centralized" in out
 
-    def test_bursty_small(self, capsys):
-        assert (
-            main(["bursty", "--mean-rate", "1500", "--burstiness", "1", "4"]) == 0
-        )
-        out = capsys.readouterr().out
-        assert "burstiness" in out
-
-    def test_model_small(self, capsys):
-        assert main(["model", "--subscriptions", "100", "200", "--events", "30"]) == 0
-        out = capsys.readouterr().out
-        assert "model_steps" in out and "sublinearity_ratio" in out

@@ -246,20 +246,6 @@ class TestExporters:
         export.write_json(self.make_registry(), target)
         assert json.loads(target.read_text())["engine.waste"]["value"] == 0.25
 
-    def test_prometheus_format(self):
-        text = export.to_prometheus(self.make_registry())
-        assert "# TYPE repro_sim_events counter" in text
-        assert 'repro_sim_events{kind="pub"} 3' in text
-        assert "# TYPE repro_lat_ms histogram" in text
-        # cumulative le buckets + the conventional _sum/_count pair
-        assert 'repro_lat_ms_bucket{le="1.0"} 1' in text
-        assert 'repro_lat_ms_bucket{le="+Inf"} 2' in text
-        assert "repro_lat_ms_count 2" in text
-
-    def test_prometheus_accepts_plain_snapshot(self):
-        snapshot = self.make_registry().snapshot()
-        assert export.to_prometheus(snapshot) == export.to_prometheus(self.make_registry())
-
 
 class TestBenchArtifacts:
     def make_payload(self, **overrides):

@@ -96,20 +96,11 @@ class TestPublisherProcesses:
         # 200 events at 1000/s should take roughly 0.2 simulated seconds.
         assert 0.05 < result.elapsed_seconds < 1.0
 
-    def test_bursty_publishes_exact_count(self, two_broker_topology):
-        simulation = make_network(two_broker_topology, {"c1": "*"})
-        factory = lambda rng: Event.from_tuple(SCHEMA2, (0, 0))
-        simulation.add_bursty_publisher("P1", 500.0, factory, 30, burstiness=4.0)
-        result = simulation.run()
-        assert result.published_events == 30
-
     def test_invalid_rates_rejected(self, two_broker_topology):
         simulation = make_network(two_broker_topology, {})
         factory = lambda rng: Event.from_tuple(SCHEMA2, (0, 0))
         with pytest.raises(SimulationError):
             simulation.add_poisson_publisher("P1", 0.0, factory, 5)
-        with pytest.raises(SimulationError):
-            simulation.add_bursty_publisher("P1", 10.0, factory, 5, burstiness=0.5)
 
 
 class TestRunControls:
